@@ -16,7 +16,7 @@ import numpy as np
 
 from .opcore import OperatorTuple
 from .domains import BlockStructure, DomainPoint, membership, mu_E
-from .fundamentals import solve_fundamentals
+from .fundamentals import PIVOT, FundamentalSet, defect, solve_fundamentals
 from .dilate import egervary, pentablock_dilation, schaffer
 from .verify import commutator_profile, is_commuting, isometry_check, \
     necessary_conditions
@@ -101,7 +101,7 @@ def cmd_dilate(args):
                      "unitary_residual": res,
                      "matrix": operator_to_dict(u)}))
         return 0
-    tup = _load_tuple(args.tuple, args.kind if args.kind != "penta" else "penta")
+    tup = _load_tuple(args.tuple, args.kind)
     if args.kind in ("gamma7", "gamma5"):
         fset = solve_fundamentals(args.kind, tup)
         dil = schaffer(args.kind, tup, fset, args.depth)
@@ -116,14 +116,12 @@ def cmd_dilate(args):
 
 
 def _fundamentals_for(kind, tup, path=None):
-    from .fundamentals import FundamentalSet, defect
     fkind = "sym" if kind == "penta" else kind
     base = OperatorTuple("sym", (tup.ops[1], tup.ops[2])) if kind == "penta" else tup
     if path is None:
         return fkind, solve_fundamentals(fkind, base)
     d = _load_json(path)
-    pivot = {"gamma7": 6, "gamma5": 2, "sym": 1}[fkind]
-    dd = defect(base.ops[pivot])
+    dd = defect(base.ops[PIVOT[fkind]])
     ops = {name: operator_from_dict(m) for name, m in d["ops"].items()}
     residuals = {name: float(v) for name, v in d.get("residuals", {}).items()}
     return fkind, FundamentalSet(fkind, ops, residuals, dd)

@@ -4,7 +4,7 @@ the pentablock dilation triple, and the operator pushforward maps.
 
 Every construction truncates the defect tail at ``depth`` copies; checks
 against the infinite-model identities must window out the final copies
-(DilationResult.window builds the right projector).
+(DilationResult.window builds the orthonormal basis of the safe part).
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .opcore import (Operator, OperatorTuple, OpcoreError, as_operator, _mat,
                      commutator_norms, herm_sqrt, op_norm)
@@ -76,37 +77,28 @@ class DilationResult:
         return OperatorTuple(self.kind, self.ops)
 
     def coextension_residuals(self, base_ops, h_window: Window | None = None) -> list:
-        out = []
+        norm = op_norm if h_window is None else h_window.wnorm
         e = self.embed.mat
-        for v, t in zip(self.ops, base_ops):
-            r = v.mat.conj().T @ e - e @ _mat(t).conj().T
-            if h_window is not None:
-                r = r @ h_window.projector.mat
-            out.append(float(np.linalg.norm(r, 2)))
-        return out
+        return [norm(v.mat.conj().T @ e - e @ _mat(t).conj().T)
+                for v, t in zip(self.ops, base_ops)]
 
     def window(self, h_window: Window, tail_margin: int = 1) -> Window:
         """Window on the dilation space: the base-space window plus the tail
-        copies that sit at least ``tail_margin`` below the truncation cut."""
+        copies that sit at least ``tail_margin`` below the truncation cut.
+
+        On each kept copy the window is the part of the defect space inside
+        the base window, in defect coordinates: the eigenvalue-1
+        eigenvectors of q* P q = (Q* q)* (Q* q).
+        """
         if self.defect.rank == 0:
             return h_window
-        q = self.defect.range_basis
-        pw = q.conj().T @ h_window.projector.mat @ q
-        w, v = np.linalg.eigh((pw + pw.conj().T) / 2.0)
+        c = h_window.basis.conj().T @ self.defect.range_basis
+        w, v = np.linalg.eigh(c.conj().T @ c)
         keepv = v[:, w > 1.0 - 1e-9]
-        dwin = keepv @ keepv.conj().T
-        blocks = [h_window.projector.mat]
         keep_copies = max(0, self.depth - tail_margin)
-        for k in range(1, self.depth + 1):
-            blocks.append(dwin if k <= keep_copies else np.zeros_like(dwin))
-        n = self.dim
-        full = np.zeros((n, n), dtype=complex)
-        off = 0
-        for b in blocks:
-            m = b.shape[0]
-            full[off:off + m, off:off + m] = b
-            off += m
-        return Window(h_window.margin, Operator(full))
+        basis = scipy.linalg.block_diag(h_window.basis, *[keepv] * keep_copies)
+        return Window(h_window.margin,
+                      np.pad(basis, ((0, self.dim - basis.shape[0]), (0, 0))))
 
 
 def _embed_matrix(base_dim, depth, rank):

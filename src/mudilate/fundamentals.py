@@ -91,6 +91,9 @@ def defect(t, norm_tol: float = 1e-8, rank_tol: float | None = None) -> DefectDa
                       dvals=dvals_all[keep])
 
 
+# index of the distinguished contraction whose defect carries the equations
+PIVOT = {"gamma7": 6, "gamma5": 2, "sym": 1}
+
 GAMMA7_NAMES = ("F1", "F2", "F3", "F4", "F5", "F6")
 GAMMA5_NAMES = ("G1", "G2", "G1t", "G2t")
 
@@ -159,8 +162,7 @@ def solve_fundamentals(kind: str, tup: OperatorTuple, tol: float = 1e-9,
     worst_comm = max((v for _, v in commutator_norms(tup.ops, window)), default=0.0)
     if worst_comm > commute_tol * max(1.0, max(op_norm(o) for o in tup.ops) ** 2):
         raise SolveError(f"tuple does not commute on the window: {worst_comm:.3e}")
-    pivot = {"gamma7": 6, "gamma5": 2, "sym": 1}[kind]
-    dd = defect(tup.ops[pivot])
+    dd = defect(tup.ops[PIVOT[kind]])
     rhs = _rhs_map(kind, tup)
     ops, residuals = {}, {}
     if dd.rank == 0:
@@ -170,13 +172,10 @@ def solve_fundamentals(kind: str, tup: OperatorTuple, tol: float = 1e-9,
         return FundamentalSet(kind, ops, residuals, dd, trivial=True)
     dplus = dd.pinv()
     dmat = dd.D.mat
+    norm = op_norm if window is None else window.wnorm
     for name, b in rhs.items():
         f = dplus @ b @ dplus
-        res_mat = dmat @ f @ dmat - b
-        if window is not None:
-            res = window.wnorm(res_mat)
-        else:
-            res = float(np.linalg.norm(res_mat, 2))
+        res = norm(dmat @ f @ dmat - b)
         if res > tol:
             raise SolveError(
                 f"fundamental equation {name} unsolvable on the defect space: "
@@ -221,20 +220,6 @@ def rho(kind: str, args) -> RhoResult:
     return RhoResult(Operator(sym_out), asym)
 
 
-def _min_eig(mat: np.ndarray, window: Window | None) -> float:
-    if window is not None:
-        return window.psd_min_eig(mat)
-    h = (mat + mat.conj().T) / 2.0
-    return float(np.linalg.eigvalsh(h).min())
-
-
-def _windowed(op_mat: np.ndarray, window: Window | None) -> np.ndarray:
-    if window is None:
-        return op_mat
-    w = window.projector.mat
-    return w @ op_mat @ w
-
-
 def chain_report(kind: str, tup: OperatorTuple, z_samples: int = 32,
                  tol: float = 1e-7, window: Window | None = None,
                  fset: FundamentalSet | None = None) -> CheckReport:
@@ -253,6 +238,14 @@ def chain_report(kind: str, tup: OperatorTuple, z_samples: int = 32,
                       window_margin=None if window is None else window.margin)
     rep.notes.append("necessary direction only: failures disprove, passes do not certify")
     zs = np.exp(2j * np.pi * np.arange(z_samples) / z_samples)
+    # radii and the rho spectrum are read off the window compression Q* A Q;
+    # rho forms are exactly Hermitian, so the unwindowed case needs no
+    # symmetrization
+    if window is None:
+        comp = _mat
+        min_eig = lambda h: float(np.linalg.eigvalsh(h).min())
+    else:
+        comp, min_eig = window.compress, window.psd_min_eig
 
     if kind == "gamma7":
         t = [o.mat for o in tup.ops]
@@ -280,19 +273,18 @@ def chain_report(kind: str, tup: OperatorTuple, z_samples: int = 32,
     rad_max, omega_max = 0.0, 0.0
     for (a, b, tag), names in zip(pairs, fnames):
         p_rho, p_rad, p_om = np.inf, 0.0, 0.0
+        ca, cb = comp(a), comp(b)
         for z in zs:
             r1 = rho("tetra", (Operator(a), Operator(z * b), Operator(z * last)))
             r2 = rho("tetra", (Operator(b), Operator(z * a), Operator(z * last)))
-            p_rho = min(p_rho, _min_eig(r1.op.mat + r2.op.mat, window))
-            sz = a + z * b
-            p_rad = max(p_rad, spectral_radius(_windowed(sz, window)))
+            p_rho = min(p_rho, min_eig(r1.op.mat + r2.op.mat))
+            p_rad = max(p_rad, spectral_radius(ca + z * cb))
         rep.add(f"rho-pair-psd[{tag}]", max(0.0, -p_rho), tol)
         rep.add(f"radius<=2[{tag}]", max(0.0, p_rad - 2.0), tol)
         rho_min = min(rho_min, p_rho)
         rad_max = max(rad_max, p_rad)
         if fset is not None:
-            fa = _windowed(fset[names[0]].mat, window)
-            fb = _windowed(fset[names[1]].mat, window)
+            fa, fb = comp(fset[names[0]]), comp(fset[names[1]])
             for z in zs:
                 p_om = max(p_om, numerical_radius(Operator(fa + z * fb)))
             rep.add(f"omega<=1[{tag}]", max(0.0, p_om - 1.0), tol)

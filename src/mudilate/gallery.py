@@ -19,8 +19,8 @@ from .domains import (DomainPoint, membership, point_pi, point_pi_eta,
 from .fundamentals import DefectData, chain_report, defect, solve_fundamentals
 from .dilate import DilationResult, _embed_matrix, _tail_tuple, pushforward, \
     pentablock_dilation, schaffer
-from .verify import commutator_profile, is_commuting, isometry_check, \
-    necessary_conditions
+from .verify import _self_comm, _windowed_range, commutator_profile, \
+    is_commuting, isometry_check, necessary_conditions
 from .report import CheckReport, dumps
 
 
@@ -256,16 +256,13 @@ def _run_exam1(case: GalleryCase) -> CheckReport:
     dil = schaffer("gamma7", tup, fset, p["depth"])
     kw = dil.window(w, tail_margin=min(2, p["depth"] - 1))
     v = [o.mat for o in dil.ops]
-    rel = max(float(np.linalg.norm((v[i] - v[5 - i].conj().T @ v[6])
-                                   @ kw.projector.mat, 2)) for i in range(6))
+    rel = max(kw.wnorm(v[i] - v[5 - i].conj().T @ v[6]) for i in range(6))
     _expect(rep, case, "dilation relations Vi=V(7-i)*V7", rel, "=0", 1e-9)
-    iso = float(np.linalg.norm((v[6].conj().T @ v[6] - np.eye(v[6].shape[0]))
-                               @ kw.projector.mat, 2))
+    iso = kw.wnorm(v[6].conj().T @ v[6] - np.eye(v[6].shape[0]))
     _expect(rep, case, "V7 isometric on window", iso, "=0", 1e-9)
     coext = max(dil.coextension_residuals(tup.ops, w))
     _expect(rep, case, "co-extension of the original tuple", coext, "=0", 1e-9)
-    cviol = float(np.linalg.norm((v[0] @ v[5] - v[5] @ v[0])
-                                 @ kw.projector.mat, 2))
+    cviol = kw.wnorm(v[0] @ v[5] - v[5] @ v[0])
     _expect(rep, case, "dilation members fail to commute (expected)",
             cviol, ">=", 0.9)
     rep.notes.append("sufficient-condition hypotheses violated while the "
@@ -317,19 +314,14 @@ def _run_exam2(case: GalleryCase) -> CheckReport:
     kw = dil.window(w, tail_margin=min(2, p["depth"] - 1))
     wm = [o.mat for o in dil.ops]
     w1, w2, w3, w1t, w2t = wm
-    rel = max(
-        float(np.linalg.norm((w1 - w2t.conj().T @ w3) @ kw.projector.mat, 2)),
-        float(np.linalg.norm((w2t - w1.conj().T @ w3) @ kw.projector.mat, 2)),
-        float(np.linalg.norm((w2 - w1t.conj().T @ w3) @ kw.projector.mat, 2)),
-        float(np.linalg.norm((w1t - w2.conj().T @ w3) @ kw.projector.mat, 2)),
-    )
+    rel = max(kw.wnorm(w1 - w2t.conj().T @ w3), kw.wnorm(w2t - w1.conj().T @ w3),
+              kw.wnorm(w2 - w1t.conj().T @ w3), kw.wnorm(w1t - w2.conj().T @ w3))
     _expect(rep, case, "dilation relations W=partner* W3", rel, "=0", 1e-9)
-    iso = float(np.linalg.norm((w3.conj().T @ w3 - np.eye(w3.shape[0]))
-                               @ kw.projector.mat, 2))
+    iso = kw.wnorm(w3.conj().T @ w3 - np.eye(w3.shape[0]))
     _expect(rep, case, "W3 isometric on window", iso, "=0", 1e-9)
     coext = max(dil.coextension_residuals(tup5.ops, w))
     _expect(rep, case, "co-extension of the original tuple", coext, "=0", 1e-9)
-    cviol = float(np.linalg.norm((w1 @ w2t - w2t @ w1) @ kw.projector.mat, 2))
+    cviol = kw.wnorm(w1 @ w2t - w2t @ w1)
     _expect(rep, case, "dilation members fail to commute (expected)",
             cviol, ">=", 0.9)
     return rep
@@ -394,11 +386,9 @@ def _run_exam5(case: GalleryCase) -> CheckReport:
     _merge(rep, chk, "dilation triple is a pentablock isometry")
     r = [o.mat for o in dil.ops]
     _expect(rep, case, "R2=R2*R3 on window",
-            float(np.linalg.norm((r[1] - r[1].conj().T @ r[2])
-                                 @ kw.projector.mat, 2)), "=0", 1e-10)
+            kw.wnorm(r[1] - r[1].conj().T @ r[2]), "=0", 1e-10)
     gram = r[0].conj().T @ r[0] + 0.25 * r[1].conj().T @ r[1] - np.eye(r[0].shape[0])
-    _expect(rep, case, "R1*R1 + R2*R2/4 = I on window",
-            float(np.linalg.norm(gram @ kw.projector.mat, 2)), "=0", 1e-9)
+    _expect(rep, case, "R1*R1 + R2*R2/4 = I on window", kw.wnorm(gram), "=0", 1e-9)
     _expect(rep, case, "||R2|| equals |alpha|",
             abs(op_norm(dil.ops[1]) - abs(alpha)), "~=", (0.0, 1e-8))
     coext = max(dil.coextension_residuals(tup.ops, w))
@@ -490,14 +480,11 @@ def _run_axis_family(case: GalleryCase) -> CheckReport:
     # restriction of the tuple to the kernel of the last member (= the
     # defect range of a partial isometry) carries the same commutator
     # table as the fundamentals
-    from .verify import _windowed_range, _self_comm
     kb = _windowed_range(dd, w)
     gap = 0.0
     for i, j in ((0, 5), (1, 4), (2, 3)):
-        fi = kb.conj().T @ fset[f"F{i+1}"].mat @ kb
-        fj = kb.conj().T @ fset[f"F{j+1}"].mat @ kb
-        di = kb.conj().T @ tup.ops[i].mat @ kb
-        dj = kb.conj().T @ tup.ops[j].mat @ kb
+        fi, fj, di, dj = (kb.conj().T @ m.mat @ kb for m in (
+            fset[f"F{i+1}"], fset[f"F{j+1}"], tup.ops[i], tup.ops[j]))
         gap = max(gap, float(np.linalg.norm(
             (_self_comm(fi) - _self_comm(fj)) - (_self_comm(di) - _self_comm(dj)), 2)))
     _expect(rep, case, "kernel-restricted tuple mirrors fundamental commutators",

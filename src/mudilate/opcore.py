@@ -167,32 +167,6 @@ class OperatorTuple:
         return len(self.ops)
 
 
-@dataclass
-class Subspace:
-    """An orthonormal column family spanning a subspace of C^host_dim."""
-
-    basis: np.ndarray
-    host_dim: int
-    tol: float = 0.0
-
-    def __post_init__(self):
-        b = np.asarray(self.basis, dtype=complex)
-        if b.ndim != 2 or b.shape[0] != self.host_dim:
-            raise OpcoreError("basis must be host_dim x k")
-        if b.shape[1] > 0:
-            gram = b.conj().T @ b
-            if np.abs(gram - np.eye(b.shape[1])).max() > 1e-12:
-                raise OpcoreError("basis columns are not orthonormal to 1e-12")
-        self.basis = b
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[1]
-
-    def projector(self) -> Operator:
-        return Operator(self.basis @ self.basis.conj().T, bandwidth=None)
-
-
 def op_norm(a) -> float:
     """Largest singular value."""
     m = _mat(a)
@@ -317,8 +291,8 @@ def numerical_radius(a, tol: float = 1e-8) -> float:
     return float(best)
 
 
-def kernel_basis(a, tol: float | None = None) -> Subspace:
-    """Orthonormal basis of the numerical kernel via SVD.
+def kernel_basis(a, tol: float | None = None) -> np.ndarray:
+    """Orthonormal columns spanning the numerical kernel, via SVD.
 
     Singular values below ``tol`` count as zero; the default cutoff is
     1e-8 * op_norm(A).
@@ -327,25 +301,22 @@ def kernel_basis(a, tol: float | None = None) -> Subspace:
     if tol is not None and tol <= 0:
         raise OpcoreError("tol must be positive")
     if not np.any(m):
-        return Subspace(np.eye(m.shape[1]), m.shape[1], tol=tol or 0.0)
+        return np.eye(m.shape[1], dtype=complex)
     _, s, vh = np.linalg.svd(m)
     if tol is None:
         tol = 1e-8 * (s[0] if len(s) else 1.0)
     rank = int(np.sum(s >= tol))
-    basis = vh[rank:].conj().T
-    return Subspace(basis, m.shape[1], tol=tol)
+    return vh[rank:].conj().T
 
 
 def commutator_norms(ops, window=None) -> list:
     """Pairwise commutator norms ||[A_i, A_j]|| (optionally right-windowed)."""
     mats = [_mat(o) for o in ops]
+    norm = op_norm if window is None else window.wnorm
     out = []
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
-            c = mats[i] @ mats[j] - mats[j] @ mats[i]
-            if window is not None:
-                c = c @ window.projector.mat
-            out.append(((i, j), float(np.linalg.norm(c, 2))))
+            out.append(((i, j), norm(mats[i] @ mats[j] - mats[j] @ mats[i])))
     return out
 
 
@@ -414,9 +385,3 @@ def joint_eigs(tup, commute_tol: float = 1e-9, cluster_tol: float = 1e-7):
         return [tuple(complex(np.trace(b)) / d for b in blocks)] * d
 
     return recurse(mats)
-
-
-def restrict(op, subspace: Subspace) -> Operator:
-    """Compression Q* A Q of an operator to a subspace."""
-    q = subspace.basis
-    return Operator(q.conj().T @ _mat(op) @ q)

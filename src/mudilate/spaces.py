@@ -2,9 +2,10 @@
 the window bookkeeping that makes truncated shift identities exact.
 
 A ModelSpace is an ordered direct sum of summands C^fiber x C^trunc, graded
-by the truncation level.  A Window keeps every basis vector whose level lies
-below trunc - margin in its summand; any identity between words of shift
-operators of total bandwidth <= margin then holds exactly on the window.
+by the truncation level.  A Window is the orthonormal basis of every
+coordinate vector whose level lies below trunc - margin in its summand; any
+identity between words of shift operators of total bandwidth <= margin then
+holds exactly on the window.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .opcore import Operator, OpcoreError, as_operator
+from .opcore import Operator, OpcoreError, _mat, as_operator
 
 
 @dataclass(frozen=True)
@@ -56,40 +57,41 @@ class ModelSpace:
 
 @dataclass
 class Window:
-    """Orthogonal projector onto the safe part of a truncated space."""
+    """Orthonormal column basis Q (n x k) of the safe part of a truncated
+    space.  Windowed residuals are ||A Q||; windowed spectra are read off the
+    k x k compression Q* A Q, whose spectrum is that of P A P (P = Q Q*)
+    without the masked-out zeros."""
 
     margin: int
-    projector: Operator
-    mask: np.ndarray | None = None
+    basis: np.ndarray
 
     def __post_init__(self):
-        p = self.projector.mat
-        if np.linalg.norm(p @ p - p, 2) > 1e-12 or np.linalg.norm(p - p.conj().T, 2) > 1e-12:
-            raise OpcoreError("window projector must be an orthogonal projection")
+        q = np.asarray(self.basis, dtype=complex)
+        if q.ndim != 2 or np.abs(q.conj().T @ q - np.eye(q.shape[1])).max(initial=0.0) > 1e-12:
+            raise OpcoreError("window basis columns must be orthonormal to 1e-12")
+        self.basis = q
 
     @property
     def dim(self) -> int:
-        return int(round(np.trace(self.projector.mat).real))
+        return self.basis.shape[1]
 
     def wnorm(self, a) -> float:
-        """||A W||: operator norm seen through the safe inputs."""
-        m = a.mat if isinstance(a, Operator) else np.asarray(a, dtype=complex)
-        return float(np.linalg.norm(m @ self.projector.mat, 2))
+        """||A Q||: operator norm seen through the safe inputs."""
+        return float(np.linalg.norm(_mat(a) @ self.basis, 2))
 
     def equal(self, a, b) -> float:
-        """Residual ||(A - B) W||."""
+        """Residual ||(A - B) Q||."""
         return self.wnorm(as_operator(a) - as_operator(b))
 
-    def compress(self, a) -> Operator:
-        w = self.projector.mat
-        m = a.mat if isinstance(a, Operator) else np.asarray(a, dtype=complex)
-        return Operator(w @ m @ w)
+    def compress(self, a) -> np.ndarray:
+        """The k x k compression Q* A Q."""
+        q = self.basis
+        return q.conj().T @ _mat(a) @ q
 
     def psd_min_eig(self, h) -> float:
-        """Smallest eigenvalue of the two-sided windowed compression of H."""
-        c = self.compress(h).mat
-        c = (c + c.conj().T) / 2.0
-        return float(np.linalg.eigvalsh(c).min())
+        """Smallest eigenvalue of the Hermitian part of the compression of H."""
+        c = self.compress(h)
+        return float(np.linalg.eigvalsh((c + c.conj().T) / 2.0).min())
 
 
 def window(space: ModelSpace, margin: int) -> Window:
@@ -100,8 +102,7 @@ def window(space: ModelSpace, margin: int) -> Window:
             f"margin {margin} leaves no window (min trunc_level "
             f"{min(t for _, t in space.summands)})"
         )
-    mask = space.level_mask(margin)
-    return Window(margin, Operator(np.diag(mask.astype(float)), bandwidth=0), mask)
+    return Window(margin, np.eye(space.total_dim)[:, space.level_mask(margin)])
 
 
 def auto_margin(ops, word_len: int = 2) -> int:

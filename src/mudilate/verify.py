@@ -13,15 +13,10 @@ from __future__ import annotations
 import numpy as np
 
 from .opcore import (OperatorTuple, OpcoreError, _mat, as_operator,
-                     kernel_basis, op_norm, spectral_radius)
+                     commutator_norms, kernel_basis, op_norm, spectral_radius)
 from .fundamentals import FundamentalSet
 from .report import CheckReport
 from .spaces import Window
-
-
-def _res(mat, window=None):
-    m = mat if window is None else mat @ window.projector.mat
-    return float(np.linalg.norm(m, 2))
 
 
 def is_commuting(t, tol: float = 1e-9, window: Window | None = None) -> CheckReport:
@@ -32,16 +27,9 @@ def is_commuting(t, tol: float = 1e-9, window: Window | None = None) -> CheckRep
             raise OpcoreError("commutation check needs square operators on one space")
     rep = CheckReport(name="is-commuting",
                       window_margin=None if window is None else window.margin)
-    for i in range(len(ops)):
-        for j in range(i + 1, len(ops)):
-            c = ops[i].mat @ ops[j].mat - ops[j].mat @ ops[i].mat
-            rep.add(f"[T{i+1},T{j+1}]", _res(c, window), tol)
+    for (i, j), res in commutator_norms(ops, window):
+        rep.add(f"[T{i+1},T{j+1}]", res, tol)
     return rep
-
-
-def _isometry_residual(v, window):
-    m = _mat(v)
-    return _res(m.conj().T @ m - np.eye(m.shape[0]), window)
 
 
 def isometry_check(kind: str, t, tol: float = 1e-9,
@@ -54,13 +42,20 @@ def isometry_check(kind: str, t, tol: float = 1e-9,
     """
     rep = CheckReport(name=f"isometry-{kind}",
                       window_margin=None if window is None else window.margin)
+    norm = op_norm if window is None else window.wnorm
+    comp = _mat if window is None else window.compress
+
+    def isometry_residual(v):
+        m = _mat(v)
+        return norm(m.conj().T @ m - np.eye(m.shape[0]))
+
     if kind == "isometry":
-        rep.add("V*V=I", _isometry_residual(t, window), tol)
+        rep.add("V*V=I", isometry_residual(t), tol)
         return rep
     if kind == "partial":
         m = _mat(t)
         rep.add("norm<=1", max(0.0, op_norm(m) - 1.0), 1e-8)
-        rep.add("TT*T=T", _res(m @ m.conj().T @ m - m, window), tol)
+        rep.add("TT*T=T", norm(m @ m.conj().T @ m - m), tol)
         return rep
 
     if not isinstance(t, OperatorTuple):
@@ -75,64 +70,51 @@ def isometry_check(kind: str, t, tol: float = 1e-9,
         v7 = ops[6]
         for i in range(6):
             rel = ops[i] - ops[5 - i].conj().T @ v7
-            rep.add(f"V{i+1}=V{6-i}*V7", _res(rel, window), tol)
-            rw = spectral_radius(ops[i] if window is None
-                                 else window.compress(ops[i]).mat)
+            rep.add(f"V{i+1}=V{6-i}*V7", norm(rel), tol)
+            rw = spectral_radius(comp(ops[i]))
             rep.add(f"r(V{i+1})<=1", max(0.0, rw - 1.0), tol)
-        rep.add("V7 isometry", _isometry_residual(ops[6], window), tol)
+        rep.add("V7 isometry", isometry_residual(ops[6]), tol)
     elif kind == "gamma5":
         w1, w2, w3, w1t, w2t = ops
-        rep.add("W1=W2t*W3", _res(w1 - w2t.conj().T @ w3, window), tol)
-        rep.add("W2t=W1*W3", _res(w2t - w1.conj().T @ w3, window), tol)
-        rep.add("W2=W1t*W3", _res(w2 - w1t.conj().T @ w3, window), tol)
-        rep.add("W1t=W2*W3", _res(w1t - w2.conj().T @ w3, window), tol)
-        rep.add("W3 isometry", _isometry_residual(w3, window), tol)
+        rep.add("W1=W2t*W3", norm(w1 - w2t.conj().T @ w3), tol)
+        rep.add("W2t=W1*W3", norm(w2t - w1.conj().T @ w3), tol)
+        rep.add("W2=W1t*W3", norm(w2 - w1t.conj().T @ w3), tol)
+        rep.add("W1t=W2*W3", norm(w1t - w2.conj().T @ w3), tol)
+        rep.add("W3 isometry", isometry_residual(w3), tol)
     elif kind == "penta":
         r1, r2, r3 = ops
-        rep.add("R2=R2*R3", _res(r2 - r2.conj().T @ r3, window), tol)
-        rep.add("R3 isometry", _isometry_residual(r3, window), tol)
-        rw = spectral_radius(r2 if window is None else window.compress(r2).mat)
+        rep.add("R2=R2*R3", norm(r2 - r2.conj().T @ r3), tol)
+        rep.add("R3 isometry", isometry_residual(r3), tol)
+        rw = spectral_radius(comp(r2))
         rep.add("r(R2)<=2", max(0.0, rw - 2.0), tol)
         gram = r1.conj().T @ r1 + 0.25 * r2.conj().T @ r2 - np.eye(r1.shape[0])
-        rep.add("R1*R1+R2*R2/4=I", _res(gram, window), tol)
+        rep.add("R1*R1+R2*R2/4=I", norm(gram), tol)
     else:
         raise OpcoreError(f"unknown isometry kind {kind!r}")
     return rep
 
 
 def _windowed_kernel(dd, window):
-    """Orthonormal basis of Ker D intersected with the window."""
-    k = kernel_basis(dd.D.mat)
-    basis = k.basis
-    if basis.shape[1] == 0:
-        return basis
-    if window is not None:
-        b = window.projector.mat @ basis
-        u, s, _ = np.linalg.svd(b, full_matrices=False)
-        basis = u[:, s > 0.5]
-        if basis.shape[1]:
-            ok = np.linalg.norm(dd.D.mat @ basis, axis=0) <= 1e-8
-            basis = basis[:, ok]
-    return basis
+    """Orthonormal basis of Ker D intersected with the window: the window
+    vectors that the orthogonal projection R onto the defect range kills,
+    read off the eigenvalue-0 eigenvectors of the compression Q* R Q."""
+    if window is None:
+        return kernel_basis(dd.D.mat)
+    w, v = np.linalg.eigh(window.compress(dd.range_proj))
+    return window.basis @ v[:, w < 1e-9]
 
 
 def _windowed_range(dd, window):
-    """Orthonormal basis of the defect range intersected with the window.
+    """Orthonormal basis of the defect range intersected with the window:
+    the eigenvalue-1 eigenvectors of Q* R Q, mapped back by Q.
 
     For a partial isometry this is the kernel of the operator itself, the
     subspace the restricted-tuple comparisons live on.
     """
-    basis = dd.range_basis
-    if basis.shape[1] == 0 or window is None:
-        return basis
-    b = window.projector.mat @ basis
-    u, s, _ = np.linalg.svd(b, full_matrices=False)
-    basis = u[:, s > 0.5]
-    if basis.shape[1]:
-        comp = np.eye(dd.host_dim) - dd.range_proj.mat
-        keep = np.linalg.norm(comp @ basis, axis=0) <= 1e-8
-        basis = basis[:, keep]
-    return basis
+    if window is None:
+        return dd.range_basis
+    w, v = np.linalg.eigh(window.compress(dd.range_proj))
+    return window.basis @ v[:, w > 1.0 - 1e-9]
 
 
 def necessary_conditions(kind: str, t: OperatorTuple, fset: FundamentalSet,
@@ -223,15 +205,12 @@ def commutator_profile(fset: FundamentalSet, tol: float = 1e-9,
         raise OpcoreError("a single fundamental operator has no commutator profile")
     rep = CheckReport(name=f"commutators-{fset.kind}", hypothesis_only=True,
                       window_margin=None if window is None else window.margin)
-
-    def w(m):
-        if window is None:
-            return m
-        p = window.projector.mat
-        return p @ m @ p
+    # P F P = Q (Q* F Q) Q*, so products and commutators of the compressions
+    # carry the norms of the two-sided windowed operators
+    comp = _mat if window is None else window.compress
 
     if fset.kind == "gamma7":
-        fs = [w(fset[f"F{i+1}"].mat) for i in range(6)]
+        fs = [comp(fset[f"F{i+1}"]) for i in range(6)]
         for i in range(6):
             for j in range(i + 1, 6):
                 rep.add(f"[F{i+1},F{j+1}]",
@@ -245,7 +224,7 @@ def commutator_profile(fset: FundamentalSet, tol: float = 1e-9,
         return rep
 
     names = ("G1", "G2", "G1t", "G2t")
-    g1, g2, g1t, g2t = (w(fset[n].mat) for n in names)
+    g1, g2, g1t, g2t = (comp(fset[n]) for n in names)
     pairs = [("G1", g1, "G2", g2), ("G1", g1, "G1t", g1t), ("G1", g1, "G2t", g2t),
              ("G2", g2, "G1t", g1t), ("G2", g2, "G2t", g2t), ("G1t", g1t, "G2t", g2t)]
     for na, a, nb, b in pairs:

@@ -83,10 +83,8 @@ def test_criterion_3_exam3_sweep():
         kw = dil.window(w, tail_margin=4)
         comm = is_commuting(dil.tuple(), tol=1e-9, window=kw)
         v = [o.mat for o in dil.ops]
-        p = kw.projector.mat
-        rel = max(float(np.linalg.norm((v[i] - v[5 - i].conj().T @ v[6]) @ p, 2))
-                  for i in range(6))
-        iso = float(np.linalg.norm((v[6].conj().T @ v[6] - np.eye(len(v[6]))) @ p, 2))
+        rel = max(kw.wnorm(v[i] - v[5 - i].conj().T @ v[6]) for i in range(6))
+        iso = kw.wnorm(v[6].conj().T @ v[6] - np.eye(len(v[6])))
         norm_gap = abs(op_norm(dil.ops[0]) - abs(alpha))
         ok &= (comm.verdict == "pass" and rel <= 1e-9 and iso <= 1e-9
                and norm_gap <= 1e-9)
@@ -107,11 +105,9 @@ def test_criterion_4_exam5_sweep():
         dil = pentablock_dilation(tup, fset, 4)
         kw = dil.window(w, tail_margin=2)
         r = [o.mat for o in dil.ops]
-        p = kw.projector.mat
-        fix = float(np.linalg.norm((r[1] - r[1].conj().T @ r[2]) @ p, 2))
-        gram = float(np.linalg.norm(
-            (r[0].conj().T @ r[0] + 0.25 * r[1].conj().T @ r[1]
-             - np.eye(len(r[0]))) @ p, 2))
+        fix = kw.wnorm(r[1] - r[1].conj().T @ r[2])
+        gram = kw.wnorm(r[0].conj().T @ r[0] + 0.25 * r[1].conj().T @ r[1]
+                        - np.eye(len(r[0])))
         norm_gap = abs(op_norm(dil.ops[1]) - abs(alpha))
         nec = necessary_conditions("penta", tup, fset, tol=1e-9, window=w)
         ok &= (fix <= 1e-10 and gram <= 1e-9 and norm_gap <= 1e-8

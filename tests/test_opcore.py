@@ -3,9 +3,9 @@ import pytest
 
 from mudilate.opcore import (Operator, OperatorTuple, OpcoreError,
                              NegativeEigenvalueError, NonCommutingError,
-                             NotHermitianError, Subspace, herm_sqrt,
-                             joint_eigs, kernel_basis, numerical_radius,
-                             op_norm, restrict, spectral_radius)
+                             NotHermitianError, herm_sqrt, joint_eigs,
+                             kernel_basis, numerical_radius, op_norm,
+                             spectral_radius)
 from mudilate.spaces import hardy_shift, window, ModelSpace
 
 from conftest import random_contraction
@@ -122,7 +122,7 @@ class TestSpectralRadius:
         space, tup, _, w = exam1
         for i in range(3):
             s = tup.ops[i].mat + tup.ops[5 - i].mat
-            sw = w.compress(s).mat
+            sw = w.compress(s)
             r = spectral_radius(sw)
             assert r <= 2.0 + 1e-9
             roots = np.roots(np.poly(sw))
@@ -157,20 +157,20 @@ class TestNumericalRadius:
 
     def test_exam1_fundamental_combination(self, exam1):
         space, tup, expected_f, w = exam1
-        fa = w.compress(expected_f["F1"]).mat
-        fb = w.compress(expected_f["F6"]).mat
+        fa = w.compress(expected_f["F1"])
+        fb = w.compress(expected_f["F6"])
         assert numerical_radius(Operator(fa + 1j * fb)) <= 1.0 + 1e-8
 
 
 class TestKernelBasis:
     def test_zero_matrix(self):
         k = kernel_basis(Operator.zeros(3))
-        assert k.dim == 3
+        assert k.shape[1] == 3
 
     def test_full_rank(self):
         rng = np.random.default_rng(4)
         a = rng.standard_normal((5, 5)) + np.eye(5) * 4
-        assert kernel_basis(Operator(a)).dim == 0
+        assert kernel_basis(Operator(a)).shape[1] == 0
 
     def test_exam1_defect_kernel_is_third_summand(self, exam1):
         space, tup, _, w = exam1
@@ -179,16 +179,16 @@ class TestKernelBasis:
         k = kernel_basis(dd.D.mat)
         # every kernel vector lives in the third summand
         sl = space.summand_slice(2)
-        outside = k.basis.copy()
+        outside = k.copy()
         outside[sl] = 0.0
         assert np.linalg.norm(outside, 2) <= 1e-12
-        assert k.dim == space.summands[2][1] - 2
+        assert k.shape[1] == space.summands[2][1] - 2
 
     def test_orthogonal_to_row_space(self):
         rng = np.random.default_rng(14)
         a = rng.standard_normal((4, 6))
         k = kernel_basis(Operator(a), tol=1e-10)
-        for col in k.basis.T:
+        for col in k.T:
             assert np.linalg.norm(a @ col) <= 1e-10
 
 
@@ -244,15 +244,6 @@ class TestTupleAndSubspace:
         ops = [Operator.identity(2)] * 6
         with pytest.raises(OpcoreError):
             OperatorTuple("gamma7", ops)
-
-    def test_subspace_orthonormality(self):
-        with pytest.raises(OpcoreError):
-            Subspace(np.ones((3, 2)), 3)
-
-    def test_restrict(self):
-        s = Subspace(np.eye(4)[:, :2], 4)
-        a = np.arange(16).reshape(4, 4).astype(complex)
-        np.testing.assert_allclose(restrict(a, s).mat, a[:2, :2])
 
 
 class TestInequalityChain:

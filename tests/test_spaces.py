@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mudilate.opcore import Operator, OpcoreError, op_norm
-from mudilate.spaces import (ModelSpace, auto_margin, block_assemble,
+from mudilate.spaces import (ModelSpace, Window, auto_margin, block_assemble,
                              embed_blocks, hardy_shift, window)
 
 
@@ -39,7 +39,7 @@ class TestWindow:
     def test_margin_zero_is_identity(self):
         sp = ModelSpace(((2, 4),))
         w = window(sp, 0)
-        np.testing.assert_allclose(w.projector.mat, np.eye(8))
+        np.testing.assert_allclose(w.basis, np.eye(8))
 
     def test_rank(self):
         sp = ModelSpace(((1, 8),))
@@ -51,6 +51,10 @@ class TestWindow:
         gap = m.H @ m - Operator.identity(8)
         assert window(sp, 1).wnorm(gap.mat) == 0.0
         assert op_norm(gap) == pytest.approx(1.0)
+
+    def test_rejects_non_orthonormal_basis(self):
+        with pytest.raises(OpcoreError):
+            Window(0, np.ones((3, 2)))
 
     def test_margin_too_large(self):
         with pytest.raises(OpcoreError):
@@ -71,8 +75,8 @@ class TestWindow:
                 wb = wb @ (mb if c else mb.conj().T)
                 ws = ws @ (ms if c else ms.conj().T)
             w = window(sp, 4)
-            np.testing.assert_allclose((ws @ w.projector.mat)[:small, :small],
-                                       (wb @ np.eye(big, small) @ w.projector.mat)[:small, :small],
+            np.testing.assert_allclose(ws @ w.basis,
+                                       (wb @ np.eye(big, small) @ w.basis)[:small],
                                        atol=1e-12)
 
 

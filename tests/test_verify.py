@@ -213,4 +213,4 @@ class TestDilationImpliesChecks:
 
 def _full(dim):
     from mudilate.spaces import Window
-    return Window(0, Operator(np.eye(dim)))
+    return Window(0, np.eye(dim))
