@@ -1,7 +1,7 @@
 """mudilate: numerical workbench for mu-quotient domains, defect operators
 and block isometric dilations at finite truncation."""
 
-from .opcore import (Operator, OperatorTuple, herm_sqrt, joint_eigs, kernel_basis,
+from .opcore import (Operator, OperatorTuple, herm_sqrt, kernel_basis,
                      numerical_radius, op_norm, spectral_radius)
 from .spaces import ModelSpace, Window, block_assemble, hardy_shift, window
 from .domains import (BlockStructure, Certificate, DomainPoint,
@@ -16,8 +16,8 @@ from .gallery import GalleryCase, emit_report, run_example, run_gallery
 from .report import CheckItem, CheckReport, MembershipReport
 
 __all__ = [
-    "Operator", "OperatorTuple", "herm_sqrt", "joint_eigs",
-    "kernel_basis", "numerical_radius", "op_norm", "spectral_radius",
+    "Operator", "OperatorTuple", "herm_sqrt", "kernel_basis",
+    "numerical_radius", "op_norm", "spectral_radius",
     "ModelSpace", "Window", "block_assemble", "hardy_shift", "window",
     "BlockStructure", "Certificate", "DomainPoint", "certificate_search",
     "membership", "mu_E", "psi3_supnorm",

@@ -102,13 +102,11 @@ def cmd_dilate(args):
                      "matrix": operator_to_dict(u)}))
         return 0
     tup = _load_tuple(args.tuple, args.kind)
-    if args.kind in ("gamma7", "gamma5"):
-        fset = solve_fundamentals(args.kind, tup)
-        dil = schaffer(args.kind, tup, fset, args.depth)
-    else:
-        pair = OperatorTuple("sym", (tup.ops[1], tup.ops[2]))
-        fset = solve_fundamentals("sym", pair)
+    fset = solve_fundamentals(args.kind, tup)
+    if args.kind == "penta":
         dil = pentablock_dilation(tup, fset, args.depth)
+    else:
+        dil = schaffer(args.kind, tup, fset, args.depth)
     print(dumps({"kind": args.kind, "depth": dil.depth, "dim": dil.dim,
                  "defect_rank": dil.defect.rank,
                  "ops": [operator_to_dict(o) for o in dil.ops]}))
@@ -116,15 +114,13 @@ def cmd_dilate(args):
 
 
 def _fundamentals_for(kind, tup, path=None):
-    fkind = "sym" if kind == "penta" else kind
-    base = OperatorTuple("sym", (tup.ops[1], tup.ops[2])) if kind == "penta" else tup
     if path is None:
-        return fkind, solve_fundamentals(fkind, base)
+        return solve_fundamentals(kind, tup)
     d = _load_json(path)
-    dd = defect(base.ops[PIVOT[fkind]])
+    dd = defect(tup.ops[PIVOT[kind]])
     ops = {name: operator_from_dict(m) for name, m in d["ops"].items()}
     residuals = {name: float(v) for name, v in d.get("residuals", {}).items()}
-    return fkind, FundamentalSet(fkind, ops, residuals, dd)
+    return FundamentalSet(kind, ops, residuals, dd)
 
 
 def cmd_verify(args):
@@ -134,7 +130,7 @@ def cmd_verify(args):
     elif args.check == "isometry":
         rep = isometry_check(args.kind, tup, tol=args.tol)
     elif args.check in ("necessary", "profile"):
-        _, fset = _fundamentals_for(args.kind, tup, args.fundamentals)
+        fset = _fundamentals_for(args.kind, tup, args.fundamentals)
         if args.check == "necessary":
             rep = necessary_conditions(args.kind, tup, fset, tol=args.tol)
         else:
@@ -206,7 +202,6 @@ def build_parser():
     g.add_argument("--trunc", type=int, default=8)
     g.add_argument("--depth", type=int, default=4)
     g.add_argument("--zsamples", type=int, default=8)
-    g.add_argument("--json", action="store_true", default=True)
     g.add_argument("--text", action="store_true")
     g.set_defaults(func=cmd_gallery)
     return p

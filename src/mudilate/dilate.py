@@ -16,7 +16,8 @@ import scipy.linalg
 
 from .opcore import (Operator, OperatorTuple, OpcoreError, as_operator, _mat,
                      commutator_norms, herm_sqrt, op_norm)
-from .fundamentals import DefectData, FundamentalSet, defect, ExpansiveError
+from .fundamentals import (PIVOT, RELATIONS, DefectData, ExpansiveError,
+                           FundamentalSet, defect)
 from .spaces import Window, block_assemble
 
 
@@ -135,9 +136,11 @@ def schaffer(kind: str, tup: OperatorTuple, fset: FundamentalSet,
              depth: int) -> DilationResult:
     """Block lower-triangular isometric dilation from solved fundamentals.
 
-    gamma7 members put the partner adjoint below the diagonal symbol; the
-    last member is the defect-fed shift.  A tuple whose last member is
-    already an isometry has a trivial defect space and is returned unchanged.
+    The pivot member is the defect-fed shift.  Every other member i of a
+    relation row (i, j, F, w) carries its symbol compress(F)/w on the
+    diagonal and its partner j's symbol adjoint below it, so that
+    V_i = V_j* V_pivot.  A tuple whose pivot is already an isometry has a
+    trivial defect space and is returned unchanged.
     """
     if kind not in ("gamma7", "gamma5"):
         raise DilateError("schaffer kinds are gamma7 and gamma5")
@@ -153,34 +156,16 @@ def schaffer(kind: str, tup: OperatorTuple, fset: FundamentalSet,
     q = dd.range_basis
     drow = q.conj().T @ dd.D.mat
     r = dd.rank
-
-    def member(base, sym_name, partner_name):
-        f = dd.compress(fset[sym_name])
-        g = dd.compress(fset[partner_name])
-        return _tail_tuple(_mat(base), [g.conj().T @ drow], f, g.conj().T,
-                           depth, r)
-
+    sym = {i: (j, dd.compress(fset[name]) / w)
+           for i, j, name, w in RELATIONS[kind]}
     ops = []
-    if kind == "gamma7":
-        for i in range(6):
-            ops.append(member(tup.ops[i], f"F{i+1}", f"F{6-i}"))
-        shift = _tail_tuple(_mat(tup.ops[6]), [drow], None, np.eye(r), depth, r)
-        ops.append(shift)
-    else:
-        s1, s2, s3, s1t, s2t = tup.ops
-        g1 = dd.compress(fset["G1"])
-        g2 = 2.0 * dd.compress(fset["G2"])
-        g1t = 2.0 * dd.compress(fset["G1t"])
-        g2t = dd.compress(fset["G2t"])
-        ops.append(_tail_tuple(_mat(s1), [g2t.conj().T @ drow], g1,
-                               g2t.conj().T, depth, r))
-        ops.append(_tail_tuple(_mat(s2), [g1t.conj().T @ drow], g2,
-                               g1t.conj().T, depth, r))
-        ops.append(_tail_tuple(_mat(s3), [drow], None, np.eye(r), depth, r))
-        ops.append(_tail_tuple(_mat(s1t), [g2.conj().T @ drow], g1t,
-                               g2.conj().T, depth, r))
-        ops.append(_tail_tuple(_mat(s2t), [g1.conj().T @ drow], g2t,
-                               g1.conj().T, depth, r))
+    for k, base in enumerate(tup.ops):
+        if k == PIVOT[kind]:
+            ops.append(_tail_tuple(_mat(base), [drow], None, np.eye(r), depth, r))
+            continue
+        j, f = sym[k]
+        gh = sym[j][1].conj().T
+        ops.append(_tail_tuple(_mat(base), [gh @ drow], f, gh, depth, r))
     return DilationResult(kind, tuple(ops), _embed_matrix(base_dim, depth, r),
                           depth, dd, base_dim)
 

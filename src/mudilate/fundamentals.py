@@ -1,11 +1,12 @@
 """Defect operators, fundamental-equation solvers, rho-form evaluation and
 the torus-sampled contraction condition chains.
 
-The fundamental equations all have the shape D Y D = RHS with D the defect
-operator of the tuple's distinguished contraction; the unique solution on the
-defect space is recovered by the rank-cut pseudo-inverse of D.  Residuals and
-comparisons are windowed so that truncation of the model space never poisons
-an identity that holds in the infinite model.
+The fundamental equations all have the shape D F D = w (T_i - T_j* T_p) with
+D the defect operator of the tuple's distinguished contraction T_p; the rows
+(i, j, F, w) of ``RELATIONS`` list them for every kind, and the unique
+solution on the defect space is recovered by the rank-cut pseudo-inverse of
+D.  Residuals and comparisons are windowed so that truncation of the model
+space never poisons an identity that holds in the infinite model.
 """
 
 from __future__ import annotations
@@ -92,10 +93,25 @@ def defect(t, norm_tol: float = 1e-8, rank_tol: float | None = None) -> DefectDa
 
 
 # index of the distinguished contraction whose defect carries the equations
-PIVOT = {"gamma7": 6, "gamma5": 2, "sym": 1}
+PIVOT = {"gamma7": 6, "gamma5": 2, "sym": 1, "penta": 2}
 
-GAMMA7_NAMES = ("F1", "F2", "F3", "F4", "F5", "F6")
-GAMMA5_NAMES = ("G1", "G2", "G1t", "G2t")
+# relation rows (i, j, F, w): D F D = w (T_i - T_j* T_pivot).  A member of an
+# isometric dilation satisfies V_i = V_j* V_pivot and carries the symbol
+# compress(F) / w; member j is member i's partner.
+RELATIONS = {
+    "gamma7": tuple((i, 5 - i, f"F{i+1}", 1.0) for i in range(6)),
+    "gamma5": ((0, 4, "G1", 1.0), (4, 0, "G2t", 1.0),
+               (1, 3, "G2", 0.5), (3, 1, "G1t", 0.5)),
+    "sym": ((0, 0, "X", 1.0),),
+    "penta": ((1, 1, "X", 1.0),),
+}
+
+# member labels of the isometric tuples, in tuple order
+MEMBERS = {
+    "gamma7": tuple(f"V{k}" for k in range(1, 8)),
+    "gamma5": ("W1", "W2", "W3", "W1t", "W2t"),
+    "penta": ("R1", "R2", "R3"),
+}
 
 
 @dataclass
@@ -112,38 +128,17 @@ class FundamentalSet:
     def __getitem__(self, name: str) -> Operator:
         return self.ops[name]
 
-    def scaled(self, name: str) -> Operator:
-        """Accessor honoring the factor-2 bookkeeping of the five-operator
-        family: the equations solve for G2 and G1t, consumers often need
-        2*G2 and 2*G1t."""
-        if name.startswith("2"):
-            return 2.0 * self.ops[name[1:]]
-        return self.ops[name]
-
-    def on_defect(self, name: str) -> np.ndarray:
-        return self.defect.compress(self.ops[name])
-
     def names(self):
         return tuple(self.ops.keys())
 
 
 def _rhs_map(kind: str, tup: OperatorTuple) -> dict:
+    if kind not in RELATIONS:
+        raise SolveError(f"no fundamental equations for kind {kind!r}")
     t = [o.mat for o in tup.ops]
-    if kind == "gamma7":
-        t7 = t[6]
-        return {f"F{i+1}": t[i] - t[5 - i].conj().T @ t7 for i in range(6)}
-    if kind == "gamma5":
-        s1, s2, s3, s1t, s2t = t
-        return {
-            "G1": s1 - s2t.conj().T @ s3,
-            "G2t": s2t - s1.conj().T @ s3,
-            "G2": 0.5 * (s2 - s1t.conj().T @ s3),
-            "G1t": 0.5 * (s1t - s2.conj().T @ s3),
-        }
-    if kind == "sym":
-        s, p = t
-        return {"X": s - s.conj().T @ p}
-    raise SolveError(f"no fundamental equations for kind {kind!r}")
+    last = t[PIVOT[kind]]
+    return {name: w * (t[i] - t[j].conj().T @ last)
+            for i, j, name, w in RELATIONS[kind]}
 
 
 def solve_fundamentals(kind: str, tup: OperatorTuple, tol: float = 1e-9,
@@ -247,16 +242,14 @@ def chain_report(kind: str, tup: OperatorTuple, z_samples: int = 32,
     else:
         comp, min_eig = window.compress, window.psd_min_eig
 
-    if kind == "gamma7":
-        t = [o.mat for o in tup.ops]
-        last = t[6]
-        pairs = [(t[i], t[5 - i], f"{i+1},{6-i}") for i in range(3)]
-        fnames = [("F1", "F6"), ("F2", "F5"), ("F3", "F4")]
-    else:
-        s1, s2, s3, s1t, s2t = (o.mat for o in tup.ops)
-        last = s3
-        pairs = [(s1, s2t, "1,2t"), (0.5 * s2, 0.5 * s1t, "2,1t")]
-        fnames = [("G1", "G2t"), ("G2", "G1t")]
+    # one coordinate pair per relation row with i < j, both members scaled
+    # by the row weight; the partner row supplies the second fundamental
+    t = [o.mat for o in tup.ops]
+    last = t[PIVOT[kind]]
+    fname = {i: name for i, _, name, _ in RELATIONS[kind]}
+    idx = [m[1:] for m in MEMBERS[kind]]
+    pairs = [(w * t[i], w * t[j], f"{idx[i]},{idx[j]}", (fname[i], fname[j]))
+             for i, j, _, w in RELATIONS[kind] if i < j]
 
     if fset is None:
         try:
@@ -271,7 +264,7 @@ def chain_report(kind: str, tup: OperatorTuple, z_samples: int = 32,
 
     rho_min = np.inf
     rad_max, omega_max = 0.0, 0.0
-    for (a, b, tag), names in zip(pairs, fnames):
+    for a, b, tag, names in pairs:
         p_rho, p_rad, p_om = np.inf, 0.0, 0.0
         ca, cb = comp(a), comp(b)
         for z in zs:

@@ -16,7 +16,8 @@ from .opcore import Operator, OperatorTuple, _mat, op_norm
 from .spaces import ModelSpace, auto_margin, embed_blocks, hardy_shift, window
 from .domains import (DomainPoint, membership, point_pi, point_pi_eta,
                       psi3_supnorm)
-from .fundamentals import DefectData, chain_report, defect, solve_fundamentals
+from .fundamentals import (MEMBERS, PIVOT, RELATIONS, DefectData, chain_report,
+                           defect, solve_fundamentals)
 from .dilate import DilationResult, _embed_matrix, _tail_tuple, pushforward, \
     pentablock_dilation, schaffer
 from .verify import _self_comm, _windowed_range, commutator_profile, \
@@ -218,6 +219,28 @@ def _merge(dst: CheckReport, src: CheckReport, prefix: str,
     dst.undecided.extend(f"{prefix}: {u}" for u in src.undecided)
 
 
+def _expect_schaffer(rep: CheckReport, case: GalleryCase, tup, fset, w,
+                     rel_label: str):
+    """Dilate a gamma7/gamma5 tuple and record its relation rows, the pivot
+    isometry, the co-extension property and the non-commuting members of
+    the first relation row."""
+    kind, depth, piv = tup.kind, case.params["depth"], PIVOT[tup.kind]
+    dil = schaffer(kind, tup, fset, depth)
+    kw = dil.window(w, tail_margin=min(2, depth - 1))
+    v = [o.mat for o in dil.ops]
+    rel = max(kw.wnorm(v[i] - v[j].conj().T @ v[piv])
+              for i, j, _, _ in RELATIONS[kind])
+    _expect(rep, case, rel_label, rel, "=0", 1e-9)
+    iso = kw.wnorm(v[piv].conj().T @ v[piv] - np.eye(v[piv].shape[0]))
+    _expect(rep, case, f"{MEMBERS[kind][piv]} isometric on window", iso, "=0", 1e-9)
+    coext = max(dil.coextension_residuals(tup.ops, w))
+    _expect(rep, case, "co-extension of the original tuple", coext, "=0", 1e-9)
+    i, j = RELATIONS[kind][0][:2]
+    cviol = kw.wnorm(v[i] @ v[j] - v[j] @ v[i])
+    _expect(rep, case, "dilation members fail to commute (expected)",
+            cviol, ">=", 0.9)
+
+
 def _run_exam1(case: GalleryCase) -> CheckReport:
     p = case.params
     space, tup, expected_f = build_exam1(p["trunc"])
@@ -253,18 +276,7 @@ def _run_exam1(case: GalleryCase) -> CheckReport:
     nec = necessary_conditions("gamma7", tup, fset, tol=1e-9, window=w)
     _merge(rep, nec, "kernel-restricted necessary conditions")
 
-    dil = schaffer("gamma7", tup, fset, p["depth"])
-    kw = dil.window(w, tail_margin=min(2, p["depth"] - 1))
-    v = [o.mat for o in dil.ops]
-    rel = max(kw.wnorm(v[i] - v[5 - i].conj().T @ v[6]) for i in range(6))
-    _expect(rep, case, "dilation relations Vi=V(7-i)*V7", rel, "=0", 1e-9)
-    iso = kw.wnorm(v[6].conj().T @ v[6] - np.eye(v[6].shape[0]))
-    _expect(rep, case, "V7 isometric on window", iso, "=0", 1e-9)
-    coext = max(dil.coextension_residuals(tup.ops, w))
-    _expect(rep, case, "co-extension of the original tuple", coext, "=0", 1e-9)
-    cviol = kw.wnorm(v[0] @ v[5] - v[5] @ v[0])
-    _expect(rep, case, "dilation members fail to commute (expected)",
-            cviol, ">=", 0.9)
+    _expect_schaffer(rep, case, tup, fset, w, "dilation relations Vi=V(7-i)*V7")
     rep.notes.append("sufficient-condition hypotheses violated while the "
                      "necessary conditions hold: the hypotheses are not necessary")
     return rep
@@ -310,20 +322,7 @@ def _run_exam2(case: GalleryCase) -> CheckReport:
     _expect(rep, case, "||[2G2*,2G2]-[2G1t*,2G1t]||",
             pb["[2G2*,2G2]-[2G1t*,2G1t]"], ">=", 0.9)
 
-    dil = schaffer("gamma5", tup5, fset, p["depth"])
-    kw = dil.window(w, tail_margin=min(2, p["depth"] - 1))
-    wm = [o.mat for o in dil.ops]
-    w1, w2, w3, w1t, w2t = wm
-    rel = max(kw.wnorm(w1 - w2t.conj().T @ w3), kw.wnorm(w2t - w1.conj().T @ w3),
-              kw.wnorm(w2 - w1t.conj().T @ w3), kw.wnorm(w1t - w2.conj().T @ w3))
-    _expect(rep, case, "dilation relations W=partner* W3", rel, "=0", 1e-9)
-    iso = kw.wnorm(w3.conj().T @ w3 - np.eye(w3.shape[0]))
-    _expect(rep, case, "W3 isometric on window", iso, "=0", 1e-9)
-    coext = max(dil.coextension_residuals(tup5.ops, w))
-    _expect(rep, case, "co-extension of the original tuple", coext, "=0", 1e-9)
-    cviol = kw.wnorm(w1 @ w2t - w2t @ w1)
-    _expect(rep, case, "dilation members fail to commute (expected)",
-            cviol, ">=", 0.9)
+    _expect_schaffer(rep, case, tup5, fset, w, "dilation relations W=partner* W3")
     return rep
 
 
@@ -375,8 +374,7 @@ def _run_exam5(case: GalleryCase) -> CheckReport:
     comm = is_commuting(tup, 1e-9, w)
     _merge(rep, comm, "tuple commutes")
 
-    pair = OperatorTuple("sym", (tup.ops[1], tup.ops[2]))
-    fset = solve_fundamentals("sym", pair, tol=1e-9, window=w)
+    fset = solve_fundamentals("penta", tup, tol=1e-9, window=w)
     _expect(rep, case, "fundamental of the last pair equals the symbol",
             w.equal(fset["X"], x_emb), "=0", 1e-10)
 
@@ -384,11 +382,10 @@ def _run_exam5(case: GalleryCase) -> CheckReport:
     kw = dil.window(w, tail_margin=min(2, p["depth"] - 1))
     chk = isometry_check("penta", dil.tuple(), tol=1e-9, window=kw)
     _merge(rep, chk, "dilation triple is a pentablock isometry")
-    r = [o.mat for o in dil.ops]
-    _expect(rep, case, "R2=R2*R3 on window",
-            kw.wnorm(r[1] - r[1].conj().T @ r[2]), "=0", 1e-10)
-    gram = r[0].conj().T @ r[0] + 0.25 * r[1].conj().T @ r[1] - np.eye(r[0].shape[0])
-    _expect(rep, case, "R1*R1 + R2*R2/4 = I on window", kw.wnorm(gram), "=0", 1e-9)
+    by = {i.label: i.residual for i in chk.items}
+    _expect(rep, case, "R2=R2*R3 on window", by["R2=R2*R3"], "=0", 1e-10)
+    _expect(rep, case, "R1*R1 + R2*R2/4 = I on window",
+            by["R1*R1+R2*R2/4=I"], "=0", 1e-9)
     _expect(rep, case, "||R2|| equals |alpha|",
             abs(op_norm(dil.ops[1]) - abs(alpha)), "~=", (0.0, 1e-8))
     coext = max(dil.coextension_residuals(tup.ops, w))

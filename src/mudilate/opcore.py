@@ -1,5 +1,5 @@
 """Dense complex-matrix kernel: operators, norms, square roots, radii,
-kernels and joint eigenvalues of commuting families.
+kernels and commutator norms.
 
 All quantities are computed for explicit finite matrices.  Operators carry an
 optional ``bandwidth`` tag (how many basis levels of a graded model space the
@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 
 class OpcoreError(ValueError):
@@ -24,12 +23,6 @@ class NotHermitianError(OpcoreError):
 
 class NegativeEigenvalueError(OpcoreError):
     pass
-
-
-class NonCommutingError(OpcoreError):
-    def __init__(self, worst: float):
-        super().__init__(f"tuple is not commuting: worst commutator norm {worst:.3e}")
-        self.worst = worst
 
 
 def _combine_bandwidth(a, b, mode):
@@ -319,69 +312,3 @@ def commutator_norms(ops, window=None) -> list:
             out.append(((i, j), norm(mats[i] @ mats[j] - mats[j] @ mats[i])))
     return out
 
-
-def _cluster(values: np.ndarray, tol: float) -> list:
-    """Greedy clustering of complex values into tol-connected components."""
-    n = len(values)
-    labels = -np.ones(n, dtype=int)
-    cur = 0
-    for i in range(n):
-        if labels[i] >= 0:
-            continue
-        stack = [i]
-        labels[i] = cur
-        while stack:
-            k = stack.pop()
-            near = np.nonzero(np.abs(values - values[k]) <= tol)[0]
-            for j in near:
-                if labels[j] < 0:
-                    labels[j] = cur
-                    stack.append(j)
-        cur += 1
-    return [np.nonzero(labels == c)[0] for c in range(cur)]
-
-
-def joint_eigs(tup, commute_tol: float = 1e-9, cluster_tol: float = 1e-7):
-    """Joint eigenvalue tuples of a commuting family.
-
-    Splits recursively along spectral clusters of random linear combinations;
-    spectral subspaces of a combination are invariant for every member, so
-    each split is exact for commuting input.  For finite commuting matrices
-    the result is the set of simultaneous-triangularization diagonals.
-    """
-    ops = list(tup.ops) if isinstance(tup, OperatorTuple) else list(tup)
-    mats = [_mat(o) for o in ops]
-    n = mats[0].shape[0]
-    for m in mats:
-        if m.shape != (n, n):
-            raise OpcoreError("joint_eigs needs square matrices of equal size")
-    worst = max((v for _, v in commutator_norms(mats)), default=0.0)
-    scale = max(1.0, max(op_norm(m) for m in mats) ** 2)
-    if worst > commute_tol * scale:
-        raise NonCommutingError(worst)
-
-    rng = np.random.default_rng(20260808)
-
-    def recurse(blocks):
-        d = blocks[0].shape[0]
-        if d == 1:
-            return [tuple(complex(b[0, 0]) for b in blocks)]
-        for _ in range(4):
-            c = rng.standard_normal(len(blocks)) + 1j * rng.standard_normal(len(blocks))
-            m = sum(ci * bi for ci, bi in zip(c, blocks))
-            ev = np.linalg.eigvals(m)
-            clusters = _cluster(ev, cluster_tol * max(1.0, np.abs(ev).max()))
-            if len(clusters) > 1:
-                target = ev[clusters[0]]
-                center = target.mean()
-                radius = np.abs(target - center).max() + 0.5 * cluster_tol
-                t, z, sdim = scipy.linalg.schur(
-                    m, output="complex", sort=lambda x: abs(x - center) <= radius)
-                rotated = [z.conj().T @ b @ z for b in blocks]
-                top = [r[:sdim, :sdim] for r in rotated]
-                bottom = [r[sdim:, sdim:] for r in rotated]
-                return recurse(top) + recurse(bottom)
-        # inseparable: every member is scalar + joint nilpotent on this block
-        return [tuple(complex(np.trace(b)) / d for b in blocks)] * d
-
-    return recurse(mats)

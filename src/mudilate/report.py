@@ -31,8 +31,23 @@ class CheckItem:
         }
 
 
+class ItemsMixin:
+    """Item recording and JSON serialization shared by the report
+    dataclasses; each defines ``items`` and ``to_dict``."""
+
+    def add(self, label: str, residual: float, tol: float, ok=None) -> CheckItem:
+        if ok is None:
+            ok = residual <= tol
+        item = CheckItem(label, float(residual), float(tol), bool(ok))
+        self.items.append(item)
+        return item
+
+    def to_json(self) -> str:
+        return dumps(self.to_dict())
+
+
 @dataclass
-class CheckReport:
+class CheckReport(ItemsMixin):
     """Outcome of a predicate suite.
 
     verdict is "pass" iff every item passes, "hypothesis-violated" when the
@@ -48,13 +63,6 @@ class CheckReport:
     notes: list = field(default_factory=list)
     hypothesis_only: bool = False
     margins: dict = field(default_factory=dict)
-
-    def add(self, label: str, residual: float, tol: float, ok=None) -> CheckItem:
-        if ok is None:
-            ok = residual <= tol
-        item = CheckItem(label, float(residual), float(tol), bool(ok))
-        self.items.append(item)
-        return item
 
     @property
     def verdict(self) -> str:
@@ -83,9 +91,6 @@ class CheckReport:
                               for k, v in self.margins.items()}
         return out
 
-    def to_json(self) -> str:
-        return dumps(self.to_dict())
-
     def to_text(self) -> str:
         width = max([len(i.label) for i in self.items] + [len(self.name), 4])
         lines = [f"{self.name}  [{self.verdict}]"]
@@ -104,18 +109,13 @@ VERDICTS_MEMBERSHIP = ("inside", "boundary", "outside", "unknown")
 
 
 @dataclass
-class MembershipReport:
+class MembershipReport(ItemsMixin):
     """Domain-membership result: verdict plus the evaluated sub-criteria."""
 
     kind: str
     verdict: str
     items: list = field(default_factory=list)
     meta: dict = field(default_factory=dict)
-
-    def add(self, label, residual, tol, ok=None):
-        if ok is None:
-            ok = residual <= tol
-        self.items.append(CheckItem(label, float(residual), float(tol), bool(ok)))
 
     def to_dict(self):
         return {
@@ -124,9 +124,6 @@ class MembershipReport:
             "items": [i.to_dict() for i in self.items],
             "meta": self.meta,
         }
-
-    def to_json(self) -> str:
-        return dumps(self.to_dict())
 
 
 def dumps(obj) -> str:

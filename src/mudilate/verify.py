@@ -14,7 +14,7 @@ import numpy as np
 
 from .opcore import (OperatorTuple, OpcoreError, _mat, as_operator,
                      commutator_norms, kernel_basis, op_norm, spectral_radius)
-from .fundamentals import FundamentalSet
+from .fundamentals import MEMBERS, PIVOT, RELATIONS, FundamentalSet
 from .report import CheckReport
 from .spaces import Window
 
@@ -37,8 +37,9 @@ def isometry_check(kind: str, t, tol: float = 1e-9,
     """Algebraic characterization of each isometry class, windowed.
 
     kinds: "isometry" and "partial" take a single operator; "gamma7",
-    "gamma5" and "penta" take tuples and test the defining relations of the
-    class together with the spectral-radius bounds it demands.
+    "gamma5" and "penta" take tuples and test the relations V_i = V_j* V_pivot
+    of the ``RELATIONS`` rows, the pivot isometry and the spectral-radius
+    bounds the class demands (plus the pentablock Gram identity).
     """
     rep = CheckReport(name=f"isometry-{kind}",
                       window_margin=None if window is None else window.margin)
@@ -62,35 +63,26 @@ def isometry_check(kind: str, t, tol: float = 1e-9,
         raise OpcoreError("tuple kinds need an OperatorTuple")
     if t.kind != kind:
         raise OpcoreError(f"tuple kind {t.kind!r} does not match {kind!r}")
+    if kind not in MEMBERS:
+        raise OpcoreError(f"unknown isometry kind {kind!r}")
     ops = [o.mat for o in t.ops]
     comm = is_commuting(t, tol, window)
     rep.add("commuting", comm.worst(), tol)
 
-    if kind == "gamma7":
-        v7 = ops[6]
-        for i in range(6):
-            rel = ops[i] - ops[5 - i].conj().T @ v7
-            rep.add(f"V{i+1}=V{6-i}*V7", norm(rel), tol)
+    names, p = MEMBERS[kind], PIVOT[kind]
+    for i, j, _, _ in RELATIONS[kind]:
+        rep.add(f"{names[i]}={names[j]}*{names[p]}",
+                norm(ops[i] - ops[j].conj().T @ ops[p]), tol)
+        if kind == "gamma7":
             rw = spectral_radius(comp(ops[i]))
-            rep.add(f"r(V{i+1})<=1", max(0.0, rw - 1.0), tol)
-        rep.add("V7 isometry", isometry_residual(ops[6]), tol)
-    elif kind == "gamma5":
-        w1, w2, w3, w1t, w2t = ops
-        rep.add("W1=W2t*W3", norm(w1 - w2t.conj().T @ w3), tol)
-        rep.add("W2t=W1*W3", norm(w2t - w1.conj().T @ w3), tol)
-        rep.add("W2=W1t*W3", norm(w2 - w1t.conj().T @ w3), tol)
-        rep.add("W1t=W2*W3", norm(w1t - w2.conj().T @ w3), tol)
-        rep.add("W3 isometry", isometry_residual(w3), tol)
-    elif kind == "penta":
-        r1, r2, r3 = ops
-        rep.add("R2=R2*R3", norm(r2 - r2.conj().T @ r3), tol)
-        rep.add("R3 isometry", isometry_residual(r3), tol)
+            rep.add(f"r({names[i]})<=1", max(0.0, rw - 1.0), tol)
+    rep.add(f"{names[p]} isometry", isometry_residual(ops[p]), tol)
+    if kind == "penta":
+        r1, r2, _ = ops
         rw = spectral_radius(comp(r2))
         rep.add("r(R2)<=2", max(0.0, rw - 2.0), tol)
         gram = r1.conj().T @ r1 + 0.25 * r2.conj().T @ r2 - np.eye(r1.shape[0])
         rep.add("R1*R1+R2*R2/4=I", norm(gram), tol)
-    else:
-        raise OpcoreError(f"unknown isometry kind {kind!r}")
     return rep
 
 
@@ -177,8 +169,8 @@ def necessary_conditions(kind: str, t: OperatorTuple, fset: FundamentalSet,
         for label, expr in conds:
             rep.add(label, on_kernel(expr), tol)
     elif kind == "penta":
-        if t.kind != "penta" or fset.kind != "sym":
-            raise OpcoreError("penta conditions need a penta triple and sym fundamentals")
+        if t.kind != "penta" or fset.kind != "penta":
+            raise OpcoreError("penta conditions need a penta triple and its fundamentals")
         _, p2, p3 = (o.mat for o in t.ops)
         x = fset["X"].mat
         rep.add("(X D P3 - D P2)|ker", on_kernel(x @ d @ p3 - d @ p2), tol)
@@ -201,7 +193,7 @@ def commutator_profile(fset: FundamentalSet, tol: float = 1e-9,
     conditions.  Violations mark the report hypothesis-violated, never
     failed: these are hypotheses, not necessary conditions.
     """
-    if fset.kind == "sym":
+    if fset.kind not in ("gamma7", "gamma5"):
         raise OpcoreError("a single fundamental operator has no commutator profile")
     rep = CheckReport(name=f"commutators-{fset.kind}", hypothesis_only=True,
                       window_margin=None if window is None else window.margin)

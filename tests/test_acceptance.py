@@ -12,8 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from mudilate.opcore import (Operator, OperatorTuple, numerical_radius,
-                             op_norm, spectral_radius)
+from mudilate.opcore import Operator, numerical_radius, op_norm, spectral_radius
 from mudilate.spaces import window
 from mudilate.domains import (E311, E312, DomainPoint, membership, mu_E,
                               point_pi, point_pi_eta)
@@ -100,8 +99,7 @@ def test_criterion_4_exam5_sweep():
     for alpha in (0.0, 0.25, 0.5, 0.75, 1.0):
         space, tup, _ = build_exam5(alpha, 8)
         w = window(space, 4)
-        pair = OperatorTuple("sym", (tup.ops[1], tup.ops[2]))
-        fset = solve_fundamentals("sym", pair, tol=1e-9, window=w)
+        fset = solve_fundamentals("penta", tup, tol=1e-9, window=w)
         dil = pentablock_dilation(tup, fset, 4)
         kw = dil.window(w, tail_margin=2)
         r = [o.mat for o in dil.ops]

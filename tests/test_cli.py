@@ -5,8 +5,9 @@ import sys
 import numpy as np
 import pytest
 
-from mudilate.cli import main
-from mudilate.report import operator_from_dict, operator_to_dict
+from mudilate.cli import _fset_to_dict, main
+from mudilate.fundamentals import solve_fundamentals
+from mudilate.report import dumps, operator_from_dict, operator_to_dict
 from mudilate.gallery import build_exam1, build_exam5
 
 
@@ -90,6 +91,19 @@ class TestSubcommands:
         assert code == 0
         assert len(json.loads(out)["ops"]) == 3
 
+    def test_dilate_penta_rejects_non_commuting_first_member(self, capsys,
+                                                             tmp_path):
+        # (P2, P3) commute, P1 does not commute with P3: no pentablock
+        # contraction, so the solve on the triple refuses it
+        ops = [np.array([[0.0, 0.5], [0.0, 0.0]]), np.zeros((2, 2)),
+               np.diag([0.3, 0.6])]
+        path = tmp_path / "bad_penta.json"
+        path.write_text(json.dumps(
+            {"kind": "penta", "ops": [operator_to_dict(o) for o in ops]}))
+        code, out = run_cli(["dilate", "--kind", "penta", "--tuple", str(path)],
+                            capsys)
+        assert code == 1 and out == ""
+
     def test_dilate_egervary(self, files, capsys):
         code, out = run_cli(["dilate", "--kind", "egervary",
                              "--tuple", files["contraction"], "--N", "2"], capsys)
@@ -131,6 +145,15 @@ class TestSubcommands:
         code, out = run_cli(["verify", "--kind", "gamma7", "--check", "necessary",
                              "--tuple", files["tuple7"],
                              "--fundamentals", str(fpath)], capsys)
+        assert code == 0
+        assert json.loads(out)["verdict"] == "pass"
+        # penta fundamentals, written in the format `fundamental` prints
+        _, penta, _ = build_exam5(0.5, 8)
+        ppath = tmp_path / "fset_penta.json"
+        ppath.write_text(dumps(_fset_to_dict(solve_fundamentals("penta", penta))))
+        code, out = run_cli(["verify", "--kind", "penta", "--check", "necessary",
+                             "--tuple", files["penta"],
+                             "--fundamentals", str(ppath)], capsys)
         assert code == 0
         assert json.loads(out)["verdict"] == "pass"
 

@@ -146,8 +146,7 @@ class TestPentablockDilation:
 
     def test_exam5_norm_identities(self, exam5):
         _, tup, _, w = exam5
-        pair = OperatorTuple("sym", (tup.ops[1], tup.ops[2]))
-        fset = solve_fundamentals("sym", pair, window=w)
+        fset = solve_fundamentals("penta", tup, window=w)
         dil = pentablock_dilation(tup, fset, 4)
         assert op_norm(dil.ops[1]) == pytest.approx(0.5, abs=1e-10)
         kw = dil.window(w, tail_margin=2)

@@ -84,6 +84,17 @@ class TestSolveFundamentals:
         fset = solve_fundamentals("sym", pair, window=w)
         assert w.equal(fset["X"], x_emb) <= 1e-10
 
+    def test_exam5_penta_solve_matches_pair_solve(self, exam5):
+        # the penta relation row (P2, P2, X) is the sym equation of the
+        # pair (P2, P3), solved on the triple itself
+        space, tup, x_emb, w = exam5
+        pair = OperatorTuple("sym", (tup.ops[1], tup.ops[2]))
+        via_pair = solve_fundamentals("sym", pair, window=w)
+        fset = solve_fundamentals("penta", tup, window=w)
+        assert fset.kind == "penta" and fset.names() == ("X",)
+        assert w.equal(fset["X"], via_pair["X"]) <= 1e-10
+        assert w.equal(fset["X"], x_emb) <= 1e-10
+
     def test_rhs_annihilates_kernel_and_lands_in_range(self, exam1, exam2, exam5):
         # solvability on the defect space forces both properties, for every
         # gallery tuple
@@ -92,7 +103,8 @@ class TestSolveFundamentals:
         cases = [("gamma7", exam1[1], exam1[3], 6),
                  ("gamma5", exam2[2], exam2[5], 2),
                  ("sym", OperatorTuple("sym", (exam5[1].ops[1], exam5[1].ops[2])),
-                  exam5[3], 1)]
+                  exam5[3], 1),
+                 ("penta", exam5[1], exam5[3], 2)]
         for kind, tup, w, pivot in cases:
             dd = defect(tup.ops[pivot])
             kb = _windowed_kernel(dd, w)
@@ -116,11 +128,6 @@ class TestSolveFundamentals:
             rhs = dd.D.mat @ f_emb @ dd.D.mat
             rec = dd.pinv() @ rhs @ dd.pinv()
             assert np.linalg.norm(rec - f_emb, 2) <= 1e-8 * max(1.0, np.linalg.norm(f, 2))
-
-    def test_scaled_accessors(self, exam2):
-        _, _, tup5, _, _, w = exam2
-        fset = solve_fundamentals("gamma5", tup5, window=w)
-        np.testing.assert_allclose(fset.scaled("2G2").mat, 2.0 * fset["G2"].mat)
 
     def test_expansive_member_raises(self):
         ops = [Operator.zeros(3)] * 6 + [Operator(np.diag([1.5, 0.1, 0.1]))]

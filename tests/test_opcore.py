@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from mudilate.opcore import (Operator, OperatorTuple, OpcoreError,
-                             NegativeEigenvalueError, NonCommutingError,
-                             NotHermitianError, herm_sqrt, joint_eigs,
-                             kernel_basis, numerical_radius, op_norm,
-                             spectral_radius)
+                             NegativeEigenvalueError, NotHermitianError,
+                             herm_sqrt, kernel_basis, numerical_radius,
+                             op_norm, spectral_radius)
 from mudilate.spaces import hardy_shift, window, ModelSpace
 
 from conftest import random_contraction
@@ -190,53 +189,6 @@ class TestKernelBasis:
         k = kernel_basis(Operator(a), tol=1e-10)
         for col in k.T:
             assert np.linalg.norm(a @ col) <= 1e-10
-
-
-class TestJointEigs:
-    def test_diagonal_pair(self):
-        got = joint_eigs([np.diag([1.0, 2.0]), np.diag([3.0, 4.0])])
-        assert sorted((z1.real, z2.real) for z1, z2 in got) == [(1.0, 3.0), (2.0, 4.0)]
-
-    def test_scalar_tuple_on_distinguished_boundary(self):
-        # a 1x1 seven-tuple at a distinguished-boundary point is its own
-        # joint spectrum
-        from mudilate.domains import DomainPoint, on_K, point_pi
-        x = point_pi(np.exp(0.4j), np.exp(-1.2j))
-        assert on_K(x)[0]
-        got = joint_eigs([np.array([[v]]) for v in x.coords])
-        assert len(got) == 1
-        np.testing.assert_allclose(got[0], x.coords, atol=1e-14)
-
-    def test_commuting_upper_triangular(self):
-        a = np.array([[1.0, 2.0, 0.0], [0, 3.0, 1.0], [0, 0, 5.0]])
-        b = a @ a - 2 * a
-        got = joint_eigs([a, b])
-        roots_a = sorted(np.roots(np.poly(a)).real)
-        got_a = sorted(z1.real for z1, _ in got)
-        np.testing.assert_allclose(got_a, roots_a, atol=1e-7)
-        for z1, z2 in got:
-            assert z2 == pytest.approx(z1 * z1 - 2 * z1, abs=1e-7)
-
-    def test_normal_tuples_from_shared_unitary(self):
-        rng = np.random.default_rng(21)
-        for _ in range(10):
-            n = int(rng.integers(2, 6))
-            q, _ = np.linalg.qr(rng.standard_normal((n, n))
-                                + 1j * rng.standard_normal((n, n)))
-            d1 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            d2 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            mats = [q @ np.diag(d1) @ q.conj().T, q @ np.diag(d2) @ q.conj().T]
-            got = joint_eigs(mats)
-            want = sorted(zip(d1, d2), key=lambda t: (t[0].real, t[0].imag))
-            have = sorted(got, key=lambda t: (t[0].real, t[0].imag))
-            for (a1, a2), (b1, b2) in zip(want, have):
-                assert abs(a1 - b1) <= 1e-7 and abs(a2 - b2) <= 1e-7
-
-    def test_rejects_non_commuting(self):
-        m = hardy_shift(1, 5).mat
-        with pytest.raises(NonCommutingError) as exc:
-            joint_eigs([m, m.conj().T])
-        assert exc.value.worst > 0.5
 
 
 class TestTupleAndSubspace:

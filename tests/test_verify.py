@@ -116,8 +116,7 @@ class TestNecessaryConditions:
 
     def test_exam5_penta(self, exam5):
         _, tup, _, w = exam5
-        pair = OperatorTuple("sym", (tup.ops[1], tup.ops[2]))
-        fset = solve_fundamentals("sym", pair, window=w)
+        fset = solve_fundamentals("penta", tup, window=w)
         rep = necessary_conditions("penta", tup, fset, window=w)
         assert rep.verdict == "pass" and rep.worst() <= 1e-10
 
@@ -174,9 +173,10 @@ class TestCommutatorProfile:
     def test_rejects_single_operator_kind(self, exam5):
         _, tup, _, w = exam5
         pair = OperatorTuple("sym", (tup.ops[1], tup.ops[2]))
-        fset = solve_fundamentals("sym", pair, window=w)
-        with pytest.raises(OpcoreError):
-            commutator_profile(fset)
+        for fset in (solve_fundamentals("sym", pair, window=w),
+                     solve_fundamentals("penta", tup, window=w)):
+            with pytest.raises(OpcoreError):
+                commutator_profile(fset)
 
 
 class TestDilationImpliesChecks:
