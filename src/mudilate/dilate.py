@@ -235,7 +235,7 @@ def pushforward(kind: str, *args, tol: float = 1e-9, window: Window | None = Non
                                        t[1] + e * t[3], e * t[5]))
     elif kind == "axis7":
         t1, t6, t7 = (as_operator(a) for a in args)
-        z = Operator(np.zeros_like(t1.mat), bandwidth=0)
+        z = Operator(np.zeros_like(t1.mat))
         out = OperatorTuple("gamma7", (t1, z, z, z, z, t6, t7))
     elif kind == "gamma3":
         t1, t2, v3 = (as_operator(a) for a in args)

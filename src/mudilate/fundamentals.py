@@ -40,15 +40,10 @@ class DefectData:
     """
 
     D: Operator
-    range_proj: Operator
     range_basis: np.ndarray
     rank: int
     is_projection: bool
     dvals: np.ndarray
-
-    @property
-    def host_dim(self) -> int:
-        return self.D.rows
 
     def pinv(self) -> np.ndarray:
         if self.rank == 0:
@@ -83,11 +78,8 @@ def defect(t, norm_tol: float = 1e-8, rank_tol: float | None = None) -> DefectDa
     cutoff = (rank_tol if rank_tol is not None
               else 1e-8 * max(dvals_all.max(), 1.0))
     keep = dvals_all > cutoff
-    q = v[:, keep]
-    proj = q @ q.conj().T
-    d_op = Operator(dmat, bandwidth=0 if op.bandwidth == 0 else None)
     is_proj = bool(np.linalg.norm(dmat @ dmat - dmat, 2) <= 1e-9)
-    return DefectData(D=d_op, range_proj=Operator(proj), range_basis=q,
+    return DefectData(D=Operator(dmat), range_basis=v[:, keep],
                       rank=int(keep.sum()), is_projection=is_proj,
                       dvals=dvals_all[keep])
 
@@ -123,7 +115,6 @@ class FundamentalSet:
     ops: dict
     residuals: dict
     defect: DefectData
-    trivial: bool = False
 
     def __getitem__(self, name: str) -> Operator:
         return self.ops[name]
@@ -162,9 +153,9 @@ def solve_fundamentals(kind: str, tup: OperatorTuple, tol: float = 1e-9,
     ops, residuals = {}, {}
     if dd.rank == 0:
         for name in rhs:
-            ops[name] = Operator(np.zeros((tup.dim, tup.dim)), bandwidth=0)
+            ops[name] = Operator.zeros(tup.dim)
             residuals[name] = 0.0
-        return FundamentalSet(kind, ops, residuals, dd, trivial=True)
+        return FundamentalSet(kind, ops, residuals, dd)
     dplus = dd.pinv()
     dmat = dd.D.mat
     norm = op_norm if window is None else window.wnorm
@@ -175,7 +166,7 @@ def solve_fundamentals(kind: str, tup: OperatorTuple, tol: float = 1e-9,
             raise SolveError(
                 f"fundamental equation {name} unsolvable on the defect space: "
                 f"residual {res:.3e} > {tol:.1e}")
-        ops[name] = Operator(f, bandwidth=None)
+        ops[name] = Operator(f)
         residuals[name] = res
     return FundamentalSet(kind, ops, residuals, dd)
 

@@ -1,9 +1,9 @@
 """Dense complex-matrix kernel: operators, norms, square roots, radii,
 kernels and commutator norms.
 
-All quantities are computed for explicit finite matrices.  Operators carry an
-optional ``bandwidth`` tag (how many basis levels of a graded model space the
-operator can move a vector) which downstream truncation-window logic consumes.
+All quantities are computed for explicit finite matrices.  An Operator is its
+dense matrix and nothing else: truncation windows read the level shift of an
+operator off its nonzero entries (``spaces.auto_margin``).
 """
 
 from __future__ import annotations
@@ -25,25 +25,12 @@ class NegativeEigenvalueError(OpcoreError):
     pass
 
 
-def _combine_bandwidth(a, b, mode):
-    if a is None or b is None:
-        return None
-    if mode == "sum":
-        return a + b
-    return max(a, b)
-
-
 class Operator:
-    """A bounded operator between finite-dimensional spaces, stored densely.
+    """A bounded operator between finite-dimensional spaces, stored densely."""
 
-    ``bandwidth`` is metadata: the largest number of grading levels the
-    operator can shift a vector by (0 for level-diagonal maps, 1 for a shift,
-    None when unknown).  Arithmetic propagates it conservatively.
-    """
+    __slots__ = ("mat",)
 
-    __slots__ = ("mat", "bandwidth")
-
-    def __init__(self, mat, bandwidth=None):
+    def __init__(self, mat):
         m = np.asarray(mat, dtype=complex)
         if m.ndim != 2:
             raise OpcoreError(f"operator entries must be a matrix, got ndim={m.ndim}")
@@ -52,7 +39,6 @@ class Operator:
         if not np.all(np.isfinite(m)):
             raise OpcoreError("operator entries must be finite")
         self.mat = m
-        self.bandwidth = bandwidth
 
     @property
     def rows(self) -> int:
@@ -64,15 +50,15 @@ class Operator:
 
     @property
     def H(self) -> "Operator":
-        return Operator(self.mat.conj().T, bandwidth=self.bandwidth)
+        return Operator(self.mat.conj().T)
 
     @classmethod
     def identity(cls, n: int) -> "Operator":
-        return cls(np.eye(n), bandwidth=0)
+        return cls(np.eye(n))
 
     @classmethod
     def zeros(cls, rows: int, cols: int | None = None) -> "Operator":
-        return cls(np.zeros((rows, cols if cols is not None else rows)), bandwidth=0)
+        return cls(np.zeros((rows, cols if cols is not None else rows)))
 
     def __matmul__(self, other):
         o = as_operator(other)
@@ -80,36 +66,33 @@ class Operator:
             raise OpcoreError(
                 f"composition mismatch: {self.rows}x{self.cols} @ {o.rows}x{o.cols}"
             )
-        return Operator(self.mat @ o.mat,
-                        bandwidth=_combine_bandwidth(self.bandwidth, o.bandwidth, "sum"))
+        return Operator(self.mat @ o.mat)
 
     def __add__(self, other):
         o = as_operator(other)
         if (self.rows, self.cols) != (o.rows, o.cols):
             raise OpcoreError("shape mismatch in sum")
-        return Operator(self.mat + o.mat,
-                        bandwidth=_combine_bandwidth(self.bandwidth, o.bandwidth, "max"))
+        return Operator(self.mat + o.mat)
 
     def __sub__(self, other):
         o = as_operator(other)
         if (self.rows, self.cols) != (o.rows, o.cols):
             raise OpcoreError("shape mismatch in difference")
-        return Operator(self.mat - o.mat,
-                        bandwidth=_combine_bandwidth(self.bandwidth, o.bandwidth, "max"))
+        return Operator(self.mat - o.mat)
 
     def __mul__(self, scalar):
-        return Operator(self.mat * complex(scalar), bandwidth=self.bandwidth)
+        return Operator(self.mat * complex(scalar))
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return Operator(-self.mat, bandwidth=self.bandwidth)
+        return Operator(-self.mat)
 
     def is_square(self) -> bool:
         return self.rows == self.cols
 
     def __repr__(self):
-        return f"Operator({self.rows}x{self.cols}, bandwidth={self.bandwidth})"
+        return f"Operator({self.rows}x{self.cols})"
 
 
 def as_operator(x) -> Operator:
@@ -150,15 +133,6 @@ class OperatorTuple:
     def dim(self) -> int:
         return self.ops[0].rows
 
-    def __iter__(self):
-        return iter(self.ops)
-
-    def __getitem__(self, i):
-        return self.ops[i]
-
-    def __len__(self):
-        return len(self.ops)
-
 
 def op_norm(a) -> float:
     """Largest singular value."""
@@ -190,8 +164,7 @@ def herm_sqrt(h, herm_tol: float = 1e-10, neg_clamp: float = 1e-10) -> Operator:
     w = np.clip(w, 0.0, None)
     s = (v * np.sqrt(w)) @ v.conj().T
     s = (s + s.conj().T) / 2.0
-    bw = a.bandwidth if a.bandwidth == 0 else None
-    return Operator(s, bandwidth=bw)
+    return Operator(s)
 
 
 def spectral_radius(a) -> float:

@@ -70,10 +70,6 @@ class CheckReport(ItemsMixin):
             return "pass"
         return "hypothesis-violated" if self.hypothesis_only else "fail"
 
-    @property
-    def passed(self) -> bool:
-        return self.verdict == "pass"
-
     def worst(self) -> float:
         return max((i.residual for i in self.items), default=0.0)
 
@@ -103,9 +99,6 @@ class CheckReport(ItemsMixin):
         for note in self.notes:
             lines.append(f"# {note}")
         return "\n".join(lines) + "\n"
-
-
-VERDICTS_MEMBERSHIP = ("inside", "boundary", "outside", "unknown")
 
 
 @dataclass

@@ -4,8 +4,9 @@ the window bookkeeping that makes truncated shift identities exact.
 A ModelSpace is an ordered direct sum of summands C^fiber x C^trunc, graded
 by the truncation level.  A Window is the orthonormal basis of every
 coordinate vector whose level lies below trunc - margin in its summand; any
-identity between words of shift operators of total bandwidth <= margin then
-holds exactly on the window.
+identity between words of shift operators of total level shift <= margin then
+holds exactly on the window.  ``auto_margin`` measures that shift on the
+operators' nonzero entries.
 """
 
 from __future__ import annotations
@@ -40,6 +41,10 @@ class ModelSpace:
             out.append(acc)
             acc += f * t
         return out
+
+    def levels(self) -> np.ndarray:
+        """Grading level of each coordinate: k for e_k (x) v."""
+        return np.concatenate([np.repeat(np.arange(t), f) for f, t in self.summands])
 
     def level_mask(self, margin: int) -> np.ndarray:
         """Boolean mask of coordinates whose level < trunc_level - margin."""
@@ -105,17 +110,13 @@ def window(space: ModelSpace, margin: int) -> Window:
     return Window(margin, np.eye(space.total_dim)[:, space.level_mask(margin)])
 
 
-def auto_margin(ops, word_len: int = 2) -> int:
-    """Minimal safe window margin for words of up to ``word_len`` factors
-    drawn from ``ops``, from their tracked bandwidth metadata."""
-    worst = 0
-    for o in ops:
-        bw = getattr(o, "bandwidth", None)
-        if bw is None:
-            raise OpcoreError(
-                "operator without bandwidth metadata: pass an explicit margin")
-        worst = max(worst, bw)
-    return word_len * worst
+def auto_margin(space: ModelSpace, ops) -> int:
+    """Safe window margin for two-factor words drawn from ``ops``: twice the
+    largest level shift |level(row) - level(col)| over their exactly nonzero
+    entries.  Roundoff fill-in can only enlarge it."""
+    lv = space.levels()
+    shift = np.abs(lv[:, None] - lv[None, :])
+    return 2 * max((int(shift[_mat(o) != 0].max(initial=0)) for o in ops), default=0)
 
 
 def hardy_shift(fiber_dim: int, trunc_level: int) -> Operator:
@@ -130,7 +131,7 @@ def hardy_shift(fiber_dim: int, trunc_level: int) -> Operator:
     for k in range(trunc_level - 1):
         lo, hi = k * fiber_dim, (k + 1) * fiber_dim
         m[hi:hi + fiber_dim, lo:hi] = np.eye(fiber_dim)
-    return Operator(m, bandwidth=1)
+    return Operator(m)
 
 
 def block_assemble(layout, row_dims=None, col_dims=None) -> Operator:
@@ -170,7 +171,6 @@ def block_assemble(layout, row_dims=None, col_dims=None) -> Operator:
         raise OpcoreError("zero rows/columns need explicit row_dims/col_dims")
 
     out = np.zeros((sum(rd), sum(cd)), dtype=complex)
-    bandwidth = 0
     roff = np.concatenate([[0], np.cumsum(rd)])
     coff = np.concatenate([[0], np.cumsum(cd)])
     for r in range(nrows):
@@ -178,11 +178,8 @@ def block_assemble(layout, row_dims=None, col_dims=None) -> Operator:
             cell = layout[r][c]
             if cell is None or (np.isscalar(cell) and cell == 0):
                 continue
-            op = as_operator(cell)
-            out[roff[r]:roff[r + 1], coff[c]:coff[c + 1]] = op.mat
-            if bandwidth is not None:
-                bandwidth = None if op.bandwidth is None else max(bandwidth, op.bandwidth)
-    return Operator(out, bandwidth=bandwidth)
+            out[roff[r]:roff[r + 1], coff[c]:coff[c + 1]] = as_operator(cell).mat
+    return Operator(out)
 
 
 def embed_blocks(space: ModelSpace, cells: dict) -> Operator:

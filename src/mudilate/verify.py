@@ -88,11 +88,13 @@ def isometry_check(kind: str, t, tol: float = 1e-9,
 
 def _windowed_kernel(dd, window):
     """Orthonormal basis of Ker D intersected with the window: the window
-    vectors that the orthogonal projection R onto the defect range kills,
-    read off the eigenvalue-0 eigenvectors of the compression Q* R Q."""
+    vectors that the orthogonal projection R = q q* onto the defect range
+    kills, read off the eigenvalue-0 eigenvectors of the compression
+    Q* R Q = c c* (c = Q* q)."""
     if window is None:
         return kernel_basis(dd.D.mat)
-    w, v = np.linalg.eigh(window.compress(dd.range_proj))
+    c = window.basis.conj().T @ dd.range_basis
+    w, v = np.linalg.eigh(c @ c.conj().T)
     return window.basis @ v[:, w < 1e-9]
 
 
@@ -105,7 +107,8 @@ def _windowed_range(dd, window):
     """
     if window is None:
         return dd.range_basis
-    w, v = np.linalg.eigh(window.compress(dd.range_proj))
+    c = window.basis.conj().T @ dd.range_basis
+    w, v = np.linalg.eigh(c @ c.conj().T)
     return window.basis @ v[:, w > 1.0 - 1e-9]
 
 

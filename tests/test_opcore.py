@@ -5,7 +5,6 @@ from mudilate.opcore import (Operator, OperatorTuple, OpcoreError,
                              NegativeEigenvalueError, NotHermitianError,
                              herm_sqrt, kernel_basis, numerical_radius,
                              op_norm, spectral_radius)
-from mudilate.spaces import hardy_shift, window, ModelSpace
 
 from conftest import random_contraction
 
@@ -41,13 +40,6 @@ class TestOperator:
         b = Operator(np.zeros((2, 2)))
         with pytest.raises(OpcoreError):
             a @ b
-
-    def test_bandwidth_propagation(self):
-        m = hardy_shift(1, 6)
-        assert m.bandwidth == 1
-        assert (m @ m).bandwidth == 2
-        assert (m + m.H).bandwidth == 1
-        assert (2.0 * m).bandwidth == 1
 
 
 class TestOpNorm:

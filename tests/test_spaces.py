@@ -61,7 +61,7 @@ class TestWindow:
             window(ModelSpace(((1, 4),)), 4)
 
     def test_word_exactness_for_banded_words(self):
-        # any word of shifts/adjoints of total bandwidth <= margin agrees
+        # any word of shifts/adjoints of total level shift <= margin agrees
         # with the infinite model on the window
         rng = np.random.default_rng(6)
         big, small = 24, 8
@@ -119,21 +119,27 @@ class TestBlockAssemble:
 
 
 class TestAutoMargin:
-    def test_from_bandwidth_metadata(self, exam1):
-        _, tup, _, _ = exam1
-        assert auto_margin(tup.ops) == 4
+    def test_measured_on_model_space(self, exam1):
+        space, tup, _, _ = exam1
+        assert auto_margin(space, tup.ops) == 4
         m = hardy_shift(1, 6)
-        assert auto_margin([m, m @ m], word_len=3) == 6
+        sp = ModelSpace(((1, 6),))
+        assert auto_margin(sp, [m, m @ m]) == 4
+        assert auto_margin(sp, [Operator.identity(6)]) == 0
 
-    def test_rejects_unknown_bandwidth(self):
-        with pytest.raises(OpcoreError):
-            auto_margin([Operator(np.eye(3))])
+    def test_operator_from_plain_matrix(self):
+        sp = ModelSpace(((1, 6),))
+        assert auto_margin(sp, [Operator(hardy_shift(1, 6).mat.copy())]) == 2
 
 
 class TestModelSpace:
     def test_total_dim(self):
         sp = ModelSpace(((2, 8), (1, 4)))
         assert sp.total_dim == 20
+
+    def test_levels(self):
+        sp = ModelSpace(((1, 3), (2, 2)))
+        np.testing.assert_array_equal(sp.levels(), [0, 1, 2, 0, 0, 1, 1])
 
     def test_level_mask(self):
         sp = ModelSpace(((1, 4), (2, 3)))

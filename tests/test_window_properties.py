@@ -1,6 +1,7 @@
 """Randomised invariants of the basis-form window: ||A Q|| and the
 compression Q* A Q carry the same norms and radii as the projector forms
-A P and P A P (P = Q Q*)."""
+A P and P A P (P = Q Q*), and the measured margin makes truncated shift
+words exact."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -8,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from mudilate.dilate import DilationResult
 from mudilate.fundamentals import defect
 from mudilate.opcore import Operator, numerical_radius, spectral_radius
-from mudilate.spaces import Window
+from mudilate.spaces import ModelSpace, Window, auto_margin, embed_blocks, \
+    hardy_shift, window
 
 SETTINGS = settings(derandomize=True, max_examples=40, deadline=None)
 
@@ -76,3 +78,22 @@ def test_dilation_window_dimension(case, n_iso, depth, tail_margin):
     kept = q.shape[1] + w.dim - np.linalg.matrix_rank(np.hstack([q, w.basis]))
     copies = max(0, depth - tail_margin)
     assert dil.window(w, tail_margin=tail_margin).dim == w.dim + copies * kept
+
+
+@SETTINGS
+@given(st.lists(st.tuples(st.integers(1, 2), st.integers(0, 4)), min_size=1,
+                max_size=3),
+       st.integers(1, 2), st.integers(1, 2))
+def test_auto_margin_makes_shift_words_exact(summands, a, b):
+    # S^{*b} S^a = S^{a-b} (a >= b) holds in the infinite model; on the
+    # window of the measured margin the truncated shift satisfies it exactly
+    a, b = max(a, b), min(a, b)
+    space = ModelSpace(tuple((f, 2 * a + 1 + extra) for f, extra in summands))
+    s = embed_blocks(space, {(i, i): hardy_shift(f, t)
+                             for i, (f, t) in enumerate(space.summands)}).mat
+    sa = np.linalg.matrix_power(s, a)
+    sbh = np.linalg.matrix_power(s.conj().T, b)
+    margin = auto_margin(space, [sa, sbh])
+    assert margin == 2 * a
+    w = window(space, margin)
+    assert w.wnorm(sbh @ sa - np.linalg.matrix_power(s, a - b)) == 0.0
