@@ -174,7 +174,8 @@ def build_parser():
     mu.set_defaults(func=cmd_mu)
 
     f = sub.add_parser("fundamental", help="solve the fundamental equations")
-    f.add_argument("--kind", required=True, choices=("gamma7", "gamma5", "sym"))
+    f.add_argument("--kind", required=True,
+                   choices=("gamma7", "gamma5", "sym", "penta"))
     f.add_argument("--tuple", required=True, help="tuple JSON file")
     f.set_defaults(func=cmd_fundamental)
 

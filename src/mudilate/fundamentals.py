@@ -217,6 +217,11 @@ def chain_report(kind: str, tup: OperatorTuple, z_samples: int = 32,
     and numerical radius of the solved fundamental combination <= 1.  Only
     the forward implication is tested; passing never certifies the
     contraction property.
+
+    A pair whose sampled sums all have spectral radius at most ``tol``
+    (nilpotent sums, as in the graded shift examples) cannot fail its
+    radius condition; it is listed in ``undecided`` as vacuous instead of
+    counting as a pass.  ``margins["radius"]`` still covers every pair.
     """
     if kind not in ("gamma7", "gamma5"):
         raise OpcoreError("chain_report handles gamma7 and gamma5 tuples")
@@ -264,7 +269,11 @@ def chain_report(kind: str, tup: OperatorTuple, z_samples: int = 32,
             p_rho = min(p_rho, min_eig(r1.op.mat + r2.op.mat))
             p_rad = max(p_rad, spectral_radius(ca + z * cb))
         rep.add(f"rho-pair-psd[{tag}]", max(0.0, -p_rho), tol)
-        rep.add(f"radius<=2[{tag}]", max(0.0, p_rad - 2.0), tol)
+        if p_rad <= tol:
+            rep.undecided.append(f"radius<=2[{tag}] vacuous: every sampled "
+                                 "sum has spectral radius 0 to tol")
+        else:
+            rep.add(f"radius<=2[{tag}]", max(0.0, p_rad - 2.0), tol)
         rho_min = min(rho_min, p_rho)
         rad_max = max(rad_max, p_rad)
         if fset is not None:

@@ -52,9 +52,6 @@ class GalleryCase:
         self.params = p
 
 
-MARGIN = 4  # upper bound across cases; runners derive the exact value
-
-
 # ---------------------------------------------------------------------------
 # shift-block seven-tuple (three Hardy summands)
 
@@ -83,7 +80,7 @@ def build_exam1(trunc: int = 8):
 def build_exam2(trunc: int = 8):
     """Five-tuple slice of the exam1 family at slice parameter 1."""
     space, tup7, _ = build_exam1(trunc)
-    tup5 = pushforward("pi_eta", tup7, 1.0, window=window(space, MARGIN))
+    tup5 = pushforward("pi_eta", tup7, 1.0, window=window(space, 4))
     m = hardy_shift(1, trunc)
     eye = Operator.identity(trunc)
     m2 = m @ m
@@ -429,13 +426,14 @@ def _run_axis_family(case: GalleryCase) -> CheckReport:
     p = case.params
     trunc = p["trunc"]
     space = ModelSpace(((1, trunc),) * 2)
-    w = window(space, MARGIN)
-    rep = CheckReport(name="axis_family", window_margin=MARGIN)
     m = hardy_shift(1, trunc)
     eye = Operator.identity(trunc)
     a = embed_blocks(space, {(1, 0): eye})
     b = embed_blocks(space, {(0, 0): m, (1, 1): m})
     pid = Operator.identity(space.total_dim)
+    mar = auto_margin(space, (a, b, pid))
+    w = window(space, mar)
+    rep = CheckReport(name="axis_family", window_margin=mar)
 
     trip = pushforward("gamma3", a, b, pid, window=w)
     t1, t6, t7 = trip.ops
@@ -474,9 +472,10 @@ def _run_axis_family(case: GalleryCase) -> CheckReport:
             gap, "=0", 1e-10)
 
     beta = 0.7
+    qspace = ModelSpace(((1, trunc),))
+    wq = window(qspace, auto_margin(qspace, (m,)))
     clean = pushforward("axis7", Operator(np.conj(beta) * np.eye(trunc)),
-                        beta * m, m, window=window(ModelSpace(((1, trunc),)), MARGIN))
-    wq = window(ModelSpace(((1, trunc),)), MARGIN)
+                        beta * m, m, window=wq)
     chk2 = isometry_check("gamma7", clean, tol=1e-9, window=wq)
     _merge(rep, chk2, "axis embedding of a clean isometric triple")
 

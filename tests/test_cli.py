@@ -5,9 +5,8 @@ import sys
 import numpy as np
 import pytest
 
-from mudilate.cli import _fset_to_dict, main
-from mudilate.fundamentals import solve_fundamentals
-from mudilate.report import dumps, operator_from_dict, operator_to_dict
+from mudilate.cli import main
+from mudilate.report import operator_from_dict, operator_to_dict
 from mudilate.gallery import build_exam1, build_exam5
 
 
@@ -147,10 +146,11 @@ class TestSubcommands:
                              "--fundamentals", str(fpath)], capsys)
         assert code == 0
         assert json.loads(out)["verdict"] == "pass"
-        # penta fundamentals, written in the format `fundamental` prints
-        _, penta, _ = build_exam5(0.5, 8)
+        code, out = run_cli(["fundamental", "--kind", "penta",
+                             "--tuple", files["penta"]], capsys)
+        assert code == 0
         ppath = tmp_path / "fset_penta.json"
-        ppath.write_text(dumps(_fset_to_dict(solve_fundamentals("penta", penta))))
+        ppath.write_text(out)
         code, out = run_cli(["verify", "--kind", "penta", "--check", "necessary",
                              "--tuple", files["penta"],
                              "--fundamentals", str(ppath)], capsys)

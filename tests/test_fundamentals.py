@@ -185,6 +185,28 @@ class TestChainReport:
         assert rep.margins["rho"] >= -1e-12
         assert rep.margins["omega"] >= -1e-12
 
+    @pytest.mark.parametrize("kind", ["gamma7", "gamma5"])
+    def test_nilpotent_sums_make_radius_items_vacuous(self, kind, exam1, exam2):
+        tup, w = (exam1[1], exam1[3]) if kind == "gamma7" else (exam2[2], exam2[5])
+        rep = chain_report(kind, tup, z_samples=8, window=w)
+        assert rep.verdict == "pass"
+        assert not [i for i in rep.items if i.label.startswith("radius<=2")]
+        vacuous = [u for u in rep.undecided if u.startswith("radius<=2")]
+        assert len(vacuous) == (3 if kind == "gamma7" else 2)
+        assert all("vacuous" in u for u in vacuous)
+
+    @pytest.mark.parametrize("kind, coeffs", [
+        ("gamma7", [0.2, -0.15, 0.1, 0.05, 0.3, -0.25, 0.6]),
+        ("gamma5", [0.3, 0.4, 0.5, -0.2, 0.1j]),
+    ])
+    def test_nonzero_radius_keeps_radius_items(self, kind, coeffs):
+        ops = [Operator(np.array([[c]], dtype=complex)) for c in coeffs]
+        rep = chain_report(kind, OperatorTuple(kind, ops), z_samples=8)
+        radius = [i for i in rep.items if i.label.startswith("radius<=2")]
+        assert len(radius) == (3 if kind == "gamma7" else 2)
+        assert all(i.passed for i in radius)
+        assert not [u for u in rep.undecided if u.startswith("radius<=2")]
+
     def test_exam2_all_pass(self, exam2):
         space, _, tup5, _, _, w = exam2
         rep = chain_report("gamma5", tup5, z_samples=8, window=w)

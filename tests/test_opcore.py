@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -145,6 +147,20 @@ class TestNumericalRadius:
         for _ in range(20):
             a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
             assert numerical_radius(Operator(a)) >= np.abs(np.diag(a)).max() - 1e-8
+
+    def test_peak_memory_bounded(self):
+        # eight angles per eigvalsh batch and a 2n x 2n pencil keep the peak
+        # near 26 n^2 complex entries; a 720-angle stack needs over 1400 n^2
+        n = 128
+        rng = np.random.default_rng(12)
+        a = Operator(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        tracemalloc.start()
+        try:
+            numerical_radius(a)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * n * n * np.dtype(complex).itemsize
 
     def test_exam1_fundamental_combination(self, exam1):
         space, tup, expected_f, w = exam1
