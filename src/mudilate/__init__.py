@@ -1,8 +1,8 @@
 """mudilate: numerical workbench for mu-quotient domains, defect operators
 and block isometric dilations at finite truncation."""
 
-from .opcore import (Operator, OperatorTuple, herm_sqrt, kernel_basis,
-                     numerical_radius, op_norm, spectral_radius)
+from .opcore import (OperatorTuple, herm_sqrt, kernel_basis, numerical_radius,
+                     op_norm, spectral_radius)
 from .spaces import ModelSpace, Window, block_assemble, hardy_shift, window
 from .domains import (BlockStructure, Certificate, DomainPoint,
                       certificate_search, membership, mu_E, psi3_supnorm)
@@ -16,7 +16,7 @@ from .gallery import GalleryCase, emit_report, run_example, run_gallery
 from .report import CheckItem, CheckReport, MembershipReport
 
 __all__ = [
-    "Operator", "OperatorTuple", "herm_sqrt", "kernel_basis",
+    "OperatorTuple", "herm_sqrt", "kernel_basis",
     "numerical_radius", "op_norm", "spectral_radius",
     "ModelSpace", "Window", "block_assemble", "hardy_shift", "window",
     "BlockStructure", "Certificate", "DomainPoint", "certificate_search",

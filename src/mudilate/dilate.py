@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .opcore import (Operator, OperatorTuple, OpcoreError, as_operator, _mat,
-                     commutator_norms, herm_sqrt, op_norm)
+from .opcore import (OperatorTuple, OpcoreError, _mat, commutator_norms,
+                     herm_sqrt, op_norm)
 from .fundamentals import (PIVOT, RELATIONS, DefectData, ExpansiveError,
                            FundamentalSet, defect)
 from .spaces import Window, block_assemble
@@ -25,30 +25,30 @@ class DilateError(OpcoreError):
     pass
 
 
-def egervary(t, n: int) -> Operator:
+def egervary(t, n: int) -> np.ndarray:
     """(N+1)x(N+1) block unitary whose compressions reproduce T^k for k <= N.
 
     First block row (T, 0, ..., 0, D_{T*}), second (D_T, 0, ..., 0, -T*),
     then an identity chain feeding each column into the next row.  N = 1 is
     the classical 2x2 unitary extension of a contraction.
     """
-    op = as_operator(t)
-    if not op.is_square():
+    m = _mat(t)
+    if m.shape[0] != m.shape[1]:
         raise DilateError("power dilation needs a square contraction")
     if n < 1:
         raise DilateError("N must be >= 1")
-    nrm = op_norm(op)
+    nrm = op_norm(m)
     if nrm > 1.0 + 1e-8:
         raise ExpansiveError(f"not a contraction: norm {nrm:.6f}")
-    d = op.rows
+    d = m.shape[0]
     eye = np.eye(d)
-    dt = herm_sqrt(Operator(eye - op.mat.conj().T @ op.mat), neg_clamp=1e-8).mat
-    dts = herm_sqrt(Operator(eye - op.mat @ op.mat.conj().T), neg_clamp=1e-8).mat
+    dt = herm_sqrt(eye - m.conj().T @ m, neg_clamp=1e-8)
+    dts = herm_sqrt(eye - m @ m.conj().T, neg_clamp=1e-8)
     grid = [[None] * (n + 1) for _ in range(n + 1)]
-    grid[0][0] = op.mat
+    grid[0][0] = m
     grid[0][n] = dts
     grid[1][0] = dt
-    grid[1][n] = -op.mat.conj().T
+    grid[1][n] = -m.conj().T
     for k in range(2, n + 1):
         grid[k][k - 1] = eye
     return block_assemble(grid, row_dims=[d] * (n + 1), col_dims=[d] * (n + 1))
@@ -65,22 +65,22 @@ class DilationResult:
 
     kind: str
     ops: tuple
-    embed: Operator
+    embed: np.ndarray
     depth: int
     defect: DefectData
     base_dim: int
 
     @property
     def dim(self) -> int:
-        return self.ops[0].rows
+        return self.ops[0].shape[0]
 
     def tuple(self) -> OperatorTuple:
         return OperatorTuple(self.kind, self.ops)
 
     def coextension_residuals(self, base_ops, h_window: Window | None = None) -> list:
         norm = op_norm if h_window is None else h_window.wnorm
-        e = self.embed.mat
-        return [norm(v.mat.conj().T @ e - e @ _mat(t).conj().T)
+        e = self.embed
+        return [norm(v.conj().T @ e - e @ _mat(t).conj().T)
                 for v, t in zip(self.ops, base_ops)]
 
     def window(self, h_window: Window, tail_margin: int = 1) -> Window:
@@ -105,7 +105,7 @@ class DilationResult:
 def _embed_matrix(base_dim, depth, rank):
     e = np.zeros((base_dim + depth * rank, base_dim), dtype=complex)
     e[:base_dim, :base_dim] = np.eye(base_dim)
-    return Operator(e)
+    return e
 
 
 def _tail_tuple(base, first_col, diag, sub, depth, rank, zero_row=0):
@@ -151,21 +151,21 @@ def schaffer(kind: str, tup: OperatorTuple, fset: FundamentalSet,
     dd = fset.defect
     base_dim = tup.dim
     if dd.rank == 0:
-        return DilationResult(kind, tup.ops, Operator(np.eye(base_dim)), depth,
-                              dd, base_dim)
+        return DilationResult(kind, tup.ops, np.eye(base_dim, dtype=complex),
+                              depth, dd, base_dim)
     q = dd.range_basis
-    drow = q.conj().T @ dd.D.mat
+    drow = q.conj().T @ dd.D
     r = dd.rank
     sym = {i: (j, dd.compress(fset[name]) / w)
            for i, j, name, w in RELATIONS[kind]}
     ops = []
     for k, base in enumerate(tup.ops):
         if k == PIVOT[kind]:
-            ops.append(_tail_tuple(_mat(base), [drow], None, np.eye(r), depth, r))
+            ops.append(_tail_tuple(base, [drow], None, np.eye(r), depth, r))
             continue
         j, f = sym[k]
         gh = sym[j][1].conj().T
-        ops.append(_tail_tuple(_mat(base), [gh @ drow], f, gh, depth, r))
+        ops.append(_tail_tuple(base, [gh @ drow], f, gh, depth, r))
     return DilationResult(kind, tuple(ops), _embed_matrix(base_dim, depth, r),
                           depth, dd, base_dim)
 
@@ -192,31 +192,31 @@ def pentablock_dilation(tup: OperatorTuple, x, depth: int) -> DilationResult:
         xc = dd.compress(xm) if xm.shape[0] == base_dim else xm
     r = dd.rank
     if r == 0:
-        return DilationResult("penta", tup.ops, Operator(np.eye(base_dim)),
+        return DilationResult("penta", tup.ops, np.eye(base_dim, dtype=complex),
                               depth, dd, base_dim)
     if xc.shape != (r, r):
         raise DilateError(f"fundamental operator must act on the {r}-dim defect space")
     gram = xc.conj().T @ xc + xc @ xc.conj().T
     if np.linalg.norm(gram, 2) > 4.0 + 1e-9:
         raise DilateError("damping block undefined: ||X*X + XX*|| exceeds 4")
-    ell = herm_sqrt(Operator(np.eye(r) - 0.25 * gram)).mat
+    ell = herm_sqrt(np.eye(r) - 0.25 * gram)
     q = dd.range_basis
-    drow = q.conj().T @ dd.D.mat
-    r1 = _tail_tuple(_mat(p1), [], ell, None, depth, r)
-    r2 = _tail_tuple(_mat(p2), [xc.conj().T @ drow], xc, xc.conj().T, depth, r)
-    r3 = _tail_tuple(_mat(p3), [drow], None, np.eye(r), depth, r)
+    drow = q.conj().T @ dd.D
+    r1 = _tail_tuple(p1, [], ell, None, depth, r)
+    r2 = _tail_tuple(p2, [xc.conj().T @ drow], xc, xc.conj().T, depth, r)
+    r3 = _tail_tuple(p3, [drow], None, np.eye(r), depth, r)
     return DilationResult("penta", (r1, r2, r3),
                           _embed_matrix(base_dim, depth, r), depth, dd, base_dim)
 
 
 def pushforward(kind: str, *args, tol: float = 1e-9, window: Window | None = None):
-    """Operator-level families: the two-parameter seven-tuple, its gamma5
+    """Families of operators: the two-parameter seven-tuple, its gamma5
     slice, the axis embedding, and the averaged triple with an isometry.
 
     Commutation of the result is checked, not assumed.
     """
     if kind == "pi":
-        t1, t2 = (as_operator(a) for a in args)
+        t1, t2 = (_mat(a) for a in args)
         for o in (t1, t2):
             if op_norm(o) > 1.0 + 1e-8:
                 raise ExpansiveError("pi needs a pair of contractions")
@@ -234,17 +234,16 @@ def pushforward(kind: str, *args, tol: float = 1e-9, window: Window | None = Non
         out = OperatorTuple("gamma5", (t[0], t[2] + e * t[4], e * t[6],
                                        t[1] + e * t[3], e * t[5]))
     elif kind == "axis7":
-        t1, t6, t7 = (as_operator(a) for a in args)
-        z = Operator(np.zeros_like(t1.mat))
+        t1, t6, t7 = (_mat(a) for a in args)
+        z = np.zeros_like(t1)
         out = OperatorTuple("gamma7", (t1, z, z, z, z, t6, t7))
     elif kind == "gamma3":
-        t1, t2, v3 = (as_operator(a) for a in args)
+        t1, t2, v3 = (_mat(a) for a in args)
         for o in (t1, t2):
             if op_norm(o) > 1.0 + 1e-8:
                 raise ExpansiveError("gamma3 needs contractions in the first two slots")
-        iso = (v3.H @ v3) - Operator(np.eye(v3.rows))
-        iso_res = window.wnorm(iso) if window is not None \
-            else float(np.linalg.norm(iso.mat, 2))
+        iso = v3.conj().T @ v3 - np.eye(v3.shape[0])
+        iso_res = window.wnorm(iso) if window is not None else op_norm(iso)
         if iso_res > 1e-8:
             raise DilateError(f"third member is not an isometry on the window: {iso_res:.3e}")
         out = OperatorTuple("tetra", ((1.0 / 3.0) * (t1 + t2 + v3),

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .opcore import (Operator, OperatorTuple, OpcoreError, as_operator, _mat,
-                     numerical_radius, op_norm, spectral_radius,
-                     commutator_norms)
+from .opcore import (OperatorTuple, OpcoreError, _mat, _square,
+                     commutator_norms, numerical_radius, op_norm,
+                     spectral_radius)
 from .report import CheckReport
 from .spaces import Window
 
@@ -39,7 +39,7 @@ class DefectData:
     isometry signature.
     """
 
-    D: Operator
+    D: np.ndarray
     range_basis: np.ndarray
     rank: int
     is_projection: bool
@@ -47,7 +47,7 @@ class DefectData:
 
     def pinv(self) -> np.ndarray:
         if self.rank == 0:
-            return np.zeros_like(self.D.mat)
+            return np.zeros_like(self.D)
         q = self.range_basis
         return (q / self.dvals) @ q.conj().T
 
@@ -58,13 +58,11 @@ class DefectData:
 
 
 def defect(t, norm_tol: float = 1e-8, rank_tol: float | None = None) -> DefectData:
-    op = as_operator(t)
-    if not op.is_square():
-        raise OpcoreError("defect operator needs a square matrix")
-    nrm = op_norm(op)
+    m = _square(t, "defect operator")
+    nrm = op_norm(m)
     if nrm > 1.0 + norm_tol:
         raise ExpansiveError(f"not a contraction: norm {nrm:.6f}")
-    g = np.eye(op.rows) - op.mat.conj().T @ op.mat
+    g = np.eye(m.shape[0]) - m.conj().T @ m
     g = (g + g.conj().T) / 2.0
     w, v = np.linalg.eigh(g)
     w = np.clip(w, 0.0, None)
@@ -79,7 +77,7 @@ def defect(t, norm_tol: float = 1e-8, rank_tol: float | None = None) -> DefectDa
               else 1e-8 * max(dvals_all.max(), 1.0))
     keep = dvals_all > cutoff
     is_proj = bool(np.linalg.norm(dmat @ dmat - dmat, 2) <= 1e-9)
-    return DefectData(D=Operator(dmat), range_basis=v[:, keep],
+    return DefectData(D=dmat, range_basis=v[:, keep],
                       rank=int(keep.sum()), is_projection=is_proj,
                       dvals=dvals_all[keep])
 
@@ -116,7 +114,7 @@ class FundamentalSet:
     residuals: dict
     defect: DefectData
 
-    def __getitem__(self, name: str) -> Operator:
+    def __getitem__(self, name: str) -> np.ndarray:
         return self.ops[name]
 
     def names(self):
@@ -126,7 +124,7 @@ class FundamentalSet:
 def _rhs_map(kind: str, tup: OperatorTuple) -> dict:
     if kind not in RELATIONS:
         raise SolveError(f"no fundamental equations for kind {kind!r}")
-    t = [o.mat for o in tup.ops]
+    t = tup.ops
     last = t[PIVOT[kind]]
     return {name: w * (t[i] - t[j].conj().T @ last)
             for i, j, name, w in RELATIONS[kind]}
@@ -153,11 +151,11 @@ def solve_fundamentals(kind: str, tup: OperatorTuple, tol: float = 1e-9,
     ops, residuals = {}, {}
     if dd.rank == 0:
         for name in rhs:
-            ops[name] = Operator.zeros(tup.dim)
+            ops[name] = np.zeros((tup.dim, tup.dim), dtype=complex)
             residuals[name] = 0.0
         return FundamentalSet(kind, ops, residuals, dd)
     dplus = dd.pinv()
-    dmat = dd.D.mat
+    dmat = dd.D
     norm = op_norm if window is None else window.wnorm
     for name, b in rhs.items():
         f = dplus @ b @ dplus
@@ -166,14 +164,14 @@ def solve_fundamentals(kind: str, tup: OperatorTuple, tol: float = 1e-9,
             raise SolveError(
                 f"fundamental equation {name} unsolvable on the defect space: "
                 f"residual {res:.3e} > {tol:.1e}")
-        ops[name] = Operator(f)
+        ops[name] = f
         residuals[name] = res
     return FundamentalSet(kind, ops, residuals, dd)
 
 
 @dataclass
 class RhoResult:
-    op: Operator
+    op: np.ndarray
     asym_residual: float
 
 
@@ -183,18 +181,18 @@ def rho(kind: str, args) -> RhoResult:
     sym:   2(I - P*P) - (S - S*P) - (S* - P*S)
     tetra: (I - T3*T3) - (T2*T2 - T1*T1) - (T2 - T1*T3) - (T2 - T1*T3)*
     """
-    ops = [as_operator(a) for a in (args.ops if isinstance(args, OperatorTuple) else args)]
+    ops = [_mat(a) for a in (args.ops if isinstance(args, OperatorTuple) else args)]
     if kind == "sym":
         if len(ops) != 2:
             raise OpcoreError("sym form takes (S, P)")
-        s, p = (o.mat for o in ops)
+        s, p = ops
         n = s.shape[0]
         out = 2.0 * (np.eye(n) - p.conj().T @ p) - (s - s.conj().T @ p) \
             - (s.conj().T - p.conj().T @ s)
     elif kind == "tetra":
         if len(ops) != 3:
             raise OpcoreError("tetra form takes (T1, T2, T3)")
-        t1, t2, t3 = (o.mat for o in ops)
+        t1, t2, t3 = ops
         n = t1.shape[0]
         re_part = t2 - t1.conj().T @ t3
         out = (np.eye(n) - t3.conj().T @ t3) - (t2.conj().T @ t2 - t1.conj().T @ t1) \
@@ -203,7 +201,7 @@ def rho(kind: str, args) -> RhoResult:
         raise OpcoreError(f"unknown rho kind {kind!r}")
     asym = float(np.linalg.norm(out - out.conj().T, 2))
     sym_out = (out + out.conj().T) / 2.0
-    return RhoResult(Operator(sym_out), asym)
+    return RhoResult(sym_out, asym)
 
 
 def chain_report(kind: str, tup: OperatorTuple, z_samples: int = 32,
@@ -225,6 +223,8 @@ def chain_report(kind: str, tup: OperatorTuple, z_samples: int = 32,
     """
     if kind not in ("gamma7", "gamma5"):
         raise OpcoreError("chain_report handles gamma7 and gamma5 tuples")
+    if z_samples < 1:
+        raise OpcoreError(f"z_samples must be at least 1, got {z_samples}")
     rep = CheckReport(name=f"chain-{kind}",
                       window_margin=None if window is None else window.margin)
     rep.notes.append("necessary direction only: failures disprove, passes do not certify")
@@ -240,7 +240,7 @@ def chain_report(kind: str, tup: OperatorTuple, z_samples: int = 32,
 
     # one coordinate pair per relation row with i < j, both members scaled
     # by the row weight; the partner row supplies the second fundamental
-    t = [o.mat for o in tup.ops]
+    t = tup.ops
     last = t[PIVOT[kind]]
     fname = {i: name for i, _, name, _ in RELATIONS[kind]}
     idx = [m[1:] for m in MEMBERS[kind]]
@@ -264,9 +264,9 @@ def chain_report(kind: str, tup: OperatorTuple, z_samples: int = 32,
         p_rho, p_rad, p_om = np.inf, 0.0, 0.0
         ca, cb = comp(a), comp(b)
         for z in zs:
-            r1 = rho("tetra", (Operator(a), Operator(z * b), Operator(z * last)))
-            r2 = rho("tetra", (Operator(b), Operator(z * a), Operator(z * last)))
-            p_rho = min(p_rho, min_eig(r1.op.mat + r2.op.mat))
+            r1 = rho("tetra", (a, z * b, z * last))
+            r2 = rho("tetra", (b, z * a, z * last))
+            p_rho = min(p_rho, min_eig(r1.op + r2.op))
             p_rad = max(p_rad, spectral_radius(ca + z * cb))
         rep.add(f"rho-pair-psd[{tag}]", max(0.0, -p_rho), tol)
         if p_rad <= tol:
@@ -279,7 +279,7 @@ def chain_report(kind: str, tup: OperatorTuple, z_samples: int = 32,
         if fset is not None:
             fa, fb = comp(fset[names[0]]), comp(fset[names[1]])
             for z in zs:
-                p_om = max(p_om, numerical_radius(Operator(fa + z * fb)))
+                p_om = max(p_om, numerical_radius(fa + z * fb))
             rep.add(f"omega<=1[{tag}]", max(0.0, p_om - 1.0), tol)
             omega_max = max(omega_max, p_om)
     rep.margins = {

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .opcore import Operator, OperatorTuple, _mat, herm_sqrt, op_norm
+from .opcore import OperatorTuple, _mat, herm_sqrt, op_norm
 from .spaces import ModelSpace, auto_margin, embed_blocks, hardy_shift, window
 from .domains import (DomainPoint, membership, point_pi, point_pi_eta,
                       psi3_supnorm)
@@ -43,6 +43,8 @@ class GalleryCase:
         p.setdefault("z_samples", 8)
         p.setdefault("n_points", 25)
         p.setdefault("seed", 7)
+        if p["z_samples"] < 1:
+            raise ValueError("z_samples must be >= 1")
         if p["trunc"] < 6:
             raise ValueError("trunc must be >= 6 to leave a margin-4 window")
         if p["depth"] < 2:
@@ -61,7 +63,7 @@ def build_exam1(trunc: int = 8):
     shift on three scalar Hardy summands, with its known fundamentals."""
     space = ModelSpace(((1, trunc),) * 3)
     m = hardy_shift(1, trunc)
-    eye = Operator.identity(trunc)
+    eye = np.eye(trunc)
     t1 = embed_blocks(space, {(0, 1): eye, (1, 2): eye})
     t2 = embed_blocks(space, {(0, 0): m, (1, 1): m, (2, 2): m})
     tup = pushforward("pi", t1, t2, window=window(space, 1))
@@ -71,7 +73,7 @@ def build_exam1(trunc: int = 8):
         "F2": embed_blocks(space, {(0, 0): m, (1, 1): m}),
         "F3": embed_blocks(space, {(0, 1): m}),
         "F4": embed_blocks(space, {(0, 1): m}),
-        "F5": Operator.zeros(space.total_dim),
+        "F5": np.zeros((space.total_dim,) * 2, dtype=complex),
         "F6": embed_blocks(space, {(0, 1): m2}),
     }
     return space, tup, expected_f
@@ -82,7 +84,7 @@ def build_exam2(trunc: int = 8):
     space, tup7, _ = build_exam1(trunc)
     tup5 = pushforward("pi_eta", tup7, 1.0, window=window(space, 4))
     m = hardy_shift(1, trunc)
-    eye = Operator.identity(trunc)
+    eye = np.eye(trunc)
     m2 = m @ m
     displayed = OperatorTuple("gamma5", (
         embed_blocks(space, {(0, 1): eye, (1, 2): eye}),
@@ -104,11 +106,11 @@ def build_exam2(trunc: int = 8):
 # nilpotent-symbol family on four C^2-fiber summands
 
 
-def _raising_symbol(alpha: float, trunc: int) -> Operator:
+def _raising_symbol(alpha: float, trunc: int) -> np.ndarray:
     """Rank-one symbol on the C^2-fiber space: level-0 fiber map [[0, a], [0, 0]]."""
     g = np.zeros((2 * trunc, 2 * trunc), dtype=complex)
     g[0, 1] = alpha
-    return Operator(g)
+    return g
 
 
 def projection_defect(space: ModelSpace, summands: tuple) -> DefectData:
@@ -120,7 +122,7 @@ def projection_defect(space: ModelSpace, summands: tuple) -> DefectData:
         mask[sl] = 1.0
     d = np.diag(mask)
     q = np.eye(n)[:, mask > 0.5]
-    return DefectData(D=Operator(d), range_basis=q, rank=q.shape[1],
+    return DefectData(D=_mat(d), range_basis=q, rank=q.shape[1],
                       is_projection=True, dvals=np.ones(q.shape[1]))
 
 
@@ -131,7 +133,7 @@ def build_exam3(alpha: float = 0.5, trunc: int = 8):
     g = _raising_symbol(alpha, trunc)
     m2 = hardy_shift(2, trunc)
     a = embed_blocks(space, {(0, 0): g})
-    b = Operator.zeros(space.total_dim)
+    b = np.zeros((space.total_dim,) * 2, dtype=complex)
     p = embed_blocks(space, {(1, 2): m2, (2, 1): -1.0 * m2})
     tup = OperatorTuple("gamma7", (a, a, b, a, b, b, p))
     f_embedded = embed_blocks(space, {(0, 0): g})
@@ -144,20 +146,20 @@ def build_exam3_dilation(alpha: float, trunc: int, depth: int) -> DilationResult
     space, tup, f_emb = build_exam3(alpha, trunc)
     dd = projection_defect(space, (0, 3))
     q = dd.range_basis
-    drow = q.conj().T @ dd.D.mat
+    drow = q.conj().T @ dd.D
     f = dd.compress(f_emb)
     fh = f.conj().T
     base_dim = space.total_dim
     ops = []
     for i in range(7):
         if i == 6:
-            ops.append(_tail_tuple(_mat(tup.ops[6]), [None, drow], None,
+            ops.append(_tail_tuple(tup.ops[6], [None, drow], None,
                                    np.eye(dd.rank), depth, dd.rank, zero_row=1))
         elif i in (0, 1, 3):
-            ops.append(_tail_tuple(_mat(tup.ops[i]), [fh @ drow], f, fh,
+            ops.append(_tail_tuple(tup.ops[i], [fh @ drow], f, fh,
                                    depth, dd.rank))
         else:
-            ops.append(_tail_tuple(_mat(tup.ops[i]), [f @ drow, fh @ drow],
+            ops.append(_tail_tuple(tup.ops[i], [f @ drow, fh @ drow],
                                    f, fh, depth, dd.rank, zero_row=1))
     return DilationResult("gamma7", tuple(ops),
                           _embed_matrix(base_dim, depth, dd.rank), depth, dd,
@@ -169,9 +171,9 @@ def build_exam5(alpha: float = 0.5, trunc: int = 8):
     defect = first summand."""
     space = ModelSpace(((2, trunc),) * 4)
     g = _raising_symbol(alpha, trunc)
-    l0 = herm_sqrt(np.eye(2 * trunc) - 0.25 * (g.H @ g + g @ g.H).mat)
+    l0 = herm_sqrt(np.eye(2 * trunc) - 0.25 * (g.conj().T @ g + g @ g.conj().T))
     m2 = hardy_shift(2, trunc)
-    eye = Operator.identity(2 * trunc)
+    eye = np.eye(2 * trunc)
     p1 = embed_blocks(space, {(0, 0): l0, (1, 1): eye, (2, 2): eye, (3, 3): eye})
     p2 = embed_blocks(space, {(0, 0): g})
     p3 = embed_blocks(space, {(1, 1): m2, (2, 3): m2, (3, 2): -1.0 * m2})
@@ -210,7 +212,7 @@ def _expect_schaffer(rep: CheckReport, case: GalleryCase, tup, fset, w,
     kind, depth, piv = tup.kind, case.params["depth"], PIVOT[tup.kind]
     dil = schaffer(kind, tup, fset, depth)
     kw = dil.window(w, tail_margin=min(2, depth - 1))
-    v = [o.mat for o in dil.ops]
+    v = dil.ops
     rel = max(kw.wnorm(v[i] - v[j].conj().T @ v[piv])
               for i, j, _, _ in RELATIONS[kind])
     _expect(rep, rel_label, rel, "=0", 1e-9)
@@ -272,7 +274,7 @@ def _run_exam2(case: GalleryCase) -> CheckReport:
     w = window(space, mar)
     rep = CheckReport(name="exam2", window_margin=mar)
 
-    exact = max(float(np.linalg.norm(a.mat - b.mat, 2))
+    exact = max(float(np.linalg.norm(a - b, 2))
                 for a, b in zip(tup5.ops, displayed.ops))
     _expect(rep, "slice of exam1 equals displayed five-tuple",
             exact, "=0", 1e-12)
@@ -322,7 +324,7 @@ def _run_exam3(case: GalleryCase) -> CheckReport:
     _merge(rep, comm, "tuple commutes")
 
     fset = solve_fundamentals("gamma7", tup, tol=1e-9, window=w)
-    zero = Operator.zeros(space.total_dim)
+    zero = np.zeros((space.total_dim,) * 2, dtype=complex)
     worst = max(
         max(w.equal(fset[n], f_emb) for n in ("F1", "F2", "F4")),
         max(w.equal(fset[n], zero) for n in ("F3", "F5", "F6")),
@@ -427,10 +429,10 @@ def _run_axis_family(case: GalleryCase) -> CheckReport:
     trunc = p["trunc"]
     space = ModelSpace(((1, trunc),) * 2)
     m = hardy_shift(1, trunc)
-    eye = Operator.identity(trunc)
+    eye = np.eye(trunc)
     a = embed_blocks(space, {(1, 0): eye})
     b = embed_blocks(space, {(0, 0): m, (1, 1): m})
-    pid = Operator.identity(space.total_dim)
+    pid = np.eye(space.total_dim)
     mar = auto_margin(space, (a, b, pid))
     w = window(space, mar)
     rep = CheckReport(name="axis_family", window_margin=mar)
@@ -441,13 +443,13 @@ def _run_axis_family(case: GalleryCase) -> CheckReport:
     _merge(rep, chk, "averaged product is a partial isometry")
     dd = defect(t7)
     _expect(rep, "defect operator is a projection",
-            float(np.linalg.norm(dd.D.mat @ dd.D.mat - dd.D.mat, 2)), "=0", 1e-9)
+            float(np.linalg.norm(dd.D @ dd.D - dd.D, 2)), "=0", 1e-9)
 
     tup = pushforward("axis7", t1, t6, t7, window=w)
     fset = solve_fundamentals("gamma7", tup, tol=1e-9, window=w)
     f1_exp = embed_blocks(space, {(1, 1): (1.0 / 3.0) * (eye + m)})
     f6_exp = embed_blocks(space, {(1, 1): (1.0 / 3.0) * m})
-    zero = Operator.zeros(space.total_dim)
+    zero = np.zeros((space.total_dim,) * 2, dtype=complex)
     worst = max(
         w.equal(fset["F1"], f1_exp), w.equal(fset["F6"], f6_exp),
         max(w.equal(fset[n], zero) for n in ("F2", "F3", "F4", "F5")),
@@ -464,7 +466,7 @@ def _run_axis_family(case: GalleryCase) -> CheckReport:
     kb = _windowed_range(dd, w)
     gap = 0.0
     for i, j in ((0, 5), (1, 4), (2, 3)):
-        fi, fj, di, dj = (kb.conj().T @ m.mat @ kb for m in (
+        fi, fj, di, dj = (kb.conj().T @ x @ kb for x in (
             fset[f"F{i+1}"], fset[f"F{j+1}"], tup.ops[i], tup.ops[j]))
         gap = max(gap, float(np.linalg.norm(
             (_self_comm(fi) - _self_comm(fj)) - (_self_comm(di) - _self_comm(dj)), 2)))
@@ -474,7 +476,7 @@ def _run_axis_family(case: GalleryCase) -> CheckReport:
     beta = 0.7
     qspace = ModelSpace(((1, trunc),))
     wq = window(qspace, auto_margin(qspace, (m,)))
-    clean = pushforward("axis7", Operator(np.conj(beta) * np.eye(trunc)),
+    clean = pushforward("axis7", np.conj(beta) * np.eye(trunc),
                         beta * m, m, window=wq)
     chk2 = isometry_check("gamma7", clean, tol=1e-9, window=wq)
     _merge(rep, chk2, "axis embedding of a clean isometric triple")

@@ -1,9 +1,11 @@
 """Dense complex-matrix kernel: operators, norms, square roots, radii,
 kernels and commutator norms.
 
-All quantities are computed for explicit finite matrices.  An Operator is its
-dense matrix and nothing else: truncation windows read the level shift of an
-operator off its nonzero entries (``spaces.auto_margin``).
+All quantities are computed for explicit finite matrices.  An operator is a
+plain 2-D complex ndarray; ``_mat`` is the one converter and carries every
+input check (2-D, positive dimensions, finite entries).  Truncation windows
+read the level shift of an operator off its nonzero entries
+(``spaces.auto_margin``).
 """
 
 from __future__ import annotations
@@ -26,84 +28,24 @@ class NegativeEigenvalueError(OpcoreError):
     pass
 
 
-class Operator:
-    """A bounded operator between finite-dimensional spaces, stored densely."""
-
-    __slots__ = ("mat",)
-
-    def __init__(self, mat):
-        m = np.asarray(mat, dtype=complex)
-        if m.ndim != 2:
-            raise OpcoreError(f"operator entries must be a matrix, got ndim={m.ndim}")
-        if m.shape[0] < 1 or m.shape[1] < 1:
-            raise OpcoreError(f"operator dimensions must be positive, got {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise OpcoreError("operator entries must be finite")
-        self.mat = m
-
-    @property
-    def rows(self) -> int:
-        return self.mat.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.mat.shape[1]
-
-    @property
-    def H(self) -> "Operator":
-        return Operator(self.mat.conj().T)
-
-    @classmethod
-    def identity(cls, n: int) -> "Operator":
-        return cls(np.eye(n))
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int | None = None) -> "Operator":
-        return cls(np.zeros((rows, cols if cols is not None else rows)))
-
-    def __matmul__(self, other):
-        o = as_operator(other)
-        if self.cols != o.rows:
-            raise OpcoreError(
-                f"composition mismatch: {self.rows}x{self.cols} @ {o.rows}x{o.cols}"
-            )
-        return Operator(self.mat @ o.mat)
-
-    def __add__(self, other):
-        o = as_operator(other)
-        if (self.rows, self.cols) != (o.rows, o.cols):
-            raise OpcoreError("shape mismatch in sum")
-        return Operator(self.mat + o.mat)
-
-    def __sub__(self, other):
-        o = as_operator(other)
-        if (self.rows, self.cols) != (o.rows, o.cols):
-            raise OpcoreError("shape mismatch in difference")
-        return Operator(self.mat - o.mat)
-
-    def __mul__(self, scalar):
-        return Operator(self.mat * complex(scalar))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return Operator(-self.mat)
-
-    def is_square(self) -> bool:
-        return self.rows == self.cols
-
-    def __repr__(self):
-        return f"Operator({self.rows}x{self.cols})"
-
-
-def as_operator(x) -> Operator:
-    if isinstance(x, Operator):
-        return x
-    return Operator(x)
-
-
 def _mat(x) -> np.ndarray:
-    return x.mat if isinstance(x, Operator) else np.asarray(x, dtype=complex)
+    """The one converter: ``x`` as a 2-D complex array with positive
+    dimensions and finite entries.  Complex input is returned uncopied."""
+    m = np.asarray(x, dtype=complex)
+    if m.ndim != 2:
+        raise OpcoreError(f"operator entries must be a matrix, got ndim={m.ndim}")
+    if m.shape[0] < 1 or m.shape[1] < 1:
+        raise OpcoreError(f"operator dimensions must be positive, got {m.shape}")
+    if not np.isfinite(m).all():
+        raise OpcoreError("operator entries must be finite")
+    return m
+
+
+def _square(x, what: str) -> np.ndarray:
+    m = _mat(x)
+    if m.shape[0] != m.shape[1]:
+        raise OpcoreError(f"{what} needs a square matrix")
+    return m
 
 
 ARITY = {"gamma7": 7, "gamma5": 5, "penta": 3, "tetra": 3, "sym": 2}
@@ -119,40 +61,33 @@ class OperatorTuple:
     def __post_init__(self):
         if self.kind not in ARITY:
             raise OpcoreError(f"unknown tuple kind {self.kind!r}")
-        ops = tuple(as_operator(o) for o in self.ops)
+        ops = tuple(_mat(o) for o in self.ops)
         if len(ops) != ARITY[self.kind]:
             raise OpcoreError(
                 f"kind {self.kind!r} needs {ARITY[self.kind]} operators, got {len(ops)}"
             )
-        dim = ops[0].rows
-        for o in ops:
-            if not o.is_square() or o.rows != dim:
-                raise OpcoreError("tuple members must be square on a common space")
+        dim = ops[0].shape[0]
+        if any(o.shape != (dim, dim) for o in ops):
+            raise OpcoreError("tuple members must be square on a common space")
         self.ops = ops
 
     @property
     def dim(self) -> int:
-        return self.ops[0].rows
+        return self.ops[0].shape[0]
 
 
 def op_norm(a) -> float:
     """Largest singular value."""
-    m = _mat(a)
-    if m.size == 0:
-        raise OpcoreError("dimension-zero input")
-    return float(np.linalg.norm(m, 2))
+    return float(np.linalg.norm(_mat(a), 2))
 
 
-def herm_sqrt(h, herm_tol: float = 1e-10, neg_clamp: float = 1e-10) -> Operator:
+def herm_sqrt(h, herm_tol: float = 1e-10, neg_clamp: float = 1e-10) -> np.ndarray:
     """Principal square root of a PSD Hermitian matrix.
 
     Eigenvalues in [-neg_clamp, 0) are clamped to zero; anything lower is an
     error (the input is then genuinely indefinite, not just noisy).
     """
-    a = as_operator(h)
-    if not a.is_square():
-        raise OpcoreError("square root needs a square matrix")
-    m = a.mat
+    m = _square(h, "square root")
     asym = np.linalg.norm(m - m.conj().T, 2)
     if asym > herm_tol:
         raise NotHermitianError(f"input is not Hermitian: asymmetry {asym:.3e}")
@@ -164,15 +99,11 @@ def herm_sqrt(h, herm_tol: float = 1e-10, neg_clamp: float = 1e-10) -> Operator:
         )
     w = np.clip(w, 0.0, None)
     s = (v * np.sqrt(w)) @ v.conj().T
-    s = (s + s.conj().T) / 2.0
-    return Operator(s)
+    return (s + s.conj().T) / 2.0
 
 
 def spectral_radius(a) -> float:
-    m = _mat(a)
-    if m.shape[0] != m.shape[1]:
-        raise OpcoreError("spectral radius needs a square matrix")
-    return float(np.abs(np.linalg.eigvals(m)).max())
+    return float(np.abs(np.linalg.eigvals(_square(a, "spectral radius"))).max())
 
 
 NR_BATCH = 8  # angles per eigvalsh call; also the number of start angles
@@ -221,12 +152,9 @@ def numerical_radius(a, tol: float = 1e-8) -> float:
     its eigenvalues are then arbitrary, the midpoints only reproduce f to
     roundoff, and the sampled start value, already exact, is returned.
     """
-    op = as_operator(a)
-    if not op.is_square():
-        raise OpcoreError("numerical radius needs a square matrix")
+    m = _square(a, "numerical radius")
     if tol <= 0:
         raise OpcoreError("tol must be positive")
-    m = op.mat
     if not m.any():
         return 0.0
     n = m.shape[0]

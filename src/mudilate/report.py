@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .opcore import Operator
+from .opcore import _mat
 
 
 @dataclass
@@ -133,7 +133,7 @@ def pair_to_complex(p):
 
 
 def operator_to_dict(op):
-    m = op.mat if isinstance(op, Operator) else np.asarray(op, dtype=complex)
+    m = _mat(op)
     return {
         "rows": int(m.shape[0]),
         "cols": int(m.shape[1]),
@@ -141,10 +141,12 @@ def operator_to_dict(op):
     }
 
 
-def operator_from_dict(d) -> Operator:
+def operator_from_dict(d) -> np.ndarray:
     rows, cols = int(d["rows"]), int(d["cols"])
+    if rows < 1 or cols < 1:
+        raise ValueError(f"matrix dimensions must be positive, got {rows}x{cols}")
     data = d["data"]
     if len(data) != rows * cols:
         raise ValueError(f"matrix payload has {len(data)} entries, expected {rows * cols}")
     flat = np.array([pair_to_complex(p) for p in data], dtype=complex)
-    return Operator(flat.reshape(rows, cols))
+    return _mat(flat.reshape(rows, cols))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .opcore import Operator, OpcoreError, _mat, as_operator
+from .opcore import OpcoreError, _mat
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,7 @@ class Window:
 
     def equal(self, a, b) -> float:
         """Residual ||(A - B) Q||."""
-        return self.wnorm(as_operator(a) - as_operator(b))
+        return self.wnorm(_mat(a) - _mat(b))
 
     def compress(self, a) -> np.ndarray:
         """The k x k compression Q* A Q."""
@@ -119,7 +119,7 @@ def auto_margin(space: ModelSpace, ops) -> int:
     return 2 * max((int(shift[_mat(o) != 0].max(initial=0)) for o in ops), default=0)
 
 
-def hardy_shift(fiber_dim: int, trunc_level: int) -> Operator:
+def hardy_shift(fiber_dim: int, trunc_level: int) -> np.ndarray:
     """Truncation of the unilateral shift on level-graded C^fiber fibers.
 
     e_k (x) v -> e_{k+1} (x) v below the top level; the top level maps to 0.
@@ -131,34 +131,31 @@ def hardy_shift(fiber_dim: int, trunc_level: int) -> Operator:
     for k in range(trunc_level - 1):
         lo, hi = k * fiber_dim, (k + 1) * fiber_dim
         m[hi:hi + fiber_dim, lo:hi] = np.eye(fiber_dim)
-    return Operator(m)
+    return m
 
 
-def block_assemble(layout, row_dims=None, col_dims=None) -> Operator:
-    """Assemble a dense operator from a grid of blocks.
+def block_assemble(layout, row_dims=None, col_dims=None) -> np.ndarray:
+    """Assemble a dense complex matrix from a grid of blocks.
 
-    Cells may be Operator, ndarray, or 0/None for a zero block.  Dimensions
-    are inferred from the nonzero cells unless given; inconsistencies raise
-    with the offending cell named.
+    Cells are matrices (anything ``_mat`` accepts) or 0/None for a zero
+    block.  Dimensions are inferred from the nonzero cells unless given;
+    inconsistencies raise with the offending cell named.
     """
     nrows = len(layout)
     ncols = len(layout[0])
     for r, row in enumerate(layout):
         if len(row) != ncols:
             raise OpcoreError(f"ragged layout: row {r} has {len(row)} cells, expected {ncols}")
-
-    def cell_shape(c):
-        if c is None or (np.isscalar(c) and c == 0):
-            return None
-        return (c.rows, c.cols) if isinstance(c, Operator) else np.asarray(c).shape
+    cells = [[None if c is None or (np.isscalar(c) and c == 0) else _mat(c)
+              for c in row] for row in layout]
 
     rd = list(row_dims) if row_dims is not None else [None] * nrows
     cd = list(col_dims) if col_dims is not None else [None] * ncols
     for r in range(nrows):
         for c in range(ncols):
-            sh = cell_shape(layout[r][c])
-            if sh is None:
+            if cells[r][c] is None:
                 continue
+            sh = cells[r][c].shape
             for dims, idx, got in ((rd, r, sh[0]), (cd, c, sh[1])):
                 if dims[idx] is None:
                     dims[idx] = got
@@ -175,15 +172,13 @@ def block_assemble(layout, row_dims=None, col_dims=None) -> Operator:
     coff = np.concatenate([[0], np.cumsum(cd)])
     for r in range(nrows):
         for c in range(ncols):
-            cell = layout[r][c]
-            if cell is None or (np.isscalar(cell) and cell == 0):
-                continue
-            out[roff[r]:roff[r + 1], coff[c]:coff[c + 1]] = as_operator(cell).mat
-    return Operator(out)
+            if cells[r][c] is not None:
+                out[roff[r]:roff[r + 1], coff[c]:coff[c + 1]] = cells[r][c]
+    return out
 
 
-def embed_blocks(space: ModelSpace, cells: dict) -> Operator:
-    """Operator on a ModelSpace from a {(i, j): block} dict of summand cells."""
+def embed_blocks(space: ModelSpace, cells: dict) -> np.ndarray:
+    """Matrix on a ModelSpace from a {(i, j): block} dict of summand cells."""
     n = len(space.summands)
     grid = [[None] * n for _ in range(n)]
     dims = [f * t for f, t in space.summands]

@@ -12,19 +12,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from .opcore import (OperatorTuple, OpcoreError, _mat, as_operator,
-                     commutator_norms, kernel_basis, op_norm, spectral_radius)
+from .opcore import (OperatorTuple, OpcoreError, _mat, commutator_norms,
+                     kernel_basis, op_norm, spectral_radius)
 from .fundamentals import MEMBERS, PIVOT, RELATIONS, FundamentalSet
 from .report import CheckReport
 from .spaces import Window
 
 
 def is_commuting(t, tol: float = 1e-9, window: Window | None = None) -> CheckReport:
-    ops = list(t.ops) if isinstance(t, OperatorTuple) else [as_operator(o) for o in t]
-    dim = ops[0].rows
-    for o in ops:
-        if not o.is_square() or o.rows != dim:
-            raise OpcoreError("commutation check needs square operators on one space")
+    ops = list(t.ops) if isinstance(t, OperatorTuple) else [_mat(o) for o in t]
+    dim = ops[0].shape[0]
+    if any(o.shape != (dim, dim) for o in ops):
+        raise OpcoreError("commutation check needs square operators on one space")
     rep = CheckReport(name="is-commuting",
                       window_margin=None if window is None else window.margin)
     for (i, j), res in commutator_norms(ops, window):
@@ -65,7 +64,7 @@ def isometry_check(kind: str, t, tol: float = 1e-9,
         raise OpcoreError(f"tuple kind {t.kind!r} does not match {kind!r}")
     if kind not in MEMBERS:
         raise OpcoreError(f"unknown isometry kind {kind!r}")
-    ops = [o.mat for o in t.ops]
+    ops = t.ops
     comm = is_commuting(t, tol, window)
     rep.add("commuting", comm.worst(), tol)
 
@@ -92,7 +91,7 @@ def _windowed_kernel(dd, window):
     kills, read off the eigenvalue-0 eigenvectors of the compression
     Q* R Q = c c* (c = Q* q)."""
     if window is None:
-        return kernel_basis(dd.D.mat)
+        return kernel_basis(dd.D)
     c = window.basis.conj().T @ dd.range_basis
     w, v = np.linalg.eigh(c @ c.conj().T)
     return window.basis @ v[:, w < 1e-9]
@@ -134,12 +133,12 @@ def necessary_conditions(kind: str, t: OperatorTuple, fset: FundamentalSet,
             return 0.0
         return float(np.linalg.norm(expr @ kb, 2))
 
-    d = dd.D.mat
+    d = dd.D
     if kind == "gamma7":
         if t.kind != "gamma7" or fset.kind != "gamma7":
             raise OpcoreError("gamma7 conditions need gamma7 tuple and fundamentals")
-        ts = [o.mat for o in t.ops]
-        fs = [fset[f"F{i+1}"].mat for i in range(6)]
+        ts = t.ops
+        fs = [fset[f"F{i+1}"] for i in range(6)]
         for i in range(6):
             e2 = fs[i].conj().T @ d @ ts[i] - fs[5 - i].conj().T @ d @ ts[5 - i]
             rep.add(f"(F{i+1}*D T{i+1} - F{6-i}*D T{6-i})|ker", on_kernel(e2), tol)
@@ -149,11 +148,8 @@ def necessary_conditions(kind: str, t: OperatorTuple, fset: FundamentalSet,
     elif kind == "gamma5":
         if t.kind != "gamma5" or fset.kind != "gamma5":
             raise OpcoreError("gamma5 conditions need gamma5 tuple and fundamentals")
-        s1, s2, s3, s1t, s2t = (o.mat for o in t.ops)
-        g1 = fset["G1"].mat
-        g2 = fset["G2"].mat
-        g1t = fset["G1t"].mat
-        g2t = fset["G2t"].mat
+        s1, s2, s3, s1t, s2t = t.ops
+        g1, g2, g1t, g2t = (fset[n] for n in ("G1", "G2", "G1t", "G2t"))
         h = lambda m: m.conj().T
         conds = [
             ("(2)", h(g2t) @ d @ s2t - h(g1) @ d @ s1),
@@ -174,8 +170,8 @@ def necessary_conditions(kind: str, t: OperatorTuple, fset: FundamentalSet,
     elif kind == "penta":
         if t.kind != "penta" or fset.kind != "penta":
             raise OpcoreError("penta conditions need a penta triple and its fundamentals")
-        _, p2, p3 = (o.mat for o in t.ops)
-        x = fset["X"].mat
+        _, p2, p3 = t.ops
+        x = fset["X"]
         rep.add("(X D P3 - D P2)|ker", on_kernel(x @ d @ p3 - d @ p2), tol)
     else:
         raise OpcoreError(f"unknown kind {kind!r}")

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from mudilate.opcore import Operator, numerical_radius, op_norm, spectral_radius
+from mudilate.opcore import numerical_radius, op_norm, spectral_radius
 from mudilate.spaces import window
 from mudilate.domains import (E311, E312, DomainPoint, membership, mu_E,
                               point_pi, point_pi_eta)
@@ -55,7 +55,7 @@ def test_criterion_1_exam1_reproduction():
 def test_criterion_2_exam2_reproduction():
     space, tup7, tup5, displayed, _ = build_exam2(8)
     w = window(space, 4)
-    slice_gap = max(float(np.linalg.norm(a.mat - b.mat, 2))
+    slice_gap = max(float(np.linalg.norm(a - b, 2))
                     for a, b in zip(tup5.ops, displayed.ops))
     fset = solve_fundamentals("gamma5", tup5, tol=1e-9, window=w)
     prof = commutator_profile(fset, tol=1e-10, window=w)
@@ -81,7 +81,7 @@ def test_criterion_3_exam3_sweep():
         dil = build_exam3_dilation(alpha, 8, 6)
         kw = dil.window(w, tail_margin=4)
         comm = is_commuting(dil.tuple(), tol=1e-9, window=kw)
-        v = [o.mat for o in dil.ops]
+        v = list(dil.ops)
         rel = max(kw.wnorm(v[i] - v[5 - i].conj().T @ v[6]) for i in range(6))
         iso = kw.wnorm(v[6].conj().T @ v[6] - np.eye(len(v[6])))
         norm_gap = abs(op_norm(dil.ops[0]) - abs(alpha))
@@ -102,7 +102,7 @@ def test_criterion_4_exam5_sweep():
         fset = solve_fundamentals("penta", tup, tol=1e-9, window=w)
         dil = pentablock_dilation(tup, fset, 4)
         kw = dil.window(w, tail_margin=2)
-        r = [o.mat for o in dil.ops]
+        r = list(dil.ops)
         fix = kw.wnorm(r[1] - r[1].conj().T @ r[2])
         gram = kw.wnorm(r[0].conj().T @ r[0] + 0.25 * r[1].conj().T @ r[1]
                         - np.eye(len(r[0])))
@@ -122,7 +122,7 @@ def test_criterion_5_egervary():
         d = int(rng.integers(2, 7))
         n = int(rng.integers(1, 4))
         t = random_contraction(rng, d)
-        u = egervary(Operator(t), n).mat
+        u = egervary(t, n)
         worst_u = max(worst_u, float(np.linalg.norm(
             u.conj().T @ u - np.eye(len(u)), 2)))
         for k in range(1, n + 1):
@@ -133,7 +133,7 @@ def test_criterion_5_egervary():
     # sharpness: the compression property must break at k = N + 1
     broke = False
     for n in (1, 2, 3):
-        u = egervary(Operator([[0.5]]), n).mat
+        u = egervary([[0.5]], n)
         gap = abs(np.linalg.matrix_power(u, n + 1)[0, 0] - 0.5 ** (n + 1))
         broke |= gap > 0.1
     ok &= broke
@@ -148,7 +148,7 @@ def test_criterion_6_mu_oracle_equivalence():
         d = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         a = np.diag(d)
         worst_diag = max(worst_diag,
-                         abs(mu_E(Operator(a), E311, tol=1e-4) - np.abs(d).max()))
+                         abs(mu_E(a, E311, tol=1e-4) - np.abs(d).max()))
     worst_block = 0.0
     for _ in range(50):
         a = np.zeros((3, 3), dtype=complex)
@@ -157,7 +157,7 @@ def test_criterion_6_mu_oracle_equivalence():
         a[1:, 1:] = b
         want = max(abs(a[0, 0]), spectral_radius(b))
         worst_block = max(worst_block,
-                          abs(mu_E(Operator(a), E312, tol=1e-4) - want))
+                          abs(mu_E(a, E312, tol=1e-4) - want))
     ok = worst_diag <= 1e-3 and worst_block <= 1e-3
     report(6, ok, f"(diag {worst_diag:.1e}, block {worst_block:.1e})")
 
@@ -169,10 +169,10 @@ def test_criterion_7_inequality_chain():
         for _ in range(200):
             a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
             r = spectral_radius(a)
-            om = numerical_radius(Operator(a))
+            om = numerical_radius(a)
             nn = op_norm(a)
             worst = max(worst, r - om, om - nn)
-    jordan = abs(numerical_radius(Operator([[0, 1], [0, 0]])) - 0.5)
+    jordan = abs(numerical_radius([[0, 1], [0, 0]]) - 0.5)
     ok = worst <= 1e-8 and jordan <= 1e-8
     report(7, ok, f"(worst violation {worst:.2e}, jordan cell gap {jordan:.1e})")
 
@@ -184,14 +184,14 @@ def test_criterion_8_solver_round_trip():
     while done < 100:
         n = int(rng.integers(2, 9))
         t = random_contraction(rng, n, top=0.995)
-        dd = defect(Operator(t))
+        dd = defect(t)
         if dd.rank == 0:
             continue
         f = rng.standard_normal((dd.rank, dd.rank)) \
             + 1j * rng.standard_normal((dd.rank, dd.rank))
         q = dd.range_basis
         f_emb = q @ f @ q.conj().T
-        rhs = dd.D.mat @ f_emb @ dd.D.mat
+        rhs = dd.D @ f_emb @ dd.D
         rec = dd.pinv() @ rhs @ dd.pinv()
         worst = max(worst, float(np.linalg.norm(rec - f_emb, 2))
                     / max(1.0, float(np.linalg.norm(f_emb, 2))))

@@ -4,6 +4,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mudilate.cli import main
 from mudilate.report import operator_from_dict, operator_to_dict
@@ -41,11 +42,52 @@ class TestMatrixWireFormat:
         m = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
         d = operator_to_dict(m)
         assert d["rows"] == 3 and d["cols"] == 4 and len(d["data"]) == 12
-        np.testing.assert_allclose(operator_from_dict(d).mat, m)
+        np.testing.assert_allclose(operator_from_dict(d), m)
 
     def test_rejects_short_payload(self):
         with pytest.raises(ValueError):
             operator_from_dict({"rows": 2, "cols": 2, "data": [[1, 0]]})
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
+
+
+@st.composite
+def _matrices(draw):
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    entries = draw(st.lists(st.builds(complex, _finite, _finite),
+                            min_size=rows * cols, max_size=rows * cols))
+    return np.array(entries, dtype=complex).reshape(rows, cols)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_matrices())
+def test_wire_format_round_trip_is_exact(m):
+    back = operator_from_dict(json.loads(json.dumps(operator_to_dict(m))))
+    assert back.dtype == complex and back.shape == m.shape
+    assert back.tobytes() == m.tobytes()
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_matrices(), st.data())
+def test_wire_format_rejects_bad_payloads(m, data):
+    d = operator_to_dict(m)
+    mode = data.draw(st.sampled_from(["entry", "one-dim", "both-dims"]))
+    if mode == "entry":
+        k = data.draw(st.integers(0, len(d["data"]) - 1))
+        d["data"][k][data.draw(st.integers(0, 1))] = data.draw(
+            st.sampled_from([np.nan, np.inf, -np.inf]))
+        with pytest.raises(ValueError, match="finite"):
+            operator_from_dict(d)
+        return
+    if mode == "one-dim":
+        d[data.draw(st.sampled_from(["rows", "cols"]))] = data.draw(
+            st.integers(-3, 0))
+    else:
+        # negated dimensions keep rows * cols equal to the entry count
+        d["rows"], d["cols"] = -d["rows"], -d["cols"]
+    with pytest.raises(ValueError, match="positive"):
+        operator_from_dict(d)
 
 
 class TestSubcommands:
@@ -75,7 +117,7 @@ class TestSubcommands:
         assert set(payload["ops"]) == {f"F{i}" for i in range(1, 7)}
         assert payload["defect_is_projection"] is True
         f1 = operator_from_dict(payload["ops"]["F1"])
-        assert f1.rows == 24
+        assert f1.shape[0] == 24
 
     def test_dilate_gamma7(self, files, capsys):
         code, out = run_cli(["dilate", "--kind", "gamma7",
@@ -156,6 +198,21 @@ class TestSubcommands:
                              "--fundamentals", str(ppath)], capsys)
         assert code == 0
         assert json.loads(out)["verdict"] == "pass"
+
+    def test_verify_rejects_single_operator_kinds(self, files, capsys):
+        # isometry_check's "isometry" and "partial" kinds take one operator,
+        # not a tuple file, so the verify subcommand does not offer them
+        for kind in ("isometry", "partial"):
+            with pytest.raises(SystemExit) as exc:
+                main(["verify", "--kind", kind, "--tuple", files["tuple7"]])
+            assert exc.value.code == 2
+            assert "invalid choice" in capsys.readouterr().err
+
+    def test_gallery_rejects_zero_torus_samples(self, capsys):
+        code = main(["gallery", "--case", "exam1", "--zsamples", "0", "--text"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "z_samples" in captured.err
 
     def test_verify_commuting_check(self, files, capsys):
         code, out = run_cli(["verify", "--kind", "gamma7", "--check", "commuting",

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mudilate.opcore import Operator, OperatorTuple, op_norm
+from mudilate.opcore import OperatorTuple, op_norm
 from mudilate.spaces import ModelSpace, hardy_shift, window
 from mudilate.fundamentals import ExpansiveError, defect, solve_fundamentals
 from mudilate.dilate import (DilateError, egervary, pentablock_dilation,
@@ -19,21 +19,21 @@ class TestEgervary:
     def test_n1_is_halmos_form(self):
         rng = np.random.default_rng(3)
         t = random_contraction(rng, 3)
-        u = egervary(Operator(t), 1).mat
+        u = egervary(t, 1)
         d = np.eye(3) - t.conj().T @ t
         ds = np.eye(3) - t @ t.conj().T
         from mudilate.opcore import herm_sqrt
         np.testing.assert_allclose(u[:3, :3], t)
         np.testing.assert_allclose(u[3:, 3:], -t.conj().T)
-        np.testing.assert_allclose(u[3:, :3], herm_sqrt(Operator(d)).mat, atol=1e-12)
-        np.testing.assert_allclose(u[:3, 3:], herm_sqrt(Operator(ds)).mat, atol=1e-12)
+        np.testing.assert_allclose(u[3:, :3], herm_sqrt(d), atol=1e-12)
+        np.testing.assert_allclose(u[:3, 3:], herm_sqrt(ds), atol=1e-12)
 
     def test_zero_contraction_permutation(self):
-        u = egervary(Operator.zeros(1), 2).mat
+        u = egervary(np.zeros((1, 1)), 2)
         np.testing.assert_allclose(u.real, [[0, 0, 1], [1, 0, 0], [0, 1, 0]], atol=1e-14)
 
     def test_scalar_power_compressions(self):
-        u = egervary(Operator([[0.5]]), 3).mat
+        u = egervary([[0.5]], 3)
         for k in range(1, 4):
             assert abs(u[0, 0] ** 0 * compression(u, 1, k)[0, 0] - 0.5 ** k) <= 1e-12
 
@@ -43,7 +43,7 @@ class TestEgervary:
             d = int(rng.integers(2, 7))
             n = int(rng.integers(1, 4))
             t = random_contraction(rng, d)
-            u = egervary(Operator(t), n).mat
+            u = egervary(t, n)
             assert np.linalg.norm(u.conj().T @ u - np.eye(len(u)), 2) <= 1e-9
             for k in range(1, n + 1):
                 assert np.linalg.norm(compression(u, d, k)
@@ -52,13 +52,13 @@ class TestEgervary:
     def test_sharpness_at_n_plus_one(self):
         t = np.array([[0.5]])
         for n in (1, 2, 3):
-            u = egervary(Operator(t), n).mat
+            u = egervary(t, n)
             gap = abs(compression(u, 1, n + 1)[0, 0] - 0.5 ** (n + 1))
             assert gap > 0.1
 
     def test_rejects_expansive(self):
         with pytest.raises(ExpansiveError):
-            egervary(Operator([[1.2]]), 2)
+            egervary([[1.2]], 2)
 
 
 class TestSchaffer:
@@ -66,13 +66,13 @@ class TestSchaffer:
         rng = np.random.default_rng(15)
         q, _ = np.linalg.qr(rng.standard_normal((3, 3))
                             + 1j * rng.standard_normal((3, 3)))
-        ops = [Operator.zeros(3)] * 6 + [Operator(q)]
+        ops = [np.zeros((3, 3))] * 6 + [q]
         tup = OperatorTuple("gamma7", ops)
         fset = solve_fundamentals("gamma7", tup)
         dil = schaffer("gamma7", tup, fset, 3)
         assert dil.dim == 3
-        np.testing.assert_allclose(dil.embed.mat, np.eye(3))
-        np.testing.assert_allclose(dil.ops[6].mat, q)
+        np.testing.assert_allclose(dil.embed, np.eye(3))
+        np.testing.assert_allclose(dil.ops[6], q)
 
     def test_depth_validation(self, exam1):
         _, tup, _, w = exam1
@@ -84,10 +84,10 @@ class TestSchaffer:
         _, tup, _, w = exam1
         fset = solve_fundamentals("gamma7", tup, window=w)
         dil = schaffer("gamma7", tup, fset, 4)
-        assert np.linalg.norm(dil.embed.mat.conj().T @ dil.embed.mat
+        assert np.linalg.norm(dil.embed.conj().T @ dil.embed
                               - np.eye(dil.base_dim), 2) <= 1e-12
         kw = dil.window(w, tail_margin=2)
-        v = [o.mat for o in dil.ops]
+        v = list(dil.ops)
         for i in range(6):
             assert kw.wnorm(v[i] - v[5 - i].conj().T @ v[6]) <= 1e-9
         assert kw.wnorm(v[6].conj().T @ v[6] - np.eye(len(v[6]))) <= 1e-9
@@ -98,7 +98,7 @@ class TestSchaffer:
         fset = solve_fundamentals("gamma5", tup5, window=w)
         dil = schaffer("gamma5", tup5, fset, 4)
         kw = dil.window(w, tail_margin=2)
-        w1, w2, w3, w1t, w2t = (o.mat for o in dil.ops)
+        w1, w2, w3, w1t, w2t = dil.ops
         for lhs, rhs in ((w1, w2t.conj().T @ w3), (w2t, w1.conj().T @ w3),
                          (w2, w1t.conj().T @ w3), (w1t, w2.conj().T @ w3)):
             assert kw.wnorm(lhs - rhs) <= 1e-9
@@ -108,14 +108,14 @@ class TestSchaffer:
         # scalar family: fundamentals are scalars, hypotheses hold, so the
         # dilation commutes and passes the full isometry suite
         c = [0.21, -0.1, 0.33, 0.05, -0.27, 0.4, 0.5]
-        ops = [Operator(np.array([[v]])) for v in c]
+        ops = [np.array([[v]]) for v in c]
         tup = OperatorTuple("gamma7", ops)
         fset = solve_fundamentals("gamma7", tup)
         dil = schaffer("gamma7", tup, fset, 5)
         from mudilate.verify import is_commuting, isometry_check
         sp = ModelSpace(((1, 2),))
         assert is_commuting(dil.tuple(), tol=1e-9).verdict != "fail" or True
-        v = [o.mat for o in dil.ops]
+        v = list(dil.ops)
         worst = max(np.linalg.norm(v[i] @ v[j] - v[j] @ v[i], 2)
                     for i in range(7) for j in range(i + 1, 7))
         # truncation breaks commutation only in the last tail copy
@@ -132,13 +132,13 @@ def _full_window(dim):
 
 class TestPentablockDilation:
     def test_zero_symbol_structure(self):
-        ops = [Operator(np.diag([0.5, 0.5])), Operator.zeros(2),
-               Operator(np.diag([0.3, 0.3]))]
+        ops = [np.diag([0.5, 0.5]), np.zeros((2, 2)),
+               np.diag([0.3, 0.3])]
         tup = OperatorTuple("penta", ops)
         dd = defect(ops[2])
-        x = Operator.zeros(2)
+        x = np.zeros((2, 2))
         dil = pentablock_dilation(tup, x, 3)
-        r1, r2, r3 = (o.mat for o in dil.ops)
+        r1, r2, r3 = dil.ops
         # damping block is the identity when the symbol vanishes
         np.testing.assert_allclose(r1[2:, 2:], np.eye(2 * 3), atol=1e-12)
         # r2 carries no symbol at all
@@ -150,15 +150,15 @@ class TestPentablockDilation:
         dil = pentablock_dilation(tup, fset, 4)
         assert op_norm(dil.ops[1]) == pytest.approx(0.5, abs=1e-10)
         kw = dil.window(w, tail_margin=2)
-        r = [o.mat for o in dil.ops]
+        r = list(dil.ops)
         assert kw.wnorm(r[1] - r[1].conj().T @ r[2]) <= 1e-10
         gram = r[0].conj().T @ r[0] + 0.25 * r[1].conj().T @ r[1] - np.eye(len(r[0]))
         assert kw.wnorm(gram) <= 1e-9
 
     def test_rejects_oversize_symbol(self):
-        ops = [Operator.zeros(2), Operator.zeros(2), Operator.zeros(2)]
+        ops = [np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2))]
         tup = OperatorTuple("penta", ops)
-        big = Operator(3.0 * np.eye(2))
+        big = 3.0 * np.eye(2)
         with pytest.raises(DilateError):
             pentablock_dilation(tup, big, 3)
 
@@ -167,7 +167,7 @@ class TestPushforward:
     def test_pi_reproduces_displayed_products(self, exam1):
         space, tup, _, _ = exam1
         n = space.summands[0][1]
-        m = hardy_shift(1, n).mat
+        m = hardy_shift(1, n)
         z = np.zeros((n, n))
         m2 = m @ m
 
@@ -187,12 +187,12 @@ class TestPushforward:
             blocks({(0, 2): m2}),
         ]
         for got, want in zip(tup.ops, displayed):
-            np.testing.assert_allclose(got.mat, want, atol=1e-12)
+            np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_pi_eta_at_one_matches_exam2(self, exam2):
         _, tup7, tup5, displayed, _, _ = exam2
         for got, want in zip(tup5.ops, displayed.ops):
-            assert np.linalg.norm(got.mat - want.mat, 2) <= 1e-12
+            assert np.linalg.norm(got - want, 2) <= 1e-12
 
     def test_pi_eta_requires_disc_parameter(self, exam1):
         _, tup, _, _ = exam1
@@ -200,30 +200,30 @@ class TestPushforward:
             pushforward("pi_eta", tup, 1.5)
 
     def test_axis7_shape(self):
-        t = Operator(np.diag([0.5, 0.5]))
+        t = np.diag([0.5, 0.5])
         tup = pushforward("axis7", t, t, t)
         assert tup.kind == "gamma7"
-        assert all(np.all(tup.ops[i].mat == 0) for i in (1, 2, 3, 4))
+        assert all(np.all(tup.ops[i] == 0) for i in (1, 2, 3, 4))
 
     def test_gamma3_of_commuting_isometries(self):
         sp = ModelSpace(((1, 8),))
         w = window(sp, 2)
         m = hardy_shift(1, 8)
         trip = pushforward("gamma3", m, m, m, window=w)
-        t1, t2, t3 = (o.mat for o in trip.ops)
-        np.testing.assert_allclose(t1, m.mat, atol=1e-12)
-        np.testing.assert_allclose(t3, np.linalg.matrix_power(m.mat, 3), atol=1e-12)
+        t1, t2, t3 = trip.ops
+        np.testing.assert_allclose(t1, m, atol=1e-12)
+        np.testing.assert_allclose(t3, np.linalg.matrix_power(m, 3), atol=1e-12)
 
     def test_gamma3_rejects_non_isometry_third(self):
-        t = Operator(np.diag([0.5, 0.5]))
+        t = np.diag([0.5, 0.5])
         with pytest.raises(DilateError):
             pushforward("gamma3", t, t, t)
 
     def test_pi_rejects_expansive(self):
         with pytest.raises(ExpansiveError):
-            pushforward("pi", Operator([[1.3]]), Operator([[0.5]]))
+            pushforward("pi", [[1.3]], [[0.5]])
 
     def test_non_commuting_rejected(self):
         m = hardy_shift(1, 6)
         with pytest.raises(DilateError):
-            pushforward("axis7", m, m.H, Operator.zeros(6))
+            pushforward("axis7", m, m.conj().T, np.zeros((6, 6)))

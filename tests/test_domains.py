@@ -6,7 +6,6 @@ from mudilate.domains import (E211, E311, E312, BlockStructure, DomainPoint,
                               certificate_search, gamma5_coords, gamma7_coords,
                               membership, mu_E, on_K0, penta_coords, point_pi,
                               point_pi_eta, psi3_supnorm, tetra_coords)
-from mudilate.opcore import Operator
 
 
 def _quadratic_max_root(tr, det):
@@ -60,11 +59,11 @@ class TestBlockStructure:
 
 class TestMuE:
     def test_zero_matrix(self):
-        assert mu_E(Operator(np.zeros((3, 3))), E311) == 0.0
+        assert mu_E(np.zeros((3, 3)), E311) == 0.0
 
     def test_diagonal_closed_form(self):
         a = np.diag([0.3, 0.6, 0.9]).astype(complex)
-        got = mu_E(Operator(a), E311, tol=1e-4)
+        got = mu_E(a, E311, tol=1e-4)
         assert got == pytest.approx(0.9, abs=1e-3)
         assert got == pytest.approx(mu_charpoly_oracle(a, E311, pts=8), abs=1e-3)
 
@@ -76,21 +75,21 @@ class TestMuE:
             b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
             a[1:, 1:] = b
             want = max(abs(a[0, 0]), float(np.abs(np.linalg.eigvals(b)).max()))
-            assert mu_E(Operator(a), E312, tol=1e-4) == pytest.approx(want, abs=1e-3)
+            assert mu_E(a, E312, tol=1e-4) == pytest.approx(want, abs=1e-3)
 
     def test_homogeneity(self):
         rng = np.random.default_rng(18)
         a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        base = mu_E(Operator(a), E311, tol=1e-4)
+        base = mu_E(a, E311, tol=1e-4)
         for c in (0.5, 2.0, 1.7j):
-            assert mu_E(Operator(c * a), E311, tol=1e-4) == \
+            assert mu_E(c * a, E311, tol=1e-4) == \
                 pytest.approx(abs(c) * base, abs=2e-4 * max(1, abs(c)))
 
     def test_random_against_charpoly_oracle(self):
         rng = np.random.default_rng(19)
         for _ in range(8):
             a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            got = mu_E(Operator(a), E211, tol=1e-4)
+            got = mu_E(a, E211, tol=1e-4)
             assert got == pytest.approx(mu_charpoly_oracle(a, E211, pts=512),
                                         abs=1e-3)
 
@@ -98,7 +97,7 @@ class TestMuE:
         rng = np.random.default_rng(20)
         for _ in range(5):
             a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-            got = mu_E(Operator(a), E311, tol=1e-4)
+            got = mu_E(a, E311, tol=1e-4)
             want = mu_charpoly_oracle(a, E311, pts=64)
             assert got >= want - 1e-6  # the dense grid only lower-bounds
             assert got == pytest.approx(want, abs=2e-2)
@@ -108,12 +107,12 @@ class TestMuE:
         rng = np.random.default_rng(22)
         for _ in range(10):
             a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-            assert mu_E(Operator(a), E311, tol=1e-4) >= \
+            assert mu_E(a, E311, tol=1e-4) >= \
                 np.abs(np.diag(a)).max() - 1e-3
 
     def test_shape_mismatch(self):
         with pytest.raises(DomainError):
-            mu_E(Operator(np.zeros((2, 2))), E311)
+            mu_E(np.zeros((2, 2)), E311)
 
 
 class TestPsi3:

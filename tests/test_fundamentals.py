@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mudilate.opcore import Operator, OperatorTuple, herm_sqrt, op_norm
+from mudilate.opcore import OpcoreError, OperatorTuple, herm_sqrt, op_norm
 from mudilate.spaces import ModelSpace, hardy_shift, window
 from mudilate.fundamentals import (ExpansiveError, SolveError, chain_report,
                                    defect, rho, solve_fundamentals)
@@ -12,15 +12,15 @@ from conftest import random_contraction
 
 class TestDefect:
     def test_zero_contraction(self):
-        dd = defect(Operator.zeros(4))
-        np.testing.assert_allclose(dd.D.mat, np.eye(4))
+        dd = defect(np.zeros((4, 4)))
+        np.testing.assert_allclose(dd.D, np.eye(4))
         assert dd.rank == 4 and dd.is_projection
 
     def test_truncated_shift_vanishes_on_window(self):
         sp = ModelSpace(((1, 8),))
         w = window(sp, 1)
         dd = defect(hardy_shift(1, 8))
-        assert w.wnorm(dd.D.mat) <= 1e-12
+        assert w.wnorm(dd.D) <= 1e-12
         assert dd.rank == 1
 
     def test_exam1_partial_isometry_defect(self, exam1):
@@ -30,11 +30,11 @@ class TestDefect:
         expected = np.zeros((space.total_dim, space.total_dim))
         n = space.summands[0][1]
         expected[:2 * n, :2 * n] = np.eye(2 * n)
-        assert w.equal(dd.D, Operator(expected)) <= 1e-12
+        assert w.equal(dd.D, expected) <= 1e-12
 
     def test_rejects_expansive(self):
         with pytest.raises(ExpansiveError):
-            defect(Operator(np.diag([1.5, 0.2])))
+            defect(np.diag([1.5, 0.2]))
 
     def test_exam3_projection_defect(self, exam3):
         # the displayed defect is the projection onto the outer summands,
@@ -46,18 +46,18 @@ class TestDefect:
         for i in (0, 3):
             sl = space.summand_slice(i)
             ideal[sl, sl] = np.eye(sl.stop - sl.start)
-        assert w.equal(dd.D, Operator(ideal)) <= 1e-12
-        np.testing.assert_allclose(herm_sqrt(Operator(ideal)).mat, ideal,
+        assert w.equal(dd.D, ideal) <= 1e-12
+        np.testing.assert_allclose(herm_sqrt(ideal), ideal,
                                    atol=1e-12)
 
     def test_dsquared_matches_gram(self):
         rng = np.random.default_rng(41)
         for _ in range(20):
             t = random_contraction(rng, 5)
-            dd = defect(Operator(t))
+            dd = defect(t)
             gram = np.eye(5) - t.conj().T @ t
-            np.testing.assert_allclose(dd.D.mat @ dd.D.mat, gram, atol=1e-9)
-            proj_gap = np.linalg.norm(dd.D.mat @ dd.D.mat - dd.D.mat, 2)
+            np.testing.assert_allclose(dd.D @ dd.D, gram, atol=1e-9)
+            proj_gap = np.linalg.norm(dd.D @ dd.D - dd.D, 2)
             assert dd.is_projection == (proj_gap <= 1e-9)
 
 
@@ -73,10 +73,10 @@ class TestSolveFundamentals:
         rng = np.random.default_rng(43)
         q, _ = np.linalg.qr(rng.standard_normal((4, 4))
                             + 1j * rng.standard_normal((4, 4)))
-        ops = [Operator.zeros(4)] * 6 + [Operator(q)]
+        ops = [np.zeros((4, 4))] * 6 + [q]
         fset = solve_fundamentals("gamma7", OperatorTuple("gamma7", ops))
         assert fset.defect.rank == 0
-        assert all(np.all(fset[n].mat == 0) for n in fset.names())
+        assert all(np.all(fset[n] == 0) for n in fset.names())
 
     def test_exam5_pair_solution_is_symbol(self, exam5):
         space, tup, x_emb, w = exam5
@@ -119,61 +119,68 @@ class TestSolveFundamentals:
         for _ in range(30):
             n = int(rng.integers(3, 8))
             t = random_contraction(rng, n, top=0.98)
-            dd = defect(Operator(t))
+            dd = defect(t)
             if dd.rank == 0:
                 continue
             q = dd.range_basis
             f = rng.standard_normal((dd.rank, dd.rank)) \
                 + 1j * rng.standard_normal((dd.rank, dd.rank))
             f_emb = q @ f @ q.conj().T
-            rhs = dd.D.mat @ f_emb @ dd.D.mat
+            rhs = dd.D @ f_emb @ dd.D
             rec = dd.pinv() @ rhs @ dd.pinv()
             assert np.linalg.norm(rec - f_emb, 2) <= 1e-8 * max(1.0, np.linalg.norm(f, 2))
 
     def test_expansive_member_raises(self):
-        ops = [Operator.zeros(3)] * 6 + [Operator(np.diag([1.5, 0.1, 0.1]))]
+        ops = [np.zeros((3, 3))] * 6 + [np.diag([1.5, 0.1, 0.1])]
         with pytest.raises(ExpansiveError):
             solve_fundamentals("gamma7", OperatorTuple("gamma7", ops))
 
     def test_non_commuting_raises(self):
         m = hardy_shift(1, 5)
-        ops = [m, m.H] + [Operator.zeros(5)] * 4 + [Operator.zeros(5)]
+        ops = [m, m.conj().T] + [np.zeros((5, 5))] * 4 + [np.zeros((5, 5))]
         with pytest.raises(SolveError):
             solve_fundamentals("gamma7", OperatorTuple("gamma7", ops))
 
 
 class TestRho:
     def test_sym_zero(self):
-        r = rho("sym", (Operator.zeros(3), Operator.zeros(3)))
-        np.testing.assert_allclose(r.op.mat, 2 * np.eye(3))
+        r = rho("sym", (np.zeros((3, 3)), np.zeros((3, 3))))
+        np.testing.assert_allclose(r.op, 2 * np.eye(3))
         assert r.asym_residual <= 1e-12
 
     def test_tetra_zero(self):
-        r = rho("tetra", (Operator.zeros(2),) * 3)
-        np.testing.assert_allclose(r.op.mat, np.eye(2))
+        r = rho("tetra", (np.zeros((2, 2)),) * 3)
+        np.testing.assert_allclose(r.op, np.eye(2))
 
     def test_exam1_first_pair_psd_on_window(self, exam1):
         space, tup, _, w = exam1
         r = rho("tetra", (tup.ops[0], tup.ops[5], tup.ops[6]))
-        assert w.psd_min_eig(r.op.mat) >= -1e-12
+        assert w.psd_min_eig(r.op) >= -1e-12
         assert r.asym_residual <= 1e-10
 
     def test_symmetrization_residual_small_for_commuting(self):
         rng = np.random.default_rng(51)
         t = random_contraction(rng, 4)
-        r = rho("sym", (Operator(t @ t), Operator(t)))
+        r = rho("sym", (t @ t, t))
         # S and P commute here, so the form is exactly Hermitian
         assert r.asym_residual <= 1e-12
 
 
 class TestChainReport:
     def test_zero_tuple_margins(self):
-        tup = OperatorTuple("gamma7", [Operator.zeros(3)] * 7)
+        tup = OperatorTuple("gamma7", [np.zeros((3, 3))] * 7)
         rep = chain_report("gamma7", tup, z_samples=4)
         assert rep.verdict == "pass"
         assert rep.margins["rho"] == pytest.approx(2.0)
         assert rep.margins["radius"] == pytest.approx(2.0)
         assert rep.margins["omega"] == pytest.approx(1.0)
+
+    def test_rejects_zero_torus_samples(self):
+        # with no torus sample every rho and omega item would pass unevaluated
+        tup = OperatorTuple("gamma7", [np.zeros((3, 3))] * 7)
+        for bad in (0, -2):
+            with pytest.raises(OpcoreError):
+                chain_report("gamma7", tup, z_samples=bad)
 
     def test_exam1_all_pass(self, exam1):
         space, tup, _, w = exam1
@@ -200,7 +207,7 @@ class TestChainReport:
         ("gamma5", [0.3, 0.4, 0.5, -0.2, 0.1j]),
     ])
     def test_nonzero_radius_keeps_radius_items(self, kind, coeffs):
-        ops = [Operator(np.array([[c]], dtype=complex)) for c in coeffs]
+        ops = [np.array([[c]], dtype=complex) for c in coeffs]
         rep = chain_report(kind, OperatorTuple(kind, ops), z_samples=8)
         radius = [i for i in rep.items if i.label.startswith("radius<=2")]
         assert len(radius) == (3 if kind == "gamma7" else 2)
@@ -213,7 +220,7 @@ class TestChainReport:
         assert rep.verdict == "pass"
 
     def test_expansive_member_fails_solvability(self):
-        ops = [Operator.zeros(2)] * 6 + [Operator(np.diag([1.5, 0.1]))]
+        ops = [np.zeros((2, 2))] * 6 + [np.diag([1.5, 0.1])]
         rep = chain_report("gamma7", OperatorTuple("gamma7", ops), z_samples=4)
         assert rep.verdict == "fail"
         labels = [i.label for i in rep.items if not i.passed]
@@ -224,9 +231,9 @@ class TestDampingCommutation:
     def test_symbol_commutes_with_damping_block(self):
         # the raising symbol commutes with I - (G*G + GG*)/4 and its root
         for alpha in (0.3, 0.8, 1.0):
-            g = _raising_symbol(alpha, 8).mat
+            g = _raising_symbol(alpha, 8)
             block = np.eye(16) - 0.25 * (g.conj().T @ g + g @ g.conj().T)
             assert np.linalg.norm(g @ block - block @ g, 2) <= 1e-12
             assert np.linalg.norm(g.conj().T @ block - block @ g.conj().T, 2) <= 1e-12
-            root = herm_sqrt(Operator(block)).mat
+            root = herm_sqrt(block)
             assert np.linalg.norm(g @ root - root @ g, 2) <= 1e-12

@@ -16,6 +16,9 @@ class TestGalleryCase:
             GalleryCase("exam1", {"trunc": 3})
         with pytest.raises(ValueError):
             GalleryCase("nope")
+        for bad in (0, -1):
+            with pytest.raises(ValueError):
+                GalleryCase("exam1", {"z_samples": bad})
 
     def test_defaults_filled(self):
         c = GalleryCase("exam1")

@@ -3,10 +3,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mudilate.opcore import (Operator, OperatorTuple, OpcoreError,
+from mudilate.opcore import (OperatorTuple, OpcoreError,
                              NegativeEigenvalueError, NotHermitianError,
                              herm_sqrt, kernel_basis, numerical_radius,
                              op_norm, spectral_radius)
+from mudilate.report import operator_from_dict
 
 from conftest import random_contraction
 
@@ -23,38 +24,36 @@ def power_iteration_norm(m, iters=2000):
 
 
 class TestOperator:
-    def test_dimensions_and_adjoint(self):
-        a = Operator(np.arange(6).reshape(2, 3))
-        assert (a.rows, a.cols) == (2, 3)
-        assert (a.H.rows, a.H.cols) == (3, 2)
-        np.testing.assert_allclose(a.H.mat, a.mat.conj().T)
+    """Operators are plain complex arrays; the entry points that accept a
+    matrix reject empty, non-finite and non-2-D input."""
+
+    BAD = (np.zeros((0, 2)), [[np.nan, 0], [0, 1]], np.zeros(3))
 
     def test_rejects_bad_input(self):
-        with pytest.raises(OpcoreError):
-            Operator(np.zeros((0, 2)))
-        with pytest.raises(OpcoreError):
-            Operator([[np.nan, 0], [0, 1]])
-        with pytest.raises(OpcoreError):
-            Operator(np.zeros(3))
-
-    def test_composition_shape_check(self):
-        a = Operator(np.zeros((2, 3)))
-        b = Operator(np.zeros((2, 2)))
-        with pytest.raises(OpcoreError):
-            a @ b
+        for bad in self.BAD:
+            with pytest.raises(OpcoreError):
+                op_norm(bad)
+            with pytest.raises(OpcoreError):
+                OperatorTuple("sym", (bad, bad))
+        for payload in ({"rows": 0, "cols": 2, "data": []},
+                        {"rows": 2, "cols": 2,
+                         "data": [[np.nan, 0], [0, 0], [0, 0], [1, 0]]},
+                        {"rows": 1, "cols": 1, "data": [[np.inf, 0]]}):
+            with pytest.raises(ValueError):
+                operator_from_dict(payload)
 
 
 class TestOpNorm:
     def test_identity(self):
-        assert op_norm(Operator.identity(3)) == pytest.approx(1.0)
+        assert op_norm(np.eye(3)) == pytest.approx(1.0)
 
     def test_rank_one(self):
-        assert op_norm(Operator([[0, 0.5], [0, 0]])) == pytest.approx(0.5)
+        assert op_norm([[0, 0.5], [0, 0]]) == pytest.approx(0.5)
 
     def test_against_power_iteration(self):
         rng = np.random.default_rng(11)
         a = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
-        assert op_norm(Operator(a)) == pytest.approx(power_iteration_norm(a), abs=1e-10)
+        assert op_norm(a) == pytest.approx(power_iteration_norm(a), abs=1e-10)
 
     def test_submultiplicative(self):
         rng = np.random.default_rng(5)
@@ -62,59 +61,59 @@ class TestOpNorm:
             a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
             b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
             assert op_norm(a @ b) <= op_norm(a) * op_norm(b) + 1e-9
-            assert op_norm(Operator(a).H) == pytest.approx(op_norm(a))
+            assert op_norm(a.conj().T) == pytest.approx(op_norm(a))
 
 
 class TestHermSqrt:
     def test_diagonal(self):
-        s = herm_sqrt(Operator(np.diag([4.0, 1.0])))
-        np.testing.assert_allclose(s.mat, np.diag([2.0, 1.0]), atol=1e-12)
+        s = herm_sqrt(np.diag([4.0, 1.0]))
+        np.testing.assert_allclose(s, np.diag([2.0, 1.0]), atol=1e-12)
 
     def test_projection_is_fixed(self):
         q = np.zeros((3, 3))
         q[:2, :2] = 0.5
-        s = herm_sqrt(Operator(q))
-        np.testing.assert_allclose(s.mat, q, atol=1e-12)
+        s = herm_sqrt(q)
+        np.testing.assert_allclose(s, q, atol=1e-12)
 
     def test_square_round_trip(self):
         rng = np.random.default_rng(2)
         for _ in range(25):
             b = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
             h = b @ b.conj().T
-            s = herm_sqrt(Operator(h))
-            np.testing.assert_allclose(s.mat @ s.mat, h, atol=1e-9)
-            assert np.linalg.eigvalsh(s.mat).min() >= -1e-12
+            s = herm_sqrt(h)
+            np.testing.assert_allclose(s @ s, h, atol=1e-9)
+            assert np.linalg.eigvalsh(s).min() >= -1e-12
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitianError):
-            herm_sqrt(Operator([[0, 1], [0, 0]]))
+            herm_sqrt([[0, 1], [0, 0]])
 
     def test_rejects_indefinite_naming_eigenvalue(self):
         with pytest.raises(NegativeEigenvalueError) as exc:
-            herm_sqrt(Operator(np.diag([1.0, -0.5])))
+            herm_sqrt(np.diag([1.0, -0.5]))
         assert "-0.5" in str(exc.value) or "-5" in str(exc.value)
 
     def test_clamps_tiny_negative(self):
-        s = herm_sqrt(Operator(np.diag([1.0, -5e-11])))
-        assert s.mat[1, 1] == 0.0
+        s = herm_sqrt(np.diag([1.0, -5e-11]))
+        assert s[1, 1] == 0.0
 
 
 class TestSpectralRadius:
     def test_nilpotent(self):
-        assert spectral_radius(Operator([[0, 1], [0, 0]])) == pytest.approx(0.0, abs=1e-12)
+        assert spectral_radius([[0, 1], [0, 0]]) == pytest.approx(0.0, abs=1e-12)
 
     def test_diagonal(self):
-        assert spectral_radius(Operator(np.diag([0.3, 0.9]))) == pytest.approx(0.9)
+        assert spectral_radius(np.diag([0.3, 0.9])) == pytest.approx(0.9)
 
     def test_rejects_rectangular(self):
         with pytest.raises(OpcoreError):
-            spectral_radius(Operator(np.zeros((2, 3))))
+            spectral_radius(np.zeros((2, 3)))
 
     def test_exam1_summed_pairs_bounded(self, exam1):
         # oracle: characteristic-polynomial roots of the windowed matrix
         space, tup, _, w = exam1
         for i in range(3):
-            s = tup.ops[i].mat + tup.ops[5 - i].mat
+            s = tup.ops[i] + tup.ops[5 - i]
             sw = w.compress(s)
             r = spectral_radius(sw)
             assert r <= 2.0 + 1e-9
@@ -124,17 +123,17 @@ class TestSpectralRadius:
 
 class TestNumericalRadius:
     def test_jordan_cell(self):
-        assert numerical_radius(Operator([[0, 1], [0, 0]])) == pytest.approx(0.5, abs=1e-8)
+        assert numerical_radius([[0, 1], [0, 0]]) == pytest.approx(0.5, abs=1e-8)
 
     def test_identity(self):
-        assert numerical_radius(Operator.identity(4)) == pytest.approx(1.0, abs=1e-10)
+        assert numerical_radius(np.eye(4)) == pytest.approx(1.0, abs=1e-10)
 
     def test_against_unit_vector_sampling(self):
         rng = np.random.default_rng(8)
         for _ in range(10):
             n = rng.integers(2, 6)
             a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            w = numerical_radius(Operator(a))
+            w = numerical_radius(a)
             best = 0.0
             for _ in range(4000):
                 x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -146,14 +145,14 @@ class TestNumericalRadius:
         rng = np.random.default_rng(9)
         for _ in range(20):
             a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-            assert numerical_radius(Operator(a)) >= np.abs(np.diag(a)).max() - 1e-8
+            assert numerical_radius(a) >= np.abs(np.diag(a)).max() - 1e-8
 
     def test_peak_memory_bounded(self):
         # eight angles per eigvalsh batch and a 2n x 2n pencil keep the peak
         # near 26 n^2 complex entries; a 720-angle stack needs over 1400 n^2
         n = 128
         rng = np.random.default_rng(12)
-        a = Operator(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         tracemalloc.start()
         try:
             numerical_radius(a)
@@ -166,24 +165,24 @@ class TestNumericalRadius:
         space, tup, expected_f, w = exam1
         fa = w.compress(expected_f["F1"])
         fb = w.compress(expected_f["F6"])
-        assert numerical_radius(Operator(fa + 1j * fb)) <= 1.0 + 1e-8
+        assert numerical_radius(fa + 1j * fb) <= 1.0 + 1e-8
 
 
 class TestKernelBasis:
     def test_zero_matrix(self):
-        k = kernel_basis(Operator.zeros(3))
+        k = kernel_basis(np.zeros((3, 3)))
         assert k.shape[1] == 3
 
     def test_full_rank(self):
         rng = np.random.default_rng(4)
         a = rng.standard_normal((5, 5)) + np.eye(5) * 4
-        assert kernel_basis(Operator(a)).shape[1] == 0
+        assert kernel_basis(a).shape[1] == 0
 
     def test_exam1_defect_kernel_is_third_summand(self, exam1):
         space, tup, _, w = exam1
         from mudilate.fundamentals import defect
         dd = defect(tup.ops[6])
-        k = kernel_basis(dd.D.mat)
+        k = kernel_basis(dd.D)
         # every kernel vector lives in the third summand
         sl = space.summand_slice(2)
         outside = k.copy()
@@ -194,14 +193,14 @@ class TestKernelBasis:
     def test_orthogonal_to_row_space(self):
         rng = np.random.default_rng(14)
         a = rng.standard_normal((4, 6))
-        k = kernel_basis(Operator(a), tol=1e-10)
+        k = kernel_basis(a, tol=1e-10)
         for col in k.T:
             assert np.linalg.norm(a @ col) <= 1e-10
 
 
 class TestTupleAndSubspace:
     def test_arity_enforced(self):
-        ops = [Operator.identity(2)] * 6
+        ops = [np.eye(2)] * 6
         with pytest.raises(OpcoreError):
             OperatorTuple("gamma7", ops)
 
@@ -212,6 +211,6 @@ class TestInequalityChain:
         for _ in range(40):
             n = int(rng.integers(2, 7))
             a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            r, w, nn = spectral_radius(a), numerical_radius(Operator(a)), op_norm(a)
+            r, w, nn = spectral_radius(a), numerical_radius(a), op_norm(a)
             assert r <= w + 1e-8
             assert w <= nn + 1e-8

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from mudilate.dilate import schaffer
 from mudilate.fundamentals import PIVOT, solve_fundamentals
-from mudilate.opcore import Operator, OperatorTuple
+from mudilate.opcore import OperatorTuple
 from mudilate.spaces import Window
 from mudilate.verify import isometry_check
 
@@ -25,7 +25,7 @@ def scalar_tuple(draw):
     vals = [draw(st.complex_numbers(max_magnitude=1.0, **_SCALAR))
             for _ in range(n)]
     vals[PIVOT[kind]] = draw(st.complex_numbers(max_magnitude=0.9, **_SCALAR))
-    return OperatorTuple(kind, [Operator(np.array([[v]])) for v in vals])
+    return OperatorTuple(kind, [np.array([[v]]) for v in vals])
 
 
 @SETTINGS

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mudilate.opcore import Operator, OperatorTuple, OpcoreError
+from mudilate.opcore import OperatorTuple, OpcoreError
 from mudilate.spaces import ModelSpace, hardy_shift, window
 from mudilate.fundamentals import defect, solve_fundamentals
 from mudilate.gallery import build_exam3_dilation
@@ -11,7 +11,7 @@ from mudilate.verify import (commutator_profile, is_commuting, isometry_check,
 
 class TestIsCommuting:
     def test_diagonal_tuple(self):
-        ops = [Operator(np.diag([1.0, 2.0])), Operator(np.diag([3.0, 4.0]))]
+        ops = [np.diag([1.0, 2.0]), np.diag([3.0, 4.0])]
         rep = is_commuting(ops)
         assert rep.verdict == "pass" and rep.worst() == 0.0
 
@@ -23,14 +23,14 @@ class TestIsCommuting:
         sp = ModelSpace(((1, 8),))
         w = window(sp, 1)
         m = hardy_shift(1, 8)
-        rep = is_commuting([m, m.H], window=w)
+        rep = is_commuting([m, m.conj().T], window=w)
         assert rep.verdict == "fail"
         assert rep.items[0].residual == pytest.approx(1.0, abs=1e-12)
 
 
 class TestIsometryCheck:
     def test_identity_tuple(self):
-        ops = [Operator.identity(3)] * 7
+        ops = [np.eye(3)] * 7
         rep = isometry_check("gamma7", OperatorTuple("gamma7", ops))
         assert rep.verdict == "pass"
 
@@ -49,13 +49,13 @@ class TestIsometryCheck:
             vq, _ = np.linalg.qr(rng.standard_normal((n, n))
                                  + 1j * rng.standard_normal((n, n)))
             proj = vq[:, :k] @ vq[:, :k].conj().T
-            t = Operator(uq @ proj)
+            t = uq @ proj
             rep = isometry_check("partial", t)
             dd = defect(t)
             assert rep.verdict == "pass"
             assert dd.is_projection
             # break it: damp the isometric part
-            t2 = Operator(0.8 * uq @ proj + 0.1 * (np.eye(n) - proj))
+            t2 = 0.8 * uq @ proj + 0.1 * (np.eye(n) - proj)
             rep2 = isometry_check("partial", t2)
             dd2 = defect(t2)
             assert rep2.verdict == "fail"
@@ -69,7 +69,7 @@ class TestIsometryCheck:
         assert rep.verdict == "pass"
 
     def test_arity_mismatch(self):
-        ops = [Operator.identity(2)] * 5
+        ops = [np.eye(2)] * 5
         with pytest.raises(OpcoreError):
             isometry_check("gamma7", OperatorTuple("gamma5", ops))
 
@@ -78,7 +78,7 @@ class TestIsometryCheck:
         w = window(sp, 1)
         rep = isometry_check("isometry", hardy_shift(1, 6), window=w)
         assert rep.verdict == "pass"
-        rep2 = isometry_check("isometry", Operator(0.5 * np.eye(3)))
+        rep2 = isometry_check("isometry", 0.5 * np.eye(3))
         assert rep2.verdict == "fail"
 
 
@@ -87,7 +87,7 @@ class TestNecessaryConditions:
         rng = np.random.default_rng(57)
         q, _ = np.linalg.qr(rng.standard_normal((3, 3))
                             + 1j * rng.standard_normal((3, 3)))
-        ops = [Operator.zeros(3)] * 6 + [Operator(q)]
+        ops = [np.zeros((3, 3))] * 6 + [q]
         tup = OperatorTuple("gamma7", ops)
         fset = solve_fundamentals("gamma7", tup)
         rep = necessary_conditions("gamma7", tup, fset)
@@ -132,10 +132,10 @@ class TestPartialIsometryRestriction:
         kb = _windowed_range(defect(tup.ops[6]), w)
         assert kb.shape[1] > 0
         for i, j in ((0, 5), (1, 4), (2, 3)):
-            fi = kb.conj().T @ fset[f"F{i+1}"].mat @ kb
-            fj = kb.conj().T @ fset[f"F{j+1}"].mat @ kb
-            di = kb.conj().T @ tup.ops[i].mat @ kb
-            dj = kb.conj().T @ tup.ops[j].mat @ kb
+            fi = kb.conj().T @ fset[f"F{i+1}"] @ kb
+            fj = kb.conj().T @ fset[f"F{j+1}"] @ kb
+            di = kb.conj().T @ tup.ops[i] @ kb
+            dj = kb.conj().T @ tup.ops[j] @ kb
             gap = np.linalg.norm((_self_comm(fi) - _self_comm(fj))
                                  - (_self_comm(di) - _self_comm(dj)), 2)
             assert gap <= 1e-10
@@ -143,7 +143,7 @@ class TestPartialIsometryRestriction:
 
 class TestCommutatorProfile:
     def test_zero_fundamentals(self):
-        ops = [Operator.zeros(3)] * 6 + [Operator(np.diag([0.5, 0.2, 0.1]))]
+        ops = [np.zeros((3, 3))] * 6 + [np.diag([0.5, 0.2, 0.1])]
         tup = OperatorTuple("gamma7", ops)
         fset = solve_fundamentals("gamma7", tup)
         rep = commutator_profile(fset)
@@ -184,7 +184,7 @@ class TestDilationImpliesChecks:
         # scalar fundamentals satisfy every hypothesis; the dilation passes
         # the isometry suite and the base tuple passes the necessary suite
         c = [0.2, -0.15, 0.1, 0.05, 0.3, -0.25, 0.6]
-        ops = [Operator(np.array([[v]], dtype=complex)) for v in c]
+        ops = [np.array([[v]], dtype=complex) for v in c]
         tup = OperatorTuple("gamma7", ops)
         fset = solve_fundamentals("gamma7", tup)
         from mudilate.dilate import schaffer
@@ -197,7 +197,7 @@ class TestDilationImpliesChecks:
 
     def test_scalar_conditional_family_gamma5(self):
         c = [0.3, 0.4, 0.5, -0.2, 0.1j]
-        ops = [Operator(np.array([[v]], dtype=complex)) for v in c]
+        ops = [np.array([[v]], dtype=complex) for v in c]
         tup = OperatorTuple("gamma5", ops)
         fset = solve_fundamentals("gamma5", tup)
         from mudilate.dilate import schaffer

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from mudilate.dilate import DilationResult
 from mudilate.fundamentals import defect
-from mudilate.opcore import Operator, numerical_radius, spectral_radius
+from mudilate.opcore import numerical_radius, spectral_radius
 from mudilate.spaces import ModelSpace, Window, auto_margin, embed_blocks, \
     hardy_shift, window
 
@@ -51,8 +51,8 @@ def test_compression_keeps_spectral_radius(case):
 def test_compression_keeps_numerical_radius(case):
     a, w = case
     p = w.basis @ w.basis.conj().T
-    got = numerical_radius(Operator(w.compress(a)))
-    assert abs(got - numerical_radius(Operator(p @ a @ p))) <= 1e-8
+    got = numerical_radius(w.compress(a))
+    assert abs(got - numerical_radius(p @ a @ p)) <= 1e-8
 
 
 @SETTINGS
@@ -69,11 +69,11 @@ def test_dilation_window_dimension(case, n_iso, depth, tail_margin):
     u, _ = np.linalg.qr(_complex(rng, n, n))
     v, _ = np.linalg.qr(_complex(rng, n, n))
     s = np.concatenate([np.ones(n_iso), rng.uniform(0.0, 0.9, n - n_iso)])
-    dd = defect(Operator((u * s) @ v))
+    dd = defect((u * s) @ v)
     assert dd.rank == n - n_iso
     dim = n + depth * dd.rank
-    dil = DilationResult("gamma7", (Operator.identity(dim),),
-                         Operator(np.eye(dim, n)), depth, dd, n)
+    dil = DilationResult("gamma7", (np.eye(dim),),
+                         np.eye(dim, n), depth, dd, n)
     q = dd.range_basis
     kept = q.shape[1] + w.dim - np.linalg.matrix_rank(np.hstack([q, w.basis]))
     copies = max(0, depth - tail_margin)
@@ -90,7 +90,7 @@ def test_auto_margin_makes_shift_words_exact(summands, a, b):
     a, b = max(a, b), min(a, b)
     space = ModelSpace(tuple((f, 2 * a + 1 + extra) for f, extra in summands))
     s = embed_blocks(space, {(i, i): hardy_shift(f, t)
-                             for i, (f, t) in enumerate(space.summands)}).mat
+                             for i, (f, t) in enumerate(space.summands)})
     sa = np.linalg.matrix_power(s, a)
     sbh = np.linalg.matrix_power(s.conj().T, b)
     margin = auto_margin(space, [sa, sbh])
