@@ -124,6 +124,9 @@ def _fundamentals_for(kind, tup, path=None):
 
 
 def cmd_verify(args):
+    if args.check == "profile" and args.kind == "penta":
+        raise ValueError("the commutator profile needs gamma7 or gamma5 "
+                         "fundamentals; a penta triple has a single one")
     tup = _load_tuple(args.tuple, args.kind)
     if args.check == "commuting":
         rep = is_commuting(tup, tol=args.tol)

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .opcore import (OperatorTuple, OpcoreError, _mat, commutator_norms,
-                     herm_sqrt, op_norm)
+from . import opcore
+from .opcore import (OperatorTuple, OpcoreError, _mat, _prod,
+                     commutator_norms, herm_sqrt, op_norm)
 from .fundamentals import (PIVOT, RELATIONS, DefectData, ExpansiveError,
                            FundamentalSet, defect)
 from .spaces import Window, block_assemble
@@ -23,6 +24,13 @@ from .spaces import Window, block_assemble
 
 class DilateError(OpcoreError):
     pass
+
+
+def _check_dim(dim: int):
+    """Refuse, before allocating, a dilation wider than opcore.MAX_DENSE_DIM."""
+    if dim > opcore.MAX_DENSE_DIM:
+        raise DilateError(f"dilation dimension {dim} exceeds the dense limit "
+                          f"{opcore.MAX_DENSE_DIM}")
 
 
 def egervary(t, n: int) -> np.ndarray:
@@ -37,6 +45,7 @@ def egervary(t, n: int) -> np.ndarray:
         raise DilateError("power dilation needs a square contraction")
     if n < 1:
         raise DilateError("N must be >= 1")
+    _check_dim((n + 1) * m.shape[0])
     nrm = op_norm(m)
     if nrm > 1.0 + 1e-8:
         raise ExpansiveError(f"not a contraction: norm {nrm:.6f}")
@@ -80,7 +89,7 @@ class DilationResult:
     def coextension_residuals(self, base_ops, h_window: Window | None = None) -> list:
         norm = op_norm if h_window is None else h_window.wnorm
         e = self.embed
-        return [norm(v.conj().T @ e - e @ _mat(t).conj().T)
+        return [norm(_prod(v.conj().T, e) - _prod(e, _mat(t).conj().T))
                 for v, t in zip(self.ops, base_ops)]
 
     def window(self, h_window: Window, tail_margin: int = 1) -> Window:
@@ -153,6 +162,7 @@ def schaffer(kind: str, tup: OperatorTuple, fset: FundamentalSet,
     if dd.rank == 0:
         return DilationResult(kind, tup.ops, np.eye(base_dim, dtype=complex),
                               depth, dd, base_dim)
+    _check_dim(base_dim + depth * dd.rank)
     q = dd.range_basis
     drow = q.conj().T @ dd.D
     r = dd.rank
@@ -196,6 +206,7 @@ def pentablock_dilation(tup: OperatorTuple, x, depth: int) -> DilationResult:
                               depth, dd, base_dim)
     if xc.shape != (r, r):
         raise DilateError(f"fundamental operator must act on the {r}-dim defect space")
+    _check_dim(base_dim + depth * r)
     gram = xc.conj().T @ xc + xc @ xc.conj().T
     if np.linalg.norm(gram, 2) > 4.0 + 1e-9:
         raise DilateError("damping block undefined: ||X*X + XX*|| exceeds 4")

@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .opcore import OperatorTuple, _mat, herm_sqrt, op_norm
+from . import opcore
+from .opcore import OperatorTuple, _mat, _prod, herm_sqrt, op_norm
 from .spaces import ModelSpace, auto_margin, embed_blocks, hardy_shift, window
 from .domains import (DomainPoint, membership, point_pi, point_pi_eta,
                       psi3_supnorm)
@@ -51,6 +52,13 @@ class GalleryCase:
             raise ValueError("depth must be >= 2")
         if abs(p["alpha"]) > 1.0:
             raise ValueError("alpha must lie in the closed unit disc")
+        # the largest case space is the exam3 dilation: 8 trunc base
+        # coordinates plus max(depth, 4) copies of its 4 trunc-dim defect
+        dim = 4 * p["trunc"] * (2 + max(p["depth"], 4))
+        if dim > opcore.MAX_DENSE_DIM:
+            raise ValueError(f"trunc {p['trunc']} and depth {p['depth']} need a "
+                             f"{dim}-dim dilation, above the dense limit "
+                             f"{opcore.MAX_DENSE_DIM}")
         self.params = p
 
 
@@ -213,15 +221,15 @@ def _expect_schaffer(rep: CheckReport, case: GalleryCase, tup, fset, w,
     dil = schaffer(kind, tup, fset, depth)
     kw = dil.window(w, tail_margin=min(2, depth - 1))
     v = dil.ops
-    rel = max(kw.wnorm(v[i] - v[j].conj().T @ v[piv])
+    rel = max(kw.wnorm(v[i] - _prod(v[j].conj().T, v[piv]))
               for i, j, _, _ in RELATIONS[kind])
     _expect(rep, rel_label, rel, "=0", 1e-9)
-    iso = kw.wnorm(v[piv].conj().T @ v[piv] - np.eye(v[piv].shape[0]))
+    iso = kw.wnorm(_prod(v[piv].conj().T, v[piv]) - np.eye(v[piv].shape[0]))
     _expect(rep, f"{MEMBERS[kind][piv]} isometric on window", iso, "=0", 1e-9)
     coext = max(dil.coextension_residuals(tup.ops, w))
     _expect(rep, "co-extension of the original tuple", coext, "=0", 1e-9)
     i, j = RELATIONS[kind][0][:2]
-    cviol = kw.wnorm(v[i] @ v[j] - v[j] @ v[i])
+    cviol = kw.wnorm(_prod(v[i], v[j]) - _prod(v[j], v[i]))
     _expect(rep, "dilation members fail to commute (expected)",
             cviol, ">=", 0.9)
 

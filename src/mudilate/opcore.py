@@ -6,6 +6,12 @@ plain 2-D complex ndarray; ``_mat`` is the one converter and carries every
 input check (2-D, positive dimensions, finite entries).  Truncation windows
 read the level shift of an operator off its nonzero entries
 (``spaces.auto_margin``).
+
+Support rule: norms and products skip exactly zero rows, columns and inner
+indices (``_support``, ``_prod``).  This is exact: ``_mat`` admits only
+finite entries, so each dropped term is 0 * x = 0, and deleting zero rows
+and columns keeps the nonzero singular values.  The block dilations are
+almost all zeros, so their checks cost about their nonzero content.
 """
 
 from __future__ import annotations
@@ -14,6 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+
+
+# largest dense dimension a constructor may build (one complex 4096 x 4096
+# matrix is 256 MiB); egervary, the dilation constructors and GalleryCase
+# check the dimension they are about to build against it
+MAX_DENSE_DIM = 4096
 
 
 class OpcoreError(ValueError):
@@ -76,9 +88,30 @@ class OperatorTuple:
         return self.ops[0].shape[0]
 
 
+def _support(m: np.ndarray):
+    """Boolean masks (rows, cols) of the nonzero rows and columns of ``m``,
+    the one reading of a matrix's support: the submatrix they cut out has
+    the nonzero singular values of ``m``."""
+    nz = m != 0
+    return nz.any(axis=1), nz.any(axis=0)
+
+
+def _prod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` summed only over the inner indices k where column k of ``a``
+    and row k of ``b`` are both nonzero: the dropped terms are 0 * x = 0 for
+    finite operands, so only the summation order changes."""
+    k = _support(a)[1] & _support(b)[0]
+    return a[:, k] @ b[k]
+
+
 def op_norm(a) -> float:
-    """Largest singular value."""
-    return float(np.linalg.norm(_mat(a), 2))
+    """Largest singular value, taken on the nonzero rows and columns
+    (exactly 0.0 for a zero matrix)."""
+    m = _mat(a)
+    r, c = _support(m)
+    if not r.any():
+        return 0.0
+    return float(np.linalg.norm(m[np.ix_(r, c)], 2))
 
 
 def herm_sqrt(h, herm_tol: float = 1e-10, neg_clamp: float = 1e-10) -> np.ndarray:
@@ -199,6 +232,7 @@ def commutator_norms(ops, window=None) -> list:
     out = []
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
-            out.append(((i, j), norm(mats[i] @ mats[j] - mats[j] @ mats[i])))
+            a, b = mats[i], mats[j]
+            out.append(((i, j), norm(_prod(a, b) - _prod(b, a))))
     return out
 

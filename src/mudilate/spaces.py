@@ -7,6 +7,10 @@ coordinate vector whose level lies below trunc - margin in its summand; any
 identity between words of shift operators of total level shift <= margin then
 holds exactly on the window.  ``auto_margin`` measures that shift on the
 operators' nonzero entries.
+
+Windowed norms and compressions read only the nonzero rows r and columns c
+of their argument (``opcore._support``): ||A Q|| = ||A[r, c] Q[c]|| and
+Q* A Q = Q[r]* A[r, c] Q[c], exactly, since the dropped entries are zeros.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .opcore import OpcoreError, _mat
+from .opcore import OpcoreError, _mat, _support
 
 
 @dataclass(frozen=True)
@@ -81,17 +85,24 @@ class Window:
         return self.basis.shape[1]
 
     def wnorm(self, a) -> float:
-        """||A Q||: operator norm seen through the safe inputs."""
-        return float(np.linalg.norm(_mat(a) @ self.basis, 2))
+        """||A Q||: operator norm seen through the safe inputs, taken on the
+        nonzero rows and columns of A (exactly 0.0 for a zero matrix)."""
+        m = _mat(a)
+        r, c = _support(m)
+        if not r.any():
+            return 0.0
+        return float(np.linalg.norm(m[np.ix_(r, c)] @ self.basis[c], 2))
 
     def equal(self, a, b) -> float:
         """Residual ||(A - B) Q||."""
         return self.wnorm(_mat(a) - _mat(b))
 
     def compress(self, a) -> np.ndarray:
-        """The k x k compression Q* A Q."""
+        """The k x k compression Q* A Q, on the nonzero rows and columns of A."""
+        m = _mat(a)
+        r, c = _support(m)
         q = self.basis
-        return q.conj().T @ _mat(a) @ q
+        return q[r].conj().T @ m[np.ix_(r, c)] @ q[c]
 
     def psd_min_eig(self, h) -> float:
         """Smallest eigenvalue of the Hermitian part of the compression of H."""

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .opcore import (OperatorTuple, OpcoreError, _mat, commutator_norms,
-                     kernel_basis, op_norm, spectral_radius)
+from .opcore import (OperatorTuple, OpcoreError, _mat, _prod,
+                     commutator_norms, kernel_basis, op_norm, spectral_radius)
 from .fundamentals import MEMBERS, PIVOT, RELATIONS, FundamentalSet
 from .report import CheckReport
 from .spaces import Window
@@ -47,7 +47,7 @@ def isometry_check(kind: str, t, tol: float = 1e-9,
 
     def isometry_residual(v):
         m = _mat(v)
-        return norm(m.conj().T @ m - np.eye(m.shape[0]))
+        return norm(_prod(m.conj().T, m) - np.eye(m.shape[0]))
 
     if kind == "isometry":
         rep.add("V*V=I", isometry_residual(t), tol)
@@ -71,7 +71,7 @@ def isometry_check(kind: str, t, tol: float = 1e-9,
     names, p = MEMBERS[kind], PIVOT[kind]
     for i, j, _, _ in RELATIONS[kind]:
         rep.add(f"{names[i]}={names[j]}*{names[p]}",
-                norm(ops[i] - ops[j].conj().T @ ops[p]), tol)
+                norm(ops[i] - _prod(ops[j].conj().T, ops[p])), tol)
         if kind == "gamma7":
             rw = spectral_radius(comp(ops[i]))
             rep.add(f"r({names[i]})<=1", max(0.0, rw - 1.0), tol)

@@ -37,3 +37,14 @@ def exam5():
 def random_contraction(rng, dim, top=0.95):
     m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return m * (top * rng.uniform(0.2, 1.0) / np.linalg.norm(m, 2))
+
+
+def random_supported(rng, rows, cols):
+    """Random complex rows x cols matrix with exact-zero rows, columns and
+    entries, each zeroed with its own drawn probability."""
+    m = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    p_row, p_col, p_entry = rng.choice([0.0, 0.25, 0.6], size=3)
+    m[rng.uniform(size=rows) < p_row] = 0.0
+    m[:, rng.uniform(size=cols) < p_col] = 0.0
+    m[rng.uniform(size=(rows, cols)) < p_entry] = 0.0
+    return m

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mudilate import opcore
 from mudilate.cli import main
 from mudilate.report import operator_from_dict, operator_to_dict
 from mudilate.gallery import build_exam1, build_exam5
@@ -213,6 +214,29 @@ class TestSubcommands:
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
         assert "z_samples" in captured.err
+
+    def test_verify_penta_profile_rejected_before_loading(self, capsys):
+        # a penta triple has one fundamental operator and no commutator
+        # profile; the tuple path is never opened
+        code = main(["verify", "--kind", "penta", "--check", "profile",
+                     "--tuple", "/nonexistent.json"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "gamma7 or gamma5" in captured.err
+
+    def test_size_inputs_bounded(self, files, capsys, monkeypatch):
+        monkeypatch.setattr(opcore, "MAX_DENSE_DIM", 64)
+        for argv in (["dilate", "--kind", "egervary", "--tuple",
+                      files["contraction"], "--N", "64"],
+                     ["dilate", "--kind", "gamma7", "--tuple", files["tuple7"],
+                      "--depth", "64"],
+                     ["dilate", "--kind", "penta", "--tuple", files["penta"],
+                      "--depth", "64"],
+                     ["gallery", "--case", "pi_family", "--trunc", "8"]):
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert code == 1 and captured.out == "", argv
+            assert "dense limit 64" in captured.err, argv
 
     def test_verify_commuting_check(self, files, capsys):
         code, out = run_cli(["verify", "--kind", "gamma7", "--check", "commuting",

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mudilate import opcore
 from mudilate.opcore import OperatorTuple, op_norm
 from mudilate.spaces import ModelSpace, hardy_shift, window
 from mudilate.fundamentals import ExpansiveError, defect, solve_fundamentals
@@ -59,6 +60,37 @@ class TestEgervary:
     def test_rejects_expansive(self):
         with pytest.raises(ExpansiveError):
             egervary([[1.2]], 2)
+
+
+class TestDenseLimit:
+    """Constructors refuse, before allocating, a dense dimension above
+    opcore.MAX_DENSE_DIM (patched down here so nothing large is built)."""
+
+    def test_egervary(self, monkeypatch):
+        monkeypatch.setattr(opcore, "MAX_DENSE_DIM", 8)
+        assert egervary(np.zeros((2, 2)), 3).shape == (8, 8)
+        with pytest.raises(DilateError, match="dense limit 8"):
+            egervary(np.zeros((2, 2)), 4)
+        with pytest.raises(DilateError):
+            egervary([[0.5]], 8)
+
+    def test_schaffer(self, monkeypatch, exam1):
+        _, tup, _, w = exam1
+        fset = solve_fundamentals("gamma7", tup, window=w)
+        dim = tup.dim + 3 * fset.defect.rank
+        monkeypatch.setattr(opcore, "MAX_DENSE_DIM", dim)
+        assert schaffer("gamma7", tup, fset, 3).dim == dim
+        with pytest.raises(DilateError, match="exceeds the dense limit"):
+            schaffer("gamma7", tup, fset, 4)
+
+    def test_pentablock_dilation(self, monkeypatch, exam5):
+        _, tup, _, w = exam5
+        fset = solve_fundamentals("penta", tup, window=w)
+        dim = tup.dim + 2 * fset.defect.rank
+        monkeypatch.setattr(opcore, "MAX_DENSE_DIM", dim)
+        assert pentablock_dilation(tup, fset, 2).dim == dim
+        with pytest.raises(DilateError, match="exceeds the dense limit"):
+            pentablock_dilation(tup, fset, 3)
 
 
 class TestSchaffer:

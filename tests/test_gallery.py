@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from mudilate import opcore
 from mudilate.gallery import (CASE_IDS, GalleryCase, emit_report, run_example,
                               run_gallery)
 from mudilate.report import CheckReport, dumps
@@ -19,6 +20,16 @@ class TestGalleryCase:
         for bad in (0, -1):
             with pytest.raises(ValueError):
                 GalleryCase("exam1", {"z_samples": bad})
+
+    def test_dense_limit(self, monkeypatch):
+        # the exam3 dilation, the largest case space, has
+        # 4 trunc (2 + max(depth, 4)) coordinates: 192 at trunc 8, depth 4
+        monkeypatch.setattr(opcore, "MAX_DENSE_DIM", 192)
+        GalleryCase("pi_family", {"trunc": 8, "depth": 2})
+        GalleryCase("exam3", {"trunc": 8, "depth": 4})
+        for params in ({"trunc": 9}, {"depth": 5}):
+            with pytest.raises(ValueError, match="dense limit 192"):
+                GalleryCase("exam1", params)
 
     def test_defaults_filled(self):
         c = GalleryCase("exam1")

@@ -2,14 +2,19 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mudilate.opcore import (OperatorTuple, OpcoreError,
                              NegativeEigenvalueError, NotHermitianError,
-                             herm_sqrt, kernel_basis, numerical_radius,
-                             op_norm, spectral_radius)
+                             _prod, commutator_norms, herm_sqrt, kernel_basis,
+                             numerical_radius, op_norm, spectral_radius)
 from mudilate.report import operator_from_dict
 
-from conftest import random_contraction
+from conftest import random_contraction, random_supported
+
+SETTINGS = settings(derandomize=True, max_examples=60, deadline=None)
+_seeds = st.integers(0, 2**32 - 1)
+_dims = st.integers(1, 8)
 
 
 def power_iteration_norm(m, iters=2000):
@@ -214,3 +219,58 @@ class TestInequalityChain:
             r, w, nn = spectral_radius(a), numerical_radius(a), op_norm(a)
             assert r <= w + 1e-8
             assert w <= nn + 1e-8
+
+
+class TestSupportKernels:
+    """Norms and products read only the nonzero rows, columns and inner
+    indices of their operands; against dense references computed here they
+    agree to 1e-12 relative to the operands' norms, and they are exactly
+    zero where the dense result is."""
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 5), (4, 1), (6, 6)])
+    def test_zero_matrix_has_zero_norm(self, shape):
+        got = op_norm(np.zeros(shape))
+        assert got == 0.0 and isinstance(got, float)
+
+    def test_one_by_one(self):
+        assert op_norm([[3.0 - 4.0j]]) == 5.0
+        assert _prod(np.array([[2.0j]]), np.array([[0.5]]))[0, 0] == 1.0j
+        assert not _prod(np.zeros((1, 1)), np.array([[7.0]])).any()
+
+    @SETTINGS
+    @given(_dims, _dims, _seeds)
+    def test_op_norm_matches_dense(self, rows, cols, seed):
+        m = random_supported(np.random.default_rng(seed), rows, cols)
+        ref = np.linalg.norm(m, 2)
+        got = op_norm(m)
+        assert abs(got - ref) <= 1e-12 * ref
+        if ref == 0.0:
+            assert got == 0.0
+
+    @SETTINGS
+    @given(_dims, _dims, _dims, _seeds)
+    def test_prod_matches_dense(self, rows, inner, cols, seed):
+        rng = np.random.default_rng(seed)
+        a = random_supported(rng, rows, inner)
+        b = random_supported(rng, inner, cols)
+        ref = a @ b
+        got = _prod(a, b)
+        assert got.shape == ref.shape
+        scale = np.linalg.norm(a, 2) * np.linalg.norm(b, 2)
+        assert np.abs(got - ref).max() <= 1e-12 * scale
+        assert not got[ref == 0].any()
+
+    @SETTINGS
+    @given(_dims, st.integers(2, 4), _seeds)
+    def test_commutator_norms_match_dense(self, n, count, seed):
+        rng = np.random.default_rng(seed)
+        ops = [random_supported(rng, n, n) for _ in range(count)]
+        got = commutator_norms(ops)
+        ref = [((i, j), np.linalg.norm(ops[i] @ ops[j] - ops[j] @ ops[i], 2))
+               for i in range(count) for j in range(i + 1, count)]
+        assert [p for p, _ in got] == [p for p, _ in ref]
+        for ((i, j), g), (_, r) in zip(got, ref):
+            scale = np.linalg.norm(ops[i], 2) * np.linalg.norm(ops[j], 2)
+            assert abs(g - r) <= 1e-12 * scale
+            if r == 0.0:
+                assert g == 0.0

@@ -1,16 +1,21 @@
 """Randomised invariants of the basis-form window: ||A Q|| and the
 compression Q* A Q carry the same norms and radii as the projector forms
-A P and P A P (P = Q Q*), and the measured margin makes truncated shift
+A P and P A P (P = Q Q*), taken on the nonzero rows and columns of A they
+agree with the dense forms, and the measured margin makes truncated shift
 words exact."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from mudilate.dilate import DilationResult
 from mudilate.fundamentals import defect
-from mudilate.opcore import numerical_radius, spectral_radius
+from mudilate.opcore import commutator_norms, numerical_radius, \
+    spectral_radius
 from mudilate.spaces import ModelSpace, Window, auto_margin, embed_blocks, \
     hardy_shift, window
+
+from conftest import random_supported
 
 SETTINGS = settings(derandomize=True, max_examples=40, deadline=None)
 
@@ -36,6 +41,63 @@ def test_wnorm_is_norm_through_projector(case):
     a, w = case
     p = w.basis @ w.basis.conj().T
     assert abs(w.wnorm(a) - np.linalg.norm(a @ p, 2)) <= 1e-12
+
+
+@st.composite
+def supported_windowed(draw):
+    """A random n x n matrix with exact-zero rows, columns and entries, and
+    a window whose basis is either a random orthonormal Q or a selection of
+    coordinate columns (the form the model-space windows take)."""
+    n = draw(st.integers(1, 8))
+    k = draw(st.integers(1, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        q, _ = np.linalg.qr(_complex(rng, n, k))
+    else:
+        q = np.eye(n)[:, np.sort(rng.choice(n, k, replace=False))]
+    return random_supported(rng, n, n), Window(0, q)
+
+
+@SETTINGS
+@given(supported_windowed())
+def test_wnorm_and_compress_match_dense(case):
+    a, w = case
+    q = w.basis
+    scale = np.linalg.norm(a, 2)
+    got = w.wnorm(a)
+    assert abs(got - np.linalg.norm(a @ q, 2)) <= 1e-12 * scale
+    c = w.compress(a)
+    assert c.shape == (w.dim, w.dim)
+    assert np.abs(c - q.conj().T @ a @ q).max() <= 1e-12 * scale
+    if scale == 0.0:
+        assert got == 0.0 and not c.any()
+
+
+@pytest.mark.parametrize("n,k", [(1, 1), (5, 2), (6, 6)])
+def test_zero_matrix_windowed_is_exactly_zero(n, k):
+    w = Window(0, np.eye(n)[:, :k])
+    got = w.wnorm(np.zeros((n, n)))
+    assert got == 0.0 and isinstance(got, float)
+    c = w.compress(np.zeros((n, n)))
+    assert c.shape == (k, k) and not c.any()
+
+
+@SETTINGS
+@given(supported_windowed(), st.integers(2, 4))
+def test_windowed_commutator_norms_match_dense(case, count):
+    a, w = case
+    n = a.shape[0]
+    rng = np.random.default_rng(count + 7 * n)
+    ops = [a] + [random_supported(rng, n, n) for _ in range(count - 1)]
+    got = commutator_norms(ops, w)
+    ref = [((i, j), np.linalg.norm((ops[i] @ ops[j] - ops[j] @ ops[i]) @ w.basis, 2))
+           for i in range(count) for j in range(i + 1, count)]
+    assert [p for p, _ in got] == [p for p, _ in ref]
+    for ((i, j), g), (_, r) in zip(got, ref):
+        scale = np.linalg.norm(ops[i], 2) * np.linalg.norm(ops[j], 2)
+        assert abs(g - r) <= 1e-12 * scale
+        if r == 0.0:
+            assert g == 0.0
 
 
 @SETTINGS
