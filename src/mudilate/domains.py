@@ -142,23 +142,30 @@ def point_pi_eta(p: DomainPoint, eta) -> DomainPoint:
 # structured singular value
 
 
+def _lattice(axis: np.ndarray, dims: int) -> np.ndarray:
+    """Every dims-tuple of values from `axis`, one row per point, in C order."""
+    mesh = np.meshgrid(*[axis] * dims, indexing="ij")
+    return np.stack([g.ravel() for g in mesh], axis=1)
+
+
 def _reduced_torus(sfree: int, pts: int) -> np.ndarray:
     """Torus sample with the first coordinate pinned to 1 (global phase is
     immaterial: scaling every block by a unimodular factor scales the
     spectrum by that factor and leaves the spectral radius unchanged)."""
-    if sfree == 0:
-        return np.ones((1, 1), dtype=complex)
-    axes = [np.exp(2j * np.pi * np.arange(pts) / pts)] * sfree
-    mesh = np.meshgrid(*axes, indexing="ij")
-    zs = np.stack([m.ravel() for m in mesh], axis=1)
+    zs = _lattice(np.exp(2j * np.pi * np.arange(pts) / pts), sfree)
     return np.concatenate([np.ones((len(zs), 1), dtype=complex), zs], axis=1)
 
 
 def _structure_radius(a: np.ndarray, structure: BlockStructure, zs: np.ndarray) -> np.ndarray:
-    """Spectral radius of A diag(z_1 I_{r_1}, ...) for a batch of z rows."""
-    diag = np.repeat(zs, structure.r, axis=1)
-    stack = a[None, :, :] * diag[:, None, :]
-    return np.abs(np.linalg.eigvals(stack)).max(axis=1)
+    """Spectral radius of A diag(z_1 I_{r_1}, ...) for a batch of z rows,
+    put through the eigensolver in chunks of at most 2^16 matrix entries so
+    that memory does not grow with the batch."""
+    rows = max(1, 2 ** 16 // structure.n ** 2)
+    out = np.empty(len(zs))
+    for lo in range(0, len(zs), rows):
+        diag = np.repeat(zs[lo:lo + rows], structure.r, axis=1)
+        out[lo:lo + rows] = np.abs(np.linalg.eigvals(a[None] * diag[:, None, :])).max(axis=1)
+    return out
 
 
 def mu_E(a, structure: BlockStructure, tol: float = 1e-4) -> float:
@@ -166,53 +173,80 @@ def mu_E(a, structure: BlockStructure, tol: float = 1e-4) -> float:
 
     mu(A) = 1 / inf{||X||: det(I - AX) = 0, X in E}, with mu = 0 when no X
     makes I - AX singular.  By homogeneity of X -> AX this equals the maximum
-    of the spectral radius of A diag(z) over the unit torus, which the
-    search computes on a doubling grid plus a local zoom.
+    of the spectral radius of A diag(z) over the unit torus (Doyle, IEE
+    Proc. D 129, 1982), a maximum that is attained.  The search samples it:
+
+    * a coarse grid on the reduced torus (z_1 = 1) with at most 64 points
+      per free axis and 1024 in all, so the per-axis count shrinks as s
+      grows.  The grid holds the all-ones point, so rho(A) is a lower bound;
+    * the eight largest local maxima of that periodic grid as seeds;
+    * a pattern-search zoom around every seed, all live seeds in one batch
+      per level, for at most 200 levels.  The stencil is every offset in {-p..p}^(s-1) times the
+      seed's step when that is at most 125 points, else the 2p offsets
+      along each axis, so a level holds at most max(124, 4 (s - 1)) points
+      per seed.  A seed moves to its best stencil point and shrinks its
+      step by p unless that point lies on the stencil's outer ring.  It
+      stops when its last level gained at most tol / 4 and its step is at
+      most tol / (4 ||A||), or when its stencil covers the centre of a
+      better seed (both climb the same peak).
+
+    The result is the largest sampled value: a lower bound on mu that the
+    zoom drives to a local maximum, not a certified value.
     """
     m = _mat(a)
     if m.shape != (structure.n, structure.n):
         raise DomainError(f"matrix shape {m.shape} does not match structure n={structure.n}")
     if not (0.0 < tol <= 1e-2):
         raise DomainError("tol must lie in (0, 1e-2]")
-    if op_norm(m) == 0.0:
+    norm = op_norm(m)
+    if norm == 0.0:
         return 0.0
     sfree = structure.s - 1
     if sfree == 0:
         return spectral_radius(m)
 
-    base = {1: 64, 2: 24}.get(sfree, 8)
-    pts = base
-    prev = None
-    best = 0.0
-    arg = np.zeros(sfree)
-    while True:
-        zs = _reduced_torus(sfree, pts)
-        vals = _structure_radius(m, structure, zs)
-        k = int(vals.argmax())
-        if vals[k] > best:
-            best = float(vals[k])
-            arg = np.angle(zs[k, 1:])
-        if prev is not None and abs(best - prev) <= 0.25 * tol:
-            break
-        if pts ** sfree >= 2 ** 17:
-            break
-        prev = best
-        pts *= 2
+    seeds, levels = 8, 200
+    p = 8 if sfree == 1 else 2
+    pts = min(64, int(1024 ** (1.0 / sfree) + 1e-9))
+    grid = _reduced_torus(sfree, pts)
+    vals = _structure_radius(m, structure, grid).reshape((pts,) * sfree)
+    peak = np.ones(vals.shape, dtype=bool)
+    for ax in range(sfree):
+        peak &= (vals >= np.roll(vals, 1, ax)) & (vals >= np.roll(vals, -1, ax))
+    cand = np.flatnonzero(peak)
+    cand = cand[np.argsort(-vals.ravel()[cand], kind="stable")[:seeds]]
+    center, val = np.angle(grid[cand]), vals.ravel()[cand]
 
-    width = 2.0 * np.pi / pts
-    for _ in range(3):
-        axes = [np.linspace(c - width, c + width, 9) for c in arg]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        ang = np.stack([g.ravel() for g in mesh], axis=1)
-        zs = np.concatenate(
-            [np.ones((len(ang), 1), dtype=complex), np.exp(1j * ang)], axis=1)
-        vals = _structure_radius(m, structure, zs)
-        k = int(vals.argmax())
-        if vals[k] > best:
-            best = float(vals[k])
-            arg = ang[k]
-        width /= 4.0
-    return best
+    span = np.arange(-p, p + 1)
+    if len(span) ** sfree <= 125:
+        offsets = _lattice(span, sfree)
+        offsets = offsets[offsets.any(axis=1)]
+    else:
+        offsets = np.kron(np.eye(sfree, dtype=int), span[span != 0][:, None])
+    offsets = np.concatenate([np.zeros_like(offsets[:, :1]), offsets], axis=1)  # z_1 = 1
+    outer = np.abs(offsets).max(axis=1) == p
+    step = np.full(len(val), 2.0 * np.pi / pts / p)
+    stop = tol / (4.0 * norm)
+    earlier = np.tri(len(val), k=-1, dtype=bool)
+    live = np.ones(len(val), dtype=bool)
+    for _ in range(levels):
+        idx = np.flatnonzero(live)
+        if len(idx) == 0:
+            break
+        trial = center[idx, None, :] + step[idx, None, None] * offsets
+        zs = np.exp(1j * trial.reshape(-1, structure.s))
+        v = _structure_radius(m, structure, zs).reshape(len(idx), -1)
+        rows, k = np.arange(len(idx)), v.argmax(axis=1)
+        gain = np.maximum(v[rows, k] - val[idx], 0.0)
+        up = gain > 0.0
+        center[idx[up]] = trial[rows[up], k[up]]
+        val[idx[up]] = v[rows[up], k[up]]
+        step[idx[~(up & outer[k])]] /= p
+        live[idx] = (gain > 0.25 * tol) | (step[idx] > stop)
+        gap = np.abs(np.angle(np.exp(1j * (center[:, None] - center[None])))).max(axis=2)
+        better = (val[None] > val[:, None]) | ((val[None] == val[:, None]) & earlier)
+        live &= ~((gap <= p * step[:, None]) & better).any(axis=1)
+    return float(val.max())
 
 
 def mu_for_kind(kind: str):
@@ -329,65 +363,42 @@ def _coord_residual(kind, a, target):
     return max(abs(g - t) for g, t in zip(got, target))
 
 
-def _min_norm_penta(x1, x2, x3, budget):
-    """Minimal operator norm over all 2x2 matrices with the prescribed
-    lower-left entry, trace and determinant.  The coordinate constraints kill
-    all but two real degrees of freedom, so the search is exhaustive."""
-    if abs(x1) < 1e-14:
-        roots = np.roots([1.0, -x2, x3])
-        a = roots[0]
-        return np.array([[a, 0.0], [0.0, x2 - a]]), 0.0
+def _min_norm_penta(x1, x2, x3):
+    """Minimal operator norm 2x2 matrix with lower-left entry x1, trace x2
+    and determinant x3, in closed form.
 
-    def build(v):
-        a = complex(v[0], v[1])
-        d = x2 - a
-        b = (a * d - x3) / x1
-        return np.array([[a, b], [x1, d]])
-
-    def objective(v):
-        return np.linalg.norm(build(v), 2)
-
-    # coarse prescan of the free entry, then polish from the best cells;
-    # the parametrization is exhaustive, so the minimum decides membership
-    ticks = np.linspace(-1.5, 1.5, 11)
-    grid = [np.array([re, im]) for re in ticks for im in ticks]
-    grid.sort(key=objective)
-    starts = grid[:4] + [np.array([x2.real / 2, x2.imag / 2])]
-    best_v, best = None, np.inf
-    for s in starts:
-        r = scipy.optimize.minimize(objective, s, method="Nelder-Mead",
-                                    options={"maxiter": budget, "xatol": 1e-10,
-                                             "fatol": 1e-12})
-        if r.fun < best:
-            best, best_v = r.fun, r.x
-    return build(best_v), 0.0
+    Every such matrix is [[x2/2 + u, (c - u^2)/x1], [x1, x2/2 - u]] with
+    c = x2^2/4 - x3 (for x1 = 0 the upper-right entry is free and the
+    trace and determinant force u^2 = c).  For a 2x2 matrix,
+    ||A||_2^2 = (||A||_F^2 + sqrt(||A||_F^4 - 4 |det A|^2)) / 2, which grows
+    with ||A||_F^2 once the determinant is fixed, and
+    ||A||_F^2 = |x2|^2/2 + |x1|^2 + 2|v| + |c - v|^2/|x1|^2 with v = u^2.
+    That is convex in v; since |c - v| >= |c| - |v| with equality on the
+    ray through c, the minimiser is v = t c/|c| with t minimising
+    2t + (|c| - t)^2/|x1|^2 over t >= 0: t = max(0, |c| - |x1|^2).  Then
+    the upper-right entry is c/x1 when t = 0 and conj(x1) c/|c| otherwise,
+    which also covers x1 = 0 (b = 0, u^2 = c: the eigenvalues on the
+    diagonal, whose larger modulus bounds every norm from below)."""
+    c = x2 * x2 / 4.0 - x3
+    if abs(c) <= abs(x1) ** 2:
+        v, b = 0.0, (c / x1 if c else 0.0)
+    else:
+        v, b = c - abs(x1) ** 2 * c / abs(c), np.conj(x1) * c / abs(c)
+    u = np.sqrt(complex(v))
+    return np.array([[x2 / 2.0 + u, b], [x1, x2 / 2.0 - u]])
 
 
-def _min_norm_tetra(x1, x2, x3, budget):
+def _min_norm_tetra(x1, x2, x3):
+    """Minimal operator norm 2x2 matrix with diagonal (x1, x2) and
+    determinant x3, in closed form.
+
+    Every such matrix is [[x1, t], [q/t, x2]] with q = x1 x2 - x3 (t = 0
+    and a zero lower-left entry when q = 0).  As for the pentablock, the
+    2-norm grows with ||A||_F^2 = |x1|^2 + |x2|^2 + |t|^2 + |q|^2/|t|^2 at
+    fixed determinant, which is least at |t|^2 = |q|."""
     q = x1 * x2 - x3
-    if abs(q) < 1e-14:
-        return np.array([[x1, 0.0], [0.0, x2]]), 0.0
-
-    def build(v):
-        t = complex(v[0], v[1])
-        if abs(t) < 1e-9:
-            t = 1e-9
-        return np.array([[x1, t], [q / t, x2]])
-
-    def objective(v):
-        return np.linalg.norm(build(v), 2)
-
-    best_v, best = None, np.inf
-    root = np.sqrt(abs(q))
-    for phase in np.exp(1j * np.linspace(0, 2 * np.pi, 6, endpoint=False)):
-        s = root * phase
-        r = scipy.optimize.minimize(objective, np.array([s.real, s.imag]),
-                                    method="Nelder-Mead",
-                                    options={"maxiter": budget, "xatol": 1e-10,
-                                             "fatol": 1e-12})
-        if r.fun < best:
-            best, best_v = r.fun, r.x
-    return build(best_v), 0.0
+    t = np.sqrt(abs(q))
+    return np.array([[x1, t], [q / t if t else 0.0, x2]])
 
 
 def _diag_decode(point: DomainPoint, tol: float = 1e-8):
@@ -450,18 +461,20 @@ def certificate_search(point: DomainPoint, budget: int = 400, starts: int = 8,
                        seed: int = 20260808) -> Certificate:
     """Search for a defining matrix realizing the point's coordinates.
 
-    Always returns the best certificate found; a large residual means the
-    search failed and no membership conclusion should be drawn from it.
+    Tetra and penta points get their minimal-norm realiser in closed form
+    (`_min_norm_tetra`, `_min_norm_penta`).  gamma7 and gamma5 points get a
+    diagonal certificate when their coordinates split, else the best of a
+    least-squares search from `starts` starts of at most `budget`
+    evaluations each.  Always returns the best certificate found; a large
+    residual means the search failed and no membership conclusion should be
+    drawn from it.
     """
     if budget < 1:
         raise DomainError("budget must be positive")
     kind = point.kind
     x = point.coords
-    if kind == "penta":
-        a, _ = _min_norm_penta(*x, budget)
-        return Certificate(a, _coord_residual(kind, a, x), float(np.linalg.norm(a, 2)))
-    if kind == "tetra":
-        a, _ = _min_norm_tetra(*x, budget)
+    if kind in ("penta", "tetra"):
+        a = (_min_norm_penta if kind == "penta" else _min_norm_tetra)(*x)
         return Certificate(a, _coord_residual(kind, a, x), float(np.linalg.norm(a, 2)))
 
     d = _diag_decode(point)
@@ -487,9 +500,11 @@ def membership(point: DomainPoint, tol: float = 1e-6) -> MembershipReport:
 
     "inside" means membership in the closed domain; "boundary" upgrades it
     when the point also lies on the distinguished-boundary set of its kind.
-    gamma7 and gamma5 decide through exact decodings (diagonal certificates,
-    the axis criterion) and otherwise fall back to a certificate search whose
-    failure yields "unknown", never a disproof.
+    tetra and penta decide in closed form (the axis sup-norm criterion, the
+    minimal-norm realiser); gamma7 and gamma5 through exact decodings
+    (diagonal certificates, the axis criterion) and otherwise fall back to a
+    certificate search whose failure yields "unknown", never a disproof.
+    ``meta["decode"]`` names the path: closed, diagonal, axis or search.
     """
     kind = point.kind
     rep = MembershipReport(kind=kind, verdict="unknown")
@@ -501,6 +516,8 @@ def membership(point: DomainPoint, tol: float = 1e-6) -> MembershipReport:
         on_boundary, bres = bp(point, tol)
         rep.add("distinguished-boundary", bres, tol, ok=True)
 
+    if kind in ("tetra", "penta"):
+        rep.meta["decode"] = "closed"
     if kind == "tetra":
         x1, x2, x3 = point.coords
         entry_bound = max(abs(x1), abs(x2), abs(x3))

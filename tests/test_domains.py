@@ -1,11 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.optimize
 
 from mudilate.domains import (E211, E311, E312, BlockStructure, DomainPoint,
                               DomainError, PoleOnTorusError,
                               certificate_search, gamma5_coords, gamma7_coords,
                               membership, mu_E, on_K0, penta_coords, point_pi,
-                              point_pi_eta, psi3_supnorm, tetra_coords)
+                              point_pi_eta, psi3_supnorm, tetra_coords,
+                              _structure_radius)
+from mudilate.opcore import op_norm, spectral_radius
 
 
 def _quadratic_max_root(tr, det):
@@ -45,6 +50,28 @@ def mu_charpoly_oracle(a, structure, pts=64):
     c1 = (tr * tr - np.trace(m2, axis1=1, axis2=2)) / 2.0
     det = np.linalg.det(m)
     return float(_cubic_max_root(tr, c1, det).max())
+
+
+def mu_polished_reference(a, structure, pts, keep=4):
+    """Independent evaluation: the spectral radius on a dense reduced-torus
+    grid, its `keep` best points polished by Nelder-Mead in the angles."""
+    sfree = structure.s - 1
+    ring = 2 * np.pi * np.arange(pts) / pts
+    ang = np.stack([g.ravel() for g in np.meshgrid(*[ring] * sfree, indexing="ij")], axis=1)
+
+    def radius(th):
+        th = np.atleast_2d(th)
+        z = np.exp(1j * np.concatenate([np.zeros((len(th), 1)), th], axis=1))
+        d = np.repeat(z, structure.r, axis=1)
+        return np.abs(np.linalg.eigvals(a[None] * d[:, None, :])).max(axis=1)
+
+    vals = radius(ang)
+    best = vals.max()
+    for k in np.argsort(-vals)[:keep]:
+        r = scipy.optimize.minimize(lambda t: -radius(t)[0], ang[k], method="Nelder-Mead",
+                                    options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 4000})
+        best = max(best, -r.fun)
+    return best
 
 
 class TestBlockStructure:
@@ -102,6 +129,18 @@ class TestMuE:
             assert got >= want - 1e-6  # the dense grid only lower-bounds
             assert got == pytest.approx(want, abs=2e-2)
 
+    def test_reaches_polished_dense_reference(self):
+        # the zoom runs each seed to a step of tol / (4 ||A||), far below
+        # the 1e-8 relative slack; the reference only lower-bounds mu
+        rng = np.random.default_rng(26)
+        for structure, pts, count in ((E211, 512, 4), (E312, 512, 4), (E311, 96, 4),
+                                      (BlockStructure(4, 4, (1,) * 4), 24, 2)):
+            for _ in range(count):
+                n = structure.n
+                a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                want = mu_polished_reference(a, structure, pts)
+                assert mu_E(a, structure, tol=1e-4) >= want * (1 - 1e-8)
+
     def test_diagonal_entries_lower_bound(self):
         # scaling a single block exposes each diagonal entry as an eigenvalue
         rng = np.random.default_rng(22)
@@ -113,6 +152,39 @@ class TestMuE:
     def test_shape_mismatch(self):
         with pytest.raises(DomainError):
             mu_E(np.zeros((2, 2)), E311)
+
+    def test_many_scalar_blocks_bounded_memory(self):
+        # a full 16-point grid on five free axes would hold 2^20 6x6
+        # matrices (about 600 MB); the grid of at most 1024 points and the
+        # zoom stencil stay near the 1 MB of one eigensolver chunk
+        rng = np.random.default_rng(24)
+        a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        tracemalloc.start()
+        try:
+            got = mu_E(a, BlockStructure(6, 6, (1,) * 6), tol=1e-4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        assert spectral_radius(a) * (1 - 1e-12) <= got <= op_norm(a) * (1 + 1e-12)
+
+    def test_structure_radius_chunks_match_rowwise(self):
+        # 2000 rows of 16x16 matrices are 8 MB in one batch; the chunks
+        # hold 2^16 entries (1 MB) at a time and are stitched in order
+        rng = np.random.default_rng(25)
+        a = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+        structure = BlockStructure(16, 3, (4, 4, 8))
+        zs = np.exp(2j * np.pi * rng.uniform(size=(2000, 3)))
+        tracemalloc.start()
+        try:
+            got = _structure_radius(a, structure, zs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        for k in (0, 255, 256, 1999):
+            d = np.repeat(zs[k], structure.r)
+            assert got[k] == pytest.approx(spectral_radius(a * d[None, :]), rel=1e-12)
 
 
 class TestPsi3:
@@ -219,6 +291,12 @@ class TestMembership:
         assert rep.meta["decode"] == "axis"
         assert rep.verdict == "inside"
 
+    def test_closed_form_kinds_name_their_decode(self):
+        for pt in (DomainPoint("tetra", (0.3, 0.2, 0.06)),
+                   DomainPoint("tetra", (1.4, 0.1, 0.14)),
+                   DomainPoint("penta", (0.2, 0.3, 0.1))):
+            assert membership(pt).meta["decode"] == "closed"
+
     def test_boundary_upgrade_on_distinguished_set(self):
         a, b = np.exp(0.3j), np.exp(-1.1j)
         rep = membership(point_pi(a, b))
@@ -235,6 +313,29 @@ class TestCertificates:
         c = certificate_search(DomainPoint("penta", (0, 2, 1)))
         np.testing.assert_allclose(c.A, np.eye(2), atol=1e-8)
         assert c.constraint_value == pytest.approx(1.0, abs=1e-8)
+
+    def test_closed_forms_are_minimal_over_their_families(self):
+        # every 2x2 realiser is [[x2/2 + u, (c - u^2)/x1], [x1, x2/2 - u]]
+        # (penta) or [[x1, t], [q/t, x2]] (tetra); a dense scan of the free
+        # entry never beats the closed form
+        rng = np.random.default_rng(36)
+        re, im = np.meshgrid(np.linspace(-2, 2, 161), np.linspace(-2, 2, 161))
+        free = (re + 1j * im).ravel()
+        free = free[free != 0]
+        for _ in range(6):
+            m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+            x1, x2, x3 = penta_coords(m)
+            c = x2 * x2 / 4 - x3
+            fam = np.stack([np.stack([x2 / 2 + free, (c - free ** 2) / x1], -1),
+                            np.stack([np.full_like(free, x1), x2 / 2 - free], -1)], 1)
+            got = certificate_search(DomainPoint("penta", (x1, x2, x3)))
+            assert got.constraint_value <= np.linalg.norm(fam, 2, axis=(1, 2)).min() + 1e-12
+            y1, y2, y3 = tetra_coords(m)
+            q = y1 * y2 - y3
+            fam = np.stack([np.stack([np.full_like(free, y1), free], -1),
+                            np.stack([q / free, np.full_like(free, y2)], -1)], 1)
+            got = certificate_search(DomainPoint("tetra", (y1, y2, y3)))
+            assert got.constraint_value <= np.linalg.norm(fam, 2, axis=(1, 2)).min() + 1e-12
 
     def test_gamma5_diagonal(self):
         pt = point_pi_eta(point_pi(0.5, 0.5), 1.0)
