@@ -14,9 +14,9 @@ import sys
 
 import numpy as np
 
-from .opcore import OperatorTuple
+from .opcore import OperatorTuple, op_norm
 from .domains import BlockStructure, DomainPoint, membership, mu_E
-from .fundamentals import PIVOT, FundamentalSet, defect, solve_fundamentals
+from .fundamentals import PIVOT, FundamentalSet, SolveError, _rhs_map, defect, solve_fundamentals
 from .dilate import egervary, pentablock_dilation, schaffer
 from .verify import commutator_profile, is_commuting, isometry_check, \
     necessary_conditions
@@ -113,13 +113,22 @@ def cmd_dilate(args):
     return 0
 
 
-def _fundamentals_for(kind, tup, path=None):
+def _fundamentals_for(kind, tup, path=None, tol=1e-9):
+    """Solve the fundamentals, or load them from ``path`` and check each of
+    the kind's equations D F D = w (T_i - T_j* T_p) on the tuple to ``tol``."""
     if path is None:
         return solve_fundamentals(kind, tup)
-    d = _load_json(path)
+    given = _load_json(path)
+    given = given.get("ops", {}) if isinstance(given, dict) else {}
     dd = defect(tup.ops[PIVOT[kind]])
-    ops = {name: operator_from_dict(m) for name, m in d["ops"].items()}
-    residuals = {name: float(v) for name, v in d.get("residuals", {}).items()}
+    ops, residuals = {}, {}
+    for name, rhs in _rhs_map(kind, tup).items():
+        ops[name] = f = operator_from_dict(given[name]) if name in given else None
+        if f is None or f.shape != (tup.dim, tup.dim):
+            raise SolveError(f"kind {kind} needs {name} as a {tup.dim}x{tup.dim} operator")
+        residuals[name] = res = op_norm(dd.D @ f @ dd.D - rhs)
+        if res > tol:
+            raise SolveError(f"{name} fails its equation: residual {res:.3e} > {tol:.1e}")
     return FundamentalSet(kind, ops, residuals, dd)
 
 
@@ -133,7 +142,7 @@ def cmd_verify(args):
     elif args.check == "isometry":
         rep = isometry_check(args.kind, tup, tol=args.tol)
     elif args.check in ("necessary", "profile"):
-        fset = _fundamentals_for(args.kind, tup, args.fundamentals)
+        fset = _fundamentals_for(args.kind, tup, args.fundamentals, args.tol)
         if args.check == "necessary":
             rep = necessary_conditions(args.kind, tup, fset, tol=args.tol)
         else:

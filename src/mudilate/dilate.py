@@ -15,7 +15,7 @@ import numpy as np
 import scipy.linalg
 
 from . import opcore
-from .opcore import (OperatorTuple, OpcoreError, _mat, _prod,
+from .opcore import (OperatorTuple, OpcoreError, _compact, _mat,
                      commutator_norms, herm_sqrt, op_norm)
 from .fundamentals import (PIVOT, RELATIONS, DefectData, ExpansiveError,
                            FundamentalSet, defect)
@@ -87,9 +87,11 @@ class DilationResult:
         return OperatorTuple(self.kind, self.ops)
 
     def coextension_residuals(self, base_ops, h_window: Window | None = None) -> list:
+        """||(V* E - E T*) Q|| per member; E puts H on the first base_dim coordinates
+        (as ``window`` assumes), so (V* E - E T*)* = V[:base_dim] - [T, 0]."""
         norm = op_norm if h_window is None else h_window.wnorm
-        e = self.embed
-        return [norm(_prod(v.conj().T, e) - _prod(e, _mat(t).conj().T))
+        pad = ((0, 0), (0, self.dim - self.base_dim))
+        return [norm((_compact(v[:self.base_dim]) - _compact(np.pad(_mat(t), pad))).H)
                 for v, t in zip(self.ops, base_ops)]
 
     def window(self, h_window: Window, tail_margin: int = 1) -> Window:

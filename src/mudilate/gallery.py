@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import opcore
-from .opcore import OperatorTuple, _mat, _prod, herm_sqrt, op_norm
+from .opcore import OperatorTuple, _compact, _mat, herm_sqrt, op_norm
 from .spaces import ModelSpace, auto_margin, embed_blocks, hardy_shift, window
 from .domains import (DomainPoint, membership, point_pi, point_pi_eta,
                       psi3_supnorm)
@@ -220,16 +220,16 @@ def _expect_schaffer(rep: CheckReport, case: GalleryCase, tup, fset, w,
     kind, depth, piv = tup.kind, case.params["depth"], PIVOT[tup.kind]
     dil = schaffer(kind, tup, fset, depth)
     kw = dil.window(w, tail_margin=min(2, depth - 1))
-    v = dil.ops
-    rel = max(kw.wnorm(v[i] - _prod(v[j].conj().T, v[piv]))
+    v = [_compact(o) for o in dil.ops]
+    rel = max(kw.wnorm(v[i] - v[j].H @ v[piv])
               for i, j, _, _ in RELATIONS[kind])
     _expect(rep, rel_label, rel, "=0", 1e-9)
-    iso = kw.wnorm(_prod(v[piv].conj().T, v[piv]) - np.eye(v[piv].shape[0]))
+    iso = kw.wnorm(v[piv].H @ v[piv] - _compact(np.eye(dil.dim, dtype=complex)))
     _expect(rep, f"{MEMBERS[kind][piv]} isometric on window", iso, "=0", 1e-9)
     coext = max(dil.coextension_residuals(tup.ops, w))
     _expect(rep, "co-extension of the original tuple", coext, "=0", 1e-9)
     i, j = RELATIONS[kind][0][:2]
-    cviol = kw.wnorm(_prod(v[i], v[j]) - _prod(v[j], v[i]))
+    cviol = kw.wnorm(v[i] @ v[j] - v[j] @ v[i])
     _expect(rep, "dilation members fail to commute (expected)",
             cviol, ">=", 0.9)
 

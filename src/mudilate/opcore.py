@@ -7,15 +7,16 @@ input check (2-D, positive dimensions, finite entries).  Truncation windows
 read the level shift of an operator off its nonzero entries
 (``spaces.auto_margin``).
 
-Support rule: norms and products skip exactly zero rows, columns and inner
-indices (``_support``, ``_prod``).  This is exact: ``_mat`` admits only
-finite entries, so each dropped term is 0 * x = 0, and deleting zero rows
-and columns keeps the nonzero singular values.  The block dilations are
-almost all zeros, so their checks cost about their nonzero content.
+Support rule: residual checks run on compact forms (``_Block``), blocks on
+the nonzero rows x columns read once per operand by ``_support``.  This is
+exact: ``_mat`` admits only finite entries, so each dropped term is 0 * x = 0,
+and deleting zero rows and columns keeps the nonzero singular values.  Checks
+of the mostly-zero dilations so cost about their nonzero content.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,26 +93,71 @@ def _support(m: np.ndarray):
     """Boolean masks (rows, cols) of the nonzero rows and columns of ``m``,
     the one reading of a matrix's support: the submatrix they cut out has
     the nonzero singular values of ``m``."""
-    nz = m != 0
-    return nz.any(axis=1), nz.any(axis=0)
+    return m.any(axis=1), m.any(axis=0)
 
 
-def _prod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` summed only over the inner indices k where column k of ``a``
-    and row k of ``b`` are both nonzero: the dropped terms are 0 * x = 0 for
-    finite operands, so only the summation order changes."""
-    k = _support(a)[1] & _support(b)[0]
-    return a[:, k] @ b[k]
+def _ix(r, c):
+    """np.ix_(r, c) for boolean masks, or a view of the whole block if both are full."""
+    return (slice(None),) * 2 if r.all() and c.all() else np.ix_(r, c)
+
+
+class _Block:
+    """Compact form of an operator: block ``blk`` on rows ``r`` x columns ``c``
+    (boolean masks over the full dimensions), zero elsewhere.  ``@`` sums over
+    the shared nonzero inner indices, ``+``/``-`` use the union frame."""
+
+    __slots__ = ("blk", "r", "c")
+    __array_ufunc__ = None  # a numpy operand must not absorb a form
+
+    def __init__(self, blk, r, c):
+        self.blk, self.r, self.c = blk, r, c
+
+    @property
+    def shape(self):
+        return len(self.r), len(self.c)
+
+    @property
+    def H(self):
+        return _Block(self.blk.conj().T, self.c, self.r)
+
+    def __rmul__(self, w):
+        return _Block(w * self.blk, self.r, self.c)
+
+    def __matmul__(self, other):
+        k = self.c & other.r
+        ka, kb = k[self.c], k[other.r]
+        return _Block((self.blk if ka.all() else self.blk[:, ka])
+                      @ (other.blk if kb.all() else other.blk[kb]), self.r, other.c)
+
+    def __add__(self, other, op=operator.iadd):
+        r, c = self.r | other.r, self.c | other.c
+        out = np.zeros((r.sum(), c.sum()), dtype=complex)
+        out[_ix(self.r[r], self.c[c])] = self.blk
+        ix = _ix(other.r[r], other.c[c])
+        out[ix] = op(out[ix], other.blk)  # in place on a view: no n x n temporary
+        return _Block(out, r, c)
+
+    def __sub__(self, other):
+        return self.__add__(other, operator.isub)
+
+
+def _compact(x) -> _Block:
+    """``x`` (a dense operand or a compact form) cut to its own nonzero rows
+    and columns; a full-support operand is kept uncopied."""
+    if not isinstance(x, _Block):
+        m = _mat(x)
+        r, c = _support(m)
+        return _Block(m[_ix(r, c)], r, c)
+    r, c = _support(x.blk)
+    rows, cols = x.r.copy(), x.c.copy()
+    rows[x.r], cols[x.c] = r, c
+    return _Block(x.blk[_ix(r, c)], rows, cols)
 
 
 def op_norm(a) -> float:
-    """Largest singular value, taken on the nonzero rows and columns
-    (exactly 0.0 for a zero matrix)."""
-    m = _mat(a)
-    r, c = _support(m)
-    if not r.any():
-        return 0.0
-    return float(np.linalg.norm(m[np.ix_(r, c)], 2))
+    """Largest singular value of a dense array or a compact form (0.0 if zero)."""
+    f = _compact(a)
+    return float(np.linalg.norm(f.blk, 2)) if f.blk.size else 0.0
 
 
 def herm_sqrt(h, herm_tol: float = 1e-10, neg_clamp: float = 1e-10) -> np.ndarray:
@@ -227,12 +273,7 @@ def kernel_basis(a, tol: float | None = None) -> np.ndarray:
 
 def commutator_norms(ops, window=None) -> list:
     """Pairwise commutator norms ||[A_i, A_j]|| (optionally right-windowed)."""
-    mats = [_mat(o) for o in ops]
+    fs = [_compact(o) for o in ops]
     norm = op_norm if window is None else window.wnorm
-    out = []
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            a, b = mats[i], mats[j]
-            out.append(((i, j), norm(_prod(a, b) - _prod(b, a))))
-    return out
-
+    return [((i, j), norm(fs[i] @ fs[j] - fs[j] @ fs[i]))
+            for i in range(len(fs)) for j in range(i + 1, len(fs))]

@@ -8,8 +8,9 @@ identity between words of shift operators of total level shift <= margin then
 holds exactly on the window.  ``auto_margin`` measures that shift on the
 operators' nonzero entries.
 
-Windowed norms and compressions read only the nonzero rows r and columns c
-of their argument (``opcore._support``): ||A Q|| = ||A[r, c] Q[c]|| and
+Windowed norms and compressions take a dense array or a compact form and
+read only its block on its own nonzero rows r and columns c
+(``opcore._compact``): ||A Q|| = ||A[r, c] Q[c]|| and
 Q* A Q = Q[r]* A[r, c] Q[c], exactly, since the dropped entries are zeros.
 """
 
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .opcore import OpcoreError, _mat, _support
+from .opcore import OpcoreError, _compact, _mat
 
 
 @dataclass(frozen=True)
@@ -87,11 +88,9 @@ class Window:
     def wnorm(self, a) -> float:
         """||A Q||: operator norm seen through the safe inputs, taken on the
         nonzero rows and columns of A (exactly 0.0 for a zero matrix)."""
-        m = _mat(a)
-        r, c = _support(m)
-        if not r.any():
-            return 0.0
-        return float(np.linalg.norm(m[np.ix_(r, c)] @ self.basis[c], 2))
+        f = _compact(a)
+        q = self.basis if f.c.all() else self.basis[f.c]
+        return float(np.linalg.norm(f.blk @ q, 2)) if f.blk.size else 0.0
 
     def equal(self, a, b) -> float:
         """Residual ||(A - B) Q||."""
@@ -99,10 +98,8 @@ class Window:
 
     def compress(self, a) -> np.ndarray:
         """The k x k compression Q* A Q, on the nonzero rows and columns of A."""
-        m = _mat(a)
-        r, c = _support(m)
-        q = self.basis
-        return q[r].conj().T @ m[np.ix_(r, c)] @ q[c]
+        f = _compact(a)
+        return self.basis[f.r].conj().T @ f.blk @ self.basis[f.c]
 
     def psd_min_eig(self, h) -> float:
         """Smallest eigenvalue of the Hermitian part of the compression of H."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .opcore import (OperatorTuple, OpcoreError, _mat, _prod,
+from .opcore import (OperatorTuple, OpcoreError, _compact, _mat,
                      commutator_norms, kernel_basis, op_norm, spectral_radius)
 from .fundamentals import MEMBERS, PIVOT, RELATIONS, FundamentalSet
 from .report import CheckReport
@@ -20,7 +20,7 @@ from .spaces import Window
 
 
 def is_commuting(t, tol: float = 1e-9, window: Window | None = None) -> CheckReport:
-    ops = list(t.ops) if isinstance(t, OperatorTuple) else [_mat(o) for o in t]
+    ops = list(t.ops) if isinstance(t, OperatorTuple) else [_compact(o) for o in t]
     dim = ops[0].shape[0]
     if any(o.shape != (dim, dim) for o in ops):
         raise OpcoreError("commutation check needs square operators on one space")
@@ -43,19 +43,17 @@ def isometry_check(kind: str, t, tol: float = 1e-9,
     rep = CheckReport(name=f"isometry-{kind}",
                       window_margin=None if window is None else window.margin)
     norm = op_norm if window is None else window.wnorm
-    comp = _mat if window is None else window.compress
 
     def isometry_residual(v):
-        m = _mat(v)
-        return norm(_prod(m.conj().T, m) - np.eye(m.shape[0]))
+        return norm(v.H @ v - _compact(np.eye(v.shape[0], dtype=complex)))
 
     if kind == "isometry":
-        rep.add("V*V=I", isometry_residual(t), tol)
+        rep.add("V*V=I", isometry_residual(_compact(t)), tol)
         return rep
     if kind == "partial":
-        m = _mat(t)
+        m = _compact(t)
         rep.add("norm<=1", max(0.0, op_norm(m) - 1.0), 1e-8)
-        rep.add("TT*T=T", norm(m @ m.conj().T @ m - m), tol)
+        rep.add("TT*T=T", norm(m @ m.H @ m - m), tol)
         return rep
 
     if not isinstance(t, OperatorTuple):
@@ -64,23 +62,24 @@ def isometry_check(kind: str, t, tol: float = 1e-9,
         raise OpcoreError(f"tuple kind {t.kind!r} does not match {kind!r}")
     if kind not in MEMBERS:
         raise OpcoreError(f"unknown isometry kind {kind!r}")
-    ops = t.ops
-    comm = is_commuting(t, tol, window)
+    ops = [_compact(o) for o in t.ops]
+    comp = (lambda i: t.ops[i]) if window is None else (lambda i: window.compress(ops[i]))
+    comm = is_commuting(ops, tol, window)
     rep.add("commuting", comm.worst(), tol)
 
     names, p = MEMBERS[kind], PIVOT[kind]
     for i, j, _, _ in RELATIONS[kind]:
         rep.add(f"{names[i]}={names[j]}*{names[p]}",
-                norm(ops[i] - _prod(ops[j].conj().T, ops[p])), tol)
+                norm(ops[i] - ops[j].H @ ops[p]), tol)
         if kind == "gamma7":
-            rw = spectral_radius(comp(ops[i]))
+            rw = spectral_radius(comp(i))
             rep.add(f"r({names[i]})<=1", max(0.0, rw - 1.0), tol)
     rep.add(f"{names[p]} isometry", isometry_residual(ops[p]), tol)
     if kind == "penta":
         r1, r2, _ = ops
-        rw = spectral_radius(comp(r2))
+        rw = spectral_radius(comp(1))
         rep.add("r(R2)<=2", max(0.0, rw - 2.0), tol)
-        gram = r1.conj().T @ r1 + 0.25 * r2.conj().T @ r2 - np.eye(r1.shape[0])
+        gram = r1.H @ r1 + 0.25 * r2.H @ r2 - _compact(np.eye(t.dim, dtype=complex))
         rep.add("R1*R1+R2*R2/4=I", norm(gram), tol)
     return rep
 
@@ -128,50 +127,42 @@ def necessary_conditions(kind: str, t: OperatorTuple, fset: FundamentalSet,
     if kb.shape[1] == 0:
         rep.notes.append("defect kernel is trivial on the window; conditions hold vacuously")
 
-    def on_kernel(expr):
-        if kb.shape[1] == 0:
-            return 0.0
-        return float(np.linalg.norm(expr @ kb, 2))
+    def on_kernel(e):
+        return float(np.linalg.norm(e.blk @ kb[e.c], 2)) if e.blk.size and kb.size else 0.0
 
-    d = dd.D
+    d = _compact(dd.D)
     if kind == "gamma7":
         if t.kind != "gamma7" or fset.kind != "gamma7":
             raise OpcoreError("gamma7 conditions need gamma7 tuple and fundamentals")
-        ts = t.ops
-        fs = [fset[f"F{i+1}"] for i in range(6)]
+        ts = [_compact(o) for o in t.ops]
+        fs = [_compact(fset[f"F{i+1}"]).H for i in range(6)]
         for i in range(6):
-            e2 = fs[i].conj().T @ d @ ts[i] - fs[5 - i].conj().T @ d @ ts[5 - i]
+            e2 = fs[i] @ d @ ts[i] - fs[5 - i] @ d @ ts[5 - i]
             rep.add(f"(F{i+1}*D T{i+1} - F{6-i}*D T{6-i})|ker", on_kernel(e2), tol)
         for i in range(6):
-            anti = fs[i].conj().T @ fs[5 - i].conj().T - fs[5 - i].conj().T @ fs[i].conj().T
+            anti = fs[i] @ fs[5 - i] - fs[5 - i] @ fs[i]
             rep.add(f"[F{i+1}*,F{6-i}*]D T7|ker", on_kernel(anti @ d @ ts[6]), tol)
     elif kind == "gamma5":
         if t.kind != "gamma5" or fset.kind != "gamma5":
             raise OpcoreError("gamma5 conditions need gamma5 tuple and fundamentals")
-        s1, s2, s3, s1t, s2t = t.ops
-        g1, g2, g1t, g2t = (fset[n] for n in ("G1", "G2", "G1t", "G2t"))
-        h = lambda m: m.conj().T
-        conds = [
-            ("(2)", h(g2t) @ d @ s2t - h(g1) @ d @ s1),
-            ("(2')", (h(g2t) @ h(g1) - h(g1) @ h(g2t)) @ d @ s3),
-            ("(3)", h(g2) @ d @ s2 - h(g1t) @ d @ s1t),
-            ("(3')", (h(g2) @ h(g1t) - h(g1t) @ h(g2)) @ d @ s3),
-            ("(4)", h(g2t) @ d @ s2 - 2.0 * h(g1t) @ d @ s1),
-            ("(4')", (h(g2t) @ h(g1t) - h(g1t) @ h(g2t)) @ d @ s3),
-            ("(5)", 2.0 * h(g2) @ d @ s2t - h(g1) @ d @ s1t),
-            ("(5')", (h(g2) @ h(g1) - h(g1) @ h(g2)) @ d @ s3),
-            ("(6)", h(g2t) @ d @ s1t - 2.0 * h(g2) @ d @ s1),
-            ("(6')", (h(g2t) @ h(g2) - h(g2) @ h(g2t)) @ d @ s3),
-            ("(7)", 2.0 * h(g1t) @ d @ s2t - h(g1) @ d @ s2),
-            ("(7')", (h(g1t) @ h(g1) - h(g1) @ h(g1t)) @ d @ s3),
+        s1, s2, s3, s1t, s2t = (_compact(o) for o in t.ops)
+        g1, g2, g1t, g2t = (_compact(fset[n]).H for n in ("G1", "G2", "G1t", "G2t"))
+        conds = [  # (k, A*, B*, condition (k)); condition (k') is [A*, B*] D S3
+            ("2", g2t, g1, g2t @ d @ s2t - g1 @ d @ s1),
+            ("3", g2, g1t, g2 @ d @ s2 - g1t @ d @ s1t),
+            ("4", g2t, g1t, g2t @ d @ s2 - 2.0 * g1t @ d @ s1),
+            ("5", g2, g1, 2.0 * g2 @ d @ s2t - g1 @ d @ s1t),
+            ("6", g2t, g2, g2t @ d @ s1t - 2.0 * g2 @ d @ s1),
+            ("7", g1t, g1, 2.0 * g1t @ d @ s2t - g1 @ d @ s2),
         ]
-        for label, expr in conds:
-            rep.add(label, on_kernel(expr), tol)
+        for k, a, b, expr in conds:
+            rep.add(f"({k})", on_kernel(expr), tol)
+            rep.add(f"({k}')", on_kernel((a @ b - b @ a) @ d @ s3), tol)
     elif kind == "penta":
         if t.kind != "penta" or fset.kind != "penta":
             raise OpcoreError("penta conditions need a penta triple and its fundamentals")
-        _, p2, p3 = t.ops
-        x = fset["X"]
+        _, p2, p3 = (_compact(o) for o in t.ops)
+        x = _compact(fset["X"])
         rep.add("(X D P3 - D P2)|ker", on_kernel(x @ d @ p3 - d @ p2), tol)
     else:
         raise OpcoreError(f"unknown kind {kind!r}")

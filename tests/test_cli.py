@@ -200,6 +200,56 @@ class TestSubcommands:
         assert code == 0
         assert json.loads(out)["verdict"] == "pass"
 
+    @staticmethod
+    def _verify_with_file(files, capsys, tmp_path, ops, check):
+        """Run verify on the exam1 tuple with a fundamentals file holding
+        ``ops`` and claiming zero residuals; return (code, stderr)."""
+        path = tmp_path / "fset.json"
+        path.write_text(json.dumps({
+            "kind": "gamma7",
+            "ops": {k: operator_to_dict(v) for k, v in ops.items()},
+            "residuals": {k: 0.0 for k in ops}}))
+        code = main(["verify", "--kind", "gamma7", "--check", check,
+                     "--tuple", files["tuple7"], "--fundamentals", str(path)])
+        return code, capsys.readouterr()
+
+    @pytest.mark.parametrize("check", ["necessary", "profile"])
+    def test_fundamentals_file_missing_names_refused(self, files, capsys,
+                                                     tmp_path, check):
+        ops = {f"X{i}": np.zeros((24, 24)) for i in range(1, 7)}
+        code, cap = self._verify_with_file(files, capsys, tmp_path, ops, check)
+        assert code == 1 and cap.out == ""
+        assert "needs F1 as a 24x24 operator" in cap.err
+
+    @pytest.mark.parametrize("payload", ["[1, 2]", '{"kind": "gamma7"}'])
+    def test_fundamentals_file_without_ops_refused(self, files, capsys, tmp_path,
+                                                   payload):
+        path = tmp_path / "fset.json"
+        path.write_text(payload)
+        code = main(["verify", "--kind", "gamma7", "--check", "necessary",
+                     "--tuple", files["tuple7"], "--fundamentals", str(path)])
+        cap = capsys.readouterr()
+        assert code == 1 and cap.out == ""
+        assert "needs F1 as a 24x24 operator" in cap.err
+
+    @pytest.mark.parametrize("check", ["necessary", "profile"])
+    def test_fundamentals_file_wrong_dimension_refused(self, files, capsys,
+                                                       tmp_path, check):
+        ops = {f"F{i}": np.zeros((3, 3)) for i in range(1, 7)}
+        code, cap = self._verify_with_file(files, capsys, tmp_path, ops, check)
+        assert code == 1 and cap.out == ""
+        assert "needs F1 as a 24x24 operator" in cap.err
+
+    @pytest.mark.parametrize("check", ["necessary", "profile"])
+    def test_fundamentals_file_unsolved_equation_refused(self, files, capsys,
+                                                         tmp_path, check):
+        # zero operators of the right size claim zero residuals, but exam1's
+        # F1 is nonzero, so its equation is recomputed and fails
+        ops = {f"F{i}": np.zeros((24, 24)) for i in range(1, 7)}
+        code, cap = self._verify_with_file(files, capsys, tmp_path, ops, check)
+        assert code == 1 and cap.out == ""
+        assert "F1 fails its equation: residual" in cap.err
+
     def test_verify_rejects_single_operator_kinds(self, files, capsys):
         # isometry_check's "isometry" and "partial" kinds take one operator,
         # not a tuple file, so the verify subcommand does not offer them

@@ -6,9 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from mudilate.opcore import (OperatorTuple, OpcoreError,
                              NegativeEigenvalueError, NotHermitianError,
-                             _prod, commutator_norms, herm_sqrt, kernel_basis,
-                             numerical_radius, op_norm, spectral_radius)
+                             _compact, commutator_norms, herm_sqrt,
+                             kernel_basis, numerical_radius, op_norm,
+                             spectral_radius)
 from mudilate.report import operator_from_dict
+from mudilate.spaces import Window
 
 from conftest import random_contraction, random_supported
 
@@ -221,44 +223,130 @@ class TestInequalityChain:
             assert w <= nn + 1e-8
 
 
+def _dense(f):
+    """The full array a compact form stands for."""
+    out = np.zeros(f.shape, dtype=complex)
+    out[np.ix_(f.r, f.c)] = f.blk
+    return out
+
+
 class TestSupportKernels:
-    """Norms and products read only the nonzero rows, columns and inner
-    indices of their operands; against dense references computed here they
-    agree to 1e-12 relative to the operands' norms, and they are exactly
-    zero where the dense result is."""
+    """Norms and the compact-form algebra read only the nonzero rows,
+    columns and inner indices of their operands; against dense references
+    computed here they agree to 1e-12 relative to the operands' norms, and
+    they are exactly zero where the dense result is."""
 
     @pytest.mark.parametrize("shape", [(1, 1), (1, 5), (4, 1), (6, 6)])
     def test_zero_matrix_has_zero_norm(self, shape):
         got = op_norm(np.zeros(shape))
         assert got == 0.0 and isinstance(got, float)
+        got = op_norm(_compact(np.zeros(shape)))
+        assert got == 0.0 and isinstance(got, float)
 
     def test_one_by_one(self):
         assert op_norm([[3.0 - 4.0j]]) == 5.0
-        assert _prod(np.array([[2.0j]]), np.array([[0.5]]))[0, 0] == 1.0j
-        assert not _prod(np.zeros((1, 1)), np.array([[7.0]])).any()
+        prod = _compact([[2.0j]]) @ _compact([[0.5]])
+        assert _dense(prod)[0, 0] == 1.0j
+        assert not _dense(_compact(np.zeros((1, 1))) @ _compact([[7.0]])).any()
+        assert _dense(_compact([[2.0j]]).H)[0, 0] == -2.0j
+
+    def test_compact_form_is_the_support_block(self):
+        m = np.zeros((4, 5), dtype=complex)
+        m[1, 3], m[3, 0] = 2.0, 1.0j
+        f = _compact(m)
+        assert f.shape == (4, 5) and f.blk.shape == (2, 2)
+        assert f.r.tolist() == [False, True, False, True]
+        assert f.c.tolist() == [True, False, False, True, False]
+        assert np.array_equal(_dense(f), m)
+
+    def test_full_support_operand_is_not_copied(self):
+        m = np.eye(5, dtype=complex)
+        f = _compact(m)
+        assert np.shares_memory(f.blk, m) and np.shares_memory(_compact(f).blk, m)
+
+    def test_numpy_operands_do_not_absorb_a_form(self):
+        with pytest.raises(TypeError):
+            np.eye(2) @ _compact(np.eye(2))
 
     @SETTINGS
     @given(_dims, _dims, _seeds)
     def test_op_norm_matches_dense(self, rows, cols, seed):
         m = random_supported(np.random.default_rng(seed), rows, cols)
         ref = np.linalg.norm(m, 2)
-        got = op_norm(m)
-        assert abs(got - ref) <= 1e-12 * ref
-        if ref == 0.0:
-            assert got == 0.0
+        for got in (op_norm(m), op_norm(_compact(m))):
+            assert abs(got - ref) <= 1e-12 * ref
+            if ref == 0.0:
+                assert got == 0.0
 
     @SETTINGS
-    @given(_dims, _dims, _dims, _seeds)
-    def test_prod_matches_dense(self, rows, inner, cols, seed):
+    @given(_dims, _dims, _dims, st.booleans(), st.booleans(), _seeds)
+    def test_prod_matches_dense(self, rows, inner, cols, adj_a, adj_b, seed):
+        """Products of compact forms, with either factor an adjoint, match
+        the dense product and are exactly zero where it is."""
         rng = np.random.default_rng(seed)
-        a = random_supported(rng, rows, inner)
-        b = random_supported(rng, inner, cols)
+        a = random_supported(rng, *((inner, rows) if adj_a else (rows, inner)))
+        b = random_supported(rng, *((cols, inner) if adj_b else (inner, cols)))
+        fa, fb = _compact(a), _compact(b)
+        if adj_a:
+            a, fa = a.conj().T, fa.H
+        if adj_b:
+            b, fb = b.conj().T, fb.H
         ref = a @ b
-        got = _prod(a, b)
+        got = _dense(fa @ fb)
         assert got.shape == ref.shape
         scale = np.linalg.norm(a, 2) * np.linalg.norm(b, 2)
         assert np.abs(got - ref).max() <= 1e-12 * scale
         assert not got[ref == 0].any()
+
+    @SETTINGS
+    @given(_dims, _dims, _seeds)
+    def test_sum_and_difference_on_union_frame(self, rows, cols, seed):
+        """Sums, differences and scalar multiples are entrywise exact and
+        live on the union of the operands' frames."""
+        rng = np.random.default_rng(seed)
+        a, b = random_supported(rng, rows, cols), random_supported(rng, rows, cols)
+        fa, fb = _compact(a), _compact(b)
+        for got, ref in ((fa - fb, a - b), (fa + fb, a + b),
+                         (fa - 2.0 * fb, a - 2.0 * b)):
+            assert np.array_equal(_dense(got), ref)
+            assert np.array_equal(got.r, fa.r | fb.r)
+            assert np.array_equal(got.c, fa.c | fb.c)
+
+    @SETTINGS
+    @given(st.integers(1, 8), _seeds)
+    def test_norms_of_compact_forms(self, n, seed):
+        """op_norm and Window.wnorm of a compact residual match the dense
+        norms, on a random window and a coordinate one."""
+        rng = np.random.default_rng(seed)
+        a, b = random_supported(rng, n, n), random_supported(rng, n, n)
+        f = _compact(a) @ _compact(b).H - _compact(b)
+        ref = a @ b.conj().T - b
+        scale = max(1.0, np.linalg.norm(a, 2)) * max(1.0, np.linalg.norm(b, 2))
+        assert abs(op_norm(f) - np.linalg.norm(ref, 2)) <= 1e-12 * scale
+        k = int(rng.integers(1, n + 1))
+        q, _ = np.linalg.qr(rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k)))
+        for w in (Window(0, q), Window(0, np.eye(n)[:, :k])):
+            assert abs(w.wnorm(f) - np.linalg.norm(ref @ w.basis, 2)) <= 1e-12 * scale
+            assert np.abs(w.compress(f) - w.basis.conj().T @ ref @ w.basis).max() \
+                <= 1e-12 * scale
+
+    @SETTINGS
+    @given(st.integers(1, 8), _seeds)
+    def test_cancelling_residuals_are_exactly_zero(self, n, seed):
+        """Residuals that cancel entrywise, on a sparse or a full-support
+        frame, have norm exactly 0.0 through both norms."""
+        rng = np.random.default_rng(seed)
+        a = _compact(random_supported(rng, n, n))
+        eye = _compact(np.eye(n, dtype=complex))
+        # b lives on the coordinates a leaves out, so ab = ba = 0
+        b = random_supported(rng, n, n)
+        b[a.r | a.c] = 0.0
+        b[:, a.r | a.c] = 0.0
+        b = _compact(b)
+        w = Window(0, np.eye(n))
+        for res in (a @ a - a @ a, a @ eye - eye @ a, a @ b - b @ a,
+                    eye.H @ eye - eye, a - a):
+            assert op_norm(res) == 0.0 and w.wnorm(res) == 0.0
 
     @SETTINGS
     @given(_dims, st.integers(2, 4), _seeds)

@@ -214,3 +214,134 @@ class TestDilationImpliesChecks:
 def _full(dim):
     from mudilate.spaces import Window
     return Window(0, np.eye(dim))
+
+
+class TestCompactChecksMatchDense:
+    """Every item of isometry_check, necessary_conditions and the
+    co-extension residuals on the gallery exam3 and exam5 models (trunc 8)
+    equals the same formula evaluated here with plain dense numpy, to
+    1e-14: a frame-index slip in the compact-form algebra would give a
+    wrong but possibly still small, still passing residual."""
+
+    TOL = 1e-14
+
+    @staticmethod
+    def _wn(a, q):
+        return float(np.linalg.norm(a @ q, 2))
+
+    @staticmethod
+    def _radius(a, q):
+        return float(np.abs(np.linalg.eigvals(q.conj().T @ a @ q)).max())
+
+    def _assert_items(self, rep, ref):
+        got = {i.label: i.residual for i in rep.items}
+        assert set(got) == set(ref)
+        for label, value in ref.items():
+            assert abs(got[label] - value) <= self.TOL, label
+
+    def _commuting(self, ops, q):
+        return max(self._wn(a @ b - b @ a, q)
+                   for i, a in enumerate(ops) for b in ops[i + 1:])
+
+    @staticmethod
+    def _exam(case_id, perturb=False):
+        """The gallery case's tuple, fundamentals, window, dilation and
+        dilation window.  Perturbed, every operator (D too) gains n seeded
+        random entries of size about 0.1 at random places: the items then
+        read O(0.1), not 0, and the operands' frames overlap in new ways."""
+        from dataclasses import replace
+        from mudilate.dilate import pentablock_dilation
+        from mudilate.gallery import build_exam3, build_exam5
+        from mudilate.spaces import auto_margin
+        if case_id == "exam3":
+            space, tup, _ = build_exam3(0.5, 8)
+        else:
+            space, tup, _ = build_exam5(0.5, 8)
+        w = window(space, auto_margin(space, tup.ops))
+        fset = solve_fundamentals(tup.kind, tup, window=w)
+        if case_id == "exam3":
+            dil = build_exam3_dilation(0.5, 8, 4)
+            kw = dil.window(w, tail_margin=3)
+        else:
+            dil = pentablock_dilation(tup, fset, 4)
+            kw = dil.window(w, tail_margin=2)
+        if perturb:
+            rng = np.random.default_rng(5)
+
+            def pert(ops):
+                out = []
+                for o in ops:
+                    o, n = o.copy(), o.shape[0]
+                    o[rng.integers(n, size=n), rng.integers(n, size=n)] += \
+                        0.1 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+                    out.append(o)
+                return tuple(out)
+            tup = OperatorTuple(tup.kind, pert(tup.ops))
+            fset = replace(fset, ops=dict(zip(fset.ops, pert(fset.ops.values()))),
+                           defect=replace(fset.defect, D=pert([fset.defect.D])[0]))
+            dil = replace(dil, ops=pert(dil.ops))
+        return tup, fset, w, dil, kw
+
+    @pytest.mark.parametrize("perturb", [False, True])
+    @pytest.mark.parametrize("case_id", ["exam3", "exam5"])
+    def test_coextension_residuals(self, case_id, perturb):
+        tup, _, w, dil, _ = self._exam(case_id, perturb)
+        e, q = dil.embed, w.basis
+        ref = [self._wn(v.conj().T @ e - e @ t.conj().T, q)
+               for v, t in zip(dil.ops, tup.ops)]
+        got = dil.coextension_residuals(tup.ops, w)
+        assert len(got) == len(ref)
+        assert max(abs(g - r) for g, r in zip(got, ref)) <= self.TOL
+
+    @pytest.mark.parametrize("perturb", [False, True])
+    def test_exam3_isometry_check(self, perturb):
+        _, _, _, dil, kw = self._exam("exam3", perturb)
+        v, q = dil.ops, kw.basis
+        ref = {"commuting": self._commuting(v, q)}
+        for i in range(6):
+            j = 5 - i
+            ref[f"V{i+1}=V{j+1}*V7"] = self._wn(v[i] - v[j].conj().T @ v[6], q)
+            ref[f"r(V{i+1})<=1"] = max(0.0, self._radius(v[i], q) - 1.0)
+        ref["V7 isometry"] = self._wn(v[6].conj().T @ v[6] - np.eye(dil.dim), q)
+        self._assert_items(isometry_check("gamma7", dil.tuple(), window=kw), ref)
+
+    @pytest.mark.parametrize("perturb", [False, True])
+    def test_exam5_isometry_check(self, perturb):
+        _, _, _, dil, kw = self._exam("exam5", perturb)
+        (r1, r2, r3), q = dil.ops, kw.basis
+        eye = np.eye(dil.dim)
+        ref = {
+            "commuting": self._commuting(dil.ops, q),
+            "R2=R2*R3": self._wn(r2 - r2.conj().T @ r3, q),
+            "R3 isometry": self._wn(r3.conj().T @ r3 - eye, q),
+            "r(R2)<=2": max(0.0, self._radius(r2, q) - 2.0),
+            "R1*R1+R2*R2/4=I": self._wn(
+                r1.conj().T @ r1 + 0.25 * r2.conj().T @ r2 - eye, q),
+        }
+        self._assert_items(isometry_check("penta", dil.tuple(), window=kw), ref)
+
+    @pytest.mark.parametrize("perturb", [False, True])
+    def test_exam3_necessary_conditions(self, perturb):
+        from mudilate.verify import _windowed_kernel
+        tup, fset, w, _, _ = self._exam("exam3", perturb)
+        t, d = tup.ops, fset.defect.D
+        f = [fset[f"F{i+1}"].conj().T for i in range(6)]
+        kb = _windowed_kernel(fset.defect, w)
+        ref = {}
+        for i in range(6):
+            j = 5 - i
+            ref[f"(F{i+1}*D T{i+1} - F{j+1}*D T{j+1})|ker"] = self._wn(
+                f[i] @ d @ t[i] - f[j] @ d @ t[j], kb)
+            ref[f"[F{i+1}*,F{j+1}*]D T7|ker"] = self._wn(
+                (f[i] @ f[j] - f[j] @ f[i]) @ d @ t[6], kb)
+        self._assert_items(necessary_conditions("gamma7", tup, fset, window=w), ref)
+
+    @pytest.mark.parametrize("perturb", [False, True])
+    def test_exam5_necessary_conditions(self, perturb):
+        from mudilate.verify import _windowed_kernel
+        tup, fset, w, _, _ = self._exam("exam5", perturb)
+        _, p2, p3 = tup.ops
+        d, x = fset.defect.D, fset["X"]
+        kb = _windowed_kernel(fset.defect, w)
+        ref = {"(X D P3 - D P2)|ker": self._wn(x @ d @ p3 - d @ p2, kb)}
+        self._assert_items(necessary_conditions("penta", tup, fset, window=w), ref)
