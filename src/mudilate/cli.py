@@ -14,9 +14,10 @@ import sys
 
 import numpy as np
 
-from .opcore import OperatorTuple, op_norm
+from .opcore import OperatorTuple
 from .domains import BlockStructure, DomainPoint, membership, mu_E
-from .fundamentals import PIVOT, FundamentalSet, SolveError, _rhs_map, defect, solve_fundamentals
+from .fundamentals import (PIVOT, FundamentalSet, SolveError, _rhs_map, defect,
+                           equation_residuals, solve_fundamentals)
 from .dilate import egervary, pentablock_dilation, schaffer
 from .verify import commutator_profile, is_commuting, isometry_check, \
     necessary_conditions
@@ -121,15 +122,13 @@ def _fundamentals_for(kind, tup, path=None, tol=1e-9):
     given = _load_json(path)
     given = given.get("ops", {}) if isinstance(given, dict) else {}
     dd = defect(tup.ops[PIVOT[kind]])
-    ops, residuals = {}, {}
-    for name, rhs in _rhs_map(kind, tup).items():
+    rhs = _rhs_map(kind, tup)
+    ops = {}
+    for name in rhs:
         ops[name] = f = operator_from_dict(given[name]) if name in given else None
         if f is None or f.shape != (tup.dim, tup.dim):
             raise SolveError(f"kind {kind} needs {name} as a {tup.dim}x{tup.dim} operator")
-        residuals[name] = res = op_norm(dd.D @ f @ dd.D - rhs)
-        if res > tol:
-            raise SolveError(f"{name} fails its equation: residual {res:.3e} > {tol:.1e}")
-    return FundamentalSet(kind, ops, residuals, dd)
+    return FundamentalSet(kind, ops, equation_residuals(rhs, dd, ops, tol), dd)
 
 
 def cmd_verify(args):

@@ -67,14 +67,15 @@ def egervary(t, n: int) -> np.ndarray:
 class DilationResult:
     """An isometric-dilation tuple on H + depth copies of the defect space.
 
-    ``embed`` is the isometric inclusion of the original space; member
-    adjoints restricted through it reproduce the original adjoints (the
-    co-extension property), which callers verify through ``window``.
+    H sits on the first ``base_dim`` coordinates, so the inclusion of H is
+    the identity on them.  Member adjoints restricted to H reproduce the
+    original adjoints (the co-extension property, ``coextension_residuals``),
+    and ``window`` gives the part of the dilation space where the
+    infinite-model identities hold exactly.
     """
 
     kind: str
     ops: tuple
-    embed: np.ndarray
     depth: int
     defect: DefectData
     base_dim: int
@@ -99,24 +100,15 @@ class DilationResult:
         copies that sit at least ``tail_margin`` below the truncation cut.
 
         On each kept copy the window is the part of the defect space inside
-        the base window, in defect coordinates: the eigenvalue-1
-        eigenvectors of q* P q = (Q* q)* (Q* q).
+        the base window, in defect coordinates (``DefectData.window_range``).
         """
         if self.defect.rank == 0:
             return h_window
-        c = h_window.basis.conj().T @ self.defect.range_basis
-        w, v = np.linalg.eigh(c.conj().T @ c)
-        keepv = v[:, w > 1.0 - 1e-9]
+        keepv = self.defect.window_range(h_window)
         keep_copies = max(0, self.depth - tail_margin)
         basis = scipy.linalg.block_diag(h_window.basis, *[keepv] * keep_copies)
         return Window(h_window.margin,
                       np.pad(basis, ((0, self.dim - basis.shape[0]), (0, 0))))
-
-
-def _embed_matrix(base_dim, depth, rank):
-    e = np.zeros((base_dim + depth * rank, base_dim), dtype=complex)
-    e[:base_dim, :base_dim] = np.eye(base_dim)
-    return e
 
 
 def _tail_tuple(base, first_col, diag, sub, depth, rank, zero_row=0):
@@ -162,8 +154,7 @@ def schaffer(kind: str, tup: OperatorTuple, fset: FundamentalSet,
     dd = fset.defect
     base_dim = tup.dim
     if dd.rank == 0:
-        return DilationResult(kind, tup.ops, np.eye(base_dim, dtype=complex),
-                              depth, dd, base_dim)
+        return DilationResult(kind, tup.ops, depth, dd, base_dim)
     _check_dim(base_dim + depth * dd.rank)
     q = dd.range_basis
     drow = q.conj().T @ dd.D
@@ -178,8 +169,7 @@ def schaffer(kind: str, tup: OperatorTuple, fset: FundamentalSet,
         j, f = sym[k]
         gh = sym[j][1].conj().T
         ops.append(_tail_tuple(base, [gh @ drow], f, gh, depth, r))
-    return DilationResult(kind, tuple(ops), _embed_matrix(base_dim, depth, r),
-                          depth, dd, base_dim)
+    return DilationResult(kind, tuple(ops), depth, dd, base_dim)
 
 
 def pentablock_dilation(tup: OperatorTuple, x, depth: int) -> DilationResult:
@@ -204,8 +194,7 @@ def pentablock_dilation(tup: OperatorTuple, x, depth: int) -> DilationResult:
         xc = dd.compress(xm) if xm.shape[0] == base_dim else xm
     r = dd.rank
     if r == 0:
-        return DilationResult("penta", tup.ops, np.eye(base_dim, dtype=complex),
-                              depth, dd, base_dim)
+        return DilationResult("penta", tup.ops, depth, dd, base_dim)
     if xc.shape != (r, r):
         raise DilateError(f"fundamental operator must act on the {r}-dim defect space")
     _check_dim(base_dim + depth * r)
@@ -218,8 +207,7 @@ def pentablock_dilation(tup: OperatorTuple, x, depth: int) -> DilationResult:
     r1 = _tail_tuple(p1, [], ell, None, depth, r)
     r2 = _tail_tuple(p2, [xc.conj().T @ drow], xc, xc.conj().T, depth, r)
     r3 = _tail_tuple(p3, [drow], None, np.eye(r), depth, r)
-    return DilationResult("penta", (r1, r2, r3),
-                          _embed_matrix(base_dim, depth, r), depth, dd, base_dim)
+    return DilationResult("penta", (r1, r2, r3), depth, dd, base_dim)
 
 
 def pushforward(kind: str, *args, tol: float = 1e-9, window: Window | None = None):

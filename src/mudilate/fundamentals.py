@@ -34,16 +34,21 @@ class ExpansiveError(OpcoreError):
 class DefectData:
     """Defect operator of a contraction with its range data.
 
-    D = (I - T*T)^(1/2); rank counts eigenvalues above the cutoff
-    1e-8 * ||D||; is_projection records whether D^2 = D to 1e-9, the partial
-    isometry signature.
+    D = (I - T*T)^(1/2); ``range_basis`` holds the eigenvectors of D whose
+    eigenvalues ``dvals`` exceed the cutoff 1e-8 (rank counts them).  Every
+    dropped eigenvalue is exactly 0: ``defect`` zeroes Gram eigenvalues below
+    64 eps, and the square root of any other is above 1e-7.
     """
 
     D: np.ndarray
     range_basis: np.ndarray
     rank: int
-    is_projection: bool
     dvals: np.ndarray
+
+    @property
+    def is_projection(self) -> bool:
+        """D^2 = D to 1e-9 (partial isometry): max |d^2 - d| over ``dvals``."""
+        return bool(np.abs(self.dvals ** 2 - self.dvals).max(initial=0.0) <= 1e-9)
 
     def pinv(self) -> np.ndarray:
         if self.rank == 0:
@@ -56,11 +61,19 @@ class DefectData:
         q = self.range_basis
         return q.conj().T @ _mat(op) @ q
 
+    def window_range(self, window: Window) -> np.ndarray:
+        """Orthonormal basis, in defect coordinates, of the part of the
+        defect range inside the window: the eigenvalue-1 eigenvectors of
+        c* c with c = Q* q (Q the window basis, q the range basis)."""
+        c = window.basis.conj().T @ self.range_basis
+        w, v = np.linalg.eigh(c.conj().T @ c)
+        return v[:, w > 1.0 - 1e-9]
 
-def defect(t, norm_tol: float = 1e-8, rank_tol: float | None = None) -> DefectData:
+
+def defect(t) -> DefectData:
     m = _square(t, "defect operator")
     nrm = op_norm(m)
-    if nrm > 1.0 + norm_tol:
+    if nrm > 1.0 + 1e-8:
         raise ExpansiveError(f"not a contraction: norm {nrm:.6f}")
     g = np.eye(m.shape[0]) - m.conj().T @ m
     g = (g + g.conj().T) / 2.0
@@ -73,12 +86,8 @@ def defect(t, norm_tol: float = 1e-8, rank_tol: float | None = None) -> DefectDa
     dmat = (v * dvals_all) @ v.conj().T
     dmat = (dmat + dmat.conj().T) / 2.0
     # D <= I for a contraction, so 1e-8 * max(1, ||D||) is an absolute cut
-    cutoff = (rank_tol if rank_tol is not None
-              else 1e-8 * max(dvals_all.max(), 1.0))
-    keep = dvals_all > cutoff
-    is_proj = bool(np.linalg.norm(dmat @ dmat - dmat, 2) <= 1e-9)
-    return DefectData(D=dmat, range_basis=v[:, keep],
-                      rank=int(keep.sum()), is_projection=is_proj,
+    keep = dvals_all > 1e-8 * max(dvals_all.max(), 1.0)
+    return DefectData(D=dmat, range_basis=v[:, keep], rank=int(keep.sum()),
                       dvals=dvals_all[keep])
 
 
@@ -130,43 +139,41 @@ def _rhs_map(kind: str, tup: OperatorTuple) -> dict:
             for i, j, name, w in RELATIONS[kind]}
 
 
-def solve_fundamentals(kind: str, tup: OperatorTuple, tol: float = 1e-9,
-                       window: Window | None = None,
-                       commute_tol: float = 1e-9) -> FundamentalSet:
-    """Solve every fundamental equation of the tuple's kind.
+def equation_residuals(rhs: dict, dd: DefectData, ops: dict, tol: float,
+                       window: Window | None = None) -> dict:
+    """||D F D - B|| per equation, B = w (T_i - T_j* T_p) from ``_rhs_map``,
+    windowed if a window is given.  Raises SolveError naming the first
+    equation whose residual exceeds ``tol``."""
+    norm = op_norm if window is None else window.wnorm
+    out = {}
+    for name, b in rhs.items():
+        out[name] = res = norm(dd.D @ ops[name] @ dd.D - b)
+        if res > tol:
+            raise SolveError(f"{name} fails its equation: residual {res:.3e} > {tol:.1e}")
+    return out
 
-    Raises SolveError when a residual exceeds ``tol`` (the tuple either has
-    an expansive distinguished member or the right-hand side leaves the
-    defect space, so no solution exists on it).
+
+def solve_fundamentals(kind: str, tup: OperatorTuple, tol: float = 1e-9,
+                       window: Window | None = None) -> FundamentalSet:
+    """Solve every fundamental equation of the tuple's kind by F = D+ B D+.
+
+    Raises SolveError when the tuple does not commute to 1e-9 (relative to
+    its largest squared norm) or an equation's residual exceeds ``tol`` (the
+    right-hand side leaves the defect space, so no solution exists on it;
+    with an isometric pivot D = 0, so any nonzero right-hand side fails).
     """
     if not isinstance(tup, OperatorTuple):
         tup = OperatorTuple(kind, tuple(tup))
     if tup.kind != kind:
         raise SolveError(f"kind {kind!r} does not match tuple kind {tup.kind!r}")
     worst_comm = max((v for _, v in commutator_norms(tup.ops, window)), default=0.0)
-    if worst_comm > commute_tol * max(1.0, max(op_norm(o) for o in tup.ops) ** 2):
+    if worst_comm > 1e-9 * max(1.0, max(op_norm(o) for o in tup.ops) ** 2):
         raise SolveError(f"tuple does not commute on the window: {worst_comm:.3e}")
     dd = defect(tup.ops[PIVOT[kind]])
     rhs = _rhs_map(kind, tup)
-    ops, residuals = {}, {}
-    if dd.rank == 0:
-        for name in rhs:
-            ops[name] = np.zeros((tup.dim, tup.dim), dtype=complex)
-            residuals[name] = 0.0
-        return FundamentalSet(kind, ops, residuals, dd)
     dplus = dd.pinv()
-    dmat = dd.D
-    norm = op_norm if window is None else window.wnorm
-    for name, b in rhs.items():
-        f = dplus @ b @ dplus
-        res = norm(dmat @ f @ dmat - b)
-        if res > tol:
-            raise SolveError(
-                f"fundamental equation {name} unsolvable on the defect space: "
-                f"residual {res:.3e} > {tol:.1e}")
-        ops[name] = f
-        residuals[name] = res
-    return FundamentalSet(kind, ops, residuals, dd)
+    ops = {name: dplus @ b @ dplus for name, b in rhs.items()}
+    return FundamentalSet(kind, ops, equation_residuals(rhs, dd, ops, tol, window), dd)
 
 
 @dataclass
@@ -209,12 +216,16 @@ def chain_report(kind: str, tup: OperatorTuple, z_samples: int = 32,
                  fset: FundamentalSet | None = None) -> CheckReport:
     """Necessary-condition chain sampled on the torus.
 
-    Three condition groups per coordinate pair: positivity of the paired
-    rho form (the two displayed orderings summed, which coincides with the
-    sym form of the summed pair), spectral radius of the summed pair <= 2,
-    and numerical radius of the solved fundamental combination <= 1.  Only
-    the forward implication is tested; passing never certifies the
-    contraction property.
+    Three condition groups per coordinate pair (a, b): positivity of the
+    paired rho form, spectral radius of a + z b <= 2, and numerical radius
+    of the solved fundamental combination <= 1.  Only the forward
+    implication is tested; passing never certifies the contraction property.
+
+    The rho form sums the two displayed orderings; for |z| = 1, pivot L,
+    s = a + b and K = s - s* L it is the sym form of the summed pair,
+    rho_tetra(a, z b, z L) + rho_tetra(b, z a, z L) = 2(I - L*L) - z K - conj(z) K*.
+    So every condition is a k x k family affine in z on the window
+    compression: h = 2(I - L*L) is compressed once, K once per pair.
 
     A pair whose sampled sums all have spectral radius at most ``tol``
     (nilpotent sums, as in the graded shift examples) cannot fail its
@@ -229,14 +240,7 @@ def chain_report(kind: str, tup: OperatorTuple, z_samples: int = 32,
                       window_margin=None if window is None else window.margin)
     rep.notes.append("necessary direction only: failures disprove, passes do not certify")
     zs = np.exp(2j * np.pi * np.arange(z_samples) / z_samples)
-    # radii and the rho spectrum are read off the window compression Q* A Q;
-    # rho forms are exactly Hermitian, so the unwindowed case needs no
-    # symmetrization
-    if window is None:
-        comp = _mat
-        min_eig = lambda h: float(np.linalg.eigvalsh(h).min())
-    else:
-        comp, min_eig = window.compress, window.psd_min_eig
+    comp = _mat if window is None else window.compress
 
     # one coordinate pair per relation row with i < j, both members scaled
     # by the row weight; the partner row supplies the second fundamental
@@ -258,15 +262,18 @@ def chain_report(kind: str, tup: OperatorTuple, z_samples: int = 32,
         rep.add("fundamental-solvability",
                 max(fset.residuals.values(), default=0.0), max(tol, 1e-9))
 
+    h = comp(2.0 * (np.eye(tup.dim) - last.conj().T @ last))
+    h = (h + h.conj().T) / 2.0
     rho_min = np.inf
     rad_max, omega_max = 0.0, 0.0
     for a, b, tag, names in pairs:
         p_rho, p_rad, p_om = np.inf, 0.0, 0.0
         ca, cb = comp(a), comp(b)
+        s = a + b
+        k = comp(s - s.conj().T @ last)
         for z in zs:
-            r1 = rho("tetra", (a, z * b, z * last))
-            r2 = rho("tetra", (b, z * a, z * last))
-            p_rho = min(p_rho, min_eig(r1.op + r2.op))
+            zk = z * k
+            p_rho = min(p_rho, float(np.linalg.eigvalsh(h - zk - zk.conj().T)[0]))
             p_rad = max(p_rad, spectral_radius(ca + z * cb))
         rep.add(f"rho-pair-psd[{tag}]", max(0.0, -p_rho), tol)
         if p_rad <= tol:

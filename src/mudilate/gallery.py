@@ -19,7 +19,7 @@ from .domains import (DomainPoint, membership, point_pi, point_pi_eta,
                       psi3_supnorm)
 from .fundamentals import (MEMBERS, PIVOT, RELATIONS, DefectData, chain_report,
                            defect, solve_fundamentals)
-from .dilate import DilationResult, _embed_matrix, _tail_tuple, pushforward, \
+from .dilate import DilationResult, _tail_tuple, pushforward, \
     pentablock_dilation, schaffer
 from .verify import _self_comm, _windowed_range, commutator_profile, \
     is_commuting, isometry_check, necessary_conditions
@@ -131,7 +131,7 @@ def projection_defect(space: ModelSpace, summands: tuple) -> DefectData:
     d = np.diag(mask)
     q = np.eye(n)[:, mask > 0.5]
     return DefectData(D=_mat(d), range_basis=q, rank=q.shape[1],
-                      is_projection=True, dvals=np.ones(q.shape[1]))
+                      dvals=np.ones(q.shape[1]))
 
 
 def build_exam3(alpha: float = 0.5, trunc: int = 8):
@@ -157,7 +157,6 @@ def build_exam3_dilation(alpha: float, trunc: int, depth: int) -> DilationResult
     drow = q.conj().T @ dd.D
     f = dd.compress(f_emb)
     fh = f.conj().T
-    base_dim = space.total_dim
     ops = []
     for i in range(7):
         if i == 6:
@@ -169,9 +168,7 @@ def build_exam3_dilation(alpha: float, trunc: int, depth: int) -> DilationResult
         else:
             ops.append(_tail_tuple(tup.ops[i], [f @ drow, fh @ drow],
                                    f, fh, depth, dd.rank, zero_row=1))
-    return DilationResult("gamma7", tuple(ops),
-                          _embed_matrix(base_dim, depth, dd.rank), depth, dd,
-                          base_dim)
+    return DilationResult("gamma7", tuple(ops), depth, dd, space.total_dim)
 
 
 def build_exam5(alpha: float = 0.5, trunc: int = 8):

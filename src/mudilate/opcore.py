@@ -160,15 +160,15 @@ def op_norm(a) -> float:
     return float(np.linalg.norm(f.blk, 2)) if f.blk.size else 0.0
 
 
-def herm_sqrt(h, herm_tol: float = 1e-10, neg_clamp: float = 1e-10) -> np.ndarray:
-    """Principal square root of a PSD Hermitian matrix.
+def herm_sqrt(h, neg_clamp: float = 1e-10) -> np.ndarray:
+    """Principal square root of a PSD matrix, Hermitian to 1e-10.
 
     Eigenvalues in [-neg_clamp, 0) are clamped to zero; anything lower is an
     error (the input is then genuinely indefinite, not just noisy).
     """
     m = _square(h, "square root")
     asym = np.linalg.norm(m - m.conj().T, 2)
-    if asym > herm_tol:
+    if asym > 1e-10:
         raise NotHermitianError(f"input is not Hermitian: asymmetry {asym:.3e}")
     sym = (m + m.conj().T) / 2.0
     w, v = np.linalg.eigh(sym)
@@ -190,6 +190,7 @@ NR_BATCH = 8  # angles per eigvalsh call; also the number of start angles
 # the circle by roundoff (about sqrt(eps) near a double root), and a spurious
 # angle costs only one more midpoint
 NR_CIRCLE_TOL = 1e-6
+NR_TOL = 1e-8  # relative stopping tolerance of the level-set iteration
 
 
 def _theta_profile(m: np.ndarray, thetas: np.ndarray) -> np.ndarray:
@@ -208,7 +209,7 @@ def _theta_profile(m: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     return out
 
 
-def numerical_radius(a, tol: float = 1e-8) -> float:
+def numerical_radius(a) -> float:
     """omega(A) = max over theta of lambda_max((e^{i theta}A + e^{-i theta}A*)/2).
 
     Level-set iteration of Mengi & Overton, "Algorithms for the computation
@@ -224,7 +225,7 @@ def numerical_radius(a, tol: float = 1e-8) -> float:
     superlevel set {theta: profile >= f} is a union of arcs between these
     angles; the profile at the arc midpoints gives the next level, which
     converges quadratically to omega at a smooth maximum.  The iteration
-    stops when no midpoint beats f by more than ``tol * f``.
+    stops when no midpoint beats f by more than ``NR_TOL * f``.
 
     A flat profile (A unitarily equivalent to every rotation e^{i theta}A,
     e.g. truncated shifts) makes the pencil singular at the exact level;
@@ -232,8 +233,6 @@ def numerical_radius(a, tol: float = 1e-8) -> float:
     roundoff, and the sampled start value, already exact, is returned.
     """
     m = _square(a, "numerical radius")
-    if tol <= 0:
-        raise OpcoreError("tol must be positive")
     if not m.any():
         return 0.0
     n = m.shape[0]
@@ -248,7 +247,7 @@ def numerical_radius(a, tol: float = 1e-8) -> float:
             return float(level)
         mids = (theta + np.append(theta[1:], theta[0] + 2.0 * np.pi)) / 2.0
         best = _theta_profile(m, mids).max()
-        if best <= level * (1.0 + tol):
+        if best <= level * (1.0 + NR_TOL):
             return float(max(level, best))
         level = best
 

@@ -97,17 +97,15 @@ def _windowed_kernel(dd, window):
 
 
 def _windowed_range(dd, window):
-    """Orthonormal basis of the defect range intersected with the window:
-    the eigenvalue-1 eigenvectors of Q* R Q, mapped back by Q.
+    """Orthonormal basis of the defect range intersected with the window
+    (``DefectData.window_range``, mapped back by the range basis q).
 
     For a partial isometry this is the kernel of the operator itself, the
     subspace the restricted-tuple comparisons live on.
     """
     if window is None:
         return dd.range_basis
-    c = window.basis.conj().T @ dd.range_basis
-    w, v = np.linalg.eigh(c @ c.conj().T)
-    return window.basis @ v[:, w > 1.0 - 1e-9]
+    return dd.range_basis @ dd.window_range(window)
 
 
 def necessary_conditions(kind: str, t: OperatorTuple, fset: FundamentalSet,

@@ -101,9 +101,11 @@ class TestSchaffer:
         ops = [np.zeros((3, 3))] * 6 + [q]
         tup = OperatorTuple("gamma7", ops)
         fset = solve_fundamentals("gamma7", tup)
+        # D = 0 and every right-hand side is 0, so the equations still solve
+        assert fset.defect.rank == 0
+        assert all(r == 0.0 for r in fset.residuals.values())
         dil = schaffer("gamma7", tup, fset, 3)
-        assert dil.dim == 3
-        np.testing.assert_allclose(dil.embed, np.eye(3))
+        assert dil.dim == dil.base_dim == 3
         np.testing.assert_allclose(dil.ops[6], q)
 
     def test_depth_validation(self, exam1):
@@ -116,8 +118,6 @@ class TestSchaffer:
         _, tup, _, w = exam1
         fset = solve_fundamentals("gamma7", tup, window=w)
         dil = schaffer("gamma7", tup, fset, 4)
-        assert np.linalg.norm(dil.embed.conj().T @ dil.embed
-                              - np.eye(dil.base_dim), 2) <= 1e-12
         kw = dil.window(w, tail_margin=2)
         v = list(dil.ops)
         for i in range(6):

@@ -135,6 +135,12 @@ class TestSolveFundamentals:
         with pytest.raises(ExpansiveError):
             solve_fundamentals("gamma7", OperatorTuple("gamma7", ops))
 
+    def test_isometric_pivot_with_unsolvable_equation_raises(self):
+        # D = 0, so D F1 D = 0 cannot equal T1 - T6* T7 = 0.5 I
+        ops = [0.5 * np.eye(2)] + [np.zeros((2, 2))] * 5 + [np.eye(2)]
+        with pytest.raises(SolveError, match="F1 fails its equation"):
+            solve_fundamentals("gamma7", OperatorTuple("gamma7", ops))
+
     def test_non_commuting_raises(self):
         m = hardy_shift(1, 5)
         ops = [m, m.conj().T] + [np.zeros((5, 5))] * 4 + [np.zeros((5, 5))]
@@ -218,6 +224,14 @@ class TestChainReport:
         space, _, tup5, _, _, w = exam2
         rep = chain_report("gamma5", tup5, z_samples=8, window=w)
         assert rep.verdict == "pass"
+
+    def test_isometric_pivot_with_unsolvable_equation_fails_solvability(self):
+        ops = [0.5 * np.eye(2)] + [np.zeros((2, 2))] * 5 + [np.eye(2)]
+        rep = chain_report("gamma7", OperatorTuple("gamma7", ops), z_samples=4)
+        assert rep.verdict == "fail"
+        labels = [i.label for i in rep.items if not i.passed]
+        assert labels == ["fundamental-solvability"]
+        assert any("F1 fails its equation" in n for n in rep.notes)
 
     def test_expansive_member_fails_solvability(self):
         ops = [np.zeros((2, 2))] * 6 + [np.diag([1.5, 0.1])]

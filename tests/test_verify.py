@@ -286,7 +286,7 @@ class TestCompactChecksMatchDense:
     @pytest.mark.parametrize("case_id", ["exam3", "exam5"])
     def test_coextension_residuals(self, case_id, perturb):
         tup, _, w, dil, _ = self._exam(case_id, perturb)
-        e, q = dil.embed, w.basis
+        e, q = np.eye(dil.dim, dil.base_dim), w.basis
         ref = [self._wn(v.conj().T @ e - e @ t.conj().T, q)
                for v, t in zip(dil.ops, tup.ops)]
         got = dil.coextension_residuals(tup.ops, w)

@@ -134,8 +134,7 @@ def test_dilation_window_dimension(case, n_iso, depth, tail_margin):
     dd = defect((u * s) @ v)
     assert dd.rank == n - n_iso
     dim = n + depth * dd.rank
-    dil = DilationResult("gamma7", (np.eye(dim),),
-                         np.eye(dim, n), depth, dd, n)
+    dil = DilationResult("gamma7", (np.eye(dim),), depth, dd, n)
     q = dd.range_basis
     kept = q.shape[1] + w.dim - np.linalg.matrix_rank(np.hstack([q, w.basis]))
     copies = max(0, depth - tail_margin)
