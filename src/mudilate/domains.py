@@ -3,13 +3,19 @@
 Coordinates follow the symmetrized-minor maps of the defining 2x2 / 3x3
 matrices: seven coordinates for the three-scalar-block domain (gamma7), five
 for the (1,2)-block domain (gamma5), three for the tetrablock and for the
-pentablock.  The structured singular value mu_E drives the quotient-domain
-constraints; the tetrablock axis criterion and closed-form certificate
-decodings cover the families with exact realizations.
+pentablock.  A point is decided by a certificate: a matrix realising its
+coordinates and the bound it gives.  The closed tetrablock is
+{(a11, a22, det A) : ||A|| <= 1} (Abouhajar, White & Young, "A Schwarz
+lemma for a domain related to mu-synthesis", J. Geom. Anal. 17, 2007), and
+the closed pentablock is {(a21, tr A, det A) : ||A|| <= 1}, the image of the
+compact closed ball: the pentablock of Agler, Lykova & Young (J. Geom.
+Anal., 2015) is the image of the open one.  So the closed-form minimal-norm
+realisers decide both exactly.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,18 +79,25 @@ class DomainPoint:
             raise DomainError(
                 f"kind {self.kind!r} needs {COORD_LEN[self.kind]} coordinates, got {len(c)}"
             )
-        if not all(np.isfinite(z.real) and np.isfinite(z.imag) for z in c):
-            raise DomainError("coordinates must be finite")
+        if not all(math.isfinite(math.hypot(z.real, z.imag)) for z in c):
+            raise DomainError("coordinates must have finite moduli")
         object.__setattr__(self, "coords", c)
 
 
 @dataclass
 class Certificate:
-    """A matrix realizing (approximately) the symmetrized coordinates."""
+    """A matrix realizing (approximately) the coordinates and its bound.
+
+    ``decode`` is "closed" (tetra, penta: the minimal-norm realiser, bound
+    its 2-norm), "diagonal" (split coordinates: bound max |a_ii|), "axis"
+    (gamma7 with x2..x5 = 0: the tetra certificate of (x1, x6, x7)) or
+    "search" (least squares: bound its mu_E).  The first three are exact:
+    no realiser has a smaller bound, so a bound above 1 proves "outside"."""
 
     A: np.ndarray
     residual: float
     constraint_value: float
+    decode: str
 
 
 # ---------------------------------------------------------------------------
@@ -109,17 +122,16 @@ def gamma5_coords(a) -> tuple:
 
 def tetra_coords(a) -> tuple:
     a = np.asarray(a, dtype=complex)
-    return (a[0, 0], a[1, 1], np.linalg.det(a))
+    return (a[0, 0], a[1, 1], _minor(a, 0, 1))
 
 
 def penta_coords(a) -> tuple:
     a = np.asarray(a, dtype=complex)
-    return (a[1, 0], a[0, 0] + a[1, 1], np.linalg.det(a))
+    return (a[1, 0], a[0, 0] + a[1, 1], _minor(a, 0, 1))
 
 
 COORD_MAP = {"gamma7": gamma7_coords, "gamma5": gamma5_coords,
              "tetra": tetra_coords, "penta": penta_coords}
-CERT_SIZE = {"gamma7": 3, "gamma5": 3, "tetra": 2, "penta": 2}
 
 
 def point_pi(x, y) -> DomainPoint:
@@ -303,24 +315,6 @@ def psi3_supnorm(x, grid: int = 64) -> SupResult:
     return SupResult(best, grid, zb, wb)
 
 
-def _tetra_sup(x1, x2, x3, grid: int = 512):
-    """sup over the torus of |x2 - z x3| / |1 - x1 z|, with a removable
-    0/0 guard for unimodular x1.  None when a genuine pole sits on a sample."""
-    ang = 2.0 * np.pi * (np.arange(grid) + 0.5) / grid
-    z = np.exp(1j * ang)
-    num = np.abs(x2 - z * x3)
-    den = np.abs(1.0 - x1 * z)
-    tiny = den < 1e-12
-    if tiny.any():
-        bad = tiny & (num > 1e-9)
-        if bad.any():
-            return None
-        num, den = num[~tiny], den[~tiny]
-    if len(den) == 0:
-        return None
-    return float((num / den).max())
-
-
 # ---------------------------------------------------------------------------
 # boundary predicates
 
@@ -344,10 +338,11 @@ def on_K1(p: DomainPoint, tol: float = 1e-6) -> tuple:
 
 def on_K0(p: DomainPoint, tol: float = 1e-6) -> tuple:
     x1, x2, x3 = p.coords
+    half = min(abs(x2) / 2.0, 1.0)  # |x2| > 2 already fails; the square stays finite
     res = max(max(0.0, abs(x2) - 2.0),
               abs(abs(x3) - 1.0),
               abs(x2 - np.conj(x2) * x3),
-              abs(abs(x1) - np.sqrt(max(0.0, 1.0 - abs(x2) ** 2 / 4.0))))
+              abs(abs(x1) - np.sqrt(1.0 - half * half)))
     return res <= tol, res
 
 
@@ -356,6 +351,8 @@ BOUNDARY_PREDICATE = {"gamma7": on_K, "gamma5": on_K1, "penta": on_K0}
 
 # ---------------------------------------------------------------------------
 # certificate search
+
+SEARCH_STARTS, SEARCH_SEED = 8, 20260808  # least-squares starts and their seed
 
 
 def _coord_residual(kind, a, target):
@@ -401,6 +398,31 @@ def _min_norm_tetra(x1, x2, x3):
     return np.array([[x1, t], [q / t if t else 0.0, x2]])
 
 
+def _norm2(a) -> float:
+    """2-norm of a 2x2 matrix: the larger eigenvalue of A A* = [[p, r],
+    [r*, q]] is (F + sqrt(F^2 - 4 |det A|^2)) / 2 with F = p + q, whose
+    discriminant (p - q)^2 + 4 |r|^2 is a sum of squares (no cancellation)."""
+    (a11, a12), (a21, a22) = a.tolist()
+    p = abs(a11) ** 2 + abs(a12) ** 2
+    q = abs(a21) ** 2 + abs(a22) ** 2
+    r = abs(a11 * a21.conjugate() + a12 * a22.conjugate())
+    return math.sqrt((p + q) / 2.0 + math.hypot((p - q) / 2.0, r))
+
+
+def _closed_certificate(kind, x) -> Certificate:
+    """Minimal-norm tetra or penta certificate.  sA realises
+    (s x1, s x2, s^2 x3), so the realiser and its residual are computed on
+    the point scaled by an exact power of two 2^-k into parts below 4 (k = 0
+    for every member), then scaled back: huge points do not overflow."""
+    size = max(max(abs(z.real), abs(z.imag)) for z in (x[0], x[1]))
+    size = max(size, math.sqrt(max(abs(x[2].real), abs(x[2].imag))))
+    k = max(0, math.frexp(size)[1] - 2)
+    s = 2.0 ** -k
+    y = (x[0] * s, x[1] * s, x[2] * s * s)
+    b = (_min_norm_penta if kind == "penta" else _min_norm_tetra)(*y)
+    return Certificate(b / s, _coord_residual(kind, b, y), _norm2(b) / s, "closed")
+
+
 def _diag_decode(point: DomainPoint, tol: float = 1e-8):
     """Closed-form diagonal certificate when the coordinates split."""
     x = point.coords
@@ -419,11 +441,12 @@ def _diag_decode(point: DomainPoint, tol: float = 1e-8):
     return None
 
 
-def _lsq_certificate(point: DomainPoint, budget, starts, rng):
+def _lsq_certificate(point: DomainPoint, budget):
+    rng = np.random.default_rng(SEARCH_SEED)
     kind = point.kind
-    size = CERT_SIZE[kind]
     target = np.array(point.coords)
     structure = mu_for_kind(kind)
+    size = structure.n
     coarse = _reduced_torus(structure.s - 1, 16)
 
     def unpack(v):
@@ -438,12 +461,9 @@ def _lsq_certificate(point: DomainPoint, budget, starts, rng):
         return np.concatenate([diff.view(float), [pen]])
 
     best, best_r = None, np.inf
-    init_list = []
     d = _diag_decode(point, tol=1e-3)
-    if d is not None:
-        init_list.append(d)
-    init_list.append(np.diag(target[:size]))
-    while len(init_list) < starts:
+    init_list = ([] if d is None else [d]) + [np.diag(target[:size])]
+    while len(init_list) < SEARCH_STARTS:
         init_list.append(0.5 * (rng.standard_normal((size, size)) +
                                 1j * rng.standard_normal((size, size))))
     for a0 in init_list:
@@ -457,124 +477,64 @@ def _lsq_certificate(point: DomainPoint, budget, starts, rng):
     return best
 
 
-def certificate_search(point: DomainPoint, budget: int = 400, starts: int = 8,
-                       seed: int = 20260808) -> Certificate:
-    """Search for a defining matrix realizing the point's coordinates.
-
-    Tetra and penta points get their minimal-norm realiser in closed form
-    (`_min_norm_tetra`, `_min_norm_penta`).  gamma7 and gamma5 points get a
-    diagonal certificate when their coordinates split, else the best of a
-    least-squares search from `starts` starts of at most `budget`
-    evaluations each.  Always returns the best certificate found; a large
-    residual means the search failed and no membership conclusion should be
-    drawn from it.
-    """
+def certificate_search(point: DomainPoint, budget: int = 400) -> Certificate:
+    """The point's certificate, by the first decode that applies: closed,
+    diagonal, axis, else the best of a least-squares search from
+    SEARCH_STARTS starts of at most `budget` evaluations each.  A large
+    residual means that no membership conclusion should be drawn."""
     if budget < 1:
         raise DomainError("budget must be positive")
     kind = point.kind
     x = point.coords
     if kind in ("penta", "tetra"):
-        a = (_min_norm_penta if kind == "penta" else _min_norm_tetra)(*x)
-        return Certificate(a, _coord_residual(kind, a, x), float(np.linalg.norm(a, 2)))
-
+        return _closed_certificate(kind, x)
     d = _diag_decode(point)
     if d is not None:
-        mu = float(np.abs(np.diag(d)).max())
-        return Certificate(d, _coord_residual(kind, d, x), mu)
-    rng = np.random.default_rng(seed)
-    a = _lsq_certificate(point, budget, starts, rng)
+        return Certificate(d, _coord_residual(kind, d, x),
+                           float(np.abs(np.diag(d)).max()), "diagonal")
+    if kind == "gamma7":
+        axis_mass = max(abs(x[i]) for i in (1, 2, 3, 4))
+        if axis_mass <= 1e-8:
+            c = _closed_certificate("tetra", (x[0], x[5], x[6]))
+            return Certificate(c.A, max(c.residual, axis_mass), c.constraint_value, "axis")
+    a = _lsq_certificate(point, budget)
     mu = mu_E(a, mu_for_kind(kind), tol=1e-4)
-    return Certificate(a, _coord_residual(kind, a, x), mu)
+    return Certificate(a, _coord_residual(kind, a, x), mu, "search")
 
 
 # ---------------------------------------------------------------------------
 # membership
 
 
-def _verdict_from_constraint(c: float, tol: float) -> str:
-    return "outside" if c > 1.0 + tol else "inside"
-
-
 def membership(point: DomainPoint, tol: float = 1e-6) -> MembershipReport:
-    """Verdict inside / boundary / outside / unknown with the sub-criteria.
-
-    "inside" means membership in the closed domain; "boundary" upgrades it
-    when the point also lies on the distinguished-boundary set of its kind.
-    tetra and penta decide in closed form (the axis sup-norm criterion, the
-    minimal-norm realiser); gamma7 and gamma5 through exact decodings
-    (diagonal certificates, the axis criterion) and otherwise fall back to a
-    certificate search whose failure yields "unknown", never a disproof.
-    ``meta["decode"]`` names the path: closed, diagonal, axis or search.
-    """
-    kind = point.kind
-    rep = MembershipReport(kind=kind, verdict="unknown")
+    """Verdict by one rule on the point's certificate: a residual above
+    1e-6 gives "unknown"; a bound at most 1 + tol "inside" (the closed
+    domain), or "boundary" on the kind's distinguished-boundary set; a
+    larger bound "outside" for an exact decode and "unknown" for a search.
+    A search bound is mu_E, a sampled lower bound, held to
+    1 + max(tol, 1e-6), so a search "inside" still rests on a lower bound
+    (ROADMAP item 3).  tol must lie in [0, 1e-2]."""
+    if not 0.0 <= tol <= 1e-2:
+        raise DomainError("tol must lie in [0, 1e-2]")
+    rep = MembershipReport(kind=point.kind, verdict="unknown")
     rep.meta["coords"] = [[z.real, z.imag] for z in point.coords]
-
-    bp = BOUNDARY_PREDICATE.get(kind)
     on_boundary = False
+    bp = BOUNDARY_PREDICATE.get(point.kind)
     if bp is not None:
         on_boundary, bres = bp(point, tol)
         rep.add("distinguished-boundary", bres, tol, ok=True)
 
-    if kind in ("tetra", "penta"):
-        rep.meta["decode"] = "closed"
-    if kind == "tetra":
-        x1, x2, x3 = point.coords
-        entry_bound = max(abs(x1), abs(x2), abs(x3))
-        rep.add("coordinate-bounds", max(0.0, entry_bound - 1.0), tol)
-        if entry_bound > 1.0 + tol:
-            rep.verdict = "outside"
-            return rep
-        sup = _tetra_sup(x1, x2, x3)
-        if sup is None:
-            rep.add("axis-sup", np.inf, 1.0 + tol, ok=False)
-            rep.verdict = "outside"
-            return rep
-        rep.add("axis-sup", sup, 1.0 + tol)
-        rep.verdict = _verdict_from_constraint(sup, tol)
-        return rep
-
-    if kind == "penta":
-        cert = certificate_search(point)
-        rep.add("certificate-residual", cert.residual, 1e-6)
-        rep.add("certificate-norm", max(0.0, cert.constraint_value - 1.0), tol)
-        rep.meta["certificate_norm"] = cert.constraint_value
-        if cert.residual <= 1e-6:
-            rep.verdict = _verdict_from_constraint(cert.constraint_value, tol)
-            if on_boundary and rep.verdict != "outside":
-                rep.verdict = "boundary"
-        return rep
-
-    # gamma7 / gamma5
-    d = _diag_decode(point)
-    if d is not None:
-        c = float(np.abs(np.diag(d)).max())
-        rep.meta["decode"] = "diagonal"
-        rep.add("diagonal-certificate", _coord_residual(kind, d, point.coords), 1e-8)
-        rep.add("constraint", max(0.0, c - 1.0), tol)
-        rep.verdict = _verdict_from_constraint(c, tol)
-        if on_boundary and rep.verdict != "outside":
-            rep.verdict = "boundary"
-        return rep
-
-    if kind == "gamma7":
-        x = point.coords
-        axis_mass = max(abs(x[i]) for i in (1, 2, 3, 4))
-        if axis_mass <= 1e-8:
-            sub = membership(DomainPoint("tetra", (x[0], x[5], x[6])), tol)
-            rep.items.extend(sub.items)
-            rep.meta["decode"] = "axis"
-            rep.verdict = sub.verdict
-            if on_boundary and rep.verdict not in ("outside", "unknown"):
-                rep.verdict = "boundary"
-            return rep
-
     cert = certificate_search(point)
-    rep.meta["decode"] = "search"
-    rep.meta["certificate_mu"] = cert.constraint_value
-    rep.add("certificate-residual", cert.residual, 1e-6, ok=True)
-    if cert.residual <= 1e-6 and cert.constraint_value <= 1.0 + max(tol, 1e-6):
+    bound = cert.constraint_value
+    slack = max(tol, 1e-6) if cert.decode == "search" else tol
+    rep.meta["decode"] = cert.decode
+    rep.meta["certificate_bound"] = bound
+    rep.add("certificate-residual", cert.residual, 1e-6)
+    rep.add("certificate-bound", max(0.0, bound - 1.0), slack)
+    if not cert.residual <= 1e-6:
+        return rep
+    if bound <= 1.0 + slack:
         rep.verdict = "boundary" if on_boundary else "inside"
-    else:
-        rep.verdict = "unknown"
+    elif cert.decode != "search":
+        rep.verdict = "outside"
     return rep

@@ -110,6 +110,25 @@ class TestSubcommands:
         assert code == 1
         assert json.loads(out)["verdict"] == "outside"
 
+    @pytest.mark.parametrize("kind", ["penta", "tetra"])
+    def test_membership_huge_coordinate_is_outside(self, kind):
+        point = json.dumps({"kind": kind, "coords": [[0, 0], [1e200, 0], [0, 0]]})
+        proc = subprocess.run([sys.executable, "-m", "mudilate.cli", "membership",
+                               "--point", point], capture_output=True, text=True,
+                              timeout=300)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert json.loads(proc.stdout)["verdict"] == "outside"
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "1", "-1e-9"])
+    def test_membership_tol_checked(self, capsys, tol):
+        point = json.dumps({"kind": "tetra", "coords": [[1.05, 0], [0.1, 0], [0.105, 0]]})
+        code = main(["membership", "--point", point, f"--tol={tol}"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "error: tol must lie in [0, 1e-2]" in captured.err
+
     def test_fundamental(self, files, capsys):
         code, out = run_cli(["fundamental", "--kind", "gamma7",
                              "--tuple", files["tuple7"]], capsys)

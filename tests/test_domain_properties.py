@@ -1,15 +1,16 @@
 """Randomised invariants of the torus search for mu_E and of the closed-form
 minimal-norm realisers: invariance of mu_E under the transforms that keep
 the spectral radius of A diag(z) at every z, the rho(A) <= mu_E <= ||A||
-chain, and tetra/penta certificates that never exceed the norm of the
-matrix that generated the point."""
+chain, tetra/penta certificates that never exceed the norm of the matrix
+that generated the point, and tetrablock verdicts that agree with a dense
+torus reference."""
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from mudilate.domains import (E211, E311, E312, BlockStructure, DomainPoint,
-                              certificate_search, mu_E, penta_coords,
-                              tetra_coords)
+                              certificate_search, membership, mu_E,
+                              penta_coords, tetra_coords)
 
 SETTINGS = settings(derandomize=True, max_examples=30, deadline=None)
 E1111 = BlockStructure(4, 4, (1, 1, 1, 1))
@@ -68,3 +69,42 @@ def test_closed_form_certificates_never_exceed_generator(a):
         cert = certificate_search(DomainPoint(kind, coords(a)))
         assert cert.residual <= 1e-12
         assert cert.constraint_value <= np.linalg.norm(a, 2) + 1e-12
+
+
+def _axis_point(x):
+    return DomainPoint("gamma7", (x[0], 0, 0, 0, 0, x[1], x[2]))
+
+
+@SETTINGS
+@given(two_by_two(), st.floats(0.5, 1.5))
+def test_tetra_verdict_matches_dense_torus_reference(a, scale):
+    """The closed tetrablock is {x : max |x_i| <= 1 and
+    sup over |z| = 1 of |x2 - z x3| / |1 - x1 z| <= 1}, sampled here on
+    2^17 torus points; draws within 1e-3 of either threshold are skipped."""
+    norm = np.linalg.norm(a, 2)
+    assume(norm > 0)
+    x = tetra_coords(a * scale / norm)
+    top = max(abs(v) for v in x)
+    assume(abs(top - 1.0) > 1e-3)
+    inside = top < 1.0
+    if inside:
+        z = np.exp(2j * np.pi * np.arange(2 ** 17) / 2 ** 17)
+        sup = (np.abs(x[1] - z * x[2]) / np.abs(1.0 - x[0] * z)).max()
+        assume(abs(sup - 1.0) > 1e-3)
+        inside = sup < 1.0
+    want = "inside" if inside else "outside"
+    assert membership(DomainPoint("tetra", x)).verdict == want
+    assert membership(_axis_point(x)).verdict in (
+        ("inside", "boundary") if inside else ("outside",))
+
+
+@SETTINGS
+@given(two_by_two(), st.floats(0.0, 0.999))
+def test_points_realised_by_contractions_are_never_outside(a, scale):
+    norm = np.linalg.norm(a, 2)
+    assume(norm > 0)
+    a = a * scale / norm
+    for pt in (DomainPoint("tetra", tetra_coords(a)),
+               DomainPoint("penta", penta_coords(a)),
+               _axis_point(tetra_coords(a))):
+        assert membership(pt).verdict in ("inside", "boundary")

@@ -302,6 +302,61 @@ class TestMembership:
         rep = membership(point_pi(a, b))
         assert rep.verdict == "boundary"
 
+    def test_tetra_near_boundary_decided_by_exact_realiser(self):
+        # the sup of |x2 - z x3| / |1 - x1 z| over 4e6 torus points is 1.058,
+        # above 1 only in a sliver that a 512-point sample misses
+        x = (-0.0229 + 0.9893j, -0.2066 - 0.0697j, 0.0662 - 0.1977j)
+        rep = membership(DomainPoint("tetra", x))
+        assert rep.verdict == "outside"
+        assert rep.meta["decode"] == "closed"
+        assert rep.meta["certificate_bound"] == pytest.approx(1.00074, abs=1e-5)
+        z = np.exp(2j * np.pi * np.arange(2 ** 22) / 2 ** 22)
+        assert (np.abs(x[1] - z * x[2]) / np.abs(1 - x[0] * z)).max() > 1.05
+
+    def test_items_and_meta_name_the_certificate(self):
+        for pt, decode in ((point_pi(0.5, 0.5), "diagonal"),
+                           (DomainPoint("penta", (0.2, 0.3, 0.1)), "closed"),
+                           (DomainPoint("gamma7", (0.4, 0, 0, 0, 0, 0.5, 0.2)), "axis")):
+            rep = membership(pt)
+            assert [i.label for i in rep.items] == [
+                "distinguished-boundary", "certificate-residual", "certificate-bound"]
+            assert rep.meta["decode"] == decode
+            assert rep.meta["certificate_bound"] == certificate_search(pt).constraint_value
+        rep = membership(DomainPoint("tetra", (0.3, 0.2, 0.06)))
+        assert [i.label for i in rep.items] == ["certificate-residual", "certificate-bound"]
+
+    @pytest.mark.parametrize("coords", [(0, 1e200, 0), (1e200, 1e200, 0),
+                                        (1e200j, -1e200, 1e300), (0, 0, 1e306)])
+    def test_huge_closed_form_points_are_outside_with_finite_bound(self, coords):
+        for kind in ("tetra", "penta"):
+            rep = membership(DomainPoint(kind, coords))
+            assert rep.verdict == "outside"
+            assert np.isfinite(rep.meta["certificate_bound"])
+            assert rep.meta["certificate_bound"] > 1e100
+        ok, res = on_K0(DomainPoint("penta", (0, 1e200, 0)))
+        assert not ok and res >= 1e200
+
+    def test_scaled_certificate_realises_the_point(self):
+        x = (3e5 + 1e5j, -2e5, 4e10j)
+        for kind, coords in (("tetra", tetra_coords), ("penta", penta_coords)):
+            c = certificate_search(DomainPoint(kind, x))
+            np.testing.assert_allclose(coords(c.A), x, rtol=1e-12)
+
+    @pytest.mark.parametrize("z", [float("nan"), complex(0, float("inf")),
+                                   complex(1.5e308, 1.5e308)])
+    def test_coordinates_with_infinite_modulus_refused(self, z):
+        with pytest.raises(DomainError, match="finite"):
+            DomainPoint("penta", (z, 0, 0))
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-9, 0.011, 1.0])
+    def test_tol_out_of_range_refused(self, tol):
+        with pytest.raises(DomainError, match="tol"):
+            membership(DomainPoint("tetra", (1.05, 0.1, 0.105)), tol=tol)
+
+    def test_tol_range_ends_accepted(self):
+        assert membership(DomainPoint("tetra", (1, 1, 1)), tol=0.0).verdict == "inside"
+        assert membership(DomainPoint("tetra", (1.005, 0, 0)), tol=1e-2).verdict == "inside"
+
 
 class TestCertificates:
     def test_penta_zero(self):
