@@ -18,7 +18,7 @@ from . import opcore
 from .opcore import (OperatorTuple, OpcoreError, _compact, _mat,
                      commutator_norms, herm_sqrt, op_norm)
 from .fundamentals import (PIVOT, RELATIONS, DefectData, ExpansiveError,
-                           FundamentalSet, defect)
+                           FundamentalSet)
 from .spaces import Window, block_assemble
 
 
@@ -53,14 +53,9 @@ def egervary(t, n: int) -> np.ndarray:
     eye = np.eye(d)
     dt = herm_sqrt(eye - m.conj().T @ m, neg_clamp=1e-8)
     dts = herm_sqrt(eye - m @ m.conj().T, neg_clamp=1e-8)
-    grid = [[None] * (n + 1) for _ in range(n + 1)]
-    grid[0][0] = m
-    grid[0][n] = dts
-    grid[1][0] = dt
-    grid[1][n] = -m.conj().T
-    for k in range(2, n + 1):
-        grid[k][k - 1] = eye
-    return block_assemble(grid, row_dims=[d] * (n + 1), col_dims=[d] * (n + 1))
+    cells = {(0, 0): m, (0, n): dts, (1, 0): dt, (1, n): -m.conj().T}
+    cells.update({(k, k - 1): eye for k in range(2, n + 1)})
+    return block_assemble(cells, [d] * (n + 1))
 
 
 @dataclass
@@ -118,21 +113,15 @@ def _tail_tuple(base, first_col, diag, sub, depth, rank, zero_row=0):
     under the base entry (None for a gap); the ``diag``/``sub`` tail pattern
     repeats down the copies, pushed ``zero_row`` rows lower.
     """
-    n = 1 + depth
-    grid = [[None] * n for _ in range(n)]
-    grid[0][0] = base
-    row = 1
-    for blk in first_col:
-        if row <= depth and blk is not None:
-            grid[row][0] = blk
-        row += 1
+    cells = {(row, 0): blk for row, blk in enumerate(first_col, 1)
+             if row <= depth and blk is not None}
+    cells[0, 0] = base
     for k in range(1, depth + 1):
         if diag is not None and k + zero_row <= depth:
-            grid[k + zero_row][k] = diag
+            cells[k + zero_row, k] = diag
         if sub is not None and k + zero_row + 1 <= depth:
-            grid[k + zero_row + 1][k] = sub
-    dims = [base.shape[0]] + [rank] * depth
-    return block_assemble(grid, row_dims=dims, col_dims=dims)
+            cells[k + zero_row + 1, k] = sub
+    return block_assemble(cells, [base.shape[0]] + [rank] * depth)
 
 
 def schaffer(kind: str, tup: OperatorTuple, fset: FundamentalSet,
@@ -172,32 +161,29 @@ def schaffer(kind: str, tup: OperatorTuple, fset: FundamentalSet,
     return DilationResult(kind, tuple(ops), depth, dd, base_dim)
 
 
-def pentablock_dilation(tup: OperatorTuple, x, depth: int) -> DilationResult:
-    """Dilation triple (R1, R2, R3) of a pentablock candidate.
+def pentablock_dilation(tup: OperatorTuple, fset: FundamentalSet,
+                        depth: int) -> DilationResult:
+    """Dilation triple (R1, R2, R3) of a pentablock candidate from its
+    solved penta fundamental set.
 
-    R2 carries the fundamental operator of the last two members down the
+    R2 carries the fundamental operator X of the last two members down the
     tail, R3 is the defect-fed shift, and R1 repeats the damping block
     L = (I - (X*X + XX*)/4)^(1/2) on every defect copy.
     """
     if tup.kind != "penta":
         raise DilateError("pentablock dilation takes a penta triple")
+    if not isinstance(fset, FundamentalSet) or fset.kind != "penta":
+        raise DilateError("pentablock dilation takes the triple's penta FundamentalSet")
     if depth < 2:
         raise DilateError("depth must be >= 2")
     p1, p2, p3 = tup.ops
     base_dim = tup.dim
-    if isinstance(x, FundamentalSet):
-        dd = x.defect
-        xc = dd.compress(x["X"]) if dd.rank else np.zeros((0, 0))
-    else:
-        dd = defect(p3)
-        xm = _mat(x)
-        xc = dd.compress(xm) if xm.shape[0] == base_dim else xm
+    dd = fset.defect
     r = dd.rank
     if r == 0:
         return DilationResult("penta", tup.ops, depth, dd, base_dim)
-    if xc.shape != (r, r):
-        raise DilateError(f"fundamental operator must act on the {r}-dim defect space")
     _check_dim(base_dim + depth * r)
+    xc = dd.compress(fset["X"])
     gram = xc.conj().T @ xc + xc @ xc.conj().T
     if np.linalg.norm(gram, 2) > 4.0 + 1e-9:
         raise DilateError("damping block undefined: ||X*X + XX*|| exceeds 4")

@@ -16,6 +16,7 @@ realisers decide both exactly.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -319,30 +320,41 @@ def psi3_supnorm(x, grid: int = 64) -> SupResult:
 # boundary predicates
 
 
+def _capped(*terms) -> float:
+    """Largest residual term.  A product of huge coordinates can overflow
+    to inf (the predicates silence numpy's warning); it reads
+    sys.float_info.max, which still fails every tolerance."""
+    res = max(terms)
+    return res if res <= sys.float_info.max else sys.float_info.max
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def on_K(p: DomainPoint, tol: float = 1e-6) -> tuple:
     x = p.coords
-    res = max(abs(abs(x[6]) - 1.0),
-              abs(x[0] - np.conj(x[5]) * x[6]),
-              abs(x[2] - np.conj(x[3]) * x[6]),
-              abs(x[4] - np.conj(x[1]) * x[6]))
+    res = _capped(abs(abs(x[6]) - 1.0),
+                  abs(x[0] - np.conj(x[5]) * x[6]),
+                  abs(x[2] - np.conj(x[3]) * x[6]),
+                  abs(x[4] - np.conj(x[1]) * x[6]))
     return res <= tol, res
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def on_K1(p: DomainPoint, tol: float = 1e-6) -> tuple:
     x1, x2, x3, y1, y2 = p.coords
-    res = max(abs(abs(x3) - 1.0),
-              abs(x1 - np.conj(y2) * x3),
-              abs(x2 - np.conj(y1) * x3))
+    res = _capped(abs(abs(x3) - 1.0),
+                  abs(x1 - np.conj(y2) * x3),
+                  abs(x2 - np.conj(y1) * x3))
     return res <= tol, res
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def on_K0(p: DomainPoint, tol: float = 1e-6) -> tuple:
     x1, x2, x3 = p.coords
     half = min(abs(x2) / 2.0, 1.0)  # |x2| > 2 already fails; the square stays finite
-    res = max(max(0.0, abs(x2) - 2.0),
-              abs(abs(x3) - 1.0),
-              abs(x2 - np.conj(x2) * x3),
-              abs(abs(x1) - np.sqrt(1.0 - half * half)))
+    res = _capped(max(0.0, abs(x2) - 2.0),
+                  abs(abs(x3) - 1.0),
+                  abs(x2 - np.conj(x2) * x3),
+                  abs(abs(x1) - np.sqrt(1.0 - half * half)))
     return res <= tol, res
 
 
@@ -413,14 +425,16 @@ def _closed_certificate(kind, x) -> Certificate:
     """Minimal-norm tetra or penta certificate.  sA realises
     (s x1, s x2, s^2 x3), so the realiser and its residual are computed on
     the point scaled by an exact power of two 2^-k into parts below 4 (k = 0
-    for every member), then scaled back: huge points do not overflow."""
+    for every member), then scaled back: huge points do not overflow, except
+    a bound above the float range, which reads sys.float_info.max."""
     size = max(max(abs(z.real), abs(z.imag)) for z in (x[0], x[1]))
     size = max(size, math.sqrt(max(abs(x[2].real), abs(x[2].imag))))
     k = max(0, math.frexp(size)[1] - 2)
     s = 2.0 ** -k
     y = (x[0] * s, x[1] * s, x[2] * s * s)
     b = (_min_norm_penta if kind == "penta" else _min_norm_tetra)(*y)
-    return Certificate(b / s, _coord_residual(kind, b, y), _norm2(b) / s, "closed")
+    return Certificate(b / s, _coord_residual(kind, b, y),
+                       min(_norm2(b) / s, sys.float_info.max), "closed")
 
 
 def _diag_decode(point: DomainPoint, tol: float = 1e-8):

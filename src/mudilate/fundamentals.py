@@ -11,6 +11,7 @@ space never poisons an identity that holds in the infinite model.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,9 +47,15 @@ class DefectData:
     dvals: np.ndarray
 
     @property
+    def projection_gap(self) -> float:
+        """||D^2 - D|| = max |d^2 - d| over ``dvals`` (the dropped
+        eigenvalues are exactly 0)."""
+        return float(np.abs(self.dvals ** 2 - self.dvals).max(initial=0.0))
+
+    @property
     def is_projection(self) -> bool:
-        """D^2 = D to 1e-9 (partial isometry): max |d^2 - d| over ``dvals``."""
-        return bool(np.abs(self.dvals ** 2 - self.dvals).max(initial=0.0) <= 1e-9)
+        """D^2 = D to 1e-9 (partial isometry)."""
+        return self.projection_gap <= 1e-9
 
     def pinv(self) -> np.ndarray:
         if self.rank == 0:
@@ -255,7 +262,7 @@ def chain_report(kind: str, tup: OperatorTuple, z_samples: int = 32,
         try:
             fset = solve_fundamentals(kind, tup, tol=max(tol, 1e-9), window=window)
         except (SolveError, ExpansiveError) as exc:
-            rep.add("fundamental-solvability", np.inf, tol, ok=False)
+            rep.add("fundamental-solvability", sys.float_info.max, tol, ok=False)
             rep.notes.append(f"solve failed: {exc}")
             fset = None
     if fset is not None:

@@ -120,7 +120,9 @@ class MembershipReport(ItemsMixin):
 
 
 def dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    """Compact, key-sorted JSON; NaN and infinity raise, since JSON has no
+    token for them."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def complex_to_pair(z):

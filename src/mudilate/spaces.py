@@ -134,62 +134,29 @@ def hardy_shift(fiber_dim: int, trunc_level: int) -> np.ndarray:
     """
     if trunc_level < 2:
         raise OpcoreError("a truncated shift needs trunc_level >= 2")
-    n = fiber_dim * trunc_level
-    m = np.zeros((n, n), dtype=complex)
-    for k in range(trunc_level - 1):
-        lo, hi = k * fiber_dim, (k + 1) * fiber_dim
-        m[hi:hi + fiber_dim, lo:hi] = np.eye(fiber_dim)
-    return m
+    eye = np.eye(fiber_dim)
+    return block_assemble({(k + 1, k): eye for k in range(trunc_level - 1)},
+                          [fiber_dim] * trunc_level)
 
 
-def block_assemble(layout, row_dims=None, col_dims=None) -> np.ndarray:
-    """Assemble a dense complex matrix from a grid of blocks.
-
-    Cells are matrices (anything ``_mat`` accepts) or 0/None for a zero
-    block.  Dimensions are inferred from the nonzero cells unless given;
-    inconsistencies raise with the offending cell named.
-    """
-    nrows = len(layout)
-    ncols = len(layout[0])
-    for r, row in enumerate(layout):
-        if len(row) != ncols:
-            raise OpcoreError(f"ragged layout: row {r} has {len(row)} cells, expected {ncols}")
-    cells = [[None if c is None or (np.isscalar(c) and c == 0) else _mat(c)
-              for c in row] for row in layout]
-
-    rd = list(row_dims) if row_dims is not None else [None] * nrows
-    cd = list(col_dims) if col_dims is not None else [None] * ncols
-    for r in range(nrows):
-        for c in range(ncols):
-            if cells[r][c] is None:
-                continue
-            sh = cells[r][c].shape
-            for dims, idx, got in ((rd, r, sh[0]), (cd, c, sh[1])):
-                if dims[idx] is None:
-                    dims[idx] = got
-                elif dims[idx] != got:
-                    raise OpcoreError(
-                        f"block ({r},{c}) has shape {sh}, inconsistent with "
-                        f"row_dims/col_dims ({rd[r]},{cd[c]})"
-                    )
-    if any(d is None for d in rd) or any(d is None for d in cd):
-        raise OpcoreError("zero rows/columns need explicit row_dims/col_dims")
-
-    out = np.zeros((sum(rd), sum(cd)), dtype=complex)
-    roff = np.concatenate([[0], np.cumsum(rd)])
-    coff = np.concatenate([[0], np.cumsum(cd)])
-    for r in range(nrows):
-        for c in range(ncols):
-            if cells[r][c] is not None:
-                out[roff[r]:roff[r + 1], coff[c]:coff[c + 1]] = cells[r][c]
+def block_assemble(cells: dict, dims) -> np.ndarray:
+    """Dense complex matrix on the direct sum of square blocks of sizes
+    ``dims`` from a {(i, j): block} map; absent cells are zero.  Each block
+    must have shape (dims[i], dims[j]); a mismatch raises naming its cell."""
+    n = len(dims)
+    off = np.concatenate([[0], np.cumsum(dims, dtype=int)])
+    out = np.zeros((off[-1], off[-1]), dtype=complex)
+    for (i, j), blk in cells.items():
+        if not (0 <= i < n and 0 <= j < n):
+            raise OpcoreError(f"block ({i},{j}) lies outside the {n}x{n} layout")
+        b = _mat(blk)
+        if b.shape != (dims[i], dims[j]):
+            raise OpcoreError(f"block ({i},{j}) has shape {b.shape}, "
+                              f"expected ({dims[i]}, {dims[j]})")
+        out[off[i]:off[i + 1], off[j]:off[j + 1]] = b
     return out
 
 
 def embed_blocks(space: ModelSpace, cells: dict) -> np.ndarray:
-    """Matrix on a ModelSpace from a {(i, j): block} dict of summand cells."""
-    n = len(space.summands)
-    grid = [[None] * n for _ in range(n)]
-    dims = [f * t for f, t in space.summands]
-    for (i, j), block in cells.items():
-        grid[i][j] = block
-    return block_assemble(grid, row_dims=dims, col_dims=dims)
+    """Matrix on a ModelSpace from a {(i, j): block} map of summand cells."""
+    return block_assemble(cells, [f * t for f, t in space.summands])

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from mudilate import opcore
 from mudilate.cli import main
-from mudilate.report import operator_from_dict, operator_to_dict
+from mudilate.report import dumps, operator_from_dict, operator_to_dict
 from mudilate.gallery import build_exam1, build_exam5
 
 
@@ -29,6 +30,10 @@ def files(tmp_path_factory):
     contr.write_text(json.dumps(operator_to_dict(np.array([[0.4 + 0.3j]]))))
     return {"tuple7": str(tuple7), "penta": str(tuple3),
             "mat": str(mat), "contraction": str(contr)}
+
+
+def _refuse_constant(token):
+    raise ValueError(f"{token} is not JSON")
 
 
 def run_cli(args, capsys):
@@ -119,6 +124,20 @@ class TestSubcommands:
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert json.loads(proc.stdout)["verdict"] == "outside"
+
+    @pytest.mark.parametrize("point", [
+        {"kind": "tetra", "coords": [[1e308, 0], [1e308, 0], [0, 0]]},
+        {"kind": "penta", "coords": [[0, 1e200], [-1e200, 0], [1e300, 0]]}])
+    def test_membership_overflow_prints_strict_json(self, capsys, point):
+        # the bound and the boundary residual overflow; they print as the
+        # largest float, without a numpy warning, and dumps refuses inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run_cli(["membership", "--point", json.dumps(point)], capsys)
+        rep = json.loads(out, parse_constant=_refuse_constant)
+        assert code == 1 and rep["verdict"] == "outside"
+        with pytest.raises(ValueError):
+            dumps({"residual": float("inf")})
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "1", "-1e-9"])
     def test_membership_tol_checked(self, capsys, tol):

@@ -4,7 +4,8 @@ import pytest
 from mudilate import opcore
 from mudilate.opcore import OperatorTuple, op_norm
 from mudilate.spaces import ModelSpace, hardy_shift, window
-from mudilate.fundamentals import ExpansiveError, defect, solve_fundamentals
+from mudilate.fundamentals import (ExpansiveError, FundamentalSet, defect,
+                                   solve_fundamentals)
 from mudilate.dilate import (DilateError, egervary, pentablock_dilation,
                              pushforward, schaffer)
 from mudilate.gallery import build_exam1, build_exam2
@@ -167,9 +168,7 @@ class TestPentablockDilation:
         ops = [np.diag([0.5, 0.5]), np.zeros((2, 2)),
                np.diag([0.3, 0.3])]
         tup = OperatorTuple("penta", ops)
-        dd = defect(ops[2])
-        x = np.zeros((2, 2))
-        dil = pentablock_dilation(tup, x, 3)
+        dil = pentablock_dilation(tup, solve_fundamentals("penta", tup), 3)
         r1, r2, r3 = dil.ops
         # damping block is the identity when the symbol vanishes
         np.testing.assert_allclose(r1[2:, 2:], np.eye(2 * 3), atol=1e-12)
@@ -190,9 +189,23 @@ class TestPentablockDilation:
     def test_rejects_oversize_symbol(self):
         ops = [np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2))]
         tup = OperatorTuple("penta", ops)
-        big = 3.0 * np.eye(2)
-        with pytest.raises(DilateError):
+        big = FundamentalSet("penta", {"X": 3.0 * np.eye(2)}, {}, defect(ops[2]))
+        with pytest.raises(DilateError, match="exceeds 4"):
             pentablock_dilation(tup, big, 3)
+
+    def test_rejects_raw_symbol(self):
+        # a bare matrix is ambiguous when the defect rank equals the base
+        # dimension (embedded or defect coordinates?), so only a solved
+        # FundamentalSet is taken
+        rng = np.random.default_rng(21)
+        ops = [np.eye(2), np.zeros((2, 2)), random_contraction(rng, 2, top=0.9)]
+        tup = OperatorTuple("penta", ops)
+        assert defect(ops[2]).rank == 2
+        with pytest.raises(DilateError, match="FundamentalSet"):
+            pentablock_dilation(tup, 0.2 * np.eye(2), 3)
+        with pytest.raises(DilateError, match="FundamentalSet"):
+            pentablock_dilation(tup, solve_fundamentals("sym", OperatorTuple(
+                "sym", ops[1:])), 3)
 
 
 class TestPushforward:

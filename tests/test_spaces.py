@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mudilate.opcore import OpcoreError, op_norm
 from mudilate.spaces import (ModelSpace, Window, auto_margin, block_assemble,
@@ -80,28 +81,63 @@ class TestWindow:
                                        atol=1e-12)
 
 
+SETTINGS = settings(derandomize=True, max_examples=40, deadline=None)
+
+
+@st.composite
+def block_maps(draw):
+    """Random square block sizes and a random {(i, j): block} map on them."""
+    dims = draw(st.lists(st.integers(1, 4), min_size=1, max_size=5))
+    n = len(dims)
+    keys = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cells = {(i, j): rng.standard_normal((dims[i], dims[j]))
+             + 1j * rng.standard_normal((dims[i], dims[j])) for i, j in sorted(keys)}
+    return dims, cells
+
+
 class TestBlockAssemble:
     def test_direct_sum(self):
         a = np.diag([1.0, 2.0])
         b = np.array([[3.0]])
-        out = block_assemble([[a, None], [None, b]])
+        out = block_assemble({(0, 0): a, (1, 1): b}, [2, 1])
         np.testing.assert_allclose(out, np.diag([1.0, 2.0, 3.0]))
 
-    def test_adjoint_grid_property(self):
-        rng = np.random.default_rng(12)
-        a = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
-        b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        c = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
-        grid = [[a, b], [c, None]]
-        adj_grid = [[a.conj().T, c.conj().T], [b.conj().T, None]]
-        lhs = block_assemble(adj_grid, row_dims=[3, 2], col_dims=[2, 4])
-        rhs = block_assemble(grid, row_dims=[2, 4], col_dims=[3, 2]).conj().T
-        np.testing.assert_allclose(lhs, rhs)
+    @SETTINGS
+    @given(block_maps())
+    def test_blocks_land_at_offsets(self, case):
+        dims, cells = case
+        out = block_assemble(cells, dims)
+        off = np.concatenate([[0], np.cumsum(dims)])
+        assert out.shape == (off[-1], off[-1])
+        filled = np.zeros(out.shape, dtype=bool)
+        for (i, j), blk in cells.items():
+            rows, cols = slice(off[i], off[i + 1]), slice(off[j], off[j + 1])
+            np.testing.assert_array_equal(out[rows, cols], blk)
+            filled[rows, cols] = True
+        assert not out[~filled].any()
 
-    def test_mismatch_names_cell(self):
-        with pytest.raises(OpcoreError) as exc:
-            block_assemble([[np.eye(2), np.eye(3)], [None, np.eye(3)]])
-        assert "(" in str(exc.value) and ")" in str(exc.value)
+    @SETTINGS
+    @given(block_maps())
+    def test_adjoint_property(self, case):
+        dims, cells = case
+        adj = {(j, i): blk.conj().T for (i, j), blk in cells.items()}
+        np.testing.assert_array_equal(block_assemble(adj, dims),
+                                      block_assemble(cells, dims).conj().T)
+
+    @SETTINGS
+    @given(block_maps(), st.data())
+    def test_mismatch_names_cell(self, case, data):
+        dims, cells = case
+        i = data.draw(st.integers(0, len(dims) - 1))
+        j = data.draw(st.integers(0, len(dims) - 1))
+        cells[i, j] = np.ones((dims[i] + 1, dims[j]))
+        with pytest.raises(OpcoreError, match=rf"block \({i},{j}\) has shape"):
+            block_assemble(cells, dims)
+        cells[i, j] = np.ones((dims[i], dims[j]))
+        cells[len(dims), j] = np.ones((1, dims[j]))
+        with pytest.raises(OpcoreError, match=rf"block \({len(dims)},{j}\) lies outside"):
+            block_assemble(cells, dims)
 
     def test_exam1_first_member_matches_hand_built(self, exam1):
         space, tup, _, _ = exam1
@@ -112,6 +148,7 @@ class TestBlockAssemble:
         np.testing.assert_allclose(tup.ops[0], hand)
 
     def test_embed_blocks_zero_rows_need_dims(self):
+        # the second block row is empty; its size comes from the space
         sp = ModelSpace(((1, 4), (1, 4)))
         out = embed_blocks(sp, {(0, 1): np.eye(4)})
         assert out.shape[0] == 8

@@ -3,7 +3,7 @@ import pytest
 
 from mudilate.opcore import OperatorTuple, OpcoreError
 from mudilate.spaces import ModelSpace, hardy_shift, window
-from mudilate.fundamentals import defect, solve_fundamentals
+from mudilate.fundamentals import chain_report, defect, solve_fundamentals
 from mudilate.gallery import build_exam3_dilation
 from mudilate.verify import (commutator_profile, is_commuting, isometry_check,
                              necessary_conditions)
@@ -179,21 +179,41 @@ class TestCommutatorProfile:
                 commutator_profile(fset)
 
 
+def _scalar_gamma7_dilation(c):
+    from mudilate.dilate import schaffer
+    tup = OperatorTuple("gamma7", [np.array([[v]], dtype=complex) for v in c])
+    fset = solve_fundamentals("gamma7", tup)
+    dil = schaffer("gamma7", tup, fset, 5)
+    kw = dil.window(_full(dil.base_dim), tail_margin=2)
+    return tup, fset, isometry_check("gamma7", dil.tuple(), window=kw)
+
+
 class TestDilationImpliesChecks:
     def test_scalar_conditional_family_gamma7(self):
-        # scalar fundamentals satisfy every hypothesis; the dilation passes
-        # the isometry suite and the base tuple passes the necessary suite
-        c = [0.2, -0.15, 0.1, 0.05, 0.3, -0.25, 0.6]
-        ops = [np.array([[v]], dtype=complex) for v in c]
-        tup = OperatorTuple("gamma7", ops)
-        fset = solve_fundamentals("gamma7", tup)
-        from mudilate.dilate import schaffer
-        dil = schaffer("gamma7", tup, fset, 5)
-        kw = dil.window(_full(dil.base_dim), tail_margin=2)
-        rep = isometry_check("gamma7", dil.tuple(), window=kw)
+        # the coordinates of diag(p, q, r), a point of the domain: scalar
+        # fundamentals satisfy every hypothesis, the dilation passes the
+        # isometry suite and the base tuple passes the chain and the
+        # necessary suite
+        from mudilate.domains import gamma7_coords
+        c = gamma7_coords(np.diag([0.5, -0.3 + 0.2j, 0.4j]))
+        tup, fset, rep = _scalar_gamma7_dilation(c)
         assert rep.verdict == "pass"
+        assert chain_report("gamma7", tup, fset=fset).verdict == "pass"
         nec = necessary_conditions("gamma7", tup, fset)
         assert nec.verdict == "pass"
+
+    def test_scalar_tuple_outside_the_chain_fails_isometry(self):
+        # this tuple fails the chain's omega<=1[1,6] and omega<=1[2,5] by
+        # 0.125, so it is no Gamma_E(3;3;1,1,1)-contraction; its dilation's
+        # members V1, V2, V5, V6 have norm about 1.05 on the window, which
+        # the tetrablock-isometry bound ||V_i|| <= 1 rejects
+        c = [0.2, -0.15, 0.1, 0.05, 0.3, -0.25, 0.6]
+        tup, fset, rep = _scalar_gamma7_dilation(c)
+        assert chain_report("gamma7", tup, fset=fset).verdict == "fail"
+        assert rep.verdict == "fail"
+        failed = {i.label: i.residual for i in rep.items if not i.passed}
+        assert set(failed) == {"||V1||<=1", "||V2||<=1", "||V5||<=1", "||V6||<=1"}
+        assert 0.04 < failed["||V1||<=1"] < 0.06
 
     def test_scalar_conditional_family_gamma5(self):
         c = [0.3, 0.4, 0.5, -0.2, 0.1j]
@@ -228,10 +248,6 @@ class TestCompactChecksMatchDense:
     @staticmethod
     def _wn(a, q):
         return float(np.linalg.norm(a @ q, 2))
-
-    @staticmethod
-    def _radius(a, q):
-        return float(np.abs(np.linalg.eigvals(q.conj().T @ a @ q)).max())
 
     def _assert_items(self, rep, ref):
         got = {i.label: i.residual for i in rep.items}
@@ -301,7 +317,7 @@ class TestCompactChecksMatchDense:
         for i in range(6):
             j = 5 - i
             ref[f"V{i+1}=V{j+1}*V7"] = self._wn(v[i] - v[j].conj().T @ v[6], q)
-            ref[f"r(V{i+1})<=1"] = max(0.0, self._radius(v[i], q) - 1.0)
+            ref[f"||V{i+1}||<=1"] = max(0.0, self._wn(v[i], q) - 1.0)
         ref["V7 isometry"] = self._wn(v[6].conj().T @ v[6] - np.eye(dil.dim), q)
         self._assert_items(isometry_check("gamma7", dil.tuple(), window=kw), ref)
 
@@ -314,7 +330,7 @@ class TestCompactChecksMatchDense:
             "commuting": self._commuting(dil.ops, q),
             "R2=R2*R3": self._wn(r2 - r2.conj().T @ r3, q),
             "R3 isometry": self._wn(r3.conj().T @ r3 - eye, q),
-            "r(R2)<=2": max(0.0, self._radius(r2, q) - 2.0),
+            "||R2||<=2": max(0.0, self._wn(r2, q) - 2.0),
             "R1*R1+R2*R2/4=I": self._wn(
                 r1.conj().T @ r1 + 0.25 * r2.conj().T @ r2 - eye, q),
         }
