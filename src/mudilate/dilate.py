@@ -15,11 +15,11 @@ import numpy as np
 import scipy.linalg
 
 from . import opcore
-from .opcore import (OperatorTuple, OpcoreError, _compact, _mat,
+from .opcore import (WHOLE_SPACE, OperatorTuple, OpcoreError, _compact, _mat,
                      commutator_norms, herm_sqrt, op_norm)
 from .fundamentals import (PIVOT, RELATIONS, DefectData, ExpansiveError,
                            FundamentalSet)
-from .spaces import Window, block_assemble
+from .spaces import AnyWindow, Window, block_assemble
 
 
 class DilateError(OpcoreError):
@@ -82,12 +82,12 @@ class DilationResult:
     def tuple(self) -> OperatorTuple:
         return OperatorTuple(self.kind, self.ops)
 
-    def coextension_residuals(self, base_ops, h_window: Window | None = None) -> list:
+    def coextension_residuals(self, base_ops, h_window: AnyWindow = WHOLE_SPACE) -> list:
         """||(V* E - E T*) Q|| per member; E puts H on the first base_dim coordinates
         (as ``window`` assumes), so (V* E - E T*)* = V[:base_dim] - [T, 0]."""
-        norm = op_norm if h_window is None else h_window.wnorm
         pad = ((0, 0), (0, self.dim - self.base_dim))
-        return [norm((_compact(v[:self.base_dim]) - _compact(np.pad(_mat(t), pad))).H)
+        return [h_window.wnorm((_compact(v[:self.base_dim])
+                                - _compact(np.pad(_mat(t), pad))).H)
                 for v, t in zip(self.ops, base_ops)]
 
     def window(self, h_window: Window, tail_margin: int = 1) -> Window:
@@ -97,8 +97,6 @@ class DilationResult:
         On each kept copy the window is the part of the defect space inside
         the base window, in defect coordinates (``DefectData.window_range``).
         """
-        if self.defect.rank == 0:
-            return h_window
         keepv = self.defect.window_range(h_window)
         keep_copies = max(0, self.depth - tail_margin)
         basis = scipy.linalg.block_diag(h_window.basis, *[keepv] * keep_copies)
@@ -196,7 +194,7 @@ def pentablock_dilation(tup: OperatorTuple, fset: FundamentalSet,
     return DilationResult("penta", (r1, r2, r3), depth, dd, base_dim)
 
 
-def pushforward(kind: str, *args, tol: float = 1e-9, window: Window | None = None):
+def pushforward(kind: str, *args, window: AnyWindow = WHOLE_SPACE):
     """Families of operators: the two-parameter seven-tuple, its gamma5
     slice, the axis embedding, and the averaged triple with an isometry.
 
@@ -229,8 +227,7 @@ def pushforward(kind: str, *args, tol: float = 1e-9, window: Window | None = Non
         for o in (t1, t2):
             if op_norm(o) > 1.0 + 1e-8:
                 raise ExpansiveError("gamma3 needs contractions in the first two slots")
-        iso = v3.conj().T @ v3 - np.eye(v3.shape[0])
-        iso_res = window.wnorm(iso) if window is not None else op_norm(iso)
+        iso_res = window.wnorm(v3.conj().T @ v3 - np.eye(v3.shape[0]))
         if iso_res > 1e-8:
             raise DilateError(f"third member is not an isometry on the window: {iso_res:.3e}")
         out = OperatorTuple("tetra", ((1.0 / 3.0) * (t1 + t2 + v3),
@@ -239,6 +236,6 @@ def pushforward(kind: str, *args, tol: float = 1e-9, window: Window | None = Non
     else:
         raise DilateError(f"unknown pushforward kind {kind!r}")
     worst = max((v for _, v in commutator_norms(out.ops, window)), default=0.0)
-    if worst > tol * max(1.0, max(op_norm(o) for o in out.ops) ** 2):
+    if worst > 1e-9 * max(1.0, max(op_norm(o) for o in out.ops) ** 2):
         raise DilateError(f"pushforward result does not commute: {worst:.3e}")
     return out

@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .opcore import (OperatorTuple, OpcoreError, _mat, _square,
-                     commutator_norms, numerical_radius, op_norm,
-                     spectral_radius)
+from .opcore import (WHOLE_SPACE, OperatorTuple, OpcoreError, _mat, _square,
+                     commutator_norms, numerical_radius, op_norm, spectral_radius)
 from .report import CheckReport
-from .spaces import Window
+from .spaces import AnyWindow, Window
 
 
 class SolveError(OpcoreError):
@@ -58,15 +58,14 @@ class DefectData:
         return self.projection_gap <= 1e-9
 
     def pinv(self) -> np.ndarray:
-        if self.rank == 0:
-            return np.zeros_like(self.D)
         q = self.range_basis
         return (q / self.dvals) @ q.conj().T
 
-    def compress(self, op) -> np.ndarray:
-        """Defect-coordinate matrix Q* A Q."""
-        q = self.range_basis
-        return q.conj().T @ _mat(op) @ q
+    @cached_property
+    def compress(self):
+        """Defect-coordinate matrix Q* A Q: ``Window.compress`` on the range
+        basis Q, whose window is built once."""
+        return Window(None, self.range_basis).compress
 
     def window_range(self, window: Window) -> np.ndarray:
         """Orthonormal basis, in defect coordinates, of the part of the
@@ -147,21 +146,20 @@ def _rhs_map(kind: str, tup: OperatorTuple) -> dict:
 
 
 def equation_residuals(rhs: dict, dd: DefectData, ops: dict, tol: float,
-                       window: Window | None = None) -> dict:
+                       window: AnyWindow = WHOLE_SPACE) -> dict:
     """||D F D - B|| per equation, B = w (T_i - T_j* T_p) from ``_rhs_map``,
-    windowed if a window is given.  Raises SolveError naming the first
-    equation whose residual exceeds ``tol``."""
-    norm = op_norm if window is None else window.wnorm
+    seen through the window.  Raises SolveError naming the first equation
+    whose residual exceeds ``tol``."""
     out = {}
     for name, b in rhs.items():
-        out[name] = res = norm(dd.D @ ops[name] @ dd.D - b)
+        out[name] = res = window.wnorm(dd.D @ ops[name] @ dd.D - b)
         if res > tol:
             raise SolveError(f"{name} fails its equation: residual {res:.3e} > {tol:.1e}")
     return out
 
 
 def solve_fundamentals(kind: str, tup: OperatorTuple, tol: float = 1e-9,
-                       window: Window | None = None) -> FundamentalSet:
+                       window: AnyWindow = WHOLE_SPACE) -> FundamentalSet:
     """Solve every fundamental equation of the tuple's kind by F = D+ B D+.
 
     Raises SolveError when the tuple does not commute to 1e-9 (relative to
@@ -218,8 +216,12 @@ def rho(kind: str, args) -> RhoResult:
     return RhoResult(sym_out, asym)
 
 
+# tolerance of every chain_report item and of its own fundamental solve
+CHAIN_TOL = 1e-7
+
+
 def chain_report(kind: str, tup: OperatorTuple, z_samples: int = 32,
-                 tol: float = 1e-7, window: Window | None = None,
+                 window: AnyWindow = WHOLE_SPACE,
                  fset: FundamentalSet | None = None) -> CheckReport:
     """Necessary-condition chain sampled on the torus.
 
@@ -234,7 +236,7 @@ def chain_report(kind: str, tup: OperatorTuple, z_samples: int = 32,
     So every condition is a k x k family affine in z on the window
     compression: h = 2(I - L*L) is compressed once, K once per pair.
 
-    A pair whose sampled sums all have spectral radius at most ``tol``
+    A pair whose sampled sums all have spectral radius at most ``CHAIN_TOL``
     (nilpotent sums, as in the graded shift examples) cannot fail its
     radius condition; it is listed in ``undecided`` as vacuous instead of
     counting as a pass.  ``margins["radius"]`` still covers every pair.
@@ -243,11 +245,10 @@ def chain_report(kind: str, tup: OperatorTuple, z_samples: int = 32,
         raise OpcoreError("chain_report handles gamma7 and gamma5 tuples")
     if z_samples < 1:
         raise OpcoreError(f"z_samples must be at least 1, got {z_samples}")
-    rep = CheckReport(name=f"chain-{kind}",
-                      window_margin=None if window is None else window.margin)
+    rep = CheckReport(name=f"chain-{kind}", window_margin=window.margin)
     rep.notes.append("necessary direction only: failures disprove, passes do not certify")
     zs = np.exp(2j * np.pi * np.arange(z_samples) / z_samples)
-    comp = _mat if window is None else window.compress
+    comp = window.compress
 
     # one coordinate pair per relation row with i < j, both members scaled
     # by the row weight; the partner row supplies the second fundamental
@@ -260,14 +261,14 @@ def chain_report(kind: str, tup: OperatorTuple, z_samples: int = 32,
 
     if fset is None:
         try:
-            fset = solve_fundamentals(kind, tup, tol=max(tol, 1e-9), window=window)
+            fset = solve_fundamentals(kind, tup, tol=CHAIN_TOL, window=window)
         except (SolveError, ExpansiveError) as exc:
-            rep.add("fundamental-solvability", sys.float_info.max, tol, ok=False)
+            rep.add("fundamental-solvability", sys.float_info.max, CHAIN_TOL, ok=False)
             rep.notes.append(f"solve failed: {exc}")
             fset = None
     if fset is not None:
         rep.add("fundamental-solvability",
-                max(fset.residuals.values(), default=0.0), max(tol, 1e-9))
+                max(fset.residuals.values(), default=0.0), CHAIN_TOL)
 
     h = comp(2.0 * (np.eye(tup.dim) - last.conj().T @ last))
     h = (h + h.conj().T) / 2.0
@@ -282,19 +283,19 @@ def chain_report(kind: str, tup: OperatorTuple, z_samples: int = 32,
             zk = z * k
             p_rho = min(p_rho, float(np.linalg.eigvalsh(h - zk - zk.conj().T)[0]))
             p_rad = max(p_rad, spectral_radius(ca + z * cb))
-        rep.add(f"rho-pair-psd[{tag}]", max(0.0, -p_rho), tol)
-        if p_rad <= tol:
+        rep.add(f"rho-pair-psd[{tag}]", max(0.0, -p_rho), CHAIN_TOL)
+        if p_rad <= CHAIN_TOL:
             rep.undecided.append(f"radius<=2[{tag}] vacuous: every sampled "
                                  "sum has spectral radius 0 to tol")
         else:
-            rep.add(f"radius<=2[{tag}]", max(0.0, p_rad - 2.0), tol)
+            rep.add(f"radius<=2[{tag}]", max(0.0, p_rad - 2.0), CHAIN_TOL)
         rho_min = min(rho_min, p_rho)
         rad_max = max(rad_max, p_rad)
         if fset is not None:
             fa, fb = comp(fset[names[0]]), comp(fset[names[1]])
             for z in zs:
                 p_om = max(p_om, numerical_radius(fa + z * fb))
-            rep.add(f"omega<=1[{tag}]", max(0.0, p_om - 1.0), tol)
+            rep.add(f"omega<=1[{tag}]", max(0.0, p_om - 1.0), CHAIN_TOL)
             omega_max = max(omega_max, p_om)
     rep.margins = {
         "rho": None if rho_min == np.inf else float(rho_min),

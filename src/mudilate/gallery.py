@@ -14,15 +14,15 @@ import numpy as np
 
 from . import opcore
 from .opcore import OperatorTuple, _compact, _mat, herm_sqrt, op_norm
-from .spaces import ModelSpace, auto_margin, embed_blocks, hardy_shift, window
+from .spaces import ModelSpace, Window, auto_margin, embed_blocks, hardy_shift, window
 from .domains import (DomainPoint, membership, point_pi, point_pi_eta,
                       psi3_supnorm)
 from .fundamentals import (MEMBERS, PIVOT, RELATIONS, DefectData, chain_report,
                            solve_fundamentals)
 from .dilate import DilationResult, _tail_tuple, pushforward, \
     pentablock_dilation, schaffer
-from .verify import _self_comm, _windowed_range, commutator_profile, \
-    is_commuting, isometry_check, necessary_conditions
+from .verify import _self_comm, commutator_profile, is_commuting, \
+    isometry_check, necessary_conditions
 from .report import CheckReport, dumps
 
 
@@ -466,10 +466,10 @@ def _run_axis_family(case: GalleryCase) -> CheckReport:
     # restriction of the tuple to the kernel of the last member (= the
     # defect range of a partial isometry) carries the same commutator
     # table as the fundamentals
-    kb = _windowed_range(dd, w)
+    kw = Window(w.margin, dd.range_basis @ dd.window_range(w))
     gap = 0.0
-    for i, j in ((0, 5), (1, 4), (2, 3)):
-        fi, fj, di, dj = (kb.conj().T @ x @ kb for x in (
+    for i, j in ((i, j) for i, j, _, _ in RELATIONS["gamma7"] if i < j):
+        fi, fj, di, dj = (kw.compress(x) for x in (
             fset[f"F{i+1}"], fset[f"F{j+1}"], tup.ops[i], tup.ops[j]))
         gap = max(gap, float(np.linalg.norm(
             (_self_comm(fi) - _self_comm(fj)) - (_self_comm(di) - _self_comm(dj)), 2)))

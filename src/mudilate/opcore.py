@@ -270,9 +270,23 @@ def kernel_basis(a, tol: float | None = None) -> np.ndarray:
     return vh[rank:].conj().T
 
 
-def commutator_norms(ops, window=None) -> list:
-    """Pairwise commutator norms ||[A_i, A_j]|| (optionally right-windowed)."""
+class WholeSpace:
+    """The whole space as a window: no margin, plain norms, no compression."""
+
+    margin = None
+
+    def wnorm(self, a) -> float:
+        return op_norm(a)
+
+    def compress(self, a) -> np.ndarray:
+        return _mat(a)
+
+
+WHOLE_SPACE = WholeSpace()
+
+
+def commutator_norms(ops, window=WHOLE_SPACE) -> list:
+    """Pairwise commutator norms ||[A_i, A_j]|| seen through the window."""
     fs = [_compact(o) for o in ops]
-    norm = op_norm if window is None else window.wnorm
-    return [((i, j), norm(fs[i] @ fs[j] - fs[j] @ fs[i]))
+    return [((i, j), window.wnorm(fs[i] @ fs[j] - fs[j] @ fs[i]))
             for i in range(len(fs)) for j in range(i + 1, len(fs))]

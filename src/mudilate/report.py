@@ -8,6 +8,8 @@ Serialization is deterministic: equal reports produce identical bytes.
 from __future__ import annotations
 
 import json
+import numbers
+import reprlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -131,6 +133,12 @@ def complex_to_pair(z):
 
 
 def pair_to_complex(p):
+    """A [re, im] pair of real numbers as a complex number; anything else
+    raises ValueError naming what it got."""
+    if not (isinstance(p, list) and len(p) == 2 and all(
+            isinstance(x, numbers.Real) and not isinstance(x, bool) for x in p)):
+        raise ValueError(f"a complex entry must be a [re, im] pair of real "
+                         f"numbers, got {reprlib.repr(p)}")
     return complex(p[0], p[1])
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .opcore import OpcoreError, _compact, _mat
+from .opcore import OpcoreError, WholeSpace, _compact, _mat
 
 
 @dataclass(frozen=True)
@@ -105,6 +105,9 @@ class Window:
         """Smallest eigenvalue of the Hermitian part of the compression of H."""
         c = self.compress(h)
         return float(np.linalg.eigvalsh((c + c.conj().T) / 2.0).min())
+
+
+AnyWindow = Window | WholeSpace  # a check's window; default opcore.WHOLE_SPACE
 
 
 def window(space: ModelSpace, margin: int) -> Window:

@@ -12,27 +12,26 @@ from __future__ import annotations
 
 import numpy as np
 
-from .opcore import (OperatorTuple, OpcoreError, _compact, _mat,
+from .opcore import (WHOLE_SPACE, OperatorTuple, OpcoreError, _compact,
                      commutator_norms, kernel_basis, op_norm)
 from .fundamentals import MEMBERS, PIVOT, RELATIONS, FundamentalSet
 from .report import CheckReport
-from .spaces import Window
+from .spaces import AnyWindow, Window
 
 
-def is_commuting(t, tol: float = 1e-9, window: Window | None = None) -> CheckReport:
+def is_commuting(t, tol: float = 1e-9, window: AnyWindow = WHOLE_SPACE) -> CheckReport:
     ops = list(t.ops) if isinstance(t, OperatorTuple) else [_compact(o) for o in t]
     dim = ops[0].shape[0]
     if any(o.shape != (dim, dim) for o in ops):
         raise OpcoreError("commutation check needs square operators on one space")
-    rep = CheckReport(name="is-commuting",
-                      window_margin=None if window is None else window.margin)
+    rep = CheckReport(name="is-commuting", window_margin=window.margin)
     for (i, j), res in commutator_norms(ops, window):
         rep.add(f"[T{i+1},T{j+1}]", res, tol)
     return rep
 
 
 def isometry_check(kind: str, t, tol: float = 1e-9,
-                   window: Window | None = None) -> CheckReport:
+                   window: AnyWindow = WHOLE_SPACE) -> CheckReport:
     """Algebraic characterization of each isometry class, windowed.
 
     kinds: "isometry" and "partial" take a single operator; "gamma7",
@@ -53,12 +52,10 @@ def isometry_check(kind: str, t, tol: float = 1e-9,
     A bound is read through the window as ||A Q||, and ||A Q|| <= ||A||,
     so a windowed failure proves the bound fails.
     """
-    rep = CheckReport(name=f"isometry-{kind}",
-                      window_margin=None if window is None else window.margin)
-    norm = op_norm if window is None else window.wnorm
+    rep = CheckReport(name=f"isometry-{kind}", window_margin=window.margin)
 
     def isometry_residual(v):
-        return norm(v.H @ v - _compact(np.eye(v.shape[0], dtype=complex)))
+        return window.wnorm(v.H @ v - _compact(np.eye(v.shape[0], dtype=complex)))
 
     if kind == "isometry":
         rep.add("V*V=I", isometry_residual(_compact(t)), tol)
@@ -66,7 +63,7 @@ def isometry_check(kind: str, t, tol: float = 1e-9,
     if kind == "partial":
         m = _compact(t)
         rep.add("norm<=1", max(0.0, op_norm(m) - 1.0), 1e-8)
-        rep.add("TT*T=T", norm(m @ m.H @ m - m), tol)
+        rep.add("TT*T=T", window.wnorm(m @ m.H @ m - m), tol)
         return rep
 
     if not isinstance(t, OperatorTuple):
@@ -82,15 +79,15 @@ def isometry_check(kind: str, t, tol: float = 1e-9,
     names, p = MEMBERS[kind], PIVOT[kind]
     for i, j, _, _ in RELATIONS[kind]:
         rep.add(f"{names[i]}={names[j]}*{names[p]}",
-                norm(ops[i] - ops[j].H @ ops[p]), tol)
+                window.wnorm(ops[i] - ops[j].H @ ops[p]), tol)
         if kind == "gamma7":
-            rep.add(f"||{names[i]}||<=1", max(0.0, norm(ops[i]) - 1.0), tol)
+            rep.add(f"||{names[i]}||<=1", max(0.0, window.wnorm(ops[i]) - 1.0), tol)
     rep.add(f"{names[p]} isometry", isometry_residual(ops[p]), tol)
     if kind == "penta":
         r1, r2, _ = ops
-        rep.add("||R2||<=2", max(0.0, norm(r2) - 2.0), tol)
+        rep.add("||R2||<=2", max(0.0, window.wnorm(r2) - 2.0), tol)
         gram = r1.H @ r1 + 0.25 * r2.H @ r2 - _compact(np.eye(t.dim, dtype=complex))
-        rep.add("R1*R1+R2*R2/4=I", norm(gram), tol)
+        rep.add("R1*R1+R2*R2/4=I", window.wnorm(gram), tol)
     return rep
 
 
@@ -98,45 +95,29 @@ def _windowed_kernel(dd, window):
     """Orthonormal basis of Ker D intersected with the window: the window
     vectors that the orthogonal projection R = q q* onto the defect range
     kills, read off the eigenvalue-0 eigenvectors of the compression
-    Q* R Q = c c* (c = Q* q)."""
-    if window is None:
+    Q* R Q = c c* (c = Q* q).  On the whole space it is Ker D itself."""
+    if window is WHOLE_SPACE:
         return kernel_basis(dd.D)
     c = window.basis.conj().T @ dd.range_basis
     w, v = np.linalg.eigh(c @ c.conj().T)
     return window.basis @ v[:, w < 1e-9]
 
 
-def _windowed_range(dd, window):
-    """Orthonormal basis of the defect range intersected with the window
-    (``DefectData.window_range``, mapped back by the range basis q).
-
-    For a partial isometry this is the kernel of the operator itself, the
-    subspace the restricted-tuple comparisons live on.
-    """
-    if window is None:
-        return dd.range_basis
-    return dd.range_basis @ dd.window_range(window)
-
-
 def necessary_conditions(kind: str, t: OperatorTuple, fset: FundamentalSet,
-                         tol: float = 1e-9, window: Window | None = None) -> CheckReport:
+                         tol: float = 1e-9, window: AnyWindow = WHOLE_SPACE) -> CheckReport:
     """Kernel-restricted residuals that any dilatable tuple must annihilate.
 
     The companion existence condition (a joint subnormal dilation of the
     fundamental operators) has no finite test and is reported as undecided,
     with the commutator profile as the natural circumstantial data.
     """
-    rep = CheckReport(name=f"necessary-{kind}",
-                      window_margin=None if window is None else window.margin)
+    rep = CheckReport(name=f"necessary-{kind}", window_margin=window.margin)
     dd = fset.defect
-    kb = _windowed_kernel(dd, window)
-    rep.notes.append(f"kernel test space dimension {kb.shape[1]}")
+    kw = Window(window.margin, _windowed_kernel(dd, window))
+    rep.notes.append(f"kernel test space dimension {kw.dim}")
     rep.undecided.append("joint subnormal dilation of the fundamental operators")
-    if kb.shape[1] == 0:
+    if kw.dim == 0:
         rep.notes.append("defect kernel is trivial on the window; conditions hold vacuously")
-
-    def on_kernel(e):
-        return float(np.linalg.norm(e.blk @ kb[e.c], 2)) if e.blk.size and kb.size else 0.0
 
     d = _compact(dd.D)
     if kind == "gamma7":
@@ -144,12 +125,12 @@ def necessary_conditions(kind: str, t: OperatorTuple, fset: FundamentalSet,
             raise OpcoreError("gamma7 conditions need gamma7 tuple and fundamentals")
         ts = [_compact(o) for o in t.ops]
         fs = [_compact(fset[f"F{i+1}"]).H for i in range(6)]
-        for i in range(6):
-            e2 = fs[i] @ d @ ts[i] - fs[5 - i] @ d @ ts[5 - i]
-            rep.add(f"(F{i+1}*D T{i+1} - F{6-i}*D T{6-i})|ker", on_kernel(e2), tol)
-        for i in range(6):
-            anti = fs[i] @ fs[5 - i] - fs[5 - i] @ fs[i]
-            rep.add(f"[F{i+1}*,F{6-i}*]D T7|ker", on_kernel(anti @ d @ ts[6]), tol)
+        for i, j, _, _ in RELATIONS["gamma7"]:
+            e2 = fs[i] @ d @ ts[i] - fs[j] @ d @ ts[j]
+            rep.add(f"(F{i+1}*D T{i+1} - F{j+1}*D T{j+1})|ker", kw.wnorm(e2), tol)
+        for i, j, _, _ in RELATIONS["gamma7"]:
+            anti = fs[i] @ fs[j] - fs[j] @ fs[i]
+            rep.add(f"[F{i+1}*,F{j+1}*]D T7|ker", kw.wnorm(anti @ d @ ts[6]), tol)
     elif kind == "gamma5":
         if t.kind != "gamma5" or fset.kind != "gamma5":
             raise OpcoreError("gamma5 conditions need gamma5 tuple and fundamentals")
@@ -164,14 +145,14 @@ def necessary_conditions(kind: str, t: OperatorTuple, fset: FundamentalSet,
             ("7", g1t, g1, 2.0 * g1t @ d @ s2t - g1 @ d @ s2),
         ]
         for k, a, b, expr in conds:
-            rep.add(f"({k})", on_kernel(expr), tol)
-            rep.add(f"({k}')", on_kernel((a @ b - b @ a) @ d @ s3), tol)
+            rep.add(f"({k})", kw.wnorm(expr), tol)
+            rep.add(f"({k}')", kw.wnorm((a @ b - b @ a) @ d @ s3), tol)
     elif kind == "penta":
         if t.kind != "penta" or fset.kind != "penta":
             raise OpcoreError("penta conditions need a penta triple and its fundamentals")
         _, p2, p3 = (_compact(o) for o in t.ops)
         x = _compact(fset["X"])
-        rep.add("(X D P3 - D P2)|ker", on_kernel(x @ d @ p3 - d @ p2), tol)
+        rep.add("(X D P3 - D P2)|ker", kw.wnorm(x @ d @ p3 - d @ p2), tol)
     else:
         raise OpcoreError(f"unknown kind {kind!r}")
     return rep
@@ -186,7 +167,7 @@ def _comm(a, b):
 
 
 def commutator_profile(fset: FundamentalSet, tol: float = 1e-9,
-                       window: Window | None = None) -> CheckReport:
+                       window: AnyWindow = WHOLE_SPACE) -> CheckReport:
     """Full table of the commutator identities behind the sufficient
     conditions.  Violations mark the report hypothesis-violated, never
     failed: these are hypotheses, not necessary conditions.
@@ -194,10 +175,10 @@ def commutator_profile(fset: FundamentalSet, tol: float = 1e-9,
     if fset.kind not in ("gamma7", "gamma5"):
         raise OpcoreError("a single fundamental operator has no commutator profile")
     rep = CheckReport(name=f"commutators-{fset.kind}", hypothesis_only=True,
-                      window_margin=None if window is None else window.margin)
+                      window_margin=window.margin)
     # P F P = Q (Q* F Q) Q*, so products and commutators of the compressions
     # carry the norms of the two-sided windowed operators
-    comp = _mat if window is None else window.compress
+    comp = window.compress
 
     if fset.kind == "gamma7":
         fs = [comp(fset[f"F{i+1}"]) for i in range(6)]
@@ -205,11 +186,13 @@ def commutator_profile(fset: FundamentalSet, tol: float = 1e-9,
             for j in range(i + 1, 6):
                 rep.add(f"[F{i+1},F{j+1}]",
                         float(np.linalg.norm(_comm(fs[i], fs[j]), 2)), tol)
+        partner = {i: j for i, j, _, _ in RELATIONS["gamma7"]}
         for i in range(6):
             for j in range(i + 1, 6):
-                lhs = _comm(fs[5 - i].conj().T, fs[j])
-                rhs = _comm(fs[5 - j].conj().T, fs[i])
-                rep.add(f"[F{6-i}*,F{j+1}]-[F{6-j}*,F{i+1}]",
+                ci, cj = partner[i], partner[j]
+                lhs = _comm(fs[ci].conj().T, fs[j])
+                rhs = _comm(fs[cj].conj().T, fs[i])
+                rep.add(f"[F{ci+1}*,F{j+1}]-[F{cj+1}*,F{i+1}]",
                         float(np.linalg.norm(lhs - rhs, 2)), tol)
         return rep
 

@@ -40,7 +40,8 @@ def _dense_pair_mins(tup, z_samples, w=None):
 
 
 def _assert_matches_dense(tup, z_samples, w=None):
-    rep = chain_report(tup.kind, tup, z_samples=z_samples, window=w)
+    rep = chain_report(tup.kind, tup, z_samples=z_samples,
+                       **({} if w is None else {"window": w}))
     ref = _dense_pair_mins(tup, z_samples, w)
     items = [i for i in rep.items if i.label.startswith("rho-pair-psd")]
     assert len(items) == len(ref)

@@ -353,3 +353,22 @@ class TestEntryPoint:
             capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0
         assert "pi_family" in proc.stdout and "pass" in proc.stdout
+
+    @pytest.mark.parametrize("args", [
+        ["verify", "--kind", "gamma7", "--tuple", {"data": [0.5]}],
+        ["verify", "--kind", "gamma7", "--tuple", {"data": [["a", 0]]}],
+        ["membership", "--point", '{"kind":"tetra","coords":[1,2,3]}'],
+    ])
+    def test_malformed_entries_give_a_named_error(self, tmp_path, args):
+        # a complex entry that is not a [re, im] pair of reals is named in
+        # one error line, not reported by a traceback
+        if isinstance(args[-1], dict):
+            path = tmp_path / "bad.json"
+            path.write_text(json.dumps({"kind": "gamma7", "ops": [
+                {"rows": 1, "cols": 1, **args[-1]}] * 7}))
+            args = args[:-1] + [str(path)]
+        proc = subprocess.run([sys.executable, "-m", "mudilate.cli", *args],
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:") and "[re, im] pair" in proc.stderr
+        assert "Traceback" not in proc.stderr

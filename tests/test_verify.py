@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mudilate.opcore import OperatorTuple, OpcoreError
-from mudilate.spaces import ModelSpace, hardy_shift, window
+from mudilate.spaces import ModelSpace, Window, hardy_shift, window
 from mudilate.fundamentals import chain_report, defect, solve_fundamentals
 from mudilate.gallery import build_exam3_dilation
 from mudilate.verify import (commutator_profile, is_commuting, isometry_check,
@@ -96,6 +96,22 @@ class TestNecessaryConditions:
         assert rep.verdict == "pass"
         assert rep.worst() <= 1e-12
 
+    @pytest.mark.parametrize("windowed", [False, True])
+    def test_trivial_kernel_holds_vacuously(self, windowed):
+        # pivot 0.5 I has the full-rank defect (3/4)^(1/2) I: the kernel
+        # window has no columns and every restricted residual is 0.0
+        ops = [np.zeros((2, 2))] * 6 + [0.5 * np.eye(2)]
+        tup = OperatorTuple("gamma7", ops)
+        kw = {"window": Window(0, np.eye(2))} if windowed else {}
+        fset = solve_fundamentals("gamma7", tup, **kw)
+        assert fset.defect.rank == 2
+        rep = necessary_conditions("gamma7", tup, fset, **kw)
+        assert rep.verdict == "pass"
+        assert [i.residual for i in rep.items] == [0.0] * 12
+        assert "kernel test space dimension 0" in rep.notes
+        assert ("defect kernel is trivial on the window; conditions hold "
+                "vacuously") in rep.notes
+
     def test_exam1_residuals(self, exam1):
         _, tup, _, w = exam1
         fset = solve_fundamentals("gamma7", tup, window=w)
@@ -128,8 +144,9 @@ class TestPartialIsometryRestriction:
         # fundamental operators'
         _, tup, _, w = exam1
         fset = solve_fundamentals("gamma7", tup, window=w)
-        from mudilate.verify import _self_comm, _windowed_range
-        kb = _windowed_range(defect(tup.ops[6]), w)
+        from mudilate.verify import _self_comm
+        dd = defect(tup.ops[6])
+        kb = dd.range_basis @ dd.window_range(w)
         assert kb.shape[1] > 0
         for i, j in ((0, 5), (1, 4), (2, 3)):
             fi = kb.conj().T @ fset[f"F{i+1}"] @ kb

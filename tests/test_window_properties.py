@@ -1,19 +1,20 @@
 """Randomised invariants of the basis-form window: ||A Q|| and the
 compression Q* A Q carry the same norms and radii as the projector forms
 A P and P A P (P = Q Q*), taken on the nonzero rows and columns of A they
-agree with the dense forms, and the measured margin makes truncated shift
-words exact."""
+agree with the dense forms, the whole space reads like the identity
+window, and the measured margin makes truncated shift words exact."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mudilate.dilate import DilationResult
-from mudilate.fundamentals import defect
-from mudilate.opcore import commutator_norms, numerical_radius, \
+from mudilate.fundamentals import chain_report, defect
+from mudilate.opcore import OperatorTuple, commutator_norms, numerical_radius, \
     spectral_radius
 from mudilate.spaces import ModelSpace, Window, auto_margin, embed_blocks, \
     hardy_shift, window
+from mudilate.verify import is_commuting, isometry_check
 
 from conftest import random_supported
 
@@ -98,6 +99,49 @@ def test_windowed_commutator_norms_match_dense(case, count):
         assert abs(g - r) <= 1e-12 * scale
         if r == 0.0:
             assert g == 0.0
+
+
+@st.composite
+def small_tuple(draw):
+    """A seeded gamma7, gamma5 or penta tuple of dimension 2-4 whose members
+    have norm at most 1: dense and generally non-commuting, or diagonal, so
+    that the fundamentals solve and every chain item is reached."""
+    kind = draw(st.sampled_from(("gamma7", "gamma5", "penta")))
+    n = draw(st.integers(2, 4))
+    diagonal = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ops = []
+    for _ in range({"gamma7": 7, "gamma5": 5, "penta": 3}[kind]):
+        m = np.diag(_complex(rng, 1, n)[0]) if diagonal else _complex(rng, n, n)
+        ops.append(m * (rng.uniform(0.1, 1.0) / np.linalg.norm(m, 2)))
+    return OperatorTuple(kind, ops)
+
+
+def _same_items(whole, eye):
+    assert whole.window_margin is None and eye.window_margin == 0
+    assert [i.label for i in whole.items] == [i.label for i in eye.items]
+    for a, b in zip(whole.items, eye.items):
+        assert abs(a.residual - b.residual) <= 1e-12, a.label
+
+
+@SETTINGS
+@given(small_tuple())
+def test_whole_space_equals_identity_window(tup):
+    # the default window is the whole space: every check reads the same
+    # residuals as through the window whose basis is the identity, and
+    # reports no margin
+    eye = Window(0, np.eye(tup.dim))
+    whole_c, eye_c = commutator_norms(tup.ops), commutator_norms(tup.ops, eye)
+    assert [p for p, _ in whole_c] == [p for p, _ in eye_c]
+    for (_, a), (_, b) in zip(whole_c, eye_c):
+        assert abs(a - b) <= 1e-12
+    _same_items(is_commuting(tup), is_commuting(tup, window=eye))
+    _same_items(isometry_check(tup.kind, tup),
+                isometry_check(tup.kind, tup, window=eye))
+    if tup.kind != "penta":
+        whole = chain_report(tup.kind, tup, z_samples=4)
+        _same_items(whole, chain_report(tup.kind, tup, z_samples=4, window=eye))
+        assert whole.to_dict()["window_margin"] is None
 
 
 @SETTINGS
