@@ -22,7 +22,8 @@ from .dilate import egervary, pentablock_dilation, schaffer
 from .verify import commutator_profile, is_commuting, isometry_check, \
     necessary_conditions
 from .gallery import CASE_IDS, GalleryCase, emit_report, run_example
-from .report import dumps, operator_from_dict, operator_to_dict, pair_to_complex
+from .report import (dumps, json_of_type, operator_from_dict, operator_to_dict,
+                     pair_to_complex)
 
 
 def _load_json(path):
@@ -31,21 +32,23 @@ def _load_json(path):
 
 
 def _load_tuple(path, kind=None):
-    d = _load_json(path)
+    d = json_of_type("a tuple file", _load_json(path), dict)
     if "ops" not in d:
         raise SystemExit("tuple file needs an 'ops' list")
     k = kind or d.get("kind")
     if k is None:
         raise SystemExit("tuple kind missing (give --kind or a 'kind' field)")
-    return OperatorTuple(k, tuple(operator_from_dict(o) for o in d["ops"]))
+    ops = json_of_type("a tuple's 'ops'", d["ops"], list)
+    return OperatorTuple(k, tuple(operator_from_dict(o) for o in ops))
 
 
 def _load_point(text, kind=None):
     d = json.loads(text)
-    if isinstance(d, list):
-        coords, k = d, kind
-    else:
+    if isinstance(d, dict):
         coords, k = d["coords"], kind or d.get("kind")
+    else:
+        coords, k = d, kind
+    coords = json_of_type("a point's coordinates", coords, list)
     if k is None:
         raise SystemExit("point kind missing (give --kind or a 'kind' field)")
     return DomainPoint(k, tuple(pair_to_complex(p) for p in coords))
@@ -95,8 +98,10 @@ def cmd_fundamental(args):
 def cmd_dilate(args):
     if args.kind == "egervary":
         d = _load_json(args.tuple)
-        op = operator_from_dict(d["ops"][0] if "ops" in d else d)
-        u = egervary(op, args.N)
+        if isinstance(d, dict) and "ops" in d:
+            ops = json_of_type("a tuple's 'ops'", d["ops"], list)
+            d = ops[0] if ops else None
+        u = egervary(operator_from_dict(d), args.N)
         res = float(np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0]), 2))
         print(dumps({"kind": "egervary", "N": args.N, "dim": u.shape[0],
                      "unitary_residual": res,

@@ -1,6 +1,6 @@
 """Explicit dilation constructors: the finite unitary power dilation, the
-block lower-triangular isometric dilations on the space H + (defect copies),
-the pentablock dilation triple, and the operator pushforward maps.
+block lower-triangular isometric co-extensions on H + (defect copies), all
+laid out by the one constructor ``coextension``, and the pushforward maps.
 
 Every construction truncates the defect tail at ``depth`` copies; checks
 against the infinite-model identities must window out the final copies
@@ -66,7 +66,8 @@ class DilationResult:
     the identity on them.  Member adjoints restricted to H reproduce the
     original adjoints (the co-extension property, ``coextension_residuals``),
     and ``window`` gives the part of the dilation space where the
-    infinite-model identities hold exactly.
+    infinite-model identities hold exactly.  ``reach`` is the largest number
+    of copies a member moves a copy down (``coextension`` records it).
     """
 
     kind: str
@@ -74,6 +75,7 @@ class DilationResult:
     depth: int
     defect: DefectData
     base_dim: int
+    reach: int
 
     @property
     def dim(self) -> int:
@@ -90,73 +92,77 @@ class DilationResult:
                                 - _compact(np.pad(_mat(t), pad))).H)
                 for v, t in zip(self.ops, base_ops)]
 
-    def window(self, h_window: Window, tail_margin: int = 1) -> Window:
-        """Window on the dilation space: the base-space window plus the tail
-        copies that sit at least ``tail_margin`` below the truncation cut.
-
-        On each kept copy the window is the part of the defect space inside
-        the base window, in defect coordinates (``DefectData.window_range``).
+    def window(self, h_window: Window) -> Window:
+        """Base-space window plus the first depth - m tail copies, with
+        m = min(2 reach, max(reach, depth - 1)): twice the reach covers
+        two-factor words (``spaces.auto_margin``'s rule), the cap keeps one
+        copy of a shallow dilation, and the floor drops every copy a member
+        maps past the cut.  On each kept copy the window is the part of the
+        defect space inside the base window (``DefectData.window_range``).
         """
+        margin = min(2 * self.reach, max(self.reach, self.depth - 1))
         keepv = self.defect.window_range(h_window)
-        keep_copies = max(0, self.depth - tail_margin)
-        basis = scipy.linalg.block_diag(h_window.basis, *[keepv] * keep_copies)
+        basis = scipy.linalg.block_diag(h_window.basis,
+                                        *[keepv] * (self.depth - margin))
         return Window(h_window.margin,
                       np.pad(basis, ((0, self.dim - basis.shape[0]), (0, 0))))
 
 
-def _tail_tuple(base, first_col, diag, sub, depth, rank, zero_row=0):
-    """Block lower-triangular dilation member.
+def coextension(kind: str, tup: OperatorTuple, dd: DefectData, depth: int,
+                members) -> DilationResult:
+    """Block lower-triangular co-extension of ``tup`` on H + ``depth`` copies
+    of the defect space of rank r (Schaffer, Proc. AMS 6, 1955).
 
-    Row layout (H, copy 1, ..., copy depth).  ``first_col`` lists the blocks
-    under the base entry (None for a gap); the ``diag``/``sub`` tail pattern
-    repeats down the copies, pushed ``zero_row`` rows lower.
+    ``members[k] = (col, band)`` lays out member k: T_k on H, the block
+    X q*D under it in copy c for the c-th r x r factor X of ``col`` (None
+    leaves a gap; q is the defect range basis), and the block ``band[o]`` at
+    (copy c + o, copy c) for every copy c.  A tuple with a trivial defect
+    space is returned unchanged.
     """
-    cells = {(row, 0): blk for row, blk in enumerate(first_col, 1)
-             if row <= depth and blk is not None}
-    cells[0, 0] = base
-    for k in range(1, depth + 1):
-        if diag is not None and k + zero_row <= depth:
-            cells[k + zero_row, k] = diag
-        if sub is not None and k + zero_row + 1 <= depth:
-            cells[k + zero_row + 1, k] = sub
-    return block_assemble(cells, [base.shape[0]] + [rank] * depth)
+    if depth < 2:
+        raise DilateError("depth must be >= 2")
+    members = [members[k] for k in range(len(tup.ops))]
+    reach = max(o for _, band in members for o in band)
+    if dd.rank == 0:
+        return DilationResult(kind, tup.ops, depth, dd, tup.dim, reach)
+    _check_dim(tup.dim + depth * dd.rank)
+    drow = dd.range_basis.conj().T @ dd.D
+    ops = []
+    for base, (col, band) in zip(tup.ops, members):
+        cells = {(c, 0): x @ drow for c, x in enumerate(col[:depth], 1)
+                 if x is not None}
+        cells[0, 0] = base
+        cells.update({(c + o, c): b for o, b in band.items()
+                      for c in range(1, depth + 1 - o)})
+        ops.append(block_assemble(cells, [tup.dim] + [dd.rank] * depth))
+    return DilationResult(kind, tuple(ops), depth, dd, tup.dim, reach)
+
+
+def _relation_members(kind: str, fset: FundamentalSet) -> dict:
+    """Layout of the pivot (the defect-fed shift) and of each member i of a
+    relation row (i, j, F, w): its symbol f_i = compress(F)/w on the diagonal
+    and its partner's symbol adjoint g_j* below it, so V_i = V_j* V_pivot."""
+    dd = fset.defect
+    sym = {i: (j, dd.compress(fset[name]) / w)
+           for i, j, name, w in RELATIONS[kind]}
+    eye = np.eye(dd.rank)
+    members = {PIVOT[kind]: ([eye], {1: eye})}
+    for i, (j, f) in sym.items():
+        gh = sym[j][1].conj().T
+        members[i] = ([gh], {0: f, 1: gh})
+    return members
 
 
 def schaffer(kind: str, tup: OperatorTuple, fset: FundamentalSet,
              depth: int) -> DilationResult:
-    """Block lower-triangular isometric dilation from solved fundamentals.
-
-    The pivot member is the defect-fed shift.  Every other member i of a
-    relation row (i, j, F, w) carries its symbol compress(F)/w on the
-    diagonal and its partner j's symbol adjoint below it, so that
-    V_i = V_j* V_pivot.  A tuple whose pivot is already an isometry has a
-    trivial defect space and is returned unchanged.
-    """
+    """Isometric dilation of a gamma7/gamma5 tuple from solved fundamentals:
+    the pivot and relation-row members of ``_relation_members``.  A tuple
+    whose pivot is already an isometry is returned unchanged."""
     if kind not in ("gamma7", "gamma5"):
         raise DilateError("schaffer kinds are gamma7 and gamma5")
     if tup.kind != kind or fset.kind != kind:
         raise DilateError("tuple/fundamental kinds must match the requested kind")
-    if depth < 2:
-        raise DilateError("depth must be >= 2")
-    dd = fset.defect
-    base_dim = tup.dim
-    if dd.rank == 0:
-        return DilationResult(kind, tup.ops, depth, dd, base_dim)
-    _check_dim(base_dim + depth * dd.rank)
-    q = dd.range_basis
-    drow = q.conj().T @ dd.D
-    r = dd.rank
-    sym = {i: (j, dd.compress(fset[name]) / w)
-           for i, j, name, w in RELATIONS[kind]}
-    ops = []
-    for k, base in enumerate(tup.ops):
-        if k == PIVOT[kind]:
-            ops.append(_tail_tuple(base, [drow], None, np.eye(r), depth, r))
-            continue
-        j, f = sym[k]
-        gh = sym[j][1].conj().T
-        ops.append(_tail_tuple(base, [gh @ drow], f, gh, depth, r))
-    return DilationResult(kind, tuple(ops), depth, dd, base_dim)
+    return coextension(kind, tup, fset.defect, depth, _relation_members(kind, fset))
 
 
 def pentablock_dilation(tup: OperatorTuple, fset: FundamentalSet,
@@ -164,34 +170,23 @@ def pentablock_dilation(tup: OperatorTuple, fset: FundamentalSet,
     """Dilation triple (R1, R2, R3) of a pentablock candidate from its
     solved penta fundamental set.
 
-    R2 carries the fundamental operator X of the last two members down the
-    tail, R3 is the defect-fed shift, and R1 repeats the damping block
-    L = (I - (X*X + XX*)/4)^(1/2) on every defect copy.
+    R2 is the relation-row member of the fundamental operator X of the last
+    two members (partner itself), R3 the defect-fed shift, and R1 repeats
+    the damping block L = (I - (X*X + XX*)/4)^(1/2) on every defect copy.
     """
     if tup.kind != "penta":
         raise DilateError("pentablock dilation takes a penta triple")
     if not isinstance(fset, FundamentalSet) or fset.kind != "penta":
         raise DilateError("pentablock dilation takes the triple's penta FundamentalSet")
-    if depth < 2:
-        raise DilateError("depth must be >= 2")
-    p1, p2, p3 = tup.ops
-    base_dim = tup.dim
-    dd = fset.defect
-    r = dd.rank
-    if r == 0:
-        return DilationResult("penta", tup.ops, depth, dd, base_dim)
-    _check_dim(base_dim + depth * r)
-    xc = dd.compress(fset["X"])
+    members = _relation_members("penta", fset)
+    xc = members[1][1][0]  # R2's diagonal band: X in defect coordinates
     gram = xc.conj().T @ xc + xc @ xc.conj().T
     if np.linalg.norm(gram, 2) > 4.0 + 1e-9:
         raise DilateError("damping block undefined: ||X*X + XX*|| exceeds 4")
-    ell = herm_sqrt(np.eye(r) - 0.25 * gram)
-    q = dd.range_basis
-    drow = q.conj().T @ dd.D
-    r1 = _tail_tuple(p1, [], ell, None, depth, r)
-    r2 = _tail_tuple(p2, [xc.conj().T @ drow], xc, xc.conj().T, depth, r)
-    r3 = _tail_tuple(p3, [drow], None, np.eye(r), depth, r)
-    return DilationResult("penta", (r1, r2, r3), depth, dd, base_dim)
+    # a rank-0 gram is empty, and coextension returns the triple unchanged
+    ell = herm_sqrt(np.eye(len(xc)) - 0.25 * gram) if len(xc) else gram
+    members[0] = ([], {0: ell})
+    return coextension("penta", tup, fset.defect, depth, members)
 
 
 def pushforward(kind: str, *args, window: AnyWindow = WHOLE_SPACE):

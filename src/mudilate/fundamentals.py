@@ -43,8 +43,11 @@ class DefectData:
 
     D: np.ndarray
     range_basis: np.ndarray
-    rank: int
     dvals: np.ndarray
+
+    @property
+    def rank(self) -> int:
+        return self.range_basis.shape[1]
 
     @property
     def projection_gap(self) -> float:
@@ -93,8 +96,7 @@ def defect(t) -> DefectData:
     dmat = (dmat + dmat.conj().T) / 2.0
     # D <= I for a contraction, so 1e-8 * max(1, ||D||) is an absolute cut
     keep = dvals_all > 1e-8 * max(dvals_all.max(), 1.0)
-    return DefectData(D=dmat, range_basis=v[:, keep], rank=int(keep.sum()),
-                      dvals=dvals_all[keep])
+    return DefectData(D=dmat, range_basis=v[:, keep], dvals=dvals_all[keep])
 
 
 # index of the distinguished contraction whose defect carries the equations

@@ -151,11 +151,25 @@ def operator_to_dict(op):
     }
 
 
+def json_of_type(what: str, value, expected: type):
+    """``value`` if it has the JSON type ``expected`` (dict or list); else a
+    ValueError naming ``what`` and the value it got."""
+    if not isinstance(value, expected):
+        name = "object" if expected is dict else "list"
+        raise ValueError(f"{what} must be a JSON {name}, got {reprlib.repr(value)}")
+    return value
+
+
 def operator_from_dict(d) -> np.ndarray:
-    rows, cols = int(d["rows"]), int(d["cols"])
+    json_of_type("a matrix", d, dict)
+    try:
+        rows, cols = int(d["rows"]), int(d["cols"])
+    except TypeError:
+        got = f"{reprlib.repr(d['rows'])} and {reprlib.repr(d['cols'])}"
+        raise ValueError(f"matrix rows and cols must be integers, got {got}") from None
     if rows < 1 or cols < 1:
         raise ValueError(f"matrix dimensions must be positive, got {rows}x{cols}")
-    data = d["data"]
+    data = json_of_type("a matrix's 'data'", d["data"], list)
     if len(data) != rows * cols:
         raise ValueError(f"matrix payload has {len(data)} entries, expected {rows * cols}")
     flat = np.array([pair_to_complex(p) for p in data], dtype=complex)

@@ -79,7 +79,7 @@ def test_criterion_3_exam3_sweep():
         space, tup, _ = build_exam3(alpha, 8)
         w = window(space, 4)
         dil = build_exam3_dilation(alpha, 8, 6)
-        kw = dil.window(w, tail_margin=4)
+        kw = dil.window(w)
         comm = is_commuting(dil.tuple(), tol=1e-9, window=kw)
         v = list(dil.ops)
         rel = max(kw.wnorm(v[i] - v[5 - i].conj().T @ v[6]) for i in range(6))
@@ -101,7 +101,7 @@ def test_criterion_4_exam5_sweep():
         w = window(space, 4)
         fset = solve_fundamentals("penta", tup, tol=1e-9, window=w)
         dil = pentablock_dilation(tup, fset, 4)
-        kw = dil.window(w, tail_margin=2)
+        kw = dil.window(w)
         r = list(dil.ops)
         fix = kw.wnorm(r[1] - r[1].conj().T @ r[2])
         gram = kw.wnorm(r[0].conj().T @ r[0] + 0.25 * r[1].conj().T @ r[1]

@@ -372,3 +372,35 @@ class TestEntryPoint:
         assert proc.returncode == 1
         assert proc.stderr.startswith("error:") and "[re, im] pair" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("args, payload, named", [
+        (["verify", "--kind", "gamma7", "--tuple"],
+         {"kind": "gamma7", "ops": [{"rows": 1, "cols": 1, "data": 5}]},
+         "'data' must be a JSON list"),
+        (["verify", "--kind", "gamma7", "--tuple"], {"kind": "gamma7", "ops": 5},
+         "'ops' must be a JSON list"),
+        (["verify", "--kind", "gamma7", "--tuple"], {"kind": "gamma7", "ops": [5]},
+         "a matrix must be a JSON object"),
+        (["verify", "--kind", "gamma7", "--tuple"],
+         {"kind": "gamma7", "ops": [{"rows": [1], "cols": 1, "data": [[0, 0]]}]},
+         "rows and cols must be integers"),
+        (["membership", "--point", '{"kind":"tetra","coords":5}'], None,
+         "coordinates must be a JSON list"),
+        (["membership", "--point", "5"], None, "coordinates must be a JSON list"),
+        (["mu", "--structure", "2,2,1,1", "--matrix"], [1, 2],
+         "a matrix must be a JSON object"),
+        (["dilate", "--kind", "egervary", "--tuple"], [1, 2],
+         "a matrix must be a JSON object"),
+    ])
+    def test_malformed_payload_types_give_a_named_error(self, tmp_path, args,
+                                                        payload, named):
+        # a payload of the wrong JSON type is named in one error line
+        if payload is not None:
+            path = tmp_path / "bad.json"
+            path.write_text(json.dumps(payload))
+            args = args + [str(path)]
+        proc = subprocess.run([sys.executable, "-m", "mudilate.cli", *args],
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:") and named in proc.stderr
+        assert "Traceback" not in proc.stderr

@@ -8,7 +8,7 @@ from mudilate.fundamentals import (ExpansiveError, FundamentalSet, defect,
                                    solve_fundamentals)
 from mudilate.dilate import (DilateError, egervary, pentablock_dilation,
                              pushforward, schaffer)
-from mudilate.gallery import build_exam1, build_exam2
+from mudilate.gallery import build_exam1, build_exam2, build_exam3_dilation
 
 from conftest import random_contraction
 
@@ -93,6 +93,13 @@ class TestDenseLimit:
         with pytest.raises(DilateError, match="exceeds the dense limit"):
             pentablock_dilation(tup, fset, 3)
 
+    def test_exam3_dilation(self, monkeypatch):
+        # 8 trunc base coordinates plus depth copies of the 4 trunc-dim defect
+        monkeypatch.setattr(opcore, "MAX_DENSE_DIM", 8 * 6 + 2 * 4 * 6)
+        assert build_exam3_dilation(0.5, 6, 2).dim == 8 * 6 + 2 * 4 * 6
+        with pytest.raises(DilateError, match="exceeds the dense limit"):
+            build_exam3_dilation(0.5, 6, 3)
+
 
 class TestSchaffer:
     def test_isometric_last_member_returned_unchanged(self):
@@ -119,7 +126,7 @@ class TestSchaffer:
         _, tup, _, w = exam1
         fset = solve_fundamentals("gamma7", tup, window=w)
         dil = schaffer("gamma7", tup, fset, 4)
-        kw = dil.window(w, tail_margin=2)
+        kw = dil.window(w)
         v = list(dil.ops)
         for i in range(6):
             assert kw.wnorm(v[i] - v[5 - i].conj().T @ v[6]) <= 1e-9
@@ -130,7 +137,7 @@ class TestSchaffer:
         _, _, tup5, _, _, w = exam2
         fset = solve_fundamentals("gamma5", tup5, window=w)
         dil = schaffer("gamma5", tup5, fset, 4)
-        kw = dil.window(w, tail_margin=2)
+        kw = dil.window(w)
         w1, w2, w3, w1t, w2t = dil.ops
         for lhs, rhs in ((w1, w2t.conj().T @ w3), (w2t, w1.conj().T @ w3),
                          (w2, w1t.conj().T @ w3), (w1t, w2.conj().T @ w3)):
@@ -152,7 +159,7 @@ class TestSchaffer:
         worst = max(np.linalg.norm(v[i] @ v[j] - v[j] @ v[i], 2)
                     for i in range(7) for j in range(i + 1, 7))
         # truncation breaks commutation only in the last tail copy
-        kw = dil.window(_full_window(dil.base_dim), tail_margin=2)
+        kw = dil.window(_full_window(dil.base_dim))
         worst_w = max(kw.wnorm(v[i] @ v[j] - v[j] @ v[i])
                       for i in range(7) for j in range(i + 1, 7))
         assert worst_w <= 1e-9
@@ -175,12 +182,25 @@ class TestPentablockDilation:
         # r2 carries no symbol at all
         np.testing.assert_allclose(r2[2:, :], 0, atol=1e-12)
 
+    def test_isometric_pivot_returned_unchanged(self):
+        # a unitary R3 has a trivial defect space, so X = 0 and the triple
+        # is its own dilation
+        ops = [np.diag([0.5, 0.5]), np.zeros((2, 2)),
+               np.array([[0.0, 1.0], [1.0, 0.0]])]
+        tup = OperatorTuple("penta", ops)
+        fset = solve_fundamentals("penta", tup)
+        assert fset.defect.rank == 0
+        dil = pentablock_dilation(tup, fset, 3)
+        assert dil.dim == dil.base_dim == 2
+        for got, want in zip(dil.ops, ops):
+            np.testing.assert_array_equal(got, want)
+
     def test_exam5_norm_identities(self, exam5):
         _, tup, _, w = exam5
         fset = solve_fundamentals("penta", tup, window=w)
         dil = pentablock_dilation(tup, fset, 4)
         assert op_norm(dil.ops[1]) == pytest.approx(0.5, abs=1e-10)
-        kw = dil.window(w, tail_margin=2)
+        kw = dil.window(w)
         r = list(dil.ops)
         assert kw.wnorm(r[1] - r[1].conj().T @ r[2]) <= 1e-10
         gram = r[0].conj().T @ r[0] + 0.25 * r[1].conj().T @ r[1] - np.eye(len(r[0]))

@@ -64,8 +64,19 @@ class TestIsometryCheck:
     def test_exam3_dilation_gamma7(self, exam3):
         _, tup, _, w = exam3
         dil = build_exam3_dilation(0.5, 8, 6)
-        kw = dil.window(w, tail_margin=4)
+        kw = dil.window(w)
         rep = isometry_check("gamma7", dil.tuple(), window=kw)
+        assert rep.verdict == "pass"
+
+    @pytest.mark.parametrize("depth", [2, 3, 4])
+    def test_shallow_exam3_dilation_gamma7(self, exam3, depth):
+        # the exam3 members reach two copies down, so the derived window
+        # margin never falls below 2: at depth 2 no copy is kept, since a
+        # kept copy would map past the cut
+        _, tup, _, w = exam3
+        dil = build_exam3_dilation(0.5, 8, depth)
+        assert dil.reach == 2
+        rep = isometry_check("gamma7", dil.tuple(), window=dil.window(w))
         assert rep.verdict == "pass"
 
     def test_arity_mismatch(self):
@@ -201,7 +212,7 @@ def _scalar_gamma7_dilation(c):
     tup = OperatorTuple("gamma7", [np.array([[v]], dtype=complex) for v in c])
     fset = solve_fundamentals("gamma7", tup)
     dil = schaffer("gamma7", tup, fset, 5)
-    kw = dil.window(_full(dil.base_dim), tail_margin=2)
+    kw = dil.window(_full(dil.base_dim))
     return tup, fset, isometry_check("gamma7", dil.tuple(), window=kw)
 
 
@@ -239,7 +250,7 @@ class TestDilationImpliesChecks:
         fset = solve_fundamentals("gamma5", tup)
         from mudilate.dilate import schaffer
         dil = schaffer("gamma5", tup, fset, 5)
-        kw = dil.window(_full(dil.base_dim), tail_margin=2)
+        kw = dil.window(_full(dil.base_dim))
         rep = isometry_check("gamma5", dil.tuple(), window=kw)
         assert rep.verdict == "pass"
         comm = is_commuting(dil.tuple(), window=kw)
@@ -294,10 +305,10 @@ class TestCompactChecksMatchDense:
         fset = solve_fundamentals(tup.kind, tup, window=w)
         if case_id == "exam3":
             dil = build_exam3_dilation(0.5, 8, 4)
-            kw = dil.window(w, tail_margin=3)
+            kw = dil.window(w)
         else:
             dil = pentablock_dilation(tup, fset, 4)
-            kw = dil.window(w, tail_margin=2)
+            kw = dil.window(w)
         if perturb:
             rng = np.random.default_rng(5)
 

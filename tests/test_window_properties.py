@@ -162,12 +162,12 @@ def test_compression_keeps_numerical_radius(case):
 
 
 @SETTINGS
-@given(windowed(), st.integers(0, 8), st.integers(2, 4), st.integers(1, 4))
-def test_dilation_window_dimension(case, n_iso, depth, tail_margin):
+@given(windowed(), st.integers(0, 8), st.integers(2, 4), st.integers(0, 3))
+def test_dilation_window_dimension(case, n_iso, depth, reach):
     # a contraction with n_iso singular values equal to 1 has a defect of
     # rank n - n_iso; the dilation window keeps the base window plus, on
-    # each of the first depth - tail_margin copies, the part of the defect
-    # range inside the base window
+    # each of the first depth - min(2 reach, max(reach, depth - 1)) copies,
+    # the part of the defect range inside the base window
     _, w = case
     n = w.basis.shape[0]
     n_iso = min(n_iso, n)
@@ -178,11 +178,11 @@ def test_dilation_window_dimension(case, n_iso, depth, tail_margin):
     dd = defect((u * s) @ v)
     assert dd.rank == n - n_iso
     dim = n + depth * dd.rank
-    dil = DilationResult("gamma7", (np.eye(dim),), depth, dd, n)
+    dil = DilationResult("gamma7", (np.eye(dim),), depth, dd, n, reach)
     q = dd.range_basis
     kept = q.shape[1] + w.dim - np.linalg.matrix_rank(np.hstack([q, w.basis]))
-    copies = max(0, depth - tail_margin)
-    assert dil.window(w, tail_margin=tail_margin).dim == w.dim + copies * kept
+    copies = max(0, depth - min(2 * reach, max(reach, depth - 1)))
+    assert dil.window(w).dim == w.dim + copies * kept
 
 
 @SETTINGS
