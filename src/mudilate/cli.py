@@ -31,27 +31,26 @@ def _load_json(path):
         return json.load(fh)
 
 
-def _load_tuple(path, kind=None):
+def _load_tuple(path, kind):
     d = json_of_type("a tuple file", _load_json(path), dict)
     if "ops" not in d:
-        raise SystemExit("tuple file needs an 'ops' list")
-    k = kind or d.get("kind")
-    if k is None:
-        raise SystemExit("tuple kind missing (give --kind or a 'kind' field)")
+        raise ValueError("tuple file needs an 'ops' list")
     ops = json_of_type("a tuple's 'ops'", d["ops"], list)
-    return OperatorTuple(k, tuple(operator_from_dict(o) for o in ops))
+    return OperatorTuple(kind, tuple(operator_from_dict(o) for o in ops))
 
 
 def _load_point(text, kind=None):
     d = json.loads(text)
     if isinstance(d, dict):
-        coords, k = d["coords"], kind or d.get("kind")
+        if "coords" not in d:
+            raise ValueError("a point needs a 'coords' list")
+        coords, kind = d["coords"], kind or d.get("kind")
     else:
-        coords, k = d, kind
+        coords = d
     coords = json_of_type("a point's coordinates", coords, list)
-    if k is None:
-        raise SystemExit("point kind missing (give --kind or a 'kind' field)")
-    return DomainPoint(k, tuple(pair_to_complex(p) for p in coords))
+    if kind is None:
+        raise ValueError("point kind missing (give --kind or a 'kind' field)")
+    return DomainPoint(kind, tuple(pair_to_complex(p) for p in coords))
 
 
 def _fset_to_dict(fset):
@@ -90,7 +89,7 @@ def cmd_mu(args):
 
 def cmd_fundamental(args):
     tup = _load_tuple(args.tuple, args.kind)
-    fset = solve_fundamentals(args.kind, tup)
+    fset = solve_fundamentals(tup)
     print(dumps(_fset_to_dict(fset)))
     return 0
 
@@ -107,33 +106,31 @@ def cmd_dilate(args):
                      "unitary_residual": res,
                      "matrix": operator_to_dict(u)}))
         return 0
-    tup = _load_tuple(args.tuple, args.kind)
-    fset = solve_fundamentals(args.kind, tup)
-    if args.kind == "penta":
-        dil = pentablock_dilation(tup, fset, args.depth)
-    else:
-        dil = schaffer(args.kind, tup, fset, args.depth)
+    fset = solve_fundamentals(_load_tuple(args.tuple, args.kind))
+    dilation = pentablock_dilation if args.kind == "penta" else schaffer
+    dil = dilation(fset, args.depth)
     print(dumps({"kind": args.kind, "depth": dil.depth, "dim": dil.dim,
                  "defect_rank": dil.defect.rank,
                  "ops": [operator_to_dict(o) for o in dil.ops]}))
     return 0
 
 
-def _fundamentals_for(kind, tup, path=None, tol=1e-9):
+def _fundamentals_for(tup, path=None, tol=1e-9):
     """Solve the fundamentals, or load them from ``path`` and check each of
     the kind's equations D F D = w (T_i - T_j* T_p) on the tuple to ``tol``."""
     if path is None:
-        return solve_fundamentals(kind, tup)
+        return solve_fundamentals(tup)
     given = _load_json(path)
     given = given.get("ops", {}) if isinstance(given, dict) else {}
-    dd = defect(tup.ops[PIVOT[kind]])
-    rhs = _rhs_map(kind, tup)
+    rhs = _rhs_map(tup)
+    dd = defect(tup.ops[PIVOT[tup.kind]])
     ops = {}
     for name in rhs:
         ops[name] = f = operator_from_dict(given[name]) if name in given else None
         if f is None or f.shape != (tup.dim, tup.dim):
-            raise SolveError(f"kind {kind} needs {name} as a {tup.dim}x{tup.dim} operator")
-    return FundamentalSet(kind, ops, equation_residuals(rhs, dd, ops, tol), dd)
+            raise SolveError(f"kind {tup.kind} needs {name} as a "
+                             f"{tup.dim}x{tup.dim} operator")
+    return FundamentalSet(tup, ops, equation_residuals(rhs, dd, ops, tol), dd)
 
 
 def cmd_verify(args):
@@ -144,15 +141,13 @@ def cmd_verify(args):
     if args.check == "commuting":
         rep = is_commuting(tup, tol=args.tol)
     elif args.check == "isometry":
-        rep = isometry_check(args.kind, tup, tol=args.tol)
-    elif args.check in ("necessary", "profile"):
-        fset = _fundamentals_for(args.kind, tup, args.fundamentals, args.tol)
+        rep = isometry_check(tup, tol=args.tol)
+    else:
+        fset = _fundamentals_for(tup, args.fundamentals, args.tol)
         if args.check == "necessary":
-            rep = necessary_conditions(args.kind, tup, fset, tol=args.tol)
+            rep = necessary_conditions(fset, tol=args.tol)
         else:
             rep = commutator_profile(fset, tol=args.tol)
-    else:
-        raise SystemExit(f"unknown check {args.check!r}")
     print(rep.to_json())
     return _exit_for(rep.verdict)
 

@@ -60,7 +60,8 @@ def egervary(t, n: int) -> np.ndarray:
 
 @dataclass
 class DilationResult:
-    """An isometric-dilation tuple on H + depth copies of the defect space.
+    """An isometric-dilation tuple of ``base`` on H + depth copies of the
+    defect space.
 
     H sits on the first ``base_dim`` coordinates, so the inclusion of H is
     the identity on them.  Member adjoints restricted to H reproduce the
@@ -70,12 +71,19 @@ class DilationResult:
     of copies a member moves a copy down (``coextension`` records it).
     """
 
-    kind: str
+    base: OperatorTuple
     ops: tuple
     depth: int
     defect: DefectData
-    base_dim: int
     reach: int
+
+    @property
+    def kind(self) -> str:
+        return self.base.kind
+
+    @property
+    def base_dim(self) -> int:
+        return self.base.dim
 
     @property
     def dim(self) -> int:
@@ -84,13 +92,14 @@ class DilationResult:
     def tuple(self) -> OperatorTuple:
         return OperatorTuple(self.kind, self.ops)
 
-    def coextension_residuals(self, base_ops, h_window: AnyWindow = WHOLE_SPACE) -> list:
-        """||(V* E - E T*) Q|| per member; E puts H on the first base_dim coordinates
-        (as ``window`` assumes), so (V* E - E T*)* = V[:base_dim] - [T, 0]."""
+    def coextension_residuals(self, h_window: AnyWindow = WHOLE_SPACE) -> list:
+        """||(V* E - E T*) Q|| per member V and base member T; E puts H on the
+        first base_dim coordinates (as ``window`` assumes), so
+        (V* E - E T*)* = V[:base_dim] - [T, 0]."""
         pad = ((0, 0), (0, self.dim - self.base_dim))
         return [h_window.wnorm((_compact(v[:self.base_dim])
-                                - _compact(np.pad(_mat(t), pad))).H)
-                for v, t in zip(self.ops, base_ops)]
+                                - _compact(np.pad(t, pad))).H)
+                for v, t in zip(self.ops, self.base.ops)]
 
     def window(self, h_window: Window) -> Window:
         """Base-space window plus the first depth - m tail copies, with
@@ -108,7 +117,7 @@ class DilationResult:
                       np.pad(basis, ((0, self.dim - basis.shape[0]), (0, 0))))
 
 
-def coextension(kind: str, tup: OperatorTuple, dd: DefectData, depth: int,
+def coextension(tup: OperatorTuple, dd: DefectData, depth: int,
                 members) -> DilationResult:
     """Block lower-triangular co-extension of ``tup`` on H + ``depth`` copies
     of the defect space of rank r (Schaffer, Proc. AMS 6, 1955).
@@ -124,7 +133,7 @@ def coextension(kind: str, tup: OperatorTuple, dd: DefectData, depth: int,
     members = [members[k] for k in range(len(tup.ops))]
     reach = max(o for _, band in members for o in band)
     if dd.rank == 0:
-        return DilationResult(kind, tup.ops, depth, dd, tup.dim, reach)
+        return DilationResult(tup, tup.ops, depth, dd, reach)
     _check_dim(tup.dim + depth * dd.rank)
     drow = dd.range_basis.conj().T @ dd.D
     ops = []
@@ -135,50 +144,45 @@ def coextension(kind: str, tup: OperatorTuple, dd: DefectData, depth: int,
         cells.update({(c + o, c): b for o, b in band.items()
                       for c in range(1, depth + 1 - o)})
         ops.append(block_assemble(cells, [tup.dim] + [dd.rank] * depth))
-    return DilationResult(kind, tuple(ops), depth, dd, tup.dim, reach)
+    return DilationResult(tup, tuple(ops), depth, dd, reach)
 
 
-def _relation_members(kind: str, fset: FundamentalSet) -> dict:
+def _relation_members(fset: FundamentalSet) -> dict:
     """Layout of the pivot (the defect-fed shift) and of each member i of a
     relation row (i, j, F, w): its symbol f_i = compress(F)/w on the diagonal
     and its partner's symbol adjoint g_j* below it, so V_i = V_j* V_pivot."""
     dd = fset.defect
     sym = {i: (j, dd.compress(fset[name]) / w)
-           for i, j, name, w in RELATIONS[kind]}
+           for i, j, name, w in RELATIONS[fset.kind]}
     eye = np.eye(dd.rank)
-    members = {PIVOT[kind]: ([eye], {1: eye})}
+    members = {PIVOT[fset.kind]: ([eye], {1: eye})}
     for i, (j, f) in sym.items():
         gh = sym[j][1].conj().T
         members[i] = ([gh], {0: f, 1: gh})
     return members
 
 
-def schaffer(kind: str, tup: OperatorTuple, fset: FundamentalSet,
-             depth: int) -> DilationResult:
-    """Isometric dilation of a gamma7/gamma5 tuple from solved fundamentals:
-    the pivot and relation-row members of ``_relation_members``.  A tuple
-    whose pivot is already an isometry is returned unchanged."""
-    if kind not in ("gamma7", "gamma5"):
+def schaffer(fset: FundamentalSet, depth: int) -> DilationResult:
+    """Isometric dilation of the gamma7/gamma5 tuple ``fset.tup`` from its
+    solved fundamentals: the pivot and relation-row members of
+    ``_relation_members``.  A tuple whose pivot is already an isometry is
+    returned unchanged."""
+    if fset.kind not in ("gamma7", "gamma5"):
         raise DilateError("schaffer kinds are gamma7 and gamma5")
-    if tup.kind != kind or fset.kind != kind:
-        raise DilateError("tuple/fundamental kinds must match the requested kind")
-    return coextension(kind, tup, fset.defect, depth, _relation_members(kind, fset))
+    return coextension(fset.tup, fset.defect, depth, _relation_members(fset))
 
 
-def pentablock_dilation(tup: OperatorTuple, fset: FundamentalSet,
-                        depth: int) -> DilationResult:
-    """Dilation triple (R1, R2, R3) of a pentablock candidate from its
-    solved penta fundamental set.
+def pentablock_dilation(fset: FundamentalSet, depth: int) -> DilationResult:
+    """Dilation triple (R1, R2, R3) of the pentablock candidate of a solved
+    penta fundamental set.
 
     R2 is the relation-row member of the fundamental operator X of the last
     two members (partner itself), R3 the defect-fed shift, and R1 repeats
     the damping block L = (I - (X*X + XX*)/4)^(1/2) on every defect copy.
     """
-    if tup.kind != "penta":
-        raise DilateError("pentablock dilation takes a penta triple")
-    if not isinstance(fset, FundamentalSet) or fset.kind != "penta":
-        raise DilateError("pentablock dilation takes the triple's penta FundamentalSet")
-    members = _relation_members("penta", fset)
+    if fset.kind != "penta":
+        raise DilateError("pentablock dilation takes a penta FundamentalSet")
+    members = _relation_members(fset)
     xc = members[1][1][0]  # R2's diagonal band: X in defect coordinates
     gram = xc.conj().T @ xc + xc @ xc.conj().T
     if np.linalg.norm(gram, 2) > 4.0 + 1e-9:
@@ -186,7 +190,7 @@ def pentablock_dilation(tup: OperatorTuple, fset: FundamentalSet,
     # a rank-0 gram is empty, and coextension returns the triple unchanged
     ell = herm_sqrt(np.eye(len(xc)) - 0.25 * gram) if len(xc) else gram
     members[0] = ([], {0: ell})
-    return coextension("penta", tup, fset.defect, depth, members)
+    return coextension(fset.tup, fset.defect, depth, members)
 
 
 def pushforward(kind: str, *args, window: AnyWindow = WHOLE_SPACE):

@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .opcore import (WHOLE_SPACE, OperatorTuple, OpcoreError, _mat, _square,
+from .opcore import (WHOLE_SPACE, OperatorTuple, OpcoreError, _square,
                      commutator_norms, numerical_radius, op_norm, spectral_radius)
 from .report import CheckReport
 from .spaces import AnyWindow, Window
@@ -123,13 +123,17 @@ MEMBERS = {
 
 @dataclass
 class FundamentalSet:
-    """Solved fundamental operators, stored embedded on the host space and
-    supported on the defect range."""
+    """Solved fundamental operators of the tuple ``tup``, stored embedded on
+    the host space and supported on the defect range of its pivot."""
 
-    kind: str
+    tup: OperatorTuple
     ops: dict
     residuals: dict
     defect: DefectData
+
+    @property
+    def kind(self) -> str:
+        return self.tup.kind
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.ops[name]
@@ -138,13 +142,13 @@ class FundamentalSet:
         return tuple(self.ops.keys())
 
 
-def _rhs_map(kind: str, tup: OperatorTuple) -> dict:
-    if kind not in RELATIONS:
-        raise SolveError(f"no fundamental equations for kind {kind!r}")
+def _rhs_map(tup: OperatorTuple) -> dict:
+    if tup.kind not in RELATIONS:
+        raise SolveError(f"no fundamental equations for kind {tup.kind!r}")
     t = tup.ops
-    last = t[PIVOT[kind]]
+    last = t[PIVOT[tup.kind]]
     return {name: w * (t[i] - t[j].conj().T @ last)
-            for i, j, name, w in RELATIONS[kind]}
+            for i, j, name, w in RELATIONS[tup.kind]}
 
 
 def equation_residuals(rhs: dict, dd: DefectData, ops: dict, tol: float,
@@ -160,27 +164,24 @@ def equation_residuals(rhs: dict, dd: DefectData, ops: dict, tol: float,
     return out
 
 
-def solve_fundamentals(kind: str, tup: OperatorTuple, tol: float = 1e-9,
+def solve_fundamentals(tup: OperatorTuple, tol: float = 1e-9,
                        window: AnyWindow = WHOLE_SPACE) -> FundamentalSet:
     """Solve every fundamental equation of the tuple's kind by F = D+ B D+.
 
     Raises SolveError when the tuple does not commute to 1e-9 (relative to
-    its largest squared norm) or an equation's residual exceeds ``tol`` (the
-    right-hand side leaves the defect space, so no solution exists on it;
-    with an isometric pivot D = 0, so any nonzero right-hand side fails).
+    its largest squared norm), its kind has no equations, or an equation's
+    residual exceeds ``tol`` (the right-hand side leaves the defect space,
+    so no solution exists on it; with an isometric pivot D = 0, so any
+    nonzero right-hand side fails).
     """
-    if not isinstance(tup, OperatorTuple):
-        tup = OperatorTuple(kind, tuple(tup))
-    if tup.kind != kind:
-        raise SolveError(f"kind {kind!r} does not match tuple kind {tup.kind!r}")
     worst_comm = max((v for _, v in commutator_norms(tup.ops, window)), default=0.0)
     if worst_comm > 1e-9 * max(1.0, max(op_norm(o) for o in tup.ops) ** 2):
         raise SolveError(f"tuple does not commute on the window: {worst_comm:.3e}")
-    dd = defect(tup.ops[PIVOT[kind]])
-    rhs = _rhs_map(kind, tup)
+    rhs = _rhs_map(tup)
+    dd = defect(tup.ops[PIVOT[tup.kind]])
     dplus = dd.pinv()
     ops = {name: dplus @ b @ dplus for name, b in rhs.items()}
-    return FundamentalSet(kind, ops, equation_residuals(rhs, dd, ops, tol, window), dd)
+    return FundamentalSet(tup, ops, equation_residuals(rhs, dd, ops, tol, window), dd)
 
 
 @dataclass
@@ -189,30 +190,25 @@ class RhoResult:
     asym_residual: float
 
 
-def rho(kind: str, args) -> RhoResult:
-    """Hermitian positivity forms.
+def rho(tup: OperatorTuple) -> RhoResult:
+    """Hermitian positivity form of a sym pair (S, P) or a tetra triple
+    (T1, T2, T3).
 
     sym:   2(I - P*P) - (S - S*P) - (S* - P*S)
     tetra: (I - T3*T3) - (T2*T2 - T1*T1) - (T2 - T1*T3) - (T2 - T1*T3)*
     """
-    ops = [_mat(a) for a in (args.ops if isinstance(args, OperatorTuple) else args)]
-    if kind == "sym":
-        if len(ops) != 2:
-            raise OpcoreError("sym form takes (S, P)")
-        s, p = ops
-        n = s.shape[0]
-        out = 2.0 * (np.eye(n) - p.conj().T @ p) - (s - s.conj().T @ p) \
+    eye = np.eye(tup.dim)
+    if tup.kind == "sym":
+        s, p = tup.ops
+        out = 2.0 * (eye - p.conj().T @ p) - (s - s.conj().T @ p) \
             - (s.conj().T - p.conj().T @ s)
-    elif kind == "tetra":
-        if len(ops) != 3:
-            raise OpcoreError("tetra form takes (T1, T2, T3)")
-        t1, t2, t3 = ops
-        n = t1.shape[0]
+    elif tup.kind == "tetra":
+        t1, t2, t3 = tup.ops
         re_part = t2 - t1.conj().T @ t3
-        out = (np.eye(n) - t3.conj().T @ t3) - (t2.conj().T @ t2 - t1.conj().T @ t1) \
+        out = (eye - t3.conj().T @ t3) - (t2.conj().T @ t2 - t1.conj().T @ t1) \
             - re_part - re_part.conj().T
     else:
-        raise OpcoreError(f"unknown rho kind {kind!r}")
+        raise OpcoreError(f"no rho form for kind {tup.kind!r}")
     asym = float(np.linalg.norm(out - out.conj().T, 2))
     sym_out = (out + out.conj().T) / 2.0
     return RhoResult(sym_out, asym)
@@ -222,7 +218,7 @@ def rho(kind: str, args) -> RhoResult:
 CHAIN_TOL = 1e-7
 
 
-def chain_report(kind: str, tup: OperatorTuple, z_samples: int = 32,
+def chain_report(tup: OperatorTuple, z_samples: int = 32,
                  window: AnyWindow = WHOLE_SPACE,
                  fset: FundamentalSet | None = None) -> CheckReport:
     """Necessary-condition chain sampled on the torus.
@@ -243,6 +239,7 @@ def chain_report(kind: str, tup: OperatorTuple, z_samples: int = 32,
     radius condition; it is listed in ``undecided`` as vacuous instead of
     counting as a pass.  ``margins["radius"]`` still covers every pair.
     """
+    kind = tup.kind
     if kind not in ("gamma7", "gamma5"):
         raise OpcoreError("chain_report handles gamma7 and gamma5 tuples")
     if z_samples < 1:
@@ -263,7 +260,7 @@ def chain_report(kind: str, tup: OperatorTuple, z_samples: int = 32,
 
     if fset is None:
         try:
-            fset = solve_fundamentals(kind, tup, tol=CHAIN_TOL, window=window)
+            fset = solve_fundamentals(tup, tol=CHAIN_TOL, window=window)
         except (SolveError, ExpansiveError) as exc:
             rep.add("fundamental-solvability", sys.float_info.max, CHAIN_TOL, ok=False)
             rep.notes.append(f"solve failed: {exc}")

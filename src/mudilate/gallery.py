@@ -22,7 +22,7 @@ from .fundamentals import (MEMBERS, PIVOT, RELATIONS, DefectData, chain_report,
 from .dilate import DilationResult, coextension, pushforward, \
     pentablock_dilation, schaffer
 from .verify import _self_comm, commutator_profile, is_commuting, \
-    isometry_check, necessary_conditions
+    isometry_check, necessary_conditions, partial_isometry_check
 from .report import CheckReport, dumps
 
 
@@ -157,7 +157,7 @@ def build_exam3_dilation(alpha: float, trunc: int, depth: int) -> DilationResult
     fh, eye = f.conj().T, np.eye(dd.rank)
     a, z = ([fh], {0: f, 1: fh}), ([f, fh], {1: f, 2: fh})
     members = (a, a, z, a, z, z, ([None, eye], {2: eye}))
-    return coextension("gamma7", tup, dd, depth, members)
+    return coextension(tup, dd, depth, members)
 
 
 def build_exam5(alpha: float = 0.5, trunc: int = 8):
@@ -190,13 +190,13 @@ def _merge(dst: CheckReport, src: CheckReport, prefix: str):
     dst.undecided.extend(f"{prefix}: {u}" for u in src.undecided)
 
 
-def _expect_schaffer(rep: CheckReport, case: GalleryCase, tup, fset, w,
+def _expect_schaffer(rep: CheckReport, case: GalleryCase, fset, w,
                      rel_label: str):
     """Dilate a gamma7/gamma5 tuple and record its relation rows, the pivot
     isometry, the co-extension property and the non-commuting members of
     the first relation row."""
-    kind, depth, piv = tup.kind, case.params["depth"], PIVOT[tup.kind]
-    dil = schaffer(kind, tup, fset, depth)
+    kind, piv = fset.kind, PIVOT[fset.kind]
+    dil = schaffer(fset, case.params["depth"])
     kw = dil.window(w)
     v = [_compact(o) for o in dil.ops]
     rel = max(kw.wnorm(v[i] - v[j].H @ v[piv])
@@ -204,7 +204,7 @@ def _expect_schaffer(rep: CheckReport, case: GalleryCase, tup, fset, w,
     rep.add(rel_label, rel, 1e-9)
     iso = kw.wnorm(v[piv].H @ v[piv] - _compact(np.eye(dil.dim, dtype=complex)))
     rep.add(f"{MEMBERS[kind][piv]} isometric on window", iso, 1e-9)
-    coext = max(dil.coextension_residuals(tup.ops, w))
+    coext = max(dil.coextension_residuals(w))
     rep.add("co-extension of the original tuple", coext, 1e-9)
     i, j = RELATIONS[kind][0][:2]
     cviol = kw.wnorm(v[i] @ v[j] - v[j] @ v[i])
@@ -222,12 +222,12 @@ def _run_exam1(case: GalleryCase) -> CheckReport:
     comm = is_commuting(tup, 1e-9, w)
     _merge(rep, comm, "tuple commutes")
 
-    fset = solve_fundamentals("gamma7", tup, tol=1e-9, window=w)
+    fset = solve_fundamentals(tup, tol=1e-9, window=w)
     rep.add("fundamental solve residual", max(fset.residuals.values()), 1e-9)
     worst = max(w.equal(fset[name], expected_f[name]) for name in expected_f)
     rep.add("fundamentals match displayed forms", worst, 1e-10)
 
-    chain = chain_report("gamma7", tup, z_samples=p["z_samples"], window=w,
+    chain = chain_report(tup, z_samples=p["z_samples"], window=w,
                          fset=fset)
     _merge(rep, chain, "torus condition chain")
     rep.margins = chain.margins
@@ -241,10 +241,10 @@ def _run_exam1(case: GalleryCase) -> CheckReport:
         rep.add(f"||[F{a}*,F{a}]-[F{b}*,F{b}]||", gap, 0.99, ok=gap >= 0.99)
     rep.add("||[F3*,F3]-[F4*,F4]||", by_label["[F4*,F4]-[F3*,F3]"], 1e-10)
 
-    nec = necessary_conditions("gamma7", tup, fset, tol=1e-9, window=w)
+    nec = necessary_conditions(fset, tol=1e-9, window=w)
     _merge(rep, nec, "kernel-restricted necessary conditions")
 
-    _expect_schaffer(rep, case, tup, fset, w, "dilation relations Vi=V(7-i)*V7")
+    _expect_schaffer(rep, case, fset, w, "dilation relations Vi=V(7-i)*V7")
     rep.notes.append("sufficient-condition hypotheses violated while the "
                      "necessary conditions hold: the hypotheses are not necessary")
     return rep
@@ -264,16 +264,16 @@ def _run_exam2(case: GalleryCase) -> CheckReport:
     comm = is_commuting(tup5, 1e-9, w)
     _merge(rep, comm, "tuple commutes")
 
-    fset = solve_fundamentals("gamma5", tup5, tol=1e-9, window=w)
+    fset = solve_fundamentals(tup5, tol=1e-9, window=w)
     worst = max(w.equal(fset[name], expected_g[name]) for name in expected_g)
     rep.add("fundamentals match displayed forms", worst, 1e-10)
 
-    chain = chain_report("gamma5", tup5, z_samples=p["z_samples"], window=w,
+    chain = chain_report(tup5, z_samples=p["z_samples"], window=w,
                          fset=fset)
     _merge(rep, chain, "torus condition chain")
     rep.margins = chain.margins
 
-    nec = necessary_conditions("gamma5", tup5, fset, tol=1e-9, window=w)
+    nec = necessary_conditions(fset, tol=1e-9, window=w)
     _merge(rep, nec, "kernel-restricted necessary conditions")
     by = {i.label: i.residual for i in nec.items}
     pair_gap = max(abs(by[f"({k})"] - by[f"({k}')"]) for k in range(2, 8))
@@ -286,7 +286,7 @@ def _run_exam2(case: GalleryCase) -> CheckReport:
     for key in ("[G1*,G1]-[G2t*,G2t]", "[2G2*,2G2]-[2G1t*,2G1t]"):
         rep.add(f"||{key}||", pb[key], 0.9, ok=pb[key] >= 0.9)
 
-    _expect_schaffer(rep, case, tup5, fset, w, "dilation relations W=partner* W3")
+    _expect_schaffer(rep, case, fset, w, "dilation relations W=partner* W3")
     return rep
 
 
@@ -302,7 +302,7 @@ def _run_exam3(case: GalleryCase) -> CheckReport:
     comm = is_commuting(tup, 1e-9, w)
     _merge(rep, comm, "tuple commutes")
 
-    fset = solve_fundamentals("gamma7", tup, tol=1e-9, window=w)
+    fset = solve_fundamentals(tup, tol=1e-9, window=w)
     zero = np.zeros((space.total_dim,) * 2, dtype=complex)
     worst = max(
         max(w.equal(fset[n], f_emb) for n in ("F1", "F2", "F4")),
@@ -310,14 +310,14 @@ def _run_exam3(case: GalleryCase) -> CheckReport:
     )
     rep.add("fundamentals: symbol on defect, zeros elsewhere", worst, 1e-10)
 
-    nec = necessary_conditions("gamma7", tup, fset, tol=1e-9, window=w)
+    nec = necessary_conditions(fset, tol=1e-9, window=w)
     _merge(rep, nec, "kernel-restricted necessary conditions")
 
     dil = build_exam3_dilation(alpha, p["trunc"], depth)
     kw = dil.window(w)
-    chk = isometry_check("gamma7", dil.tuple(), tol=1e-9, window=kw)
+    chk = isometry_check(dil.tuple(), tol=1e-9, window=kw)
     _merge(rep, chk, "hand-built dilation is a gamma7 isometry")
-    coext = max(dil.coextension_residuals(tup.ops, w))
+    coext = max(dil.coextension_residuals(w))
     rep.add("co-extension of the original tuple", coext, 1e-9)
     rep.add("||V1|| equals |alpha|", abs(op_norm(dil.ops[0]) - abs(alpha)), 1e-9)
     rep.add("||V3|| bounded by 1", max(0.0, op_norm(dil.ops[2]) - 1.0), 1e-9)
@@ -335,21 +335,21 @@ def _run_exam5(case: GalleryCase) -> CheckReport:
     comm = is_commuting(tup, 1e-9, w)
     _merge(rep, comm, "tuple commutes")
 
-    fset = solve_fundamentals("penta", tup, tol=1e-9, window=w)
+    fset = solve_fundamentals(tup, tol=1e-9, window=w)
     rep.add("fundamental of the last pair equals the symbol",
             w.equal(fset["X"], x_emb), 1e-10)
 
-    dil = pentablock_dilation(tup, fset, p["depth"])
+    dil = pentablock_dilation(fset, p["depth"])
     kw = dil.window(w)
-    chk = isometry_check("penta", dil.tuple(), tol=1e-9, window=kw)
+    chk = isometry_check(dil.tuple(), tol=1e-9, window=kw)
     _merge(rep, chk, "dilation triple is a pentablock isometry")
     by = {i.label: i.residual for i in chk.items}
     rep.add("R2=R2*R3 on window", by["R2=R2*R3"], 1e-10)
     rep.add("R1*R1 + R2*R2/4 = I on window", by["R1*R1+R2*R2/4=I"], 1e-9)
     rep.add("||R2|| equals |alpha|", abs(op_norm(dil.ops[1]) - abs(alpha)), 1e-8)
-    coext = max(dil.coextension_residuals(tup.ops, w))
+    coext = max(dil.coextension_residuals(w))
     rep.add("co-extension of the original triple", coext, 1e-9)
-    nec = necessary_conditions("penta", tup, fset, tol=1e-9, window=w)
+    nec = necessary_conditions(fset, tol=1e-9, window=w)
     _merge(rep, nec, "kernel-restricted necessary condition")
     return rep
 
@@ -409,10 +409,10 @@ def _run_axis_family(case: GalleryCase) -> CheckReport:
 
     trip = pushforward("gamma3", a, b, pid, window=w)
     t1, t6, t7 = trip.ops
-    chk = isometry_check("partial", t7, tol=1e-9, window=w)
+    chk = partial_isometry_check(t7, tol=1e-9, window=w)
     _merge(rep, chk, "averaged product is a partial isometry")
     tup = pushforward("axis7", t1, t6, t7, window=w)
-    fset = solve_fundamentals("gamma7", tup, tol=1e-9, window=w)
+    fset = solve_fundamentals(tup, tol=1e-9, window=w)
     dd = fset.defect
     rep.add("defect operator is a projection", dd.projection_gap, 1e-9)
     f1_exp = embed_blocks(space, {(1, 1): (1.0 / 3.0) * (eye + m)})
@@ -445,7 +445,7 @@ def _run_axis_family(case: GalleryCase) -> CheckReport:
     wq = window(qspace, auto_margin(qspace, (m,)))
     clean = pushforward("axis7", np.conj(beta) * np.eye(trunc),
                         beta * m, m, window=wq)
-    chk2 = isometry_check("gamma7", clean, tol=1e-9, window=wq)
+    chk2 = isometry_check(clean, tol=1e-9, window=wq)
     _merge(rep, chk2, "axis embedding of a clean isometric triple")
 
     rng = np.random.default_rng(p["seed"])

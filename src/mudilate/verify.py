@@ -19,25 +19,31 @@ from .report import CheckReport
 from .spaces import AnyWindow, Window
 
 
-def is_commuting(t, tol: float = 1e-9, window: AnyWindow = WHOLE_SPACE) -> CheckReport:
-    ops = list(t.ops) if isinstance(t, OperatorTuple) else [_compact(o) for o in t]
-    dim = ops[0].shape[0]
-    if any(o.shape != (dim, dim) for o in ops):
-        raise OpcoreError("commutation check needs square operators on one space")
+def is_commuting(t: OperatorTuple, tol: float = 1e-9,
+                 window: AnyWindow = WHOLE_SPACE) -> CheckReport:
     rep = CheckReport(name="is-commuting", window_margin=window.margin)
-    for (i, j), res in commutator_norms(ops, window):
+    for (i, j), res in commutator_norms(t.ops, window):
         rep.add(f"[T{i+1},T{j+1}]", res, tol)
     return rep
 
 
-def isometry_check(kind: str, t, tol: float = 1e-9,
-                   window: AnyWindow = WHOLE_SPACE) -> CheckReport:
-    """Algebraic characterization of each isometry class, windowed.
+def partial_isometry_check(t, tol: float = 1e-9,
+                           window: AnyWindow = WHOLE_SPACE) -> CheckReport:
+    """Partial-isometry check of a single operator T: ||T|| <= 1 and
+    T T* T = T, the identity read through the window."""
+    rep = CheckReport(name="isometry-partial", window_margin=window.margin)
+    m = _compact(t)
+    rep.add("norm<=1", max(0.0, op_norm(m) - 1.0), 1e-8)
+    rep.add("TT*T=T", window.wnorm(m @ m.H @ m - m), tol)
+    return rep
 
-    kinds: "isometry" and "partial" take a single operator; "gamma7",
-    "gamma5" and "penta" take tuples and test commutation, the relations
-    V_i = V_j* V_pivot of the ``RELATIONS`` rows and the pivot isometry.
-    Two classes add norm bounds, from these theorems:
+
+def isometry_check(t: OperatorTuple, tol: float = 1e-9,
+                   window: AnyWindow = WHOLE_SPACE) -> CheckReport:
+    """Algebraic characterization of the isometry class of a gamma7, gamma5
+    or penta tuple, windowed: commutation, the relations V_i = V_j* V_pivot
+    of the ``RELATIONS`` rows and the pivot isometry.  Two classes add norm
+    bounds, from these theorems:
 
     * a commuting triple (A, B, P) is a tetrablock isometry iff P is an
       isometry, A = B* P and ||B|| <= 1 (Bhattacharyya, "The tetrablock as
@@ -52,29 +58,12 @@ def isometry_check(kind: str, t, tol: float = 1e-9,
     A bound is read through the window as ||A Q||, and ||A Q|| <= ||A||,
     so a windowed failure proves the bound fails.
     """
-    rep = CheckReport(name=f"isometry-{kind}", window_margin=window.margin)
-
-    def isometry_residual(v):
-        return window.wnorm(v.H @ v - _compact(np.eye(v.shape[0], dtype=complex)))
-
-    if kind == "isometry":
-        rep.add("V*V=I", isometry_residual(_compact(t)), tol)
-        return rep
-    if kind == "partial":
-        m = _compact(t)
-        rep.add("norm<=1", max(0.0, op_norm(m) - 1.0), 1e-8)
-        rep.add("TT*T=T", window.wnorm(m @ m.H @ m - m), tol)
-        return rep
-
-    if not isinstance(t, OperatorTuple):
-        raise OpcoreError("tuple kinds need an OperatorTuple")
-    if t.kind != kind:
-        raise OpcoreError(f"tuple kind {t.kind!r} does not match {kind!r}")
+    kind = t.kind
     if kind not in MEMBERS:
         raise OpcoreError(f"unknown isometry kind {kind!r}")
+    rep = CheckReport(name=f"isometry-{kind}", window_margin=window.margin)
     ops = [_compact(o) for o in t.ops]
-    comm = is_commuting(ops, tol, window)
-    rep.add("commuting", comm.worst(), tol)
+    rep.add("commuting", max(v for _, v in commutator_norms(ops, window)), tol)
 
     names, p = MEMBERS[kind], PIVOT[kind]
     for i, j, _, _ in RELATIONS[kind]:
@@ -82,11 +71,12 @@ def isometry_check(kind: str, t, tol: float = 1e-9,
                 window.wnorm(ops[i] - ops[j].H @ ops[p]), tol)
         if kind == "gamma7":
             rep.add(f"||{names[i]}||<=1", max(0.0, window.wnorm(ops[i]) - 1.0), tol)
-    rep.add(f"{names[p]} isometry", isometry_residual(ops[p]), tol)
+    eye = _compact(np.eye(t.dim, dtype=complex))
+    rep.add(f"{names[p]} isometry", window.wnorm(ops[p].H @ ops[p] - eye), tol)
     if kind == "penta":
         r1, r2, _ = ops
         rep.add("||R2||<=2", max(0.0, window.wnorm(r2) - 2.0), tol)
-        gram = r1.H @ r1 + 0.25 * r2.H @ r2 - _compact(np.eye(t.dim, dtype=complex))
+        gram = r1.H @ r1 + 0.25 * r2.H @ r2 - eye
         rep.add("R1*R1+R2*R2/4=I", window.wnorm(gram), tol)
     return rep
 
@@ -103,16 +93,16 @@ def _windowed_kernel(dd, window):
     return window.basis @ v[:, w < 1e-9]
 
 
-def necessary_conditions(kind: str, t: OperatorTuple, fset: FundamentalSet,
-                         tol: float = 1e-9, window: AnyWindow = WHOLE_SPACE) -> CheckReport:
-    """Kernel-restricted residuals that any dilatable tuple must annihilate.
+def necessary_conditions(fset: FundamentalSet, tol: float = 1e-9,
+                         window: AnyWindow = WHOLE_SPACE) -> CheckReport:
+    """Kernel-restricted residuals that a dilatable ``fset.tup`` must annihilate.
 
     The companion existence condition (a joint subnormal dilation of the
     fundamental operators) has no finite test and is reported as undecided,
     with the commutator profile as the natural circumstantial data.
     """
+    t, kind, dd = fset.tup, fset.kind, fset.defect
     rep = CheckReport(name=f"necessary-{kind}", window_margin=window.margin)
-    dd = fset.defect
     kw = Window(window.margin, _windowed_kernel(dd, window))
     rep.notes.append(f"kernel test space dimension {kw.dim}")
     rep.undecided.append("joint subnormal dilation of the fundamental operators")
@@ -121,8 +111,6 @@ def necessary_conditions(kind: str, t: OperatorTuple, fset: FundamentalSet,
 
     d = _compact(dd.D)
     if kind == "gamma7":
-        if t.kind != "gamma7" or fset.kind != "gamma7":
-            raise OpcoreError("gamma7 conditions need gamma7 tuple and fundamentals")
         ts = [_compact(o) for o in t.ops]
         fs = [_compact(fset[f"F{i+1}"]).H for i in range(6)]
         for i, j, _, _ in RELATIONS["gamma7"]:
@@ -132,8 +120,6 @@ def necessary_conditions(kind: str, t: OperatorTuple, fset: FundamentalSet,
             anti = fs[i] @ fs[j] - fs[j] @ fs[i]
             rep.add(f"[F{i+1}*,F{j+1}*]D T7|ker", kw.wnorm(anti @ d @ ts[6]), tol)
     elif kind == "gamma5":
-        if t.kind != "gamma5" or fset.kind != "gamma5":
-            raise OpcoreError("gamma5 conditions need gamma5 tuple and fundamentals")
         s1, s2, s3, s1t, s2t = (_compact(o) for o in t.ops)
         g1, g2, g1t, g2t = (_compact(fset[n]).H for n in ("G1", "G2", "G1t", "G2t"))
         conds = [  # (k, A*, B*, condition (k)); condition (k') is [A*, B*] D S3
@@ -148,8 +134,6 @@ def necessary_conditions(kind: str, t: OperatorTuple, fset: FundamentalSet,
             rep.add(f"({k})", kw.wnorm(expr), tol)
             rep.add(f"({k}')", kw.wnorm((a @ b - b @ a) @ d @ s3), tol)
     elif kind == "penta":
-        if t.kind != "penta" or fset.kind != "penta":
-            raise OpcoreError("penta conditions need a penta triple and its fundamentals")
         _, p2, p3 = (_compact(o) for o in t.ops)
         x = _compact(fset["X"])
         rep.add("(X D P3 - D P2)|ker", kw.wnorm(x @ d @ p3 - d @ p2), tol)

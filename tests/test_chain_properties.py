@@ -3,7 +3,8 @@ for every coordinate pair (a, b) of the relation table, the report's
 ``rho-pair-psd`` item and ``margins["rho"]`` equal the smallest eigenvalue,
 over the same torus samples z, of
 
-    rho("tetra", (a, z b, z L)).op + rho("tetra", (b, z a, z L)).op
+    rho(OperatorTuple("tetra", (a, z b, z L))).op
+        + rho(OperatorTuple("tetra", (b, z a, z L))).op
 
 (L the pivot), compressed through the window when there is one."""
 
@@ -33,14 +34,15 @@ def _dense_pair_mins(tup, z_samples, w=None):
         a, b = wt * t[i], wt * t[j]
         vals = []
         for z in zs:
-            h = rho("tetra", (a, z * b, z * last)).op + rho("tetra", (b, z * a, z * last)).op
+            h = (rho(OperatorTuple("tetra", (a, z * b, z * last))).op
+                 + rho(OperatorTuple("tetra", (b, z * a, z * last))).op)
             vals.append(np.linalg.eigvalsh(h).min() if w is None else w.psd_min_eig(h))
         out[(i, j)] = min(vals)
     return out
 
 
 def _assert_matches_dense(tup, z_samples, w=None):
-    rep = chain_report(tup.kind, tup, z_samples=z_samples,
+    rep = chain_report(tup, z_samples=z_samples,
                        **({} if w is None else {"window": w}))
     ref = _dense_pair_mins(tup, z_samples, w)
     items = [i for i in rep.items if i.label.startswith("rho-pair-psd")]

@@ -289,8 +289,8 @@ class TestSubcommands:
         assert "F1 fails its equation: residual" in cap.err
 
     def test_verify_rejects_single_operator_kinds(self, files, capsys):
-        # isometry_check's "isometry" and "partial" kinds take one operator,
-        # not a tuple file, so the verify subcommand does not offer them
+        # the partial-isometry check takes one operator, not a tuple file,
+        # and "isometry" names no tuple kind, so verify offers neither
         for kind in ("isometry", "partial"):
             with pytest.raises(SystemExit) as exc:
                 main(["verify", "--kind", kind, "--tuple", files["tuple7"]])
@@ -391,6 +391,12 @@ class TestEntryPoint:
          "a matrix must be a JSON object"),
         (["dilate", "--kind", "egervary", "--tuple"], [1, 2],
          "a matrix must be a JSON object"),
+        (["verify", "--kind", "gamma7", "--tuple"], {"kind": "gamma7"},
+         "needs an 'ops' list"),
+        (["membership", "--point", "[[0.1,0],[0.1,0],[0,0]]"], None,
+         "point kind missing"),
+        (["membership", "--point", '{"kind":"tetra"}'], None,
+         "needs a 'coords' list"),
     ])
     def test_malformed_payload_types_give_a_named_error(self, tmp_path, args,
                                                         payload, named):

@@ -64,7 +64,7 @@ class TestDefect:
 class TestSolveFundamentals:
     def test_exam1_displayed_solutions(self, exam1):
         space, tup, expected_f, w = exam1
-        fset = solve_fundamentals("gamma7", tup, window=w)
+        fset = solve_fundamentals(tup, window=w)
         for name, want in expected_f.items():
             assert w.equal(fset[name], want) <= 1e-10
         assert max(fset.residuals.values()) <= 1e-10
@@ -74,14 +74,14 @@ class TestSolveFundamentals:
         q, _ = np.linalg.qr(rng.standard_normal((4, 4))
                             + 1j * rng.standard_normal((4, 4)))
         ops = [np.zeros((4, 4))] * 6 + [q]
-        fset = solve_fundamentals("gamma7", OperatorTuple("gamma7", ops))
+        fset = solve_fundamentals(OperatorTuple("gamma7", ops))
         assert fset.defect.rank == 0
         assert all(np.all(fset[n] == 0) for n in fset.names())
 
     def test_exam5_pair_solution_is_symbol(self, exam5):
         space, tup, x_emb, w = exam5
         pair = OperatorTuple("sym", (tup.ops[1], tup.ops[2]))
-        fset = solve_fundamentals("sym", pair, window=w)
+        fset = solve_fundamentals(pair, window=w)
         assert w.equal(fset["X"], x_emb) <= 1e-10
 
     def test_exam5_penta_solve_matches_pair_solve(self, exam5):
@@ -89,8 +89,8 @@ class TestSolveFundamentals:
         # pair (P2, P3), solved on the triple itself
         space, tup, x_emb, w = exam5
         pair = OperatorTuple("sym", (tup.ops[1], tup.ops[2]))
-        via_pair = solve_fundamentals("sym", pair, window=w)
-        fset = solve_fundamentals("penta", tup, window=w)
+        via_pair = solve_fundamentals(pair, window=w)
+        fset = solve_fundamentals(tup, window=w)
         assert fset.kind == "penta" and fset.names() == ("X",)
         assert w.equal(fset["X"], via_pair["X"]) <= 1e-10
         assert w.equal(fset["X"], x_emb) <= 1e-10
@@ -110,7 +110,7 @@ class TestSolveFundamentals:
             kb = _windowed_kernel(dd, w)
             q = dd.range_basis
             comp = np.eye(tup.dim) - q @ q.conj().T
-            for name, b in _rhs_map(kind, tup).items():
+            for name, b in _rhs_map(tup).items():
                 assert np.linalg.norm(b @ kb, 2) <= 1e-9, (kind, name)
                 assert w.wnorm(comp @ b) <= 1e-9, (kind, name)
 
@@ -133,41 +133,41 @@ class TestSolveFundamentals:
     def test_expansive_member_raises(self):
         ops = [np.zeros((3, 3))] * 6 + [np.diag([1.5, 0.1, 0.1])]
         with pytest.raises(ExpansiveError):
-            solve_fundamentals("gamma7", OperatorTuple("gamma7", ops))
+            solve_fundamentals(OperatorTuple("gamma7", ops))
 
     def test_isometric_pivot_with_unsolvable_equation_raises(self):
         # D = 0, so D F1 D = 0 cannot equal T1 - T6* T7 = 0.5 I
         ops = [0.5 * np.eye(2)] + [np.zeros((2, 2))] * 5 + [np.eye(2)]
         with pytest.raises(SolveError, match="F1 fails its equation"):
-            solve_fundamentals("gamma7", OperatorTuple("gamma7", ops))
+            solve_fundamentals(OperatorTuple("gamma7", ops))
 
     def test_non_commuting_raises(self):
         m = hardy_shift(1, 5)
         ops = [m, m.conj().T] + [np.zeros((5, 5))] * 4 + [np.zeros((5, 5))]
         with pytest.raises(SolveError):
-            solve_fundamentals("gamma7", OperatorTuple("gamma7", ops))
+            solve_fundamentals(OperatorTuple("gamma7", ops))
 
 
 class TestRho:
     def test_sym_zero(self):
-        r = rho("sym", (np.zeros((3, 3)), np.zeros((3, 3))))
+        r = rho(OperatorTuple("sym", (np.zeros((3, 3)), np.zeros((3, 3)))))
         np.testing.assert_allclose(r.op, 2 * np.eye(3))
         assert r.asym_residual <= 1e-12
 
     def test_tetra_zero(self):
-        r = rho("tetra", (np.zeros((2, 2)),) * 3)
+        r = rho(OperatorTuple("tetra", (np.zeros((2, 2)),) * 3))
         np.testing.assert_allclose(r.op, np.eye(2))
 
     def test_exam1_first_pair_psd_on_window(self, exam1):
         space, tup, _, w = exam1
-        r = rho("tetra", (tup.ops[0], tup.ops[5], tup.ops[6]))
+        r = rho(OperatorTuple("tetra", (tup.ops[0], tup.ops[5], tup.ops[6])))
         assert w.psd_min_eig(r.op) >= -1e-12
         assert r.asym_residual <= 1e-10
 
     def test_symmetrization_residual_small_for_commuting(self):
         rng = np.random.default_rng(51)
         t = random_contraction(rng, 4)
-        r = rho("sym", (t @ t, t))
+        r = rho(OperatorTuple("sym", (t @ t, t)))
         # S and P commute here, so the form is exactly Hermitian
         assert r.asym_residual <= 1e-12
 
@@ -175,7 +175,7 @@ class TestRho:
 class TestChainReport:
     def test_zero_tuple_margins(self):
         tup = OperatorTuple("gamma7", [np.zeros((3, 3))] * 7)
-        rep = chain_report("gamma7", tup, z_samples=4)
+        rep = chain_report(tup, z_samples=4)
         assert rep.verdict == "pass"
         assert rep.margins["rho"] == pytest.approx(2.0)
         assert rep.margins["radius"] == pytest.approx(2.0)
@@ -186,12 +186,12 @@ class TestChainReport:
         tup = OperatorTuple("gamma7", [np.zeros((3, 3))] * 7)
         for bad in (0, -2):
             with pytest.raises(OpcoreError):
-                chain_report("gamma7", tup, z_samples=bad)
+                chain_report(tup, z_samples=bad)
 
     def test_exam1_all_pass(self, exam1):
         space, tup, _, w = exam1
-        fset = solve_fundamentals("gamma7", tup, window=w)
-        rep = chain_report("gamma7", tup, z_samples=16, window=w, fset=fset)
+        fset = solve_fundamentals(tup, window=w)
+        rep = chain_report(tup, z_samples=16, window=w, fset=fset)
         assert rep.verdict == "pass"
         # summed pairs are strictly block-nilpotent on the window
         assert rep.margins["radius"] == pytest.approx(2.0, abs=1e-12)
@@ -201,7 +201,7 @@ class TestChainReport:
     @pytest.mark.parametrize("kind", ["gamma7", "gamma5"])
     def test_nilpotent_sums_make_radius_items_vacuous(self, kind, exam1, exam2):
         tup, w = (exam1[1], exam1[3]) if kind == "gamma7" else (exam2[2], exam2[5])
-        rep = chain_report(kind, tup, z_samples=8, window=w)
+        rep = chain_report(tup, z_samples=8, window=w)
         assert rep.verdict == "pass"
         assert not [i for i in rep.items if i.label.startswith("radius<=2")]
         vacuous = [u for u in rep.undecided if u.startswith("radius<=2")]
@@ -214,7 +214,7 @@ class TestChainReport:
     ])
     def test_nonzero_radius_keeps_radius_items(self, kind, coeffs):
         ops = [np.array([[c]], dtype=complex) for c in coeffs]
-        rep = chain_report(kind, OperatorTuple(kind, ops), z_samples=8)
+        rep = chain_report(OperatorTuple(kind, ops), z_samples=8)
         radius = [i for i in rep.items if i.label.startswith("radius<=2")]
         assert len(radius) == (3 if kind == "gamma7" else 2)
         assert all(i.passed for i in radius)
@@ -222,12 +222,12 @@ class TestChainReport:
 
     def test_exam2_all_pass(self, exam2):
         space, _, tup5, _, _, w = exam2
-        rep = chain_report("gamma5", tup5, z_samples=8, window=w)
+        rep = chain_report(tup5, z_samples=8, window=w)
         assert rep.verdict == "pass"
 
     def test_isometric_pivot_with_unsolvable_equation_fails_solvability(self):
         ops = [0.5 * np.eye(2)] + [np.zeros((2, 2))] * 5 + [np.eye(2)]
-        rep = chain_report("gamma7", OperatorTuple("gamma7", ops), z_samples=4)
+        rep = chain_report(OperatorTuple("gamma7", ops), z_samples=4)
         assert rep.verdict == "fail"
         labels = [i.label for i in rep.items if not i.passed]
         assert labels == ["fundamental-solvability"]
@@ -235,7 +235,7 @@ class TestChainReport:
 
     def test_expansive_member_fails_solvability(self):
         ops = [np.zeros((2, 2))] * 6 + [np.diag([1.5, 0.1])]
-        rep = chain_report("gamma7", OperatorTuple("gamma7", ops), z_samples=4)
+        rep = chain_report(OperatorTuple("gamma7", ops), z_samples=4)
         assert rep.verdict == "fail"
         labels = [i.label for i in rep.items if not i.passed]
         assert "fundamental-solvability" in labels

@@ -6,13 +6,13 @@ from mudilate.spaces import ModelSpace, Window, hardy_shift, window
 from mudilate.fundamentals import chain_report, defect, solve_fundamentals
 from mudilate.gallery import build_exam3_dilation
 from mudilate.verify import (commutator_profile, is_commuting, isometry_check,
-                             necessary_conditions)
+                             necessary_conditions, partial_isometry_check)
 
 
 class TestIsCommuting:
     def test_diagonal_tuple(self):
         ops = [np.diag([1.0, 2.0]), np.diag([3.0, 4.0])]
-        rep = is_commuting(ops)
+        rep = is_commuting(OperatorTuple("sym", ops))
         assert rep.verdict == "pass" and rep.worst() == 0.0
 
     def test_exam1_on_window(self, exam1):
@@ -23,7 +23,7 @@ class TestIsCommuting:
         sp = ModelSpace(((1, 8),))
         w = window(sp, 1)
         m = hardy_shift(1, 8)
-        rep = is_commuting([m, m.conj().T], window=w)
+        rep = is_commuting(OperatorTuple("sym", (m, m.conj().T)), window=w)
         assert rep.verdict == "fail"
         assert rep.items[0].residual == pytest.approx(1.0, abs=1e-12)
 
@@ -31,12 +31,12 @@ class TestIsCommuting:
 class TestIsometryCheck:
     def test_identity_tuple(self):
         ops = [np.eye(3)] * 7
-        rep = isometry_check("gamma7", OperatorTuple("gamma7", ops))
+        rep = isometry_check(OperatorTuple("gamma7", ops))
         assert rep.verdict == "pass"
 
     def test_partial_isometry_exam1(self, exam1):
         _, tup, _, w = exam1
-        rep = isometry_check("partial", tup.ops[6], window=w)
+        rep = partial_isometry_check(tup.ops[6], window=w)
         assert rep.verdict == "pass"
 
     def test_partial_isometry_iff_projection_defect(self):
@@ -50,13 +50,13 @@ class TestIsometryCheck:
                                  + 1j * rng.standard_normal((n, n)))
             proj = vq[:, :k] @ vq[:, :k].conj().T
             t = uq @ proj
-            rep = isometry_check("partial", t)
+            rep = partial_isometry_check(t)
             dd = defect(t)
             assert rep.verdict == "pass"
             assert dd.is_projection
             # break it: damp the isometric part
             t2 = 0.8 * uq @ proj + 0.1 * (np.eye(n) - proj)
-            rep2 = isometry_check("partial", t2)
+            rep2 = partial_isometry_check(t2)
             dd2 = defect(t2)
             assert rep2.verdict == "fail"
             assert not dd2.is_projection
@@ -65,7 +65,7 @@ class TestIsometryCheck:
         _, tup, _, w = exam3
         dil = build_exam3_dilation(0.5, 8, 6)
         kw = dil.window(w)
-        rep = isometry_check("gamma7", dil.tuple(), window=kw)
+        rep = isometry_check(dil.tuple(), window=kw)
         assert rep.verdict == "pass"
 
     @pytest.mark.parametrize("depth", [2, 3, 4])
@@ -76,21 +76,8 @@ class TestIsometryCheck:
         _, tup, _, w = exam3
         dil = build_exam3_dilation(0.5, 8, depth)
         assert dil.reach == 2
-        rep = isometry_check("gamma7", dil.tuple(), window=dil.window(w))
+        rep = isometry_check(dil.tuple(), window=dil.window(w))
         assert rep.verdict == "pass"
-
-    def test_arity_mismatch(self):
-        ops = [np.eye(2)] * 5
-        with pytest.raises(OpcoreError):
-            isometry_check("gamma7", OperatorTuple("gamma5", ops))
-
-    def test_plain_isometry_kind(self):
-        sp = ModelSpace(((1, 6),))
-        w = window(sp, 1)
-        rep = isometry_check("isometry", hardy_shift(1, 6), window=w)
-        assert rep.verdict == "pass"
-        rep2 = isometry_check("isometry", 0.5 * np.eye(3))
-        assert rep2.verdict == "fail"
 
 
 class TestNecessaryConditions:
@@ -100,8 +87,8 @@ class TestNecessaryConditions:
                             + 1j * rng.standard_normal((3, 3)))
         ops = [np.zeros((3, 3))] * 6 + [q]
         tup = OperatorTuple("gamma7", ops)
-        fset = solve_fundamentals("gamma7", tup)
-        rep = necessary_conditions("gamma7", tup, fset)
+        fset = solve_fundamentals(tup)
+        rep = necessary_conditions(fset)
         # D = 0, so the kernel is everything and every expression carries a
         # D factor: residuals vanish identically
         assert rep.verdict == "pass"
@@ -114,9 +101,9 @@ class TestNecessaryConditions:
         ops = [np.zeros((2, 2))] * 6 + [0.5 * np.eye(2)]
         tup = OperatorTuple("gamma7", ops)
         kw = {"window": Window(0, np.eye(2))} if windowed else {}
-        fset = solve_fundamentals("gamma7", tup, **kw)
+        fset = solve_fundamentals(tup, **kw)
         assert fset.defect.rank == 2
-        rep = necessary_conditions("gamma7", tup, fset, **kw)
+        rep = necessary_conditions(fset, **kw)
         assert rep.verdict == "pass"
         assert [i.residual for i in rep.items] == [0.0] * 12
         assert "kernel test space dimension 0" in rep.notes
@@ -125,16 +112,16 @@ class TestNecessaryConditions:
 
     def test_exam1_residuals(self, exam1):
         _, tup, _, w = exam1
-        fset = solve_fundamentals("gamma7", tup, window=w)
-        rep = necessary_conditions("gamma7", tup, fset, window=w)
+        fset = solve_fundamentals(tup, window=w)
+        rep = necessary_conditions(fset, window=w)
         assert rep.verdict == "pass"
         assert rep.worst() <= 1e-10
         assert rep.undecided  # existence half has no finite test
 
     def test_exam2_pairs_agree(self, exam2):
         _, _, tup5, _, _, w = exam2
-        fset = solve_fundamentals("gamma5", tup5, window=w)
-        rep = necessary_conditions("gamma5", tup5, fset, window=w)
+        fset = solve_fundamentals(tup5, window=w)
+        rep = necessary_conditions(fset, window=w)
         assert rep.verdict == "pass"
         by = {i.label: i.residual for i in rep.items}
         assert len(by) == 12
@@ -143,8 +130,8 @@ class TestNecessaryConditions:
 
     def test_exam5_penta(self, exam5):
         _, tup, _, w = exam5
-        fset = solve_fundamentals("penta", tup, window=w)
-        rep = necessary_conditions("penta", tup, fset, window=w)
+        fset = solve_fundamentals(tup, window=w)
+        rep = necessary_conditions(fset, window=w)
         assert rep.verdict == "pass" and rep.worst() <= 1e-10
 
 
@@ -154,7 +141,7 @@ class TestPartialIsometryRestriction:
         # carries the restricted tuple, whose commutator table matches the
         # fundamental operators'
         _, tup, _, w = exam1
-        fset = solve_fundamentals("gamma7", tup, window=w)
+        fset = solve_fundamentals(tup, window=w)
         from mudilate.verify import _self_comm
         dd = defect(tup.ops[6])
         kb = dd.range_basis @ dd.window_range(w)
@@ -173,13 +160,13 @@ class TestCommutatorProfile:
     def test_zero_fundamentals(self):
         ops = [np.zeros((3, 3))] * 6 + [np.diag([0.5, 0.2, 0.1])]
         tup = OperatorTuple("gamma7", ops)
-        fset = solve_fundamentals("gamma7", tup)
+        fset = solve_fundamentals(tup)
         rep = commutator_profile(fset)
         assert rep.verdict == "pass" and rep.worst() == 0.0
 
     def test_exam1_table(self, exam1):
         _, tup, _, w = exam1
-        fset = solve_fundamentals("gamma7", tup, window=w)
+        fset = solve_fundamentals(tup, window=w)
         rep = commutator_profile(fset, tol=1e-10, window=w)
         by = {i.label: i.residual for i in rep.items}
         assert len(by) == 30
@@ -191,7 +178,7 @@ class TestCommutatorProfile:
 
     def test_exam2_gaps(self, exam2):
         _, _, tup5, _, _, w = exam2
-        fset = solve_fundamentals("gamma5", tup5, window=w)
+        fset = solve_fundamentals(tup5, window=w)
         rep = commutator_profile(fset, tol=1e-10, window=w)
         by = {i.label: i.residual for i in rep.items}
         assert by["[G1*,G1]-[G2t*,G2t]"] > 0.9
@@ -201,8 +188,8 @@ class TestCommutatorProfile:
     def test_rejects_single_operator_kind(self, exam5):
         _, tup, _, w = exam5
         pair = OperatorTuple("sym", (tup.ops[1], tup.ops[2]))
-        for fset in (solve_fundamentals("sym", pair, window=w),
-                     solve_fundamentals("penta", tup, window=w)):
+        for fset in (solve_fundamentals(pair, window=w),
+                     solve_fundamentals(tup, window=w)):
             with pytest.raises(OpcoreError):
                 commutator_profile(fset)
 
@@ -210,10 +197,10 @@ class TestCommutatorProfile:
 def _scalar_gamma7_dilation(c):
     from mudilate.dilate import schaffer
     tup = OperatorTuple("gamma7", [np.array([[v]], dtype=complex) for v in c])
-    fset = solve_fundamentals("gamma7", tup)
-    dil = schaffer("gamma7", tup, fset, 5)
+    fset = solve_fundamentals(tup)
+    dil = schaffer(fset, 5)
     kw = dil.window(_full(dil.base_dim))
-    return tup, fset, isometry_check("gamma7", dil.tuple(), window=kw)
+    return tup, fset, isometry_check(dil.tuple(), window=kw)
 
 
 class TestDilationImpliesChecks:
@@ -226,8 +213,8 @@ class TestDilationImpliesChecks:
         c = gamma7_coords(np.diag([0.5, -0.3 + 0.2j, 0.4j]))
         tup, fset, rep = _scalar_gamma7_dilation(c)
         assert rep.verdict == "pass"
-        assert chain_report("gamma7", tup, fset=fset).verdict == "pass"
-        nec = necessary_conditions("gamma7", tup, fset)
+        assert chain_report(tup, fset=fset).verdict == "pass"
+        nec = necessary_conditions(fset)
         assert nec.verdict == "pass"
 
     def test_scalar_tuple_outside_the_chain_fails_isometry(self):
@@ -237,7 +224,7 @@ class TestDilationImpliesChecks:
         # the tetrablock-isometry bound ||V_i|| <= 1 rejects
         c = [0.2, -0.15, 0.1, 0.05, 0.3, -0.25, 0.6]
         tup, fset, rep = _scalar_gamma7_dilation(c)
-        assert chain_report("gamma7", tup, fset=fset).verdict == "fail"
+        assert chain_report(tup, fset=fset).verdict == "fail"
         assert rep.verdict == "fail"
         failed = {i.label: i.residual for i in rep.items if not i.passed}
         assert set(failed) == {"||V1||<=1", "||V2||<=1", "||V5||<=1", "||V6||<=1"}
@@ -247,15 +234,15 @@ class TestDilationImpliesChecks:
         c = [0.3, 0.4, 0.5, -0.2, 0.1j]
         ops = [np.array([[v]], dtype=complex) for v in c]
         tup = OperatorTuple("gamma5", ops)
-        fset = solve_fundamentals("gamma5", tup)
+        fset = solve_fundamentals(tup)
         from mudilate.dilate import schaffer
-        dil = schaffer("gamma5", tup, fset, 5)
+        dil = schaffer(fset, 5)
         kw = dil.window(_full(dil.base_dim))
-        rep = isometry_check("gamma5", dil.tuple(), window=kw)
+        rep = isometry_check(dil.tuple(), window=kw)
         assert rep.verdict == "pass"
         comm = is_commuting(dil.tuple(), window=kw)
         assert comm.verdict == "pass"
-        nec = necessary_conditions("gamma5", tup, fset)
+        nec = necessary_conditions(fset)
         assert nec.verdict == "pass"
 
 
@@ -292,7 +279,9 @@ class TestCompactChecksMatchDense:
         """The gallery case's tuple, fundamentals, window, dilation and
         dilation window.  Perturbed, every operator (D too) gains n seeded
         random entries of size about 0.1 at random places: the items then
-        read O(0.1), not 0, and the operands' frames overlap in new ways."""
+        read O(0.1), not 0, and the operands' frames overlap in new ways.
+        The perturbed tuple replaces ``fset.tup`` and ``dil.base``, which
+        the checks read."""
         from dataclasses import replace
         from mudilate.dilate import pentablock_dilation
         from mudilate.gallery import build_exam3, build_exam5
@@ -302,12 +291,12 @@ class TestCompactChecksMatchDense:
         else:
             space, tup, _ = build_exam5(0.5, 8)
         w = window(space, auto_margin(space, tup.ops))
-        fset = solve_fundamentals(tup.kind, tup, window=w)
+        fset = solve_fundamentals(tup, window=w)
         if case_id == "exam3":
             dil = build_exam3_dilation(0.5, 8, 4)
             kw = dil.window(w)
         else:
-            dil = pentablock_dilation(tup, fset, 4)
+            dil = pentablock_dilation(fset, 4)
             kw = dil.window(w)
         if perturb:
             rng = np.random.default_rng(5)
@@ -321,9 +310,10 @@ class TestCompactChecksMatchDense:
                     out.append(o)
                 return tuple(out)
             tup = OperatorTuple(tup.kind, pert(tup.ops))
-            fset = replace(fset, ops=dict(zip(fset.ops, pert(fset.ops.values()))),
+            fset = replace(fset, tup=tup,
+                           ops=dict(zip(fset.ops, pert(fset.ops.values()))),
                            defect=replace(fset.defect, D=pert([fset.defect.D])[0]))
-            dil = replace(dil, ops=pert(dil.ops))
+            dil = replace(dil, base=tup, ops=pert(dil.ops))
         return tup, fset, w, dil, kw
 
     @pytest.mark.parametrize("perturb", [False, True])
@@ -333,7 +323,7 @@ class TestCompactChecksMatchDense:
         e, q = np.eye(dil.dim, dil.base_dim), w.basis
         ref = [self._wn(v.conj().T @ e - e @ t.conj().T, q)
                for v, t in zip(dil.ops, tup.ops)]
-        got = dil.coextension_residuals(tup.ops, w)
+        got = dil.coextension_residuals(w)
         assert len(got) == len(ref)
         assert max(abs(g - r) for g, r in zip(got, ref)) <= self.TOL
 
@@ -347,7 +337,7 @@ class TestCompactChecksMatchDense:
             ref[f"V{i+1}=V{j+1}*V7"] = self._wn(v[i] - v[j].conj().T @ v[6], q)
             ref[f"||V{i+1}||<=1"] = max(0.0, self._wn(v[i], q) - 1.0)
         ref["V7 isometry"] = self._wn(v[6].conj().T @ v[6] - np.eye(dil.dim), q)
-        self._assert_items(isometry_check("gamma7", dil.tuple(), window=kw), ref)
+        self._assert_items(isometry_check(dil.tuple(), window=kw), ref)
 
     @pytest.mark.parametrize("perturb", [False, True])
     def test_exam5_isometry_check(self, perturb):
@@ -362,7 +352,7 @@ class TestCompactChecksMatchDense:
             "R1*R1+R2*R2/4=I": self._wn(
                 r1.conj().T @ r1 + 0.25 * r2.conj().T @ r2 - eye, q),
         }
-        self._assert_items(isometry_check("penta", dil.tuple(), window=kw), ref)
+        self._assert_items(isometry_check(dil.tuple(), window=kw), ref)
 
     @pytest.mark.parametrize("perturb", [False, True])
     def test_exam3_necessary_conditions(self, perturb):
@@ -378,7 +368,7 @@ class TestCompactChecksMatchDense:
                 f[i] @ d @ t[i] - f[j] @ d @ t[j], kb)
             ref[f"[F{i+1}*,F{j+1}*]D T7|ker"] = self._wn(
                 (f[i] @ f[j] - f[j] @ f[i]) @ d @ t[6], kb)
-        self._assert_items(necessary_conditions("gamma7", tup, fset, window=w), ref)
+        self._assert_items(necessary_conditions(fset, window=w), ref)
 
     @pytest.mark.parametrize("perturb", [False, True])
     def test_exam5_necessary_conditions(self, perturb):
@@ -388,4 +378,4 @@ class TestCompactChecksMatchDense:
         d, x = fset.defect.D, fset["X"]
         kb = _windowed_kernel(fset.defect, w)
         ref = {"(X D P3 - D P2)|ker": self._wn(x @ d @ p3 - d @ p2, kb)}
-        self._assert_items(necessary_conditions("penta", tup, fset, window=w), ref)
+        self._assert_items(necessary_conditions(fset, window=w), ref)

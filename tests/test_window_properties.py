@@ -136,11 +136,10 @@ def test_whole_space_equals_identity_window(tup):
     for (_, a), (_, b) in zip(whole_c, eye_c):
         assert abs(a - b) <= 1e-12
     _same_items(is_commuting(tup), is_commuting(tup, window=eye))
-    _same_items(isometry_check(tup.kind, tup),
-                isometry_check(tup.kind, tup, window=eye))
+    _same_items(isometry_check(tup), isometry_check(tup, window=eye))
     if tup.kind != "penta":
-        whole = chain_report(tup.kind, tup, z_samples=4)
-        _same_items(whole, chain_report(tup.kind, tup, z_samples=4, window=eye))
+        whole = chain_report(tup, z_samples=4)
+        _same_items(whole, chain_report(tup, z_samples=4, window=eye))
         assert whole.to_dict()["window_margin"] is None
 
 
@@ -178,7 +177,8 @@ def test_dilation_window_dimension(case, n_iso, depth, reach):
     dd = defect((u * s) @ v)
     assert dd.rank == n - n_iso
     dim = n + depth * dd.rank
-    dil = DilationResult("gamma7", (np.eye(dim),), depth, dd, n, reach)
+    base = OperatorTuple("gamma7", (np.eye(n),) * 7)
+    dil = DilationResult(base, (np.eye(dim),), depth, dd, reach)
     q = dd.range_basis
     kept = q.shape[1] + w.dim - np.linalg.matrix_rank(np.hstack([q, w.basis]))
     copies = max(0, depth - min(2 * reach, max(reach, depth - 1)))
