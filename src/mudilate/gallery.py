@@ -227,9 +227,9 @@ def _run_exam1(case: GalleryCase) -> CheckReport:
     worst = max(w.equal(fset[name], expected_f[name]) for name in expected_f)
     rep.add("fundamentals match displayed forms", worst, 1e-10)
 
-    chain = chain_report(tup, z_samples=p["z_samples"], window=w,
-                         fset=fset)
+    chain = chain_report(fset, z_samples=p["z_samples"], window=w)
     _merge(rep, chain, "torus condition chain")
+    rep.notes.append(f"torus condition chain: {chain.notes[-1]}")
     rep.margins = chain.margins
 
     prof = commutator_profile(fset, tol=1e-10, window=w)
@@ -268,9 +268,9 @@ def _run_exam2(case: GalleryCase) -> CheckReport:
     worst = max(w.equal(fset[name], expected_g[name]) for name in expected_g)
     rep.add("fundamentals match displayed forms", worst, 1e-10)
 
-    chain = chain_report(tup5, z_samples=p["z_samples"], window=w,
-                         fset=fset)
+    chain = chain_report(fset, z_samples=p["z_samples"], window=w)
     _merge(rep, chain, "torus condition chain")
+    rep.notes.append(f"torus condition chain: {chain.notes[-1]}")
     rep.margins = chain.margins
 
     nec = necessary_conditions(fset, tol=1e-9, window=w)

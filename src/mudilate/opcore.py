@@ -209,15 +209,86 @@ def _theta_profile(m: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     return out
 
 
-def numerical_radius(a) -> float:
+@dataclass(frozen=True)
+class Grading:
+    """What integer potentials on a family's support admit.  A potential g
+    on the coordinates gives an operand X degree d if g(row) - g(col) = d on
+    supp X.  ``unit``: some potential gives every operand degree 1;
+    ``z_free``: some potential gives the two operands different degrees."""
+
+    unit: bool
+    z_free: bool
+
+
+def grading(a, b=None) -> Grading:
+    """The gradings of the family (A, B) (of A alone if B is None), read off
+    its exact nonzero pattern.
+
+    One breadth-first search of the support graph (the nonzeros of both
+    operands as undirected edges) fixes g on a spanning forest as an integer
+    combination pot(v) . (d_a, d_b) of the unknown degrees.  Every nonzero
+    (row, col) of the operand with unit vector e then demands
+    (pot(row) - pot(col) - e) . (d_a, d_b) = 0.  A pair d meeting every
+    condition is a grading, realised by g = pot . d; on a spanning forest
+    every grading meets them, so they cut out exactly the admissible degree
+    pairs: ``unit`` iff (1, 1) satisfies them, ``z_free`` iff some pair with
+    d_a != d_b does.  The search loops over nodes, not nonzeros, and all
+    nonzeros are checked at once, so a dense matrix costs array work.
+    """
+    ops = [_square(a, "grading")] + ([] if b is None else [_square(b, "grading")])
+    n = ops[0].shape[0]
+    if ops[-1].shape[0] != n:
+        raise OpcoreError("a graded family needs operands on one space")
+    nz = [o != 0 for o in ops]
+    e = np.eye(2, dtype=np.int64)
+    support = np.logical_or.reduce(nz)
+    # step[v, u] = pot(u) - pot(v) across one nonzero joining v and u:
+    # -e across a nonzero (v, u) of the operand with unit vector e, +e across (u, v)
+    arc = np.where(nz[0][..., None], e[0], e[1])
+    step = np.where(support[..., None], -arc, arc.transpose(1, 0, 2))
+    adjacent = support | support.T
+    pot = np.zeros((n, 2), dtype=np.int64)
+    seen = np.zeros(n, dtype=bool)
+    for root in range(n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        queue = [root]
+        for v in queue:
+            new = np.flatnonzero(adjacent[v] & ~seen)
+            seen[new] = True
+            pot[new] = pot[v] + step[v, new]
+            queue.extend(new.tolist())
+    cond = np.concatenate([pot[r] - pot[c] - x for (r, c), x in zip(map(np.nonzero, nz), e)])
+    unit = not cond.sum(axis=1).any()
+    rows = cond[cond.any(axis=1)]
+    if not len(rows):
+        return Grading(unit, True)
+    # rank one: the admissible pairs are the multiples of (u_b, -u_a)
+    u = rows[0]
+    rank_one = not (u[0] * rows[:, 1] - u[1] * rows[:, 0]).any()
+    return Grading(unit, bool(rank_one and u.sum() != 0))
+
+
+def numerical_radius(a, unit_graded: bool = False) -> float:
     """omega(A) = max over theta of lambda_max((e^{i theta}A + e^{-i theta}A*)/2).
 
-    Level-set iteration of Mengi & Overton, "Algorithms for the computation
-    of the pseudospectral radius and the numerical radius of a matrix",
-    IMA J. Numer. Anal. 25 (2005).  The level f starts as the largest
-    profile value at eight equally spaced angles (at least cos(pi/8) omega).
-    Each step finds every angle where f is an eigenvalue of the profile
-    matrix: the unit-modulus eigenvalues z = e^{i theta} of the 2n x 2n pencil
+    Unit-graded A (``grading(A).unit``: a potential g with g(row) - g(col) = 1
+    on supp A, as for the zero matrix, truncated shifts and the gallery's
+    shift-block fundamentals) is decided exactly by one ``eigvalsh``:
+    D = diag(e^{i theta g}) is unitary and D A D* = e^{i theta} A, so the
+    profile is constant and omega(A) = lambda_max(Re A).  A caller that
+    has shown A unit-graded (a member A + zB of a family with
+    ``grading(A, B).unit`` is) passes ``unit_graded=True``, and A is not
+    graded again.
+
+    Any other A takes the level-set iteration of Mengi & Overton,
+    "Algorithms for the computation of the pseudospectral radius and the
+    numerical radius of a matrix", IMA J. Numer. Anal. 25 (2005).  The
+    level f starts as the largest profile value at eight equally spaced
+    angles (at least cos(pi/8) omega).  Each step finds every angle where f
+    is an eigenvalue of the profile matrix: the unit-modulus eigenvalues
+    z = e^{i theta} of the 2n x 2n pencil
 
         [[0, I], [-A*, 2f I]] v = z [[I, 0], [0, A]] v,
 
@@ -226,15 +297,18 @@ def numerical_radius(a) -> float:
     angles; the profile at the arc midpoints gives the next level, which
     converges quadratically to omega at a smooth maximum.  The iteration
     stops when no midpoint beats f by more than ``NR_TOL * f``.
-
-    A flat profile (A unitarily equivalent to every rotation e^{i theta}A,
-    e.g. truncated shifts) makes the pencil singular at the exact level;
-    its eigenvalues are then arbitrary, the midpoints only reproduce f to
-    roundoff, and the sampled start value, already exact, is returned.
     """
     m = _square(a, "numerical radius")
-    if not m.any():
-        return 0.0
+    if unit_graded or grading(m).unit:
+        return float(_theta_profile(m, np.zeros(1))[0])
+    return _level_set_radius(m)
+
+
+def _level_set_radius(m: np.ndarray) -> float:
+    """The Mengi-Overton level-set iteration of ``numerical_radius``.  A flat
+    profile that reaches it makes the pencil singular at the exact level;
+    its eigenvalues are then arbitrary, the midpoints only reproduce f to
+    roundoff, and the sampled start value, already exact, is returned."""
     n = m.shape[0]
     eye, zero = np.eye(n), np.zeros((n, n))
     rhs = np.block([[eye, zero], [zero, m]])

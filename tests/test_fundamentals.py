@@ -3,8 +3,8 @@ import pytest
 
 from mudilate.opcore import OpcoreError, OperatorTuple, herm_sqrt, op_norm
 from mudilate.spaces import ModelSpace, hardy_shift, window
-from mudilate.fundamentals import (ExpansiveError, SolveError, chain_report,
-                                   defect, rho, solve_fundamentals)
+from mudilate.fundamentals import (CHAIN_TOL, ExpansiveError, SolveError,
+                                   chain_report, defect, rho, solve_fundamentals)
 from mudilate.gallery import _raising_symbol
 
 from conftest import random_contraction
@@ -191,7 +191,7 @@ class TestChainReport:
     def test_exam1_all_pass(self, exam1):
         space, tup, _, w = exam1
         fset = solve_fundamentals(tup, window=w)
-        rep = chain_report(tup, z_samples=16, window=w, fset=fset)
+        rep = chain_report(fset, z_samples=16, window=w)
         assert rep.verdict == "pass"
         # summed pairs are strictly block-nilpotent on the window
         assert rep.margins["radius"] == pytest.approx(2.0, abs=1e-12)
@@ -219,6 +219,29 @@ class TestChainReport:
         assert len(radius) == (3 if kind == "gamma7" else 2)
         assert all(i.passed for i in radius)
         assert not [u for u in rep.undecided if u.startswith("radius<=2")]
+
+    def test_fundamentals_are_read_with_their_own_tuple(self, exam1, exam3):
+        # the solve is the whole input: exam3's tuple cannot be paired with
+        # the fundamentals of another tuple, and a solve gives the report
+        # the chain would solve for itself
+        other = solve_fundamentals(OperatorTuple(
+            "gamma7", [np.zeros((2, 2))] * 6 + [0.5 * np.eye(2)]))
+        with pytest.raises(TypeError):
+            chain_report(exam3[1], z_samples=4, fset=other)
+        _, tup, _, w = exam1
+        fset = solve_fundamentals(tup, tol=CHAIN_TOL, window=w)
+        assert chain_report(fset, z_samples=4, window=w).to_dict() \
+            == chain_report(tup, z_samples=4, window=w).to_dict()
+
+    def test_isometric_pivot_keeps_rho_family_sampled(self):
+        # L = 1 makes h = 2(I - L*L) = 0, so nothing pins a degree 0 but the
+        # diagonal; K = s - s* L = 0.6i then has degree 0 and the family
+        # -2 Re(z K) moves with z: its minimum -1.2 is at z = -i, not z = 1
+        ops = [np.array([[0.3j]])] + [np.zeros((1, 1))] * 4 + [np.array([[0.1]]), np.eye(1)]
+        rep = chain_report(OperatorTuple("gamma7", ops), z_samples=4)
+        item = next(i for i in rep.items if i.label == "rho-pair-psd[1,6]")
+        assert item.residual == pytest.approx(1.2)
+        assert rep.notes[-1].endswith("rho-pair-psd 2/1, radius<=2 2/1, omega<=1 0/0")
 
     def test_exam2_all_pass(self, exam2):
         space, _, tup5, _, _, w = exam2

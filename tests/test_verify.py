@@ -213,7 +213,7 @@ class TestDilationImpliesChecks:
         c = gamma7_coords(np.diag([0.5, -0.3 + 0.2j, 0.4j]))
         tup, fset, rep = _scalar_gamma7_dilation(c)
         assert rep.verdict == "pass"
-        assert chain_report(tup, fset=fset).verdict == "pass"
+        assert chain_report(fset).verdict == "pass"
         nec = necessary_conditions(fset)
         assert nec.verdict == "pass"
 
@@ -224,7 +224,7 @@ class TestDilationImpliesChecks:
         # the tetrablock-isometry bound ||V_i|| <= 1 rejects
         c = [0.2, -0.15, 0.1, 0.05, 0.3, -0.25, 0.6]
         tup, fset, rep = _scalar_gamma7_dilation(c)
-        assert chain_report(tup, fset=fset).verdict == "fail"
+        assert chain_report(fset).verdict == "fail"
         assert rep.verdict == "fail"
         failed = {i.label: i.residual for i in rep.items if not i.passed}
         assert set(failed) == {"||V1||<=1", "||V2||<=1", "||V5||<=1", "||V6||<=1"}
