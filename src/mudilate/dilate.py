@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import opcore
 from .opcore import (WHOLE_SPACE, OperatorTuple, OpcoreError, _compact, _mat,
@@ -111,10 +110,15 @@ class DilationResult:
         """
         margin = min(2 * self.reach, max(self.reach, self.depth - 1))
         keepv = self.defect.window_range(h_window)
-        basis = scipy.linalg.block_diag(h_window.basis,
-                                        *[keepv] * (self.depth - margin))
-        return Window(h_window.margin,
-                      np.pad(basis, ((0, self.dim - basis.shape[0]), (0, 0))))
+        blocks = [h_window.basis] + [keepv] * (self.depth - margin)
+        basis = np.zeros((self.dim, sum(b.shape[1] for b in blocks)), dtype=complex)
+        r = c = 0
+        # block by block, so each entry keeps its bytes (a Kronecker product
+        # with the identity would write 0 * x = -0.0 for negative x)
+        for b in blocks:
+            basis[r:r + b.shape[0], c:c + b.shape[1]] = b
+            r, c = r + b.shape[0], c + b.shape[1]
+        return Window(h_window.margin, basis)
 
 
 def coextension(tup: OperatorTuple, dd: DefectData, depth: int,

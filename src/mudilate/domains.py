@@ -11,6 +11,10 @@ the closed pentablock is {(a21, tr A, det A) : ||A|| <= 1}, the image of the
 compact closed ball: the pentablock of Agler, Lykova & Young (J. Geom.
 Anal., 2015) is the image of the open one.  So the closed-form minimal-norm
 realisers decide both exactly.
+
+Only the least-squares certificate search (``_lsq_certificate``) uses scipy
+(``scipy.optimize.least_squares``), imported on its first call; the closed,
+diagonal and axis decodes and ``mu_E`` run on numpy alone.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from .opcore import _mat, op_norm, spectral_radius
 from .report import MembershipReport
@@ -456,6 +459,8 @@ def _diag_decode(point: DomainPoint, tol: float = 1e-8):
 
 
 def _lsq_certificate(point: DomainPoint, budget):
+    import scipy.optimize
+
     rng = np.random.default_rng(SEARCH_SEED)
     kind = point.kind
     target = np.array(point.coords)

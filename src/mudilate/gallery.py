@@ -50,7 +50,7 @@ class GalleryCase:
             raise ValueError("trunc must be >= 6 to leave a margin-4 window")
         if p["depth"] < 2:
             raise ValueError("depth must be >= 2")
-        if abs(p["alpha"]) > 1.0:
+        if not abs(p["alpha"]) <= 1.0:  # NaN fails it too
             raise ValueError("alpha must lie in the closed unit disc")
         # the largest case space is the exam3 dilation: 8 trunc base
         # coordinates plus max(depth, 4) copies of its 4 trunc-dim defect

@@ -12,6 +12,11 @@ the nonzero rows x columns read once per operand by ``_support``.  This is
 exact: ``_mat`` admits only finite entries, so each dropped term is 0 * x = 0,
 and deleting zero rows and columns keeps the nonzero singular values.  Checks
 of the mostly-zero dilations so cost about their nonzero content.
+
+The kernel runs on numpy alone except for the QZ fallback of
+``numerical_radius`` on input that is not unit-graded (``_level_set_radius``),
+which imports ``scipy.linalg`` on first use: importing mudilate and running
+the gallery never load scipy.
 """
 
 from __future__ import annotations
@@ -20,7 +25,6 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 
 # largest dense dimension a constructor may build (one complex 4096 x 4096
@@ -309,6 +313,8 @@ def _level_set_radius(m: np.ndarray) -> float:
     profile that reaches it makes the pencil singular at the exact level;
     its eigenvalues are then arbitrary, the midpoints only reproduce f to
     roundoff, and the sampled start value, already exact, is returned."""
+    import scipy.linalg
+
     n = m.shape[0]
     eye, zero = np.eye(n), np.zeros((n, n))
     rhs = np.block([[eye, zero], [zero, m]])

@@ -65,6 +65,15 @@ class ModelSpace:
         return slice(off, off + f * t)
 
 
+def _gram_error(q: np.ndarray) -> float:
+    """max |Q* Q - I|, formed on the nonzero rows of Q: zero rows add nothing
+    to Q* Q, and coordinate-selection and zero-padded dilation bases have
+    many."""
+    rows = q.any(axis=1)
+    nz = q if rows.all() else q[rows]
+    return np.abs(nz.conj().T @ nz - np.eye(q.shape[1])).max(initial=0.0)
+
+
 @dataclass
 class Window:
     """Orthonormal column basis Q (n x k) of the safe part of a truncated
@@ -77,7 +86,7 @@ class Window:
 
     def __post_init__(self):
         q = np.asarray(self.basis, dtype=complex)
-        if q.ndim != 2 or np.abs(q.conj().T @ q - np.eye(q.shape[1])).max(initial=0.0) > 1e-12:
+        if q.ndim != 2 or _gram_error(q) > 1e-12:
             raise OpcoreError("window basis columns must be orthonormal to 1e-12")
         self.basis = q
 

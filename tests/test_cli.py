@@ -297,6 +297,12 @@ class TestSubcommands:
             assert exc.value.code == 2
             assert "invalid choice" in capsys.readouterr().err
 
+    def test_gallery_rejects_nan_alpha_by_name(self, capsys):
+        code = main(["gallery", "--case", "pi_family", "--alpha", "nan"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.strip() == "error: alpha must lie in the closed unit disc"
+
     def test_gallery_rejects_zero_torus_samples(self, capsys):
         code = main(["gallery", "--case", "exam1", "--zsamples", "0", "--text"])
         captured = capsys.readouterr()

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from mudilate import opcore
 from mudilate.opcore import OperatorTuple, op_norm
-from mudilate.spaces import ModelSpace, hardy_shift, window
+from mudilate.spaces import ModelSpace, Window, hardy_shift, window
 from mudilate.fundamentals import (ExpansiveError, FundamentalSet, defect,
                                    solve_fundamentals)
 from mudilate.dilate import (DilateError, egervary, pentablock_dilation,
@@ -156,6 +157,34 @@ class TestSchaffer:
         assert is_commuting(dil.tuple(), tol=1e-9).verdict == "pass"
         kw = dil.window(_full_window(dil.base_dim))
         assert isometry_check(dil.tuple(), tol=1e-9, window=kw).verdict == "pass"
+
+
+class TestDilationWindow:
+    @pytest.mark.parametrize("depth", [2, 3, 4, 7])
+    @pytest.mark.parametrize("case", ["exam1", "exam3", "scalar"])
+    def test_basis_is_padded_block_diag(self, case, depth, exam1, exam3):
+        # the basis is laid out without scipy; it must keep the bytes of
+        # scipy.linalg.block_diag's layout, zero-padded to the dilation.  The
+        # scalar case's window range has a negative entry, which a Kronecker
+        # layout would multiply by 0 into -0.0 off the diagonal blocks
+        if case == "exam1":
+            _, tup, _, w = exam1
+            dil = schaffer(solve_fundamentals(tup, window=w), depth)
+        elif case == "exam3":
+            w = exam3[3]
+            dil = build_exam3_dilation(0.5, 8, depth)
+        else:
+            vals = (0.2, -0.15, 0.1, 0.05, 0.3, -0.25, 0.6)
+            tup = OperatorTuple("gamma7", tuple(v * np.eye(2) for v in vals))
+            w = Window(0, np.array([[1.0], [-1.0]]) / np.sqrt(2.0))
+            dil = schaffer(solve_fundamentals(tup, window=w), depth)
+        margin = min(2 * dil.reach, max(dil.reach, depth - 1))
+        keepv = dil.defect.window_range(w)
+        ref = scipy.linalg.block_diag(w.basis, *[keepv] * (depth - margin))
+        ref = np.pad(ref, ((0, dil.dim - ref.shape[0]), (0, 0)))
+        got = dil.window(w).basis
+        assert got.shape == ref.shape and got.dtype == ref.dtype
+        assert got.tobytes() == ref.tobytes()
 
 
 def _full_window(dim):

@@ -11,8 +11,9 @@ from mudilate.report import CheckReport, dumps
 
 class TestGalleryCase:
     def test_param_validation(self):
-        with pytest.raises(ValueError):
-            GalleryCase("exam3", {"alpha": 1.5})
+        for alpha in (1.5, float("nan")):
+            with pytest.raises(ValueError, match="alpha must lie in the closed unit disc"):
+                GalleryCase("exam3", {"alpha": alpha})
         with pytest.raises(ValueError):
             GalleryCase("exam1", {"trunc": 3})
         with pytest.raises(ValueError):

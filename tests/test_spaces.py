@@ -57,6 +57,15 @@ class TestWindow:
         with pytest.raises(OpcoreError):
             Window(0, np.ones((3, 2)))
 
+    def test_zero_rows_do_not_hide_a_non_orthonormal_basis(self):
+        # the check reads only the nonzero rows; zero rows must not change it
+        q = np.zeros((9, 2))
+        q[[1, 4, 6]] = np.ones((3, 2)) / np.sqrt(3.0)
+        with pytest.raises(OpcoreError):
+            Window(0, q)
+        q[[1, 4, 6], 1] = [1.0, -1.0, 0.0] / np.sqrt(2.0)
+        assert Window(0, q).dim == 2
+
     def test_margin_too_large(self):
         with pytest.raises(OpcoreError):
             window(ModelSpace(((1, 4),)), 4)
