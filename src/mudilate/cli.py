@@ -134,6 +134,8 @@ def _fundamentals_for(tup, path=None, tol=1e-9):
 
 
 def cmd_verify(args):
+    if not 0.0 <= args.tol <= 1e-2:  # NaN fails it too
+        raise ValueError("--tol must lie in [0, 1e-2]")
     if args.check == "profile" and args.kind == "penta":
         raise ValueError("the commutator profile needs gamma7 or gamma5 "
                          "fundamentals; a penta triple has a single one")

@@ -281,19 +281,13 @@ class SupResult:
     w: complex
 
 
-def psi3_supnorm(x, grid: int = 64) -> SupResult:
+def psi3_supnorm(x: DomainPoint, grid: int = 64) -> SupResult:
     """Sup over the two-torus of the degree-(1,1) rational symbol attached to
-    a seven-coordinate point: |x4 - z x5 - w x6 + z w x7| / |1 - z x1 - w x2 + z w x3|.
+    a gamma7 point: |x4 - z x5 - w x6 + z w x7| / |1 - z x1 - w x2 + z w x3|.
     """
-    if isinstance(x, DomainPoint):
-        if x.kind != "gamma7":
-            raise DomainError("the two-variable symbol takes gamma7 points")
-        c = x.coords
-    else:
-        c = tuple(complex(v) for v in x)
-        if len(c) != 7:
-            raise DomainError("need 7 coordinates")
-    x1, x2, x3, x4, x5, x6, x7 = c
+    if x.kind != "gamma7":
+        raise DomainError("the two-variable symbol takes gamma7 points")
+    x1, x2, x3, x4, x5, x6, x7 = x.coords
 
     def evaluate(zv, wv):
         z, w = np.meshgrid(zv, wv, indexing="ij")
@@ -367,7 +361,8 @@ BOUNDARY_PREDICATE = {"gamma7": on_K, "gamma5": on_K1, "penta": on_K0}
 # ---------------------------------------------------------------------------
 # certificate search
 
-SEARCH_STARTS, SEARCH_SEED = 8, 20260808  # least-squares starts and their seed
+# least-squares starts, their seed and the evaluations allowed per start
+SEARCH_STARTS, SEARCH_SEED, SEARCH_BUDGET = 8, 20260808, 400
 
 
 def _coord_residual(kind, a, target):
@@ -458,7 +453,7 @@ def _diag_decode(point: DomainPoint, tol: float = 1e-8):
     return None
 
 
-def _lsq_certificate(point: DomainPoint, budget):
+def _lsq_certificate(point: DomainPoint):
     import scipy.optimize
 
     rng = np.random.default_rng(SEARCH_SEED)
@@ -488,7 +483,7 @@ def _lsq_certificate(point: DomainPoint, budget):
     for a0 in init_list:
         v0 = np.concatenate([a0.real.reshape(-1), a0.imag.reshape(-1)])
         sol = scipy.optimize.least_squares(resid, v0, method="trf",
-                                           max_nfev=budget, xtol=1e-14, ftol=1e-14)
+                                           max_nfev=SEARCH_BUDGET, xtol=1e-14, ftol=1e-14)
         a = unpack(sol.x)
         r = _coord_residual(kind, a, point.coords)
         if r < best_r:
@@ -496,13 +491,11 @@ def _lsq_certificate(point: DomainPoint, budget):
     return best
 
 
-def certificate_search(point: DomainPoint, budget: int = 400) -> Certificate:
+def certificate_search(point: DomainPoint) -> Certificate:
     """The point's certificate, by the first decode that applies: closed,
     diagonal, axis, else the best of a least-squares search from
-    SEARCH_STARTS starts of at most `budget` evaluations each.  A large
+    SEARCH_STARTS starts of at most SEARCH_BUDGET evaluations each.  A large
     residual means that no membership conclusion should be drawn."""
-    if budget < 1:
-        raise DomainError("budget must be positive")
     kind = point.kind
     x = point.coords
     if kind in ("penta", "tetra"):
@@ -516,7 +509,7 @@ def certificate_search(point: DomainPoint, budget: int = 400) -> Certificate:
         if axis_mass <= 1e-8:
             c = _closed_certificate("tetra", (x[0], x[5], x[6]))
             return Certificate(c.A, max(c.residual, axis_mass), c.constraint_value, "axis")
-    a = _lsq_certificate(point, budget)
+    a = _lsq_certificate(point)
     mu = mu_E(a, mu_for_kind(kind), tol=1e-4)
     return Certificate(a, _coord_residual(kind, a, x), mu, "search")
 

@@ -17,8 +17,8 @@ from .opcore import OperatorTuple, _compact, _mat, herm_sqrt, op_norm
 from .spaces import ModelSpace, Window, auto_margin, embed_blocks, hardy_shift, window
 from .domains import (DomainPoint, membership, point_pi, point_pi_eta,
                       psi3_supnorm)
-from .fundamentals import (MEMBERS, PIVOT, RELATIONS, DefectData, chain_report,
-                           solve_fundamentals)
+from .fundamentals import (MAX_Z_SAMPLES, MEMBERS, PIVOT, RELATIONS, DefectData,
+                           chain_report, solve_fundamentals)
 from .dilate import DilationResult, coextension, pushforward, \
     pentablock_dilation, schaffer
 from .verify import _self_comm, commutator_profile, is_commuting, \
@@ -44,8 +44,8 @@ class GalleryCase:
         p.setdefault("z_samples", 8)
         p.setdefault("n_points", 25)
         p.setdefault("seed", 7)
-        if p["z_samples"] < 1:
-            raise ValueError("z_samples must be >= 1")
+        if not 1 <= p["z_samples"] <= MAX_Z_SAMPLES:
+            raise ValueError(f"z_samples must lie in [1, {MAX_Z_SAMPLES}]")
         if p["trunc"] < 6:
             raise ValueError("trunc must be >= 6 to leave a margin-4 window")
         if p["depth"] < 2:

@@ -332,21 +332,14 @@ def _level_set_radius(m: np.ndarray) -> float:
         level = best
 
 
-def kernel_basis(a, tol: float | None = None) -> np.ndarray:
-    """Orthonormal columns spanning the numerical kernel, via SVD.
-
-    Singular values below ``tol`` count as zero; the default cutoff is
-    1e-8 * op_norm(A).
-    """
+def kernel_basis(a) -> np.ndarray:
+    """Orthonormal columns spanning the numerical kernel, via SVD: singular
+    values below 1e-8 * op_norm(A) count as zero."""
     m = _mat(a)
-    if tol is not None and tol <= 0:
-        raise OpcoreError("tol must be positive")
     if not np.any(m):
         return np.eye(m.shape[1], dtype=complex)
     _, s, vh = np.linalg.svd(m)
-    if tol is None:
-        tol = 1e-8 * (s[0] if len(s) else 1.0)
-    rank = int(np.sum(s >= tol))
+    rank = int(np.sum(s >= 1e-8 * s[0]))
     return vh[rank:].conj().T
 
 

@@ -113,10 +113,12 @@ def necessary_conditions(fset: FundamentalSet, tol: float = 1e-9,
     if kind == "gamma7":
         ts = [_compact(o) for o in t.ops]
         fs = [_compact(fset[f"F{i+1}"]).H for i in range(6)]
-        for i, j, _, _ in RELATIONS["gamma7"]:
+        # rows (i, j) and (j, i) state one condition up to sign: keep i < j
+        rows = [(i, j) for i, j, _, _ in RELATIONS["gamma7"] if i < j]
+        for i, j in rows:
             e2 = fs[i] @ d @ ts[i] - fs[j] @ d @ ts[j]
             rep.add(f"(F{i+1}*D T{i+1} - F{j+1}*D T{j+1})|ker", kw.wnorm(e2), tol)
-        for i, j, _, _ in RELATIONS["gamma7"]:
+        for i, j in rows:
             anti = fs[i] @ fs[j] - fs[j] @ fs[i]
             rep.add(f"[F{i+1}*,F{j+1}*]D T7|ker", kw.wnorm(anti @ d @ ts[6]), tol)
     elif kind == "gamma5":
@@ -171,8 +173,9 @@ def commutator_profile(fset: FundamentalSet, tol: float = 1e-9,
                 rep.add(f"[F{i+1},F{j+1}]",
                         float(np.linalg.norm(_comm(fs[i], fs[j]), 2)), tol)
         partner = {i: j for i, j, _, _ in RELATIONS["gamma7"]}
+        # the identity of (i, j) is the adjoint of that of (5 - j, 5 - i)
         for i in range(6):
-            for j in range(i + 1, 6):
+            for j in range(i + 1, 6 - i):
                 ci, cj = partner[i], partner[j]
                 lhs = _comm(fs[ci].conj().T, fs[j])
                 rhs = _comm(fs[cj].conj().T, fs[i])
@@ -191,7 +194,6 @@ def commutator_profile(fset: FundamentalSet, tol: float = 1e-9,
         ("[G1*,G1]-4[G2*,G2]", c1 - 4.0 * c2),
         ("[G1*,G1]-4[G1t*,G1t]", c1 - 4.0 * c1t),
         ("[G1*,G1]-[G2t*,G2t]", c1 - c2t),
-        ("[G2*,G2]-[G1t*,G1t]", c2 - c1t),
         ("4[G2*,G2]-[G2t*,G2t]", 4.0 * c2 - c2t),
         ("4[G1t*,G1t]-[G2t*,G2t]", 4.0 * c1t - c2t),
         ("[G1,G2*]-[G2,G1*]", _comm(g1, g2.conj().T) - _comm(g2, g1.conj().T)),

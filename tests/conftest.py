@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from mudilate.fundamentals import (PIVOT, FundamentalSet, _rhs_map, defect,
+                                   equation_residuals)
 from mudilate.gallery import (build_exam1, build_exam2, build_exam3,
                               build_exam3_dilation, build_exam5)
 from mudilate.spaces import window
@@ -48,3 +50,16 @@ def random_supported(rng, rows, cols):
     m[:, rng.uniform(size=cols) < p_col] = 0.0
     m[rng.uniform(size=(rows, cols)) < p_entry] = 0.0
     return m
+
+
+def unchecked_fundamentals(tup):
+    """The fundamentals D+ B D+ of a gamma7 or gamma5 tuple, built from its
+    pivot's defect like ``solve_fundamentals`` but without its commutation
+    and residual checks, so that a tuple that need not commute or solve
+    still reaches ``chain_report``; its rho and radius items read the tuple
+    alone."""
+    dd = defect(tup.ops[PIVOT[tup.kind]])
+    dplus = dd.pinv()
+    rhs = _rhs_map(tup)
+    ops = {name: dplus @ b @ dplus for name, b in rhs.items()}
+    return FundamentalSet(tup, ops, equation_residuals(rhs, dd, ops, np.inf), dd)

@@ -12,10 +12,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mudilate.fundamentals import PIVOT, RELATIONS, chain_report, rho
+from mudilate.fundamentals import (CHAIN_TOL, PIVOT, RELATIONS, chain_report, rho,
+                                   solve_fundamentals)
 from mudilate.gallery import build_exam1, build_exam2
 from mudilate.opcore import OperatorTuple
 from mudilate.spaces import auto_margin, window
+
+from conftest import unchecked_fundamentals
 
 SETTINGS = settings(derandomize=True, max_examples=40, deadline=None)
 TOL = 1e-12
@@ -41,10 +44,10 @@ def _dense_pair_mins(tup, z_samples, w=None):
     return out
 
 
-def _assert_matches_dense(tup, z_samples, w=None):
-    rep = chain_report(tup, z_samples=z_samples,
+def _assert_matches_dense(fset, z_samples, w=None):
+    rep = chain_report(fset, z_samples=z_samples,
                        **({} if w is None else {"window": w}))
-    ref = _dense_pair_mins(tup, z_samples, w)
+    ref = _dense_pair_mins(fset.tup, z_samples, w)
     items = [i for i in rep.items if i.label.startswith("rho-pair-psd")]
     assert len(items) == len(ref)
     for item, value in zip(items, ref.values()):
@@ -58,7 +61,8 @@ def test_gallery_tuples_on_their_windows(case):
         space, tup, _ = build_exam1(8)
     else:
         space, _, tup, _, _ = build_exam2(8)
-    _assert_matches_dense(tup, 8, window(space, auto_margin(space, tup.ops)))
+    w = window(space, auto_margin(space, tup.ops))
+    _assert_matches_dense(solve_fundamentals(tup, tol=CHAIN_TOL, window=w), 8, w)
 
 
 @st.composite
@@ -78,5 +82,7 @@ def dense_tuple(draw):
 @SETTINGS
 @given(dense_tuple())
 def test_random_tuples_without_window(case):
+    # the draws need not commute, so their fundamentals are not solved; the
+    # rho items read the tuple alone
     tup, z_samples = case
-    _assert_matches_dense(tup, z_samples)
+    _assert_matches_dense(unchecked_fundamentals(tup), z_samples)

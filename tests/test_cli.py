@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from mudilate import opcore
 from mudilate.cli import main
+from mudilate.fundamentals import MAX_Z_SAMPLES
 from mudilate.report import dumps, operator_from_dict, operator_to_dict
 from mudilate.gallery import build_exam1, build_exam5
 
@@ -304,10 +305,12 @@ class TestSubcommands:
         assert captured.err.strip() == "error: alpha must lie in the closed unit disc"
 
     def test_gallery_rejects_zero_torus_samples(self, capsys):
-        code = main(["gallery", "--case", "exam1", "--zsamples", "0", "--text"])
-        captured = capsys.readouterr()
-        assert code == 1 and captured.out == ""
-        assert "z_samples" in captured.err
+        # past the cap too, refused before any case is built
+        for bad in ("0", str(MAX_Z_SAMPLES + 1)):
+            code = main(["gallery", "--case", "exam1", "--zsamples", bad, "--text"])
+            captured = capsys.readouterr()
+            assert code == 1 and captured.out == ""
+            assert "z_samples" in captured.err
 
     def test_verify_penta_profile_rejected_before_loading(self, capsys):
         # a penta triple has one fundamental operator and no commutator
@@ -359,6 +362,21 @@ class TestEntryPoint:
             capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0
         assert "pi_family" in proc.stdout and "pass" in proc.stdout
+
+    @pytest.mark.parametrize("tol", ["1e300", "inf", "nan", "-1"])
+    def test_verify_tol_outside_range_refused(self, tmp_path, tol):
+        # (5I, ..., 5I) fails the isometry check by 24.0, which a huge tol
+        # would pass; inf and nan would fail only when the report is written
+        path = tmp_path / "five.json"
+        path.write_text(json.dumps({"kind": "gamma7", "ops": [
+            operator_to_dict(np.array([[5.0]]))] * 7}))
+        proc = subprocess.run([sys.executable, "-m", "mudilate.cli", "verify",
+                               "--kind", "gamma7", "--check", "isometry",
+                               "--tuple", str(path), "--tol", tol],
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("error:") and "--tol" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("args", [
         ["verify", "--kind", "gamma7", "--tuple", {"data": [0.5]}],

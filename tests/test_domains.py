@@ -189,7 +189,7 @@ class TestMuE:
 
 class TestPsi3:
     def test_zero_point(self):
-        assert psi3_supnorm((0,) * 7).value == 0.0
+        assert psi3_supnorm(DomainPoint("gamma7", (0,) * 7)).value == 0.0
 
     def test_two_parameter_cancellation(self):
         # numerator and denominator share the factors (1 - z a)(1 - w b)
@@ -415,6 +415,6 @@ class TestCertificates:
         a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         a *= 0.55 / np.linalg.norm(a, 2)
         pt = DomainPoint("gamma7", gamma7_coords(a))
-        c = certificate_search(pt, budget=300)
+        c = certificate_search(pt)
         assert c.residual <= 1e-6
         np.testing.assert_allclose(gamma7_coords(c.A), pt.coords, atol=1e-5)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mudilate import opcore
+from mudilate.fundamentals import MAX_Z_SAMPLES
 from mudilate.gallery import (CASE_IDS, GalleryCase, emit_report, run_example,
                               run_gallery)
 from mudilate.report import CheckReport, dumps
@@ -18,8 +19,8 @@ class TestGalleryCase:
             GalleryCase("exam1", {"trunc": 3})
         with pytest.raises(ValueError):
             GalleryCase("nope")
-        for bad in (0, -1):
-            with pytest.raises(ValueError):
+        for bad in (0, -1, MAX_Z_SAMPLES + 1):
+            with pytest.raises(ValueError, match="z_samples"):
                 GalleryCase("exam1", {"z_samples": bad})
 
     def test_dense_limit(self, monkeypatch):

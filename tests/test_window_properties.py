@@ -16,7 +16,7 @@ from mudilate.spaces import ModelSpace, Window, auto_margin, embed_blocks, \
     hardy_shift, window
 from mudilate.verify import is_commuting, isometry_check
 
-from conftest import random_supported
+from conftest import random_supported, unchecked_fundamentals
 
 SETTINGS = settings(derandomize=True, max_examples=40, deadline=None)
 
@@ -105,7 +105,7 @@ def test_windowed_commutator_norms_match_dense(case, count):
 def small_tuple(draw):
     """A seeded gamma7, gamma5 or penta tuple of dimension 2-4 whose members
     have norm at most 1: dense and generally non-commuting, or diagonal, so
-    that the fundamentals solve and every chain item is reached."""
+    that the fundamentals solve."""
     kind = draw(st.sampled_from(("gamma7", "gamma5", "penta")))
     n = draw(st.integers(2, 4))
     diagonal = draw(st.booleans())
@@ -138,8 +138,9 @@ def test_whole_space_equals_identity_window(tup):
     _same_items(is_commuting(tup), is_commuting(tup, window=eye))
     _same_items(isometry_check(tup), isometry_check(tup, window=eye))
     if tup.kind != "penta":
-        whole = chain_report(tup, z_samples=4)
-        _same_items(whole, chain_report(tup, z_samples=4, window=eye))
+        fset = unchecked_fundamentals(tup)
+        whole = chain_report(fset, z_samples=4)
+        _same_items(whole, chain_report(fset, z_samples=4, window=eye))
         assert whole.to_dict()["window_margin"] is None
 
 
