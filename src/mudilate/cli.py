@@ -16,8 +16,8 @@ import numpy as np
 
 from .opcore import OperatorTuple
 from .domains import BlockStructure, DomainPoint, membership, mu_E
-from .fundamentals import (PIVOT, FundamentalSet, SolveError, _rhs_map, defect,
-                           equation_residuals, solve_fundamentals)
+from .fundamentals import (FundamentalSet, SolveError, _rhs_map, equation_residuals,
+                           solve_fundamentals)
 from .dilate import egervary, pentablock_dilation, schaffer
 from .verify import commutator_profile, is_commuting, isometry_check, \
     necessary_conditions
@@ -116,14 +116,15 @@ def cmd_dilate(args):
 
 
 def _fundamentals_for(tup, path=None, tol=1e-9):
-    """Solve the fundamentals, or load them from ``path`` and check each of
-    the kind's equations D F D = w (T_i - T_j* T_p) on the tuple to ``tol``."""
+    """Solve the fundamentals to ``tol``, which refuses a non-commuting tuple;
+    with ``path``, load them from it instead and check each of the kind's
+    equations D F D = w (T_i - T_j* T_p) on the tuple to ``tol``."""
+    solved = solve_fundamentals(tup, tol)
     if path is None:
-        return solve_fundamentals(tup)
+        return solved
     given = _load_json(path)
     given = given.get("ops", {}) if isinstance(given, dict) else {}
-    rhs = _rhs_map(tup)
-    dd = defect(tup.ops[PIVOT[tup.kind]])
+    rhs, dd = _rhs_map(tup), solved.defect
     ops = {}
     for name in rhs:
         ops[name] = f = operator_from_dict(given[name]) if name in given else None

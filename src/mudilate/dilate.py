@@ -17,7 +17,7 @@ from . import opcore
 from .opcore import (WHOLE_SPACE, OperatorTuple, OpcoreError, _compact, _mat,
                      commutator_norms, herm_sqrt, op_norm)
 from .fundamentals import (PIVOT, RELATIONS, DefectData, ExpansiveError,
-                           FundamentalSet)
+                           FundamentalSet, defect)
 from .spaces import AnyWindow, Window, block_assemble
 
 
@@ -37,7 +37,8 @@ def egervary(t, n: int) -> np.ndarray:
 
     First block row (T, 0, ..., 0, D_{T*}), second (D_T, 0, ..., 0, -T*),
     then an identity chain feeding each column into the next row.  N = 1 is
-    the classical 2x2 unitary extension of a contraction.
+    the classical 2x2 unitary extension of a contraction.  The defects come
+    from ``defect``, which refuses an expansive T.
     """
     m = _mat(t)
     if m.shape[0] != m.shape[1]:
@@ -45,14 +46,10 @@ def egervary(t, n: int) -> np.ndarray:
     if n < 1:
         raise DilateError("N must be >= 1")
     _check_dim((n + 1) * m.shape[0])
-    nrm = op_norm(m)
-    if nrm > 1.0 + 1e-8:
-        raise ExpansiveError(f"not a contraction: norm {nrm:.6f}")
     d = m.shape[0]
     eye = np.eye(d)
-    dt = herm_sqrt(eye - m.conj().T @ m, neg_clamp=1e-8)
-    dts = herm_sqrt(eye - m @ m.conj().T, neg_clamp=1e-8)
-    cells = {(0, 0): m, (0, n): dts, (1, 0): dt, (1, n): -m.conj().T}
+    cells = {(0, 0): m, (0, n): defect(m.conj().T).D, (1, 0): defect(m).D,
+             (1, n): -m.conj().T}
     cells.update({(k, k - 1): eye for k in range(2, n + 1)})
     return block_assemble(cells, [d] * (n + 1))
 
@@ -106,10 +103,10 @@ class DilationResult:
         two-factor words (``spaces.auto_margin``'s rule), the cap keeps one
         copy of a shallow dilation, and the floor drops every copy a member
         maps past the cut.  On each kept copy the window is the part of the
-        defect space inside the base window (``DefectData.window_range``).
+        defect range inside the base window (``Window.inside``).
         """
         margin = min(2 * self.reach, max(self.reach, self.depth - 1))
-        keepv = self.defect.window_range(h_window)
+        keepv = h_window.inside(self.defect.range_basis)
         blocks = [h_window.basis] + [keepv] * (self.depth - margin)
         basis = np.zeros((self.dim, sum(b.shape[1] for b in blocks)), dtype=complex)
         r = c = 0

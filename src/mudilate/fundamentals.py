@@ -33,17 +33,20 @@ class ExpansiveError(OpcoreError):
 
 @dataclass
 class DefectData:
-    """Defect operator of a contraction with its range data.
+    """Defect operator of a contraction, its range and its kernel; only
+    ``defect`` builds it.
 
     D = (I - T*T)^(1/2); ``range_basis`` holds the eigenvectors of D whose
-    eigenvalues ``dvals`` exceed the cutoff 1e-8 (rank counts them).  Every
-    dropped eigenvalue is exactly 0: ``defect`` zeroes Gram eigenvalues below
-    64 eps, and the square root of any other is above 1e-7.
+    eigenvalues ``dvals`` exceed the cutoff 1e-8 (rank counts them), and
+    ``kernel_basis`` the rest: one orthonormal eigenbasis.  Every dropped
+    eigenvalue is exactly 0: ``defect`` zeroes Gram eigenvalues below 64
+    eps, and the square root of any other is above 1e-7.
     """
 
     D: np.ndarray
     range_basis: np.ndarray
     dvals: np.ndarray
+    kernel_basis: np.ndarray
 
     @property
     def rank(self) -> int:
@@ -70,16 +73,9 @@ class DefectData:
         basis Q, whose window is built once."""
         return Window(None, self.range_basis).compress
 
-    def window_range(self, window: Window) -> np.ndarray:
-        """Orthonormal basis, in defect coordinates, of the part of the
-        defect range inside the window: the eigenvalue-1 eigenvectors of
-        c* c with c = Q* q (Q the window basis, q the range basis)."""
-        c = window.basis.conj().T @ self.range_basis
-        w, v = np.linalg.eigh(c.conj().T @ c)
-        return v[:, w > 1.0 - 1e-9]
-
 
 def defect(t) -> DefectData:
+    """D_T, its range and its kernel; ExpansiveError unless ||T|| <= 1 + 1e-8."""
     m = _square(t, "defect operator")
     nrm = op_norm(m)
     if nrm > 1.0 + 1e-8:
@@ -96,7 +92,8 @@ def defect(t) -> DefectData:
     dmat = (dmat + dmat.conj().T) / 2.0
     # D <= I for a contraction, so 1e-8 * max(1, ||D||) is an absolute cut
     keep = dvals_all > 1e-8 * max(dvals_all.max(), 1.0)
-    return DefectData(D=dmat, range_basis=v[:, keep], dvals=dvals_all[keep])
+    return DefectData(D=dmat, range_basis=v[:, keep], dvals=dvals_all[keep],
+                      kernel_basis=v[:, ~keep])
 
 
 # index of the distinguished contraction whose defect carries the equations

@@ -13,12 +13,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import opcore
-from .opcore import OperatorTuple, _compact, _mat, herm_sqrt, op_norm
+from .opcore import OperatorTuple, _compact, herm_sqrt, op_norm
 from .spaces import ModelSpace, Window, auto_margin, embed_blocks, hardy_shift, window
 from .domains import (DomainPoint, membership, point_pi, point_pi_eta,
                       psi3_supnorm)
 from .fundamentals import (MAX_Z_SAMPLES, MEMBERS, PIVOT, RELATIONS, DefectData,
-                           chain_report, solve_fundamentals)
+                           chain_report, defect, solve_fundamentals)
 from .dilate import DilationResult, coextension, pushforward, \
     pentablock_dilation, schaffer
 from .verify import _self_comm, commutator_profile, is_commuting, \
@@ -122,15 +122,12 @@ def _raising_symbol(alpha: float, trunc: int) -> np.ndarray:
 
 
 def projection_defect(space: ModelSpace, summands: tuple) -> DefectData:
-    """Idealized defect data for a coordinate-projection defect operator."""
-    n = space.total_dim
-    mask = np.zeros(n)
+    """Defect data of the coordinate projection T = I - E onto the other
+    summands, whose defect operator is the projection E onto ``summands``."""
+    mask = np.zeros(space.total_dim)
     for i in summands:
-        sl = space.summand_slice(i)
-        mask[sl] = 1.0
-    d = np.diag(mask)
-    q = np.eye(n)[:, mask > 0.5]
-    return DefectData(D=_mat(d), range_basis=q, dvals=np.ones(q.shape[1]))
+        mask[space.summand_slice(i)] = 1.0
+    return defect(np.diag(1.0 - mask))
 
 
 def build_exam3(alpha: float = 0.5, trunc: int = 8):
@@ -431,7 +428,7 @@ def _run_axis_family(case: GalleryCase) -> CheckReport:
     # restriction of the tuple to the kernel of the last member (= the
     # defect range of a partial isometry) carries the same commutator
     # table as the fundamentals
-    kw = Window(w.margin, dd.range_basis @ dd.window_range(w))
+    kw = Window(w.margin, dd.range_basis @ w.inside(dd.range_basis))
     gap = 0.0
     for i, j in ((i, j) for i, j, _, _ in RELATIONS["gamma7"] if i < j):
         fi, fj, di, dj = (kw.compress(x) for x in (

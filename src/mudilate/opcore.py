@@ -164,10 +164,10 @@ def op_norm(a) -> float:
     return float(np.linalg.norm(f.blk, 2)) if f.blk.size else 0.0
 
 
-def herm_sqrt(h, neg_clamp: float = 1e-10) -> np.ndarray:
+def herm_sqrt(h) -> np.ndarray:
     """Principal square root of a PSD matrix, Hermitian to 1e-10.
 
-    Eigenvalues in [-neg_clamp, 0) are clamped to zero; anything lower is an
+    Eigenvalues in [-1e-10, 0) are clamped to zero; anything lower is an
     error (the input is then genuinely indefinite, not just noisy).
     """
     m = _square(h, "square root")
@@ -176,10 +176,8 @@ def herm_sqrt(h, neg_clamp: float = 1e-10) -> np.ndarray:
         raise NotHermitianError(f"input is not Hermitian: asymmetry {asym:.3e}")
     sym = (m + m.conj().T) / 2.0
     w, v = np.linalg.eigh(sym)
-    if w.min() < -neg_clamp:
-        raise NegativeEigenvalueError(
-            f"eigenvalue {w.min():.6e} below the clamp window -{neg_clamp:.1e}"
-        )
+    if w.min() < -1e-10:
+        raise NegativeEigenvalueError(f"eigenvalue {w.min():.6e} below the clamp window -1e-10")
     w = np.clip(w, 0.0, None)
     s = (v * np.sqrt(w)) @ v.conj().T
     return (s + s.conj().T) / 2.0
@@ -353,6 +351,9 @@ class WholeSpace:
 
     def compress(self, a) -> np.ndarray:
         return _mat(a)
+
+    def inside(self, b: np.ndarray) -> np.ndarray:
+        return np.eye(b.shape[1])
 
 
 WHOLE_SPACE = WholeSpace()

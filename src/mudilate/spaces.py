@@ -110,6 +110,14 @@ class Window:
         f = _compact(a)
         return self.basis[f.r].conj().T @ f.blk @ self.basis[f.c]
 
+    def inside(self, b: np.ndarray) -> np.ndarray:
+        """Orthonormal coordinates, in the orthonormal columns of B, of the
+        part of span(B) inside the window: the eigenvalue-1 eigenvectors of
+        c* c with c = Q* B."""
+        c = self.basis.conj().T @ b
+        w, v = np.linalg.eigh(c.conj().T @ c)
+        return v[:, w > 1.0 - 1e-9]
+
     def psd_min_eig(self, h) -> float:
         """Smallest eigenvalue of the Hermitian part of the compression of H."""
         c = self.compress(h)

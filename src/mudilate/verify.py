@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .opcore import (WHOLE_SPACE, OperatorTuple, OpcoreError, _compact,
-                     commutator_norms, kernel_basis, op_norm)
+                     commutator_norms, op_norm)
 from .fundamentals import MEMBERS, PIVOT, RELATIONS, FundamentalSet
 from .report import CheckReport
 from .spaces import AnyWindow, Window
@@ -81,18 +81,6 @@ def isometry_check(t: OperatorTuple, tol: float = 1e-9,
     return rep
 
 
-def _windowed_kernel(dd, window):
-    """Orthonormal basis of Ker D intersected with the window: the window
-    vectors that the orthogonal projection R = q q* onto the defect range
-    kills, read off the eigenvalue-0 eigenvectors of the compression
-    Q* R Q = c c* (c = Q* q).  On the whole space it is Ker D itself."""
-    if window is WHOLE_SPACE:
-        return kernel_basis(dd.D)
-    c = window.basis.conj().T @ dd.range_basis
-    w, v = np.linalg.eigh(c @ c.conj().T)
-    return window.basis @ v[:, w < 1e-9]
-
-
 def necessary_conditions(fset: FundamentalSet, tol: float = 1e-9,
                          window: AnyWindow = WHOLE_SPACE) -> CheckReport:
     """Kernel-restricted residuals that a dilatable ``fset.tup`` must annihilate.
@@ -103,7 +91,7 @@ def necessary_conditions(fset: FundamentalSet, tol: float = 1e-9,
     """
     t, kind, dd = fset.tup, fset.kind, fset.defect
     rep = CheckReport(name=f"necessary-{kind}", window_margin=window.margin)
-    kw = Window(window.margin, _windowed_kernel(dd, window))
+    kw = Window(window.margin, dd.kernel_basis @ window.inside(dd.kernel_basis))
     rep.notes.append(f"kernel test space dimension {kw.dim}")
     rep.undecided.append("joint subnormal dilation of the fundamental operators")
     if kw.dim == 0:

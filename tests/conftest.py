@@ -63,3 +63,12 @@ def unchecked_fundamentals(tup):
     rhs = _rhs_map(tup)
     ops = {name: dplus @ b @ dplus for name, b in rhs.items()}
     return FundamentalSet(tup, ops, equation_residuals(rhs, dd, ops, np.inf), dd)
+
+
+def range_side_kernel(dd, w):
+    """Orthonormal basis of Ker D inside the window w, found from the range
+    side: the window vectors that the projection q q* onto the defect range
+    kills, i.e. the eigenvalue-0 eigenvectors of c c* with c = Q* q."""
+    c = w.basis.conj().T @ dd.range_basis
+    vals, v = np.linalg.eigh(c @ c.conj().T)
+    return w.basis @ v[:, vals < 1e-9]

@@ -9,9 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 from mudilate import opcore
 from mudilate.cli import main
+from mudilate.opcore import OperatorTuple
 from mudilate.fundamentals import MAX_Z_SAMPLES
 from mudilate.report import dumps, operator_from_dict, operator_to_dict
 from mudilate.gallery import build_exam1, build_exam5
+
+from conftest import unchecked_fundamentals
 
 
 @pytest.fixture(scope="module")
@@ -289,6 +292,27 @@ class TestSubcommands:
         assert code == 1 and cap.out == ""
         assert "F1 fails its equation: residual" in cap.err
 
+    @pytest.mark.parametrize("with_file", [False, True])
+    def test_verify_tol_reaches_the_solve(self, capsys, tmp_path, with_file):
+        # a unimodular scalar pivot has D = 0, so F1's equation leaves the
+        # residual 1e-8: refused at the default --tol, accepted at 1e-6 with
+        # or without a fundamentals file
+        vals = [0.3 + 1e-8, 0.1, 0.2, 0.2, 0.1, 0.3, 1.0]
+        tpath = tmp_path / "tuple.json"
+        tpath.write_text(json.dumps({"kind": "gamma7", "ops": [
+            operator_to_dict(np.array([[v]])) for v in vals]}))
+        args = ["verify", "--kind", "gamma7", "--check", "necessary",
+                "--tuple", str(tpath)]
+        if with_file:
+            fpath = tmp_path / "fset.json"
+            fpath.write_text(json.dumps({"ops": {
+                f"F{i}": operator_to_dict(np.zeros((1, 1))) for i in range(1, 7)}}))
+            args += ["--fundamentals", str(fpath)]
+        assert main(args) == 1
+        assert "F1 fails its equation: residual 1.000e-08" in capsys.readouterr().err
+        code, out = run_cli(args + ["--tol", "1e-6"], capsys)
+        assert code == 0 and json.loads(out)["verdict"] == "pass"
+
     def test_verify_rejects_single_operator_kinds(self, files, capsys):
         # the partial-isometry check takes one operator, not a tuple file,
         # and "isometry" names no tuple kind, so verify offers neither
@@ -376,6 +400,28 @@ class TestEntryPoint:
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 1 and proc.stdout == ""
         assert proc.stderr.startswith("error:") and "--tol" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_verify_fundamentals_file_keeps_commutation_refusal(self, tmp_path):
+        # a non-commuting tuple is refused with or without a fundamentals
+        # file; the file holds its D+ B D+, which do solve the equations
+        rng = np.random.default_rng(5)
+        ops = []
+        for _ in range(7):
+            a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+            ops.append(0.2 * a / np.linalg.norm(a, 2))
+        fset = unchecked_fundamentals(OperatorTuple("gamma7", tuple(ops)))
+        tpath, fpath = tmp_path / "tuple.json", tmp_path / "fset.json"
+        tpath.write_text(json.dumps(
+            {"kind": "gamma7", "ops": [operator_to_dict(o) for o in ops]}))
+        fpath.write_text(json.dumps(
+            {"ops": {n: operator_to_dict(fset[n]) for n in fset.names()}}))
+        proc = subprocess.run([sys.executable, "-m", "mudilate.cli", "verify",
+                               "--kind", "gamma7", "--check", "necessary",
+                               "--tuple", str(tpath), "--fundamentals", str(fpath)],
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("error: tuple does not commute")
         assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("args", [

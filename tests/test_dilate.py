@@ -52,6 +52,16 @@ class TestEgervary:
                 assert np.linalg.norm(compression(u, d, k)
                                       - np.linalg.matrix_power(t, k), 2) <= 1e-9
 
+    def test_unitary_input_is_unitary_to_roundoff(self):
+        # I - U*U is roundoff; its square root must not lift it to ~1e-9
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            d = int(rng.integers(2, 6))
+            q, _ = np.linalg.qr(rng.standard_normal((d, d))
+                                + 1j * rng.standard_normal((d, d)))
+            u = egervary(q, 2)
+            assert np.linalg.norm(u.conj().T @ u - np.eye(len(u)), 2) <= 1e-12
+
     def test_sharpness_at_n_plus_one(self):
         t = np.array([[0.5]])
         for n in (1, 2, 3):
@@ -179,7 +189,7 @@ class TestDilationWindow:
             w = Window(0, np.array([[1.0], [-1.0]]) / np.sqrt(2.0))
             dil = schaffer(solve_fundamentals(tup, window=w), depth)
         margin = min(2 * dil.reach, max(dil.reach, depth - 1))
-        keepv = dil.defect.window_range(w)
+        keepv = w.inside(dil.defect.range_basis)
         ref = scipy.linalg.block_diag(w.basis, *[keepv] * (depth - margin))
         ref = np.pad(ref, ((0, dil.dim - ref.shape[0]), (0, 0)))
         got = dil.window(w).basis

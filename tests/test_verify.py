@@ -5,9 +5,11 @@ from mudilate.opcore import OperatorTuple, OpcoreError
 from mudilate.spaces import ModelSpace, Window, hardy_shift, window
 from mudilate.fundamentals import chain_report, defect, solve_fundamentals
 from mudilate.gallery import build_exam3_dilation
-from mudilate.verify import (_self_comm, _windowed_kernel, commutator_profile,
-                             is_commuting, isometry_check, necessary_conditions,
+from mudilate.verify import (_self_comm, commutator_profile, is_commuting,
+                             isometry_check, necessary_conditions,
                              partial_isometry_check)
+
+from conftest import range_side_kernel
 
 
 class TestIsCommuting:
@@ -145,7 +147,7 @@ class TestPartialIsometryRestriction:
         fset = solve_fundamentals(tup, window=w)
         from mudilate.verify import _self_comm
         dd = defect(tup.ops[6])
-        kb = dd.range_basis @ dd.window_range(w)
+        kb = dd.range_basis @ w.inside(dd.range_basis)
         assert kb.shape[1] > 0
         for i, j in ((0, 5), (1, 4), (2, 3)):
             fi = kb.conj().T @ fset[f"F{i+1}"] @ kb
@@ -211,7 +213,8 @@ class TestPairsListedOnce:
         tup, fset, w = self._solved(case, request)
         by = {i.label: i.residual for i in necessary_conditions(fset, window=w).items}
         assert len(by) == 6
-        kw = Window(w.margin, _windowed_kernel(fset.defect, w))
+        kb = fset.defect.kernel_basis
+        kw = Window(w.margin, kb @ w.inside(kb))
         t, d = tup.ops, fset.defect.D
         f = [fset[f"F{k+1}"].conj().T for k in range(6)]
         for i in range(3):
@@ -421,11 +424,10 @@ class TestCompactChecksMatchDense:
 
     @pytest.mark.parametrize("perturb", [False, True])
     def test_exam3_necessary_conditions(self, perturb):
-        from mudilate.verify import _windowed_kernel
         tup, fset, w, _, _ = self._exam("exam3", perturb)
         t, d = tup.ops, fset.defect.D
         f = [fset[f"F{i+1}"].conj().T for i in range(6)]
-        kb = _windowed_kernel(fset.defect, w)
+        kb = range_side_kernel(fset.defect, w)
         ref = {}
         for i in range(3):
             j = 5 - i
@@ -437,10 +439,9 @@ class TestCompactChecksMatchDense:
 
     @pytest.mark.parametrize("perturb", [False, True])
     def test_exam5_necessary_conditions(self, perturb):
-        from mudilate.verify import _windowed_kernel
         tup, fset, w, _, _ = self._exam("exam5", perturb)
         _, p2, p3 = tup.ops
         d, x = fset.defect.D, fset["X"]
-        kb = _windowed_kernel(fset.defect, w)
+        kb = range_side_kernel(fset.defect, w)
         ref = {"(X D P3 - D P2)|ker": self._wn(x @ d @ p3 - d @ p2, kb)}
         self._assert_items(necessary_conditions(fset, window=w), ref)

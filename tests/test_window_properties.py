@@ -10,13 +10,13 @@ from hypothesis import given, settings, strategies as st
 
 from mudilate.dilate import DilationResult
 from mudilate.fundamentals import chain_report, defect
-from mudilate.opcore import OperatorTuple, commutator_norms, numerical_radius, \
-    spectral_radius
+from mudilate.opcore import WHOLE_SPACE, OperatorTuple, commutator_norms, \
+    kernel_basis, numerical_radius, spectral_radius
 from mudilate.spaces import ModelSpace, Window, auto_margin, embed_blocks, \
     hardy_shift, window
 from mudilate.verify import is_commuting, isometry_check
 
-from conftest import random_supported, unchecked_fundamentals
+from conftest import random_supported, range_side_kernel, unchecked_fundamentals
 
 SETTINGS = settings(derandomize=True, max_examples=40, deadline=None)
 
@@ -184,6 +184,56 @@ def test_dilation_window_dimension(case, n_iso, depth, reach):
     kept = q.shape[1] + w.dim - np.linalg.matrix_rank(np.hstack([q, w.basis]))
     copies = max(0, depth - min(2 * reach, max(reach, depth - 1)))
     assert dil.window(w).dim == w.dim + copies * kept
+
+
+@st.composite
+def defect_windowed(draw):
+    """A contraction T = U (C + S) U* on C^n1 + C^n2, with C a strict
+    contraction (so the defect range is non-trivial), S a truncated shift or
+    a unitary (so the kernel is), and U the identity or a random unitary; and
+    a window whose basis selects coordinates or is a rotated orthonormal Q."""
+    n1, n2 = draw(st.integers(1, 4)), draw(st.integers(2, 4))
+    n = n1 + n2
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t = np.zeros((n, n), dtype=complex)
+    c = _complex(rng, n1, n1)
+    t[:n1, :n1] = c * (rng.uniform(0.2, 0.9) / np.linalg.norm(c, 2))
+    if draw(st.booleans()):
+        t[n1:, n1:] = hardy_shift(1, n2)
+    else:
+        t[n1:, n1:] = np.linalg.qr(_complex(rng, n2, n2))[0]
+    if draw(st.booleans()):
+        u = np.linalg.qr(_complex(rng, n, n))[0]
+        t = u @ t @ u.conj().T
+    k = draw(st.integers(1, n))
+    if draw(st.booleans()):
+        q = np.linalg.qr(_complex(rng, n, k))[0]
+    else:
+        q = np.eye(n)[:, np.sort(rng.choice(n, k, replace=False))]
+    return t, Window(0, q)
+
+
+def _projector(b):
+    return b @ b.conj().T
+
+
+@SETTINGS
+@given(defect_windowed())
+def test_defect_kernel_inside_window(case):
+    # the kernel-side rule of necessary_conditions agrees with the
+    # range-side complement inside the window, and with the SVD kernel of D
+    # on the whole space; range and kernel bases form one unitary
+    t, w = case
+    dd = defect(t)
+    k = dd.kernel_basis
+    assert dd.rank >= 1 and k.shape[1] >= 1
+    got = _projector(k @ w.inside(k))
+    assert np.linalg.norm(got - _projector(range_side_kernel(dd, w)), 2) <= 1e-10
+    whole = _projector(k @ WHOLE_SPACE.inside(k))
+    assert np.linalg.norm(whole - _projector(kernel_basis(dd.D)), 2) <= 1e-10
+    e = np.hstack([dd.range_basis, k])
+    assert e.shape == (len(t), len(t))
+    assert np.linalg.norm(e.conj().T @ e - np.eye(len(t)), 2) <= 1e-12
 
 
 @SETTINGS
