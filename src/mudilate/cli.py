@@ -16,8 +16,8 @@ import numpy as np
 
 from .opcore import OperatorTuple
 from .domains import BlockStructure, DomainPoint, membership, mu_E
-from .fundamentals import (FundamentalSet, SolveError, _rhs_map, equation_residuals,
-                           solve_fundamentals)
+from .fundamentals import (PIVOT, FundamentalSet, SolveError, _rhs_map, defect,
+                           equation_residuals, require_commuting, solve_fundamentals)
 from .dilate import egervary, pentablock_dilation, schaffer
 from .verify import commutator_profile, is_commuting, isometry_check, \
     necessary_conditions
@@ -111,20 +111,21 @@ def cmd_dilate(args):
     dil = dilation(fset, args.depth)
     print(dumps({"kind": args.kind, "depth": dil.depth, "dim": dil.dim,
                  "defect_rank": dil.defect.rank,
-                 "ops": [operator_to_dict(o) for o in dil.ops]}))
+                 "ops": [operator_to_dict(o.dense()) for o in dil.ops]}))
     return 0
 
 
 def _fundamentals_for(tup, path=None, tol=1e-9):
-    """Solve the fundamentals to ``tol``, which refuses a non-commuting tuple;
-    with ``path``, load them from it instead and check each of the kind's
-    equations D F D = w (T_i - T_j* T_p) on the tuple to ``tol``."""
-    solved = solve_fundamentals(tup, tol)
+    """Solve the fundamentals to ``tol``, or load them from ``path`` and check
+    each equation D F D = w (T_i - T_j* T_p) on the tuple to ``tol``.  Both
+    refuse a non-commuting tuple (``require_commuting``); with ``path`` no F
+    is solved, so a tuple with no solution is refused by the given F's residual."""
     if path is None:
-        return solved
+        return solve_fundamentals(tup, tol)
+    require_commuting(tup)
+    rhs, dd = _rhs_map(tup), defect(tup.ops[PIVOT[tup.kind]])
     given = _load_json(path)
     given = given.get("ops", {}) if isinstance(given, dict) else {}
-    rhs, dd = _rhs_map(tup), solved.defect
     ops = {}
     for name in rhs:
         ops[name] = f = operator_from_dict(given[name]) if name in given else None

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import opcore
-from .opcore import (WHOLE_SPACE, OperatorTuple, OpcoreError, _compact, _mat,
-                     commutator_norms, herm_sqrt, op_norm)
+from .opcore import (WHOLE_SPACE, OperatorTuple, OpcoreError, _coalesce, _compact,
+                     _eye, _mat, commutator_norms, herm_sqrt, op_norm)
 from .fundamentals import (PIVOT, RELATIONS, DefectData, ExpansiveError,
                            FundamentalSet, defect)
 from .spaces import AnyWindow, Window, block_assemble
@@ -60,7 +60,8 @@ class DilationResult:
     defect space.
 
     H sits on the first ``base_dim`` coordinates, so the inclusion of H is
-    the identity on them.  Member adjoints restricted to H reproduce the
+    the identity on them.  ``ops`` are coordinate forms (``opcore._Block``;
+    ``dense()`` gives the array).  Member adjoints restricted to H reproduce the
     original adjoints (the co-extension property, ``coextension_residuals``),
     and ``window`` gives the part of the dilation space where the
     infinite-model identities hold exactly.  ``reach`` is the largest number
@@ -85,16 +86,12 @@ class DilationResult:
     def dim(self) -> int:
         return self.ops[0].shape[0]
 
-    def tuple(self) -> OperatorTuple:
-        return OperatorTuple(self.kind, self.ops)
-
     def coextension_residuals(self, h_window: AnyWindow = WHOLE_SPACE) -> list:
         """||(V* E - E T*) Q|| per member V and base member T; E puts H on the
         first base_dim coordinates (as ``window`` assumes), so
-        (V* E - E T*)* = V[:base_dim] - [T, 0]."""
-        pad = ((0, 0), (0, self.dim - self.base_dim))
-        return [h_window.wnorm((_compact(v[:self.base_dim])
-                                - _compact(np.pad(t, pad))).H)
+        (V* E - E T*)* = E* V - T E*, the first base_dim rows of V less [T, 0]."""
+        e = _eye(self.base_dim, self.dim)  # E*
+        return [h_window.wnorm((e @ v - _compact(t) @ e).H)
                 for v, t in zip(self.ops, self.base.ops)]
 
     def window(self, h_window: Window) -> Window:
@@ -126,25 +123,36 @@ def coextension(tup: OperatorTuple, dd: DefectData, depth: int,
     ``members[k] = (col, band)`` lays out member k: T_k on H, the block
     X q*D under it in copy c for the c-th r x r factor X of ``col`` (None
     leaves a gap; q is the defect range basis), and the block ``band[o]`` at
-    (copy c + o, copy c) for every copy c.  A tuple with a trivial defect
-    space is returned unchanged.
+    (copy c + o, copy c) for every copy c.  Each member is laid out as a
+    coordinate form, the nonzeros of each block offset into place, so no
+    dim x dim array is built.  A tuple with a trivial defect space is
+    returned unchanged.
     """
     if depth < 2:
         raise DilateError("depth must be >= 2")
     members = [members[k] for k in range(len(tup.ops))]
     reach = max(o for _, band in members for o in band)
     if dd.rank == 0:
-        return DilationResult(tup, tup.ops, depth, dd, reach)
-    _check_dim(tup.dim + depth * dd.rank)
-    drow = dd.range_basis.conj().T @ dd.D
+        return DilationResult(tup, tuple(map(_compact, tup.ops)), depth, dd, reach)
+    n, r = tup.dim, dd.rank
+    dim = n + depth * r
+    _check_dim(dim)
+    drow = _compact(dd.range_basis).H @ _compact(dd.D)
     ops = []
     for base, (col, band) in zip(tup.ops, members):
-        cells = {(c, 0): x @ drow for c, x in enumerate(col[:depth], 1)
-                 if x is not None}
-        cells[0, 0] = base
-        cells.update({(c + o, c): b for o, b in band.items()
-                      for c in range(1, depth + 1 - o)})
-        ops.append(block_assemble(cells, [tup.dim] + [dd.rank] * depth))
+        # (block, row offsets, column offsets): the block sits at each pair
+        cells = [(base, [0], [0])]
+        cells += [(_compact(x) @ drow, [n + c * r], [0]) for c, x in enumerate(col[:depth])
+                  if x is not None]
+        cells += [(b, n + r * np.arange(o, depth), n + r * np.arange(depth - o))
+                  for o, b in band.items()]
+        i, j, v = [], [], []
+        for b, ro, co in cells:
+            f = _compact(b)
+            i.append(np.add.outer(ro, f.i).ravel())
+            j.append(np.add.outer(co, f.j).ravel())
+            v.append(np.tile(f.v, len(ro)))
+        ops.append(_coalesce(*map(np.concatenate, (i, j, v)), (dim, dim)))
     return DilationResult(tup, tuple(ops), depth, dd, reach)
 
 

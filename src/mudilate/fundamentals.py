@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .opcore import (WHOLE_SPACE, OperatorTuple, OpcoreError, _square,
+from .opcore import (WHOLE_SPACE, OperatorTuple, OpcoreError, _compact, _square,
                      commutator_norms, grading, numerical_radius, op_norm,
                      spectral_radius)
 from .report import CheckReport
@@ -140,12 +140,12 @@ class FundamentalSet:
 
 
 def _rhs_map(tup: OperatorTuple) -> dict:
+    """The right-hand sides B = w (T_i - T_j* T_p), as coordinate forms."""
     if tup.kind not in RELATIONS:
         raise SolveError(f"no fundamental equations for kind {tup.kind!r}")
-    t = tup.ops
+    t = [_compact(o) for o in tup.ops]
     last = t[PIVOT[tup.kind]]
-    return {name: w * (t[i] - t[j].conj().T @ last)
-            for i, j, name, w in RELATIONS[tup.kind]}
+    return {name: w * (t[i] - t[j].H @ last) for i, j, name, w in RELATIONS[tup.kind]}
 
 
 def equation_residuals(rhs: dict, dd: DefectData, ops: dict, tol: float,
@@ -153,31 +153,37 @@ def equation_residuals(rhs: dict, dd: DefectData, ops: dict, tol: float,
     """||D F D - B|| per equation, B = w (T_i - T_j* T_p) from ``_rhs_map``,
     seen through the window.  Raises SolveError naming the first equation
     whose residual exceeds ``tol``."""
-    out = {}
+    out, d = {}, _compact(dd.D)
     for name, b in rhs.items():
-        out[name] = res = window.wnorm(dd.D @ ops[name] @ dd.D - b)
+        out[name] = res = window.wnorm(d @ _compact(ops[name]) @ d - b)
         if res > tol:
             raise SolveError(f"{name} fails its equation: residual {res:.3e} > {tol:.1e}")
     return out
+
+
+def require_commuting(tup: OperatorTuple, window: AnyWindow = WHOLE_SPACE):
+    """Raise SolveError unless the tuple commutes on the window to 1e-9,
+    relative to its largest squared norm."""
+    worst_comm = max((v for _, v in commutator_norms(tup.ops, window)), default=0.0)
+    if worst_comm > 1e-9 * max(1.0, max(op_norm(o) for o in tup.ops) ** 2):
+        raise SolveError(f"tuple does not commute on the window: {worst_comm:.3e}")
 
 
 def solve_fundamentals(tup: OperatorTuple, tol: float = 1e-9,
                        window: AnyWindow = WHOLE_SPACE) -> FundamentalSet:
     """Solve every fundamental equation of the tuple's kind by F = D+ B D+.
 
-    Raises SolveError when the tuple does not commute to 1e-9 (relative to
-    its largest squared norm), its kind has no equations, or an equation's
-    residual exceeds ``tol`` (the right-hand side leaves the defect space,
-    so no solution exists on it; with an isometric pivot D = 0, so any
-    nonzero right-hand side fails).
+    Raises SolveError when the tuple does not commute (``require_commuting``),
+    its kind has no equations, or an equation's residual exceeds ``tol``
+    (the right-hand side leaves the defect space, so no solution exists on
+    it; with an isometric pivot D = 0, so any nonzero right-hand side
+    fails).  The products run on coordinate forms; each F is stored dense.
     """
-    worst_comm = max((v for _, v in commutator_norms(tup.ops, window)), default=0.0)
-    if worst_comm > 1e-9 * max(1.0, max(op_norm(o) for o in tup.ops) ** 2):
-        raise SolveError(f"tuple does not commute on the window: {worst_comm:.3e}")
+    require_commuting(tup, window)
     rhs = _rhs_map(tup)
     dd = defect(tup.ops[PIVOT[tup.kind]])
-    dplus = dd.pinv()
-    ops = {name: dplus @ b @ dplus for name, b in rhs.items()}
+    dplus = _compact(dd.pinv())
+    ops = {name: (dplus @ b @ dplus).dense() for name, b in rhs.items()}
     return FundamentalSet(tup, ops, equation_residuals(rhs, dd, ops, tol, window), dd)
 
 

@@ -7,11 +7,14 @@ input check (2-D, positive dimensions, finite entries).  Truncation windows
 read the level shift of an operator off its nonzero entries
 (``spaces.auto_margin``).
 
-Support rule: residual checks run on compact forms (``_Block``), blocks on
-the nonzero rows x columns read once per operand by ``_support``.  This is
+Coordinate rule: residual checks and dilations run on coordinate forms
+(``_Block``), the nonzeros of an operator read once by ``_compact``.  This is
 exact: ``_mat`` admits only finite entries, so each dropped term is 0 * x = 0,
-and deleting zero rows and columns keeps the nonzero singular values.  Checks
-of the mostly-zero dilations so cost about their nonzero content.
+and zero rows and columns carry no nonzero singular value.  A product sums
+the terms a_ik b_kj of each entry, unless there are more terms than entries
+in the product of the two support blocks; one BLAS product of the blocks is
+then cheaper and no larger.  Dilations so cost about their nonzeros, and a
+dense operand one BLAS product plus the scatter and gather around it.
 
 The kernel runs on numpy alone except for the QZ fallback of
 ``numerical_radius`` on input that is not unit-graded (``_level_set_radius``),
@@ -21,7 +24,6 @@ the gallery never load scipy.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,75 +95,124 @@ class OperatorTuple:
         return self.ops[0].shape[0]
 
 
-def _support(m: np.ndarray):
-    """Boolean masks (rows, cols) of the nonzero rows and columns of ``m``,
-    the one reading of a matrix's support: the submatrix they cut out has
-    the nonzero singular values of ``m``."""
-    return m.any(axis=1), m.any(axis=0)
+def _frame(ids, size):
+    """The ascending distinct values of an index array over range(size), and
+    the position of each index among them."""
+    seen = np.bincount(ids, minlength=size) > 0
+    return np.flatnonzero(seen), ids if seen.all() else (np.cumsum(seen) - 1)[ids]
 
 
-def _ix(r, c):
-    """np.ix_(r, c) for boolean masks, or a view of the whole block if both are full."""
-    return (slice(None),) * 2 if r.all() and c.all() else np.ix_(r, c)
+def _starts(ids) -> np.ndarray:
+    """Where each run of equal values starts in a sorted index array."""
+    return np.flatnonzero(np.concatenate((ids[:1] >= 0, ids[1:] != ids[:-1])))
+
+
+def _coalesce(i, j, v, shape) -> "_Block":
+    """The form of the entries ``v`` at (i, j): keys sorted unless they
+    already are, the values of a repeated key summed in their given order
+    (a pair in one addition, exact as a dense sum), zeros dropped."""
+    key = i * shape[1] + j
+    if (key[1:] <= key[:-1]).any():
+        order = np.argsort(key, kind="stable")
+        key, v = key[order], v[order]
+        start = _starts(key)
+        if len(start) < len(key):
+            key, v = key[start], np.add.reduceat(v, start)
+        i, j = np.divmod(key, shape[1])
+    keep = v != 0
+    if not keep.all():
+        i, j, v = i[keep], j[keep], v[keep]
+    return _Block(i, j, v, shape)
 
 
 class _Block:
-    """Compact form of an operator: block ``blk`` on rows ``r`` x columns ``c``
-    (boolean masks over the full dimensions), zero elsewhere.  ``@`` sums over
-    the shared nonzero inner indices, ``+``/``-`` use the union frame."""
+    """Coordinate form of an operator of ``shape``: its nonzero values ``v``
+    at rows ``i`` and columns ``j``, sorted by (i, j) with unique keys and
+    no stored zeros.  ``+``/``-`` concatenate and coalesce, ``.H`` swaps
+    the index arrays, and ``@`` expands and coalesces (Gustavson, ACM TOMS
+    4, 1978) unless a BLAS product of the support blocks is smaller."""
 
-    __slots__ = ("blk", "r", "c")
+    __slots__ = ("i", "j", "v", "shape")
     __array_ufunc__ = None  # a numpy operand must not absorb a form
 
-    def __init__(self, blk, r, c):
-        self.blk, self.r, self.c = blk, r, c
+    def __init__(self, i, j, v, shape):
+        self.i, self.j, self.v, self.shape = i, j, v, shape
 
-    @property
-    def shape(self):
-        return len(self.r), len(self.c)
+    def dense(self) -> np.ndarray:
+        out = np.zeros(self.shape, dtype=complex)
+        out[self.i, self.j] = self.v
+        return out
+
+    def block(self):
+        """The support block on the nonzero rows x columns, and those rows and columns."""
+        (rows, ri), (cols, ci) = _frame(self.i, self.shape[0]), _frame(self.j, self.shape[1])
+        out = np.zeros((len(rows), len(cols)), dtype=complex)
+        out[ri, ci] = self.v
+        return out, rows, cols
 
     @property
     def H(self):
-        return _Block(self.blk.conj().T, self.c, self.r)
+        return _coalesce(self.j, self.i, self.v.conj(), self.shape[::-1])
 
     def __rmul__(self, w):
-        return _Block(w * self.blk, self.r, self.c)
+        return _coalesce(self.i, self.j, w * self.v, self.shape)
 
-    def __matmul__(self, other):
-        k = self.c & other.r
-        ka, kb = k[self.c], k[other.r]
-        return _Block((self.blk if ka.all() else self.blk[:, ka])
-                      @ (other.blk if kb.all() else other.blk[kb]), self.r, other.c)
-
-    def __add__(self, other, op=operator.iadd):
-        r, c = self.r | other.r, self.c | other.c
-        out = np.zeros((r.sum(), c.sum()), dtype=complex)
-        out[_ix(self.r[r], self.c[c])] = self.blk
-        ix = _ix(other.r[r], other.c[c])
-        out[ix] = op(out[ix], other.blk)  # in place on a view: no n x n temporary
-        return _Block(out, r, c)
+    def __add__(self, other, neg=False):
+        if self.shape != other.shape:
+            raise OpcoreError(f"forms of shapes {self.shape} and {other.shape} do not add")
+        return _coalesce(np.concatenate((self.i, other.i)), np.concatenate((self.j, other.j)),
+                         np.concatenate((self.v, -other.v if neg else other.v)), self.shape)
 
     def __sub__(self, other):
-        return self.__add__(other, operator.isub)
+        return self.__add__(other, neg=True)
+
+    def __matmul__(self, b):
+        if self.shape[1] != b.shape[0]:
+            raise OpcoreError(f"forms of shapes {self.shape} and {b.shape} do not multiply")
+        per_row = np.bincount(b.i, minlength=b.shape[0])
+        cnt = per_row[self.j]  # the terms of each A entry: B's row at its column
+        terms, shape = int(cnt.sum()), (self.shape[0], b.shape[1])
+        if terms <= len(_starts(self.i)) * np.count_nonzero(np.bincount(b.j)):
+            # the terms of an A entry in column k are B's row k, entries lo .. lo + cnt - 1
+            lo = (per_row.cumsum() - per_row)[self.j]
+            at = (lo - cnt.cumsum() + cnt).repeat(cnt) + np.arange(terms)
+            return _coalesce(self.i.repeat(cnt), b.j[at], self.v.repeat(cnt) * b.v[at], shape)
+        # the expansion outgrows the product of the support blocks: one BLAS
+        # product on the inner indices both use; the peak is the two blocks
+        # and their product
+        del cnt
+        inner = (np.bincount(self.j, minlength=len(per_row)) > 0) & (per_row > 0)
+        (x, rows, _), (y, _, cols) = (
+            (f if inner.all() else _Block(f.i[m], f.j[m], f.v[m], f.shape)).block()
+            for f, m in ((self, inner[self.j]), (b, inner[b.i])))
+        p = x @ y
+        del x, y
+        r, c = np.nonzero(p)
+        v, p = p[r, c], None
+        return _Block(rows[r], cols[c], v, shape)
 
 
 def _compact(x) -> _Block:
-    """``x`` (a dense operand or a compact form) cut to its own nonzero rows
-    and columns; a full-support operand is kept uncopied."""
-    if not isinstance(x, _Block):
-        m = _mat(x)
-        r, c = _support(m)
-        return _Block(m[_ix(r, c)], r, c)
-    r, c = _support(x.blk)
-    rows, cols = x.r.copy(), x.c.copy()
-    rows[x.r], cols[x.c] = r, c
-    return _Block(x.blk[_ix(r, c)], rows, cols)
+    """``x`` as a coordinate form: a form is returned as is, an array is read
+    once for its nonzeros."""
+    if isinstance(x, _Block):
+        return x
+    m = _mat(x)
+    i, j = np.nonzero(m)
+    return _Block(i, j, m[i, j], m.shape)
+
+
+def _eye(n: int, cols: int | None = None) -> _Block:
+    """The n x cols form with ones on its diagonal (the identity if square)."""
+    d = np.arange(n)
+    return _Block(d, d, np.ones(n, dtype=complex), (n, cols or n))
 
 
 def op_norm(a) -> float:
-    """Largest singular value of a dense array or a compact form (0.0 if zero)."""
+    """Largest singular value of a dense array or a coordinate form, taken
+    on its support block (0.0 if zero)."""
     f = _compact(a)
-    return float(np.linalg.norm(f.blk, 2)) if f.blk.size else 0.0
+    return float(np.linalg.norm(f.block()[0], 2)) if len(f.v) else 0.0
 
 
 def herm_sqrt(h) -> np.ndarray:

@@ -8,10 +8,12 @@ identity between words of shift operators of total level shift <= margin then
 holds exactly on the window.  ``auto_margin`` measures that shift on the
 operators' nonzero entries.
 
-Windowed norms and compressions take a dense array or a compact form and
-read only its block on its own nonzero rows r and columns c
-(``opcore._compact``): ||A Q|| = ||A[r, c] Q[c]|| and
-Q* A Q = Q[r]* A[r, c] Q[c], exactly, since the dropped entries are zeros.
+Windowed norms and compressions take a dense array or a coordinate form
+(``opcore._compact``) and form A Q on the nonzero rows r of A alone:
+||A Q|| = ||(A Q)[r]|| and Q* A Q = Q[r]* (A Q)[r], exactly, since the
+dropped rows are zeros.  (A Q)[r] is a sum over the nonzeros of each row
+when they fill under 1/SPARSE_FILL of the support block, and the support
+block times Q[c] on the nonzero columns c when they do not.
 """
 
 from __future__ import annotations
@@ -20,7 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .opcore import OpcoreError, WholeSpace, _compact, _mat
+from .opcore import OpcoreError, WholeSpace, _compact, _mat, _starts
+
+SPARSE_FILL = 8  # the fill rule of Window.wnorm and compress (module docstring)
 
 
 @dataclass(frozen=True)
@@ -94,21 +98,31 @@ class Window:
     def dim(self) -> int:
         return self.basis.shape[1]
 
+    def _rows(self, a):
+        """The nonzero rows r of A and (A Q)[r] (module docstring)."""
+        f, q = _compact(a), self.basis
+        if f.shape[1] != len(q):
+            raise OpcoreError(f"a {f.shape[1]}-column operator on a {len(q)}-dim window")
+        start = _starts(f.i)
+        if len(f.v) * SPARSE_FILL <= len(start) * np.count_nonzero(np.bincount(f.j)):
+            return f.i[start], np.add.reduceat(f.v[:, None] * q[f.j], start)
+        blk, rows, cols = f.block()
+        return rows, blk @ q[cols]
+
     def wnorm(self, a) -> float:
         """||A Q||: operator norm seen through the safe inputs, taken on the
-        nonzero rows and columns of A (exactly 0.0 for a zero matrix)."""
-        f = _compact(a)
-        q = self.basis if f.c.all() else self.basis[f.c]
-        return float(np.linalg.norm(f.blk @ q, 2)) if f.blk.size else 0.0
+        nonzero rows of A (exactly 0.0 for a zero matrix)."""
+        aq = self._rows(a)[1]
+        return float(np.linalg.norm(aq, 2)) if len(aq) else 0.0
 
     def equal(self, a, b) -> float:
         """Residual ||(A - B) Q||."""
         return self.wnorm(_mat(a) - _mat(b))
 
     def compress(self, a) -> np.ndarray:
-        """The k x k compression Q* A Q, on the nonzero rows and columns of A."""
-        f = _compact(a)
-        return self.basis[f.r].conj().T @ f.blk @ self.basis[f.c]
+        """The k x k compression Q* A Q, on the nonzero rows of A."""
+        rows, aq = self._rows(a)
+        return self.basis[rows].conj().T @ aq
 
     def inside(self, b: np.ndarray) -> np.ndarray:
         """Orthonormal coordinates, in the orthonormal columns of B, of the

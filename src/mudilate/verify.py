@@ -12,15 +12,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .opcore import (WHOLE_SPACE, OperatorTuple, OpcoreError, _compact,
-                     commutator_norms, op_norm)
+from .opcore import (WHOLE_SPACE, OpcoreError, _compact, _eye, commutator_norms,
+                     op_norm)
 from .fundamentals import MEMBERS, PIVOT, RELATIONS, FundamentalSet
 from .report import CheckReport
 from .spaces import AnyWindow, Window
 
 
-def is_commuting(t: OperatorTuple, tol: float = 1e-9,
+def is_commuting(t, tol: float = 1e-9,
                  window: AnyWindow = WHOLE_SPACE) -> CheckReport:
+    """Pairwise commutator norms of an OperatorTuple or a DilationResult."""
     rep = CheckReport(name="is-commuting", window_margin=window.margin)
     for (i, j), res in commutator_norms(t.ops, window):
         rep.add(f"[T{i+1},T{j+1}]", res, tol)
@@ -38,12 +39,12 @@ def partial_isometry_check(t, tol: float = 1e-9,
     return rep
 
 
-def isometry_check(t: OperatorTuple, tol: float = 1e-9,
+def isometry_check(t, tol: float = 1e-9,
                    window: AnyWindow = WHOLE_SPACE) -> CheckReport:
     """Algebraic characterization of the isometry class of a gamma7, gamma5
-    or penta tuple, windowed: commutation, the relations V_i = V_j* V_pivot
-    of the ``RELATIONS`` rows and the pivot isometry.  Two classes add norm
-    bounds, from these theorems:
+    or penta OperatorTuple or DilationResult, windowed: commutation, the
+    relations V_i = V_j* V_pivot of the ``RELATIONS`` rows and the pivot
+    isometry.  Two classes add norm bounds, from these theorems:
 
     * a commuting triple (A, B, P) is a tetrablock isometry iff P is an
       isometry, A = B* P and ||B|| <= 1 (Bhattacharyya, "The tetrablock as
@@ -71,7 +72,7 @@ def isometry_check(t: OperatorTuple, tol: float = 1e-9,
                 window.wnorm(ops[i] - ops[j].H @ ops[p]), tol)
         if kind == "gamma7":
             rep.add(f"||{names[i]}||<=1", max(0.0, window.wnorm(ops[i]) - 1.0), tol)
-    eye = _compact(np.eye(t.dim, dtype=complex))
+    eye = _eye(t.dim)
     rep.add(f"{names[p]} isometry", window.wnorm(ops[p].H @ ops[p] - eye), tol)
     if kind == "penta":
         r1, r2, _ = ops

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mudilate.opcore import _compact
 from mudilate.fundamentals import (PIVOT, FundamentalSet, _rhs_map, defect,
                                    equation_residuals)
 from mudilate.gallery import (build_exam1, build_exam2, build_exam3,
@@ -59,9 +60,9 @@ def unchecked_fundamentals(tup):
     still reaches ``chain_report``; its rho and radius items read the tuple
     alone."""
     dd = defect(tup.ops[PIVOT[tup.kind]])
-    dplus = dd.pinv()
+    dplus = _compact(dd.pinv())
     rhs = _rhs_map(tup)
-    ops = {name: dplus @ b @ dplus for name, b in rhs.items()}
+    ops = {name: (dplus @ b @ dplus).dense() for name, b in rhs.items()}
     return FundamentalSet(tup, ops, equation_residuals(rhs, dd, ops, np.inf), dd)
 
 

@@ -80,8 +80,8 @@ def test_criterion_3_exam3_sweep():
         w = window(space, 4)
         dil = build_exam3_dilation(alpha, 8, 6)
         kw = dil.window(w)
-        comm = is_commuting(dil.tuple(), tol=1e-9, window=kw)
-        v = list(dil.ops)
+        comm = is_commuting(dil, tol=1e-9, window=kw)
+        v = [o.dense() for o in dil.ops]
         rel = max(kw.wnorm(v[i] - v[5 - i].conj().T @ v[6]) for i in range(6))
         iso = kw.wnorm(v[6].conj().T @ v[6] - np.eye(len(v[6])))
         norm_gap = abs(op_norm(dil.ops[0]) - abs(alpha))
@@ -102,7 +102,7 @@ def test_criterion_4_exam5_sweep():
         fset = solve_fundamentals(tup, tol=1e-9, window=w)
         dil = pentablock_dilation(fset, 4)
         kw = dil.window(w)
-        r = list(dil.ops)
+        r = [o.dense() for o in dil.ops]
         fix = kw.wnorm(r[1] - r[1].conj().T @ r[2])
         gram = kw.wnorm(r[0].conj().T @ r[0] + 0.25 * r[1].conj().T @ r[1]
                         - np.eye(len(r[0])))

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from mudilate import opcore
-from mudilate.opcore import OperatorTuple, op_norm
-from mudilate.spaces import ModelSpace, Window, hardy_shift, window
+from mudilate import dilate, gallery, opcore
+from mudilate.opcore import ARITY, OperatorTuple, op_norm
+from mudilate.spaces import ModelSpace, Window, block_assemble, hardy_shift, window
 from mudilate.fundamentals import (ExpansiveError, FundamentalSet, defect,
                                    solve_fundamentals)
-from mudilate.dilate import (DilateError, egervary, pentablock_dilation,
-                             pushforward, schaffer)
+from mudilate.dilate import (DilateError, coextension, egervary,
+                             pentablock_dilation, pushforward, schaffer)
 from mudilate.gallery import build_exam1, build_exam2, build_exam3_dilation
 
 from conftest import random_contraction
@@ -125,7 +125,7 @@ class TestSchaffer:
         assert all(r == 0.0 for r in fset.residuals.values())
         dil = schaffer(fset, 3)
         assert dil.dim == dil.base_dim == 3
-        np.testing.assert_allclose(dil.ops[6], q)
+        np.testing.assert_allclose(dil.ops[6].dense(), q)
 
     def test_depth_validation(self, exam1):
         _, tup, _, w = exam1
@@ -138,7 +138,7 @@ class TestSchaffer:
         fset = solve_fundamentals(tup, window=w)
         dil = schaffer(fset, 4)
         kw = dil.window(w)
-        v = list(dil.ops)
+        v = [o.dense() for o in dil.ops]
         for i in range(6):
             assert kw.wnorm(v[i] - v[5 - i].conj().T @ v[6]) <= 1e-9
         assert kw.wnorm(v[6].conj().T @ v[6] - np.eye(len(v[6]))) <= 1e-9
@@ -149,7 +149,7 @@ class TestSchaffer:
         fset = solve_fundamentals(tup5, window=w)
         dil = schaffer(fset, 4)
         kw = dil.window(w)
-        w1, w2, w3, w1t, w2t = dil.ops
+        w1, w2, w3, w1t, w2t = (o.dense() for o in dil.ops)
         for lhs, rhs in ((w1, w2t.conj().T @ w3), (w2t, w1.conj().T @ w3),
                          (w2, w1t.conj().T @ w3), (w1t, w2.conj().T @ w3)):
             assert kw.wnorm(lhs - rhs) <= 1e-9
@@ -164,9 +164,79 @@ class TestSchaffer:
         fset = solve_fundamentals(tup)
         dil = schaffer(fset, 5)
         from mudilate.verify import is_commuting, isometry_check
-        assert is_commuting(dil.tuple(), tol=1e-9).verdict == "pass"
+        assert is_commuting(dil, tol=1e-9).verdict == "pass"
         kw = dil.window(_full_window(dil.base_dim))
-        assert isometry_check(dil.tuple(), tol=1e-9, window=kw).verdict == "pass"
+        assert isometry_check(dil, tol=1e-9, window=kw).verdict == "pass"
+
+
+def _block_layout(tup, dd, depth, members):
+    """The members of ``coextension(tup, dd, depth, members)`` laid out as
+    dense arrays by ``spaces.block_assemble``, cell by cell."""
+    if dd.rank == 0:
+        return list(tup.ops)
+    drow = dd.range_basis.conj().T @ dd.D
+    out = []
+    for k, base in enumerate(tup.ops):
+        col, band = members[k]
+        cells = {(c, 0): x @ drow for c, x in enumerate(col[:depth], 1)
+                 if x is not None}
+        cells[0, 0] = base
+        cells.update({(c + o, c): b for o, b in band.items()
+                      for c in range(1, depth + 1 - o)})
+        out.append(block_assemble(cells, [tup.dim] + [dd.rank] * depth))
+    return out
+
+
+def _random_diagonal_tuple(rng, kind, n):
+    """A commuting tuple of random diagonal n x n operators whose pivot is a
+    strict contraction, so its defect is invertible and it solves."""
+    vals = 0.9 * (rng.uniform(size=(ARITY[kind], n))
+                  * np.exp(2j * np.pi * rng.uniform(size=(ARITY[kind], n))))
+    return OperatorTuple(kind, [np.diag(v) for v in vals])
+
+
+class TestCoordinateLayout:
+    """Every dilation is born as a coordinate form; densified, each member
+    is exactly the dense block layout of the same cells."""
+
+    @staticmethod
+    def _spy(monkeypatch, module):
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return coextension(*args)
+        monkeypatch.setattr(module, "coextension", spy)
+        return calls
+
+    def _assert_layout(self, dil, calls):
+        (args,) = calls
+        assert all(isinstance(o, opcore._Block) for o in dil.ops)
+        for got, want in zip(dil.ops, _block_layout(*args)):
+            assert np.array_equal(got.dense(), want)
+
+    @pytest.mark.parametrize("depth", [2, 4, 7])
+    @pytest.mark.parametrize("case", ["exam1", "exam2", "exam3", "exam5"])
+    def test_gallery_dilations(self, case, depth, monkeypatch, exam1, exam2, exam5):
+        if case == "exam3":
+            calls = self._spy(monkeypatch, gallery)
+            dil = build_exam3_dilation(0.5, 8, depth)
+        else:
+            calls = self._spy(monkeypatch, dilate)
+            tup, w = {"exam1": (exam1[1], exam1[3]), "exam2": (exam2[2], exam2[5]),
+                      "exam5": (exam5[1], exam5[3])}[case]
+            build = pentablock_dilation if case == "exam5" else schaffer
+            dil = build(solve_fundamentals(tup, window=w), depth)
+        self._assert_layout(dil, calls)
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("kind", ["gamma7", "gamma5"])
+    def test_random_schaffer_dilations(self, kind, seed, monkeypatch):
+        rng = np.random.default_rng(seed)
+        tup = _random_diagonal_tuple(rng, kind, int(rng.integers(1, 5)))
+        calls = self._spy(monkeypatch, dilate)
+        dil = schaffer(solve_fundamentals(tup), int(rng.integers(2, 6)))
+        self._assert_layout(dil, calls)
 
 
 class TestDilationWindow:
@@ -208,7 +278,7 @@ class TestPentablockDilation:
                np.diag([0.3, 0.3])]
         tup = OperatorTuple("penta", ops)
         dil = pentablock_dilation(solve_fundamentals(tup), 3)
-        r1, r2, r3 = dil.ops
+        r1, r2, r3 = (o.dense() for o in dil.ops)
         # damping block is the identity when the symbol vanishes
         np.testing.assert_allclose(r1[2:, 2:], np.eye(2 * 3), atol=1e-12)
         # r2 carries no symbol at all
@@ -225,7 +295,7 @@ class TestPentablockDilation:
         dil = pentablock_dilation(fset, 3)
         assert dil.dim == dil.base_dim == 2
         for got, want in zip(dil.ops, ops):
-            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(got.dense(), want)
 
     def test_exam5_norm_identities(self, exam5):
         _, tup, _, w = exam5
@@ -233,7 +303,7 @@ class TestPentablockDilation:
         dil = pentablock_dilation(fset, 4)
         assert op_norm(dil.ops[1]) == pytest.approx(0.5, abs=1e-10)
         kw = dil.window(w)
-        r = list(dil.ops)
+        r = [o.dense() for o in dil.ops]
         assert kw.wnorm(r[1] - r[1].conj().T @ r[2]) <= 1e-10
         gram = r[0].conj().T @ r[0] + 0.25 * r[1].conj().T @ r[1] - np.eye(len(r[0]))
         assert kw.wnorm(gram) <= 1e-9

@@ -112,6 +112,7 @@ class TestSolveFundamentals:
             q = dd.range_basis
             comp = np.eye(tup.dim) - q @ q.conj().T
             for name, b in _rhs_map(tup).items():
+                b = b.dense()
                 assert np.linalg.norm(b @ kb, 2) <= 1e-9, (kind, name)
                 assert w.wnorm(comp @ b) <= 1e-9, (kind, name)
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from mudilate.opcore import (OperatorTuple, OpcoreError,
                              NegativeEigenvalueError, NotHermitianError,
-                             _compact, commutator_norms, herm_sqrt,
+                             _compact, _eye, commutator_norms, herm_sqrt,
                              kernel_basis, numerical_radius, op_norm,
                              spectral_radius)
 from mudilate.report import operator_from_dict
@@ -223,18 +223,27 @@ class TestInequalityChain:
             assert w <= nn + 1e-8
 
 
-def _dense(f):
-    """The full array a compact form stands for."""
-    out = np.zeros(f.shape, dtype=complex)
-    out[np.ix_(f.r, f.c)] = f.blk
-    return out
+def _assert_form(f, ref):
+    """``f`` holds the nonzeros of ``ref`` sorted by (row, col) with unique
+    keys and no stored zeros, and densifies to it."""
+    key = f.i * f.shape[1] + f.j
+    assert f.shape == ref.shape
+    assert (np.diff(key) > 0).all() and f.v.all()
+    assert np.array_equal(f.dense(), ref)
+
+
+def _expands(a, b):
+    """Whether ``a @ b`` takes the expansion: its terms are no more than
+    the entries of the product of the two support blocks."""
+    terms = sum(np.count_nonzero(b.i == k) for k in a.j)
+    return terms <= len(np.unique(a.i)) * len(np.unique(b.j))
 
 
 class TestSupportKernels:
-    """Norms and the compact-form algebra read only the nonzero rows,
-    columns and inner indices of their operands; against dense references
-    computed here they agree to 1e-12 relative to the operands' norms, and
-    they are exactly zero where the dense result is."""
+    """Norms and the coordinate-form algebra read only the nonzeros of their
+    operands; against dense references computed here they agree to 1e-12
+    relative to the operands' norms, and they are exactly zero where the
+    dense result is."""
 
     @pytest.mark.parametrize("shape", [(1, 1), (1, 5), (4, 1), (6, 6)])
     def test_zero_matrix_has_zero_norm(self, shape):
@@ -246,23 +255,21 @@ class TestSupportKernels:
     def test_one_by_one(self):
         assert op_norm([[3.0 - 4.0j]]) == 5.0
         prod = _compact([[2.0j]]) @ _compact([[0.5]])
-        assert _dense(prod)[0, 0] == 1.0j
-        assert not _dense(_compact(np.zeros((1, 1))) @ _compact([[7.0]])).any()
-        assert _dense(_compact([[2.0j]]).H)[0, 0] == -2.0j
+        assert prod.dense()[0, 0] == 1.0j
+        assert not (_compact(np.zeros((1, 1))) @ _compact([[7.0]])).dense().any()
+        assert _compact([[2.0j]]).H.dense()[0, 0] == -2.0j
 
-    def test_compact_form_is_the_support_block(self):
+    def test_compact_form_holds_sorted_nonzeros(self):
         m = np.zeros((4, 5), dtype=complex)
-        m[1, 3], m[3, 0] = 2.0, 1.0j
+        m[3, 0], m[1, 3], m[1, 1] = 1.0j, 2.0, -0.0
         f = _compact(m)
-        assert f.shape == (4, 5) and f.blk.shape == (2, 2)
-        assert f.r.tolist() == [False, True, False, True]
-        assert f.c.tolist() == [True, False, False, True, False]
-        assert np.array_equal(_dense(f), m)
+        assert f.i.tolist() == [1, 3] and f.j.tolist() == [3, 0]
+        assert f.v.tolist() == [2.0, 1.0j]
+        _assert_form(f, m)
 
-    def test_full_support_operand_is_not_copied(self):
-        m = np.eye(5, dtype=complex)
-        f = _compact(m)
-        assert np.shares_memory(f.blk, m) and np.shares_memory(_compact(f).blk, m)
+    def test_form_passes_through_compact(self):
+        f = _compact(np.eye(5))
+        assert _compact(f) is f
 
     def test_numpy_operands_do_not_absorb_a_form(self):
         with pytest.raises(TypeError):
@@ -272,6 +279,7 @@ class TestSupportKernels:
     @given(_dims, _dims, _seeds)
     def test_op_norm_matches_dense(self, rows, cols, seed):
         m = random_supported(np.random.default_rng(seed), rows, cols)
+        _assert_form(_compact(m), m)
         ref = np.linalg.norm(m, 2)
         for got in (op_norm(m), op_norm(_compact(m))):
             assert abs(got - ref) <= 1e-12 * ref
@@ -281,8 +289,8 @@ class TestSupportKernels:
     @SETTINGS
     @given(_dims, _dims, _dims, st.booleans(), st.booleans(), _seeds)
     def test_prod_matches_dense(self, rows, inner, cols, adj_a, adj_b, seed):
-        """Products of compact forms, with either factor an adjoint, match
-        the dense product and are exactly zero where it is."""
+        """Products of coordinate forms, with either factor an adjoint,
+        match the dense product and are exactly zero where it is."""
         rng = np.random.default_rng(seed)
         a = random_supported(rng, *((inner, rows) if adj_a else (rows, inner)))
         b = random_supported(rng, *((cols, inner) if adj_b else (inner, cols)))
@@ -291,26 +299,74 @@ class TestSupportKernels:
             a, fa = a.conj().T, fa.H
         if adj_b:
             b, fb = b.conj().T, fb.H
+        _assert_form(fa, a)
+        _assert_form(fb, b)
         ref = a @ b
-        got = _dense(fa @ fb)
+        prod = fa @ fb
+        got = prod.dense()
         assert got.shape == ref.shape
         scale = np.linalg.norm(a, 2) * np.linalg.norm(b, 2)
         assert np.abs(got - ref).max() <= 1e-12 * scale
         assert not got[ref == 0].any()
+        _assert_form(prod, got)
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("expand", [True, False])
+    def test_prod_strategies_match_dense(self, expand, seed):
+        """Both sides of the cost rule of ``@``: weighted partial
+        permutations with a few extra entries take the expansion, dense
+        blocks on a coordinate subset the BLAS product."""
+        rng = np.random.default_rng(seed)
+        n = 30
+
+        def draw():
+            m = np.zeros((n, n), dtype=complex)
+            if expand:
+                m[rng.permutation(n)[:n - 3], rng.permutation(n)[:n - 3]] = \
+                    rng.standard_normal(n - 3)
+                m[rng.integers(n, size=4), rng.integers(n, size=4)] += 1.0j
+            else:
+                keep = np.ix_(rng.uniform(size=n) < 0.7, rng.uniform(size=n) < 0.7)
+                m[keep] = rng.standard_normal(m[keep].shape)
+            return m
+
+        a, b = draw(), draw()
+        fa, fb = _compact(a), _compact(b)
+        for x, y, fx, fy in ((a, b, fa, fb), (a.conj().T, b, fa.H, fb),
+                             (a, b.conj().T, fa, fb.H)):
+            assert _expands(fx, fy) == expand
+            ref = x @ y
+            prod = fx @ fy
+            assert np.abs(prod.dense() - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+            assert not prod.dense()[ref == 0].any()
+            _assert_form(prod, prod.dense())
+
+    def test_dense_product_peak_memory(self):
+        """The product of two dense 300 x 300 forms takes the BLAS product
+        and peaks below four 300 x 300 complex arrays."""
+        rng = np.random.default_rng(3)
+        fa, fb = (_compact(rng.standard_normal((300, 300))) for _ in range(2))
+        tracemalloc.start()
+        try:
+            fa @ fb
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 300 * 300 * np.dtype(complex).itemsize
 
     @SETTINGS
     @given(_dims, _dims, _seeds)
     def test_sum_and_difference_on_union_frame(self, rows, cols, seed):
         """Sums, differences and scalar multiples are entrywise exact and
-        live on the union of the operands' frames."""
+        hold nonzeros only on the union of the operands' nonzeros."""
         rng = np.random.default_rng(seed)
         a, b = random_supported(rng, rows, cols), random_supported(rng, rows, cols)
         fa, fb = _compact(a), _compact(b)
+        union = set(zip(fa.i, fa.j)) | set(zip(fb.i, fb.j))
         for got, ref in ((fa - fb, a - b), (fa + fb, a + b),
                          (fa - 2.0 * fb, a - 2.0 * b)):
-            assert np.array_equal(_dense(got), ref)
-            assert np.array_equal(got.r, fa.r | fb.r)
-            assert np.array_equal(got.c, fa.c | fb.c)
+            _assert_form(got, ref)
+            assert set(zip(got.i, got.j)) <= union
 
     @SETTINGS
     @given(st.integers(1, 8), _seeds)
@@ -330,6 +386,26 @@ class TestSupportKernels:
             assert np.abs(w.compress(f) - w.basis.conj().T @ ref @ w.basis).max() \
                 <= 1e-12 * scale
 
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("fill", [1, 40])
+    def test_window_strategies_match_dense(self, fill, seed):
+        """Window.wnorm and compress on both sides of their cost rule:
+        ``fill`` nonzeros per row of a 60 x 60 operand, seen through a
+        random window and a coordinate one."""
+        rng = np.random.default_rng(seed)
+        n, k = 60, 25
+        m = np.zeros((n, n), dtype=complex)
+        for r in rng.permutation(n)[:50]:
+            m[r, rng.permutation(n)[:fill]] = rng.standard_normal(fill) + 1j
+        q, _ = np.linalg.qr(rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k)))
+        for w in (Window(0, q), Window(0, np.eye(n)[:, rng.permutation(n)[:k]])):
+            for a in (m, _compact(m).H):
+                ref = a if isinstance(a, np.ndarray) else a.dense()
+                scale = np.linalg.norm(ref, 2)
+                assert abs(w.wnorm(a) - np.linalg.norm(ref @ w.basis, 2)) <= 1e-12 * scale
+                assert np.abs(w.compress(a) - w.basis.conj().T @ ref @ w.basis).max() \
+                    <= 1e-12 * scale
+
     @SETTINGS
     @given(st.integers(1, 8), _seeds)
     def test_cancelling_residuals_are_exactly_zero(self, n, seed):
@@ -337,15 +413,18 @@ class TestSupportKernels:
         frame, have norm exactly 0.0 through both norms."""
         rng = np.random.default_rng(seed)
         a = _compact(random_supported(rng, n, n))
-        eye = _compact(np.eye(n, dtype=complex))
+        eye = _eye(n)
+        _assert_form(eye, np.eye(n))
         # b lives on the coordinates a leaves out, so ab = ba = 0
         b = random_supported(rng, n, n)
-        b[a.r | a.c] = 0.0
-        b[:, a.r | a.c] = 0.0
+        used = np.union1d(a.i, a.j)
+        b[used] = 0.0
+        b[:, used] = 0.0
         b = _compact(b)
         w = Window(0, np.eye(n))
         for res in (a @ a - a @ a, a @ eye - eye @ a, a @ b - b @ a,
                     eye.H @ eye - eye, a - a):
+            assert len(res.v) == 0
             assert op_norm(res) == 0.0 and w.wnorm(res) == 0.0
 
     @SETTINGS

@@ -38,7 +38,7 @@ def test_schaffer_satisfies_every_relation_row(tup, depth):
     fset = solve_fundamentals(tup)
     dil = schaffer(fset, depth)
     kw = dil.window(Window(0, np.eye(1)))
-    rep = isometry_check(dil.tuple(), window=kw)
+    rep = isometry_check(dil, window=kw)
     relations = [i for i in rep.items
                  if ("=" in i.label and "*" in i.label and "<=" not in i.label)]
     pivot_iso = [i for i in rep.items if i.label.endswith(" isometry")]
@@ -60,7 +60,7 @@ def diagonal_point(draw):
 def _dilation_check(c, depth):
     tup = OperatorTuple("gamma7", [np.array([[v]], dtype=complex) for v in c])
     dil = schaffer(solve_fundamentals(tup), depth)
-    return isometry_check(dil.tuple(), window=dil.window(Window(0, np.eye(1))))
+    return isometry_check(dil, window=dil.window(Window(0, np.eye(1))))
 
 
 @SETTINGS

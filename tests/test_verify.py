@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mudilate.opcore import OperatorTuple, OpcoreError
+from mudilate.opcore import OperatorTuple, OpcoreError, _compact
 from mudilate.spaces import ModelSpace, Window, hardy_shift, window
 from mudilate.fundamentals import chain_report, defect, solve_fundamentals
 from mudilate.gallery import build_exam3_dilation
@@ -68,7 +68,7 @@ class TestIsometryCheck:
         _, tup, _, w = exam3
         dil = build_exam3_dilation(0.5, 8, 6)
         kw = dil.window(w)
-        rep = isometry_check(dil.tuple(), window=kw)
+        rep = isometry_check(dil, window=kw)
         assert rep.verdict == "pass"
 
     @pytest.mark.parametrize("depth", [2, 3, 4])
@@ -79,8 +79,30 @@ class TestIsometryCheck:
         _, tup, _, w = exam3
         dil = build_exam3_dilation(0.5, 8, depth)
         assert dil.reach == 2
-        rep = isometry_check(dil.tuple(), window=dil.window(w))
+        rep = isometry_check(dil, window=dil.window(w))
         assert rep.verdict == "pass"
+
+
+class TestFormsMatchDenseTuple:
+    @pytest.mark.parametrize("case", ["exam1", "exam2", "exam3", "exam5"])
+    def test_isometry_check_of_dilation_and_dense_tuple(self, case, exam1, exam2,
+                                                         exam3, exam5):
+        """isometry_check reads a DilationResult's forms as it reads the
+        OperatorTuple of their dense arrays: the same items, exactly."""
+        from mudilate.dilate import pentablock_dilation, schaffer
+        if case == "exam3":
+            w = exam3[3]
+            dil = build_exam3_dilation(0.5, 8, 4)
+        else:
+            tup, w = {"exam1": (exam1[1], exam1[3]), "exam2": (exam2[2], exam2[5]),
+                      "exam5": (exam5[1], exam5[3])}[case]
+            build = pentablock_dilation if case == "exam5" else schaffer
+            dil = build(solve_fundamentals(tup, window=w), 4)
+        kw = dil.window(w)
+        dense = OperatorTuple(dil.kind, [o.dense() for o in dil.ops])
+        got, want = isometry_check(dil, window=kw), isometry_check(dense, window=kw)
+        assert [(i.label, i.residual, i.passed) for i in got.items] == \
+            [(i.label, i.residual, i.passed) for i in want.items]
 
 
 class TestNecessaryConditions:
@@ -268,7 +290,7 @@ def _scalar_gamma7_dilation(c):
     fset = solve_fundamentals(tup)
     dil = schaffer(fset, 5)
     kw = dil.window(_full(dil.base_dim))
-    return tup, fset, isometry_check(dil.tuple(), window=kw)
+    return tup, fset, isometry_check(dil, window=kw)
 
 
 class TestDilationImpliesChecks:
@@ -306,9 +328,9 @@ class TestDilationImpliesChecks:
         from mudilate.dilate import schaffer
         dil = schaffer(fset, 5)
         kw = dil.window(_full(dil.base_dim))
-        rep = isometry_check(dil.tuple(), window=kw)
+        rep = isometry_check(dil, window=kw)
         assert rep.verdict == "pass"
-        comm = is_commuting(dil.tuple(), window=kw)
+        comm = is_commuting(dil, window=kw)
         assert comm.verdict == "pass"
         nec = necessary_conditions(fset)
         assert nec.verdict == "pass"
@@ -381,7 +403,8 @@ class TestCompactChecksMatchDense:
             fset = replace(fset, tup=tup,
                            ops=dict(zip(fset.ops, pert(fset.ops.values()))),
                            defect=replace(fset.defect, D=pert([fset.defect.D])[0]))
-            dil = replace(dil, base=tup, ops=pert(dil.ops))
+            dil = replace(dil, base=tup, ops=tuple(map(_compact, pert(
+                [o.dense() for o in dil.ops]))))
         return tup, fset, w, dil, kw
 
     @pytest.mark.parametrize("perturb", [False, True])
@@ -390,7 +413,7 @@ class TestCompactChecksMatchDense:
         tup, _, w, dil, _ = self._exam(case_id, perturb)
         e, q = np.eye(dil.dim, dil.base_dim), w.basis
         ref = [self._wn(v.conj().T @ e - e @ t.conj().T, q)
-               for v, t in zip(dil.ops, tup.ops)]
+               for v, t in zip((o.dense() for o in dil.ops), tup.ops)]
         got = dil.coextension_residuals(w)
         assert len(got) == len(ref)
         assert max(abs(g - r) for g, r in zip(got, ref)) <= self.TOL
@@ -398,29 +421,29 @@ class TestCompactChecksMatchDense:
     @pytest.mark.parametrize("perturb", [False, True])
     def test_exam3_isometry_check(self, perturb):
         _, _, _, dil, kw = self._exam("exam3", perturb)
-        v, q = dil.ops, kw.basis
+        v, q = [o.dense() for o in dil.ops], kw.basis
         ref = {"commuting": self._commuting(v, q)}
         for i in range(6):
             j = 5 - i
             ref[f"V{i+1}=V{j+1}*V7"] = self._wn(v[i] - v[j].conj().T @ v[6], q)
             ref[f"||V{i+1}||<=1"] = max(0.0, self._wn(v[i], q) - 1.0)
         ref["V7 isometry"] = self._wn(v[6].conj().T @ v[6] - np.eye(dil.dim), q)
-        self._assert_items(isometry_check(dil.tuple(), window=kw), ref)
+        self._assert_items(isometry_check(dil, window=kw), ref)
 
     @pytest.mark.parametrize("perturb", [False, True])
     def test_exam5_isometry_check(self, perturb):
         _, _, _, dil, kw = self._exam("exam5", perturb)
-        (r1, r2, r3), q = dil.ops, kw.basis
+        (r1, r2, r3), q = [o.dense() for o in dil.ops], kw.basis
         eye = np.eye(dil.dim)
         ref = {
-            "commuting": self._commuting(dil.ops, q),
+            "commuting": self._commuting((r1, r2, r3), q),
             "R2=R2*R3": self._wn(r2 - r2.conj().T @ r3, q),
             "R3 isometry": self._wn(r3.conj().T @ r3 - eye, q),
             "||R2||<=2": max(0.0, self._wn(r2, q) - 2.0),
             "R1*R1+R2*R2/4=I": self._wn(
                 r1.conj().T @ r1 + 0.25 * r2.conj().T @ r2 - eye, q),
         }
-        self._assert_items(isometry_check(dil.tuple(), window=kw), ref)
+        self._assert_items(isometry_check(dil, window=kw), ref)
 
     @pytest.mark.parametrize("perturb", [False, True])
     def test_exam3_necessary_conditions(self, perturb):
