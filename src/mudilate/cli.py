@@ -132,7 +132,9 @@ def _fundamentals_for(tup, path=None, tol=1e-9):
         if f is None or f.shape != (tup.dim, tup.dim):
             raise SolveError(f"kind {tup.kind} needs {name} as a "
                              f"{tup.dim}x{tup.dim} operator")
-    return FundamentalSet(tup, ops, equation_residuals(rhs, dd, ops, tol), dd)
+    fset = FundamentalSet(tup, ops, {}, dd)
+    fset.residuals = equation_residuals(rhs, dd, fset.forms, tol)
+    return fset
 
 
 def cmd_verify(args):

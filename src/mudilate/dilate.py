@@ -15,7 +15,7 @@ import numpy as np
 
 from . import opcore
 from .opcore import (WHOLE_SPACE, OperatorTuple, OpcoreError, _coalesce, _compact,
-                     _eye, _mat, commutator_norms, herm_sqrt, op_norm)
+                     _eye, _Forms, _mat, herm_sqrt, op_norm)
 from .fundamentals import (PIVOT, RELATIONS, DefectData, ExpansiveError,
                            FundamentalSet, defect)
 from .spaces import AnyWindow, Window, block_assemble
@@ -55,7 +55,7 @@ def egervary(t, n: int) -> np.ndarray:
 
 
 @dataclass
-class DilationResult:
+class DilationResult(_Forms):
     """An isometric-dilation tuple of ``base`` on H + depth copies of the
     defect space.
 
@@ -86,13 +86,15 @@ class DilationResult:
     def dim(self) -> int:
         return self.ops[0].shape[0]
 
+    forms = property(lambda self: self.ops)
+
     def coextension_residuals(self, h_window: AnyWindow = WHOLE_SPACE) -> list:
         """||(V* E - E T*) Q|| per member V and base member T; E puts H on the
         first base_dim coordinates (as ``window`` assumes), so
         (V* E - E T*)* = E* V - T E*, the first base_dim rows of V less [T, 0]."""
         e = _eye(self.base_dim, self.dim)  # E*
-        return [h_window.wnorm((e @ v - _compact(t) @ e).H)
-                for v, t in zip(self.ops, self.base.ops)]
+        return [h_window.wnorm((e @ v - t @ e).H)
+                for v, t in zip(self.ops, self.base.forms)]
 
     def window(self, h_window: Window) -> Window:
         """Base-space window plus the first depth - m tail copies, with
@@ -133,22 +135,26 @@ def coextension(tup: OperatorTuple, dd: DefectData, depth: int,
     members = [members[k] for k in range(len(tup.ops))]
     reach = max(o for _, band in members for o in band)
     if dd.rank == 0:
-        return DilationResult(tup, tuple(map(_compact, tup.ops)), depth, dd, reach)
+        return DilationResult(tup, tup.forms, depth, dd, reach)
     n, r = tup.dim, dd.rank
     dim = n + depth * r
     _check_dim(dim)
-    drow = _compact(dd.range_basis).H @ _compact(dd.D)
+    drow = _compact(dd.range_basis).H @ dd.form
+    # one form per distinct block, and one X q*D per distinct factor X
+    blocks = {id(x): x for col, band in members for x in (*col[:depth], *band.values())}
+    form = {k: _compact(x) for k, x in blocks.items() if x is not None}
+    feeds = {id(x) for col, _ in members for x in col[:depth] if x is not None}
+    fed = {k: form[k] @ drow for k in feeds}
     ops = []
-    for base, (col, band) in zip(tup.ops, members):
-        # (block, row offsets, column offsets): the block sits at each pair
+    for base, (col, band) in zip(tup.forms, members):
+        # (form, row offsets, column offsets): the block sits at each pair
         cells = [(base, [0], [0])]
-        cells += [(_compact(x) @ drow, [n + c * r], [0]) for c, x in enumerate(col[:depth])
+        cells += [(fed[id(x)], [n + c * r], [0]) for c, x in enumerate(col[:depth])
                   if x is not None]
-        cells += [(b, n + r * np.arange(o, depth), n + r * np.arange(depth - o))
+        cells += [(form[id(b)], n + r * np.arange(o, depth), n + r * np.arange(depth - o))
                   for o, b in band.items()]
         i, j, v = [], [], []
-        for b, ro, co in cells:
-            f = _compact(b)
+        for f, ro, co in cells:
             i.append(np.add.outer(ro, f.i).ravel())
             j.append(np.add.outer(co, f.j).ravel())
             v.append(np.tile(f.v, len(ro)))
@@ -161,7 +167,7 @@ def _relation_members(fset: FundamentalSet) -> dict:
     relation row (i, j, F, w): its symbol f_i = compress(F)/w on the diagonal
     and its partner's symbol adjoint g_j* below it, so V_i = V_j* V_pivot."""
     dd = fset.defect
-    sym = {i: (j, dd.compress(fset[name]) / w)
+    sym = {i: (j, dd.compress(fset.forms[name]) / w)
            for i, j, name, w in RELATIONS[fset.kind]}
     eye = np.eye(dd.rank)
     members = {PIVOT[fset.kind]: ([eye], {1: eye})}
@@ -210,9 +216,8 @@ def pushforward(kind: str, *args, window: AnyWindow = WHOLE_SPACE):
     """
     if kind == "pi":
         t1, t2 = (_mat(a) for a in args)
-        for o in (t1, t2):
-            if op_norm(o) > 1.0 + 1e-8:
-                raise ExpansiveError("pi needs a pair of contractions")
+        if max(map(op_norm, (t1, t2))) > 1.0 + 1e-8:
+            raise ExpansiveError("pi needs a pair of contractions")
         t12 = t1 @ t2
         out = OperatorTuple("gamma7", (t1, t2, t12, t12, t1 @ t12, t12 @ t2,
                                        t1 @ t12 @ t2))
@@ -232,9 +237,8 @@ def pushforward(kind: str, *args, window: AnyWindow = WHOLE_SPACE):
         out = OperatorTuple("gamma7", (t1, z, z, z, z, t6, t7))
     elif kind == "gamma3":
         t1, t2, v3 = (_mat(a) for a in args)
-        for o in (t1, t2):
-            if op_norm(o) > 1.0 + 1e-8:
-                raise ExpansiveError("gamma3 needs contractions in the first two slots")
+        if max(map(op_norm, (t1, t2))) > 1.0 + 1e-8:
+            raise ExpansiveError("gamma3 needs contractions in the first two slots")
         iso_res = window.wnorm(v3.conj().T @ v3 - np.eye(v3.shape[0]))
         if iso_res > 1e-8:
             raise DilateError(f"third member is not an isometry on the window: {iso_res:.3e}")
@@ -243,7 +247,7 @@ def pushforward(kind: str, *args, window: AnyWindow = WHOLE_SPACE):
                                       t1 @ t2 @ v3))
     else:
         raise DilateError(f"unknown pushforward kind {kind!r}")
-    worst = max((v for _, v in commutator_norms(out.ops, window)), default=0.0)
-    if worst > 1e-9 * max(1.0, max(op_norm(o) for o in out.ops) ** 2):
+    worst = max((v for _, v in out.commutators(window)), default=0.0)
+    if worst > 1e-9 * max(1.0, max(map(op_norm, set(out.forms))) ** 2):
         raise DilateError(f"pushforward result does not commute: {worst:.3e}")
     return out

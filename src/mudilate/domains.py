@@ -525,7 +525,8 @@ def membership(point: DomainPoint, tol: float = 1e-6) -> MembershipReport:
     larger bound "outside" for an exact decode and "unknown" for a search.
     A search bound is mu_E, a sampled lower bound, held to
     1 + max(tol, 1e-6), so a search "inside" still rests on a lower bound
-    (ROADMAP item 3).  tol must lie in [0, 1e-2]."""
+    (ROADMAP, "Two-sided mu_E and sound search verdicts").  tol must lie in
+    [0, 1e-2]."""
     if not 0.0 <= tol <= 1e-2:
         raise DomainError("tol must lie in [0, 1e-2]")
     rep = MembershipReport(kind=point.kind, verdict="unknown")

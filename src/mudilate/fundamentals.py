@@ -17,8 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .opcore import (WHOLE_SPACE, OperatorTuple, OpcoreError, _compact, _square,
-                     commutator_norms, grading, numerical_radius, op_norm,
-                     spectral_radius)
+                     grading, numerical_radius, op_norm, spectral_radius)
 from .report import CheckReport
 from .spaces import AnyWindow, Window
 
@@ -68,6 +67,11 @@ class DefectData:
         return (q / self.dvals) @ q.conj().T
 
     @cached_property
+    def form(self):
+        """The coordinate form of D, read once."""
+        return _compact(self.D)
+
+    @cached_property
     def compress(self):
         """Defect-coordinate matrix Q* A Q: ``Window.compress`` on the range
         basis Q, whose window is built once."""
@@ -77,12 +81,12 @@ class DefectData:
 def defect(t) -> DefectData:
     """D_T, its range and its kernel; ExpansiveError unless ||T|| <= 1 + 1e-8."""
     m = _square(t, "defect operator")
-    nrm = op_norm(m)
-    if nrm > 1.0 + 1e-8:
-        raise ExpansiveError(f"not a contraction: norm {nrm:.6f}")
     g = np.eye(m.shape[0]) - m.conj().T @ m
     g = (g + g.conj().T) / 2.0
     w, v = np.linalg.eigh(g)
+    nrm = np.sqrt(max(0.0, 1.0 - w.min()))  # ||T||^2 = 1 - min eig(I - T*T)
+    if nrm > 1.0 + 1e-8:
+        raise ExpansiveError(f"not a contraction: norm {nrm:.6f}")
     w = np.clip(w, 0.0, None)
     # Gram eigenvalues below roundoff would be inflated by the square root;
     # zero them before it (I - T*T carries ~eps absolute error)
@@ -138,24 +142,29 @@ class FundamentalSet:
     def names(self):
         return tuple(self.ops.keys())
 
+    @cached_property
+    def forms(self) -> dict:
+        """The form of each F, read on first use unless the solve stored it."""
+        return {name: _compact(f) for name, f in self.ops.items()}
+
 
 def _rhs_map(tup: OperatorTuple) -> dict:
     """The right-hand sides B = w (T_i - T_j* T_p), as coordinate forms."""
     if tup.kind not in RELATIONS:
         raise SolveError(f"no fundamental equations for kind {tup.kind!r}")
-    t = [_compact(o) for o in tup.ops]
+    t = tup.forms
     last = t[PIVOT[tup.kind]]
     return {name: w * (t[i] - t[j].H @ last) for i, j, name, w in RELATIONS[tup.kind]}
 
 
-def equation_residuals(rhs: dict, dd: DefectData, ops: dict, tol: float,
+def equation_residuals(rhs: dict, dd: DefectData, forms: dict, tol: float,
                        window: AnyWindow = WHOLE_SPACE) -> dict:
-    """||D F D - B|| per equation, B = w (T_i - T_j* T_p) from ``_rhs_map``,
-    seen through the window.  Raises SolveError naming the first equation
-    whose residual exceeds ``tol``."""
-    out, d = {}, _compact(dd.D)
+    """||D F D - B|| per equation, F in ``forms`` and B = w (T_i - T_j* T_p)
+    from ``_rhs_map``, seen through the window.  Raises SolveError naming
+    the first equation whose residual exceeds ``tol``."""
+    out, d = {}, dd.form
     for name, b in rhs.items():
-        out[name] = res = window.wnorm(d @ _compact(ops[name]) @ d - b)
+        out[name] = res = window.wnorm(d @ forms[name] @ d - b)
         if res > tol:
             raise SolveError(f"{name} fails its equation: residual {res:.3e} > {tol:.1e}")
     return out
@@ -164,8 +173,8 @@ def equation_residuals(rhs: dict, dd: DefectData, ops: dict, tol: float,
 def require_commuting(tup: OperatorTuple, window: AnyWindow = WHOLE_SPACE):
     """Raise SolveError unless the tuple commutes on the window to 1e-9,
     relative to its largest squared norm."""
-    worst_comm = max((v for _, v in commutator_norms(tup.ops, window)), default=0.0)
-    if worst_comm > 1e-9 * max(1.0, max(op_norm(o) for o in tup.ops) ** 2):
+    worst_comm = max((v for _, v in tup.commutators(window)), default=0.0)
+    if worst_comm > 1e-9 * max(1.0, max(map(op_norm, set(tup.forms))) ** 2):
         raise SolveError(f"tuple does not commute on the window: {worst_comm:.3e}")
 
 
@@ -177,14 +186,17 @@ def solve_fundamentals(tup: OperatorTuple, tol: float = 1e-9,
     its kind has no equations, or an equation's residual exceeds ``tol``
     (the right-hand side leaves the defect space, so no solution exists on
     it; with an isometric pivot D = 0, so any nonzero right-hand side
-    fails).  The products run on coordinate forms; each F is stored dense.
+    fails).  The products run on coordinate forms; each F keeps its form.
     """
     require_commuting(tup, window)
     rhs = _rhs_map(tup)
     dd = defect(tup.ops[PIVOT[tup.kind]])
     dplus = _compact(dd.pinv())
-    ops = {name: (dplus @ b @ dplus).dense() for name, b in rhs.items()}
-    return FundamentalSet(tup, ops, equation_residuals(rhs, dd, ops, tol, window), dd)
+    forms = {name: dplus @ b @ dplus for name, b in rhs.items()}
+    fset = FundamentalSet(tup, {name: f.dense() for name, f in forms.items()},
+                          equation_residuals(rhs, dd, forms, tol, window), dd)
+    fset.forms = forms
+    return fset
 
 
 @dataclass
@@ -315,9 +327,9 @@ def chain_report(fset: FundamentalSet, z_samples: int = 32,
         else:
             rep.add(f"radius<=2[{tag}]", max(0.0, p_rad - 2.0), CHAIN_TOL)
         rad_max = max(rad_max, p_rad)
-        fa, fb = comp(fset[names[0]]), comp(fset[names[1]])
-        # every sample even when z-free: the benchmark's own tests count
-        # z_samples numerical_radius calls per family (ROADMAP item 8)
+        fa, fb = comp(fset.forms[names[0]]), comp(fset.forms[names[1]])
+        # every sample even when z-free: the benchmark's own tests count z_samples
+        # numerical_radius calls per family (ROADMAP, "Re-size the benchmark")
         g = grading(fa, fb)
         tally["omega<=1"][0 if g.z_free else 1] += 1
         p_om = max(numerical_radius(fa + z * fb, unit_graded=g.unit) for z in zs)

@@ -37,13 +37,8 @@ class GalleryCase:
     def __post_init__(self):
         if self.id not in CASE_IDS:
             raise ValueError(f"unknown case {self.id!r}; choose from {CASE_IDS}")
-        p = dict(self.params)
-        p.setdefault("trunc", 8)
-        p.setdefault("depth", 4)
-        p.setdefault("alpha", 0.5)
-        p.setdefault("z_samples", 8)
-        p.setdefault("n_points", 25)
-        p.setdefault("seed", 7)
+        p = dict(trunc=8, depth=4, alpha=0.5, z_samples=8, n_points=25, seed=7)
+        p.update(self.params)
         if not 1 <= p["z_samples"] <= MAX_Z_SAMPLES:
             raise ValueError(f"z_samples must lie in [1, {MAX_Z_SAMPLES}]")
         if p["trunc"] < 6:
@@ -201,8 +196,7 @@ def _expect_schaffer(rep: CheckReport, case: GalleryCase, fset, w,
     rep.add(rel_label, rel, 1e-9)
     iso = kw.wnorm(v[piv].H @ v[piv] - _eye(dil.dim))
     rep.add(f"{MEMBERS[kind][piv]} isometric on window", iso, 1e-9)
-    coext = max(dil.coextension_residuals(w))
-    rep.add("co-extension of the original tuple", coext, 1e-9)
+    rep.add("co-extension of the original tuple", max(dil.coextension_residuals(w)), 1e-9)
     i, j = RELATIONS[kind][0][:2]
     cviol = kw.wnorm(v[i] @ v[j] - v[j] @ v[i])
     rep.add("dilation members fail to commute (expected)",
@@ -212,16 +206,15 @@ def _expect_schaffer(rep: CheckReport, case: GalleryCase, fset, w,
 def _run_exam1(case: GalleryCase) -> CheckReport:
     p = case.params
     space, tup, expected_f = build_exam1(p["trunc"])
-    mar = auto_margin(space, tup.ops)
+    mar = auto_margin(space, tup.forms)
     w = window(space, mar)
     rep = CheckReport(name="exam1", window_margin=mar)
 
-    comm = is_commuting(tup, 1e-9, w)
-    _merge(rep, comm, "tuple commutes")
+    _merge(rep, is_commuting(tup, 1e-9, w), "tuple commutes")
 
     fset = solve_fundamentals(tup, tol=1e-9, window=w)
     rep.add("fundamental solve residual", max(fset.residuals.values()), 1e-9)
-    worst = max(w.equal(fset[name], expected_f[name]) for name in expected_f)
+    worst = max(w.equal(fset.forms[name], expected_f[name]) for name in expected_f)
     rep.add("fundamentals match displayed forms", worst, 1e-10)
 
     chain = chain_report(fset, z_samples=p["z_samples"], window=w)
@@ -238,8 +231,8 @@ def _run_exam1(case: GalleryCase) -> CheckReport:
         rep.add(f"||[F{a}*,F{a}]-[F{b}*,F{b}]||", gap, 0.99, ok=gap >= 0.99)
     rep.add("||[F3*,F3]-[F4*,F4]||", by_label["[F4*,F4]-[F3*,F3]"], 1e-10)
 
-    nec = necessary_conditions(fset, tol=1e-9, window=w)
-    _merge(rep, nec, "kernel-restricted necessary conditions")
+    _merge(rep, necessary_conditions(fset, tol=1e-9, window=w),
+           "kernel-restricted necessary conditions")
 
     _expect_schaffer(rep, case, fset, w, "dilation relations Vi=V(7-i)*V7")
     rep.notes.append("sufficient-condition hypotheses violated while the "
@@ -250,7 +243,7 @@ def _run_exam1(case: GalleryCase) -> CheckReport:
 def _run_exam2(case: GalleryCase) -> CheckReport:
     p = case.params
     space, tup7, tup5, displayed, expected_g = build_exam2(p["trunc"])
-    mar = auto_margin(space, tup5.ops)
+    mar = auto_margin(space, tup5.forms)
     w = window(space, mar)
     rep = CheckReport(name="exam2", window_margin=mar)
 
@@ -258,11 +251,10 @@ def _run_exam2(case: GalleryCase) -> CheckReport:
                 for a, b in zip(tup5.ops, displayed.ops))
     rep.add("slice of exam1 equals displayed five-tuple", exact, 1e-12)
 
-    comm = is_commuting(tup5, 1e-9, w)
-    _merge(rep, comm, "tuple commutes")
+    _merge(rep, is_commuting(tup5, 1e-9, w), "tuple commutes")
 
     fset = solve_fundamentals(tup5, tol=1e-9, window=w)
-    worst = max(w.equal(fset[name], expected_g[name]) for name in expected_g)
+    worst = max(w.equal(fset.forms[name], expected_g[name]) for name in expected_g)
     rep.add("fundamentals match displayed forms", worst, 1e-10)
 
     chain = chain_report(fset, z_samples=p["z_samples"], window=w)
@@ -292,30 +284,27 @@ def _run_exam3(case: GalleryCase) -> CheckReport:
     alpha = p["alpha"]
     depth = max(p["depth"], 4)
     space, tup, f_emb = build_exam3(alpha, p["trunc"])
-    mar = auto_margin(space, tup.ops)
+    mar = auto_margin(space, tup.forms)
     w = window(space, mar)
     rep = CheckReport(name="exam3", window_margin=mar)
 
-    comm = is_commuting(tup, 1e-9, w)
-    _merge(rep, comm, "tuple commutes")
+    _merge(rep, is_commuting(tup, 1e-9, w), "tuple commutes")
 
     fset = solve_fundamentals(tup, tol=1e-9, window=w)
-    zero = np.zeros((space.total_dim,) * 2, dtype=complex)
+    fms = fset.forms
     worst = max(
-        max(w.equal(fset[n], f_emb) for n in ("F1", "F2", "F4")),
-        max(w.equal(fset[n], zero) for n in ("F3", "F5", "F6")),
+        max(w.equal(fms[n], f_emb) for n in ("F1", "F2", "F4")),
+        max(w.wnorm(fms[n]) for n in ("F3", "F5", "F6")),
     )
     rep.add("fundamentals: symbol on defect, zeros elsewhere", worst, 1e-10)
 
-    nec = necessary_conditions(fset, tol=1e-9, window=w)
-    _merge(rep, nec, "kernel-restricted necessary conditions")
+    _merge(rep, necessary_conditions(fset, tol=1e-9, window=w),
+           "kernel-restricted necessary conditions")
 
     dil = build_exam3_dilation(alpha, p["trunc"], depth)
-    kw = dil.window(w)
-    chk = isometry_check(dil, tol=1e-9, window=kw)
-    _merge(rep, chk, "hand-built dilation is a gamma7 isometry")
-    coext = max(dil.coextension_residuals(w))
-    rep.add("co-extension of the original tuple", coext, 1e-9)
+    _merge(rep, isometry_check(dil, tol=1e-9, window=dil.window(w)),
+           "hand-built dilation is a gamma7 isometry")
+    rep.add("co-extension of the original tuple", max(dil.coextension_residuals(w)), 1e-9)
     rep.add("||V1|| equals |alpha|", abs(op_norm(dil.ops[0]) - abs(alpha)), 1e-9)
     rep.add("||V3|| bounded by 1", max(0.0, op_norm(dil.ops[2]) - 1.0), 1e-9)
     return rep
@@ -325,29 +314,26 @@ def _run_exam5(case: GalleryCase) -> CheckReport:
     p = case.params
     alpha = p["alpha"]
     space, tup, x_emb = build_exam5(alpha, p["trunc"])
-    mar = auto_margin(space, tup.ops)
+    mar = auto_margin(space, tup.forms)
     w = window(space, mar)
     rep = CheckReport(name="exam5", window_margin=mar)
 
-    comm = is_commuting(tup, 1e-9, w)
-    _merge(rep, comm, "tuple commutes")
+    _merge(rep, is_commuting(tup, 1e-9, w), "tuple commutes")
 
     fset = solve_fundamentals(tup, tol=1e-9, window=w)
     rep.add("fundamental of the last pair equals the symbol",
-            w.equal(fset["X"], x_emb), 1e-10)
+            w.equal(fset.forms["X"], x_emb), 1e-10)
 
     dil = pentablock_dilation(fset, p["depth"])
-    kw = dil.window(w)
-    chk = isometry_check(dil, tol=1e-9, window=kw)
+    chk = isometry_check(dil, tol=1e-9, window=dil.window(w))
     _merge(rep, chk, "dilation triple is a pentablock isometry")
     by = {i.label: i.residual for i in chk.items}
     rep.add("R2=R2*R3 on window", by["R2=R2*R3"], 1e-10)
     rep.add("R1*R1 + R2*R2/4 = I on window", by["R1*R1+R2*R2/4=I"], 1e-9)
     rep.add("||R2|| equals |alpha|", abs(op_norm(dil.ops[1]) - abs(alpha)), 1e-8)
-    coext = max(dil.coextension_residuals(w))
-    rep.add("co-extension of the original triple", coext, 1e-9)
-    nec = necessary_conditions(fset, tol=1e-9, window=w)
-    _merge(rep, nec, "kernel-restricted necessary condition")
+    rep.add("co-extension of the original triple", max(dil.coextension_residuals(w)), 1e-9)
+    _merge(rep, necessary_conditions(fset, tol=1e-9, window=w),
+           "kernel-restricted necessary condition")
     return rep
 
 
@@ -414,10 +400,10 @@ def _run_axis_family(case: GalleryCase) -> CheckReport:
     rep.add("defect operator is a projection", dd.projection_gap, 1e-9)
     f1_exp = embed_blocks(space, {(1, 1): (1.0 / 3.0) * (eye + m)})
     f6_exp = embed_blocks(space, {(1, 1): (1.0 / 3.0) * m})
-    zero = np.zeros((space.total_dim,) * 2, dtype=complex)
+    fms = fset.forms
     worst = max(
-        w.equal(fset["F1"], f1_exp), w.equal(fset["F6"], f6_exp),
-        max(w.equal(fset[n], zero) for n in ("F2", "F3", "F4", "F5")),
+        w.equal(fms["F1"], f1_exp), w.equal(fms["F6"], f6_exp),
+        max(w.wnorm(fms[n]) for n in ("F2", "F3", "F4", "F5")),
     )
     rep.add("fundamentals carry the averaged symbols", worst, 1e-10)
 
@@ -432,7 +418,7 @@ def _run_axis_family(case: GalleryCase) -> CheckReport:
     gap = 0.0
     for i, j in ((i, j) for i, j, _, _ in RELATIONS["gamma7"] if i < j):
         fi, fj, di, dj = (kw.compress(x) for x in (
-            fset[f"F{i+1}"], fset[f"F{j+1}"], tup.ops[i], tup.ops[j]))
+            fms[f"F{i+1}"], fms[f"F{j+1}"], tup.forms[i], tup.forms[j]))
         gap = max(gap, float(np.linalg.norm(
             (_self_comm(fi) - _self_comm(fj)) - (_self_comm(di) - _self_comm(dj)), 2)))
     rep.add("kernel-restricted tuple mirrors fundamental commutators", gap, 1e-10)

@@ -8,9 +8,12 @@ read the level shift of an operator off its nonzero entries
 (``spaces.auto_margin``).
 
 Coordinate rule: residual checks and dilations run on coordinate forms
-(``_Block``), the nonzeros of an operator read once by ``_compact``.  This is
-exact: ``_mat`` admits only finite entries, so each dropped term is 0 * x = 0,
-and zero rows and columns carry no nonzero singular value.  A product sums
+(``_Block``), the nonzeros of an operator read by ``_compact``.  The object
+that holds an operator owns its form, read once: ``OperatorTuple.forms``,
+``DefectData.form``, ``FundamentalSet.forms`` (the solve keeps its own) and
+the members of a ``DilationResult``; no check compacts those arrays again.
+This is exact: ``_mat`` admits only finite entries, so each dropped term is
+0 * x = 0, and zero rows and columns carry no nonzero singular value.  A product sums
 the terms a_ik b_kj of each entry, unless there are more terms than entries
 in the product of the two support blocks; one BLAS product of the blocks is
 then cheaper and no larger.  Dilations so cost about their nonzeros, and a
@@ -25,6 +28,8 @@ the gallery never load scipy.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from weakref import ref
 
 import numpy as np
 
@@ -68,31 +73,6 @@ def _square(x, what: str) -> np.ndarray:
 
 
 ARITY = {"gamma7": 7, "gamma5": 5, "penta": 3, "tetra": 3, "sym": 2}
-
-
-@dataclass
-class OperatorTuple:
-    """A kind-tagged family of square operators on a shared space."""
-
-    kind: str
-    ops: tuple
-
-    def __post_init__(self):
-        if self.kind not in ARITY:
-            raise OpcoreError(f"unknown tuple kind {self.kind!r}")
-        ops = tuple(_mat(o) for o in self.ops)
-        if len(ops) != ARITY[self.kind]:
-            raise OpcoreError(
-                f"kind {self.kind!r} needs {ARITY[self.kind]} operators, got {len(ops)}"
-            )
-        dim = ops[0].shape[0]
-        if any(o.shape != (dim, dim) for o in ops):
-            raise OpcoreError("tuple members must be square on a common space")
-        self.ops = ops
-
-    @property
-    def dim(self) -> int:
-        return self.ops[0].shape[0]
 
 
 def _frame(ids, size):
@@ -202,17 +182,85 @@ def _compact(x) -> _Block:
     return _Block(i, j, m[i, j], m.shape)
 
 
+class WholeSpace:
+    """The whole space as a window: no margin, plain norms, no compression."""
+
+    margin = None
+
+    def wnorm(self, a) -> float:
+        return op_norm(a)
+
+    def compress(self, a) -> np.ndarray:
+        return a.dense() if isinstance(a, _Block) else _mat(a)
+
+    def inside(self, b: np.ndarray) -> np.ndarray:
+        return np.eye(b.shape[1])
+
+
+WHOLE_SPACE = WholeSpace()
+
+
+class _Forms:
+    """Operators held as coordinate forms ``forms``, whose commutator table
+    (``commutator_norms``) is formed once per window: the table is kept with
+    a weak reference to its window, so the checks on one window share it."""
+
+    _table = (lambda: None, None)  # (weak reference to the window, table)
+
+    def commutators(self, window=WHOLE_SPACE) -> list:
+        if self._table[0]() is not window:
+            self._table = (ref(window), commutator_norms(self.forms, window))
+        return self._table[1]
+
+
+@dataclass
+class OperatorTuple(_Forms):
+    """A kind-tagged family of square operators on a shared space, held as
+    arrays ``ops`` and as coordinate forms ``forms``."""
+
+    kind: str
+    ops: tuple
+
+    def __post_init__(self):
+        if self.kind not in ARITY:
+            raise OpcoreError(f"unknown tuple kind {self.kind!r}")
+        ops = tuple(_mat(o) for o in self.ops)
+        if len(ops) != ARITY[self.kind]:
+            raise OpcoreError(
+                f"kind {self.kind!r} needs {ARITY[self.kind]} operators, got {len(ops)}"
+            )
+        dim = ops[0].shape[0]
+        if any(o.shape != (dim, dim) for o in ops):
+            raise OpcoreError("tuple members must be square on a common space")
+        self.ops = ops
+
+    @cached_property
+    def forms(self) -> tuple:
+        """The forms of ``ops``, read on first use, once per distinct member."""
+        forms = {k: _compact(o) for k, o in {id(o): o for o in self.ops}.items()}
+        return tuple(forms[id(o)] for o in self.ops)
+
+    @property
+    def dim(self) -> int:
+        return self.ops[0].shape[0]
+
+
 def _eye(n: int, cols: int | None = None) -> _Block:
     """The n x cols form with ones on its diagonal (the identity if square)."""
     d = np.arange(n)
     return _Block(d, d, np.ones(n, dtype=complex), (n, cols or n))
 
 
+def _svd_norm(x: np.ndarray) -> float:
+    """Largest singular value of a dense array (0.0 without entries): the
+    LAPACK values of ``np.linalg.norm(x, 2)``, without its axis handling."""
+    return float(np.linalg.svd(x, compute_uv=False).max(initial=0.0))
+
+
 def op_norm(a) -> float:
     """Largest singular value of a dense array or a coordinate form, taken
     on its support block (0.0 if zero)."""
-    f = _compact(a)
-    return float(np.linalg.norm(f.block()[0], 2)) if len(f.v) else 0.0
+    return _svd_norm(_compact(a).block()[0])
 
 
 def herm_sqrt(h) -> np.ndarray:
@@ -392,26 +440,10 @@ def kernel_basis(a) -> np.ndarray:
     return vh[rank:].conj().T
 
 
-class WholeSpace:
-    """The whole space as a window: no margin, plain norms, no compression."""
-
-    margin = None
-
-    def wnorm(self, a) -> float:
-        return op_norm(a)
-
-    def compress(self, a) -> np.ndarray:
-        return _mat(a)
-
-    def inside(self, b: np.ndarray) -> np.ndarray:
-        return np.eye(b.shape[1])
-
-
-WHOLE_SPACE = WholeSpace()
-
-
 def commutator_norms(ops, window=WHOLE_SPACE) -> list:
-    """Pairwise commutator norms ||[A_i, A_j]|| seen through the window."""
+    """Pairwise commutator norms ||[A_i, A_j]|| seen through the window; a
+    pair of one form or with a zero form is exactly 0.0 without a product."""
     fs = [_compact(o) for o in ops]
-    return [((i, j), window.wnorm(fs[i] @ fs[j] - fs[j] @ fs[i]))
-            for i in range(len(fs)) for j in range(i + 1, len(fs))]
+    return [((i, j), 0.0 if a is b or not (len(a.v) and len(b.v))
+             else window.wnorm(a @ b - b @ a))
+            for i, a in enumerate(fs) for j, b in enumerate(fs[i + 1:], i + 1)]

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .opcore import OpcoreError, WholeSpace, _compact, _mat, _starts
+from .opcore import OpcoreError, WholeSpace, _compact, _mat, _starts, _svd_norm
 
 SPARSE_FILL = 8  # the fill rule of Window.wnorm and compress (module docstring)
 
@@ -44,27 +44,16 @@ class ModelSpace:
     def total_dim(self) -> int:
         return sum(f * t for f, t in self.summands)
 
-    def offsets(self):
-        out, acc = [], 0
-        for f, t in self.summands:
-            out.append(acc)
-            acc += f * t
-        return out
-
     def levels(self) -> np.ndarray:
         """Grading level of each coordinate: k for e_k (x) v."""
         return np.concatenate([np.repeat(np.arange(t), f) for f, t in self.summands])
 
     def level_mask(self, margin: int) -> np.ndarray:
         """Boolean mask of coordinates whose level < trunc_level - margin."""
-        parts = []
-        for f, t in self.summands:
-            keep = np.arange(t) < (t - margin)
-            parts.append(np.repeat(keep, f))
-        return np.concatenate(parts)
+        return np.concatenate([np.repeat(np.arange(t) < t - margin, f) for f, t in self.summands])
 
     def summand_slice(self, i: int) -> slice:
-        off = self.offsets()[i]
+        off = sum(f * t for f, t in self.summands[:i])
         f, t = self.summands[i]
         return slice(off, off + f * t)
 
@@ -112,12 +101,11 @@ class Window:
     def wnorm(self, a) -> float:
         """||A Q||: operator norm seen through the safe inputs, taken on the
         nonzero rows of A (exactly 0.0 for a zero matrix)."""
-        aq = self._rows(a)[1]
-        return float(np.linalg.norm(aq, 2)) if len(aq) else 0.0
+        return _svd_norm(self._rows(a)[1])
 
     def equal(self, a, b) -> float:
-        """Residual ||(A - B) Q||."""
-        return self.wnorm(_mat(a) - _mat(b))
+        """Residual ||(A - B) Q||, formed on the coordinate forms of A and B."""
+        return self.wnorm(_compact(a) - _compact(b))
 
     def compress(self, a) -> np.ndarray:
         """The k x k compression Q* A Q, on the nonzero rows of A."""
@@ -157,8 +145,8 @@ def auto_margin(space: ModelSpace, ops) -> int:
     largest level shift |level(row) - level(col)| over their exactly nonzero
     entries.  Roundoff fill-in can only enlarge it."""
     lv = space.levels()
-    shift = np.abs(lv[:, None] - lv[None, :])
-    return 2 * max((int(shift[_mat(o) != 0].max(initial=0)) for o in ops), default=0)
+    return 2 * max((int(np.abs(lv[f.i] - lv[f.j]).max(initial=0))
+                    for f in map(_compact, ops)), default=0)
 
 
 def hardy_shift(fiber_dim: int, trunc_level: int) -> np.ndarray:

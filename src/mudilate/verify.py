@@ -10,10 +10,9 @@ the safe part of the space.
 
 from __future__ import annotations
 
-import numpy as np
+from itertools import combinations
 
-from .opcore import (WHOLE_SPACE, OpcoreError, _compact, _eye, commutator_norms,
-                     op_norm)
+from .opcore import WHOLE_SPACE, OpcoreError, _compact, _eye, _svd_norm, op_norm
 from .fundamentals import MEMBERS, PIVOT, RELATIONS, FundamentalSet
 from .report import CheckReport
 from .spaces import AnyWindow, Window
@@ -23,7 +22,7 @@ def is_commuting(t, tol: float = 1e-9,
                  window: AnyWindow = WHOLE_SPACE) -> CheckReport:
     """Pairwise commutator norms of an OperatorTuple or a DilationResult."""
     rep = CheckReport(name="is-commuting", window_margin=window.margin)
-    for (i, j), res in commutator_norms(t.ops, window):
+    for (i, j), res in t.commutators(window):
         rep.add(f"[T{i+1},T{j+1}]", res, tol)
     return rep
 
@@ -63,8 +62,8 @@ def isometry_check(t, tol: float = 1e-9,
     if kind not in MEMBERS:
         raise OpcoreError(f"unknown isometry kind {kind!r}")
     rep = CheckReport(name=f"isometry-{kind}", window_margin=window.margin)
-    ops = [_compact(o) for o in t.ops]
-    rep.add("commuting", max(v for _, v in commutator_norms(ops, window)), tol)
+    ops = t.forms
+    rep.add("commuting", max(v for _, v in t.commutators(window)), tol)
 
     names, p = MEMBERS[kind], PIVOT[kind]
     for i, j, _, _ in RELATIONS[kind]:
@@ -98,10 +97,10 @@ def necessary_conditions(fset: FundamentalSet, tol: float = 1e-9,
     if kw.dim == 0:
         rep.notes.append("defect kernel is trivial on the window; conditions hold vacuously")
 
-    d = _compact(dd.D)
+    d, fms = dd.form, fset.forms
     if kind == "gamma7":
-        ts = [_compact(o) for o in t.ops]
-        fs = [_compact(fset[f"F{i+1}"]).H for i in range(6)]
+        ts = t.forms
+        fs = [fms[f"F{i+1}"].H for i in range(6)]
         # rows (i, j) and (j, i) state one condition up to sign: keep i < j
         rows = [(i, j) for i, j, _, _ in RELATIONS["gamma7"] if i < j]
         for i, j in rows:
@@ -111,8 +110,8 @@ def necessary_conditions(fset: FundamentalSet, tol: float = 1e-9,
             anti = fs[i] @ fs[j] - fs[j] @ fs[i]
             rep.add(f"[F{i+1}*,F{j+1}*]D T7|ker", kw.wnorm(anti @ d @ ts[6]), tol)
     elif kind == "gamma5":
-        s1, s2, s3, s1t, s2t = (_compact(o) for o in t.ops)
-        g1, g2, g1t, g2t = (_compact(fset[n]).H for n in ("G1", "G2", "G1t", "G2t"))
+        s1, s2, s3, s1t, s2t = t.forms
+        g1, g2, g1t, g2t = (fms[n].H for n in ("G1", "G2", "G1t", "G2t"))
         conds = [  # (k, A*, B*, condition (k)); condition (k') is [A*, B*] D S3
             ("2", g2t, g1, g2t @ d @ s2t - g1 @ d @ s1),
             ("3", g2, g1t, g2 @ d @ s2 - g1t @ d @ s1t),
@@ -125,8 +124,8 @@ def necessary_conditions(fset: FundamentalSet, tol: float = 1e-9,
             rep.add(f"({k})", kw.wnorm(expr), tol)
             rep.add(f"({k}')", kw.wnorm((a @ b - b @ a) @ d @ s3), tol)
     elif kind == "penta":
-        _, p2, p3 = (_compact(o) for o in t.ops)
-        x = _compact(fset["X"])
+        _, p2, p3 = t.forms
+        x = fms["X"]
         rep.add("(X D P3 - D P2)|ker", kw.wnorm(x @ d @ p3 - d @ p2), tol)
     else:
         raise OpcoreError(f"unknown kind {kind!r}")
@@ -154,13 +153,14 @@ def commutator_profile(fset: FundamentalSet, tol: float = 1e-9,
     # P F P = Q (Q* F Q) Q*, so products and commutators of the compressions
     # carry the norms of the two-sided windowed operators
     comp = window.compress
+    names = (tuple(f"F{i+1}" for i in range(6)) if fset.kind == "gamma7"
+             else ("G1", "G2", "G1t", "G2t"))
+    fs = [comp(fset.forms[n]) for n in names]
+    pairs = list(combinations(zip(names, fs), 2))
+    for (na, a), (nb, b) in pairs:
+        rep.add(f"[{na},{nb}]", _svd_norm(_comm(a, b)), tol)
 
     if fset.kind == "gamma7":
-        fs = [comp(fset[f"F{i+1}"]) for i in range(6)]
-        for i in range(6):
-            for j in range(i + 1, 6):
-                rep.add(f"[F{i+1},F{j+1}]",
-                        float(np.linalg.norm(_comm(fs[i], fs[j]), 2)), tol)
         partner = {i: j for i, j, _, _ in RELATIONS["gamma7"]}
         # the identity of (i, j) is the adjoint of that of (5 - j, 5 - i)
         for i in range(6):
@@ -168,31 +168,20 @@ def commutator_profile(fset: FundamentalSet, tol: float = 1e-9,
                 ci, cj = partner[i], partner[j]
                 lhs = _comm(fs[ci].conj().T, fs[j])
                 rhs = _comm(fs[cj].conj().T, fs[i])
-                rep.add(f"[F{ci+1}*,F{j+1}]-[F{cj+1}*,F{i+1}]",
-                        float(np.linalg.norm(lhs - rhs, 2)), tol)
+                rep.add(f"[F{ci+1}*,F{j+1}]-[F{cj+1}*,F{i+1}]", _svd_norm(lhs - rhs), tol)
         return rep
 
-    names = ("G1", "G2", "G1t", "G2t")
-    g1, g2, g1t, g2t = (comp(fset[n]) for n in names)
-    pairs = [("G1", g1, "G2", g2), ("G1", g1, "G1t", g1t), ("G1", g1, "G2t", g2t),
-             ("G2", g2, "G1t", g1t), ("G2", g2, "G2t", g2t), ("G1t", g1t, "G2t", g2t)]
-    for na, a, nb, b in pairs:
-        rep.add(f"[{na},{nb}]", float(np.linalg.norm(_comm(a, b), 2)), tol)
-    c1, c2, c1t, c2t = (_self_comm(m) for m in (g1, g2, g1t, g2t))
+    c1, c2, c1t, c2t = (_self_comm(m) for m in fs)
     idents = [
         ("[G1*,G1]-4[G2*,G2]", c1 - 4.0 * c2),
         ("[G1*,G1]-4[G1t*,G1t]", c1 - 4.0 * c1t),
         ("[G1*,G1]-[G2t*,G2t]", c1 - c2t),
         ("4[G2*,G2]-[G2t*,G2t]", 4.0 * c2 - c2t),
         ("4[G1t*,G1t]-[G2t*,G2t]", 4.0 * c1t - c2t),
-        ("[G1,G2*]-[G2,G1*]", _comm(g1, g2.conj().T) - _comm(g2, g1.conj().T)),
-        ("[G1,G1t*]-[G1t,G1*]", _comm(g1, g1t.conj().T) - _comm(g1t, g1.conj().T)),
-        ("[G1,G2t*]-[G2t,G1*]", _comm(g1, g2t.conj().T) - _comm(g2t, g1.conj().T)),
-        ("[G2,G1t*]-[G1t,G2*]", _comm(g2, g1t.conj().T) - _comm(g1t, g2.conj().T)),
-        ("[G2,G2t*]-[G2t,G2*]", _comm(g2, g2t.conj().T) - _comm(g2t, g2.conj().T)),
-        ("[G1t,G2t*]-[G2t,G1t*]", _comm(g1t, g2t.conj().T) - _comm(g2t, g1t.conj().T)),
-        ("[2G2*,2G2]-[2G1t*,2G1t]", 4.0 * (c2 - c1t)),
     ]
+    idents += [(f"[{na},{nb}*]-[{nb},{na}*]", _comm(a, b.conj().T) - _comm(b, a.conj().T))
+               for (na, a), (nb, b) in pairs]
+    idents.append(("[2G2*,2G2]-[2G1t*,2G1t]", 4.0 * (c2 - c1t)))
     for label, m in idents:
-        rep.add(label, float(np.linalg.norm(m, 2)), tol)
+        rep.add(label, _svd_norm(m), tol)
     return rep

@@ -62,8 +62,9 @@ def unchecked_fundamentals(tup):
     dd = defect(tup.ops[PIVOT[tup.kind]])
     dplus = _compact(dd.pinv())
     rhs = _rhs_map(tup)
-    ops = {name: (dplus @ b @ dplus).dense() for name, b in rhs.items()}
-    return FundamentalSet(tup, ops, equation_residuals(rhs, dd, ops, np.inf), dd)
+    forms = {name: dplus @ b @ dplus for name, b in rhs.items()}
+    return FundamentalSet(tup, {name: f.dense() for name, f in forms.items()},
+                          equation_residuals(rhs, dd, forms, np.inf), dd)
 
 
 def range_side_kernel(dd, w):

@@ -1,0 +1,182 @@
+"""Coordinate forms owned by the objects that hold the operators: a tuple,
+a defect and a fundamental set carry the forms of their arrays, read once;
+each tuple's commutator table is formed once per window; and no gallery
+case reads the same dense array over and over."""
+
+import gc
+import sys
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import mudilate.gallery as gallery
+import mudilate.opcore as opcore
+from mudilate.fundamentals import solve_fundamentals
+from mudilate.opcore import WHOLE_SPACE, OperatorTuple, _compact, _svd_norm, commutator_norms
+from mudilate.spaces import Window, auto_margin, window
+from mudilate.verify import is_commuting
+
+from conftest import random_supported
+
+SETTINGS = settings(derandomize=True, max_examples=60, deadline=None)
+
+
+def _assert_same_form(form, m):
+    """``form`` holds exactly the (i, j, v) that ``_compact`` reads off m."""
+    ref = _compact(np.asarray(m, dtype=complex))
+    assert form.shape == ref.shape
+    for got, want in ((form.i, ref.i), (form.j, ref.j), (form.v, ref.v)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def _solved(case_id):
+    builders = {"exam1": lambda: gallery.build_exam1(8)[:2],
+                "exam2": lambda: gallery.build_exam2(8)[0:3:2],
+                "exam3": lambda: gallery.build_exam3(0.5, 8)[:2],
+                "exam5": lambda: gallery.build_exam5(0.5, 8)[:2]}
+    space, tup = builders[case_id]()
+    return solve_fundamentals(tup, window=window(space, auto_margin(space, tup.ops)))
+
+
+@pytest.mark.parametrize("case_id", ["exam1", "exam2", "exam3", "exam5"])
+def test_stored_forms_equal_the_forms_of_the_arrays(case_id):
+    fset = _solved(case_id)
+    tup = fset.tup
+    assert len(tup.forms) == len(tup.ops)
+    for form, m in zip(tup.forms, tup.ops):
+        _assert_same_form(form, m)
+    _assert_same_form(fset.defect.form, fset.defect.D)
+    assert list(fset.forms) == list(fset.ops)
+    for name in fset.names():
+        _assert_same_form(fset.forms[name], fset[name])
+
+
+def test_repeated_members_share_one_form_read_once():
+    _, tup, _ = gallery.build_exam3(0.5, 8)  # (A, A, 0, A, 0, 0, P)
+    f = tup.forms
+    assert f[0] is f[1] is f[3] and f[2] is f[4] is f[5]
+    assert len({id(x) for x in f}) == 3
+    assert tup.forms is f  # read once, on first use
+
+
+def test_forms_follow_replaced_arrays():
+    # a replaced tuple, defect or fundamental set reads its new arrays
+    fset = _solved("exam5")
+    scaled = {n: 0.5 * f for n, f in fset.ops.items()}
+    d = 0.5 * fset.defect.D
+    fresh = replace(fset, ops=scaled, defect=replace(fset.defect, D=d))
+    for name in fresh.names():
+        _assert_same_form(fresh.forms[name], scaled[name])
+    _assert_same_form(fresh.defect.form, d)
+    tup = replace(fset.tup, ops=tuple(2.0 * o for o in fset.tup.ops))
+    for form, m in zip(tup.forms, tup.ops):
+        _assert_same_form(form, m)
+
+
+@st.composite
+def sparse_tuple(draw):
+    """A gamma7 tuple of random sparse members of dimension 1-6, some of
+    them zero and some repeated (the same array in several slots)."""
+    n = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = [random_supported(rng, n, n) for _ in range(draw(st.integers(1, 4)))]
+    pool.append(np.zeros((n, n), dtype=complex))
+    slots = draw(st.lists(st.integers(0, len(pool) - 1), min_size=7, max_size=7))
+    k = draw(st.integers(0, n))
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return OperatorTuple("gamma7", [pool[s] for s in slots]), Window(0, q[:, :k])
+
+
+@SETTINGS
+@given(sparse_tuple())
+def test_commutator_table_matches_dense_reference(case):
+    tup, w = case
+    n = tup.dim
+    for win, q in ((WHOLE_SPACE, np.eye(n)), (w, w.basis)):
+        table = tup.commutators(win)
+        assert table == commutator_norms(tup.ops, win)
+        ops = tup.ops
+        for (i, j), got in table:
+            ref = np.linalg.norm((ops[i] @ ops[j] - ops[j] @ ops[i]) @ q, 2)
+            assert abs(got - ref) <= 1e-12 * max(1.0, np.linalg.norm(ops[i], 2)
+                                                 * np.linalg.norm(ops[j], 2))
+            if ops[i] is ops[j] or not ops[i].any() or not ops[j].any():
+                assert got == 0.0
+
+
+def test_table_formed_once_per_window_and_never_pins_it(monkeypatch):
+    calls = []
+
+    def counting(ops, window=WHOLE_SPACE):
+        calls.append(window)
+        return commutator_norms(ops, window)
+
+    monkeypatch.setattr(opcore, "commutator_norms", counting)
+    _, tup, _ = gallery.build_exam3(0.5, 8)
+    w = Window(0, np.eye(tup.dim))
+    first = is_commuting(tup, window=w)
+    assert tup.commutators(w) is tup.commutators(w)
+    assert is_commuting(tup, window=w).to_dict() == first.to_dict()
+    assert len(calls) == 1
+    tup.commutators()  # another window: a new table
+    assert len(calls) == 2
+    tup.commutators(w)
+    assert len(calls) == 3
+    # the table holds a weak reference: dropping the window frees it
+    del w, first
+    calls.clear()
+    gc.collect()
+    assert tup._table[0]() is None
+
+
+@pytest.mark.parametrize("case_id,expected",
+                         [("exam1", 2), ("exam2", 3), ("exam3", 2), ("exam5", 2)])
+def test_one_commutator_table_per_tuple_and_window(monkeypatch, case_id, expected):
+    # exam1: the pi pushforward and the tuple's window; exam2 adds its slice;
+    # exam3 and exam5: the tuple and the dilation, each on its own window
+    seen = []  # holds each call's forms and window, so their ids stay unique
+
+    def counting(ops, window=WHOLE_SPACE):
+        seen.append((ops, window))
+        return commutator_norms(ops, window)
+
+    monkeypatch.setattr(opcore, "commutator_norms", counting)
+    gallery.run_example(gallery.GalleryCase(case_id, dict(trunc=8)))
+    assert len(seen) == expected
+    assert len({(tuple(map(id, ops)), id(w)) for ops, w in seen}) == expected
+
+
+# distinct dense arrays each case reads (measured before the forms were
+# owned by the objects that hold the operators, when each was read 2-4 times)
+DISTINCT_READS = {"exam1": 44, "exam2": 37, "exam3": 27, "exam5": 12}
+
+
+@pytest.mark.parametrize("case_id", sorted(DISTINCT_READS))
+def test_dense_reads_per_case(monkeypatch, case_id):
+    reads = []
+    original = opcore._compact
+
+    def counting(x):
+        if not isinstance(x, opcore._Block):
+            reads.append(x)
+        return original(x)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("mudilate") and mod is not None \
+                and getattr(mod, "_compact", None) is original:
+            monkeypatch.setattr(mod, "_compact", counting)
+    gallery.run_example(gallery.GalleryCase(case_id, dict(trunc=16)))
+    assert 0 < len(reads) <= DISTINCT_READS[case_id]
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 5), (6, 2), (7, 7), (3, 0), (0, 4), (0, 0)])
+def test_svd_norm_is_numpy_two_norm(shape):
+    rng = np.random.default_rng(sum(shape))
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    got = _svd_norm(x)
+    assert isinstance(got, float)
+    assert got == float(np.linalg.norm(x, 2))
+    if 0 in shape:
+        assert got == 0.0
