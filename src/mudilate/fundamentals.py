@@ -124,28 +124,27 @@ MEMBERS = {
 
 @dataclass
 class FundamentalSet:
-    """Solved fundamental operators of the tuple ``tup``, stored embedded on
-    the host space and supported on the defect range of its pivot."""
+    """Solved fundamental operators of the tuple ``tup``, embedded on the
+    host space and supported on the defect range of its pivot, held as one
+    coordinate form per F; an array passed in is read once for its form."""
 
     tup: OperatorTuple
-    ops: dict
+    forms: dict
     residuals: dict
     defect: DefectData
+
+    def __post_init__(self):
+        self.forms = {name: _compact(f) for name, f in self.forms.items()}
 
     @property
     def kind(self) -> str:
         return self.tup.kind
 
     def __getitem__(self, name: str) -> np.ndarray:
-        return self.ops[name]
+        return self.forms[name].dense()
 
     def names(self):
-        return tuple(self.ops.keys())
-
-    @cached_property
-    def forms(self) -> dict:
-        """The form of each F, read on first use unless the solve stored it."""
-        return {name: _compact(f) for name, f in self.ops.items()}
+        return tuple(self.forms)
 
 
 def _rhs_map(tup: OperatorTuple) -> dict:
@@ -186,17 +185,14 @@ def solve_fundamentals(tup: OperatorTuple, tol: float = 1e-9,
     its kind has no equations, or an equation's residual exceeds ``tol``
     (the right-hand side leaves the defect space, so no solution exists on
     it; with an isometric pivot D = 0, so any nonzero right-hand side
-    fails).  The products run on coordinate forms; each F keeps its form.
+    fails).  The products run on coordinate forms, and the set holds them.
     """
     require_commuting(tup, window)
     rhs = _rhs_map(tup)
     dd = defect(tup.ops[PIVOT[tup.kind]])
     dplus = _compact(dd.pinv())
     forms = {name: dplus @ b @ dplus for name, b in rhs.items()}
-    fset = FundamentalSet(tup, {name: f.dense() for name, f in forms.items()},
-                          equation_residuals(rhs, dd, forms, tol, window), dd)
-    fset.forms = forms
-    return fset
+    return FundamentalSet(tup, forms, equation_residuals(rhs, dd, forms, tol, window), dd)
 
 
 @dataclass

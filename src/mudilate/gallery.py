@@ -1,7 +1,11 @@
-"""End-to-end reproduction cases wired for the CLI: the shift-block seven-
-tuple with commuting fundamentals whose mixed commutators obstruct, its
-five-tuple slice, the nilpotent-symbol family with a hand-built dilation,
-the pentablock family, and the point-level pushforward families.
+"""End-to-end reproduction cases wired for the CLI.
+
+exam1 (the shift-block seven-tuple whose mixed fundamental commutators
+obstruct), exam2 (its five-tuple slice), exam3 (the nilpotent-symbol family
+with a hand-built dilation) and exam5 (the pentablock family) run one
+battery, ``_run_operator_case``; each declares only its builder, dilation
+and own items (``_OperatorCase``).  pi_family and axis_family are
+point-level pushforward families with runners of their own.
 
 Every case is deterministic: equal parameters produce byte-identical JSON.
 """
@@ -9,6 +13,7 @@ Every case is deterministic: equal parameters produce byte-identical JSON.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -17,8 +22,8 @@ from .opcore import OperatorTuple, _eye, herm_sqrt, op_norm
 from .spaces import ModelSpace, Window, auto_margin, embed_blocks, hardy_shift, window
 from .domains import (DomainPoint, membership, point_pi, point_pi_eta,
                       psi3_supnorm)
-from .fundamentals import (MAX_Z_SAMPLES, MEMBERS, PIVOT, RELATIONS, DefectData,
-                           chain_report, defect, solve_fundamentals)
+from .fundamentals import (MAX_Z_SAMPLES, MEMBERS, PIVOT, RELATIONS, chain_report,
+                           defect, solve_fundamentals)
 from .dilate import DilationResult, coextension, pushforward, \
     pentablock_dilation, schaffer
 from .verify import _self_comm, commutator_profile, is_commuting, \
@@ -83,7 +88,8 @@ def build_exam1(trunc: int = 8):
 
 
 def build_exam2(trunc: int = 8):
-    """Five-tuple slice of the exam1 family at slice parameter 1."""
+    """Five-tuple slice of the exam1 family at slice parameter 1, its known
+    fundamentals and the five-tuple as the paper displays it."""
     space, tup7, _ = build_exam1(trunc)
     tup5 = pushforward("pi_eta", tup7, 1.0, window=window(space, 4))
     m = hardy_shift(1, trunc)
@@ -102,7 +108,7 @@ def build_exam2(trunc: int = 8):
         "G1t": 0.5 * embed_blocks(space, {(0, 0): m, (0, 1): m, (1, 1): m}),
         "G2t": embed_blocks(space, {(0, 1): m2}),
     }
-    return space, tup7, tup5, displayed, expected_g
+    return space, tup5, expected_g, displayed
 
 
 # ---------------------------------------------------------------------------
@@ -116,36 +122,30 @@ def _raising_symbol(alpha: float, trunc: int) -> np.ndarray:
     return g
 
 
-def projection_defect(space: ModelSpace, summands: tuple) -> DefectData:
-    """Defect data of the coordinate projection T = I - E onto the other
-    summands, whose defect operator is the projection E onto ``summands``."""
-    mask = np.zeros(space.total_dim)
-    for i in summands:
-        mask[space.summand_slice(i)] = 1.0
-    return defect(np.diag(1.0 - mask))
-
-
 def build_exam3(alpha: float = 0.5, trunc: int = 8):
     """Seven-tuple (A, A, 0, A, 0, 0, P) with nilpotent symbol A and a
-    rotation-coupled shift P; defect = first + fourth summands."""
+    rotation-coupled shift P; defect = first + fourth summands.  Its
+    fundamentals F1..F6 are its first six members."""
     space = ModelSpace(((2, trunc),) * 4)
-    g = _raising_symbol(alpha, trunc)
     m2 = hardy_shift(2, trunc)
-    a = embed_blocks(space, {(0, 0): g})
+    a = embed_blocks(space, {(0, 0): _raising_symbol(alpha, trunc)})
     b = np.zeros((space.total_dim,) * 2, dtype=complex)
     p = embed_blocks(space, {(1, 2): m2, (2, 1): -1.0 * m2})
     tup = OperatorTuple("gamma7", (a, a, b, a, b, b, p))
-    f_embedded = embed_blocks(space, {(0, 0): g})
-    return space, tup, f_embedded
+    return space, tup, {name: tup.ops[i] for i, _, name, _ in RELATIONS["gamma7"]}
 
 
-def build_exam3_dilation(alpha: float, trunc: int, depth: int) -> DilationResult:
-    """The hand-specified dilation of the exam3 family: the symbol members
-    repeat (f, f*) down the copies, and the zero-symbol members and the
-    shift insert one extra zero block row."""
-    space, tup, f_emb = build_exam3(alpha, trunc)
-    dd = projection_defect(space, (0, 3))
-    f = dd.compress(f_emb)
+def build_exam3_dilation(tup: OperatorTuple, depth: int) -> DilationResult:
+    """The hand-specified dilation of the exam3 tuple ``tup`` (``build_exam3``)
+    on its displayed defect: that of the coordinate projection T = I - E,
+    whose defect operator is the projection E onto the first and fourth of
+    the four summands.  The symbol members repeat (f, f*) down the copies,
+    and the zero-symbol members and the shift insert one extra zero block row."""
+    n = tup.dim // 4
+    t = np.zeros(tup.dim)
+    t[n:3 * n] = 1.0
+    dd = defect(np.diag(t))
+    f = dd.compress(tup.forms[0])
     fh, eye = f.conj().T, np.eye(dd.rank)
     a, z = ([fh], {0: f, 1: fh}), ([f, fh], {1: f, 2: fh})
     members = (a, a, z, a, z, z, ([None, eye], {2: eye}))
@@ -154,7 +154,7 @@ def build_exam3_dilation(alpha: float, trunc: int, depth: int) -> DilationResult
 
 def build_exam5(alpha: float = 0.5, trunc: int = 8):
     """Pentablock triple (damped identity, nilpotent symbol, coupled shift);
-    defect = first summand."""
+    defect = first summand.  Its fundamental X is the symbol P2."""
     space = ModelSpace(((2, trunc),) * 4)
     g = _raising_symbol(alpha, trunc)
     l0 = herm_sqrt(np.eye(2 * trunc) - 0.25 * (g.conj().T @ g + g @ g.conj().T))
@@ -164,11 +164,11 @@ def build_exam5(alpha: float = 0.5, trunc: int = 8):
     p2 = embed_blocks(space, {(0, 0): g})
     p3 = embed_blocks(space, {(1, 1): m2, (2, 3): m2, (3, 2): -1.0 * m2})
     tup = OperatorTuple("penta", (p1, p2, p3))
-    return space, tup, p2
+    return space, tup, {"X": p2}
 
 
 # ---------------------------------------------------------------------------
-# gallery-case runners
+# the operator-case battery
 
 
 def _merge(dst: CheckReport, src: CheckReport, prefix: str):
@@ -182,159 +182,146 @@ def _merge(dst: CheckReport, src: CheckReport, prefix: str):
     dst.undecided.extend(f"{prefix}: {u}" for u in src.undecided)
 
 
-def _expect_schaffer(rep: CheckReport, case: GalleryCase, fset, w,
-                     rel_label: str):
-    """Dilate a gamma7/gamma5 tuple and record its relation rows, the pivot
-    isometry, the co-extension property and the non-commuting members of
-    the first relation row."""
-    kind, piv = fset.kind, PIVOT[fset.kind]
-    dil = schaffer(fset, case.params["depth"])
-    kw = dil.window(w)
-    v = dil.ops
-    rel = max(kw.wnorm(v[i] - v[j].H @ v[piv])
-              for i, j, _, _ in RELATIONS[kind])
-    rep.add(rel_label, rel, 1e-9)
+def _by_label(rep: CheckReport) -> dict:
+    return {i.label: i.residual for i in rep.items}
+
+
+def _expect_fundamentals(rep: CheckReport, label: str, fset, w: Window, expected: dict):
+    """One item: the largest windowed gap between a solved F and its
+    displayed form (an array, zero where the form is zero)."""
+    rep.add(label, max(w.equal(fset.forms[n], f) for n, f in expected.items()), 1e-10)
+
+
+# the relation-row item of a Schäffer dilation, per kind
+_RELATION_LABEL = {"gamma7": "dilation relations Vi=V(7-i)*V7",
+                   "gamma5": "dilation relations W=partner* W3"}
+
+
+def _expect_schaffer(rep: CheckReport, dil: DilationResult, kw: Window):
+    """Record the relation rows of a Schäffer dilation, the pivot isometry
+    and the non-commuting members of the first relation row: the dilation
+    of a tuple whose sufficient-condition hypotheses fail."""
+    kind, piv, v = dil.kind, PIVOT[dil.kind], dil.ops
+    rel = max(kw.wnorm(v[i] - v[j].H @ v[piv]) for i, j, _, _ in RELATIONS[kind])
+    rep.add(_RELATION_LABEL[kind], rel, 1e-9)
     iso = kw.wnorm(v[piv].H @ v[piv] - _eye(dil.dim))
     rep.add(f"{MEMBERS[kind][piv]} isometric on window", iso, 1e-9)
-    rep.add("co-extension of the original tuple", max(dil.coextension_residuals(w)), 1e-9)
     i, j = RELATIONS[kind][0][:2]
     cviol = kw.wnorm(v[i] @ v[j] - v[j] @ v[i])
     rep.add("dilation members fail to commute (expected)",
             cviol, 0.9, ok=cviol >= 0.9)
 
 
-def _run_exam1(case: GalleryCase) -> CheckReport:
-    p = case.params
-    space, tup, expected_f = build_exam1(p["trunc"])
-    mar = auto_margin(space, tup.forms)
-    w = window(space, mar)
-    rep = CheckReport(name="exam1", window_margin=mar)
+@dataclass(frozen=True)
+class _OperatorCase:
+    """What an operator case declares; ``_run_operator_case`` runs the rest.
 
-    _merge(rep, is_commuting(tup, 1e-9, w), "tuple commutes")
+    ``build(params)`` gives the space, the tuple, the expected F (name ->
+    array) and any case data; ``expect`` labels the expected-F item.
+    ``dilate(fset, params)`` builds an isometric dilation; without it the
+    case takes Schäffer's, which need not commute.  A ``commute`` label
+    adds the torus chain and the commutator profile.  ``items(rep, **run)``
+    adds the case's own items from the battery's results."""
 
-    fset = solve_fundamentals(tup, tol=1e-9, window=w)
+    build: Callable
+    expect: str
+    items: Callable
+    dilate: Callable | None = None
+    commute: str | None = None
+
+
+def _exam1_items(rep, fset, prof, **_):
     rep.add("fundamental solve residual", max(fset.residuals.values()), 1e-9)
-    worst = max(w.equal(fset.forms[name], expected_f[name]) for name in expected_f)
-    rep.add("fundamentals match displayed forms", worst, 1e-10)
-
-    chain = chain_report(fset, z_samples=p["z_samples"], window=w)
-    _merge(rep, chain, "torus condition chain")
-    rep.notes.append(f"torus condition chain: {chain.notes[-1]}")
-    rep.margins = chain.margins
-
-    prof = commutator_profile(fset, tol=1e-10, window=w)
-    by_label = {i.label: i.residual for i in prof.items}
-    worst_comm = max(v for k, v in by_label.items() if k.startswith("[F") and "*" not in k)
-    rep.add("all [Fi,Fj]=0", worst_comm, 1e-10)
     for a, b in ((1, 6), (2, 5)):
-        gap = by_label[f"[F{b}*,F{b}]-[F{a}*,F{a}]"]
+        gap = prof[f"[F{b}*,F{b}]-[F{a}*,F{a}]"]
         rep.add(f"||[F{a}*,F{a}]-[F{b}*,F{b}]||", gap, 0.99, ok=gap >= 0.99)
-    rep.add("||[F3*,F3]-[F4*,F4]||", by_label["[F4*,F4]-[F3*,F3]"], 1e-10)
-
-    _merge(rep, necessary_conditions(fset, tol=1e-9, window=w),
-           "kernel-restricted necessary conditions")
-
-    _expect_schaffer(rep, case, fset, w, "dilation relations Vi=V(7-i)*V7")
+    rep.add("||[F3*,F3]-[F4*,F4]||", prof["[F4*,F4]-[F3*,F3]"], 1e-10)
     rep.notes.append("sufficient-condition hypotheses violated while the "
                      "necessary conditions hold: the hypotheses are not necessary")
-    return rep
 
 
-def _run_exam2(case: GalleryCase) -> CheckReport:
-    p = case.params
-    space, tup7, tup5, displayed, expected_g = build_exam2(p["trunc"])
-    mar = auto_margin(space, tup5.forms)
-    w = window(space, mar)
-    rep = CheckReport(name="exam2", window_margin=mar)
-
+def _exam2_items(rep, fset, data, prof, nec, **_):
     exact = max(float(np.linalg.norm(a - b, 2))
-                for a, b in zip(tup5.ops, displayed.ops))
+                for a, b in zip(fset.tup.ops, data[0].ops))
     rep.add("slice of exam1 equals displayed five-tuple", exact, 1e-12)
-
-    _merge(rep, is_commuting(tup5, 1e-9, w), "tuple commutes")
-
-    fset = solve_fundamentals(tup5, tol=1e-9, window=w)
-    worst = max(w.equal(fset.forms[name], expected_g[name]) for name in expected_g)
-    rep.add("fundamentals match displayed forms", worst, 1e-10)
-
-    chain = chain_report(fset, z_samples=p["z_samples"], window=w)
-    _merge(rep, chain, "torus condition chain")
-    rep.notes.append(f"torus condition chain: {chain.notes[-1]}")
-    rep.margins = chain.margins
-
-    nec = necessary_conditions(fset, tol=1e-9, window=w)
-    _merge(rep, nec, "kernel-restricted necessary conditions")
-    by = {i.label: i.residual for i in nec.items}
-    pair_gap = max(abs(by[f"({k})"] - by[f"({k}')"]) for k in range(2, 8))
+    nec = _by_label(nec)
+    pair_gap = max(abs(nec[f"({k})"] - nec[f"({k}')"]) for k in range(2, 8))
     rep.add("primed/unprimed condition pairs agree", pair_gap, 1e-10)
-
-    prof = commutator_profile(fset, tol=1e-10, window=w)
-    pb = {i.label: i.residual for i in prof.items}
-    worst_comm = max(pb[k] for k in pb if k.count("*") == 0 and "-" not in k)
-    rep.add("fundamental operators commute", worst_comm, 1e-10)
     for key in ("[G1*,G1]-[G2t*,G2t]", "[2G2*,2G2]-[2G1t*,2G1t]"):
-        rep.add(f"||{key}||", pb[key], 0.9, ok=pb[key] >= 0.9)
-
-    _expect_schaffer(rep, case, fset, w, "dilation relations W=partner* W3")
-    return rep
+        rep.add(f"||{key}||", prof[key], 0.9, ok=prof[key] >= 0.9)
 
 
-def _run_exam3(case: GalleryCase) -> CheckReport:
-    p = case.params
-    alpha = p["alpha"]
-    depth = max(p["depth"], 4)
-    space, tup, f_emb = build_exam3(alpha, p["trunc"])
-    mar = auto_margin(space, tup.forms)
-    w = window(space, mar)
-    rep = CheckReport(name="exam3", window_margin=mar)
-
-    _merge(rep, is_commuting(tup, 1e-9, w), "tuple commutes")
-
-    fset = solve_fundamentals(tup, tol=1e-9, window=w)
-    fms = fset.forms
-    worst = max(
-        max(w.equal(fms[n], f_emb) for n in ("F1", "F2", "F4")),
-        max(w.wnorm(fms[n]) for n in ("F3", "F5", "F6")),
-    )
-    rep.add("fundamentals: symbol on defect, zeros elsewhere", worst, 1e-10)
-
-    _merge(rep, necessary_conditions(fset, tol=1e-9, window=w),
-           "kernel-restricted necessary conditions")
-
-    dil = build_exam3_dilation(alpha, p["trunc"], depth)
-    _merge(rep, isometry_check(dil, tol=1e-9, window=dil.window(w)),
-           "hand-built dilation is a gamma7 isometry")
-    rep.add("co-extension of the original tuple", max(dil.coextension_residuals(w)), 1e-9)
-    rep.add("||V1|| equals |alpha|", abs(op_norm(dil.ops[0]) - abs(alpha)), 1e-9)
+def _exam3_items(rep, p, dil, **_):
+    rep.add("||V1|| equals |alpha|", abs(op_norm(dil.ops[0]) - abs(p["alpha"])), 1e-9)
     rep.add("||V3|| bounded by 1", max(0.0, op_norm(dil.ops[2]) - 1.0), 1e-9)
-    return rep
 
 
-def _run_exam5(case: GalleryCase) -> CheckReport:
-    p = case.params
-    alpha = p["alpha"]
-    space, tup, x_emb = build_exam5(alpha, p["trunc"])
-    mar = auto_margin(space, tup.forms)
-    w = window(space, mar)
-    rep = CheckReport(name="exam5", window_margin=mar)
-
-    _merge(rep, is_commuting(tup, 1e-9, w), "tuple commutes")
-
-    fset = solve_fundamentals(tup, tol=1e-9, window=w)
-    rep.add("fundamental of the last pair equals the symbol",
-            w.equal(fset.forms["X"], x_emb), 1e-10)
-
-    dil = pentablock_dilation(fset, p["depth"])
-    chk = isometry_check(dil, tol=1e-9, window=dil.window(w))
-    _merge(rep, chk, "dilation triple is a pentablock isometry")
-    by = {i.label: i.residual for i in chk.items}
+def _exam5_items(rep, p, dil, iso, **_):
+    by = _by_label(iso)
     rep.add("R2=R2*R3 on window", by["R2=R2*R3"], 1e-10)
     rep.add("R1*R1 + R2*R2/4 = I on window", by["R1*R1+R2*R2/4=I"], 1e-9)
-    rep.add("||R2|| equals |alpha|", abs(op_norm(dil.ops[1]) - abs(alpha)), 1e-8)
-    rep.add("co-extension of the original triple", max(dil.coextension_residuals(w)), 1e-9)
-    _merge(rep, necessary_conditions(fset, tol=1e-9, window=w),
-           "kernel-restricted necessary condition")
+    rep.add("||R2|| equals |alpha|", abs(op_norm(dil.ops[1]) - abs(p["alpha"])), 1e-8)
+
+
+# lambdas and the battery look each builder up at call time, so that a
+# rebound module attribute (a tracer's wrapper) is the one called
+_OPERATOR_CASES = {
+    "exam1": _OperatorCase(lambda p: build_exam1(p["trunc"]),
+                           "fundamentals match displayed forms", _exam1_items,
+                           commute="all [Fi,Fj]=0"),
+    "exam2": _OperatorCase(lambda p: build_exam2(p["trunc"]),
+                           "fundamentals match displayed forms", _exam2_items,
+                           commute="fundamental operators commute"),
+    "exam3": _OperatorCase(
+        lambda p: build_exam3(p["alpha"], p["trunc"]),
+        "fundamentals: symbol on defect, zeros elsewhere", _exam3_items,
+        lambda fset, p: build_exam3_dilation(fset.tup, max(p["depth"], 4))),
+    "exam5": _OperatorCase(
+        lambda p: build_exam5(p["alpha"], p["trunc"]),
+        "fundamental of the last pair equals the symbol", _exam5_items,
+        lambda fset, p: pentablock_dilation(fset, p["depth"])),
+}
+
+
+def _run_operator_case(case: GalleryCase) -> CheckReport:
+    """The battery of exam1, exam2, exam3 and exam5, in one order: window,
+    tuple commutes, solve, expected fundamentals, torus chain and profile,
+    necessary conditions, dilation and co-extension, the case's own items."""
+    p, spec = case.params, _OPERATOR_CASES[case.id]
+    space, tup, expected, *data = spec.build(p)
+    mar = auto_margin(space, tup.forms)
+    w = window(space, mar)
+    rep = CheckReport(name=case.id, window_margin=mar)
+    _merge(rep, is_commuting(tup, 1e-9, w), "tuple commutes")
+    fset = solve_fundamentals(tup, tol=1e-9, window=w)
+    _expect_fundamentals(rep, spec.expect, fset, w, expected)
+
+    prof = iso = None
+    if spec.commute:
+        chain = chain_report(fset, z_samples=p["z_samples"], window=w)
+        _merge(rep, chain, "torus condition chain")
+        rep.notes.append(f"torus condition chain: {chain.notes[-1]}")
+        rep.margins = chain.margins
+        prof = _by_label(commutator_profile(fset, tol=1e-10, window=w))
+        plain = max(v for k, v in prof.items() if "*" not in k and "-" not in k)
+        rep.add(spec.commute, plain, 1e-10)
+    nec = necessary_conditions(fset, tol=1e-9, window=w)
+    _merge(rep, nec, "kernel-restricted necessary conditions")
+
+    if spec.dilate is None:
+        dil = schaffer(fset, p["depth"])
+        _expect_schaffer(rep, dil, dil.window(w))
+    else:
+        dil = spec.dilate(fset, p)
+        iso = isometry_check(dil, tol=1e-9, window=dil.window(w))
+        _merge(rep, iso, f"dilation is a {dil.kind} isometry")
+    rep.add("co-extension of the original tuple", max(dil.coextension_residuals(w)), 1e-9)
+    spec.items(rep, p=p, fset=fset, data=data, prof=prof, nec=nec, dil=dil, iso=iso)
     return rep
+
+
+# ---------------------------------------------------------------------------
+# point-level families
 
 
 def _run_pi_family(case: GalleryCase) -> CheckReport:
@@ -398,14 +385,10 @@ def _run_axis_family(case: GalleryCase) -> CheckReport:
     fset = solve_fundamentals(tup, tol=1e-9, window=w)
     dd = fset.defect
     rep.add("defect operator is a projection", dd.projection_gap, 1e-9)
-    f1_exp = embed_blocks(space, {(1, 1): (1.0 / 3.0) * (eye + m)})
-    f6_exp = embed_blocks(space, {(1, 1): (1.0 / 3.0) * m})
-    fms = fset.forms
-    worst = max(
-        w.equal(fms["F1"], f1_exp), w.equal(fms["F6"], f6_exp),
-        max(w.wnorm(fms[n]) for n in ("F2", "F3", "F4", "F5")),
-    )
-    rep.add("fundamentals carry the averaged symbols", worst, 1e-10)
+    _expect_fundamentals(rep, "fundamentals carry the averaged symbols", fset, w, {
+        "F1": embed_blocks(space, {(1, 1): (1.0 / 3.0) * (eye + m)}),
+        "F6": embed_blocks(space, {(1, 1): (1.0 / 3.0) * m}),
+        **dict.fromkeys(("F2", "F3", "F4", "F5"), np.zeros_like(pid))})
 
     prof = commutator_profile(fset, tol=1e-10, window=w)
     rep.add("all commutator identities hold (contrast with exam1)",
@@ -418,7 +401,7 @@ def _run_axis_family(case: GalleryCase) -> CheckReport:
     gap = 0.0
     for i, j in ((i, j) for i, j, _, _ in RELATIONS["gamma7"] if i < j):
         fi, fj, di, dj = (kw.compress(x) for x in (
-            fms[f"F{i+1}"], fms[f"F{j+1}"], tup.forms[i], tup.forms[j]))
+            fset.forms[f"F{i+1}"], fset.forms[f"F{j+1}"], tup.forms[i], tup.forms[j]))
         gap = max(gap, float(np.linalg.norm(
             (_self_comm(fi) - _self_comm(fj)) - (_self_comm(di) - _self_comm(dj)), 2)))
     rep.add("kernel-restricted tuple mirrors fundamental commutators", gap, 1e-10)
@@ -445,10 +428,7 @@ def _run_axis_family(case: GalleryCase) -> CheckReport:
 
 
 _RUNNERS = {
-    "exam1": _run_exam1,
-    "exam2": _run_exam2,
-    "exam3": _run_exam3,
-    "exam5": _run_exam5,
+    **dict.fromkeys(_OPERATOR_CASES, _run_operator_case),
     "pi_family": _run_pi_family,
     "axis_family": _run_axis_family,
 }

@@ -10,7 +10,7 @@ read the level shift of an operator off its nonzero entries
 Coordinate rule: residual checks and dilations run on coordinate forms
 (``_Block``), the nonzeros of an operator read by ``_compact``.  The object
 that holds an operator owns its form, read once: ``OperatorTuple.forms``,
-``DefectData.form``, ``FundamentalSet.forms`` (the solve keeps its own) and
+``DefectData.form``, ``FundamentalSet.forms`` (its only copy of each F) and
 the members of a ``DilationResult``; no check compacts those arrays again.
 This is exact: ``_mat`` admits only finite entries, so each dropped term is
 0 * x = 0, and zero rows and columns carry no nonzero singular value.  A product sums

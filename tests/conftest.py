@@ -4,8 +4,7 @@ import pytest
 from mudilate.opcore import _compact
 from mudilate.fundamentals import (PIVOT, FundamentalSet, _rhs_map, defect,
                                    equation_residuals)
-from mudilate.gallery import (build_exam1, build_exam2, build_exam3,
-                              build_exam3_dilation, build_exam5)
+from mudilate.gallery import build_exam1, build_exam2, build_exam3, build_exam5
 from mudilate.spaces import window
 
 
@@ -21,20 +20,20 @@ def exam1():
 
 @pytest.fixture(scope="session")
 def exam2():
-    space, tup7, tup5, displayed, expected_g = build_exam2(TRUNC)
-    return space, tup7, tup5, displayed, expected_g, window(space, MARGIN)
+    space, tup5, expected_g, displayed = build_exam2(TRUNC)
+    return space, tup5, expected_g, displayed, window(space, MARGIN)
 
 
 @pytest.fixture(scope="session")
 def exam3():
-    space, tup, f_emb = build_exam3(0.5, TRUNC)
-    return space, tup, f_emb, window(space, MARGIN)
+    space, tup, expected_f = build_exam3(0.5, TRUNC)
+    return space, tup, expected_f, window(space, MARGIN)
 
 
 @pytest.fixture(scope="session")
 def exam5():
-    space, tup, x_emb = build_exam5(0.5, TRUNC)
-    return space, tup, x_emb, window(space, MARGIN)
+    space, tup, expected_x = build_exam5(0.5, TRUNC)
+    return space, tup, expected_x["X"], window(space, MARGIN)
 
 
 def random_contraction(rng, dim, top=0.95):
@@ -63,8 +62,7 @@ def unchecked_fundamentals(tup):
     dplus = _compact(dd.pinv())
     rhs = _rhs_map(tup)
     forms = {name: dplus @ b @ dplus for name, b in rhs.items()}
-    return FundamentalSet(tup, {name: f.dense() for name, f in forms.items()},
-                          equation_residuals(rhs, dd, forms, np.inf), dd)
+    return FundamentalSet(tup, forms, equation_residuals(rhs, dd, forms, np.inf), dd)
 
 
 def range_side_kernel(dd, w):

@@ -53,7 +53,7 @@ def test_criterion_1_exam1_reproduction():
 
 
 def test_criterion_2_exam2_reproduction():
-    space, tup7, tup5, displayed, _ = build_exam2(8)
+    space, tup5, _, displayed = build_exam2(8)
     w = window(space, 4)
     slice_gap = max(float(np.linalg.norm(a - b, 2))
                     for a, b in zip(tup5.ops, displayed.ops))
@@ -78,7 +78,7 @@ def test_criterion_3_exam3_sweep():
     for alpha in (0.0, 0.25, 0.5, 0.75, 1.0):
         space, tup, _ = build_exam3(alpha, 8)
         w = window(space, 4)
-        dil = build_exam3_dilation(alpha, 8, 6)
+        dil = build_exam3_dilation(tup, 6)
         kw = dil.window(w)
         comm = is_commuting(dil, tol=1e-9, window=kw)
         v = [o.dense() for o in dil.ops]

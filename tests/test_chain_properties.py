@@ -60,7 +60,7 @@ def test_gallery_tuples_on_their_windows(case):
     if case == "exam1":
         space, tup, _ = build_exam1(8)
     else:
-        space, _, tup, _, _ = build_exam2(8)
+        space, tup, _, _ = build_exam2(8)
     w = window(space, auto_margin(space, tup.ops))
     _assert_matches_dense(solve_fundamentals(tup, tol=CHAIN_TOL, window=w), 8, w)
 

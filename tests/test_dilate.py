@@ -9,7 +9,7 @@ from mudilate.fundamentals import (ExpansiveError, FundamentalSet, defect,
                                    solve_fundamentals)
 from mudilate.dilate import (DilateError, coextension, egervary,
                              pentablock_dilation, pushforward, schaffer)
-from mudilate.gallery import build_exam1, build_exam2, build_exam3_dilation
+from mudilate.gallery import build_exam1, build_exam2, build_exam3, build_exam3_dilation
 
 from conftest import random_contraction
 
@@ -107,9 +107,10 @@ class TestDenseLimit:
     def test_exam3_dilation(self, monkeypatch):
         # 8 trunc base coordinates plus depth copies of the 4 trunc-dim defect
         monkeypatch.setattr(opcore, "MAX_DENSE_DIM", 8 * 6 + 2 * 4 * 6)
-        assert build_exam3_dilation(0.5, 6, 2).dim == 8 * 6 + 2 * 4 * 6
+        tup = build_exam3(0.5, 6)[1]
+        assert build_exam3_dilation(tup, 2).dim == 8 * 6 + 2 * 4 * 6
         with pytest.raises(DilateError, match="exceeds the dense limit"):
-            build_exam3_dilation(0.5, 6, 3)
+            build_exam3_dilation(tup, 3)
 
 
 class TestSchaffer:
@@ -145,7 +146,7 @@ class TestSchaffer:
         assert max(dil.coextension_residuals(w)) <= 1e-9
 
     def test_exam2_relations(self, exam2):
-        _, _, tup5, _, _, w = exam2
+        _, tup5, _, _, w = exam2
         fset = solve_fundamentals(tup5, window=w)
         dil = schaffer(fset, 4)
         kw = dil.window(w)
@@ -217,13 +218,13 @@ class TestCoordinateLayout:
 
     @pytest.mark.parametrize("depth", [2, 4, 7])
     @pytest.mark.parametrize("case", ["exam1", "exam2", "exam3", "exam5"])
-    def test_gallery_dilations(self, case, depth, monkeypatch, exam1, exam2, exam5):
+    def test_gallery_dilations(self, case, depth, monkeypatch, exam1, exam2, exam3, exam5):
         if case == "exam3":
             calls = self._spy(monkeypatch, gallery)
-            dil = build_exam3_dilation(0.5, 8, depth)
+            dil = build_exam3_dilation(exam3[1], depth)
         else:
             calls = self._spy(monkeypatch, dilate)
-            tup, w = {"exam1": (exam1[1], exam1[3]), "exam2": (exam2[2], exam2[5]),
+            tup, w = {"exam1": (exam1[1], exam1[3]), "exam2": (exam2[1], exam2[4]),
                       "exam5": (exam5[1], exam5[3])}[case]
             build = pentablock_dilation if case == "exam5" else schaffer
             dil = build(solve_fundamentals(tup, window=w), depth)
@@ -252,7 +253,7 @@ class TestDilationWindow:
             dil = schaffer(solve_fundamentals(tup, window=w), depth)
         elif case == "exam3":
             w = exam3[3]
-            dil = build_exam3_dilation(0.5, 8, depth)
+            dil = build_exam3_dilation(exam3[1], depth)
         else:
             vals = (0.2, -0.15, 0.1, 0.05, 0.3, -0.25, 0.6)
             tup = OperatorTuple("gamma7", tuple(v * np.eye(2) for v in vals))
@@ -356,7 +357,7 @@ class TestPushforward:
             np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_pi_eta_at_one_matches_exam2(self, exam2):
-        _, tup7, tup5, displayed, _, _ = exam2
+        _, tup5, _, displayed, _ = exam2
         for got, want in zip(tup5.ops, displayed.ops):
             assert np.linalg.norm(got - want, 2) <= 1e-12
 

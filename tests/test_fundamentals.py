@@ -102,7 +102,7 @@ class TestSolveFundamentals:
         # gallery tuple
         from mudilate.fundamentals import _rhs_map
         cases = [("gamma7", exam1[1], exam1[3], 6),
-                 ("gamma5", exam2[2], exam2[5], 2),
+                 ("gamma5", exam2[1], exam2[4], 2),
                  ("sym", OperatorTuple("sym", (exam5[1].ops[1], exam5[1].ops[2])),
                   exam5[3], 1),
                  ("penta", exam5[1], exam5[3], 2)]
@@ -210,7 +210,7 @@ class TestChainReport:
 
     @pytest.mark.parametrize("kind", ["gamma7", "gamma5"])
     def test_nilpotent_sums_make_radius_items_vacuous(self, kind, exam1, exam2):
-        tup, w = (exam1[1], exam1[3]) if kind == "gamma7" else (exam2[2], exam2[5])
+        tup, w = (exam1[1], exam1[3]) if kind == "gamma7" else (exam2[1], exam2[4])
         rep = _chain_solved(tup, 8, w)
         assert rep.verdict == "pass"
         assert not [i for i in rep.items if i.label.startswith("radius<=2")]
@@ -258,7 +258,7 @@ class TestChainReport:
         assert "rho-pair-psd 2/1, radius<=2 2/1," in rep.notes[-1]
 
     def test_exam2_all_pass(self, exam2):
-        space, _, tup5, _, _, w = exam2
+        space, tup5, _, _, w = exam2
         rep = _chain_solved(tup5, 8, w)
         assert rep.verdict == "pass"
 

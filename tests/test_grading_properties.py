@@ -162,7 +162,7 @@ def test_graded_chain_matches_its_sampled_path(case, monkeypatch):
     if case == "exam1":
         space, tup, _ = build_exam1(8)
     else:
-        space, _, tup, _, _ = build_exam2(8)
+        space, tup, _, _ = build_exam2(8)
     w = window(space, auto_margin(space, tup.ops))
     fset = solve_fundamentals(tup, window=w)
     graded = chain_report(fset, z_samples=8, window=w)

@@ -66,7 +66,7 @@ class TestIsometryCheck:
 
     def test_exam3_dilation_gamma7(self, exam3):
         _, tup, _, w = exam3
-        dil = build_exam3_dilation(0.5, 8, 6)
+        dil = build_exam3_dilation(tup, 6)
         kw = dil.window(w)
         rep = isometry_check(dil, window=kw)
         assert rep.verdict == "pass"
@@ -77,7 +77,7 @@ class TestIsometryCheck:
         # margin never falls below 2: at depth 2 no copy is kept, since a
         # kept copy would map past the cut
         _, tup, _, w = exam3
-        dil = build_exam3_dilation(0.5, 8, depth)
+        dil = build_exam3_dilation(tup, depth)
         assert dil.reach == 2
         rep = isometry_check(dil, window=dil.window(w))
         assert rep.verdict == "pass"
@@ -92,9 +92,9 @@ class TestFormsMatchDenseTuple:
         from mudilate.dilate import pentablock_dilation, schaffer
         if case == "exam3":
             w = exam3[3]
-            dil = build_exam3_dilation(0.5, 8, 4)
+            dil = build_exam3_dilation(exam3[1], 4)
         else:
-            tup, w = {"exam1": (exam1[1], exam1[3]), "exam2": (exam2[2], exam2[5]),
+            tup, w = {"exam1": (exam1[1], exam1[3]), "exam2": (exam2[1], exam2[4]),
                       "exam5": (exam5[1], exam5[3])}[case]
             build = pentablock_dilation if case == "exam5" else schaffer
             dil = build(solve_fundamentals(tup, window=w), 4)
@@ -144,7 +144,7 @@ class TestNecessaryConditions:
         assert rep.undecided  # existence half has no finite test
 
     def test_exam2_pairs_agree(self, exam2):
-        _, _, tup5, _, _, w = exam2
+        _, tup5, _, _, w = exam2
         fset = solve_fundamentals(tup5, window=w)
         rep = necessary_conditions(fset, window=w)
         assert rep.verdict == "pass"
@@ -202,7 +202,7 @@ class TestCommutatorProfile:
         assert rep.verdict == "hypothesis-violated"
 
     def test_exam2_gaps(self, exam2):
-        _, _, tup5, _, _, w = exam2
+        _, tup5, _, _, w = exam2
         fset = solve_fundamentals(tup5, window=w)
         rep = commutator_profile(fset, tol=1e-10, window=w)
         by = {i.label: i.residual for i in rep.items}
@@ -275,7 +275,7 @@ class TestPairsListedOnce:
         assert len(by) == 15 + len(listed)
 
     def test_gamma5_profile_drops_quarter_identity(self, exam2):
-        _, _, tup5, _, _, w = exam2
+        _, tup5, _, _, w = exam2
         fset = solve_fundamentals(tup5, window=w)
         by = {i.label: i.residual for i in commutator_profile(fset, window=w).items}
         assert "[G2*,G2]-[G1t*,G1t]" not in by and len(by) == 18
@@ -383,7 +383,7 @@ class TestCompactChecksMatchDense:
         w = window(space, auto_margin(space, tup.ops))
         fset = solve_fundamentals(tup, window=w)
         if case_id == "exam3":
-            dil = build_exam3_dilation(0.5, 8, 4)
+            dil = build_exam3_dilation(tup, 4)
             kw = dil.window(w)
         else:
             dil = pentablock_dilation(fset, 4)
@@ -401,7 +401,7 @@ class TestCompactChecksMatchDense:
                 return tuple(out)
             tup = OperatorTuple(tup.kind, pert(tup.ops))
             fset = replace(fset, tup=tup,
-                           ops=dict(zip(fset.ops, pert(fset.ops.values()))),
+                           forms=dict(zip(fset.names(), pert([fset[n] for n in fset.names()]))),
                            defect=replace(fset.defect, D=pert([fset.defect.D])[0]))
             dil = replace(dil, base=tup, ops=tuple(map(_compact, pert(
                 [o.dense() for o in dil.ops]))))
