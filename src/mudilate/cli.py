@@ -123,7 +123,7 @@ def _fundamentals_for(tup, path=None, tol=1e-9):
     if path is None:
         return solve_fundamentals(tup, tol)
     require_commuting(tup)
-    rhs, dd = _rhs_map(tup), defect(tup.ops[PIVOT[tup.kind]])
+    rhs, dd = _rhs_map(tup), defect(tup.forms[PIVOT[tup.kind]])
     given = _load_json(path)
     given = given.get("ops", {}) if isinstance(given, dict) else {}
     ops = {}

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import opcore
-from .opcore import (WHOLE_SPACE, OperatorTuple, OpcoreError, _coalesce, _compact,
+from .opcore import (WHOLE_SPACE, OperatorTuple, OpcoreError, _Block, _coalesce, _compact,
                      _eye, _Forms, _mat, herm_sqrt, op_norm)
 from .fundamentals import (PIVOT, RELATIONS, DefectData, ExpansiveError,
                            FundamentalSet, defect)
@@ -107,14 +107,11 @@ class DilationResult(_Forms):
         margin = min(2 * self.reach, max(self.reach, self.depth - 1))
         keepv = h_window.inside(self.defect.range_basis)
         blocks = [h_window.basis] + [keepv] * (self.depth - margin)
-        basis = np.zeros((self.dim, sum(b.shape[1] for b in blocks)), dtype=complex)
-        r = c = 0
-        # block by block, so each entry keeps its bytes (a Kronecker product
-        # with the identity would write 0 * x = -0.0 for negative x)
-        for b in blocks:
-            basis[r:r + b.shape[0], c:c + b.shape[1]] = b
-            r, c = r + b.shape[0], c + b.shape[1]
-        return Window(h_window.margin, basis)
+        # the blocks down the diagonal, each offset into place
+        r, c = np.cumsum([[0, 0]] + [b.shape for b in blocks], axis=0).T
+        i, j, v = map(np.concatenate, zip(*[(b.i + ro, b.j + co, b.v)
+                                            for b, ro, co in zip(blocks, r, c)]))
+        return Window(h_window.margin, _Block(i, j, v, (self.dim, int(c[-1]))))
 
 
 def coextension(tup: OperatorTuple, dd: DefectData, depth: int,
@@ -139,7 +136,7 @@ def coextension(tup: OperatorTuple, dd: DefectData, depth: int,
     n, r = tup.dim, dd.rank
     dim = n + depth * r
     _check_dim(dim)
-    drow = _compact(dd.range_basis).H @ dd.form
+    drow = dd.range_basis.H @ dd.form
     # one form per distinct block, and one X q*D per distinct factor X
     blocks = {id(x): x for col, band in members for x in (*col[:depth], *band.values())}
     form = {k: _compact(x) for k, x in blocks.items() if x is not None}

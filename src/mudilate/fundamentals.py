@@ -12,14 +12,14 @@ space never poisons an identity that holds in the infinite model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .opcore import (WHOLE_SPACE, OperatorTuple, OpcoreError, _compact, _square,
-                     grading, numerical_radius, op_norm, spectral_radius)
+from .opcore import (WHOLE_SPACE, OperatorTuple, OpcoreError, _Block, _compact, _diag,
+                     _eigh, _eye, _mat, _nonzeros, grading, numerical_radius, op_norm,
+                     spectral_radius)
 from .report import CheckReport
-from .spaces import AnyWindow, Window
+from .spaces import AnyWindow
 
 
 class SolveError(OpcoreError):
@@ -32,20 +32,18 @@ class ExpansiveError(OpcoreError):
 
 @dataclass
 class DefectData:
-    """Defect operator of a contraction, its range and its kernel; only
-    ``defect`` builds it.
+    """D = (I - T*T)^(1/2) of a contraction (``form``; ``D`` is the array),
+    its range and kernel as forms; only ``defect`` builds it.  ``range_basis``
+    holds the eigenvectors of D whose eigenvalues ``dvals`` exceed 1e-8 (rank
+    counts them), ``kernel_basis`` the rest; each dropped eigenvalue is exactly
+    0 (``defect`` zeroes Gram eigenvalues below 64 eps; any other root > 1e-7)."""
 
-    D = (I - T*T)^(1/2); ``range_basis`` holds the eigenvectors of D whose
-    eigenvalues ``dvals`` exceed the cutoff 1e-8 (rank counts them), and
-    ``kernel_basis`` the rest: one orthonormal eigenbasis.  Every dropped
-    eigenvalue is exactly 0: ``defect`` zeroes Gram eigenvalues below 64
-    eps, and the square root of any other is above 1e-7.
-    """
-
-    D: np.ndarray
-    range_basis: np.ndarray
+    form: _Block
+    range_basis: _Block
     dvals: np.ndarray
-    kernel_basis: np.ndarray
+    kernel_basis: _Block
+
+    D = property(lambda self: self.form.dense())
 
     @property
     def rank(self) -> int:
@@ -62,28 +60,30 @@ class DefectData:
         """D^2 = D to 1e-9 (partial isometry)."""
         return self.projection_gap <= 1e-9
 
-    def pinv(self) -> np.ndarray:
-        q = self.range_basis
-        return (q / self.dvals) @ q.conj().T
+    def pinv(self) -> _Block:
+        return self.range_basis @ _diag(1.0 / self.dvals) @ self.range_basis.H
 
-    @cached_property
-    def form(self):
-        """The coordinate form of D, read once."""
-        return _compact(self.D)
-
-    @cached_property
-    def compress(self):
-        """Defect-coordinate matrix Q* A Q: ``Window.compress`` on the range
-        basis Q, whose window is built once."""
-        return Window(None, self.range_basis).compress
+    def compress(self, a) -> np.ndarray:
+        """Defect-coordinate matrix Q* A Q on the range basis Q."""
+        return (self.range_basis.H @ (_compact(a) @ self.range_basis)).dense()
 
 
 def defect(t) -> DefectData:
-    """D_T, its range and its kernel; ExpansiveError unless ||T|| <= 1 + 1e-8."""
-    m = _square(t, "defect operator")
-    g = np.eye(m.shape[0]) - m.conj().T @ m
-    g = (g + g.conj().T) / 2.0
-    w, v = np.linalg.eigh(g)
+    """D_T, its range and kernel; ExpansiveError unless ||T|| <= 1 + 1e-8.  A T
+    with at most one entry per row (every exam pivot) has a diagonal I - T*T,
+    read off by ``_eigh`` with no array; any other T takes one dense ``eigh``."""
+    m = t if isinstance(t, _Block) else _mat(t)
+    n, form = m.shape[0], isinstance(m, _Block)
+    if m.shape[1] != n:
+        raise OpcoreError("defect operator needs a square matrix")
+    if (np.bincount(m.i, minlength=n) if form else np.count_nonzero(m, axis=1)).max() <= 1:
+        f = m if form else _nonzeros(m)
+        w, v = _eigh(_eye(n) - f.H @ f)
+    else:
+        m = m.dense() if form else m
+        g = np.eye(n) - m.conj().T @ m
+        w, v = np.linalg.eigh((g + g.conj().T) / 2.0)
+        del g
     nrm = np.sqrt(max(0.0, 1.0 - w.min()))  # ||T||^2 = 1 - min eig(I - T*T)
     if nrm > 1.0 + 1e-8:
         raise ExpansiveError(f"not a contraction: norm {nrm:.6f}")
@@ -91,13 +91,15 @@ def defect(t) -> DefectData:
     # Gram eigenvalues below roundoff would be inflated by the square root;
     # zero them before it (I - T*T carries ~eps absolute error)
     w[w < 64.0 * np.finfo(float).eps * max(1.0, w.max())] = 0.0
-    dvals_all = np.sqrt(w)
-    dmat = (v * dvals_all) @ v.conj().T
-    dmat = (dmat + dmat.conj().T) / 2.0
+    dvals = np.sqrt(w)
     # D <= I for a contraction, so 1e-8 * max(1, ||D||) is an absolute cut
-    keep = dvals_all > 1e-8 * max(dvals_all.max(), 1.0)
-    return DefectData(D=dmat, range_basis=v[:, keep], dvals=dvals_all[keep],
-                      kernel_basis=v[:, ~keep])
+    keep = dvals > 1e-8 * max(dvals.max(), 1.0)
+    if isinstance(v, _Block):
+        q = v.cols(keep)
+        return DefectData(q @ _diag(dvals[keep]) @ q.H, q, dvals[keep], v.cols(~keep))
+    d = (v * dvals) @ v.conj().T
+    d = _nonzeros((d + d.conj().T) / 2.0)  # D's form; its array goes before v is read
+    return DefectData(d, _nonzeros(v[:, keep]), dvals[keep], _nonzeros(v[:, ~keep]))
 
 
 # index of the distinguished contraction whose defect carries the equations
@@ -189,8 +191,8 @@ def solve_fundamentals(tup: OperatorTuple, tol: float = 1e-9,
     """
     require_commuting(tup, window)
     rhs = _rhs_map(tup)
-    dd = defect(tup.ops[PIVOT[tup.kind]])
-    dplus = _compact(dd.pinv())
+    dd = defect(tup.forms[PIVOT[tup.kind]])
+    dplus = dd.pinv()
     forms = {name: dplus @ b @ dplus for name, b in rhs.items()}
     return FundamentalSet(tup, forms, equation_residuals(rhs, dd, forms, tol, window), dd)
 
@@ -285,7 +287,7 @@ def chain_report(fset: FundamentalSet, z_samples: int = 32,
 
     # one coordinate pair per relation row with i < j, both members scaled
     # by the row weight; the partner row supplies the second fundamental
-    t = tup.ops
+    t = tup.forms
     last = t[PIVOT[kind]]
     fname = {i: name for i, _, name, _ in RELATIONS[kind]}
     idx = [m[1:] for m in MEMBERS[kind]]
@@ -295,7 +297,7 @@ def chain_report(fset: FundamentalSet, z_samples: int = 32,
     rep.add("fundamental-solvability", max(fset.residuals.values(), default=0.0),
             CHAIN_TOL)
 
-    h = comp(2.0 * (np.eye(tup.dim) - last.conj().T @ last))
+    h = comp(2.0 * (_eye(tup.dim) - last.H @ last))
     h = (h + h.conj().T) / 2.0
     h_pattern = np.abs(h) + np.eye(len(h))  # supp h and the diagonal: degree 0
     rho_min = np.inf
@@ -303,7 +305,7 @@ def chain_report(fset: FundamentalSet, z_samples: int = 32,
     for a, b, tag, names in pairs:
         ca, cb = comp(a), comp(b)
         s = a + b
-        k = comp(s - s.conj().T @ last)
+        k = comp(s - s.H @ last)
         p_rho = min(over_torus(
             "rho-pair-psd",
             lambda z: float(np.linalg.eigvalsh(h - z * k - (z * k).conj().T)[0]),

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from . import opcore
-from .opcore import OperatorTuple, _eye, herm_sqrt, op_norm
+from .opcore import OperatorTuple, _diag, _eye, herm_sqrt, op_norm
 from .spaces import ModelSpace, Window, auto_margin, embed_blocks, hardy_shift, window
 from .domains import (DomainPoint, membership, point_pi, point_pi_eta,
                       psi3_supnorm)
@@ -132,7 +132,7 @@ def build_exam3(alpha: float = 0.5, trunc: int = 8):
     b = np.zeros((space.total_dim,) * 2, dtype=complex)
     p = embed_blocks(space, {(1, 2): m2, (2, 1): -1.0 * m2})
     tup = OperatorTuple("gamma7", (a, a, b, a, b, b, p))
-    return space, tup, {name: tup.ops[i] for i, _, name, _ in RELATIONS["gamma7"]}
+    return space, tup, {name: tup.forms[i] for i, _, name, _ in RELATIONS["gamma7"]}
 
 
 def build_exam3_dilation(tup: OperatorTuple, depth: int) -> DilationResult:
@@ -141,10 +141,9 @@ def build_exam3_dilation(tup: OperatorTuple, depth: int) -> DilationResult:
     whose defect operator is the projection E onto the first and fourth of
     the four summands.  The symbol members repeat (f, f*) down the copies,
     and the zero-symbol members and the shift insert one extra zero block row."""
-    n = tup.dim // 4
-    t = np.zeros(tup.dim)
-    t[n:3 * n] = 1.0
-    dd = defect(np.diag(t))
+    summand = np.arange(tup.dim) // (tup.dim // 4)
+    s = _eye(tup.dim).cols((summand == 1) | (summand == 2))  # T = I - E = S S*
+    dd = defect(s @ s.H)
     f = dd.compress(tup.forms[0])
     fh, eye = f.conj().T, np.eye(dd.rank)
     a, z = ([fh], {0: f, 1: fh}), ([f, fh], {1: f, 2: fh})
@@ -164,7 +163,7 @@ def build_exam5(alpha: float = 0.5, trunc: int = 8):
     p2 = embed_blocks(space, {(0, 0): g})
     p3 = embed_blocks(space, {(1, 1): m2, (2, 3): m2, (3, 2): -1.0 * m2})
     tup = OperatorTuple("penta", (p1, p2, p3))
-    return space, tup, {"X": p2}
+    return space, tup, {"X": tup.forms[1]}
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +187,7 @@ def _by_label(rep: CheckReport) -> dict:
 
 def _expect_fundamentals(rep: CheckReport, label: str, fset, w: Window, expected: dict):
     """One item: the largest windowed gap between a solved F and its
-    displayed form (an array, zero where the form is zero)."""
+    displayed form (a coordinate form, or an array read for its form)."""
     rep.add(label, max(w.equal(fset.forms[n], f) for n, f in expected.items()), 1e-10)
 
 
@@ -217,7 +216,7 @@ class _OperatorCase:
     """What an operator case declares; ``_run_operator_case`` runs the rest.
 
     ``build(params)`` gives the space, the tuple, the expected F (name ->
-    array) and any case data; ``expect`` labels the expected-F item.
+    form or array) and any case data; ``expect`` labels the expected-F item.
     ``dilate(fset, params)`` builds an isometric dilation; without it the
     case takes Schäffer's, which need not commute.  A ``commute`` label
     adds the torus chain and the commutator profile.  ``items(rep, **run)``
@@ -388,7 +387,7 @@ def _run_axis_family(case: GalleryCase) -> CheckReport:
     _expect_fundamentals(rep, "fundamentals carry the averaged symbols", fset, w, {
         "F1": embed_blocks(space, {(1, 1): (1.0 / 3.0) * (eye + m)}),
         "F6": embed_blocks(space, {(1, 1): (1.0 / 3.0) * m}),
-        **dict.fromkeys(("F2", "F3", "F4", "F5"), np.zeros_like(pid))})
+        **dict.fromkeys(("F2", "F3", "F4", "F5"), _diag(np.zeros(0), (tup.dim,) * 2))})
 
     prof = commutator_profile(fset, tol=1e-10, window=w)
     rep.add("all commutator identities hold (contrast with exam1)",

@@ -7,17 +7,18 @@ input check (2-D, positive dimensions, finite entries).  Truncation windows
 read the level shift of an operator off its nonzero entries
 (``spaces.auto_margin``).
 
-Coordinate rule: residual checks and dilations run on coordinate forms
-(``_Block``), the nonzeros of an operator read by ``_compact``.  The object
-that holds an operator owns its form, read once: ``OperatorTuple.forms``,
-``DefectData.form``, ``FundamentalSet.forms`` (its only copy of each F) and
-the members of a ``DilationResult``; no check compacts those arrays again.
-This is exact: ``_mat`` admits only finite entries, so each dropped term is
-0 * x = 0, and zero rows and columns carry no nonzero singular value.  A product sums
-the terms a_ik b_kj of each entry, unless there are more terms than entries
-in the product of the two support blocks; one BLAS product of the blocks is
-then cheaper and no larger.  Dilations so cost about their nonzeros, and a
-dense operand one BLAS product plus the scatter and gather around it.
+Coordinate rule: residual checks, windows and dilations run on coordinate
+forms (``_Block``), the nonzeros of an operator read by ``_compact``.  The
+object that holds an operator owns its form, read once: ``OperatorTuple.forms``,
+``DefectData`` (D and its range and kernel bases), ``FundamentalSet.forms``,
+``Window.basis`` and the members of a ``DilationResult``; no check compacts
+those arrays again.  This is exact: ``_mat`` admits only finite entries, so
+each dropped term is 0 * x = 0, and zero rows and columns carry no nonzero
+singular value.  A product sums the terms a_ik b_kj of each entry, unless
+the terms outnumber both the operands' entries and the entries of the product
+of the two support blocks; one BLAS product of the blocks is then cheaper and
+no larger.  A selection or diagonal B gives each a_ik at most one term, so
+windows and dilations cost about their nonzeros.
 
 The kernel runs on numpy alone except for the QZ fallback of
 ``numerical_radius`` on input that is not unit-graded (``_level_set_radius``),
@@ -78,8 +79,10 @@ ARITY = {"gamma7": 7, "gamma5": 5, "penta": 3, "tetra": 3, "sym": 2}
 def _frame(ids, size):
     """The ascending distinct values of an index array over range(size), and
     the position of each index among them."""
-    seen = np.bincount(ids, minlength=size) > 0
-    return np.flatnonzero(seen), ids if seen.all() else (np.cumsum(seen) - 1)[ids]
+    seen = np.zeros(size, dtype=bool)
+    seen[ids] = True
+    pos = np.flatnonzero(seen)
+    return pos, ids if len(pos) == size else (np.cumsum(seen) - 1)[ids]
 
 
 def _starts(ids) -> np.ndarray:
@@ -110,7 +113,7 @@ class _Block:
     at rows ``i`` and columns ``j``, sorted by (i, j) with unique keys and
     no stored zeros.  ``+``/``-`` concatenate and coalesce, ``.H`` swaps
     the index arrays, and ``@`` expands and coalesces (Gustavson, ACM TOMS
-    4, 1978) unless a BLAS product of the support blocks is smaller."""
+    4, 1978) unless its terms outnumber both operands and a BLAS product."""
 
     __slots__ = ("i", "j", "v", "shape")
     __array_ufunc__ = None  # a numpy operand must not absorb a form
@@ -146,18 +149,24 @@ class _Block:
     def __sub__(self, other):
         return self.__add__(other, neg=True)
 
+    def cols(self, keep):
+        """The columns where the boolean array ``keep`` holds, in order."""
+        at = keep[self.j]
+        return _Block(self.i[at], (np.cumsum(keep) - 1)[self.j[at]], self.v[at],
+                      (self.shape[0], int(keep.sum())))
+
     def __matmul__(self, b):
         if self.shape[1] != b.shape[0]:
             raise OpcoreError(f"forms of shapes {self.shape} and {b.shape} do not multiply")
         per_row = np.bincount(b.i, minlength=b.shape[0])
         cnt = per_row[self.j]  # the terms of each A entry: B's row at its column
         terms, shape = int(cnt.sum()), (self.shape[0], b.shape[1])
-        if terms <= len(_starts(self.i)) * np.count_nonzero(np.bincount(b.j)):
-            # the terms of an A entry in column k are B's row k, entries lo .. lo + cnt - 1
-            lo = (per_row.cumsum() - per_row)[self.j]
-            at = (lo - cnt.cumsum() + cnt).repeat(cnt) + np.arange(terms)
+        if (terms <= len(self.v) + len(b.v)
+                or terms <= len(_starts(self.i)) * np.count_nonzero(np.bincount(b.j))):
+            # the terms of an A entry in column k: B's row k, entries end_k - cnt .. end_k - 1
+            at = (per_row.cumsum()[self.j] - cnt.cumsum()).repeat(cnt) + np.arange(terms)
             return _coalesce(self.i.repeat(cnt), b.j[at], self.v.repeat(cnt) * b.v[at], shape)
-        # the expansion outgrows the product of the support blocks: one BLAS
+        # the expansion outgrows the operands and the block product: one BLAS
         # product on the inner indices both use; the peak is the two blocks
         # and their product
         del cnt
@@ -175,9 +184,11 @@ class _Block:
 def _compact(x) -> _Block:
     """``x`` as a coordinate form: a form is returned as is, an array is read
     once for its nonzeros."""
-    if isinstance(x, _Block):
-        return x
-    m = _mat(x)
+    return x if isinstance(x, _Block) else _nonzeros(_mat(x))
+
+
+def _nonzeros(m: np.ndarray) -> _Block:
+    """The form of a 2-D complex array of any shape, empty ones included."""
     i, j = np.nonzero(m)
     return _Block(i, j, m[i, j], m.shape)
 
@@ -193,8 +204,8 @@ class WholeSpace:
     def compress(self, a) -> np.ndarray:
         return a.dense() if isinstance(a, _Block) else _mat(a)
 
-    def inside(self, b: np.ndarray) -> np.ndarray:
-        return np.eye(b.shape[1])
+    def inside(self, b: _Block) -> _Block:
+        return _eye(b.shape[1])
 
 
 WHOLE_SPACE = WholeSpace()
@@ -247,8 +258,26 @@ class OperatorTuple(_Forms):
 
 def _eye(n: int, cols: int | None = None) -> _Block:
     """The n x cols form with ones on its diagonal (the identity if square)."""
-    d = np.arange(n)
-    return _Block(d, d, np.ones(n, dtype=complex), (n, cols or n))
+    return _diag(np.ones(n), (n, cols or n))
+
+
+def _diag(x, shape=None) -> _Block:
+    """The form with the nonzero values ``x`` on its diagonal."""
+    d = np.arange(len(x))
+    return _Block(d, d, x.astype(complex), shape or (len(x),) * 2)
+
+
+def _eigh(h: _Block):
+    """Ascending eigenvalues and orthonormal eigenvectors (a form) of a Hermitian
+    form: a diagonal one is read off in stable order, any other takes ``eigh``."""
+    n = h.shape[0]
+    if (h.i == h.j).all():
+        d = np.bincount(h.i, h.v.real, minlength=n)
+        order = np.argsort(d, kind="stable")
+        return d[order], _Block(np.arange(n), np.argsort(order), np.ones(n, dtype=complex), (n, n))
+    m = h.dense()
+    w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
+    return w, _nonzeros(v)
 
 
 def _svd_norm(x: np.ndarray) -> float:

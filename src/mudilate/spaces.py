@@ -8,12 +8,11 @@ identity between words of shift operators of total level shift <= margin then
 holds exactly on the window.  ``auto_margin`` measures that shift on the
 operators' nonzero entries.
 
-Windowed norms and compressions take a dense array or a coordinate form
-(``opcore._compact``) and form A Q on the nonzero rows r of A alone:
-||A Q|| = ||(A Q)[r]|| and Q* A Q = Q[r]* (A Q)[r], exactly, since the
-dropped rows are zeros.  (A Q)[r] is a sum over the nonzeros of each row
-when they fill under 1/SPARSE_FILL of the support block, and the support
-block times Q[c] on the nonzero columns c when they do not.
+A window's basis Q is a coordinate form (``opcore._Block``), and the
+window work is form algebra: ||A Q|| is the norm of the support block of
+the form A Q, Q* A Q is a form product, and orthonormality is read off the
+form Q* Q - I.  A coordinate selection (every window of the gallery) so
+costs its k nonzeros, and a dense basis takes the same products.
 """
 
 from __future__ import annotations
@@ -22,9 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .opcore import OpcoreError, WholeSpace, _compact, _mat, _starts, _svd_norm
-
-SPARSE_FILL = 8  # the fill rule of Window.wnorm and compress (module docstring)
+from .opcore import (OpcoreError, WholeSpace, _Block, _compact, _eigh, _eye, _mat,
+                     _nonzeros, op_norm)
 
 
 @dataclass(frozen=True)
@@ -52,73 +50,51 @@ class ModelSpace:
         """Boolean mask of coordinates whose level < trunc_level - margin."""
         return np.concatenate([np.repeat(np.arange(t) < t - margin, f) for f, t in self.summands])
 
-    def summand_slice(self, i: int) -> slice:
-        off = sum(f * t for f, t in self.summands[:i])
-        f, t = self.summands[i]
-        return slice(off, off + f * t)
-
-
-def _gram_error(q: np.ndarray) -> float:
-    """max |Q* Q - I|, formed on the nonzero rows of Q: zero rows add nothing
-    to Q* Q, and coordinate-selection and zero-padded dilation bases have
-    many."""
-    rows = q.any(axis=1)
-    nz = q if rows.all() else q[rows]
-    return np.abs(nz.conj().T @ nz - np.eye(q.shape[1])).max(initial=0.0)
-
 
 @dataclass
 class Window:
     """Orthonormal column basis Q (n x k) of the safe part of a truncated
-    space.  Windowed residuals are ||A Q||; windowed spectra are read off the
+    space, held as a coordinate form (an array passed in is read once).
+    Windowed residuals are ||A Q||; windowed spectra are read off the
     k x k compression Q* A Q, whose spectrum is that of P A P (P = Q Q*)
     without the masked-out zeros."""
 
     margin: int
-    basis: np.ndarray
+    basis: _Block
 
     def __post_init__(self):
-        q = np.asarray(self.basis, dtype=complex)
-        if q.ndim != 2 or _gram_error(q) > 1e-12:
+        q = self.basis
+        if not isinstance(q, _Block):
+            q = np.asarray(q, dtype=complex)
+            q = _nonzeros(q) if q.ndim == 2 else None
+        if q is None or np.abs((q.H @ q - _eye(q.shape[1])).v).max(initial=0.0) > 1e-12:
             raise OpcoreError("window basis columns must be orthonormal to 1e-12")
-        self.basis = q
+        self.basis, self._qh = q, q.H
 
     @property
     def dim(self) -> int:
         return self.basis.shape[1]
 
-    def _rows(self, a):
-        """The nonzero rows r of A and (A Q)[r] (module docstring)."""
-        f, q = _compact(a), self.basis
-        if f.shape[1] != len(q):
-            raise OpcoreError(f"a {f.shape[1]}-column operator on a {len(q)}-dim window")
-        start = _starts(f.i)
-        if len(f.v) * SPARSE_FILL <= len(start) * np.count_nonzero(np.bincount(f.j)):
-            return f.i[start], np.add.reduceat(f.v[:, None] * q[f.j], start)
-        blk, rows, cols = f.block()
-        return rows, blk @ q[cols]
-
     def wnorm(self, a) -> float:
         """||A Q||: operator norm seen through the safe inputs, taken on the
-        nonzero rows of A (exactly 0.0 for a zero matrix)."""
-        return _svd_norm(self._rows(a)[1])
+        support block of A Q (exactly 0.0 for a zero matrix)."""
+        return op_norm(_compact(a) @ self.basis)
 
     def equal(self, a, b) -> float:
         """Residual ||(A - B) Q||, formed on the coordinate forms of A and B."""
         return self.wnorm(_compact(a) - _compact(b))
 
     def compress(self, a) -> np.ndarray:
-        """The k x k compression Q* A Q, on the nonzero rows of A."""
-        rows, aq = self._rows(a)
-        return self.basis[rows].conj().T @ aq
+        """The k x k compression Q* A Q."""
+        return (self._qh @ (_compact(a) @ self.basis)).dense()
 
-    def inside(self, b: np.ndarray) -> np.ndarray:
-        """Orthonormal coordinates, in the orthonormal columns of B, of the
-        part of span(B) inside the window: the eigenvalue-1 eigenvectors of
-        c* c with c = Q* B."""
-        c = self.basis.conj().T @ b
-        w, v = np.linalg.eigh(c.conj().T @ c)
-        return v[:, w > 1.0 - 1e-9]
+    def inside(self, b) -> _Block:
+        """Orthonormal coordinates, in the orthonormal columns of B (a form or
+        an array), of the part of span(B) inside the window: the eigenvalue-1
+        eigenvectors of c* c with c = Q* B (``opcore._eigh``)."""
+        c = self._qh @ (b if isinstance(b, _Block) else _nonzeros(np.asarray(b, dtype=complex)))
+        w, v = _eigh(c.H @ c)
+        return v.cols(w > 1.0 - 1e-9)
 
     def psd_min_eig(self, h) -> float:
         """Smallest eigenvalue of the Hermitian part of the compression of H."""
@@ -132,12 +108,9 @@ AnyWindow = Window | WholeSpace  # a check's window; default opcore.WHOLE_SPACE
 def window(space: ModelSpace, margin: int) -> Window:
     if margin < 0:
         raise OpcoreError("margin must be nonnegative")
-    if margin >= min(t for _, t in space.summands):
-        raise OpcoreError(
-            f"margin {margin} leaves no window (min trunc_level "
-            f"{min(t for _, t in space.summands)})"
-        )
-    return Window(margin, np.eye(space.total_dim)[:, space.level_mask(margin)])
+    if margin >= (low := min(t for _, t in space.summands)):
+        raise OpcoreError(f"margin {margin} leaves no window (min trunc_level {low})")
+    return Window(margin, _eye(space.total_dim).cols(space.level_mask(margin)))
 
 
 def auto_margin(space: ModelSpace, ops) -> int:

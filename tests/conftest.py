@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from mudilate.opcore import _compact
 from mudilate.fundamentals import (PIVOT, FundamentalSet, _rhs_map, defect,
                                    equation_residuals)
 from mudilate.gallery import build_exam1, build_exam2, build_exam3, build_exam5
@@ -59,7 +58,7 @@ def unchecked_fundamentals(tup):
     still reaches ``chain_report``; its rho and radius items read the tuple
     alone."""
     dd = defect(tup.ops[PIVOT[tup.kind]])
-    dplus = _compact(dd.pinv())
+    dplus = dd.pinv()
     rhs = _rhs_map(tup)
     forms = {name: dplus @ b @ dplus for name, b in rhs.items()}
     return FundamentalSet(tup, forms, equation_residuals(rhs, dd, forms, np.inf), dd)
@@ -69,6 +68,7 @@ def range_side_kernel(dd, w):
     """Orthonormal basis of Ker D inside the window w, found from the range
     side: the window vectors that the projection q q* onto the defect range
     kills, i.e. the eigenvalue-0 eigenvectors of c c* with c = Q* q."""
-    c = w.basis.conj().T @ dd.range_basis
+    q = w.basis.dense()
+    c = q.conj().T @ dd.range_basis.dense()
     vals, v = np.linalg.eigh(c @ c.conj().T)
-    return w.basis @ v[:, vals < 1e-9]
+    return q @ v[:, vals < 1e-9]

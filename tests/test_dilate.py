@@ -175,7 +175,7 @@ def _block_layout(tup, dd, depth, members):
     dense arrays by ``spaces.block_assemble``, cell by cell."""
     if dd.rank == 0:
         return list(tup.ops)
-    drow = dd.range_basis.conj().T @ dd.D
+    drow = dd.range_basis.dense().conj().T @ dd.D
     out = []
     for k, base in enumerate(tup.ops):
         col, band = members[k]
@@ -260,10 +260,10 @@ class TestDilationWindow:
             w = Window(0, np.array([[1.0], [-1.0]]) / np.sqrt(2.0))
             dil = schaffer(solve_fundamentals(tup, window=w), depth)
         margin = min(2 * dil.reach, max(dil.reach, depth - 1))
-        keepv = w.inside(dil.defect.range_basis)
-        ref = scipy.linalg.block_diag(w.basis, *[keepv] * (depth - margin))
+        keepv = w.inside(dil.defect.range_basis).dense()
+        ref = scipy.linalg.block_diag(w.basis.dense(), *[keepv] * (depth - margin))
         ref = np.pad(ref, ((0, dil.dim - ref.shape[0]), (0, 0)))
-        got = dil.window(w).basis
+        got = dil.window(w).basis.dense()
         assert got.shape == ref.shape and got.dtype == ref.dtype
         assert got.tobytes() == ref.tobytes()
 

@@ -61,14 +61,12 @@ def test_repeated_members_share_one_form_read_once():
 
 
 def test_forms_follow_replaced_arrays():
-    # a replaced tuple, defect or fundamental set reads its new arrays
+    # a replaced tuple or fundamental set reads its new arrays
     fset = _solved("exam5")
     scaled = {n: 0.5 * fset[n] for n in fset.names()}
-    d = 0.5 * fset.defect.D
-    fresh = replace(fset, forms=scaled, defect=replace(fset.defect, D=d))
+    fresh = replace(fset, forms=scaled)
     for name in fresh.names():
         _assert_same_form(fresh.forms[name], scaled[name])
-    _assert_same_form(fresh.defect.form, d)
     tup = replace(fset.tup, ops=tuple(2.0 * o for o in fset.tup.ops))
     for form, m in zip(tup.forms, tup.ops):
         _assert_same_form(form, m)
@@ -93,7 +91,7 @@ def sparse_tuple(draw):
 def test_commutator_table_matches_dense_reference(case):
     tup, w = case
     n = tup.dim
-    for win, q in ((WHOLE_SPACE, np.eye(n)), (w, w.basis)):
+    for win, q in ((WHOLE_SPACE, np.eye(n)), (w, w.basis.dense())):
         table = tup.commutators(win)
         assert table == commutator_norms(tup.ops, win)
         ops = tup.ops

@@ -191,7 +191,8 @@ class TestKernelBasis:
         dd = defect(tup.ops[6])
         k = kernel_basis(dd.D)
         # every kernel vector lives in the third summand
-        sl = space.summand_slice(2)
+        n = space.total_dim // 3  # three equal summands
+        sl = slice(2 * n, 3 * n)
         outside = k.copy()
         outside[sl] = 0.0
         assert np.linalg.norm(outside, 2) <= 1e-12
@@ -234,9 +235,11 @@ def _assert_form(f, ref):
 
 def _expands(a, b):
     """Whether ``a @ b`` takes the expansion: its terms are no more than
-    the entries of the product of the two support blocks."""
+    the entries of the two operands, or than those of the product of the
+    two support blocks."""
     terms = sum(np.count_nonzero(b.i == k) for k in a.j)
-    return terms <= len(np.unique(a.i)) * len(np.unique(b.j))
+    return (terms <= len(a.v) + len(b.v)
+            or terms <= len(np.unique(a.i)) * len(np.unique(b.j)))
 
 
 class TestSupportKernels:
@@ -382,16 +385,16 @@ class TestSupportKernels:
         k = int(rng.integers(1, n + 1))
         q, _ = np.linalg.qr(rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k)))
         for w in (Window(0, q), Window(0, np.eye(n)[:, :k])):
-            assert abs(w.wnorm(f) - np.linalg.norm(ref @ w.basis, 2)) <= 1e-12 * scale
-            assert np.abs(w.compress(f) - w.basis.conj().T @ ref @ w.basis).max() \
-                <= 1e-12 * scale
+            wq = w.basis.dense()
+            assert abs(w.wnorm(f) - np.linalg.norm(ref @ wq, 2)) <= 1e-12 * scale
+            assert np.abs(w.compress(f) - wq.conj().T @ ref @ wq).max() <= 1e-12 * scale
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("fill", [1, 40])
     def test_window_strategies_match_dense(self, fill, seed):
-        """Window.wnorm and compress on both sides of their cost rule:
-        ``fill`` nonzeros per row of a 60 x 60 operand, seen through a
-        random window and a coordinate one."""
+        """Window.wnorm and compress on both sides of the form product's
+        cost rule: ``fill`` nonzeros per row of a 60 x 60 operand, seen
+        through a random window and a coordinate one."""
         rng = np.random.default_rng(seed)
         n, k = 60, 25
         m = np.zeros((n, n), dtype=complex)
@@ -399,12 +402,12 @@ class TestSupportKernels:
             m[r, rng.permutation(n)[:fill]] = rng.standard_normal(fill) + 1j
         q, _ = np.linalg.qr(rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k)))
         for w in (Window(0, q), Window(0, np.eye(n)[:, rng.permutation(n)[:k]])):
+            wq = w.basis.dense()
             for a in (m, _compact(m).H):
                 ref = a if isinstance(a, np.ndarray) else a.dense()
                 scale = np.linalg.norm(ref, 2)
-                assert abs(w.wnorm(a) - np.linalg.norm(ref @ w.basis, 2)) <= 1e-12 * scale
-                assert np.abs(w.compress(a) - w.basis.conj().T @ ref @ w.basis).max() \
-                    <= 1e-12 * scale
+                assert abs(w.wnorm(a) - np.linalg.norm(ref @ wq, 2)) <= 1e-12 * scale
+                assert np.abs(w.compress(a) - wq.conj().T @ ref @ wq).max() <= 1e-12 * scale
 
     @SETTINGS
     @given(st.integers(1, 8), _seeds)

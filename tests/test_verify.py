@@ -169,7 +169,7 @@ class TestPartialIsometryRestriction:
         fset = solve_fundamentals(tup, window=w)
         from mudilate.verify import _self_comm
         dd = defect(tup.ops[6])
-        kb = dd.range_basis @ w.inside(dd.range_basis)
+        kb = (dd.range_basis @ w.inside(dd.range_basis)).dense()
         assert kb.shape[1] > 0
         for i, j in ((0, 5), (1, 4), (2, 3)):
             fi = kb.conj().T @ fset[f"F{i+1}"] @ kb
@@ -402,7 +402,7 @@ class TestCompactChecksMatchDense:
             tup = OperatorTuple(tup.kind, pert(tup.ops))
             fset = replace(fset, tup=tup,
                            forms=dict(zip(fset.names(), pert([fset[n] for n in fset.names()]))),
-                           defect=replace(fset.defect, D=pert([fset.defect.D])[0]))
+                           defect=replace(fset.defect, form=_compact(pert([fset.defect.D])[0])))
             dil = replace(dil, base=tup, ops=tuple(map(_compact, pert(
                 [o.dense() for o in dil.ops]))))
         return tup, fset, w, dil, kw
@@ -411,7 +411,7 @@ class TestCompactChecksMatchDense:
     @pytest.mark.parametrize("case_id", ["exam3", "exam5"])
     def test_coextension_residuals(self, case_id, perturb):
         tup, _, w, dil, _ = self._exam(case_id, perturb)
-        e, q = np.eye(dil.dim, dil.base_dim), w.basis
+        e, q = np.eye(dil.dim, dil.base_dim), w.basis.dense()
         ref = [self._wn(v.conj().T @ e - e @ t.conj().T, q)
                for v, t in zip((o.dense() for o in dil.ops), tup.ops)]
         got = dil.coextension_residuals(w)
@@ -421,7 +421,7 @@ class TestCompactChecksMatchDense:
     @pytest.mark.parametrize("perturb", [False, True])
     def test_exam3_isometry_check(self, perturb):
         _, _, _, dil, kw = self._exam("exam3", perturb)
-        v, q = [o.dense() for o in dil.ops], kw.basis
+        v, q = [o.dense() for o in dil.ops], kw.basis.dense()
         ref = {"commuting": self._commuting(v, q)}
         for i in range(6):
             j = 5 - i
@@ -433,7 +433,7 @@ class TestCompactChecksMatchDense:
     @pytest.mark.parametrize("perturb", [False, True])
     def test_exam5_isometry_check(self, perturb):
         _, _, _, dil, kw = self._exam("exam5", perturb)
-        (r1, r2, r3), q = [o.dense() for o in dil.ops], kw.basis
+        (r1, r2, r3), q = [o.dense() for o in dil.ops], kw.basis.dense()
         eye = np.eye(dil.dim)
         ref = {
             "commuting": self._commuting((r1, r2, r3), q),

@@ -40,7 +40,7 @@ def windowed(draw):
 @given(windowed())
 def test_wnorm_is_norm_through_projector(case):
     a, w = case
-    p = w.basis @ w.basis.conj().T
+    p = _projector(w.basis.dense())
     assert abs(w.wnorm(a) - np.linalg.norm(a @ p, 2)) <= 1e-12
 
 
@@ -63,7 +63,7 @@ def supported_windowed(draw):
 @given(supported_windowed())
 def test_wnorm_and_compress_match_dense(case):
     a, w = case
-    q = w.basis
+    q = w.basis.dense()
     scale = np.linalg.norm(a, 2)
     got = w.wnorm(a)
     assert abs(got - np.linalg.norm(a @ q, 2)) <= 1e-12 * scale
@@ -91,7 +91,7 @@ def test_windowed_commutator_norms_match_dense(case, count):
     rng = np.random.default_rng(count + 7 * n)
     ops = [a] + [random_supported(rng, n, n) for _ in range(count - 1)]
     got = commutator_norms(ops, w)
-    ref = [((i, j), np.linalg.norm((ops[i] @ ops[j] - ops[j] @ ops[i]) @ w.basis, 2))
+    ref = [((i, j), np.linalg.norm((ops[i] @ ops[j] - ops[j] @ ops[i]) @ w.basis.dense(), 2))
            for i in range(count) for j in range(i + 1, count)]
     assert [p for p, _ in got] == [p for p, _ in ref]
     for ((i, j), g), (_, r) in zip(got, ref):
@@ -148,7 +148,7 @@ def test_whole_space_equals_identity_window(tup):
 @given(windowed())
 def test_compression_keeps_spectral_radius(case):
     a, w = case
-    p = w.basis @ w.basis.conj().T
+    p = _projector(w.basis.dense())
     assert abs(spectral_radius(w.compress(a)) - spectral_radius(p @ a @ p)) <= 1e-10
 
 
@@ -156,7 +156,7 @@ def test_compression_keeps_spectral_radius(case):
 @given(windowed())
 def test_compression_keeps_numerical_radius(case):
     a, w = case
-    p = w.basis @ w.basis.conj().T
+    p = _projector(w.basis.dense())
     got = numerical_radius(w.compress(a))
     assert abs(got - numerical_radius(p @ a @ p)) <= 1e-8
 
@@ -180,8 +180,8 @@ def test_dilation_window_dimension(case, n_iso, depth, reach):
     dim = n + depth * dd.rank
     base = OperatorTuple("gamma7", (np.eye(n),) * 7)
     dil = DilationResult(base, (np.eye(dim),), depth, dd, reach)
-    q = dd.range_basis
-    kept = q.shape[1] + w.dim - np.linalg.matrix_rank(np.hstack([q, w.basis]))
+    q = dd.range_basis.dense()
+    kept = q.shape[1] + w.dim - np.linalg.matrix_rank(np.hstack([q, w.basis.dense()]))
     copies = max(0, depth - min(2 * reach, max(reach, depth - 1)))
     assert dil.window(w).dim == w.dim + copies * kept
 
@@ -227,11 +227,11 @@ def test_defect_kernel_inside_window(case):
     dd = defect(t)
     k = dd.kernel_basis
     assert dd.rank >= 1 and k.shape[1] >= 1
-    got = _projector(k @ w.inside(k))
+    got = _projector((k @ w.inside(k)).dense())
     assert np.linalg.norm(got - _projector(range_side_kernel(dd, w)), 2) <= 1e-10
-    whole = _projector(k @ WHOLE_SPACE.inside(k))
+    whole = _projector((k @ WHOLE_SPACE.inside(k)).dense())
     assert np.linalg.norm(whole - _projector(kernel_basis(dd.D)), 2) <= 1e-10
-    e = np.hstack([dd.range_basis, k])
+    e = np.hstack([dd.range_basis.dense(), k.dense()])
     assert e.shape == (len(t), len(t))
     assert np.linalg.norm(e.conj().T @ e - np.eye(len(t)), 2) <= 1e-12
 
