@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import opcore
-from .opcore import (WHOLE_SPACE, OperatorTuple, OpcoreError, _Block, _coalesce, _compact,
-                     _eye, _Forms, _mat, herm_sqrt, op_norm)
+from .opcore import (WHOLE_SPACE, OperatorTuple, OpcoreError, _compact, _diag, _eye,
+                     _Forms, _mat, herm_sqrt, op_norm)
 from .fundamentals import (PIVOT, RELATIONS, DefectData, ExpansiveError,
                            FundamentalSet, defect)
 from .spaces import AnyWindow, Window, block_assemble
@@ -45,13 +45,12 @@ def egervary(t, n: int) -> np.ndarray:
         raise DilateError("power dilation needs a square contraction")
     if n < 1:
         raise DilateError("N must be >= 1")
-    _check_dim((n + 1) * m.shape[0])
     d = m.shape[0]
-    eye = np.eye(d)
-    cells = {(0, 0): m, (0, n): defect(m.conj().T).D, (1, 0): defect(m).D,
+    _check_dim((n + 1) * d)
+    cells = {(0, 0): m, (0, n): defect(m.conj().T).form, (1, 0): defect(m).form,
              (1, n): -m.conj().T}
-    cells.update({(k, k - 1): eye for k in range(2, n + 1)})
-    return block_assemble(cells, [d] * (n + 1))
+    cells.update({(k, k - 1): _eye(d) for k in range(2, n + 1)})
+    return block_assemble(cells, [d] * (n + 1)).dense()
 
 
 @dataclass
@@ -107,11 +106,9 @@ class DilationResult(_Forms):
         margin = min(2 * self.reach, max(self.reach, self.depth - 1))
         keepv = h_window.inside(self.defect.range_basis)
         blocks = [h_window.basis] + [keepv] * (self.depth - margin)
-        # the blocks down the diagonal, each offset into place
-        r, c = np.cumsum([[0, 0]] + [b.shape for b in blocks], axis=0).T
-        i, j, v = map(np.concatenate, zip(*[(b.i + ro, b.j + co, b.v)
-                                            for b, ro, co in zip(blocks, r, c)]))
-        return Window(h_window.margin, _Block(i, j, v, (self.dim, int(c[-1]))))
+        return Window(h_window.margin, block_assemble(
+            {(k, k): b for k, b in enumerate(blocks)},
+            [self.base_dim] + [self.defect.rank] * self.depth, [b.shape[1] for b in blocks]))
 
 
 def coextension(tup: OperatorTuple, dd: DefectData, depth: int,
@@ -123,39 +120,29 @@ def coextension(tup: OperatorTuple, dd: DefectData, depth: int,
     X q*D under it in copy c for the c-th r x r factor X of ``col`` (None
     leaves a gap; q is the defect range basis), and the block ``band[o]`` at
     (copy c + o, copy c) for every copy c.  Each member is laid out as a
-    coordinate form, the nonzeros of each block offset into place, so no
-    dim x dim array is built.  A tuple with a trivial defect space is
-    returned unchanged.
+    coordinate form by ``spaces.block_assemble``, so no dim x dim array is
+    built.  A tuple with a trivial defect space is returned unchanged.
     """
     if depth < 2:
         raise DilateError("depth must be >= 2")
-    members = [members[k] for k in range(len(tup.ops))]
+    members = [members[k] for k in range(len(tup.forms))]
     reach = max(o for _, band in members for o in band)
     if dd.rank == 0:
         return DilationResult(tup, tup.forms, depth, dd, reach)
     n, r = tup.dim, dd.rank
-    dim = n + depth * r
-    _check_dim(dim)
+    _check_dim(n + depth * r)
     drow = dd.range_basis.H @ dd.form
-    # one form per distinct block, and one X q*D per distinct factor X
-    blocks = {id(x): x for col, band in members for x in (*col[:depth], *band.values())}
-    form = {k: _compact(x) for k, x in blocks.items() if x is not None}
-    feeds = {id(x) for col, _ in members for x in col[:depth] if x is not None}
-    fed = {k: form[k] @ drow for k in feeds}
+    # one X q*D per distinct factor X
+    feeds = {id(x): x for col, _ in members for x in col[:depth] if x is not None}
+    fed = {k: _compact(x) @ drow for k, x in feeds.items()}
     ops = []
     for base, (col, band) in zip(tup.forms, members):
-        # (form, row offsets, column offsets): the block sits at each pair
-        cells = [(base, [0], [0])]
-        cells += [(fed[id(x)], [n + c * r], [0]) for c, x in enumerate(col[:depth])
-                  if x is not None]
-        cells += [(form[id(b)], n + r * np.arange(o, depth), n + r * np.arange(depth - o))
-                  for o, b in band.items()]
-        i, j, v = [], [], []
-        for f, ro, co in cells:
-            i.append(np.add.outer(ro, f.i).ravel())
-            j.append(np.add.outer(co, f.j).ravel())
-            v.append(np.tile(f.v, len(ro)))
-        ops.append(_coalesce(*map(np.concatenate, (i, j, v)), (dim, dim)))
+        cells = {(0, 0): base}
+        cells.update({(1 + c, 0): fed[id(x)] for c, x in enumerate(col[:depth])
+                      if x is not None})
+        cells.update({(1 + c + o, 1 + c): b for o, b in band.items()
+                      for c in range(depth - o)})
+        ops.append(block_assemble(cells, [n] + [r] * depth))
     return DilationResult(tup, tuple(ops), depth, dd, reach)
 
 
@@ -164,12 +151,12 @@ def _relation_members(fset: FundamentalSet) -> dict:
     relation row (i, j, F, w): its symbol f_i = compress(F)/w on the diagonal
     and its partner's symbol adjoint g_j* below it, so V_i = V_j* V_pivot."""
     dd = fset.defect
-    sym = {i: (j, dd.compress(fset.forms[name]) / w)
+    sym = {i: (j, (1.0 / w) * dd.compress(fset.forms[name]))
            for i, j, name, w in RELATIONS[fset.kind]}
-    eye = np.eye(dd.rank)
+    eye = _eye(dd.rank)
     members = {PIVOT[fset.kind]: ([eye], {1: eye})}
     for i, (j, f) in sym.items():
-        gh = sym[j][1].conj().T
+        gh = sym[j][1].H
         members[i] = ([gh], {0: f, 1: gh})
     return members
 
@@ -195,7 +182,7 @@ def pentablock_dilation(fset: FundamentalSet, depth: int) -> DilationResult:
     if fset.kind != "penta":
         raise DilateError("pentablock dilation takes a penta FundamentalSet")
     members = _relation_members(fset)
-    xc = members[1][1][0]  # R2's diagonal band: X in defect coordinates
+    xc = members[1][1][0].dense()  # R2's diagonal band: X in defect coordinates
     gram = xc.conj().T @ xc + xc @ xc.conj().T
     if np.linalg.norm(gram, 2) > 4.0 + 1e-9:
         raise DilateError("damping block undefined: ||X*X + XX*|| exceeds 4")
@@ -209,10 +196,11 @@ def pushforward(kind: str, *args, window: AnyWindow = WHOLE_SPACE):
     """Families of operators: the two-parameter seven-tuple, its gamma5
     slice, the axis embedding, and the averaged triple with an isometry.
 
+    The members are formed as coordinate forms, from forms or arrays.
     Commutation of the result is checked, not assumed.
     """
     if kind == "pi":
-        t1, t2 = (_mat(a) for a in args)
+        t1, t2 = map(_compact, args)
         if max(map(op_norm, (t1, t2))) > 1.0 + 1e-8:
             raise ExpansiveError("pi needs a pair of contractions")
         t12 = t1 @ t2
@@ -225,18 +213,18 @@ def pushforward(kind: str, *args, window: AnyWindow = WHOLE_SPACE):
         e = complex(eta)
         if abs(e) > 1.0 + 1e-12:
             raise DilateError("eta must lie in the closed unit disc")
-        t = tup.ops
+        t = tup.forms
         out = OperatorTuple("gamma5", (t[0], t[2] + e * t[4], e * t[6],
                                        t[1] + e * t[3], e * t[5]))
     elif kind == "axis7":
-        t1, t6, t7 = (_mat(a) for a in args)
-        z = np.zeros_like(t1)
+        t1, t6, t7 = map(_compact, args)
+        z = _diag(np.zeros(0), t1.shape)
         out = OperatorTuple("gamma7", (t1, z, z, z, z, t6, t7))
     elif kind == "gamma3":
-        t1, t2, v3 = (_mat(a) for a in args)
+        t1, t2, v3 = map(_compact, args)
         if max(map(op_norm, (t1, t2))) > 1.0 + 1e-8:
             raise ExpansiveError("gamma3 needs contractions in the first two slots")
-        iso_res = window.wnorm(v3.conj().T @ v3 - np.eye(v3.shape[0]))
+        iso_res = window.wnorm(v3.H @ v3 - _eye(v3.shape[0]))
         if iso_res > 1e-8:
             raise DilateError(f"third member is not an isometry on the window: {iso_res:.3e}")
         out = OperatorTuple("tetra", ((1.0 / 3.0) * (t1 + t2 + v3),

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .opcore import (WHOLE_SPACE, OperatorTuple, OpcoreError, _Block, _compact, _diag,
-                     _eigh, _eye, _mat, _nonzeros, grading, numerical_radius, op_norm,
+                     _eigh, _eye, _nonzeros, grading, numerical_radius, op_norm,
                      spectral_radius)
 from .report import CheckReport
 from .spaces import AnyWindow
@@ -63,25 +63,27 @@ class DefectData:
     def pinv(self) -> _Block:
         return self.range_basis @ _diag(1.0 / self.dvals) @ self.range_basis.H
 
-    def compress(self, a) -> np.ndarray:
-        """Defect-coordinate matrix Q* A Q on the range basis Q."""
-        return (self.range_basis.H @ (_compact(a) @ self.range_basis)).dense()
+    def compress(self, a) -> _Block:
+        """Defect-coordinate form Q* A Q on the range basis Q."""
+        return self.range_basis.H @ (_compact(a) @ self.range_basis)
 
 
 def defect(t) -> DefectData:
     """D_T, its range and kernel; ExpansiveError unless ||T|| <= 1 + 1e-8.  A T
     with at most one entry per row (every exam pivot) has a diagonal I - T*T,
     read off by ``_eigh`` with no array; any other T takes one dense ``eigh``."""
-    m = t if isinstance(t, _Block) else _mat(t)
-    n, form = m.shape[0], isinstance(m, _Block)
-    if m.shape[1] != n:
+    f = _compact(t)
+    n = f.shape[0]
+    if f.shape[1] != n:
         raise OpcoreError("defect operator needs a square matrix")
-    if (np.bincount(m.i, minlength=n) if form else np.count_nonzero(m, axis=1)).max() <= 1:
-        f = m if form else _nonzeros(m)
+    diagonal = np.bincount(f.i, minlength=n).max() <= 1
+    if diagonal:
         w, v = _eigh(_eye(n) - f.H @ f)
     else:
-        m = m.dense() if form else m
+        m = f.dense()
+        del f  # a dense T's form is twice its array: free it before the eigh
         g = np.eye(n) - m.conj().T @ m
+        del m
         w, v = np.linalg.eigh((g + g.conj().T) / 2.0)
         del g
     nrm = np.sqrt(max(0.0, 1.0 - w.min()))  # ||T||^2 = 1 - min eig(I - T*T)
@@ -94,7 +96,7 @@ def defect(t) -> DefectData:
     dvals = np.sqrt(w)
     # D <= I for a contraction, so 1e-8 * max(1, ||D||) is an absolute cut
     keep = dvals > 1e-8 * max(dvals.max(), 1.0)
-    if isinstance(v, _Block):
+    if diagonal:
         q = v.cols(keep)
         return DefectData(q @ _diag(dvals[keep]) @ q.H, q, dvals[keep], v.cols(~keep))
     d = (v * dvals) @ v.conj().T

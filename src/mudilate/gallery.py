@@ -71,7 +71,7 @@ def build_exam1(trunc: int = 8):
     shift on three scalar Hardy summands, with its known fundamentals."""
     space = ModelSpace(((1, trunc),) * 3)
     m = hardy_shift(1, trunc)
-    eye = np.eye(trunc)
+    eye = _eye(trunc)
     t1 = embed_blocks(space, {(0, 1): eye, (1, 2): eye})
     t2 = embed_blocks(space, {(0, 0): m, (1, 1): m, (2, 2): m})
     tup = pushforward("pi", t1, t2, window=window(space, 1))
@@ -81,7 +81,7 @@ def build_exam1(trunc: int = 8):
         "F2": embed_blocks(space, {(0, 0): m, (1, 1): m}),
         "F3": embed_blocks(space, {(0, 1): m}),
         "F4": embed_blocks(space, {(0, 1): m}),
-        "F5": np.zeros((space.total_dim,) * 2, dtype=complex),
+        "F5": _diag(np.zeros(0), (space.total_dim,) * 2),
         "F6": embed_blocks(space, {(0, 1): m2}),
     }
     return space, tup, expected_f
@@ -93,7 +93,7 @@ def build_exam2(trunc: int = 8):
     space, tup7, _ = build_exam1(trunc)
     tup5 = pushforward("pi_eta", tup7, 1.0, window=window(space, 4))
     m = hardy_shift(1, trunc)
-    eye = np.eye(trunc)
+    eye = _eye(trunc)
     m2 = m @ m
     displayed = OperatorTuple("gamma5", (
         embed_blocks(space, {(0, 1): eye, (1, 2): eye}),
@@ -129,7 +129,7 @@ def build_exam3(alpha: float = 0.5, trunc: int = 8):
     space = ModelSpace(((2, trunc),) * 4)
     m2 = hardy_shift(2, trunc)
     a = embed_blocks(space, {(0, 0): _raising_symbol(alpha, trunc)})
-    b = np.zeros((space.total_dim,) * 2, dtype=complex)
+    b = _diag(np.zeros(0), (space.total_dim,) * 2)
     p = embed_blocks(space, {(1, 2): m2, (2, 1): -1.0 * m2})
     tup = OperatorTuple("gamma7", (a, a, b, a, b, b, p))
     return space, tup, {name: tup.forms[i] for i, _, name, _ in RELATIONS["gamma7"]}
@@ -145,7 +145,7 @@ def build_exam3_dilation(tup: OperatorTuple, depth: int) -> DilationResult:
     s = _eye(tup.dim).cols((summand == 1) | (summand == 2))  # T = I - E = S S*
     dd = defect(s @ s.H)
     f = dd.compress(tup.forms[0])
-    fh, eye = f.conj().T, np.eye(dd.rank)
+    fh, eye = f.H, _eye(dd.rank)
     a, z = ([fh], {0: f, 1: fh}), ([f, fh], {1: f, 2: fh})
     members = (a, a, z, a, z, z, ([None, eye], {2: eye}))
     return coextension(tup, dd, depth, members)
@@ -158,7 +158,7 @@ def build_exam5(alpha: float = 0.5, trunc: int = 8):
     g = _raising_symbol(alpha, trunc)
     l0 = herm_sqrt(np.eye(2 * trunc) - 0.25 * (g.conj().T @ g + g @ g.conj().T))
     m2 = hardy_shift(2, trunc)
-    eye = np.eye(2 * trunc)
+    eye = _eye(2 * trunc)
     p1 = embed_blocks(space, {(0, 0): l0, (1, 1): eye, (2, 2): eye, (3, 3): eye})
     p2 = embed_blocks(space, {(0, 0): g})
     p3 = embed_blocks(space, {(1, 1): m2, (2, 3): m2, (3, 2): -1.0 * m2})
@@ -240,8 +240,7 @@ def _exam1_items(rep, fset, prof, **_):
 
 
 def _exam2_items(rep, fset, data, prof, nec, **_):
-    exact = max(float(np.linalg.norm(a - b, 2))
-                for a, b in zip(fset.tup.ops, data[0].ops))
+    exact = max(op_norm(a - b) for a, b in zip(fset.tup.forms, data[0].forms))
     rep.add("slice of exam1 equals displayed five-tuple", exact, 1e-12)
     nec = _by_label(nec)
     pair_gap = max(abs(nec[f"({k})"] - nec[f"({k}')"]) for k in range(2, 8))
@@ -368,16 +367,16 @@ def _run_axis_family(case: GalleryCase) -> CheckReport:
     trunc = p["trunc"]
     space = ModelSpace(((1, trunc),) * 2)
     m = hardy_shift(1, trunc)
-    eye = np.eye(trunc)
+    eye = _eye(trunc)
     a = embed_blocks(space, {(1, 0): eye})
     b = embed_blocks(space, {(0, 0): m, (1, 1): m})
-    pid = np.eye(space.total_dim)
+    pid = _eye(space.total_dim)
     mar = auto_margin(space, (a, b, pid))
     w = window(space, mar)
     rep = CheckReport(name="axis_family", window_margin=mar)
 
     trip = pushforward("gamma3", a, b, pid, window=w)
-    t1, t6, t7 = trip.ops
+    t1, t6, t7 = trip.forms
     chk = partial_isometry_check(t7, tol=1e-9, window=w)
     _merge(rep, chk, "averaged product is a partial isometry")
     tup = pushforward("axis7", t1, t6, t7, window=w)
@@ -408,7 +407,7 @@ def _run_axis_family(case: GalleryCase) -> CheckReport:
     beta = 0.7
     qspace = ModelSpace(((1, trunc),))
     wq = window(qspace, auto_margin(qspace, (m,)))
-    clean = pushforward("axis7", np.conj(beta) * np.eye(trunc),
+    clean = pushforward("axis7", np.conj(beta) * _eye(trunc),
                         beta * m, m, window=wq)
     chk2 = isometry_check(clean, tol=1e-9, window=wq)
     _merge(rep, chk2, "axis embedding of a clean isometric triple")

@@ -1,22 +1,25 @@
 """Dense complex-matrix kernel: operators, norms, square roots, radii,
 kernels and commutator norms.
 
-All quantities are computed for explicit finite matrices.  An operator is a
-plain 2-D complex ndarray; ``_mat`` is the one converter and carries every
-input check (2-D, positive dimensions, finite entries).  Truncation windows
-read the level shift of an operator off its nonzero entries
-(``spaces.auto_margin``).
+All quantities are computed for explicit finite matrices.  An operator
+comes in as a 2-D complex array or a coordinate form; ``_mat`` is the one
+converter of arrays and carries every input check (2-D, positive
+dimensions, finite entries).  Truncation windows read the level shift of an
+operator off its nonzero entries (``spaces.auto_margin``).
 
-Coordinate rule: residual checks, windows and dilations run on coordinate
-forms (``_Block``), the nonzeros of an operator read by ``_compact``.  The
-object that holds an operator owns its form, read once: ``OperatorTuple.forms``,
-``DefectData`` (D and its range and kernel bases), ``FundamentalSet.forms``,
-``Window.basis`` and the members of a ``DilationResult``; no check compacts
-those arrays again.  This is exact: ``_mat`` admits only finite entries, so
+Coordinate rule: operators are coordinate forms (``_Block``) from birth.
+Builders lay out forms (``spaces.block_assemble`` places every block), and
+arrays exist only at I/O (the CLI's JSON, ``OperatorTuple.ops``) and inside
+dense kernels (eigen-solvers, square roots, radii, compressions); an array
+that comes in is read once for its nonzeros (``_compact``).  The object that
+holds an operator owns its form: ``OperatorTuple.forms`` (read when the
+tuple is built), ``DefectData`` (D and its range and kernel bases),
+``FundamentalSet.forms``, ``Window.basis`` and the members of a
+``DilationResult``.  This is exact: ``_mat`` admits only finite entries, so
 each dropped term is 0 * x = 0, and zero rows and columns carry no nonzero
-singular value.  A product sums the terms a_ik b_kj of each entry, unless
-the terms outnumber both the operands' entries and the entries of the product
-of the two support blocks; one BLAS product of the blocks is then cheaper and
+singular value.  A product sums the terms a_ik b_kj of each entry, unless the
+terms outnumber both the operands' entries and the entries of the product of
+the two support blocks; one BLAS product of the blocks is then cheaper and
 no larger.  A selection or diagonal B gives each a_ik at most one term, so
 windows and dilations cost about their nonzeros.
 
@@ -29,7 +32,6 @@ the gallery never load scipy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from weakref import ref
 
 import numpy as np
@@ -202,7 +204,7 @@ class WholeSpace:
         return op_norm(a)
 
     def compress(self, a) -> np.ndarray:
-        return a.dense() if isinstance(a, _Block) else _mat(a)
+        return _compact(a).dense()
 
     def inside(self, b: _Block) -> _Block:
         return _eye(b.shape[1])
@@ -227,33 +229,35 @@ class _Forms:
 @dataclass
 class OperatorTuple(_Forms):
     """A kind-tagged family of square operators on a shared space, held as
-    arrays ``ops`` and as coordinate forms ``forms``."""
+    coordinate forms ``forms``, each read once when the tuple is built (a
+    member passed twice stays one form); ``ops`` is their dense view."""
 
     kind: str
-    ops: tuple
+    forms: tuple
 
     def __post_init__(self):
         if self.kind not in ARITY:
             raise OpcoreError(f"unknown tuple kind {self.kind!r}")
-        ops = tuple(_mat(o) for o in self.ops)
-        if len(ops) != ARITY[self.kind]:
+        read = {k: _compact(o) for k, o in {id(o): o for o in self.forms}.items()}
+        forms = tuple(read[id(o)] for o in self.forms)
+        if len(forms) != ARITY[self.kind]:
             raise OpcoreError(
-                f"kind {self.kind!r} needs {ARITY[self.kind]} operators, got {len(ops)}"
+                f"kind {self.kind!r} needs {ARITY[self.kind]} operators, got {len(forms)}"
             )
-        dim = ops[0].shape[0]
-        if any(o.shape != (dim, dim) for o in ops):
+        dim = forms[0].shape[0]
+        if any(f.shape != (dim, dim) for f in forms):
             raise OpcoreError("tuple members must be square on a common space")
-        self.ops = ops
+        self.forms = forms
 
-    @cached_property
-    def forms(self) -> tuple:
-        """The forms of ``ops``, read on first use, once per distinct member."""
-        forms = {k: _compact(o) for k, o in {id(o): o for o in self.ops}.items()}
-        return tuple(forms[id(o)] for o in self.ops)
+    @property
+    def ops(self) -> tuple:
+        """The members as arrays, one per distinct form: for I/O and dense kernels."""
+        dense = {id(f): f.dense() for f in self.forms}
+        return tuple(dense[id(f)] for f in self.forms)
 
     @property
     def dim(self) -> int:
-        return self.ops[0].shape[0]
+        return self.forms[0].shape[0]
 
 
 def _eye(n: int, cols: int | None = None) -> _Block:

@@ -13,6 +13,10 @@ window work is form algebra: ||A Q|| is the norm of the support block of
 the form A Q, Q* A Q is a form product, and orthonormality is read off the
 form Q* Q - I.  A coordinate selection (every window of the gallery) so
 costs its k nonzeros, and a dense basis takes the same products.
+
+``block_assemble`` is the one block layout: the shift, the gallery
+operators, the dilations and the dilation window place their blocks with
+it, nonzeros offset into a form, so no n x n array is built.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .opcore import (OpcoreError, WholeSpace, _Block, _compact, _eigh, _eye, _mat,
+from .opcore import (OpcoreError, WholeSpace, _Block, _coalesce, _compact, _eigh, _eye,
                      _nonzeros, op_norm)
 
 
@@ -92,7 +96,7 @@ class Window:
         """Orthonormal coordinates, in the orthonormal columns of B (a form or
         an array), of the part of span(B) inside the window: the eigenvalue-1
         eigenvectors of c* c with c = Q* B (``opcore._eigh``)."""
-        c = self._qh @ (b if isinstance(b, _Block) else _nonzeros(np.asarray(b, dtype=complex)))
+        c = self._qh @ _compact(b)
         w, v = _eigh(c.H @ c)
         return v.cols(w > 1.0 - 1e-9)
 
@@ -122,36 +126,37 @@ def auto_margin(space: ModelSpace, ops) -> int:
                     for f in map(_compact, ops)), default=0)
 
 
-def hardy_shift(fiber_dim: int, trunc_level: int) -> np.ndarray:
+def hardy_shift(fiber_dim: int, trunc_level: int) -> _Block:
     """Truncation of the unilateral shift on level-graded C^fiber fibers.
 
     e_k (x) v -> e_{k+1} (x) v below the top level; the top level maps to 0.
     """
     if trunc_level < 2:
         raise OpcoreError("a truncated shift needs trunc_level >= 2")
-    eye = np.eye(fiber_dim)
-    return block_assemble({(k + 1, k): eye for k in range(trunc_level - 1)},
+    return block_assemble({(k + 1, k): _eye(fiber_dim) for k in range(trunc_level - 1)},
                           [fiber_dim] * trunc_level)
 
 
-def block_assemble(cells: dict, dims) -> np.ndarray:
-    """Dense complex matrix on the direct sum of square blocks of sizes
-    ``dims`` from a {(i, j): block} map; absent cells are zero.  Each block
-    must have shape (dims[i], dims[j]); a mismatch raises naming its cell."""
-    n = len(dims)
-    off = np.concatenate([[0], np.cumsum(dims, dtype=int)])
-    out = np.zeros((off[-1], off[-1]), dtype=complex)
+def block_assemble(cells: dict, dims, cols=None) -> _Block:
+    """Form on the direct sum of blocks of row sizes ``dims`` and column sizes
+    ``cols`` (``dims`` if None) from a {(i, j): block} map of forms or arrays,
+    each distinct block read once; absent cells are zero.  Each block must
+    have shape (dims[i], cols[j]); a mismatch raises naming its cell."""
+    cols = dims if cols is None else cols
+    ro, co = np.cumsum([0, *dims]), np.cumsum([0, *cols])
+    form = {k: _compact(b) for k, b in {id(b): b for b in cells.values()}.items()}
+    parts = [(np.zeros(0, int), np.zeros(0, int), np.zeros(0, complex))]  # no cell: zero
     for (i, j), blk in cells.items():
-        if not (0 <= i < n and 0 <= j < n):
-            raise OpcoreError(f"block ({i},{j}) lies outside the {n}x{n} layout")
-        b = _mat(blk)
-        if b.shape != (dims[i], dims[j]):
-            raise OpcoreError(f"block ({i},{j}) has shape {b.shape}, "
-                              f"expected ({dims[i]}, {dims[j]})")
-        out[off[i]:off[i + 1], off[j]:off[j + 1]] = b
-    return out
+        if not (0 <= i < len(dims) and 0 <= j < len(cols)):
+            raise OpcoreError(f"block ({i},{j}) lies outside the {len(dims)}x{len(cols)} layout")
+        f = form[id(blk)]
+        if f.shape != (dims[i], cols[j]):
+            raise OpcoreError(f"block ({i},{j}) has shape {f.shape}, "
+                              f"expected ({dims[i]}, {cols[j]})")
+        parts.append((f.i + ro[i], f.j + co[j], f.v))
+    return _coalesce(*map(np.concatenate, zip(*parts)), (int(ro[-1]), int(co[-1])))
 
 
-def embed_blocks(space: ModelSpace, cells: dict) -> np.ndarray:
-    """Matrix on a ModelSpace from a {(i, j): block} map of summand cells."""
+def embed_blocks(space: ModelSpace, cells: dict) -> _Block:
+    """Form on a ModelSpace from a {(i, j): block} map of summand cells."""
     return block_assemble(cells, [f * t for f, t in space.summands])

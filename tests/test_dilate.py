@@ -4,7 +4,7 @@ import scipy.linalg
 
 from mudilate import dilate, gallery, opcore
 from mudilate.opcore import ARITY, OperatorTuple, op_norm
-from mudilate.spaces import ModelSpace, Window, block_assemble, hardy_shift, window
+from mudilate.spaces import ModelSpace, Window, hardy_shift, window
 from mudilate.fundamentals import (ExpansiveError, FundamentalSet, defect,
                                    solve_fundamentals)
 from mudilate.dilate import (DilateError, coextension, egervary,
@@ -170,21 +170,30 @@ class TestSchaffer:
         assert isometry_check(dil, tol=1e-9, window=kw).verdict == "pass"
 
 
+def _array(x):
+    return x.dense() if isinstance(x, opcore._Block) else np.asarray(x)
+
+
 def _block_layout(tup, dd, depth, members):
     """The members of ``coextension(tup, dd, depth, members)`` laid out as
-    dense arrays by ``spaces.block_assemble``, cell by cell."""
+    dense arrays, each cell (a form or an array) written into its numpy slice."""
     if dd.rank == 0:
         return list(tup.ops)
+    n, r = tup.dim, dd.rank
     drow = dd.range_basis.dense().conj().T @ dd.D
+    at = [slice(0, n)] + [slice(n + c * r, n + (c + 1) * r) for c in range(depth)]
     out = []
     for k, base in enumerate(tup.ops):
         col, band = members[k]
-        cells = {(c, 0): x @ drow for c, x in enumerate(col[:depth], 1)
-                 if x is not None}
-        cells[0, 0] = base
-        cells.update({(c + o, c): b for o, b in band.items()
-                      for c in range(1, depth + 1 - o)})
-        out.append(block_assemble(cells, [tup.dim] + [dd.rank] * depth))
+        m = np.zeros((n + depth * r,) * 2, dtype=complex)
+        m[at[0], at[0]] = base
+        for c, x in enumerate(col[:depth], 1):
+            if x is not None:
+                m[at[c], at[0]] = _array(x) @ drow
+        for o, b in band.items():
+            for c in range(1, depth + 1 - o):
+                m[at[c + o], at[c]] = _array(b)
+        out.append(m)
     return out
 
 
@@ -334,7 +343,7 @@ class TestPushforward:
     def test_pi_reproduces_displayed_products(self, exam1):
         space, tup, _, _ = exam1
         n = space.summands[0][1]
-        m = hardy_shift(1, n)
+        m = hardy_shift(1, n).dense()
         z = np.zeros((n, n))
         m2 = m @ m
 
@@ -375,7 +384,7 @@ class TestPushforward:
     def test_gamma3_of_commuting_isometries(self):
         sp = ModelSpace(((1, 8),))
         w = window(sp, 2)
-        m = hardy_shift(1, 8)
+        m = hardy_shift(1, 8).dense()
         trip = pushforward("gamma3", m, m, m, window=w)
         t1, t2, t3 = trip.ops
         np.testing.assert_allclose(t1, m, atol=1e-12)
@@ -391,6 +400,6 @@ class TestPushforward:
             pushforward("pi", [[1.3]], [[0.5]])
 
     def test_non_commuting_rejected(self):
-        m = hardy_shift(1, 6)
+        m = hardy_shift(1, 6).dense()
         with pytest.raises(DilateError):
             pushforward("axis7", m, m.conj().T, np.zeros((6, 6)))

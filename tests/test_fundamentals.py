@@ -145,7 +145,7 @@ class TestSolveFundamentals:
             solve_fundamentals(OperatorTuple("gamma7", ops))
 
     def test_non_commuting_raises(self):
-        m = hardy_shift(1, 5)
+        m = hardy_shift(1, 5).dense()
         ops = [m, m.conj().T] + [np.zeros((5, 5))] * 4 + [np.zeros((5, 5))]
         with pytest.raises(SolveError):
             solve_fundamentals(OperatorTuple("gamma7", ops))

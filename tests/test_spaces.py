@@ -2,14 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mudilate.opcore import OpcoreError, op_norm
+from mudilate.opcore import OpcoreError, _Block, _nonzeros, op_norm
 from mudilate.spaces import (ModelSpace, Window, auto_margin, block_assemble,
                              embed_blocks, hardy_shift, window)
+
+from conftest import random_supported
 
 
 class TestHardyShift:
     def test_scalar_fiber(self):
-        m = hardy_shift(1, 3)
+        m = hardy_shift(1, 3).dense()
         np.testing.assert_allclose(m, [[0, 0, 0], [1, 0, 0], [0, 1, 0]])
 
     def test_norm_one(self):
@@ -18,14 +20,14 @@ class TestHardyShift:
             assert op_norm(hardy_shift(3, t)) == pytest.approx(1.0)
 
     def test_isometry_off_top_level(self):
-        m = hardy_shift(2, 6)
+        m = hardy_shift(2, 6).dense()
         g = m.conj().T @ m
         np.testing.assert_allclose(g[:10, :10], np.eye(10), atol=1e-14)
         # top level maps to zero
         np.testing.assert_allclose(g[10:, 10:], 0, atol=1e-14)
 
     def test_co_isometry_defect_is_level_zero(self):
-        m = hardy_shift(1, 5)
+        m = hardy_shift(1, 5).dense()
         mmstar = m @ m.conj().T
         e0 = np.zeros((5, 5))
         e0[0, 0] = 1.0
@@ -48,7 +50,7 @@ class TestWindow:
 
     def test_windowed_shift_identity_exact(self):
         sp = ModelSpace(((1, 8),))
-        m = hardy_shift(1, 8)
+        m = hardy_shift(1, 8).dense()
         gap = m.conj().T @ m - np.eye(8)
         assert window(sp, 1).wnorm(gap) == 0.0
         assert op_norm(gap) == pytest.approx(1.0)
@@ -75,7 +77,7 @@ class TestWindow:
         # with the infinite model on the window
         rng = np.random.default_rng(6)
         big, small = 24, 8
-        mb, ms = hardy_shift(1, big), hardy_shift(1, small)
+        mb, ms = hardy_shift(1, big).dense(), hardy_shift(1, small).dense()
         sp = ModelSpace(((1, small),))
         for _ in range(25):
             word = rng.integers(0, 2, size=4)
@@ -95,14 +97,39 @@ SETTINGS = settings(derandomize=True, max_examples=40, deadline=None)
 
 @st.composite
 def block_maps(draw):
-    """Random square block sizes and a random {(i, j): block} map on them."""
+    """Random row block sizes ``dims``, column block sizes ``cols`` (None: the
+    square layout of ``dims``; else some may be 0) and a {(i, j): block} map
+    on them, with the dense array of each block.  A drawn cell holds a random
+    array, its form or a zero block, or repeats an earlier block of its shape
+    (one object in several cells); a block without entries is a form, since
+    an array must have positive dimensions.  The other cells are absent."""
     dims = draw(st.lists(st.integers(1, 4), min_size=1, max_size=5))
-    n = len(dims)
-    keys = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))
+    cols = draw(st.none() | st.lists(st.integers(0, 4), min_size=1, max_size=5))
+    widths = dims if cols is None else cols
+    keys = draw(st.sets(st.tuples(st.integers(0, len(dims) - 1),
+                                  st.integers(0, len(widths) - 1))))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    cells = {(i, j): rng.standard_normal((dims[i], dims[j]))
-             + 1j * rng.standard_normal((dims[i], dims[j])) for i, j in sorted(keys)}
-    return dims, cells
+    cells, arrays, pool = {}, {}, {}
+    for i, j in sorted(keys):
+        shape = (dims[i], widths[j])
+        if shape in pool and draw(st.booleans()):
+            cells[i, j], arrays[i, j] = pool[shape]
+            continue
+        how = draw(st.sampled_from(("array", "form", "zero")))
+        a = random_supported(rng, *shape) if how != "zero" else np.zeros(shape, dtype=complex)
+        blk = _nonzeros(a) if how == "form" or not a.size else a
+        cells[i, j], arrays[i, j] = pool[shape] = blk, a
+    return dims, cols, cells, arrays
+
+
+def _dense_layout(arrays, dims, cols):
+    """The reference: each array written into its slice of a zero matrix."""
+    ro = np.concatenate([[0], np.cumsum(dims)])
+    co = np.concatenate([[0], np.cumsum(dims if cols is None else cols)])
+    out = np.zeros((ro[-1], co[-1]), dtype=complex)
+    for (i, j), a in arrays.items():
+        out[ro[i]:ro[i + 1], co[j]:co[j + 1]] = a
+    return out
 
 
 class TestBlockAssemble:
@@ -110,43 +137,48 @@ class TestBlockAssemble:
         a = np.diag([1.0, 2.0])
         b = np.array([[3.0]])
         out = block_assemble({(0, 0): a, (1, 1): b}, [2, 1])
-        np.testing.assert_allclose(out, np.diag([1.0, 2.0, 3.0]))
+        np.testing.assert_allclose(out.dense(), np.diag([1.0, 2.0, 3.0]))
 
     @SETTINGS
     @given(block_maps())
     def test_blocks_land_at_offsets(self, case):
-        dims, cells = case
-        out = block_assemble(cells, dims)
-        off = np.concatenate([[0], np.cumsum(dims)])
-        assert out.shape == (off[-1], off[-1])
-        filled = np.zeros(out.shape, dtype=bool)
-        for (i, j), blk in cells.items():
-            rows, cols = slice(off[i], off[i + 1]), slice(off[j], off[j + 1])
-            np.testing.assert_array_equal(out[rows, cols], blk)
-            filled[rows, cols] = True
-        assert not out[~filled].any()
+        dims, cols, cells, arrays = case
+        out = block_assemble(cells, dims, cols)
+        ref = _dense_layout(arrays, dims, cols)
+        assert isinstance(out, _Block) and out.shape == ref.shape
+        np.testing.assert_array_equal(out.dense(), ref)
+        # a valid form: keys sorted and unique, no stored zeros
+        key = out.i * out.shape[1] + out.j
+        assert (np.diff(key) > 0).all() and out.v.all()
 
     @SETTINGS
     @given(block_maps())
     def test_adjoint_property(self, case):
-        dims, cells = case
-        adj = {(j, i): blk.conj().T for (i, j), blk in cells.items()}
-        np.testing.assert_array_equal(block_assemble(adj, dims),
-                                      block_assemble(cells, dims).conj().T)
+        dims, cols, cells, arrays = case
+        adj = {(j, i): blk.H if isinstance(blk, _Block) else blk.conj().T
+               for (i, j), blk in cells.items()}
+        widths = dims if cols is None else cols
+        np.testing.assert_array_equal(block_assemble(adj, widths, dims).dense(),
+                                      _dense_layout(arrays, dims, cols).conj().T)
 
     @SETTINGS
     @given(block_maps(), st.data())
     def test_mismatch_names_cell(self, case, data):
-        dims, cells = case
+        dims, cols, cells, _ = case
+        widths = dims if cols is None else cols
         i = data.draw(st.integers(0, len(dims) - 1))
-        j = data.draw(st.integers(0, len(dims) - 1))
-        cells[i, j] = np.ones((dims[i] + 1, dims[j]))
+        j = data.draw(st.integers(0, len(widths) - 1))
+        bad = data.draw(st.sampled_from(("array", "form")))
+        wrong = np.ones((dims[i] + 1, widths[j] + 1))
+        cells[i, j] = _nonzeros(wrong) if bad == "form" else wrong
         with pytest.raises(OpcoreError, match=rf"block \({i},{j}\) has shape"):
-            block_assemble(cells, dims)
-        cells[i, j] = np.ones((dims[i], dims[j]))
-        cells[len(dims), j] = np.ones((1, dims[j]))
-        with pytest.raises(OpcoreError, match=rf"block \({len(dims)},{j}\) lies outside"):
-            block_assemble(cells, dims)
+            block_assemble(cells, dims, cols)
+        cells[i, j] = _nonzeros(np.ones((dims[i], widths[j])))
+        for cell in ((len(dims), j), (i, len(widths)), (-1, j)):
+            cells[cell] = np.ones((1, 1))
+            with pytest.raises(OpcoreError, match=rf"block \({cell[0]},{cell[1]}\) lies outside"):
+                block_assemble(cells, dims, cols)
+            del cells[cell]
 
     def test_exam1_first_member_matches_hand_built(self, exam1):
         space, tup, _, _ = exam1
@@ -159,7 +191,7 @@ class TestBlockAssemble:
     def test_embed_blocks_zero_rows_need_dims(self):
         # the second block row is empty; its size comes from the space
         sp = ModelSpace(((1, 4), (1, 4)))
-        out = embed_blocks(sp, {(0, 1): np.eye(4)})
+        out = embed_blocks(sp, {(0, 1): np.eye(4)}).dense()
         assert out.shape[0] == 8
         np.testing.assert_allclose(out[:4, 4:], np.eye(4))
 

@@ -25,7 +25,7 @@ class TestIsCommuting:
     def test_shift_pair_fails_with_unit_residual(self):
         sp = ModelSpace(((1, 8),))
         w = window(sp, 1)
-        m = hardy_shift(1, 8)
+        m = hardy_shift(1, 8).dense()
         rep = is_commuting(OperatorTuple("sym", (m, m.conj().T)), window=w)
         assert rep.verdict == "fail"
         assert rep.items[0].residual == pytest.approx(1.0, abs=1e-12)

@@ -199,7 +199,7 @@ def defect_windowed(draw):
     c = _complex(rng, n1, n1)
     t[:n1, :n1] = c * (rng.uniform(0.2, 0.9) / np.linalg.norm(c, 2))
     if draw(st.booleans()):
-        t[n1:, n1:] = hardy_shift(1, n2)
+        t[n1:, n1:] = hardy_shift(1, n2).dense()
     else:
         t[n1:, n1:] = np.linalg.qr(_complex(rng, n2, n2))[0]
     if draw(st.booleans()):
@@ -246,7 +246,7 @@ def test_auto_margin_makes_shift_words_exact(summands, a, b):
     a, b = max(a, b), min(a, b)
     space = ModelSpace(tuple((f, 2 * a + 1 + extra) for f, extra in summands))
     s = embed_blocks(space, {(i, i): hardy_shift(f, t)
-                             for i, (f, t) in enumerate(space.summands)})
+                             for i, (f, t) in enumerate(space.summands)}).dense()
     sa = np.linalg.matrix_power(s, a)
     sbh = np.linalg.matrix_power(s.conj().T, b)
     margin = auto_margin(space, [sa, sbh])
