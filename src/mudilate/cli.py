@@ -111,7 +111,7 @@ def cmd_dilate(args):
     dil = dilation(fset, args.depth)
     print(dumps({"kind": args.kind, "depth": dil.depth, "dim": dil.dim,
                  "defect_rank": dil.defect.rank,
-                 "ops": [operator_to_dict(o.dense()) for o in dil.ops]}))
+                 "ops": [operator_to_dict(o.dense()) for o in dil.forms]}))
     return 0
 
 

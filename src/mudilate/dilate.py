@@ -59,8 +59,8 @@ class DilationResult(_Forms):
     defect space.
 
     H sits on the first ``base_dim`` coordinates, so the inclusion of H is
-    the identity on them.  ``ops`` are coordinate forms (``opcore._Block``;
-    ``dense()`` gives the array).  Member adjoints restricted to H reproduce the
+    the identity on them.  Its members ``forms`` are coordinate forms
+    (``opcore._Block``; ``dense()`` gives the array).  Member adjoints restricted to H reproduce the
     original adjoints (the co-extension property, ``coextension_residuals``),
     and ``window`` gives the part of the dilation space where the
     infinite-model identities hold exactly.  ``reach`` is the largest number
@@ -68,24 +68,14 @@ class DilationResult(_Forms):
     """
 
     base: OperatorTuple
-    ops: tuple
+    forms: tuple
     depth: int
     defect: DefectData
     reach: int
 
-    @property
-    def kind(self) -> str:
-        return self.base.kind
-
-    @property
-    def base_dim(self) -> int:
-        return self.base.dim
-
-    @property
-    def dim(self) -> int:
-        return self.ops[0].shape[0]
-
-    forms = property(lambda self: self.ops)
+    kind = property(lambda self: self.base.kind)
+    base_dim = property(lambda self: self.base.dim)
+    dim = property(lambda self: self.forms[0].shape[0])
 
     def coextension_residuals(self, h_window: AnyWindow = WHOLE_SPACE) -> list:
         """||(V* E - E T*) Q|| per member V and base member T; E puts H on the
@@ -93,7 +83,7 @@ class DilationResult(_Forms):
         (V* E - E T*)* = E* V - T E*, the first base_dim rows of V less [T, 0]."""
         e = _eye(self.base_dim, self.dim)  # E*
         return [h_window.wnorm((e @ v - t @ e).H)
-                for v, t in zip(self.ops, self.base.forms)]
+                for v, t in zip(self.forms, self.base.forms)]
 
     def window(self, h_window: Window) -> Window:
         """Base-space window plus the first depth - m tail copies, with

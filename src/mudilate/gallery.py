@@ -200,7 +200,7 @@ def _expect_schaffer(rep: CheckReport, dil: DilationResult, kw: Window):
     """Record the relation rows of a Schäffer dilation, the pivot isometry
     and the non-commuting members of the first relation row: the dilation
     of a tuple whose sufficient-condition hypotheses fail."""
-    kind, piv, v = dil.kind, PIVOT[dil.kind], dil.ops
+    kind, piv, v = dil.kind, PIVOT[dil.kind], dil.forms
     rel = max(kw.wnorm(v[i] - v[j].H @ v[piv]) for i, j, _, _ in RELATIONS[kind])
     rep.add(_RELATION_LABEL[kind], rel, 1e-9)
     iso = kw.wnorm(v[piv].H @ v[piv] - _eye(dil.dim))
@@ -250,15 +250,15 @@ def _exam2_items(rep, fset, data, prof, nec, **_):
 
 
 def _exam3_items(rep, p, dil, **_):
-    rep.add("||V1|| equals |alpha|", abs(op_norm(dil.ops[0]) - abs(p["alpha"])), 1e-9)
-    rep.add("||V3|| bounded by 1", max(0.0, op_norm(dil.ops[2]) - 1.0), 1e-9)
+    rep.add("||V1|| equals |alpha|", abs(op_norm(dil.forms[0]) - abs(p["alpha"])), 1e-9)
+    rep.add("||V3|| bounded by 1", max(0.0, op_norm(dil.forms[2]) - 1.0), 1e-9)
 
 
 def _exam5_items(rep, p, dil, iso, **_):
     by = _by_label(iso)
     rep.add("R2=R2*R3 on window", by["R2=R2*R3"], 1e-10)
     rep.add("R1*R1 + R2*R2/4 = I on window", by["R1*R1+R2*R2/4=I"], 1e-9)
-    rep.add("||R2|| equals |alpha|", abs(op_norm(dil.ops[1]) - abs(p["alpha"])), 1e-8)
+    rep.add("||R2|| equals |alpha|", abs(op_norm(dil.forms[1]) - abs(p["alpha"])), 1e-8)
 
 
 # lambdas and the battery look each builder up at call time, so that a

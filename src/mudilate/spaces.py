@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .opcore import (OpcoreError, WholeSpace, _Block, _coalesce, _compact, _eigh, _eye,
+from .opcore import (OpcoreError, WholeSpace, _Block, _compact, _eigh, _eye,
                      _nonzeros, op_norm)
 
 
@@ -141,12 +141,14 @@ def block_assemble(cells: dict, dims, cols=None) -> _Block:
     """Form on the direct sum of blocks of row sizes ``dims`` and column sizes
     ``cols`` (``dims`` if None) from a {(i, j): block} map of forms or arrays,
     each distinct block read once; absent cells are zero.  Each block must
-    have shape (dims[i], cols[j]); a mismatch raises naming its cell."""
+    have shape (dims[i], cols[j]); a mismatch raises naming its cell.  Cells
+    never overlap and are taken by block row, then block column, so only a
+    layout whose cells share rows needs a sort: one stable sort of the rows."""
     cols = dims if cols is None else cols
     ro, co = np.cumsum([0, *dims]), np.cumsum([0, *cols])
     form = {k: _compact(b) for k, b in {id(b): b for b in cells.values()}.items()}
     parts = [(np.zeros(0, int), np.zeros(0, int), np.zeros(0, complex))]  # no cell: zero
-    for (i, j), blk in cells.items():
+    for (i, j), blk in sorted(cells.items()):  # by block row, then block column
         if not (0 <= i < len(dims) and 0 <= j < len(cols)):
             raise OpcoreError(f"block ({i},{j}) lies outside the {len(dims)}x{len(cols)} layout")
         f = form[id(blk)]
@@ -154,7 +156,14 @@ def block_assemble(cells: dict, dims, cols=None) -> _Block:
             raise OpcoreError(f"block ({i},{j}) has shape {f.shape}, "
                               f"expected ({dims[i]}, {cols[j]})")
         parts.append((f.i + ro[i], f.j + co[j], f.v))
-    return _coalesce(*map(np.concatenate, zip(*parts)), (int(ro[-1]), int(co[-1])))
+    i, j, v = map(np.concatenate, zip(*parts))
+    del parts  # the offset copies
+    if (i[1:] < i[:-1]).any():
+        order = np.argsort(i, kind="stable")
+        v = v[order]  # one array at a time: the peak holds one copy
+        j = j[order]
+        i = i[order]
+    return _Block(i, j, v, (int(ro[-1]), int(co[-1])))
 
 
 def embed_blocks(space: ModelSpace, cells: dict) -> _Block:

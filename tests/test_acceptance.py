@@ -81,10 +81,10 @@ def test_criterion_3_exam3_sweep():
         dil = build_exam3_dilation(tup, 6)
         kw = dil.window(w)
         comm = is_commuting(dil, tol=1e-9, window=kw)
-        v = [o.dense() for o in dil.ops]
+        v = [o.dense() for o in dil.forms]
         rel = max(kw.wnorm(v[i] - v[5 - i].conj().T @ v[6]) for i in range(6))
         iso = kw.wnorm(v[6].conj().T @ v[6] - np.eye(len(v[6])))
-        norm_gap = abs(op_norm(dil.ops[0]) - abs(alpha))
+        norm_gap = abs(op_norm(dil.forms[0]) - abs(alpha))
         ok &= (comm.verdict == "pass" and rel <= 1e-9 and iso <= 1e-9
                and norm_gap <= 1e-9)
         detail.append(f"a={alpha}: rel {rel:.1e} iso {iso:.1e} |V1| {norm_gap:.1e}")
@@ -102,11 +102,11 @@ def test_criterion_4_exam5_sweep():
         fset = solve_fundamentals(tup, tol=1e-9, window=w)
         dil = pentablock_dilation(fset, 4)
         kw = dil.window(w)
-        r = [o.dense() for o in dil.ops]
+        r = [o.dense() for o in dil.forms]
         fix = kw.wnorm(r[1] - r[1].conj().T @ r[2])
         gram = kw.wnorm(r[0].conj().T @ r[0] + 0.25 * r[1].conj().T @ r[1]
                         - np.eye(len(r[0])))
-        norm_gap = abs(op_norm(dil.ops[1]) - abs(alpha))
+        norm_gap = abs(op_norm(dil.forms[1]) - abs(alpha))
         nec = necessary_conditions(fset, tol=1e-9, window=w)
         ok &= (fix <= 1e-10 and gram <= 1e-9 and norm_gap <= 1e-8
                and nec.worst() <= 1e-9 and nec.verdict == "pass")

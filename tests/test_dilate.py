@@ -126,7 +126,7 @@ class TestSchaffer:
         assert all(r == 0.0 for r in fset.residuals.values())
         dil = schaffer(fset, 3)
         assert dil.dim == dil.base_dim == 3
-        np.testing.assert_allclose(dil.ops[6].dense(), q)
+        np.testing.assert_allclose(dil.forms[6].dense(), q)
 
     def test_depth_validation(self, exam1):
         _, tup, _, w = exam1
@@ -139,7 +139,7 @@ class TestSchaffer:
         fset = solve_fundamentals(tup, window=w)
         dil = schaffer(fset, 4)
         kw = dil.window(w)
-        v = [o.dense() for o in dil.ops]
+        v = [o.dense() for o in dil.forms]
         for i in range(6):
             assert kw.wnorm(v[i] - v[5 - i].conj().T @ v[6]) <= 1e-9
         assert kw.wnorm(v[6].conj().T @ v[6] - np.eye(len(v[6]))) <= 1e-9
@@ -150,7 +150,7 @@ class TestSchaffer:
         fset = solve_fundamentals(tup5, window=w)
         dil = schaffer(fset, 4)
         kw = dil.window(w)
-        w1, w2, w3, w1t, w2t = (o.dense() for o in dil.ops)
+        w1, w2, w3, w1t, w2t = (o.dense() for o in dil.forms)
         for lhs, rhs in ((w1, w2t.conj().T @ w3), (w2t, w1.conj().T @ w3),
                          (w2, w1t.conj().T @ w3), (w1t, w2.conj().T @ w3)):
             assert kw.wnorm(lhs - rhs) <= 1e-9
@@ -221,8 +221,8 @@ class TestCoordinateLayout:
 
     def _assert_layout(self, dil, calls):
         (args,) = calls
-        assert all(isinstance(o, opcore._Block) for o in dil.ops)
-        for got, want in zip(dil.ops, _block_layout(*args)):
+        assert all(isinstance(o, opcore._Block) for o in dil.forms)
+        for got, want in zip(dil.forms, _block_layout(*args)):
             assert np.array_equal(got.dense(), want)
 
     @pytest.mark.parametrize("depth", [2, 4, 7])
@@ -288,7 +288,7 @@ class TestPentablockDilation:
                np.diag([0.3, 0.3])]
         tup = OperatorTuple("penta", ops)
         dil = pentablock_dilation(solve_fundamentals(tup), 3)
-        r1, r2, r3 = (o.dense() for o in dil.ops)
+        r1, r2, r3 = (o.dense() for o in dil.forms)
         # damping block is the identity when the symbol vanishes
         np.testing.assert_allclose(r1[2:, 2:], np.eye(2 * 3), atol=1e-12)
         # r2 carries no symbol at all
@@ -304,16 +304,16 @@ class TestPentablockDilation:
         assert fset.defect.rank == 0
         dil = pentablock_dilation(fset, 3)
         assert dil.dim == dil.base_dim == 2
-        for got, want in zip(dil.ops, ops):
+        for got, want in zip(dil.forms, ops):
             np.testing.assert_array_equal(got.dense(), want)
 
     def test_exam5_norm_identities(self, exam5):
         _, tup, _, w = exam5
         fset = solve_fundamentals(tup, window=w)
         dil = pentablock_dilation(fset, 4)
-        assert op_norm(dil.ops[1]) == pytest.approx(0.5, abs=1e-10)
+        assert op_norm(dil.forms[1]) == pytest.approx(0.5, abs=1e-10)
         kw = dil.window(w)
-        r = [o.dense() for o in dil.ops]
+        r = [o.dense() for o in dil.forms]
         assert kw.wnorm(r[1] - r[1].conj().T @ r[2]) <= 1e-10
         gram = r[0].conj().T @ r[0] + 0.25 * r[1].conj().T @ r[1] - np.eye(len(r[0]))
         assert kw.wnorm(gram) <= 1e-9

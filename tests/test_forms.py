@@ -45,8 +45,13 @@ def _solved(case_id):
 def test_stored_forms_equal_the_forms_of_the_arrays(case_id):
     fset = _solved(case_id)
     tup = fset.tup
-    assert len(tup.forms) == len(tup.ops)
-    for form, m in zip(tup.forms, tup.ops):
+    arrays = [o.copy() for o in tup.ops]
+    assert len(tup.forms) == len(arrays)
+    # a tuple built from arrays stores their forms, and the gallery tuple,
+    # built as forms, holds the same ones (sorted keys, no stored zeros)
+    for form, m in zip(OperatorTuple(tup.kind, arrays).forms, arrays):
+        _assert_same_form(form, m)
+    for form, m in zip(tup.forms, arrays):
         _assert_same_form(form, m)
     _assert_same_form(fset.defect.form, fset.defect.D)
     for name in fset.names():
@@ -68,8 +73,9 @@ def test_forms_follow_replaced_arrays():
     fresh = replace(fset, forms=scaled)
     for name in fresh.names():
         _assert_same_form(fresh.forms[name], scaled[name])
-    tup = replace(fset.tup, forms=tuple(2.0 * o for o in fset.tup.ops))
-    for form, m in zip(tup.forms, tup.ops):
+    doubled = tuple(2.0 * o for o in fset.tup.ops)
+    tup = replace(fset.tup, forms=doubled)
+    for form, m in zip(tup.forms, doubled):
         _assert_same_form(form, m)
 
 

@@ -96,21 +96,26 @@ SETTINGS = settings(derandomize=True, max_examples=40, deadline=None)
 
 
 @st.composite
-def block_maps(draw):
+def block_maps(draw, full=False):
     """Random row block sizes ``dims``, column block sizes ``cols`` (None: the
     square layout of ``dims``; else some may be 0) and a {(i, j): block} map
     on them, with the dense array of each block.  A drawn cell holds a random
     array, its form or a zero block, or repeats an earlier block of its shape
     (one object in several cells); a block without entries is a form, since
-    an array must have positive dimensions.  The other cells are absent."""
+    an array must have positive dimensions.  The other cells are absent, or,
+    if ``full``, every cell is drawn, in a drawn order."""
     dims = draw(st.lists(st.integers(1, 4), min_size=1, max_size=5))
     cols = draw(st.none() | st.lists(st.integers(0, 4), min_size=1, max_size=5))
     widths = dims if cols is None else cols
-    keys = draw(st.sets(st.tuples(st.integers(0, len(dims) - 1),
-                                  st.integers(0, len(widths) - 1))))
+    if full:
+        keys = draw(st.permutations([(i, j) for i in range(len(dims))
+                                     for j in range(len(widths))]))
+    else:
+        keys = sorted(draw(st.sets(st.tuples(st.integers(0, len(dims) - 1),
+                                             st.integers(0, len(widths) - 1)))))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     cells, arrays, pool = {}, {}, {}
-    for i, j in sorted(keys):
+    for i, j in keys:
         shape = (dims[i], widths[j])
         if shape in pool and draw(st.booleans()):
             cells[i, j], arrays[i, j] = pool[shape]
@@ -132,6 +137,16 @@ def _dense_layout(arrays, dims, cols):
     return out
 
 
+def _assert_layout(dims, cols, cells, arrays):
+    out = block_assemble(cells, dims, cols)
+    ref = _dense_layout(arrays, dims, cols)
+    assert isinstance(out, _Block) and out.shape == ref.shape
+    np.testing.assert_array_equal(out.dense(), ref)
+    # a valid form: keys sorted and unique, no stored zeros
+    key = out.i * out.shape[1] + out.j
+    assert (np.diff(key) > 0).all() and out.v.all()
+
+
 class TestBlockAssemble:
     def test_direct_sum(self):
         a = np.diag([1.0, 2.0])
@@ -142,14 +157,14 @@ class TestBlockAssemble:
     @SETTINGS
     @given(block_maps())
     def test_blocks_land_at_offsets(self, case):
-        dims, cols, cells, arrays = case
-        out = block_assemble(cells, dims, cols)
-        ref = _dense_layout(arrays, dims, cols)
-        assert isinstance(out, _Block) and out.shape == ref.shape
-        np.testing.assert_array_equal(out.dense(), ref)
-        # a valid form: keys sorted and unique, no stored zeros
-        key = out.i * out.shape[1] + out.j
-        assert (np.diff(key) > 0).all() and out.v.all()
+        _assert_layout(*case)
+
+    @SETTINGS
+    @given(block_maps(full=True))
+    def test_cells_sharing_rows(self, case):
+        # every cell drawn, in any order: the cells of a block row share its
+        # rows, so the layout interleaves them by a sort of the rows
+        _assert_layout(*case)
 
     @SETTINGS
     @given(block_maps())

@@ -99,7 +99,7 @@ class TestFormsMatchDenseTuple:
             build = pentablock_dilation if case == "exam5" else schaffer
             dil = build(solve_fundamentals(tup, window=w), 4)
         kw = dil.window(w)
-        dense = OperatorTuple(dil.kind, [o.dense() for o in dil.ops])
+        dense = OperatorTuple(dil.kind, [o.dense() for o in dil.forms])
         got, want = isometry_check(dil, window=kw), isometry_check(dense, window=kw)
         assert [(i.label, i.residual, i.passed) for i in got.items] == \
             [(i.label, i.residual, i.passed) for i in want.items]
@@ -403,8 +403,8 @@ class TestCompactChecksMatchDense:
             fset = replace(fset, tup=tup,
                            forms=dict(zip(fset.names(), pert([fset[n] for n in fset.names()]))),
                            defect=replace(fset.defect, form=_compact(pert([fset.defect.D])[0])))
-            dil = replace(dil, base=tup, ops=tuple(map(_compact, pert(
-                [o.dense() for o in dil.ops]))))
+            dil = replace(dil, base=tup, forms=tuple(map(_compact, pert(
+                [o.dense() for o in dil.forms]))))
         return tup, fset, w, dil, kw
 
     @pytest.mark.parametrize("perturb", [False, True])
@@ -413,7 +413,7 @@ class TestCompactChecksMatchDense:
         tup, _, w, dil, _ = self._exam(case_id, perturb)
         e, q = np.eye(dil.dim, dil.base_dim), w.basis.dense()
         ref = [self._wn(v.conj().T @ e - e @ t.conj().T, q)
-               for v, t in zip((o.dense() for o in dil.ops), tup.ops)]
+               for v, t in zip((o.dense() for o in dil.forms), tup.ops)]
         got = dil.coextension_residuals(w)
         assert len(got) == len(ref)
         assert max(abs(g - r) for g, r in zip(got, ref)) <= self.TOL
@@ -421,7 +421,7 @@ class TestCompactChecksMatchDense:
     @pytest.mark.parametrize("perturb", [False, True])
     def test_exam3_isometry_check(self, perturb):
         _, _, _, dil, kw = self._exam("exam3", perturb)
-        v, q = [o.dense() for o in dil.ops], kw.basis.dense()
+        v, q = [o.dense() for o in dil.forms], kw.basis.dense()
         ref = {"commuting": self._commuting(v, q)}
         for i in range(6):
             j = 5 - i
@@ -433,7 +433,7 @@ class TestCompactChecksMatchDense:
     @pytest.mark.parametrize("perturb", [False, True])
     def test_exam5_isometry_check(self, perturb):
         _, _, _, dil, kw = self._exam("exam5", perturb)
-        (r1, r2, r3), q = [o.dense() for o in dil.ops], kw.basis.dense()
+        (r1, r2, r3), q = [o.dense() for o in dil.forms], kw.basis.dense()
         eye = np.eye(dil.dim)
         ref = {
             "commuting": self._commuting((r1, r2, r3), q),
