@@ -182,20 +182,23 @@ def pentablock_dilation(fset: FundamentalSet, depth: int) -> DilationResult:
     return coextension(fset.tup, fset.defect, depth, members)
 
 
-def pushforward(kind: str, *args, window: AnyWindow = WHOLE_SPACE):
+def pushforward(kind: str, *args):
     """Families of operators: the two-parameter seven-tuple, its gamma5
     slice, the axis embedding, and the averaged triple with an isometry.
 
-    The members are formed as coordinate forms, from forms or arrays.
-    Commutation of the result is checked, not assumed.
+    The members are formed as coordinate forms, from forms or arrays.  The
+    map checks its inputs (contractions, the closed disc, an isometry on the
+    whole space), not the commutation of its result: the code that uses the
+    result refuses a non-commuting one on its own window
+    (``fundamentals.require_commuting``, ``verify.is_commuting``).
     """
     if kind == "pi":
         t1, t2 = map(_compact, args)
         if max(map(op_norm, (t1, t2))) > 1.0 + 1e-8:
             raise ExpansiveError("pi needs a pair of contractions")
         t12 = t1 @ t2
-        out = OperatorTuple("gamma7", (t1, t2, t12, t12, t1 @ t12, t12 @ t2,
-                                       t1 @ t12 @ t2))
+        return OperatorTuple("gamma7", (t1, t2, t12, t12, t1 @ t12, t12 @ t2,
+                                        t1 @ t12 @ t2))
     elif kind == "pi_eta":
         tup, eta = args
         if not isinstance(tup, OperatorTuple) or tup.kind != "gamma7":
@@ -204,25 +207,21 @@ def pushforward(kind: str, *args, window: AnyWindow = WHOLE_SPACE):
         if abs(e) > 1.0 + 1e-12:
             raise DilateError("eta must lie in the closed unit disc")
         t = tup.forms
-        out = OperatorTuple("gamma5", (t[0], t[2] + e * t[4], e * t[6],
-                                       t[1] + e * t[3], e * t[5]))
+        return OperatorTuple("gamma5", (t[0], t[2] + e * t[4], e * t[6],
+                                        t[1] + e * t[3], e * t[5]))
     elif kind == "axis7":
         t1, t6, t7 = map(_compact, args)
         z = _diag(np.zeros(0), t1.shape)
-        out = OperatorTuple("gamma7", (t1, z, z, z, z, t6, t7))
+        return OperatorTuple("gamma7", (t1, z, z, z, z, t6, t7))
     elif kind == "gamma3":
         t1, t2, v3 = map(_compact, args)
         if max(map(op_norm, (t1, t2))) > 1.0 + 1e-8:
             raise ExpansiveError("gamma3 needs contractions in the first two slots")
-        iso_res = window.wnorm(v3.H @ v3 - _eye(v3.shape[0]))
+        iso_res = op_norm(v3.H @ v3 - _eye(v3.shape[0]))
         if iso_res > 1e-8:
-            raise DilateError(f"third member is not an isometry on the window: {iso_res:.3e}")
-        out = OperatorTuple("tetra", ((1.0 / 3.0) * (t1 + t2 + v3),
-                                      (1.0 / 3.0) * (t1 @ t2 + t2 @ v3 + v3 @ t1),
-                                      t1 @ t2 @ v3))
+            raise DilateError(f"third member is not an isometry: {iso_res:.3e}")
+        return OperatorTuple("tetra", ((1.0 / 3.0) * (t1 + t2 + v3),
+                                       (1.0 / 3.0) * (t1 @ t2 + t2 @ v3 + v3 @ t1),
+                                       t1 @ t2 @ v3))
     else:
         raise DilateError(f"unknown pushforward kind {kind!r}")
-    worst = max((v for _, v in out.commutators(window)), default=0.0)
-    if worst > 1e-9 * max(1.0, max(map(op_norm, set(out.forms))) ** 2):
-        raise DilateError(f"pushforward result does not commute: {worst:.3e}")
-    return out

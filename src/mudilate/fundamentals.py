@@ -32,18 +32,16 @@ class ExpansiveError(OpcoreError):
 
 @dataclass
 class DefectData:
-    """D = (I - T*T)^(1/2) of a contraction (``form``; ``D`` is the array),
-    its range and kernel as forms; only ``defect`` builds it.  ``range_basis``
-    holds the eigenvectors of D whose eigenvalues ``dvals`` exceed 1e-8 (rank
-    counts them), ``kernel_basis`` the rest; each dropped eigenvalue is exactly
-    0 (``defect`` zeroes Gram eigenvalues below 64 eps; any other root > 1e-7)."""
+    """D = (I - T*T)^(1/2) of a contraction (``form``), its range and kernel
+    as forms; only ``defect`` builds it.  ``range_basis`` holds the
+    eigenvectors of D whose eigenvalues ``dvals`` exceed 1e-8 (rank counts
+    them), ``kernel_basis`` the rest; each dropped eigenvalue is exactly 0
+    (``defect`` zeroes Gram eigenvalues below 64 eps; any other root > 1e-7)."""
 
     form: _Block
     range_basis: _Block
     dvals: np.ndarray
     kernel_basis: _Block
-
-    D = property(lambda self: self.form.dense())
 
     @property
     def rank(self) -> int:
@@ -175,9 +173,11 @@ def equation_residuals(rhs: dict, dd: DefectData, forms: dict, tol: float,
 
 def require_commuting(tup: OperatorTuple, window: AnyWindow = WHOLE_SPACE):
     """Raise SolveError unless the tuple commutes on the window to 1e-9,
-    relative to its largest squared norm."""
+    relative to its largest squared norm: the one commutation refusal.  The
+    bound is at least 1e-9, so the norms are taken only past it."""
     worst_comm = max((v for _, v in tup.commutators(window)), default=0.0)
-    if worst_comm > 1e-9 * max(1.0, max(map(op_norm, set(tup.forms))) ** 2):
+    if worst_comm > 1e-9 and \
+            worst_comm > 1e-9 * max(1.0, max(map(op_norm, set(tup.forms))) ** 2):
         raise SolveError(f"tuple does not commute on the window: {worst_comm:.3e}")
 
 
@@ -278,7 +278,10 @@ def chain_report(fset: FundamentalSet, z_samples: int = 32,
     rep = CheckReport(name=f"chain-{kind}", window_margin=window.margin)
     rep.notes.append("necessary direction only: failures disprove, passes do not certify")
     zs = np.exp(2j * np.pi * np.arange(z_samples) / z_samples)
-    comp = window.compress
+
+    def comp(a):  # the k x k compression, as an array for the dense kernels
+        return window.compress(a).dense()
+
     # per condition group: families decided exactly by grading, and sampled
     tally = {"rho-pair-psd": [0, 0], "radius<=2": [0, 0], "omega<=1": [0, 0]}
 

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from . import opcore
-from .opcore import OperatorTuple, _diag, _eye, herm_sqrt, op_norm
+from .opcore import OperatorTuple, _diag, _eye, commutator, herm_sqrt, op_norm
 from .spaces import ModelSpace, Window, auto_margin, embed_blocks, hardy_shift, window
 from .domains import (DomainPoint, membership, point_pi, point_pi_eta,
                       psi3_supnorm)
@@ -26,8 +26,8 @@ from .fundamentals import (MAX_Z_SAMPLES, MEMBERS, PIVOT, RELATIONS, chain_repor
                            defect, solve_fundamentals)
 from .dilate import DilationResult, coextension, pushforward, \
     pentablock_dilation, schaffer
-from .verify import _self_comm, commutator_profile, is_commuting, \
-    isometry_check, necessary_conditions, partial_isometry_check
+from .verify import commutator_profile, is_commuting, isometry_check, \
+    necessary_conditions, partial_isometry_check
 from .report import CheckReport, dumps
 
 
@@ -74,7 +74,7 @@ def build_exam1(trunc: int = 8):
     eye = _eye(trunc)
     t1 = embed_blocks(space, {(0, 1): eye, (1, 2): eye})
     t2 = embed_blocks(space, {(0, 0): m, (1, 1): m, (2, 2): m})
-    tup = pushforward("pi", t1, t2, window=window(space, 1))
+    tup = pushforward("pi", t1, t2)
     m2 = m @ m
     expected_f = {
         "F1": embed_blocks(space, {(0, 1): eye}),
@@ -91,7 +91,7 @@ def build_exam2(trunc: int = 8):
     """Five-tuple slice of the exam1 family at slice parameter 1, its known
     fundamentals and the five-tuple as the paper displays it."""
     space, tup7, _ = build_exam1(trunc)
-    tup5 = pushforward("pi_eta", tup7, 1.0, window=window(space, 4))
+    tup5 = pushforward("pi_eta", tup7, 1.0)
     m = hardy_shift(1, trunc)
     eye = _eye(trunc)
     m2 = m @ m
@@ -375,11 +375,11 @@ def _run_axis_family(case: GalleryCase) -> CheckReport:
     w = window(space, mar)
     rep = CheckReport(name="axis_family", window_margin=mar)
 
-    trip = pushforward("gamma3", a, b, pid, window=w)
+    trip = pushforward("gamma3", a, b, pid)
     t1, t6, t7 = trip.forms
     chk = partial_isometry_check(t7, tol=1e-9, window=w)
     _merge(rep, chk, "averaged product is a partial isometry")
-    tup = pushforward("axis7", t1, t6, t7, window=w)
+    tup = pushforward("axis7", t1, t6, t7)
     fset = solve_fundamentals(tup, tol=1e-9, window=w)
     dd = fset.defect
     rep.add("defect operator is a projection", dd.projection_gap, 1e-9)
@@ -398,17 +398,15 @@ def _run_axis_family(case: GalleryCase) -> CheckReport:
     kw = Window(w.margin, dd.range_basis @ w.inside(dd.range_basis))
     gap = 0.0
     for i, j in ((i, j) for i, j, _, _ in RELATIONS["gamma7"] if i < j):
-        fi, fj, di, dj = (kw.compress(x) for x in (
-            fset.forms[f"F{i+1}"], fset.forms[f"F{j+1}"], tup.forms[i], tup.forms[j]))
-        gap = max(gap, float(np.linalg.norm(
-            (_self_comm(fi) - _self_comm(fj)) - (_self_comm(di) - _self_comm(dj)), 2)))
+        fi, fj, di, dj = (commutator(c.H, c) for c in map(kw.compress, (
+            fset.forms[f"F{i+1}"], fset.forms[f"F{j+1}"], tup.forms[i], tup.forms[j])))
+        gap = max(gap, op_norm((fi - fj) - (di - dj)))
     rep.add("kernel-restricted tuple mirrors fundamental commutators", gap, 1e-10)
 
     beta = 0.7
     qspace = ModelSpace(((1, trunc),))
     wq = window(qspace, auto_margin(qspace, (m,)))
-    clean = pushforward("axis7", np.conj(beta) * _eye(trunc),
-                        beta * m, m, window=wq)
+    clean = pushforward("axis7", np.conj(beta) * _eye(trunc), beta * m, m)
     chk2 = isometry_check(clean, tol=1e-9, window=wq)
     _merge(rep, chk2, "axis embedding of a clean isometric triple")
 

@@ -9,8 +9,10 @@ operator off its nonzero entries (``spaces.auto_margin``).
 
 Coordinate rule: operators are coordinate forms (``_Block``) from birth.
 Builders lay out forms (``spaces.block_assemble`` places every block), and
-arrays exist only at I/O (the CLI's JSON, ``OperatorTuple.ops``) and inside
-dense kernels (eigen-solvers, square roots, radii, compressions); an array
+so do compressions (``Window.compress``, ``DefectData.compress``) and
+commutators (``commutator``).  Arrays exist only at I/O (the CLI's JSON,
+``OperatorTuple.ops``) and inside dense kernels (eigen-solvers, SVDs, radii
+and square roots), whose reader calls ``dense()`` at that point; an array
 that comes in is read once for its nonzeros (``_compact``).  The object that
 holds an operator owns its form: ``OperatorTuple.forms`` (read when the
 tuple is built), ``DefectData`` (D and its range and kernel bases),
@@ -203,8 +205,8 @@ class WholeSpace:
     def wnorm(self, a) -> float:
         return op_norm(a)
 
-    def compress(self, a) -> np.ndarray:
-        return _compact(a).dense()
+    def compress(self, a) -> _Block:
+        return _compact(a)
 
     def inside(self, b: _Block) -> _Block:
         return _eye(b.shape[1])
@@ -284,16 +286,11 @@ def _eigh(h: _Block):
     return w, _nonzeros(v)
 
 
-def _svd_norm(x: np.ndarray) -> float:
-    """Largest singular value of a dense array (0.0 without entries): the
-    LAPACK values of ``np.linalg.norm(x, 2)``, without its axis handling."""
-    return float(np.linalg.svd(x, compute_uv=False).max(initial=0.0))
-
-
 def op_norm(a) -> float:
     """Largest singular value of a dense array or a coordinate form, taken
-    on its support block (0.0 if zero)."""
-    return _svd_norm(_compact(a).block()[0])
+    on its support block (0.0 if zero): the LAPACK values of
+    ``np.linalg.norm(x, 2)``, without its axis handling."""
+    return float(np.linalg.svd(_compact(a).block()[0], compute_uv=False).max(initial=0.0))
 
 
 def herm_sqrt(h) -> np.ndarray:
@@ -473,10 +470,15 @@ def kernel_basis(a) -> np.ndarray:
     return vh[rank:].conj().T
 
 
+def commutator(a: _Block, b: _Block) -> _Block:
+    """[A, B] = AB - BA of two forms."""
+    return a @ b - b @ a
+
+
 def commutator_norms(ops, window=WHOLE_SPACE) -> list:
     """Pairwise commutator norms ||[A_i, A_j]|| seen through the window; a
     pair of one form or with a zero form is exactly 0.0 without a product."""
     fs = [_compact(o) for o in ops]
     return [((i, j), 0.0 if a is b or not (len(a.v) and len(b.v))
-             else window.wnorm(a @ b - b @ a))
+             else window.wnorm(commutator(a, b)))
             for i, a in enumerate(fs) for j, b in enumerate(fs[i + 1:], i + 1)]

@@ -10,9 +10,11 @@ operators' nonzero entries.
 
 A window's basis Q is a coordinate form (``opcore._Block``), and the
 window work is form algebra: ||A Q|| is the norm of the support block of
-the form A Q, Q* A Q is a form product, and orthonormality is read off the
-form Q* Q - I.  A coordinate selection (every window of the gallery) so
-costs its k nonzeros, and a dense basis takes the same products.
+the form A Q, the compression Q* A Q is a form product and stays a form,
+and orthonormality is read off the form Q* Q - I.  A reader whose kernel
+is dense (an eigen-solver, a radius) calls ``dense()`` on the compression.
+A coordinate selection (every window of the gallery) so costs its k
+nonzeros, and a dense basis takes the same products.
 
 ``block_assemble`` is the one block layout: the shift, the gallery
 operators, the dilations and the dilation window place their blocks with
@@ -60,8 +62,8 @@ class Window:
     """Orthonormal column basis Q (n x k) of the safe part of a truncated
     space, held as a coordinate form (an array passed in is read once).
     Windowed residuals are ||A Q||; windowed spectra are read off the
-    k x k compression Q* A Q, whose spectrum is that of P A P (P = Q Q*)
-    without the masked-out zeros."""
+    k x k compression Q* A Q (a form), whose spectrum is that of P A P
+    (P = Q Q*) without the masked-out zeros."""
 
     margin: int
     basis: _Block
@@ -88,9 +90,9 @@ class Window:
         """Residual ||(A - B) Q||, formed on the coordinate forms of A and B."""
         return self.wnorm(_compact(a) - _compact(b))
 
-    def compress(self, a) -> np.ndarray:
-        """The k x k compression Q* A Q."""
-        return (self._qh @ (_compact(a) @ self.basis)).dense()
+    def compress(self, a) -> _Block:
+        """The k x k compression Q* A Q, as a form."""
+        return self._qh @ (_compact(a) @ self.basis)
 
     def inside(self, b) -> _Block:
         """Orthonormal coordinates, in the orthonormal columns of B (a form or
@@ -102,7 +104,7 @@ class Window:
 
     def psd_min_eig(self, h) -> float:
         """Smallest eigenvalue of the Hermitian part of the compression of H."""
-        c = self.compress(h)
+        c = self.compress(h).dense()
         return float(np.linalg.eigvalsh((c + c.conj().T) / 2.0).min())
 
 

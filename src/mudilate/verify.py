@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .opcore import WHOLE_SPACE, OpcoreError, _compact, _eye, _svd_norm, op_norm
+from .opcore import (WHOLE_SPACE, OpcoreError, _compact, _eye, commutator,
+                     commutator_norms, op_norm)
 from .fundamentals import MEMBERS, PIVOT, RELATIONS, FundamentalSet
 from .report import CheckReport
 from .spaces import AnyWindow, Window
@@ -132,14 +133,6 @@ def necessary_conditions(fset: FundamentalSet, tol: float = 1e-9,
     return rep
 
 
-def _self_comm(m):
-    return m.conj().T @ m - m @ m.conj().T
-
-
-def _comm(a, b):
-    return a @ b - b @ a
-
-
 def commutator_profile(fset: FundamentalSet, tol: float = 1e-9,
                        window: AnyWindow = WHOLE_SPACE) -> CheckReport:
     """Full table of the commutator identities behind the sufficient
@@ -151,14 +144,13 @@ def commutator_profile(fset: FundamentalSet, tol: float = 1e-9,
     rep = CheckReport(name=f"commutators-{fset.kind}", hypothesis_only=True,
                       window_margin=window.margin)
     # P F P = Q (Q* F Q) Q*, so products and commutators of the compressions
-    # carry the norms of the two-sided windowed operators
-    comp = window.compress
+    # carry the norms of the two-sided windowed operators; each F is
+    # compressed once, as a form, and every table entry is a form's norm
     names = (tuple(f"F{i+1}" for i in range(6)) if fset.kind == "gamma7"
              else ("G1", "G2", "G1t", "G2t"))
-    fs = [comp(fset.forms[n]) for n in names]
-    pairs = list(combinations(zip(names, fs), 2))
-    for (na, a), (nb, b) in pairs:
-        rep.add(f"[{na},{nb}]", _svd_norm(_comm(a, b)), tol)
+    fs = [window.compress(fset.forms[n]) for n in names]
+    for (i, j), res in commutator_norms(fs):
+        rep.add(f"[{names[i]},{names[j]}]", res, tol)
 
     if fset.kind == "gamma7":
         partner = {i: j for i, j, _, _ in RELATIONS["gamma7"]}
@@ -166,12 +158,11 @@ def commutator_profile(fset: FundamentalSet, tol: float = 1e-9,
         for i in range(6):
             for j in range(i + 1, 6 - i):
                 ci, cj = partner[i], partner[j]
-                lhs = _comm(fs[ci].conj().T, fs[j])
-                rhs = _comm(fs[cj].conj().T, fs[i])
-                rep.add(f"[F{ci+1}*,F{j+1}]-[F{cj+1}*,F{i+1}]", _svd_norm(lhs - rhs), tol)
+                gap = commutator(fs[ci].H, fs[j]) - commutator(fs[cj].H, fs[i])
+                rep.add(f"[F{ci+1}*,F{j+1}]-[F{cj+1}*,F{i+1}]", op_norm(gap), tol)
         return rep
 
-    c1, c2, c1t, c2t = (_self_comm(m) for m in fs)
+    c1, c2, c1t, c2t = (commutator(m.H, m) for m in fs)
     idents = [
         ("[G1*,G1]-4[G2*,G2]", c1 - 4.0 * c2),
         ("[G1*,G1]-4[G1t*,G1t]", c1 - 4.0 * c1t),
@@ -179,9 +170,9 @@ def commutator_profile(fset: FundamentalSet, tol: float = 1e-9,
         ("4[G2*,G2]-[G2t*,G2t]", 4.0 * c2 - c2t),
         ("4[G1t*,G1t]-[G2t*,G2t]", 4.0 * c1t - c2t),
     ]
-    idents += [(f"[{na},{nb}*]-[{nb},{na}*]", _comm(a, b.conj().T) - _comm(b, a.conj().T))
-               for (na, a), (nb, b) in pairs]
+    idents += [(f"[{na},{nb}*]-[{nb},{na}*]", commutator(a, b.H) - commutator(b, a.H))
+               for (na, a), (nb, b) in combinations(zip(names, fs), 2)]
     idents.append(("[2G2*,2G2]-[2G1t*,2G1t]", 4.0 * (c2 - c1t)))
     for label, m in idents:
-        rep.add(label, _svd_norm(m), tol)
+        rep.add(label, op_norm(m), tol)
     return rep

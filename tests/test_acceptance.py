@@ -191,7 +191,7 @@ def test_criterion_8_solver_round_trip():
             + 1j * rng.standard_normal((dd.rank, dd.rank))
         q, dplus = dd.range_basis.dense(), dd.pinv().dense()
         f_emb = q @ f @ q.conj().T
-        rhs = dd.D @ f_emb @ dd.D
+        rhs = dd.form.dense() @ f_emb @ dd.form.dense()
         rec = dplus @ rhs @ dplus
         worst = max(worst, float(np.linalg.norm(rec - f_emb, 2))
                     / max(1.0, float(np.linalg.norm(f_emb, 2))))

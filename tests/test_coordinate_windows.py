@@ -63,8 +63,8 @@ def test_window_forms_match_dense_reference(case):
     assert abs(w.equal(a, b) - _norm((a - b) @ q)) <= 1e-12 * scale
     assert abs(w.wnorm(_compact(a)) - _norm(a @ q)) <= 1e-12 * scale
     c = w.compress(a)
-    assert c.shape == (w.dim, w.dim)
-    assert np.abs(c - q.conj().T @ a @ q).max(initial=0.0) <= 1e-12 * scale
+    assert isinstance(c, _Block) and c.shape == (w.dim, w.dim)
+    assert np.abs(c.dense() - q.conj().T @ a @ q).max(initial=0.0) <= 1e-12 * scale
     # the part of span(S) inside the window: the eigenvalue-1 eigenvectors
     # of c* c with c = Q* S, as coordinates in the columns of S
     cs = q.conj().T @ s
@@ -139,7 +139,7 @@ def test_diagonal_defect_matches_dense_eigh(n, seed):
     _, rank, dvals, dmat, gap = _dense_defect(t)
     assert dd.rank == rank and dd.dvals.shape == dvals.shape
     assert np.abs(dd.dvals - dvals).max(initial=0.0) <= 1e-14
-    assert np.abs(dd.D - dmat).max() <= 1e-14
+    assert np.abs(dd.form.dense() - dmat).max() <= 1e-14
     assert abs(dd.projection_gap - gap) <= 1e-14
     # the bases are coordinate selections: one entry of 1 per column
     for basis in (dd.range_basis, dd.kernel_basis):
@@ -199,7 +199,7 @@ def test_dense_defect_matches_dense_eigh(make, eigh_in_defect):
     _, rank, dvals, dmat, gap = _dense_defect(t)
     for dd in (defect(t), defect(_compact(t))):
         assert dd.rank == rank and np.array_equal(dd.dvals, dvals)
-        assert np.array_equal(dd.D, dmat) and dd.projection_gap == gap
+        assert np.array_equal(dd.form.dense(), dmat) and dd.projection_gap == gap
         q, k = dd.range_basis.dense(), dd.kernel_basis.dense()
         assert q.shape[1] + k.shape[1] == 6
         assert np.abs(np.hstack([q, k]).conj().T @ np.hstack([q, k]) - np.eye(6)).max() <= 1e-12
@@ -219,9 +219,9 @@ def test_gallery_windows_are_selections(monkeypatch, eigh_in_defect):
     monkeypatch.setattr(spaces.Window, "__post_init__", recording)
     reports = run_gallery(trunc=16)
     assert all(r.verdict == "pass" for r in reports)
-    # each operator case builds its window, one per pushforward (exam1 1,
-    # exam2 2), the kernel window and the dilation window; axis_family 3
-    assert len(bases) == 18
+    # each operator case builds its window, the kernel window and the
+    # dilation window (pushforward takes none); axis_family 3
+    assert len(bases) == 15
     for q in bases:
         n, k = q.shape
         assert len(q.v) == k and (q.v == 1.0).all()

@@ -4,12 +4,13 @@ import scipy.linalg
 
 from mudilate import dilate, gallery, opcore
 from mudilate.opcore import ARITY, OperatorTuple, op_norm
-from mudilate.spaces import ModelSpace, Window, hardy_shift, window
-from mudilate.fundamentals import (ExpansiveError, FundamentalSet, defect,
+from mudilate.spaces import Window, hardy_shift
+from mudilate.fundamentals import (ExpansiveError, FundamentalSet, SolveError, defect,
                                    solve_fundamentals)
 from mudilate.dilate import (DilateError, coextension, egervary,
                              pentablock_dilation, pushforward, schaffer)
 from mudilate.gallery import build_exam1, build_exam2, build_exam3, build_exam3_dilation
+from mudilate.verify import is_commuting
 
 from conftest import random_contraction
 
@@ -180,7 +181,7 @@ def _block_layout(tup, dd, depth, members):
     if dd.rank == 0:
         return list(tup.ops)
     n, r = tup.dim, dd.rank
-    drow = dd.range_basis.dense().conj().T @ dd.D
+    drow = dd.range_basis.dense().conj().T @ dd.form.dense()
     at = [slice(0, n)] + [slice(n + c * r, n + (c + 1) * r) for c in range(depth)]
     out = []
     for k, base in enumerate(tup.ops):
@@ -382,24 +383,32 @@ class TestPushforward:
         assert all(np.all(tup.ops[i] == 0) for i in (1, 2, 3, 4))
 
     def test_gamma3_of_commuting_isometries(self):
-        sp = ModelSpace(((1, 8),))
-        w = window(sp, 2)
-        m = hardy_shift(1, 8).dense()
-        trip = pushforward("gamma3", m, m, m, window=w)
+        # the cyclic shift is a unitary, so an isometry on the whole space
+        c = np.roll(np.eye(8), 1, axis=0)
+        trip = pushforward("gamma3", c, c, c)
         t1, t2, t3 = trip.ops
-        np.testing.assert_allclose(t1, m, atol=1e-12)
-        np.testing.assert_allclose(t3, np.linalg.matrix_power(m, 3), atol=1e-12)
+        np.testing.assert_allclose(t1, c, atol=1e-12)
+        np.testing.assert_allclose(t2, c @ c, atol=1e-12)
+        np.testing.assert_allclose(t3, np.linalg.matrix_power(c, 3), atol=1e-12)
+        assert is_commuting(trip).worst() == 0.0
 
     def test_gamma3_rejects_non_isometry_third(self):
         t = np.diag([0.5, 0.5])
         with pytest.raises(DilateError):
             pushforward("gamma3", t, t, t)
+        # a truncated shift is an isometry only off its top level
+        m = hardy_shift(1, 8).dense()
+        with pytest.raises(DilateError, match="not an isometry"):
+            pushforward("gamma3", m, m, m)
 
     def test_pi_rejects_expansive(self):
         with pytest.raises(ExpansiveError):
             pushforward("pi", [[1.3]], [[0.5]])
 
     def test_non_commuting_rejected(self):
+        # pushforward is a map; its users refuse a non-commuting result
         m = hardy_shift(1, 6).dense()
-        with pytest.raises(DilateError):
-            pushforward("axis7", m, m.conj().T, np.zeros((6, 6)))
+        tup = pushforward("axis7", m, m.conj().T, np.zeros((6, 6)))
+        assert is_commuting(tup).verdict == "fail"
+        with pytest.raises(SolveError, match="does not commute"):
+            solve_fundamentals(tup)

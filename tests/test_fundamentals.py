@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+import mudilate.fundamentals as fundamentals
 from mudilate.opcore import (WHOLE_SPACE, OpcoreError, OperatorTuple, herm_sqrt,
                              op_norm)
 from mudilate.spaces import ModelSpace, hardy_shift, window
 from mudilate.fundamentals import (CHAIN_TOL, MAX_Z_SAMPLES, ExpansiveError,
-                                   SolveError, chain_report, defect, rho,
-                                   solve_fundamentals)
+                                   SolveError, chain_report, defect, require_commuting,
+                                   rho, solve_fundamentals)
 from mudilate.gallery import _raising_symbol
 
 from conftest import random_contraction, unchecked_fundamentals
@@ -15,14 +16,14 @@ from conftest import random_contraction, unchecked_fundamentals
 class TestDefect:
     def test_zero_contraction(self):
         dd = defect(np.zeros((4, 4)))
-        np.testing.assert_allclose(dd.D, np.eye(4))
+        np.testing.assert_allclose(dd.form.dense(), np.eye(4))
         assert dd.rank == 4 and dd.is_projection
 
     def test_truncated_shift_vanishes_on_window(self):
         sp = ModelSpace(((1, 8),))
         w = window(sp, 1)
         dd = defect(hardy_shift(1, 8))
-        assert w.wnorm(dd.D) <= 1e-12
+        assert w.wnorm(dd.form.dense()) <= 1e-12
         assert dd.rank == 1
 
     def test_exam1_partial_isometry_defect(self, exam1):
@@ -32,7 +33,7 @@ class TestDefect:
         expected = np.zeros((space.total_dim, space.total_dim))
         n = space.summands[0][1]
         expected[:2 * n, :2 * n] = np.eye(2 * n)
-        assert w.equal(dd.D, expected) <= 1e-12
+        assert w.equal(dd.form.dense(), expected) <= 1e-12
 
     def test_rejects_expansive(self):
         with pytest.raises(ExpansiveError):
@@ -49,7 +50,7 @@ class TestDefect:
         for i in (0, 3):
             sl = slice(i * n, (i + 1) * n)
             ideal[sl, sl] = np.eye(n)
-        assert w.equal(dd.D, ideal) <= 1e-12
+        assert w.equal(dd.form.dense(), ideal) <= 1e-12
         np.testing.assert_allclose(herm_sqrt(ideal), ideal,
                                    atol=1e-12)
 
@@ -59,8 +60,8 @@ class TestDefect:
             t = random_contraction(rng, 5)
             dd = defect(t)
             gram = np.eye(5) - t.conj().T @ t
-            np.testing.assert_allclose(dd.D @ dd.D, gram, atol=1e-9)
-            proj_gap = np.linalg.norm(dd.D @ dd.D - dd.D, 2)
+            np.testing.assert_allclose(dd.form.dense() @ dd.form.dense(), gram, atol=1e-9)
+            proj_gap = np.linalg.norm(dd.form.dense() @ dd.form.dense() - dd.form.dense(), 2)
             assert dd.is_projection == (proj_gap <= 1e-9)
 
 
@@ -129,7 +130,7 @@ class TestSolveFundamentals:
             f = rng.standard_normal((dd.rank, dd.rank)) \
                 + 1j * rng.standard_normal((dd.rank, dd.rank))
             f_emb = q @ f @ q.conj().T
-            rhs = dd.D @ f_emb @ dd.D
+            rhs = dd.form.dense() @ f_emb @ dd.form.dense()
             rec = dplus @ rhs @ dplus
             assert np.linalg.norm(rec - f_emb, 2) <= 1e-8 * max(1.0, np.linalg.norm(f, 2))
 
@@ -149,6 +150,39 @@ class TestSolveFundamentals:
         ops = [m, m.conj().T] + [np.zeros((5, 5))] * 4 + [np.zeros((5, 5))]
         with pytest.raises(SolveError):
             solve_fundamentals(OperatorTuple("gamma7", ops))
+
+
+class TestRequireCommuting:
+    @pytest.fixture
+    def normed(self, monkeypatch):
+        """The members whose norms ``require_commuting`` takes."""
+        seen = []
+
+        def counting(a):
+            seen.append(a)
+            return op_norm(a)
+
+        monkeypatch.setattr(fundamentals, "op_norm", counting)
+        return seen
+
+    def test_exactly_commuting_tuple_takes_no_norm(self, normed, exam1):
+        _, tup, _, w = exam1
+        require_commuting(tup, w)
+        require_commuting(OperatorTuple("sym", (np.diag([3.0, 4.0]), np.diag([5.0, 6.0]))))
+        assert normed == []
+
+    def test_small_failure_is_judged_against_the_norms(self, normed):
+        # [A, B] = eps (100 - 200) E12 for A = diag(100, 200), B = eps E12:
+        # 2e-9 passes against 1e-9 ||A||^2 = 4e-5, as before the norms were
+        # deferred; with ||A|| <= 1 the same 2e-9 fails
+        e12 = np.array([[0.0, 1.0], [0.0, 0.0]])
+        big = OperatorTuple("sym", (np.diag([100.0, 200.0]), 2e-11 * e12))
+        assert max(v for _, v in big.commutators()) == pytest.approx(2e-9, rel=1e-12)
+        require_commuting(big)
+        assert len(normed) == 2
+        small = OperatorTuple("sym", (np.diag([0.5, 1.0]), 4e-9 * e12))
+        with pytest.raises(SolveError, match="does not commute"):
+            require_commuting(small)
 
 
 class TestRho:

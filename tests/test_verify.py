@@ -1,15 +1,22 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mudilate.opcore import OperatorTuple, OpcoreError, _compact
+from mudilate.opcore import WHOLE_SPACE, OperatorTuple, OpcoreError, _compact
 from mudilate.spaces import ModelSpace, Window, hardy_shift, window
-from mudilate.fundamentals import chain_report, defect, solve_fundamentals
+from mudilate.fundamentals import FundamentalSet, chain_report, defect, solve_fundamentals
 from mudilate.gallery import build_exam3_dilation
-from mudilate.verify import (_self_comm, commutator_profile, is_commuting,
-                             isometry_check, necessary_conditions,
-                             partial_isometry_check)
+from mudilate.verify import (commutator_profile, is_commuting, isometry_check,
+                             necessary_conditions, partial_isometry_check)
 
 from conftest import range_side_kernel
+
+
+def _self_comm(m):
+    """[M*, M] of an array: the dense reference of the profile's identities."""
+    return m.conj().T @ m - m @ m.conj().T
 
 
 class TestIsCommuting:
@@ -167,7 +174,6 @@ class TestPartialIsometryRestriction:
         # fundamental operators'
         _, tup, _, w = exam1
         fset = solve_fundamentals(tup, window=w)
-        from mudilate.verify import _self_comm
         dd = defect(tup.ops[6])
         kb = (dd.range_basis @ w.inside(dd.range_basis)).dense()
         assert kb.shape[1] > 0
@@ -219,6 +225,105 @@ class TestCommutatorProfile:
                 commutator_profile(fset)
 
 
+# weights whose products and short sums are exact, so a dense and a form
+# product of weighted partial permutations agree to the last bit
+_EXACT_WEIGHTS = np.array([1.0, -1.0, 1j, -1j, 0.5, -0.5j, 0.5 + 0.5j])
+
+
+@st.composite
+def profile_sets(draw):
+    """A gamma7 or gamma5 set of F, each a weighted partial permutation
+    (entries of modulus <= 1), a dense complex matrix, zero or an exact
+    repeat of an earlier member; a selection window, a dense orthonormal
+    window or the whole space; and whether every product is exact (no
+    dense member or window)."""
+    kind = draw(st.sampled_from(["gamma7", "gamma5"]))
+    names = ([f"F{i+1}" for i in range(6)] if kind == "gamma7"
+             else ["G1", "G2", "G1t", "G2t"])
+    n = draw(st.integers(1, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    fs, hows = {}, set()
+    for name in names:
+        how = draw(st.sampled_from(["perm", "dense", "zero", "repeat"]))
+        hows.add(how)
+        if how == "repeat" and fs:
+            fs[name] = fs[draw(st.sampled_from(sorted(fs)))]
+        elif how == "dense":
+            fs[name] = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        else:
+            f = np.zeros((n, n), dtype=complex)
+            if how == "perm":
+                cols = np.flatnonzero(rng.uniform(size=n) < 0.7)
+                f[rng.permutation(n)[:len(cols)], cols] = rng.choice(_EXACT_WEIGHTS, len(cols))
+            fs[name] = f
+    shape = draw(st.sampled_from(["selection", "dense", "whole"]))
+    exact = "dense" not in hows | {shape}
+    k = int(rng.integers(1, n + 1))
+    if shape == "whole":
+        return kind, fs, None, exact
+    if shape == "selection":
+        return kind, fs, np.eye(n)[:, np.sort(rng.choice(n, k, replace=False))], exact
+    q = np.linalg.qr(rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k)))[0]
+    return kind, fs, q, exact
+
+
+def _profile_reference(kind, fs):
+    """The profile's items, label -> 2-norm, from the dense compressions ``fs``."""
+    def comm(a, b):
+        return a @ b - b @ a
+
+    def two(m):
+        return float(np.linalg.norm(m, 2))
+
+    names = list(fs)
+    ref = {f"[{a},{b}]": two(comm(fs[a], fs[b])) for a, b in combinations(names, 2)}
+    f = [fs[name] for name in names]
+    if kind == "gamma7":
+        for i in range(6):
+            for j in range(i + 1, 6 - i):
+                gap = comm(f[5 - i].conj().T, f[j]) - comm(f[5 - j].conj().T, f[i])
+                ref[f"[F{6-i}*,F{j+1}]-[F{6-j}*,F{i+1}]"] = two(gap)
+        return ref
+    c1, c2, c1t, c2t = map(_self_comm, f)
+    ref.update({"[G1*,G1]-4[G2*,G2]": two(c1 - 4.0 * c2),
+                "[G1*,G1]-4[G1t*,G1t]": two(c1 - 4.0 * c1t),
+                "[G1*,G1]-[G2t*,G2t]": two(c1 - c2t),
+                "4[G2*,G2]-[G2t*,G2t]": two(4.0 * c2 - c2t),
+                "4[G1t*,G1t]-[G2t*,G2t]": two(4.0 * c1t - c2t)})
+    for a, b in combinations(names, 2):
+        ref[f"[{a},{b}*]-[{b},{a}*]"] = two(comm(fs[a], fs[b].conj().T)
+                                            - comm(fs[b], fs[a].conj().T))
+    ref["[2G2*,2G2]-[2G1t*,2G1t]"] = two(4.0 * (c2 - c1t))
+    return ref
+
+
+class TestProfileMatchesDense:
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(profile_sets())
+    def test_every_item_matches_the_dense_reference(self, case):
+        kind, fs, q, exact = case
+        n = next(iter(fs.values())).shape[0]
+        arity = 7 if kind == "gamma7" else 5
+        fset = FundamentalSet(OperatorTuple(kind, [np.zeros((n, n))] * arity), fs, {},
+                              defect(np.zeros((n, n))))
+        w = WHOLE_SPACE if q is None else Window(0, q)
+        got = {i.label: i.residual for i in commutator_profile(fset, window=w).items}
+        comp = {name: f if q is None else q.conj().T @ f @ q for name, f in fs.items()}
+        ref = _profile_reference(kind, comp)
+        assert list(got) == list(ref)
+        scale = max(1.0, *(np.linalg.norm(f, 2) for f in comp.values())) ** 2
+        for label, value in ref.items():
+            assert abs(got[label] - value) <= 1e-12 * scale, label
+            # exact products leave exact zeros; a rounded complex product
+            # need not commute to the last bit (numpy's fused multiply-add)
+            if value == 0.0 and exact:
+                assert got[label] == 0.0, label
+        # a pair with a zero member, or of a member and its repeat, is exactly 0.0
+        for a, b in combinations(fs, 2):
+            if fs[a] is fs[b] or not (fs[a].any() and fs[b].any()):
+                assert got[f"[{a},{b}]"] == 0.0, (a, b)
+
+
 class TestPairsListedOnce:
     """Relation rows (i, j) and (j, i), and the mixed identities of the
     pairs (i, j) and (5 - j, 5 - i), carry equal norms, so each unordered
@@ -237,7 +342,7 @@ class TestPairsListedOnce:
         assert len(by) == 6
         kb = fset.defect.kernel_basis
         kw = Window(w.margin, kb @ w.inside(kb))
-        t, d = tup.ops, fset.defect.D
+        t, d = tup.ops, fset.defect.form.dense()
         f = [fset[f"F{k+1}"].conj().T for k in range(6)]
         for i in range(3):
             j = 5 - i
@@ -254,7 +359,7 @@ class TestPairsListedOnce:
     def test_gamma7_profile(self, case, request):
         _, fset, w = self._solved(case, request)
         by = {i.label: i.residual for i in commutator_profile(fset, window=w).items}
-        fs = [w.compress(fset[f"F{k+1}"]) for k in range(6)]
+        fs = [w.compress(fset[f"F{k+1}"]).dense() for k in range(6)]
 
         def comm(a, b):
             return a @ b - b @ a
@@ -279,7 +384,7 @@ class TestPairsListedOnce:
         fset = solve_fundamentals(tup5, window=w)
         by = {i.label: i.residual for i in commutator_profile(fset, window=w).items}
         assert "[G2*,G2]-[G1t*,G1t]" not in by and len(by) == 18
-        g2, g1t = (w.compress(fset[n]) for n in ("G2", "G1t"))
+        g2, g1t = (w.compress(fset[n]).dense() for n in ("G2", "G1t"))
         quarter = np.linalg.norm(_self_comm(g2) - _self_comm(g1t), 2)
         assert abs(4.0 * quarter - by["[2G2*,2G2]-[2G1t*,2G1t]"]) <= 1e-12
 
@@ -402,7 +507,7 @@ class TestCompactChecksMatchDense:
             tup = OperatorTuple(tup.kind, pert(tup.ops))
             fset = replace(fset, tup=tup,
                            forms=dict(zip(fset.names(), pert([fset[n] for n in fset.names()]))),
-                           defect=replace(fset.defect, form=_compact(pert([fset.defect.D])[0])))
+                           defect=replace(fset.defect, form=_compact(pert([fset.defect.form.dense()])[0])))
             dil = replace(dil, base=tup, forms=tuple(map(_compact, pert(
                 [o.dense() for o in dil.forms]))))
         return tup, fset, w, dil, kw
@@ -448,7 +553,7 @@ class TestCompactChecksMatchDense:
     @pytest.mark.parametrize("perturb", [False, True])
     def test_exam3_necessary_conditions(self, perturb):
         tup, fset, w, _, _ = self._exam("exam3", perturb)
-        t, d = tup.ops, fset.defect.D
+        t, d = tup.ops, fset.defect.form.dense()
         f = [fset[f"F{i+1}"].conj().T for i in range(6)]
         kb = range_side_kernel(fset.defect, w)
         ref = {}
@@ -464,7 +569,7 @@ class TestCompactChecksMatchDense:
     def test_exam5_necessary_conditions(self, perturb):
         tup, fset, w, _, _ = self._exam("exam5", perturb)
         _, p2, p3 = tup.ops
-        d, x = fset.defect.D, fset["X"]
+        d, x = fset.defect.form.dense(), fset["X"]
         kb = range_side_kernel(fset.defect, w)
         ref = {"(X D P3 - D P2)|ker": self._wn(x @ d @ p3 - d @ p2, kb)}
         self._assert_items(necessary_conditions(fset, window=w), ref)
