@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .opcore import (WHOLE_SPACE, OperatorTuple, OpcoreError, _Block, _compact, _diag,
-                     _eigh, _eye, _nonzeros, grading, numerical_radius, op_norm,
+                     _eigh, _eye, grading, numerical_radius, op_norm,
                      spectral_radius)
 from .report import CheckReport
 from .spaces import AnyWindow
@@ -66,24 +66,9 @@ class DefectData:
         return self.range_basis.H @ (_compact(a) @ self.range_basis)
 
 
-def defect(t) -> DefectData:
-    """D_T, its range and kernel; ExpansiveError unless ||T|| <= 1 + 1e-8.  A T
-    with at most one entry per row (every exam pivot) has a diagonal I - T*T,
-    read off by ``_eigh`` with no array; any other T takes one dense ``eigh``."""
-    f = _compact(t)
-    n = f.shape[0]
-    if f.shape[1] != n:
-        raise OpcoreError("defect operator needs a square matrix")
-    diagonal = np.bincount(f.i, minlength=n).max() <= 1
-    if diagonal:
-        w, v = _eigh(_eye(n) - f.H @ f)
-    else:
-        m = f.dense()
-        del f  # a dense T's form is twice its array: free it before the eigh
-        g = np.eye(n) - m.conj().T @ m
-        del m
-        w, v = np.linalg.eigh((g + g.conj().T) / 2.0)
-        del g
+def _gram_root(w: np.ndarray) -> np.ndarray:
+    """The eigenvalues of D_T from the ascending eigenvalues w of I - T*T;
+    ExpansiveError unless ||T|| <= 1 + 1e-8."""
     nrm = np.sqrt(max(0.0, 1.0 - w.min()))  # ||T||^2 = 1 - min eig(I - T*T)
     if nrm > 1.0 + 1e-8:
         raise ExpansiveError(f"not a contraction: norm {nrm:.6f}")
@@ -91,15 +76,24 @@ def defect(t) -> DefectData:
     # Gram eigenvalues below roundoff would be inflated by the square root;
     # zero them before it (I - T*T carries ~eps absolute error)
     w[w < 64.0 * np.finfo(float).eps * max(1.0, w.max())] = 0.0
-    dvals = np.sqrt(w)
+    return np.sqrt(w)
+
+
+def defect(t) -> DefectData:
+    """D_T, its range and kernel, from one ``_eigh`` of I - T*T, per support
+    component: a T with at most one entry per row (every exam pivot) has a
+    diagonal Gram, read off with no LAPACK call, and a dense T is one
+    component and one ``eigh``.  D is formed on the same blocks."""
+    f = _compact(t)
+    if f.shape[0] != f.shape[1]:
+        raise OpcoreError("defect operator needs a square matrix")
+    h = f.H @ f
+    del f  # a dense T's form is twice its array: free it before I - T*T
+    h = _eye(h.shape[0]) - h
+    dvals, v, d = _eigh(h, _gram_root)
     # D <= I for a contraction, so 1e-8 * max(1, ||D||) is an absolute cut
     keep = dvals > 1e-8 * max(dvals.max(), 1.0)
-    if diagonal:
-        q = v.cols(keep)
-        return DefectData(q @ _diag(dvals[keep]) @ q.H, q, dvals[keep], v.cols(~keep))
-    d = (v * dvals) @ v.conj().T
-    d = _nonzeros((d + d.conj().T) / 2.0)  # D's form; its array goes before v is read
-    return DefectData(d, _nonzeros(v[:, keep]), dvals[keep], _nonzeros(v[:, ~keep]))
+    return DefectData(d, v.cols(keep), dvals[keep], v.cols(~keep))
 
 
 # index of the distinguished contraction whose defect carries the equations
@@ -249,8 +243,9 @@ def chain_report(fset: FundamentalSet, z_samples: int = 32,
     The rho form sums the two displayed orderings; for |z| = 1, pivot L,
     s = a + b and K = s - s* L it is the sym form of the summed pair,
     rho_tetra(a, z b, z L) + rho_tetra(b, z a, z L) = 2(I - L*L) - z K - conj(z) K*.
-    So every condition is a k x k family affine in z on the window
-    compression: h = 2(I - L*L) is compressed once, K once per pair.
+    So every condition is a family affine in z of window compressions, held
+    as forms (h = 2(I - L*L) compressed once, K once per pair), whose spectra
+    are read per support component (``opcore._blocks``).
 
     Graded families are decided exactly (``opcore.grading``).  If a
     potential g gives A degree d_a and B degree d_b != d_a, the unitary
@@ -278,10 +273,6 @@ def chain_report(fset: FundamentalSet, z_samples: int = 32,
     rep = CheckReport(name=f"chain-{kind}", window_margin=window.margin)
     rep.notes.append("necessary direction only: failures disprove, passes do not certify")
     zs = np.exp(2j * np.pi * np.arange(z_samples) / z_samples)
-
-    def comp(a):  # the k x k compression, as an array for the dense kernels
-        return window.compress(a).dense()
-
     # per condition group: families decided exactly by grading, and sampled
     tally = {"rho-pair-psd": [0, 0], "radius<=2": [0, 0], "omega<=1": [0, 0]}
 
@@ -302,18 +293,19 @@ def chain_report(fset: FundamentalSet, z_samples: int = 32,
     rep.add("fundamental-solvability", max(fset.residuals.values(), default=0.0),
             CHAIN_TOL)
 
-    h = comp(2.0 * (_eye(tup.dim) - last.H @ last))
-    h = (h + h.conj().T) / 2.0
-    h_pattern = np.abs(h) + np.eye(len(h))  # supp h and the diagonal: degree 0
+    h = window.compress(2.0 * (_eye(tup.dim) - last.H @ last))
+    h = 0.5 * (h + h.H)
+    # supp h and the diagonal, which demands degree 0
+    h_pattern = _Block(h.i, h.j, np.abs(h.v), h.shape) + _eye(h.shape[0])
     rho_min = np.inf
     rad_max, omega_max = 0.0, 0.0
     for a, b, tag, names in pairs:
-        ca, cb = comp(a), comp(b)
+        ca, cb = window.compress(a), window.compress(b)
         s = a + b
-        k = comp(s - s.H @ last)
+        k = window.compress(s - s.H @ last)
         p_rho = min(over_torus(
             "rho-pair-psd",
-            lambda z: float(np.linalg.eigvalsh(h - z * k - (z * k).conj().T)[0]),
+            lambda z: float(_eigh(h - z * k - (z * k).H)[0][0]),
             grading(h_pattern, k).z_free))
         rep.add(f"rho-pair-psd[{tag}]", max(0.0, -p_rho), CHAIN_TOL)
         rho_min = min(rho_min, p_rho)
@@ -330,7 +322,7 @@ def chain_report(fset: FundamentalSet, z_samples: int = 32,
         else:
             rep.add(f"radius<=2[{tag}]", max(0.0, p_rad - 2.0), CHAIN_TOL)
         rad_max = max(rad_max, p_rad)
-        fa, fb = comp(fset.forms[names[0]]), comp(fset.forms[names[1]])
+        fa, fb = (window.compress(fset.forms[name]) for name in names)
         # every sample even when z-free: the benchmark's own tests count z_samples
         # numerical_radius calls per family (ROADMAP, "Re-size the benchmark")
         g = grading(fa, fb)

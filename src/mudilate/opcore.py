@@ -11,19 +11,26 @@ Coordinate rule: operators are coordinate forms (``_Block``) from birth.
 Builders lay out forms (``spaces.block_assemble`` places every block), and
 so do compressions (``Window.compress``, ``DefectData.compress``) and
 commutators (``commutator``).  Arrays exist only at I/O (the CLI's JSON,
-``OperatorTuple.ops``) and inside dense kernels (eigen-solvers, SVDs, radii
-and square roots), whose reader calls ``dense()`` at that point; an array
-that comes in is read once for its nonzeros (``_compact``).  The object that
-holds an operator owns its form: ``OperatorTuple.forms`` (read when the
-tuple is built), ``DefectData`` (D and its range and kernel bases),
-``FundamentalSet.forms``, ``Window.basis`` and the members of a
-``DilationResult``.  This is exact: ``_mat`` admits only finite entries, so
-each dropped term is 0 * x = 0, and zero rows and columns carry no nonzero
-singular value.  A product sums the terms a_ik b_kj of each entry, unless the
-terms outnumber both the operands' entries and the entries of the product of
-the two support blocks; one BLAS product of the blocks is then cheaper and
-no larger.  A selection or diagonal B gives each a_ik at most one term, so
-windows and dilations cost about their nonzeros.
+``OperatorTuple.ops``) and inside dense kernels, which take a form's support
+block (SVDs), its component blocks (eigen-solvers and radii) or ``dense()``
+(square roots); an array that comes in is read once for its nonzeros
+(``_compact``).  The object that holds an operator owns its form:
+``OperatorTuple.forms`` (read when the tuple is built), ``DefectData`` (D
+and its range and kernel bases), ``FundamentalSet.forms``, ``Window.basis``
+and the members of a ``DilationResult``.  This is exact: ``_mat`` admits only
+finite entries, so each dropped term is 0 * x = 0, and zero rows and columns
+carry no nonzero singular value.  A product sums the terms a_ik b_kj of each
+entry, unless the terms outnumber both the operands' entries and the entries
+of the product of the two support blocks; one BLAS product of the blocks is
+then cheaper and no larger.  A selection or diagonal B gives each a_ik at
+most one term, so windows and dilations cost about their nonzeros.
+
+Component rule: the spectrum, omega, lambda_min and lambda_max of a direct
+sum are the union, max or min over its summands (Horn & Johnson, Topics in
+Matrix Analysis, 1991, section 1.2), and the summands of a square form are
+the connected components of its support graph (Pothen & Fan, ACM TOMS 16,
+1990).  ``grading``, ``_eigh`` and both radii read one search (``_split``),
+so their cost follows the components, not the dimension.
 
 The kernel runs on numpy alone except for the QZ fallback of
 ``numerical_radius`` on input that is not unit-graded (``_level_set_radius``),
@@ -67,13 +74,6 @@ def _mat(x) -> np.ndarray:
         raise OpcoreError(f"operator dimensions must be positive, got {m.shape}")
     if not np.isfinite(m).all():
         raise OpcoreError("operator entries must be finite")
-    return m
-
-
-def _square(x, what: str) -> np.ndarray:
-    m = _mat(x)
-    if m.shape[0] != m.shape[1]:
-        raise OpcoreError(f"{what} needs a square matrix")
     return m
 
 
@@ -139,7 +139,8 @@ class _Block:
 
     @property
     def H(self):
-        return _coalesce(self.j, self.i, self.v.conj(), self.shape[::-1])
+        o = np.argsort(self.j, kind="stable")  # keys sorted by (i, j): by j alone suffices
+        return _Block(self.j[o], self.i[o], self.v[o].conj(), self.shape[::-1])
 
     def __rmul__(self, w):
         return _coalesce(self.i, self.j, w * self.v, self.shape)
@@ -195,6 +196,62 @@ def _nonzeros(m: np.ndarray) -> _Block:
     """The form of a 2-D complex array of any shape, empty ones included."""
     i, j = np.nonzero(m)
     return _Block(i, j, m[i, j], m.shape)
+
+
+def _split(i, j, n: int, step=None):
+    """Connected components of the graph on range(n) with an undirected edge
+    per (i[e], j[e]): each node's label (its component's least node), and,
+    given integer rows ``step``, potentials with pot(i[e]) - pot(j[e]) =
+    step[e] along a spanning forest, 0 at each label.  Each round hooks every
+    root sharing an edge with a smaller root under one of them, then pointer
+    jumping points every node at its root; edges inside a tree are dropped."""
+    root, pot = np.arange(n), None if step is None else np.zeros((n, step.shape[1]), np.int64)
+    pick = np.empty(n, dtype=np.intp)
+    while len(c := np.flatnonzero(root[i] != root[j])):
+        i, j = i[c], j[c]
+        ru, rv = root[i], root[j]
+        hi = np.maximum(ru, rv)
+        pick[hi] = np.arange(len(c))
+        e = pick[hi]  # the one edge that hooks each root: it joins the forest
+        root[hi] = np.minimum(ru, rv)[e]
+        if step is not None:
+            step = step[c]
+            pot[hi] = (np.where(ru > rv, 1, -1)[:, None] * (step - pot[i] + pot[j]))[e]
+        while ((up := root[root]) != root).any():
+            if step is not None:
+                pot += pot[root]
+            root = up
+    return root, pot
+
+
+def _blocks(f: _Block) -> list:
+    """The support components (``_split``) of a square form as stacks of
+    equal-size dense blocks, one (nodes, stack) per size: row c of ``nodes``
+    holds a component's coordinates in ascending order, ``stack[c]`` the
+    block of f on them."""
+    n = f.shape[0]
+    if f.shape[1] != n:
+        raise OpcoreError(f"a spectrum needs a square matrix, got shape {f.shape}")
+    label = _split(f.i, f.j, n)[0]
+    size = np.bincount(label, minlength=n)[label]
+    key = size * n + label
+    order = np.argsort(key, kind="stable")  # by size, then component
+    key, ssz = key[order], size[order]
+    lead = np.searchsorted(key, key)  # where each component starts in the order
+    base = np.cumsum(ssz) - ssz  # where each block starts in one flat buffer
+    row, at = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp)
+    row[order] = np.arange(n) - lead
+    at[order] = base[lead] + row[order] * ssz  # where each coordinate's block row starts
+    flat = np.zeros(ssz.sum(), dtype=complex)
+    flat[at[f.i] + row[f.j]] = f.v
+    g = _starts(ssz)
+    return [(order[b:e].reshape(-1, ssz[b]), flat[base[b]:base[b] + (e - b) * ssz[b]]
+             .reshape(-1, ssz[b], ssz[b])) for b, e in zip(g, np.append(g[1:], n))]
+
+
+def _hermitian(x: np.ndarray) -> np.ndarray:
+    """The Hermitian part of a square array, or of each in a stack."""
+    return (x + x.conj().swapaxes(-1, -2)) / 2.0
 
 
 class WholeSpace:
@@ -273,17 +330,34 @@ def _diag(x, shape=None) -> _Block:
     return _Block(d, d, x.astype(complex), shape or (len(x),) * 2)
 
 
-def _eigh(h: _Block):
-    """Ascending eigenvalues and orthonormal eigenvectors (a form) of a Hermitian
-    form: a diagonal one is read off in stable order, any other takes ``eigh``."""
-    n = h.shape[0]
-    if (h.i == h.j).all():
-        d = np.bincount(h.i, h.v.real, minlength=n)
-        order = np.argsort(d, kind="stable")
-        return d[order], _Block(np.arange(n), np.argsort(order), np.ones(n, dtype=complex), (n, n))
-    m = h.dense()
-    w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
-    return w, _nonzeros(v)
+def _eigh(h: _Block, fn=None):
+    """Ascending eigenvalues w of a Hermitian form and its eigenvectors V as a
+    form, per support component (``_blocks``): one stacked ``eigh`` per block
+    size (a lone block goes in as a matrix), and a 1 x 1 block [x] read off
+    as x.real with eigenvector 1.  Ties keep coordinate order (column t of a
+    block counts as its t-th coordinate), so a diagonal form sorts stably.
+    Given ``fn``, fn(w) replaces w, and the form of V fn(w) V* follows, its
+    Hermitian part taken on each block."""
+    empty = np.zeros(0, dtype=np.intp)
+    w, parts, rows, cols, vecs = np.empty(h.shape[0]), _blocks(h), [empty], [empty], [empty + 0j]
+    for k, (nodes, x) in enumerate(parts):
+        m, s = nodes.shape
+        wk, v = ((x.real, np.ones_like(x)) if s == 1
+                 else np.linalg.eigh(_hermitian(x if m > 1 else x[0])))
+        w[nodes], parts[k] = wk.reshape(m, s), (nodes, v.reshape(m, s, s))
+        rows.append(np.repeat(nodes, s, axis=1).ravel())  # entry (c, r, t): nodes[c, r]
+        cols.append(np.tile(nodes, s).ravel())  # and nodes[c, t]
+        vecs.append(v.ravel())
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    order = np.argsort(w, kind="stable")
+    rank = np.argsort(order)
+    vecs = _coalesce(rows, rank[cols], np.concatenate(vecs), h.shape)
+    if fn is None:
+        return w[order], vecs
+    d = fn(w[order])
+    return d, vecs, _coalesce(rows, cols, np.concatenate([empty + 0j] + [
+        _hermitian((v * d[rank[p]][:, None, :]) @ v.conj().swapaxes(1, 2)).ravel()
+        for p, v in parts]), h.shape)
 
 
 def op_norm(a) -> float:
@@ -299,21 +373,22 @@ def herm_sqrt(h) -> np.ndarray:
     Eigenvalues in [-1e-10, 0) are clamped to zero; anything lower is an
     error (the input is then genuinely indefinite, not just noisy).
     """
-    m = _square(h, "square root")
+    m = _mat(h)
+    if m.shape[0] != m.shape[1]:
+        raise OpcoreError("square root needs a square matrix")
     asym = np.linalg.norm(m - m.conj().T, 2)
     if asym > 1e-10:
         raise NotHermitianError(f"input is not Hermitian: asymmetry {asym:.3e}")
-    sym = (m + m.conj().T) / 2.0
-    w, v = np.linalg.eigh(sym)
+    w, v = np.linalg.eigh(_hermitian(m))
     if w.min() < -1e-10:
         raise NegativeEigenvalueError(f"eigenvalue {w.min():.6e} below the clamp window -1e-10")
-    w = np.clip(w, 0.0, None)
-    s = (v * np.sqrt(w)) @ v.conj().T
-    return (s + s.conj().T) / 2.0
+    return _hermitian((v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T)
 
 
 def spectral_radius(a) -> float:
-    return float(np.abs(np.linalg.eigvals(_square(a, "spectral radius"))).max())
+    """max |lambda| over the spectra of the support components (``_blocks``)."""
+    return float(max(np.abs(np.linalg.eigvals(x) if x.shape[1] > 1 else x).max()
+                     for _, x in _blocks(_compact(a))))
 
 
 NR_BATCH = 8  # angles per eigvalsh call; also the number of start angles
@@ -325,19 +400,10 @@ NR_TOL = 1e-8  # relative stopping tolerance of the level-set iteration
 
 
 def _theta_profile(m: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """lambda_max of Re(e^{i theta} M) for a batch of angles.
-
-    Re(e^{i theta} M) = cos(theta) B - sin(theta) C with B and C the
-    Hermitian and skew-Hermitian parts of M; ``eigvalsh`` takes the angles
-    NR_BATCH at a time, so memory stays O(n^2) however many angles come.
-    """
-    b = (m + m.conj().T) / 2.0
-    c = (m - m.conj().T) / 2.0j
-    out = np.empty(len(thetas))
-    for lo in range(0, len(thetas), NR_BATCH):
-        t = thetas[lo:lo + NR_BATCH, None, None]
-        out[lo:lo + NR_BATCH] = np.linalg.eigvalsh(np.cos(t) * b - np.sin(t) * c)[:, -1]
-    return out
+    """lambda_max of Re(e^{i theta} M) for a batch of angles, NR_BATCH angles
+    per ``eigvalsh`` call, so memory stays O(n^2) however many angles come."""
+    return np.concatenate([np.linalg.eigvalsh(_hermitian(np.exp(1j * t)[:, None, None] * m))[:, -1]
+                           for t in np.split(thetas, range(NR_BATCH, len(thetas), NR_BATCH))])
 
 
 @dataclass(frozen=True)
@@ -352,45 +418,28 @@ class Grading:
 
 
 def grading(a, b=None) -> Grading:
-    """The gradings of the family (A, B) (of A alone if B is None), read off
-    its exact nonzero pattern.
+    """The gradings of the family (A, B) (of A alone if B is None), arrays or
+    forms, read off their exact nonzero pattern.
 
-    One breadth-first search of the support graph (the nonzeros of both
-    operands as undirected edges) fixes g on a spanning forest as an integer
+    The component search (``_split``) of the support graph, the nonzeros of
+    both operands as edges, fixes g on a spanning forest as an integer
     combination pot(v) . (d_a, d_b) of the unknown degrees.  Every nonzero
     (row, col) of the operand with unit vector e then demands
     (pot(row) - pot(col) - e) . (d_a, d_b) = 0.  A pair d meeting every
     condition is a grading, realised by g = pot . d; on a spanning forest
     every grading meets them, so they cut out exactly the admissible degree
     pairs: ``unit`` iff (1, 1) satisfies them, ``z_free`` iff some pair with
-    d_a != d_b does.  The search loops over nodes, not nonzeros, and all
-    nonzeros are checked at once, so a dense matrix costs array work.
+    d_a != d_b does.
     """
-    ops = [_square(a, "grading")] + ([] if b is None else [_square(b, "grading")])
-    n = ops[0].shape[0]
-    if ops[-1].shape[0] != n:
-        raise OpcoreError("a graded family needs operands on one space")
-    nz = [o != 0 for o in ops]
-    e = np.eye(2, dtype=np.int64)
-    support = np.logical_or.reduce(nz)
-    # step[v, u] = pot(u) - pot(v) across one nonzero joining v and u:
-    # -e across a nonzero (v, u) of the operand with unit vector e, +e across (u, v)
-    arc = np.where(nz[0][..., None], e[0], e[1])
-    step = np.where(support[..., None], -arc, arc.transpose(1, 0, 2))
-    adjacent = support | support.T
-    pot = np.zeros((n, 2), dtype=np.int64)
-    seen = np.zeros(n, dtype=bool)
-    for root in range(n):
-        if seen[root]:
-            continue
-        seen[root] = True
-        queue = [root]
-        for v in queue:
-            new = np.flatnonzero(adjacent[v] & ~seen)
-            seen[new] = True
-            pot[new] = pot[v] + step[v, new]
-            queue.extend(new.tolist())
-    cond = np.concatenate([pot[r] - pot[c] - x for (r, c), x in zip(map(np.nonzero, nz), e)])
+    fs = [_compact(a)] + ([] if b is None else [_compact(b)])
+    n = fs[0].shape[0]
+    if any(f.shape != (n, n) for f in fs):
+        raise OpcoreError("a graded family needs square operands on one space")
+    i, j = (np.concatenate([getattr(f, x) for f in fs]) for x in "ij")
+    # the unit vector of each nonzero's operand: pot(row) - pot(col) = e on the forest
+    e = np.repeat(np.eye(2, dtype=np.int64)[:len(fs)], [len(f.v) for f in fs], axis=0)
+    pot = _split(i, j, n, e)[1]
+    cond = pot[i] - pot[j] - e
     unit = not cond.sum(axis=1).any()
     rows = cond[cond.any(axis=1)]
     if not len(rows):
@@ -402,18 +451,19 @@ def grading(a, b=None) -> Grading:
 
 
 def numerical_radius(a, unit_graded: bool = False) -> float:
-    """omega(A) = max over theta of lambda_max((e^{i theta}A + e^{-i theta}A*)/2).
+    """omega(A) = max over theta of lambda_max((e^{i theta}A + e^{-i theta}A*)/2)
+    of an array or a form, the max over its support components (``_blocks``);
+    a 1 x 1 block [x] has omega |x|.
 
     Unit-graded A (``grading(A).unit``: a potential g with g(row) - g(col) = 1
     on supp A, as for the zero matrix, truncated shifts and the gallery's
-    shift-block fundamentals) is decided exactly by one ``eigvalsh``:
-    D = diag(e^{i theta g}) is unitary and D A D* = e^{i theta} A, so the
-    profile is constant and omega(A) = lambda_max(Re A).  A caller that
-    has shown A unit-graded (a member A + zB of a family with
-    ``grading(A, B).unit`` is) passes ``unit_graded=True``, and A is not
-    graded again.
+    shift-block fundamentals) is decided exactly by ``eigvalsh``, stacked by
+    block size: D = diag(e^{i theta g}) is unitary and D A D* = e^{i theta} A,
+    so the profile is constant and omega(A) = lambda_max(Re A).  A caller
+    that has shown A unit-graded (a member A + zB of a family with
+    ``grading(A, B).unit`` is) passes ``unit_graded=True``.
 
-    Any other A takes the level-set iteration of Mengi & Overton,
+    Any other block takes the level-set iteration of Mengi & Overton,
     "Algorithms for the computation of the pseudospectral radius and the
     numerical radius of a matrix", IMA J. Numer. Anal. 25 (2005).  The
     level f starts as the largest profile value at eight equally spaced
@@ -429,10 +479,12 @@ def numerical_radius(a, unit_graded: bool = False) -> float:
     converges quadratically to omega at a smooth maximum.  The iteration
     stops when no midpoint beats f by more than ``NR_TOL * f``.
     """
-    m = _square(a, "numerical radius")
-    if unit_graded or grading(m).unit:
-        return float(_theta_profile(m, np.zeros(1))[0])
-    return _level_set_radius(m)
+    f = _compact(a)
+    unit = unit_graded or grading(f).unit
+    return float(max(np.abs(x).max() if x.shape[1] == 1
+                     else np.linalg.eigvalsh(_hermitian(x))[:, -1].max() if unit
+                     else max(map(_level_set_radius, x))
+                     for _, x in _blocks(f)))
 
 
 def _level_set_radius(m: np.ndarray) -> float:

@@ -11,9 +11,9 @@ operators' nonzero entries.
 A window's basis Q is a coordinate form (``opcore._Block``), and the
 window work is form algebra: ||A Q|| is the norm of the support block of
 the form A Q, the compression Q* A Q is a form product and stays a form,
-and orthonormality is read off the form Q* Q - I.  A reader whose kernel
-is dense (an eigen-solver, a radius) calls ``dense()`` on the compression.
-A coordinate selection (every window of the gallery) so costs its k
+and orthonormality is read off the form Q* Q - I; eigen-solvers and radii
+read the compression's support components (``opcore._blocks``).  A
+coordinate selection (every window of the gallery) so costs its k
 nonzeros, and a dense basis takes the same products.
 
 ``block_assemble`` is the one block layout: the shift, the gallery
@@ -104,8 +104,7 @@ class Window:
 
     def psd_min_eig(self, h) -> float:
         """Smallest eigenvalue of the Hermitian part of the compression of H."""
-        c = self.compress(h).dense()
-        return float(np.linalg.eigvalsh((c + c.conj().T) / 2.0).min())
+        return float(_eigh(self.compress(h))[0][0])
 
 
 AnyWindow = Window | WholeSpace  # a check's window; default opcore.WHOLE_SPACE

@@ -1,6 +1,9 @@
 """Graded families against dense references.
 
-``opcore.grading`` against the null space of the grading equations; the
+``opcore.grading`` against the null space of the grading equations, on
+near-graded pairs and on permuted direct sums of them; the spectra read per
+support component (``_eigh``, both ``numerical_radius`` paths,
+``spectral_radius``) against dense numpy on the same direct sums; the
 unit-graded ``numerical_radius`` against the QZ level-set path and a dense
 angle grid; z-free families (omega, spectral radius and the folded rho
 form) against a 64-point torus grid; ``chain_report``'s graded decisions
@@ -17,8 +20,8 @@ from hypothesis import given, settings, strategies as st
 from mudilate import fundamentals, opcore
 from mudilate.fundamentals import RELATIONS, chain_report, solve_fundamentals
 from mudilate.gallery import GalleryCase, build_exam1, build_exam2, run_example
-from mudilate.opcore import (Grading, OperatorTuple, _level_set_radius, grading,
-                             numerical_radius, spectral_radius)
+from mudilate.opcore import (Grading, OperatorTuple, _compact, _eigh, _level_set_radius,
+                             grading, numerical_radius, spectral_radius)
 from mudilate.spaces import auto_margin, window
 
 SETTINGS = settings(derandomize=True, max_examples=40, deadline=None)
@@ -41,6 +44,47 @@ def potentials(draw):
     n = draw(st.integers(1, 12))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     return rng, rng.integers(-3, 4, n), draw(st.floats(0.3, 1.0))
+
+
+def _direct_sum(rng, blocks):
+    """The pair (P (A_1 + ... + A_m) P*, P (B_1 + ... + B_m) P*) of direct
+    sums of the square block pairs (A_k, B_k), under one random permutation P."""
+    n = sum(len(x) for x, _ in blocks)
+    out, at = np.zeros((2, n, n), dtype=complex), 0
+    for pair in blocks:
+        k = len(pair[0])
+        out[:, at:at + k, at:at + k] = pair
+        at += k
+    p = rng.permutation(n)
+    return out[:, p][:, :, p]
+
+
+@st.composite
+def direct_sums(draw, d_a=None):
+    """A permuted direct sum of block pairs (A_k, B_k): pairs of degrees
+    (d_a, d_b) on random potentials (``_on_degree``; d_a drawn unless given),
+    repeats of an earlier pair, isolated nodes (1 x 1 zeros) and at most one
+    dense pair of size 2 to 4."""
+    rng, _, density = draw(potentials())
+    d_a = draw(st.integers(-2, 2)) if d_a is None else d_a
+    d_b = draw(st.integers(-2, 2))
+    kinds = draw(st.lists(st.sampled_from(("graded", "repeat", "isolated")),
+                          min_size=1, max_size=6))
+    if draw(st.booleans()):
+        kinds.insert(draw(st.integers(0, len(kinds))), "dense")
+    blocks = []
+    for kind in kinds:
+        g = rng.integers(-3, 4, int(rng.integers(1, 5)))
+        if kind == "dense":  # at least 2 x 2: a 1 x 1 block takes no QZ
+            k = max(2, len(g))
+            blocks.append((_complex(rng, k, k), _complex(rng, k, k)))
+        elif kind == "isolated":
+            blocks.append((np.zeros((1, 1)), np.zeros((1, 1))))
+        elif kind == "repeat" and blocks:
+            blocks.append(blocks[int(rng.integers(len(blocks)))])
+        else:
+            blocks.append((_on_degree(rng, g, d_a, density), _on_degree(rng, g, d_b, density)))
+    return _direct_sum(rng, blocks), "dense" in kinds
 
 
 def _reference_grading(a, b):
@@ -84,17 +128,58 @@ def counted_qz():
         scipy.linalg.eigvals = eigvals
 
 
-@SETTINGS
-@given(potentials(), st.integers(-2, 2), st.integers(-2, 2), st.booleans())
-def test_grading_matches_null_space(pot, d_a, d_b, spoil):
-    # near-graded pairs, sometimes with one entry anywhere: all four answers occur
-    rng, g, density = pot
-    a, b = _on_degree(rng, g, d_a, density), _on_degree(rng, g, d_b, density)
-    if spoil:
+@st.composite
+def near_graded_pairs(draw):
+    """A pair of degrees (d_a, d_b) on one random potential, sometimes with
+    one entry of A anywhere."""
+    rng, g, density = draw(potentials())
+    a = _on_degree(rng, g, draw(st.integers(-2, 2)), density)
+    b = _on_degree(rng, g, draw(st.integers(-2, 2)), density)
+    if draw(st.booleans()):
         a[tuple(rng.integers(0, len(g), 2))] = 1.0
+    return a, b
+
+
+@SETTINGS
+@given(st.one_of(near_graded_pairs(), direct_sums().map(lambda d: tuple(d[0]))))
+def test_grading_matches_null_space(pair):
+    # all four answers occur, and a direct sum is graded iff its blocks share a grading
+    a, b = pair
     got = grading(a, b)
     assert (got.unit, got.z_free) == _reference_grading(a, b)
+    assert grading(_compact(a), _compact(b)) == got
     assert grading(a).unit == _reference_grading(a, np.zeros_like(a))[0]
+
+
+@SETTINGS
+@given(direct_sums(d_a=1))
+def test_component_spectra_match_dense_reference(drawn):
+    # A is unit-graded unless a dense block was drawn; every spectrum is read
+    # per support component and checked against numpy on the dense array
+    (a, _), dense = drawn
+    f = _compact(a)
+    h = f + f.H
+    hd = h.dense()
+    ref = np.linalg.eigvalsh(hd)
+    scale = max(1.0, np.abs(ref).max())
+    w, v = _eigh(h)
+    q = v.dense()
+    assert np.abs(w - ref).max() <= 1e-12 * scale
+    assert np.abs(q.conj().T @ q - np.eye(len(q))).max() <= 1e-12
+    assert np.abs((q * w) @ q.conj().T - hd).max() <= 1e-12 * scale
+    assert abs(spectral_radius(h) - np.abs(ref).max()) <= 1e-12 * scale
+    assert grading(f).unit != dense
+    with counted_qz() as calls:
+        omega = numerical_radius(f)
+    if dense:  # the QZ path, per component, against the level-set path on the whole array
+        assert calls
+        assert abs(omega - _level_set_radius(a)) <= 1e-12 * max(1.0, omega)
+        rho = np.abs(np.linalg.eigvals(a)).max()
+        assert abs(spectral_radius(f) - rho) <= 1e-12 * max(1.0, rho)
+    else:  # unit-graded: lambda_max(Re A)
+        assert not calls
+        assert abs(omega - np.linalg.eigvalsh((a + a.conj().T) / 2.0)[-1]) <= 1e-12 * scale
+        assert numerical_radius(f, unit_graded=True) == omega
 
 
 @SETTINGS
