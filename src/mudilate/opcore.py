@@ -203,20 +203,23 @@ def _split(i, j, n: int, step=None):
     per (i[e], j[e]): each node's label (its component's least node), and,
     given integer rows ``step``, potentials with pot(i[e]) - pot(j[e]) =
     step[e] along a spanning forest, 0 at each label.  Each round hooks every
-    root sharing an edge with a smaller root under one of them, then pointer
-    jumping points every node at its root; edges inside a tree are dropped."""
+    root under the least root it shares an edge with, if smaller (a tree next
+    to the least root joins it at once, so a star takes two rounds), then
+    pointer jumping points every node at its root; edges inside a tree go."""
     root, pot = np.arange(n), None if step is None else np.zeros((n, step.shape[1]), np.int64)
     pick = np.empty(n, dtype=np.intp)
     while len(c := np.flatnonzero(root[i] != root[j])):
         i, j = i[c], j[c]
         ru, rv = root[i], root[j]
-        hi = np.maximum(ru, rv)
-        pick[hi] = np.arange(len(c))
-        e = pick[hi]  # the one edge that hooks each root: it joins the forest
-        root[hi] = np.minimum(ru, rv)[e]
+        hi, lo, low = np.maximum(ru, rv), np.minimum(ru, rv), root.copy()
+        np.minimum.at(low, hi, lo)
+        e = np.flatnonzero(lo == low[hi])
+        pick[hi[e]] = e
+        e = pick[hi[e]]  # the one edge that hooks each root: it joins the forest
+        root[hi[e]] = lo[e]
         if step is not None:
             step = step[c]
-            pot[hi] = (np.where(ru > rv, 1, -1)[:, None] * (step - pot[i] + pot[j]))[e]
+            pot[hi[e]] = (np.where(ru > rv, 1, -1)[:, None] * (step - pot[i] + pot[j]))[e]
         while ((up := root[root]) != root).any():
             if step is not None:
                 pot += pot[root]
