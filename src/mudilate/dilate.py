@@ -172,13 +172,11 @@ def pentablock_dilation(fset: FundamentalSet, depth: int) -> DilationResult:
     if fset.kind != "penta":
         raise DilateError("pentablock dilation takes a penta FundamentalSet")
     members = _relation_members(fset)
-    xc = members[1][1][0].dense()  # R2's diagonal band: X in defect coordinates
-    gram = xc.conj().T @ xc + xc @ xc.conj().T
-    if np.linalg.norm(gram, 2) > 4.0 + 1e-9:
+    xc = members[1][1][0]  # R2's diagonal band: X in defect coordinates
+    gram = xc.H @ xc + xc @ xc.H
+    if op_norm(gram) > 4.0 + 1e-9:
         raise DilateError("damping block undefined: ||X*X + XX*|| exceeds 4")
-    # a rank-0 gram is empty, and coextension returns the triple unchanged
-    ell = herm_sqrt(np.eye(len(xc)) - 0.25 * gram) if len(xc) else gram
-    members[0] = ([], {0: ell})
+    members[0] = ([], {0: herm_sqrt(_eye(xc.shape[0]) - 0.25 * gram)})
     return coextension(fset.tup, fset.defect, depth, members)
 
 

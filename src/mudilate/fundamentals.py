@@ -206,13 +206,13 @@ def rho(tup: OperatorTuple) -> RhoResult:
     sym:   2(I - P*P) - (S - S*P) - (S* - P*S)
     tetra: (I - T3*T3) - (T2*T2 - T1*T1) - (T2 - T1*T3) - (T2 - T1*T3)*
     """
-    eye = np.eye(tup.dim)
+    eye, t = np.eye(tup.dim), [f.dense() for f in tup.forms]
     if tup.kind == "sym":
-        s, p = tup.ops
+        s, p = t
         out = 2.0 * (eye - p.conj().T @ p) - (s - s.conj().T @ p) \
             - (s.conj().T - p.conj().T @ s)
     elif tup.kind == "tetra":
-        t1, t2, t3 = tup.ops
+        t1, t2, t3 = t
         re_part = t2 - t1.conj().T @ t3
         out = (eye - t3.conj().T @ t3) - (t2.conj().T @ t2 - t1.conj().T @ t1) \
             - re_part - re_part.conj().T

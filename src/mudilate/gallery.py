@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from . import opcore
-from .opcore import OperatorTuple, _diag, _eye, commutator, herm_sqrt, op_norm
+from .opcore import OperatorTuple, _Block, _diag, _eye, commutator, herm_sqrt, op_norm
 from .spaces import ModelSpace, Window, auto_margin, embed_blocks, hardy_shift, window
 from .domains import (DomainPoint, membership, point_pi, point_pi_eta,
                       psi3_supnorm)
@@ -115,11 +115,9 @@ def build_exam2(trunc: int = 8):
 # nilpotent-symbol family on four C^2-fiber summands
 
 
-def _raising_symbol(alpha: float, trunc: int) -> np.ndarray:
+def _raising_symbol(alpha: float, trunc: int) -> _Block:
     """Rank-one symbol on the C^2-fiber space: level-0 fiber map [[0, a], [0, 0]]."""
-    g = np.zeros((2 * trunc, 2 * trunc), dtype=complex)
-    g[0, 1] = alpha
-    return g
+    return alpha * _Block(np.array([0]), np.array([1]), np.ones(1, complex), (2 * trunc,) * 2)
 
 
 def build_exam3(alpha: float = 0.5, trunc: int = 8):
@@ -156,7 +154,7 @@ def build_exam5(alpha: float = 0.5, trunc: int = 8):
     defect = first summand.  Its fundamental X is the symbol P2."""
     space = ModelSpace(((2, trunc),) * 4)
     g = _raising_symbol(alpha, trunc)
-    l0 = herm_sqrt(np.eye(2 * trunc) - 0.25 * (g.conj().T @ g + g @ g.conj().T))
+    l0 = herm_sqrt(_eye(2 * trunc) - 0.25 * (g.H @ g + g @ g.H))
     m2 = hardy_shift(2, trunc)
     eye = _eye(2 * trunc)
     p1 = embed_blocks(space, {(0, 0): l0, (1, 1): eye, (2, 2): eye, (3, 3): eye})

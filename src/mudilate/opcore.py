@@ -10,27 +10,30 @@ operator off its nonzero entries (``spaces.auto_margin``).
 Coordinate rule: operators are coordinate forms (``_Block``) from birth.
 Builders lay out forms (``spaces.block_assemble`` places every block), and
 so do compressions (``Window.compress``, ``DefectData.compress``) and
-commutators (``commutator``).  Arrays exist only at I/O (the CLI's JSON,
-``OperatorTuple.ops``) and inside dense kernels, which take a form's support
-block (SVDs), its component blocks (eigen-solvers and radii) or ``dense()``
-(square roots); an array that comes in is read once for its nonzeros
-(``_compact``).  The object that holds an operator owns its form:
-``OperatorTuple.forms`` (read when the tuple is built), ``DefectData`` (D
-and its range and kernel bases), ``FundamentalSet.forms``, ``Window.basis``
-and the members of a ``DilationResult``.  This is exact: ``_mat`` admits only
-finite entries, so each dropped term is 0 * x = 0, and zero rows and columns
-carry no nonzero singular value.  A product sums the terms a_ik b_kj of each
-entry, unless the terms outnumber both the operands' entries and the entries
-of the product of the two support blocks; one BLAS product of the blocks is
-then cheaper and no larger.  A selection or diagonal B gives each a_ik at
-most one term, so windows and dilations cost about their nonzeros.
+commutators (``commutator``).  Arrays exist only at I/O (the CLI's JSON) and
+inside dense kernels, which take a form's support block (SVDs) or its
+component blocks (eigen-solvers, square roots and radii); an array that
+comes in is read once for its nonzeros (``_compact``).  The object that
+holds an operator owns its form: ``OperatorTuple.forms`` (read when the
+tuple is built), ``DefectData`` (D and its range and kernel bases),
+``FundamentalSet.forms``, ``Window.basis`` and the members of a
+``DilationResult``.  This is exact: ``_mat`` admits only finite entries, so
+each dropped term is 0 * x = 0, and zero rows and columns carry no nonzero
+singular value.  A product sums the terms a_ik b_kj of each entry, unless
+the terms outnumber both the operands' entries and the entries of the
+product of the two support blocks; one BLAS product of the blocks is then
+cheaper and no larger.  A selection or diagonal B gives each a_ik at most
+one term, so windows and dilations cost about their nonzeros.
 
 Component rule: the spectrum, omega, lambda_min and lambda_max of a direct
 sum are the union, max or min over its summands (Horn & Johnson, Topics in
 Matrix Analysis, 1991, section 1.2), and the summands of a square form are
 the connected components of its support graph (Pothen & Fan, ACM TOMS 16,
 1990).  ``grading``, ``_eigh`` and both radii read one search (``_split``),
-so their cost follows the components, not the dimension.
+so their cost follows the components, not the dimension.  A function of a
+Hermitian form is that of each summand, V f(w) V* on each (Higham,
+Functions of Matrices, SIAM 2008, section 1.2): ``herm_sqrt`` and
+``fundamentals.defect`` both take it from ``_eigh``.
 
 The kernel runs on numpy alone except for the QZ fallback of
 ``numerical_radius`` on input that is not unit-graded (``_level_set_radius``),
@@ -292,7 +295,7 @@ class _Forms:
 class OperatorTuple(_Forms):
     """A kind-tagged family of square operators on a shared space, held as
     coordinate forms ``forms``, each read once when the tuple is built (a
-    member passed twice stays one form); ``ops`` is their dense view."""
+    member passed twice stays one form)."""
 
     kind: str
     forms: tuple
@@ -310,12 +313,6 @@ class OperatorTuple(_Forms):
         if any(f.shape != (dim, dim) for f in forms):
             raise OpcoreError("tuple members must be square on a common space")
         self.forms = forms
-
-    @property
-    def ops(self) -> tuple:
-        """The members as arrays, one per distinct form: for I/O and dense kernels."""
-        dense = {id(f): f.dense() for f in self.forms}
-        return tuple(dense[id(f)] for f in self.forms)
 
     @property
     def dim(self) -> int:
@@ -365,27 +362,31 @@ def _eigh(h: _Block, fn=None):
 
 def op_norm(a) -> float:
     """Largest singular value of a dense array or a coordinate form, taken
-    on its support block (0.0 if zero): the LAPACK values of
+    on its support block (0.0 without an SVD if zero): the LAPACK values of
     ``np.linalg.norm(x, 2)``, without its axis handling."""
-    return float(np.linalg.svd(_compact(a).block()[0], compute_uv=False).max(initial=0.0))
+    f = _compact(a)
+    return float(np.linalg.svd(f.block()[0], compute_uv=False).max()) if len(f.v) else 0.0
 
 
-def herm_sqrt(h) -> np.ndarray:
-    """Principal square root of a PSD matrix, Hermitian to 1e-10.
+def _psd_root(w: np.ndarray) -> np.ndarray:
+    """Square roots of the eigenvalues w of a PSD operator: those in
+    [-1e-10, 0) are clamped to zero; anything lower is an error (the input
+    is then genuinely indefinite, not just noisy)."""
+    if w.min(initial=0.0) < -1e-10:
+        raise NegativeEigenvalueError(f"eigenvalue {w.min():.6e} below the clamp window -1e-10")
+    return np.sqrt(np.clip(w, 0.0, None))
 
-    Eigenvalues in [-1e-10, 0) are clamped to zero; anything lower is an
-    error (the input is then genuinely indefinite, not just noisy).
-    """
-    m = _mat(h)
-    if m.shape[0] != m.shape[1]:
+
+def herm_sqrt(h) -> _Block:
+    """Principal square root of a PSD array or form, Hermitian to 1e-10, as
+    a form: V sqrt(w) V* per support component (``_eigh`` with ``_psd_root``)."""
+    f = _compact(h)
+    if f.shape[0] != f.shape[1]:
         raise OpcoreError("square root needs a square matrix")
-    asym = np.linalg.norm(m - m.conj().T, 2)
+    asym = op_norm(f - f.H)
     if asym > 1e-10:
         raise NotHermitianError(f"input is not Hermitian: asymmetry {asym:.3e}")
-    w, v = np.linalg.eigh(_hermitian(m))
-    if w.min() < -1e-10:
-        raise NegativeEigenvalueError(f"eigenvalue {w.min():.6e} below the clamp window -1e-10")
-    return _hermitian((v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T)
+    return _eigh(f, _psd_root)[2]
 
 
 def spectral_radius(a) -> float:

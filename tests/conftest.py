@@ -35,6 +35,13 @@ def exam5():
     return space, tup, expected_x["X"], window(space, MARGIN)
 
 
+def dense_members(tup):
+    """The members of an operator tuple as arrays, one per distinct form (a
+    member held twice gives one array twice)."""
+    dense = {id(f): f.dense() for f in tup.forms}
+    return [dense[id(f)] for f in tup.forms]
+
+
 def random_contraction(rng, dim, top=0.95):
     m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return m * (top * rng.uniform(0.2, 1.0) / np.linalg.norm(m, 2))
@@ -57,7 +64,7 @@ def unchecked_fundamentals(tup):
     and residual checks, so that a tuple that need not commute or solve
     still reaches ``chain_report``; its rho and radius items read the tuple
     alone."""
-    dd = defect(tup.ops[PIVOT[tup.kind]])
+    dd = defect(tup.forms[PIVOT[tup.kind]])
     dplus = dd.pinv()
     rhs = _rhs_map(tup)
     forms = {name: dplus @ b @ dplus for name, b in rhs.items()}

@@ -23,7 +23,7 @@ from mudilate.verify import commutator_profile, is_commuting, \
 from mudilate.gallery import (build_exam1, build_exam2, build_exam3,
                               build_exam3_dilation, build_exam5)
 
-from conftest import random_contraction
+from conftest import dense_members, random_contraction
 
 
 def report(num, ok, detail=""):
@@ -56,7 +56,7 @@ def test_criterion_2_exam2_reproduction():
     space, tup5, _, displayed = build_exam2(8)
     w = window(space, 4)
     slice_gap = max(float(np.linalg.norm(a - b, 2))
-                    for a, b in zip(tup5.ops, displayed.ops))
+                    for a, b in zip(dense_members(tup5), dense_members(displayed)))
     fset = solve_fundamentals(tup5, tol=1e-9, window=w)
     prof = commutator_profile(fset, tol=1e-10, window=w)
     by = {i.label: i.residual for i in prof.items}

@@ -18,7 +18,7 @@ from mudilate.gallery import build_exam1, build_exam2
 from mudilate.opcore import OperatorTuple
 from mudilate.spaces import auto_margin, window
 
-from conftest import unchecked_fundamentals
+from conftest import dense_members, unchecked_fundamentals
 
 SETTINGS = settings(derandomize=True, max_examples=40, deadline=None)
 TOL = 1e-12
@@ -27,7 +27,7 @@ TOL = 1e-12
 def _dense_pair_mins(tup, z_samples, w=None):
     """{pair tag: min over z of the smallest eigenvalue of the summed dense
     rho forms}, computed pair by pair from ``rho``."""
-    kind, t = tup.kind, tup.ops
+    kind, t = tup.kind, dense_members(tup)
     last = t[PIVOT[kind]]
     zs = np.exp(2j * np.pi * np.arange(z_samples) / z_samples)
     out = {}
@@ -61,7 +61,7 @@ def test_gallery_tuples_on_their_windows(case):
         space, tup, _ = build_exam1(8)
     else:
         space, tup, _, _ = build_exam2(8)
-    w = window(space, auto_margin(space, tup.ops))
+    w = window(space, auto_margin(space, dense_members(tup)))
     _assert_matches_dense(solve_fundamentals(tup, tol=CHAIN_TOL, window=w), 8, w)
 
 

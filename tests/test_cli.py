@@ -14,7 +14,7 @@ from mudilate.fundamentals import MAX_Z_SAMPLES
 from mudilate.report import dumps, operator_from_dict, operator_to_dict
 from mudilate.gallery import build_exam1, build_exam5
 
-from conftest import unchecked_fundamentals
+from conftest import dense_members, unchecked_fundamentals
 
 
 @pytest.fixture(scope="module")
@@ -23,11 +23,11 @@ def files(tmp_path_factory):
     space, tup, _ = build_exam1(8)
     tuple7 = root / "tuple7.json"
     tuple7.write_text(json.dumps(
-        {"kind": "gamma7", "ops": [operator_to_dict(o) for o in tup.ops]}))
+        {"kind": "gamma7", "ops": [operator_to_dict(o) for o in dense_members(tup)]}))
     _, penta, _ = build_exam5(0.5, 8)
     tuple3 = root / "penta.json"
     tuple3.write_text(json.dumps(
-        {"kind": "penta", "ops": [operator_to_dict(o) for o in penta.ops]}))
+        {"kind": "penta", "ops": [operator_to_dict(o) for o in dense_members(penta)]}))
     mat = root / "mat.json"
     mat.write_text(json.dumps(operator_to_dict(np.diag([0.3, 0.6, 0.9]))))
     contr = root / "contraction.json"

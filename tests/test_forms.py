@@ -20,7 +20,7 @@ from mudilate.opcore import (WHOLE_SPACE, OperatorTuple, _compact, _nonzeros,
 from mudilate.spaces import Window, auto_margin, window
 from mudilate.verify import is_commuting
 
-from conftest import random_supported
+from conftest import dense_members, random_supported
 
 SETTINGS = settings(derandomize=True, max_examples=60, deadline=None)
 
@@ -39,14 +39,14 @@ def _solved(case_id):
                 "exam3": lambda: gallery.build_exam3(0.5, 8)[:2],
                 "exam5": lambda: gallery.build_exam5(0.5, 8)[:2]}
     space, tup = builders[case_id]()
-    return solve_fundamentals(tup, window=window(space, auto_margin(space, tup.ops)))
+    return solve_fundamentals(tup, window=window(space, auto_margin(space, dense_members(tup))))
 
 
 @pytest.mark.parametrize("case_id", ["exam1", "exam2", "exam3", "exam5"])
 def test_stored_forms_equal_the_forms_of_the_arrays(case_id):
     fset = _solved(case_id)
     tup = fset.tup
-    arrays = [o.copy() for o in tup.ops]
+    arrays = [o.copy() for o in dense_members(tup)]
     assert len(tup.forms) == len(arrays)
     # a tuple built from arrays stores their forms, and the gallery tuple,
     # built as forms, holds the same ones (sorted keys, no stored zeros)
@@ -74,7 +74,7 @@ def test_forms_follow_replaced_arrays():
     fresh = replace(fset, forms=scaled)
     for name in fresh.names():
         _assert_same_form(fresh.forms[name], scaled[name])
-    doubled = tuple(2.0 * o for o in fset.tup.ops)
+    doubled = tuple(2.0 * o for o in dense_members(fset.tup))
     tup = replace(fset.tup, forms=doubled)
     for form, m in zip(tup.forms, doubled):
         _assert_same_form(form, m)
@@ -101,8 +101,8 @@ def test_commutator_table_matches_dense_reference(case):
     n = tup.dim
     for win, q in ((WHOLE_SPACE, np.eye(n)), (w, w.basis.dense())):
         table = tup.commutators(win)
-        assert table == commutator_norms(tup.ops, win)
-        ops = tup.ops
+        assert table == commutator_norms(dense_members(tup), win)
+        ops = dense_members(tup)
         for (i, j), got in table:
             ref = np.linalg.norm((ops[i] @ ops[j] - ops[j] @ ops[i]) @ q, 2)
             assert abs(got - ref) <= 1e-12 * max(1.0, np.linalg.norm(ops[i], 2)

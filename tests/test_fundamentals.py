@@ -10,7 +10,7 @@ from mudilate.fundamentals import (CHAIN_TOL, MAX_Z_SAMPLES, ExpansiveError,
                                    rho, solve_fundamentals)
 from mudilate.gallery import _raising_symbol
 
-from conftest import random_contraction, unchecked_fundamentals
+from conftest import dense_members, random_contraction, unchecked_fundamentals
 
 
 class TestDefect:
@@ -28,7 +28,7 @@ class TestDefect:
 
     def test_exam1_partial_isometry_defect(self, exam1):
         space, tup, _, w = exam1
-        dd = defect(tup.ops[6])
+        dd = defect(dense_members(tup)[6])
         assert dd.is_projection
         expected = np.zeros((space.total_dim, space.total_dim))
         n = space.summands[0][1]
@@ -43,7 +43,7 @@ class TestDefect:
         # the displayed defect is the projection onto the outer summands,
         # and a projection is its own Hermitian square root
         space, tup, _, w = exam3
-        dd = defect(tup.ops[6])
+        dd = defect(dense_members(tup)[6])
         assert dd.is_projection
         ideal = np.zeros((space.total_dim, space.total_dim))
         n = space.total_dim // 4  # four equal summands
@@ -51,7 +51,7 @@ class TestDefect:
             sl = slice(i * n, (i + 1) * n)
             ideal[sl, sl] = np.eye(n)
         assert w.equal(dd.form.dense(), ideal) <= 1e-12
-        np.testing.assert_allclose(herm_sqrt(ideal), ideal,
+        np.testing.assert_allclose(herm_sqrt(ideal).dense(), ideal,
                                    atol=1e-12)
 
     def test_dsquared_matches_gram(self):
@@ -84,7 +84,7 @@ class TestSolveFundamentals:
 
     def test_exam5_pair_solution_is_symbol(self, exam5):
         space, tup, x_emb, w = exam5
-        pair = OperatorTuple("sym", (tup.ops[1], tup.ops[2]))
+        pair = OperatorTuple("sym", dense_members(tup)[1:3])
         fset = solve_fundamentals(pair, window=w)
         assert w.equal(fset["X"], x_emb) <= 1e-10
 
@@ -92,7 +92,7 @@ class TestSolveFundamentals:
         # the penta relation row (P2, P2, X) is the sym equation of the
         # pair (P2, P3), solved on the triple itself
         space, tup, x_emb, w = exam5
-        pair = OperatorTuple("sym", (tup.ops[1], tup.ops[2]))
+        pair = OperatorTuple("sym", dense_members(tup)[1:3])
         via_pair = solve_fundamentals(pair, window=w)
         fset = solve_fundamentals(tup, window=w)
         assert fset.kind == "penta" and fset.names() == ("X",)
@@ -105,11 +105,11 @@ class TestSolveFundamentals:
         from mudilate.fundamentals import _rhs_map
         cases = [("gamma7", exam1[1], exam1[3], 6),
                  ("gamma5", exam2[1], exam2[4], 2),
-                 ("sym", OperatorTuple("sym", (exam5[1].ops[1], exam5[1].ops[2])),
+                 ("sym", OperatorTuple("sym", dense_members(exam5[1])[1:3]),
                   exam5[3], 1),
                  ("penta", exam5[1], exam5[3], 2)]
         for kind, tup, w, pivot in cases:
-            dd = defect(tup.ops[pivot])
+            dd = defect(dense_members(tup)[pivot])
             kb = (dd.kernel_basis @ w.inside(dd.kernel_basis)).dense()
             q = dd.range_basis.dense()
             comp = np.eye(tup.dim) - q @ q.conj().T
@@ -197,7 +197,8 @@ class TestRho:
 
     def test_exam1_first_pair_psd_on_window(self, exam1):
         space, tup, _, w = exam1
-        r = rho(OperatorTuple("tetra", (tup.ops[0], tup.ops[5], tup.ops[6])))
+        t = dense_members(tup)
+        r = rho(OperatorTuple("tetra", (t[0], t[5], t[6])))
         assert w.psd_min_eig(r.op) >= -1e-12
         assert r.asym_residual <= 1e-10
 
@@ -302,9 +303,9 @@ class TestDampingCommutation:
     def test_symbol_commutes_with_damping_block(self):
         # the raising symbol commutes with I - (G*G + GG*)/4 and its root
         for alpha in (0.3, 0.8, 1.0):
-            g = _raising_symbol(alpha, 8)
+            g = _raising_symbol(alpha, 8).dense()
             block = np.eye(16) - 0.25 * (g.conj().T @ g + g @ g.conj().T)
             assert np.linalg.norm(g @ block - block @ g, 2) <= 1e-12
             assert np.linalg.norm(g.conj().T @ block - block @ g.conj().T, 2) <= 1e-12
-            root = herm_sqrt(block)
+            root = herm_sqrt(block).dense()
             assert np.linalg.norm(g @ root - root @ g, 2) <= 1e-12

@@ -141,6 +141,16 @@ class TestOperatorBattery:
         assert calls == self.CALLS[cid]
 
 
+@pytest.mark.parametrize("params", [{}, {"depth": 2}, {"alpha": 0.0}])
+def test_gallery_builds_no_dense_operator(params, monkeypatch):
+    # every gallery operator stays a coordinate form, exam5's damping block
+    # and its root included; at alpha 0 the raising symbol is the zero form
+    def refuse(self):
+        raise AssertionError(f"a gallery run formed a dense {self.shape} operator")
+    monkeypatch.setattr(opcore._Block, "dense", refuse)
+    assert all(r.verdict == "pass" for r in run_gallery(trunc=8, **params))
+
+
 class TestEmitReport:
     def test_empty_report_json(self):
         rep = CheckReport(name="empty")

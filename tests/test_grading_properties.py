@@ -20,9 +20,12 @@ from hypothesis import given, settings, strategies as st
 from mudilate import fundamentals, opcore
 from mudilate.fundamentals import RELATIONS, chain_report, solve_fundamentals
 from mudilate.gallery import GalleryCase, build_exam1, build_exam2, run_example
-from mudilate.opcore import (Grading, OperatorTuple, _compact, _eigh, _level_set_radius,
-                             grading, numerical_radius, spectral_radius)
+from mudilate.opcore import (Grading, OperatorTuple, _compact, _eigh, _eye,
+                             _level_set_radius, grading, herm_sqrt, numerical_radius,
+                             spectral_radius)
 from mudilate.spaces import auto_margin, window
+
+from conftest import dense_members
 
 SETTINGS = settings(derandomize=True, max_examples=40, deadline=None)
 GRID = np.exp(2j * np.pi * np.arange(64) / 64)
@@ -167,6 +170,18 @@ def test_component_spectra_match_dense_reference(drawn):
     assert np.abs(w - ref).max() <= 1e-12 * scale
     assert np.abs(q.conj().T @ q - np.eye(len(q))).max() <= 1e-12
     assert np.abs((q * w) @ q.conj().T - hd).max() <= 1e-12 * scale
+    # herm_sqrt per component of the PSD direct sum P = A*A: against the dense
+    # V sqrt(w) V* of P + I, on the same components, where the root is
+    # Lipschitz (a zero eigenvalue, computed as +-eps, has a root of
+    # sqrt(eps)); and P's own root as the one PSD s with s s = P
+    p = f.H @ f
+    pw, pv = np.linalg.eigh(p.dense() + np.eye(p.shape[0]))
+    pscale = pw.max()
+    s = herm_sqrt(p + _eye(p.shape[0])).dense()
+    assert np.abs(s - (pv * np.sqrt(pw)) @ pv.conj().T).max() <= 1e-12 * pscale
+    s = herm_sqrt(p).dense()
+    assert np.abs(s @ s - p.dense()).max() <= 1e-12 * pscale
+    assert np.linalg.eigvalsh(s)[0] >= -1e-12 * pscale
     assert abs(spectral_radius(h) - np.abs(ref).max()) <= 1e-12 * scale
     assert grading(f).unit != dense
     with counted_qz() as calls:
@@ -248,7 +263,7 @@ def test_graded_chain_matches_its_sampled_path(case, monkeypatch):
         space, tup, _ = build_exam1(8)
     else:
         space, tup, _, _ = build_exam2(8)
-    w = window(space, auto_margin(space, tup.ops))
+    w = window(space, auto_margin(space, dense_members(tup)))
     fset = solve_fundamentals(tup, window=w)
     graded = chain_report(fset, z_samples=8, window=w)
     assert graded.notes[-1].endswith(
@@ -275,7 +290,7 @@ def test_chain_grades_each_family_once(monkeypatch):
     monkeypatch.setattr(fundamentals, "grading", counted)
     monkeypatch.setattr(opcore, "grading", counted)
     space, tup, _ = build_exam1(8)
-    w = window(space, auto_margin(space, tup.ops))
+    w = window(space, auto_margin(space, dense_members(tup)))
     chain_report(solve_fundamentals(tup, window=w), z_samples=8, window=w)
     assert calls == [True] * 9
 

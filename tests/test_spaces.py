@@ -6,7 +6,7 @@ from mudilate.opcore import OpcoreError, _Block, _nonzeros, op_norm
 from mudilate.spaces import (ModelSpace, Window, auto_margin, block_assemble,
                              embed_blocks, hardy_shift, window)
 
-from conftest import random_supported
+from conftest import dense_members, random_supported
 
 
 class TestHardyShift:
@@ -201,7 +201,7 @@ class TestBlockAssemble:
         hand = np.zeros((3 * n, 3 * n), dtype=complex)
         hand[0:n, n:2 * n] = np.eye(n)
         hand[n:2 * n, 2 * n:3 * n] = np.eye(n)
-        np.testing.assert_allclose(tup.ops[0], hand)
+        np.testing.assert_allclose(dense_members(tup)[0], hand)
 
     def test_embed_blocks_zero_rows_need_dims(self):
         # the second block row is empty; its size comes from the space
@@ -214,7 +214,7 @@ class TestBlockAssemble:
 class TestAutoMargin:
     def test_measured_on_model_space(self, exam1):
         space, tup, _, _ = exam1
-        assert auto_margin(space, tup.ops) == 4
+        assert auto_margin(space, dense_members(tup)) == 4
         m = hardy_shift(1, 6)
         sp = ModelSpace(((1, 6),))
         assert auto_margin(sp, [m, m @ m]) == 4

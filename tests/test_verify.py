@@ -11,7 +11,7 @@ from mudilate.gallery import build_exam3_dilation
 from mudilate.verify import (commutator_profile, is_commuting, isometry_check,
                              necessary_conditions, partial_isometry_check)
 
-from conftest import range_side_kernel
+from conftest import dense_members, range_side_kernel
 
 
 def _self_comm(m):
@@ -46,7 +46,7 @@ class TestIsometryCheck:
 
     def test_partial_isometry_exam1(self, exam1):
         _, tup, _, w = exam1
-        rep = partial_isometry_check(tup.ops[6], window=w)
+        rep = partial_isometry_check(dense_members(tup)[6], window=w)
         assert rep.verdict == "pass"
 
     def test_partial_isometry_iff_projection_defect(self):
@@ -174,14 +174,15 @@ class TestPartialIsometryRestriction:
         # fundamental operators'
         _, tup, _, w = exam1
         fset = solve_fundamentals(tup, window=w)
-        dd = defect(tup.ops[6])
+        t = dense_members(tup)
+        dd = defect(t[6])
         kb = (dd.range_basis @ w.inside(dd.range_basis)).dense()
         assert kb.shape[1] > 0
         for i, j in ((0, 5), (1, 4), (2, 3)):
             fi = kb.conj().T @ fset[f"F{i+1}"] @ kb
             fj = kb.conj().T @ fset[f"F{j+1}"] @ kb
-            di = kb.conj().T @ tup.ops[i] @ kb
-            dj = kb.conj().T @ tup.ops[j] @ kb
+            di = kb.conj().T @ t[i] @ kb
+            dj = kb.conj().T @ t[j] @ kb
             gap = np.linalg.norm((_self_comm(fi) - _self_comm(fj))
                                  - (_self_comm(di) - _self_comm(dj)), 2)
             assert gap <= 1e-10
@@ -218,7 +219,7 @@ class TestCommutatorProfile:
 
     def test_rejects_single_operator_kind(self, exam5):
         _, tup, _, w = exam5
-        pair = OperatorTuple("sym", (tup.ops[1], tup.ops[2]))
+        pair = OperatorTuple("sym", dense_members(tup)[1:3])
         for fset in (solve_fundamentals(pair, window=w),
                      solve_fundamentals(tup, window=w)):
             with pytest.raises(OpcoreError):
@@ -342,7 +343,7 @@ class TestPairsListedOnce:
         assert len(by) == 6
         kb = fset.defect.kernel_basis
         kw = Window(w.margin, kb @ w.inside(kb))
-        t, d = tup.ops, fset.defect.form.dense()
+        t, d = dense_members(tup), fset.defect.form.dense()
         f = [fset[f"F{k+1}"].conj().T for k in range(6)]
         for i in range(3):
             j = 5 - i
@@ -485,7 +486,7 @@ class TestCompactChecksMatchDense:
             space, tup, _ = build_exam3(0.5, 8)
         else:
             space, tup, _ = build_exam5(0.5, 8)
-        w = window(space, auto_margin(space, tup.ops))
+        w = window(space, auto_margin(space, dense_members(tup)))
         fset = solve_fundamentals(tup, window=w)
         if case_id == "exam3":
             dil = build_exam3_dilation(tup, 4)
@@ -504,7 +505,7 @@ class TestCompactChecksMatchDense:
                         0.1 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
                     out.append(o)
                 return tuple(out)
-            tup = OperatorTuple(tup.kind, pert(tup.ops))
+            tup = OperatorTuple(tup.kind, pert(dense_members(tup)))
             fset = replace(fset, tup=tup,
                            forms=dict(zip(fset.names(), pert([fset[n] for n in fset.names()]))),
                            defect=replace(fset.defect, form=_compact(pert([fset.defect.form.dense()])[0])))
@@ -518,7 +519,7 @@ class TestCompactChecksMatchDense:
         tup, _, w, dil, _ = self._exam(case_id, perturb)
         e, q = np.eye(dil.dim, dil.base_dim), w.basis.dense()
         ref = [self._wn(v.conj().T @ e - e @ t.conj().T, q)
-               for v, t in zip((o.dense() for o in dil.forms), tup.ops)]
+               for v, t in zip((o.dense() for o in dil.forms), dense_members(tup))]
         got = dil.coextension_residuals(w)
         assert len(got) == len(ref)
         assert max(abs(g - r) for g, r in zip(got, ref)) <= self.TOL
@@ -553,7 +554,7 @@ class TestCompactChecksMatchDense:
     @pytest.mark.parametrize("perturb", [False, True])
     def test_exam3_necessary_conditions(self, perturb):
         tup, fset, w, _, _ = self._exam("exam3", perturb)
-        t, d = tup.ops, fset.defect.form.dense()
+        t, d = dense_members(tup), fset.defect.form.dense()
         f = [fset[f"F{i+1}"].conj().T for i in range(6)]
         kb = range_side_kernel(fset.defect, w)
         ref = {}
@@ -568,7 +569,7 @@ class TestCompactChecksMatchDense:
     @pytest.mark.parametrize("perturb", [False, True])
     def test_exam5_necessary_conditions(self, perturb):
         tup, fset, w, _, _ = self._exam("exam5", perturb)
-        _, p2, p3 = tup.ops
+        _, p2, p3 = dense_members(tup)
         d, x = fset.defect.form.dense(), fset["X"]
         kb = range_side_kernel(fset.defect, w)
         ref = {"(X D P3 - D P2)|ker": self._wn(x @ d @ p3 - d @ p2, kb)}

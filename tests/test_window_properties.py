@@ -16,7 +16,8 @@ from mudilate.spaces import ModelSpace, Window, auto_margin, embed_blocks, \
     hardy_shift, window
 from mudilate.verify import is_commuting, isometry_check
 
-from conftest import random_supported, range_side_kernel, unchecked_fundamentals
+from conftest import (dense_members, random_supported, range_side_kernel,
+                      unchecked_fundamentals)
 
 SETTINGS = settings(derandomize=True, max_examples=40, deadline=None)
 
@@ -131,7 +132,8 @@ def test_whole_space_equals_identity_window(tup):
     # residuals as through the window whose basis is the identity, and
     # reports no margin
     eye = Window(0, np.eye(tup.dim))
-    whole_c, eye_c = commutator_norms(tup.ops), commutator_norms(tup.ops, eye)
+    t = dense_members(tup)
+    whole_c, eye_c = commutator_norms(t), commutator_norms(t, eye)
     assert [p for p, _ in whole_c] == [p for p, _ in eye_c]
     for (_, a), (_, b) in zip(whole_c, eye_c):
         assert abs(a - b) <= 1e-12
