@@ -15,7 +15,7 @@ import numpy as np
 
 from . import opcore
 from .opcore import (WHOLE_SPACE, OperatorTuple, OpcoreError, _compact, _diag, _eye,
-                     _Forms, _mat, herm_sqrt, op_norm)
+                     _Forms, _mat, herm_sqrt, once, op_norm)
 from .fundamentals import (PIVOT, RELATIONS, DefectData, ExpansiveError,
                            FundamentalSet, defect)
 from .spaces import AnyWindow, Window, block_assemble
@@ -122,18 +122,14 @@ def coextension(tup: OperatorTuple, dd: DefectData, depth: int,
     n, r = tup.dim, dd.rank
     _check_dim(n + depth * r)
     drow = dd.range_basis.H @ dd.form
-    # one X q*D per distinct factor X
-    feeds = {id(x): x for col, _ in members for x in col[:depth] if x is not None}
-    fed = {k: _compact(x) @ drow for k, x in feeds.items()}
-    ops = []
-    for base, (col, band) in zip(tup.forms, members):
-        cells = {(0, 0): base}
-        cells.update({(1 + c, 0): fed[id(x)] for c, x in enumerate(col[:depth])
-                      if x is not None})
-        cells.update({(1 + c + o, 1 + c): b for o, b in band.items()
-                      for c in range(depth - o)})
-        ops.append(block_assemble(cells, [n] + [r] * depth))
-    return DilationResult(tup, tuple(ops), depth, dd, reach)
+    fed = once(lambda x: _compact(x) @ drow)  # one X q*D per distinct factor X
+
+    def layout(base, member):  # once per distinct (base member, layout)
+        col, band = member
+        feeds = {(1 + c, 0): fed(x) for c, x in enumerate(col[:depth]) if x is not None}
+        bands = {(1 + c + o, 1 + c): b for o, b in band.items() for c in range(depth - o)}
+        return block_assemble({(0, 0): base, **feeds, **bands}, [n] + [r] * depth)
+    return DilationResult(tup, tuple(map(once(layout), tup.forms, members)), depth, dd, reach)
 
 
 def _relation_members(fset: FundamentalSet) -> dict:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .opcore import (WHOLE_SPACE, OperatorTuple, OpcoreError, _Block, _compact, _diag,
-                     _eigh, _eye, grading, numerical_radius, op_norm,
+                     _eigh, _eye, grading, numerical_radius, once, op_norm,
                      spectral_radius)
 from .report import CheckReport
 from .spaces import AnyWindow
@@ -144,22 +144,23 @@ class FundamentalSet:
 
 
 def _rhs_map(tup: OperatorTuple) -> dict:
-    """The right-hand sides B = w (T_i - T_j* T_p), as coordinate forms."""
+    """The right-hand sides B = w (T_i - T_j* T_p) as forms, one per distinct (T_i, T_j, w)."""
     if tup.kind not in RELATIONS:
         raise SolveError(f"no fundamental equations for kind {tup.kind!r}")
     t = tup.forms
     last = t[PIVOT[tup.kind]]
-    return {name: w * (t[i] - t[j].H @ last) for i, j, name, w in RELATIONS[tup.kind]}
+    rhs = once(lambda a, b, w: w * (a - b.H @ last))
+    return {name: rhs(t[i], t[j], w) for i, j, name, w in RELATIONS[tup.kind]}
 
 
 def equation_residuals(rhs: dict, dd: DefectData, forms: dict, tol: float,
                        window: AnyWindow = WHOLE_SPACE) -> dict:
     """||D F D - B|| per equation, F in ``forms`` and B = w (T_i - T_j* T_p)
-    from ``_rhs_map``, seen through the window.  Raises SolveError naming
-    the first equation whose residual exceeds ``tol``."""
-    out, d = {}, dd.form
+    from ``_rhs_map``, seen through the window, one per distinct (F, B).
+    Raises SolveError naming the first equation whose residual exceeds ``tol``."""
+    out, residual = {}, once(lambda f, b: window.wnorm(dd.form @ f @ dd.form - b))
     for name, b in rhs.items():
-        out[name] = res = window.wnorm(d @ forms[name] @ d - b)
+        out[name] = res = residual(forms[name], b)
         if res > tol:
             raise SolveError(f"{name} fails its equation: residual {res:.3e} > {tol:.1e}")
     return out
@@ -189,7 +190,8 @@ def solve_fundamentals(tup: OperatorTuple, tol: float = 1e-9,
     rhs = _rhs_map(tup)
     dd = defect(tup.forms[PIVOT[tup.kind]])
     dplus = dd.pinv()
-    forms = {name: dplus @ b @ dplus for name, b in rhs.items()}
+    solve = once(lambda b: dplus @ b @ dplus)  # equal right-hand sides share one F
+    forms = {name: solve(b) for name, b in rhs.items()}
     return FundamentalSet(tup, forms, equation_residuals(rhs, dd, forms, tol, window), dd)
 
 

@@ -8,22 +8,25 @@ dimensions, finite entries).  Truncation windows read the level shift of an
 operator off its nonzero entries (``spaces.auto_margin``).
 
 Coordinate rule: operators are coordinate forms (``_Block``) from birth.
-Builders lay out forms (``spaces.block_assemble`` places every block), and
-so do compressions (``Window.compress``, ``DefectData.compress``) and
-commutators (``commutator``).  Arrays exist only at I/O (the CLI's JSON) and
-inside dense kernels, which take a form's support block (SVDs) or its
-component blocks (eigen-solvers, square roots and radii); an array that
-comes in is read once for its nonzeros (``_compact``).  The object that
-holds an operator owns its form: ``OperatorTuple.forms`` (read when the
-tuple is built), ``DefectData`` (D and its range and kernel bases),
-``FundamentalSet.forms``, ``Window.basis`` and the members of a
-``DilationResult``.  This is exact: ``_mat`` admits only finite entries, so
-each dropped term is 0 * x = 0, and zero rows and columns carry no nonzero
-singular value.  A product sums the terms a_ik b_kj of each entry, unless
-the terms outnumber both the operands' entries and the entries of the
-product of the two support blocks; one BLAS product of the blocks is then
-cheaper and no larger.  A selection or diagonal B gives each a_ik at most
-one term, so windows and dilations cost about their nonzeros.
+Builders (``spaces.block_assemble`` places every block), compressions
+(``Window.compress``, ``DefectData.compress``) and ``commutator`` make forms;
+arrays exist only at I/O (the CLI's JSON) and inside dense kernels, which
+take a form's support block (SVDs) or its component blocks (eigen-solvers,
+square roots and radii).  An array that comes in is read once for its
+nonzeros (``_compact``), and the object that holds an operator owns its
+form (``OperatorTuple.forms``, ``DefectData``, ``FundamentalSet.forms``,
+``Window.basis``, a ``DilationResult``'s members).  This is exact: ``_mat``
+admits only finite entries, so each dropped term is 0 * x = 0.  A product
+sums the terms a_ik b_kj of each entry, unless they outnumber the operands'
+entries and those of the product of the support blocks; one BLAS product
+of the blocks is then cheaper.  A selection or diagonal B gives each a_ik
+one term at most, so windows and dilations cost about their nonzeros.
+
+Zero rule: a product with a form of no entries is the empty form at once;
+A + 0, A - 0 and 0 + B are the other operand, 0 - B its negation, with no
+coalesce (A is already sorted, unique and free of zeros).  Identity rule:
+work is done once per distinct object (``once``, a memo local to one
+call); no code writes into a form's arrays, so a shared result is safe.
 
 Component rule: the spectrum, omega, lambda_min and lambda_max of a direct
 sum are the union, max or min over its summands (Horn & Johnson, Topics in
@@ -88,13 +91,13 @@ def _frame(ids, size):
     the position of each index among them."""
     seen = np.zeros(size, dtype=bool)
     seen[ids] = True
-    pos = np.flatnonzero(seen)
-    return pos, ids if len(pos) == size else (np.cumsum(seen) - 1)[ids]
+    pos = seen.nonzero()[0]
+    return pos, ids if len(pos) == size else (seen.cumsum() - 1)[ids]
 
 
 def _starts(ids) -> np.ndarray:
     """Where each run of equal values starts in a sorted index array."""
-    return np.flatnonzero(np.concatenate((ids[:1] >= 0, ids[1:] != ids[:-1])))
+    return np.concatenate((ids[:1] >= 0, ids[1:] != ids[:-1])).nonzero()[0]
 
 
 def _coalesce(i, j, v, shape) -> "_Block":
@@ -103,12 +106,12 @@ def _coalesce(i, j, v, shape) -> "_Block":
     (a pair in one addition, exact as a dense sum), zeros dropped."""
     key = i * shape[1] + j
     if (key[1:] <= key[:-1]).any():
-        order = np.argsort(key, kind="stable")
+        order = key.argsort(kind="stable")
         key, v = key[order], v[order]
         start = _starts(key)
         if len(start) < len(key):
             key, v = key[start], np.add.reduceat(v, start)
-        i, j = np.divmod(key, shape[1])
+        i, j = key // shape[1], key % shape[1]
     keep = v != 0
     if not keep.all():
         i, j, v = i[keep], j[keep], v[keep]
@@ -142,7 +145,7 @@ class _Block:
 
     @property
     def H(self):
-        o = np.argsort(self.j, kind="stable")  # keys sorted by (i, j): by j alone suffices
+        o = self.j.argsort(kind="stable")  # keys sorted by (i, j): by j alone suffices
         return _Block(self.j[o], self.i[o], self.v[o].conj(), self.shape[::-1])
 
     def __rmul__(self, w):
@@ -151,6 +154,10 @@ class _Block:
     def __add__(self, other, neg=False):
         if self.shape != other.shape:
             raise OpcoreError(f"forms of shapes {self.shape} and {other.shape} do not add")
+        if not len(other.v):  # the zero rule: A + 0 = A - 0 = A, 0 - B = -B
+            return self
+        if not len(self.v):
+            return _Block(other.i, other.j, -other.v, other.shape) if neg else other
         return _coalesce(np.concatenate((self.i, other.i)), np.concatenate((self.j, other.j)),
                          np.concatenate((self.v, -other.v if neg else other.v)), self.shape)
 
@@ -160,12 +167,14 @@ class _Block:
     def cols(self, keep):
         """The columns where the boolean array ``keep`` holds, in order."""
         at = keep[self.j]
-        return _Block(self.i[at], (np.cumsum(keep) - 1)[self.j[at]], self.v[at],
+        return _Block(self.i[at], (keep.cumsum() - 1)[self.j[at]], self.v[at],
                       (self.shape[0], int(keep.sum())))
 
     def __matmul__(self, b):
         if self.shape[1] != b.shape[0]:
             raise OpcoreError(f"forms of shapes {self.shape} and {b.shape} do not multiply")
+        if not (len(self.v) and len(b.v)):  # the zero rule: 0 B = A 0 = 0
+            return _diag(np.zeros(0), (self.shape[0], b.shape[1]))
         per_row = np.bincount(b.i, minlength=b.shape[0])
         cnt = per_row[self.j]  # the terms of each A entry: B's row at its column
         terms, shape = int(cnt.sum()), (self.shape[0], b.shape[1])
@@ -187,6 +196,15 @@ class _Block:
         r, c = np.nonzero(p)
         v, p = p[r, c], None
         return _Block(rows[r], cols[c], v, shape)
+
+
+def once(fn):
+    """``fn``, computed once per distinct tuple of argument objects (by
+    identity) while the returned function lives; its memo holds the
+    arguments, so no id is reused meanwhile.  Callers make one per call."""
+    memo = {}
+    return lambda *args: (memo.get(key := tuple(map(id, args)))
+                          or memo.setdefault(key, (args, fn(*args))))[1]
 
 
 def _compact(x) -> _Block:
@@ -211,12 +229,12 @@ def _split(i, j, n: int, step=None):
     pointer jumping points every node at its root; edges inside a tree go."""
     root, pot = np.arange(n), None if step is None else np.zeros((n, step.shape[1]), np.int64)
     pick = np.empty(n, dtype=np.intp)
-    while len(c := np.flatnonzero(root[i] != root[j])):
+    while len(c := (root[i] != root[j]).nonzero()[0]):
         i, j = i[c], j[c]
         ru, rv = root[i], root[j]
         hi, lo, low = np.maximum(ru, rv), np.minimum(ru, rv), root.copy()
         np.minimum.at(low, hi, lo)
-        e = np.flatnonzero(lo == low[hi])
+        e = (lo == low[hi]).nonzero()[0]
         pick[hi[e]] = e
         e = pick[hi[e]]  # the one edge that hooks each root: it joins the forest
         root[hi[e]] = lo[e]
@@ -241,10 +259,10 @@ def _blocks(f: _Block) -> list:
     label = _split(f.i, f.j, n)[0]
     size = np.bincount(label, minlength=n)[label]
     key = size * n + label
-    order = np.argsort(key, kind="stable")  # by size, then component
+    order = key.argsort(kind="stable")  # by size, then component
     key, ssz = key[order], size[order]
     lead = np.searchsorted(key, key)  # where each component starts in the order
-    base = np.cumsum(ssz) - ssz  # where each block starts in one flat buffer
+    base = ssz.cumsum() - ssz  # where each block starts in one flat buffer
     row, at = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp)
     row[order] = np.arange(n) - lead
     at[order] = base[lead] + row[order] * ssz  # where each coordinate's block row starts
@@ -303,8 +321,7 @@ class OperatorTuple(_Forms):
     def __post_init__(self):
         if self.kind not in ARITY:
             raise OpcoreError(f"unknown tuple kind {self.kind!r}")
-        read = {k: _compact(o) for k, o in {id(o): o for o in self.forms}.items()}
-        forms = tuple(read[id(o)] for o in self.forms)
+        forms = tuple(map(once(_compact), self.forms))
         if len(forms) != ARITY[self.kind]:
             raise OpcoreError(
                 f"kind {self.kind!r} needs {ARITY[self.kind]} operators, got {len(forms)}"
@@ -345,12 +362,12 @@ def _eigh(h: _Block, fn=None):
         wk, v = ((x.real, np.ones_like(x)) if s == 1
                  else np.linalg.eigh(_hermitian(x if m > 1 else x[0])))
         w[nodes], parts[k] = wk.reshape(m, s), (nodes, v.reshape(m, s, s))
-        rows.append(np.repeat(nodes, s, axis=1).ravel())  # entry (c, r, t): nodes[c, r]
+        rows.append(nodes.repeat(s, axis=1).ravel())  # entry (c, r, t): nodes[c, r]
         cols.append(np.tile(nodes, s).ravel())  # and nodes[c, t]
         vecs.append(v.ravel())
     rows, cols = np.concatenate(rows), np.concatenate(cols)
-    order = np.argsort(w, kind="stable")
-    rank = np.argsort(order)
+    order = w.argsort(kind="stable")
+    rank = order.argsort()
     vecs = _coalesce(rows, rank[cols], np.concatenate(vecs), h.shape)
     if fn is None:
         return w[order], vecs
@@ -391,8 +408,8 @@ def herm_sqrt(h) -> _Block:
 
 def spectral_radius(a) -> float:
     """max |lambda| over the spectra of the support components (``_blocks``)."""
-    return float(max(np.abs(np.linalg.eigvals(x) if x.shape[1] > 1 else x).max()
-                     for _, x in _blocks(_compact(a))))
+    return float(max((np.abs(np.linalg.eigvals(x) if x.shape[1] > 1 else x).max()
+                      for _, x in _blocks(_compact(a))), default=0.0))
 
 
 NR_BATCH = 8  # angles per eigvalsh call; also the number of start angles
@@ -485,10 +502,10 @@ def numerical_radius(a, unit_graded: bool = False) -> float:
     """
     f = _compact(a)
     unit = unit_graded or grading(f).unit
-    return float(max(np.abs(x).max() if x.shape[1] == 1
-                     else np.linalg.eigvalsh(_hermitian(x))[:, -1].max() if unit
-                     else max(map(_level_set_radius, x))
-                     for _, x in _blocks(f)))
+    return float(max((np.abs(x).max() if x.shape[1] == 1
+                      else np.linalg.eigvalsh(_hermitian(x))[:, -1].max() if unit
+                      else max(map(_level_set_radius, x))
+                      for _, x in _blocks(f)), default=0.0))
 
 
 def _level_set_radius(m: np.ndarray) -> float:
@@ -532,9 +549,10 @@ def commutator(a: _Block, b: _Block) -> _Block:
 
 
 def commutator_norms(ops, window=WHOLE_SPACE) -> list:
-    """Pairwise commutator norms ||[A_i, A_j]|| seen through the window; a
-    pair of one form or with a zero form is exactly 0.0 without a product."""
-    fs = [_compact(o) for o in ops]
-    return [((i, j), 0.0 if a is b or not (len(a.v) and len(b.v))
-             else window.wnorm(commutator(a, b)))
+    """Pairwise commutator norms ||[A_i, A_j]||, i < j, seen through the
+    window: 0.0 without a product for a pair of one form, and once per
+    distinct ordered pair of forms ([B, A] does not reuse [A, B])."""
+    fs = list(map(once(_compact), ops))
+    norm = once(lambda a, b: window.wnorm(commutator(a, b)))
+    return [((i, j), 0.0 if a is b else norm(a, b))
             for i, a in enumerate(fs) for j, b in enumerate(fs[i + 1:], i + 1)]

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .opcore import (OpcoreError, WholeSpace, _Block, _compact, _eigh, _eye,
-                     _nonzeros, op_norm)
+                     _nonzeros, once, op_norm)
 
 
 @dataclass(frozen=True)
@@ -147,12 +147,12 @@ def block_assemble(cells: dict, dims, cols=None) -> _Block:
     layout whose cells share rows needs a sort: one stable sort of the rows."""
     cols = dims if cols is None else cols
     ro, co = np.cumsum([0, *dims]), np.cumsum([0, *cols])
-    form = {k: _compact(b) for k, b in {id(b): b for b in cells.values()}.items()}
+    form = once(_compact)
     parts = [(np.zeros(0, int), np.zeros(0, int), np.zeros(0, complex))]  # no cell: zero
     for (i, j), blk in sorted(cells.items()):  # by block row, then block column
         if not (0 <= i < len(dims) and 0 <= j < len(cols)):
             raise OpcoreError(f"block ({i},{j}) lies outside the {len(dims)}x{len(cols)} layout")
-        f = form[id(blk)]
+        f = form(blk)
         if f.shape != (dims[i], cols[j]):
             raise OpcoreError(f"block ({i},{j}) has shape {f.shape}, "
                               f"expected ({dims[i]}, {cols[j]})")
@@ -160,7 +160,7 @@ def block_assemble(cells: dict, dims, cols=None) -> _Block:
     i, j, v = map(np.concatenate, zip(*parts))
     del parts  # the offset copies
     if (i[1:] < i[:-1]).any():
-        order = np.argsort(i, kind="stable")
+        order = i.argsort(kind="stable")
         v = v[order]  # one array at a time: the peak holds one copy
         j = j[order]
         i = i[order]

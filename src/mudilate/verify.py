@@ -13,7 +13,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .opcore import (WHOLE_SPACE, OpcoreError, _compact, _eye, commutator,
-                     commutator_norms, op_norm)
+                     commutator_norms, once, op_norm)
 from .fundamentals import MEMBERS, PIVOT, RELATIONS, FundamentalSet
 from .report import CheckReport
 from .spaces import AnyWindow, Window
@@ -144,11 +144,11 @@ def commutator_profile(fset: FundamentalSet, tol: float = 1e-9,
     rep = CheckReport(name=f"commutators-{fset.kind}", hypothesis_only=True,
                       window_margin=window.margin)
     # P F P = Q (Q* F Q) Q*, so products and commutators of the compressions
-    # carry the norms of the two-sided windowed operators; each F is
+    # carry the norms of the two-sided windowed operators; each distinct F is
     # compressed once, as a form, and every table entry is a form's norm
     names = (tuple(f"F{i+1}" for i in range(6)) if fset.kind == "gamma7"
              else ("G1", "G2", "G1t", "G2t"))
-    fs = [window.compress(fset.forms[n]) for n in names]
+    fs = list(map(once(window.compress), (fset.forms[n] for n in names)))
     for (i, j), res in commutator_norms(fs):
         rep.add(f"[{names[i]},{names[j]}]", res, tol)
 

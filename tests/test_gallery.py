@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from mudilate import gallery, opcore
-from mudilate.fundamentals import MAX_Z_SAMPLES
+from mudilate.fundamentals import MAX_Z_SAMPLES, solve_fundamentals
 from mudilate.gallery import (CASE_IDS, GalleryCase, emit_report, run_example,
                               run_gallery)
 from mudilate.report import CheckReport, dumps
+from mudilate.spaces import auto_margin, window
+
+from conftest import random_supported
 
 
 # the items of the operator-case battery that every case has, then each
@@ -189,3 +192,37 @@ class TestRunGallery:
     def test_selected_subset(self):
         reports = run_gallery(["exam5"], alpha=0.25)
         assert len(reports) == 1 and reports[0].verdict == "pass"
+
+
+def test_exam3_repeated_members_are_formed_once(monkeypatch):
+    # exam3's tuple is (A, A, 0, A, 0, 0, P) and its dilation repeats the
+    # layouts (a, a, z, a, z, z): equal members share one object, so each
+    # right-hand side, F, layout and commutator is formed once per distinct
+    # object, and the norms read the same bits as on equal-content copies
+    space, tup, _ = gallery.build_exam3(0.5, 8)
+    w = window(space, auto_margin(space, tup.forms))
+    fset = solve_fundamentals(tup, window=w)
+    assert fset.forms["F1"] is fset.forms["F2"] is fset.forms["F4"]
+    assert fset.forms["F3"] is fset.forms["F5"] is fset.forms["F6"]
+    dil = gallery.build_exam3_dilation(tup, 4)
+    v, dw = dil.forms, dil.window(w)
+    assert v[0] is v[1] is v[3] and v[2] is v[4] is v[5]
+    assert all(len(f.v) for f in v)
+
+    calls = []
+
+    def counted(a, b, _fn=opcore.commutator):
+        calls.append((a, b))
+        return _fn(a, b)
+    monkeypatch.setattr(opcore, "commutator", counted)
+    opcore.commutator_norms(v, dw)
+    pairs = {(id(a), id(b)) for i, a in enumerate(v) for b in v[i + 1:] if a is not b}
+    assert len(calls) == len(pairs) == 4  # (A, Z), (A, P), (Z, A) and (Z, P)
+    monkeypatch.undo()
+
+    def copies(forms):
+        return [opcore._Block(f.i.copy(), f.j.copy(), f.v.copy(), f.shape) for f in forms]
+    rng = np.random.default_rng(0)
+    a, b, c = (opcore._compact(random_supported(rng, 6, 6)) for _ in range(3))
+    for forms, win in ((v, dw), (tup.forms, w), ((a, b, a, c, b), opcore.WHOLE_SPACE)):
+        assert opcore.commutator_norms(forms, win) == opcore.commutator_norms(copies(forms), win)

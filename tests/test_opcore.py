@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from mudilate.opcore import (OperatorTuple, OpcoreError,
                              NegativeEigenvalueError, NotHermitianError,
-                             _compact, _eye, commutator_norms, herm_sqrt,
+                             _compact, _diag, _eye, commutator_norms, herm_sqrt,
                              kernel_basis, numerical_radius, op_norm,
                              spectral_radius)
 from mudilate.report import operator_from_dict
@@ -256,6 +256,15 @@ class TestSupportKernels:
         got = op_norm(_compact(np.zeros(shape)))
         assert got == 0.0 and isinstance(got, float)
 
+    def test_empty_square_form_has_zero_radii(self):
+        # a 0 x 0 form has no spectrum: both radii read 0.0, as op_norm does
+        empty = _diag(np.zeros(0))
+        assert empty.shape == (0, 0)
+        for fn in (op_norm, numerical_radius, spectral_radius):
+            got = fn(empty)
+            assert got == 0.0 and isinstance(got, float)
+        assert herm_sqrt(empty).shape == (0, 0)
+
     def test_one_by_one(self):
         assert op_norm([[3.0 - 4.0j]]) == 5.0
         prod = _compact([[2.0j]]) @ _compact([[0.5]])
@@ -293,8 +302,9 @@ class TestSupportKernels:
     @SETTINGS
     @given(_dims, _dims, _dims, st.booleans(), st.booleans(), _seeds)
     def test_prod_matches_dense(self, rows, inner, cols, adj_a, adj_b, seed):
-        """Products of coordinate forms, with either factor an adjoint,
-        match the dense product and are exactly zero where it is."""
+        """Products of coordinate forms, with either factor an adjoint or
+        with no entries (0 B and A 0, rectangular too), match the dense
+        product, keep its shape and are exactly zero where it is."""
         rng = np.random.default_rng(seed)
         a = random_supported(rng, *((inner, rows) if adj_a else (rows, inner)))
         b = random_supported(rng, *((cols, inner) if adj_b else (inner, cols)))
@@ -313,6 +323,8 @@ class TestSupportKernels:
         assert np.abs(got - ref).max() <= 1e-12 * scale
         assert not got[ref == 0].any()
         _assert_form(prod, got)
+        for zero in (_compact(0.0 * a) @ fb, fa @ _compact(0.0 * b)):  # 0 B and A 0
+            _assert_form(zero, np.zeros(ref.shape, dtype=complex))
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("expand", [True, False])
@@ -361,14 +373,16 @@ class TestSupportKernels:
     @SETTINGS
     @given(_dims, _dims, _seeds)
     def test_sum_and_difference_on_union_frame(self, rows, cols, seed):
-        """Sums, differences and scalar multiples are entrywise exact and
+        """Sums, differences and scalar multiples, a zero operand (A + 0,
+        0 + B, A - 0, 0 - B) and A - A included, are entrywise exact and
         hold nonzeros only on the union of the operands' nonzeros."""
         rng = np.random.default_rng(seed)
         a, b = random_supported(rng, rows, cols), random_supported(rng, rows, cols)
-        fa, fb = _compact(a), _compact(b)
+        fa, fb, f0 = _compact(a), _compact(b), _compact(np.zeros((rows, cols)))
         union = set(zip(fa.i, fa.j)) | set(zip(fb.i, fb.j))
         for got, ref in ((fa - fb, a - b), (fa + fb, a + b),
-                         (fa - 2.0 * fb, a - 2.0 * b)):
+                         (fa - 2.0 * fb, a - 2.0 * b), (fa + f0, a), (f0 + fb, b),
+                         (fa - f0, a), (f0 - fb, -b), (fa - fa, a - a), (f0 - f0, 0 * a)):
             _assert_form(got, ref)
             assert set(zip(got.i, got.j)) <= union
 
