@@ -82,8 +82,8 @@ class DilationResult(_Forms):
         first base_dim coordinates (as ``window`` assumes), so
         (V* E - E T*)* = E* V - T E*, the first base_dim rows of V less [T, 0]."""
         e = _eye(self.base_dim, self.dim)  # E*
-        return [h_window.wnorm((e @ v - t @ e).H)
-                for v, t in zip(self.forms, self.base.forms)]
+        residual = once(lambda v, t: h_window.wnorm((e @ v - t @ e).H))  # members repeat
+        return [residual(v, t) for v, t in zip(self.forms, self.base.forms)]
 
     def window(self, h_window: Window) -> Window:
         """Base-space window plus the first depth - m tail copies, with

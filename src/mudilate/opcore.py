@@ -19,14 +19,19 @@ form (``OperatorTuple.forms``, ``DefectData``, ``FundamentalSet.forms``,
 admits only finite entries, so each dropped term is 0 * x = 0.  A product
 sums the terms a_ik b_kj of each entry, unless they outnumber the operands'
 entries and those of the product of the support blocks; one BLAS product
-of the blocks is then cheaper.  A selection or diagonal B gives each a_ik
-one term at most, so windows and dilations cost about their nonzeros.
+of the blocks is then cheaper.  It reads B's rows off ``B.row_starts``,
+which a form computes on first use and keeps.  When each a_ik meets at most
+one entry of B (B a selection, a diagonal or a weighted partial
+permutation: every window and pivot), the product gathers those terms
+directly, so windows and dilations cost about their nonzeros.  A scalar
+multiple keeps the keys and drops only values that underflow to zero.
 
 Zero rule: a product with a form of no entries is the empty form at once;
 A + 0, A - 0 and 0 + B are the other operand, 0 - B its negation, with no
 coalesce (A is already sorted, unique and free of zeros).  Identity rule:
 work is done once per distinct object (``once``, a memo local to one
-call); no code writes into a form's arrays, so a shared result is safe.
+call).  No code writes into a form's arrays, so a shared result is safe
+and a form's kept row starts cannot go stale.
 
 Component rule: the spectrum, omega, lambda_min and lambda_max of a direct
 sum are the union, max or min over its summands (Horn & Johnson, Topics in
@@ -105,15 +110,23 @@ def _coalesce(i, j, v, shape) -> "_Block":
     already are, the values of a repeated key summed in their given order
     (a pair in one addition, exact as a dense sum), zeros dropped."""
     key = i * shape[1] + j
-    if (key[1:] <= key[:-1]).any():
+    if np.count_nonzero(key[1:] <= key[:-1]):
         order = key.argsort(kind="stable")
         key, v = key[order], v[order]
-        start = _starts(key)
-        if len(start) < len(key):
+        new = np.empty(len(key), dtype=bool)  # where a run of equal keys starts
+        new[:1] = True
+        np.not_equal(key[1:], key[:-1], out=new[1:])
+        if np.count_nonzero(new) < len(key):
+            start = new.nonzero()[0]
             key, v = key[start], np.add.reduceat(v, start)
-        i, j = key // shape[1], key % shape[1]
+        i, j = np.divmod(key, shape[1])
+    return _nonzero_values(i, j, v, shape)
+
+
+def _nonzero_values(i, j, v, shape) -> "_Block":
+    """The form of sorted, unique entries ``v`` at (i, j), zeros dropped."""
     keep = v != 0
-    if not keep.all():
+    if np.count_nonzero(keep) < len(keep):
         i, j, v = i[keep], j[keep], v[keep]
     return _Block(i, j, v, shape)
 
@@ -123,13 +136,24 @@ class _Block:
     at rows ``i`` and columns ``j``, sorted by (i, j) with unique keys and
     no stored zeros.  ``+``/``-`` concatenate and coalesce, ``.H`` swaps
     the index arrays, and ``@`` expands and coalesces (Gustavson, ACM TOMS
-    4, 1978) unless its terms outnumber both operands and a BLAS product."""
+    4, 1978) unless its terms outnumber both operands and a BLAS product.
+    ``row_starts`` is kept on the form once read."""
 
-    __slots__ = ("i", "j", "v", "shape")
+    __slots__ = ("i", "j", "v", "shape", "_row_starts")
     __array_ufunc__ = None  # a numpy operand must not absorb a form
 
     def __init__(self, i, j, v, shape):
         self.i, self.j, self.v, self.shape = i, j, v, shape
+        self._row_starts = None
+
+    @property
+    def row_starts(self) -> np.ndarray:
+        """Where each row's entries start in ``i``, then the entry count:
+        computed on first use and kept, since no code writes a form's arrays."""
+        if self._row_starts is None:
+            self._row_starts = np.concatenate(
+                ([0], np.bincount(self.i, minlength=self.shape[0]).cumsum()))
+        return self._row_starts
 
     def dense(self) -> np.ndarray:
         out = np.zeros(self.shape, dtype=complex)
@@ -149,7 +173,8 @@ class _Block:
         return _Block(self.j[o], self.i[o], self.v[o].conj(), self.shape[::-1])
 
     def __rmul__(self, w):
-        return _coalesce(self.i, self.j, w * self.v, self.shape)
+        # the keys stay sorted and unique: only values that underflow to 0 go
+        return _nonzero_values(self.i, self.j, w * self.v, self.shape)
 
     def __add__(self, other, neg=False):
         if self.shape != other.shape:
@@ -173,21 +198,30 @@ class _Block:
     def __matmul__(self, b):
         if self.shape[1] != b.shape[0]:
             raise OpcoreError(f"forms of shapes {self.shape} and {b.shape} do not multiply")
+        shape = (self.shape[0], b.shape[1])
         if not (len(self.v) and len(b.v)):  # the zero rule: 0 B = A 0 = 0
-            return _diag(np.zeros(0), (self.shape[0], b.shape[1]))
-        per_row = np.bincount(b.i, minlength=b.shape[0])
-        cnt = per_row[self.j]  # the terms of each A entry: B's row at its column
-        terms, shape = int(cnt.sum()), (self.shape[0], b.shape[1])
+            return _diag(np.zeros(0), shape)
+        ptr = b.row_starts
+        lo = ptr[self.j]  # an A entry in column k meets B's row k: entries lo .. lo + cnt - 1
+        cnt = ptr[self.j + 1] - lo
+        if not np.count_nonzero(cnt > 1):
+            # one term at most per A entry (B a selection, a diagonal or a
+            # weighted partial permutation): gather the terms
+            if np.count_nonzero(cnt) < len(cnt):  # some A entries meet none
+                hit = cnt.nonzero()[0]
+                return _coalesce(self.i[hit], b.j[lo[hit]], self.v[hit] * b.v[lo[hit]], shape)
+            return _coalesce(self.i, b.j[lo], self.v * b.v[lo], shape)
+        terms = int(cnt.sum())
         if (terms <= len(self.v) + len(b.v)
                 or terms <= len(_starts(self.i)) * np.count_nonzero(np.bincount(b.j))):
-            # the terms of an A entry in column k: B's row k, entries end_k - cnt .. end_k - 1
-            at = (per_row.cumsum()[self.j] - cnt.cumsum()).repeat(cnt) + np.arange(terms)
+            # term t of an A entry reads B's entry lo + t
+            at = (lo - cnt.cumsum() + cnt).repeat(cnt) + np.arange(terms)
             return _coalesce(self.i.repeat(cnt), b.j[at], self.v.repeat(cnt) * b.v[at], shape)
         # the expansion outgrows the operands and the block product: one BLAS
         # product on the inner indices both use; the peak is the two blocks
         # and their product
-        del cnt
-        inner = (np.bincount(self.j, minlength=len(per_row)) > 0) & (per_row > 0)
+        del lo, cnt
+        inner = (np.bincount(self.j, minlength=b.shape[0]) > 0) & (ptr[1:] > ptr[:-1])
         (x, rows, _), (y, _, cols) = (
             (f if inner.all() else _Block(f.i[m], f.j[m], f.v[m], f.shape)).block()
             for f, m in ((self, inner[self.j]), (b, inner[b.i])))
@@ -241,7 +275,7 @@ def _split(i, j, n: int, step=None):
         if step is not None:
             step = step[c]
             pot[hi[e]] = (np.where(ru > rv, 1, -1)[:, None] * (step - pot[i] + pot[j]))[e]
-        while ((up := root[root]) != root).any():
+        while np.count_nonzero((up := root[root]) != root):
             if step is not None:
                 pot += pot[root]
             root = up
@@ -337,8 +371,10 @@ class OperatorTuple(_Forms):
 
 
 def _eye(n: int, cols: int | None = None) -> _Block:
-    """The n x cols form with ones on its diagonal (the identity if square)."""
-    return _diag(np.ones(n), (n, cols or n))
+    """The n x cols form with ones on its diagonal, min(n, cols) of them
+    (the identity if ``cols`` is None)."""
+    cols = n if cols is None else cols
+    return _diag(np.ones(min(n, cols)), (n, cols))
 
 
 def _diag(x, shape=None) -> _Block:
@@ -461,13 +497,13 @@ def grading(a, b=None) -> Grading:
     e = np.repeat(np.eye(2, dtype=np.int64)[:len(fs)], [len(f.v) for f in fs], axis=0)
     pot = _split(i, j, n, e)[1]
     cond = pot[i] - pot[j] - e
-    unit = not cond.sum(axis=1).any()
-    rows = cond[cond.any(axis=1)]
-    if not len(rows):
+    unit = not np.count_nonzero(cond.sum(axis=1))
+    if not np.count_nonzero(cond):
         return Grading(unit, True)
     # rank one: the admissible pairs are the multiples of (u_b, -u_a)
+    rows = cond[cond.any(axis=1)]
     u = rows[0]
-    rank_one = not (u[0] * rows[:, 1] - u[1] * rows[:, 0]).any()
+    rank_one = not np.count_nonzero(u[0] * rows[:, 1] - u[1] * rows[:, 0])
     return Grading(unit, bool(rank_one and u.sum() != 0))
 
 

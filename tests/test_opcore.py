@@ -460,3 +460,159 @@ class TestSupportKernels:
             assert abs(g - r) <= 1e-12 * scale
             if r == 0.0:
                 assert g == 0.0
+
+
+class TestEye:
+    @pytest.mark.parametrize("n, cols", [(3, None), (3, 3), (3, 2), (2, 3), (3, 0), (0, None)])
+    def test_rectangular_and_empty(self, n, cols):
+        """``_eye(n, cols)`` places min(n, cols) ones on an n x cols form;
+        ``cols=0`` gives the n x 0 form, not the identity."""
+        ref = np.eye(n, n if cols is None else cols, dtype=complex)
+        _assert_form(_eye(n, cols), ref)
+
+
+def _ref_coalesce(i, j, v, shape):
+    """The form kernel's sum rule written plainly: a stable sort by key,
+    ``np.add.reduceat`` over each run of equal keys, zeros dropped."""
+    key = i * shape[1] + j
+    order = np.argsort(key, kind="stable")
+    key, v = key[order], v[order]
+    if len(key):
+        start = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+        key, v = key[start], np.add.reduceat(v, start)
+    keep = v != 0
+    return key[keep] // shape[1], key[keep] % shape[1], v[keep]
+
+
+def _ref_sum(a, b, sign=1):
+    """A + B (``sign`` 1) or A - B (-1) by ``_ref_coalesce`` of the
+    concatenated entries."""
+    return _ref_coalesce(np.concatenate((a.i, b.i)), np.concatenate((a.j, b.j)),
+                         np.concatenate((a.v, b.v if sign == 1 else -b.v)), a.shape)
+
+
+def _ref_product(a, b):
+    """The product of two forms written plainly: every term a_ik b_kj in
+    left-entry order, then ``_ref_coalesce``; or, when the terms outnumber
+    both the operands' entries and those of the product of the support
+    blocks (``_expands``), one BLAS product of the blocks on the inner
+    indices both use, its exact zeros dropped."""
+    shape = (a.shape[0], b.shape[1])
+    ea, eb = [], []
+    for e, k in enumerate(a.j):
+        for f in np.flatnonzero(b.i == k):
+            ea.append(e)
+            eb.append(f)
+    ea, eb = np.array(ea, dtype=int), np.array(eb, dtype=int)
+    if not (len(a.v) and len(b.v)) or _expands(a, b):
+        return _ref_coalesce(a.i[ea], b.j[eb], a.v[ea] * b.v[eb], shape)
+    inner = np.intersect1d(a.j, b.i)
+    ma, mb = np.isin(a.j, inner), np.isin(b.i, inner)
+    rows, cols = np.unique(a.i[ma]), np.unique(b.j[mb])
+    x = np.zeros((len(rows), len(inner)), dtype=complex)
+    x[np.searchsorted(rows, a.i[ma]), np.searchsorted(inner, a.j[ma])] = a.v[ma]
+    y = np.zeros((len(inner), len(cols)), dtype=complex)
+    y[np.searchsorted(inner, b.i[mb]), np.searchsorted(cols, b.j[mb])] = b.v[mb]
+    p = x @ y
+    r, c = np.nonzero(p)
+    return rows[r], cols[c], p[r, c]
+
+
+def _path(a, b):
+    """The path a product takes: ``one`` (each left entry meets exactly one
+    right entry), ``dropped`` (at most one, some none), ``expand`` or ``blas``."""
+    cnt = np.array([np.count_nonzero(b.i == k) for k in a.j], dtype=int)
+    if cnt.max(initial=0) <= 1:
+        return "one" if cnt.min(initial=1) == 1 else "dropped"
+    return "expand" if _expands(a, b) else "blas"
+
+
+def _draw_factors(rng, path, rows, inner, cols, scale):
+    """Operands of a product that takes ``path`` (``free``: any path), with
+    values of modulus about ``scale``."""
+    def one_per_row(r, c):  # each row one entry, at a drawn column
+        m = np.zeros((r, c), dtype=complex)
+        m[np.arange(r), rng.integers(c, size=r)] = \
+            rng.standard_normal(r) + 1j * rng.standard_normal(r)
+        return m
+
+    if path == "blas":  # dense, rows and cols >= 3, inner >= 2: terms beat both bounds
+        rows, inner, cols = max(rows, 3), max(inner, 2), max(cols, 3)
+        a = rng.standard_normal((rows, inner)) + 1j * rng.standard_normal((rows, inner))
+        b = rng.standard_normal((inner, cols)) + 1j * rng.standard_normal((inner, cols))
+    elif path == "free":
+        a, b = random_supported(rng, rows, inner), random_supported(rng, inner, cols)
+    else:
+        inner = max(inner, 2)
+        cols = max(cols, 2)
+        a, b = random_supported(rng, rows, inner), one_per_row(inner, cols)
+        if path == "dropped":  # B's row 0 empty; A meets it and row 1
+            b[0] = 0.0
+            a[rng.integers(rows), 0] = 1.0 - 2.0j
+            a[rng.integers(rows), 1] = -0.5j
+        elif path == "expand":  # B's row 0 two entries; A's column 0 one
+            b[0, :2] = (2.0 + 1.0j, -1.5)
+            a[:, 0] = 0.0
+            a[rng.integers(rows), 0] = 0.75 + 0.25j
+        else:
+            a[rng.integers(rows), rng.integers(inner)] = 1.0 + 1.0j
+    return _compact(scale * a), _compact(scale * b)
+
+
+def _assert_bits(got, ref):
+    """``got`` holds exactly the (i, j, v) of ``ref``, value bytes included."""
+    i, j, v = ref
+    assert np.array_equal(got.i, i) and np.array_equal(got.j, j)
+    assert got.v.dtype == complex and got.v.tobytes() == np.asarray(v, dtype=complex).tobytes()
+
+
+_PATHS = ("one", "dropped", "expand", "blas", "free")
+_SCALARS = (0.0, 1.0, -2.5, 0.5j, 1e-200, 0.1 - 0.3j)
+
+
+class TestFormKernelBits:
+    """``@``, ``+``, ``-`` and scalar ``*`` give, bit for bit, the (i, j, v)
+    of the form kernel written plainly here: each path of the product (one
+    term per entry, at most one with dropped entries, the general expansion
+    and the BLAS block product), underflow to zero included."""
+
+    @SETTINGS
+    @given(st.sampled_from(_PATHS), _dims, _dims, _dims,
+           st.sampled_from((1.0, 1e-160, 1e-162)), _seeds)
+    def test_product_matches_reference_bits(self, path, rows, inner, cols, scale, seed):
+        fa, fb = _draw_factors(np.random.default_rng(seed), path, rows, inner, cols, scale)
+        if path != "free":
+            assert _path(fa, fb) == path
+        _assert_bits(fa @ fb, _ref_product(fa, fb))
+        # B's row starts are now kept: its adjoint, columns, sums and
+        # products still match the reference
+        assert np.array_equal(fb.row_starts, np.searchsorted(fb.i, np.arange(fb.shape[0] + 1)))
+        o = np.argsort(fb.j, kind="stable")
+        _assert_bits(fb.H, (fb.j[o], fb.i[o], fb.v[o].conj()))
+        keep = np.arange(fb.shape[1]) % 2 == 0
+        _assert_form(fb.cols(keep), fb.dense()[:, keep])
+        for x, y in ((fa, fb), (fb.H, fa.H), (fb, fb.H), (fb.H, fb)):
+            _assert_bits(x @ y, _ref_product(x, y))
+        _assert_bits(fb + fb, _ref_sum(fb, fb))
+        _assert_bits(fb - 0.5 * fb, _ref_sum(fb, 0.5 * fb, -1))
+
+    @SETTINGS
+    @given(_dims, _dims, st.sampled_from(_SCALARS), st.sampled_from((1.0, 1e-200)), _seeds)
+    def test_sums_and_multiples_match_reference_bits(self, rows, cols, w, scale, seed):
+        """Sums and differences, a zero operand and A - A included, and
+        scalar multiples, 0 * A and values that underflow to zero included."""
+        rng = np.random.default_rng(seed)
+        a, b = (_compact(scale * random_supported(rng, rows, cols)) for _ in range(2))
+        zero = _compact(np.zeros((rows, cols)))
+        for x, y in ((a, b), (a, zero), (zero, b), (a, a), (zero, zero)):
+            _assert_bits(x + y, _ref_sum(x, y))
+            _assert_bits(x - y, _ref_sum(x, y, -1))
+        _assert_bits(w * a, _ref_coalesce(a.i, a.j, w * a.v, a.shape))
+        assert len((0 * a).v) == 0
+
+    def test_underflowing_multiple_is_empty(self):
+        f = _compact(np.full((2, 3), 1e-200))
+        assert len((1e-200 * f).v) == 0 and (1e-200 * f).shape == (2, 3)
+        half = 1e-200 * _compact(np.diag([1e-200, 1.0]))  # one entry underflows
+        _assert_form(half, np.diag([0.0, 1e-200]).astype(complex))
+
