@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .opcore import (WHOLE_SPACE, OperatorTuple, OpcoreError, _Block, _blocks, _compact,
-                     _diag, _eigh, _eye, _hermitian, grading, numerical_radius, once,
-                     op_norm, spectral_radius)
+from .opcore import (WHOLE_SPACE, OperatorTuple, OpcoreError, _Block, _compact, _diag,
+                     _eigh, _eye, grading, lambda_min, numerical_radius, once, op_norm,
+                     spectral_radius)
 from .report import CheckReport
 from .spaces import AnyWindow
 
@@ -299,11 +299,6 @@ def chain_report(fset: FundamentalSet, z_samples: int = 32,
     def k_of(a, b):  # K = s - s* L of s = a + b, compressed
         s = a + b
         return compress(s - s.H @ last)
-
-    def lambda_min(f):  # of a Hermitian form: the least over its components
-        return float(min(x.real.min() if x.shape[1] == 1
-                         else np.linalg.eigvalsh(_hermitian(x))[:, 0].min()
-                         for _, x in _blocks(f)))
 
     rep.add("fundamental-solvability", max(fset.residuals.values(), default=0.0),
             CHAIN_TOL)

@@ -37,11 +37,11 @@ Component rule: the spectrum, omega, lambda_min and lambda_max of a direct
 sum are the union, max or min over its summands (Horn & Johnson, Topics in
 Matrix Analysis, 1991, section 1.2), and the summands of a square form are
 the connected components of its support graph (Pothen & Fan, ACM TOMS 16,
-1990).  ``grading``, ``_eigh`` and both radii read one search (``_split``),
-so their cost follows the components, not the dimension.  A function of a
-Hermitian form is that of each summand, V f(w) V* on each (Higham,
-Functions of Matrices, SIAM 2008, section 1.2): ``herm_sqrt`` and
-``fundamentals.defect`` both take it from ``_eigh``.
+1990).  ``grading``, ``_eigh``, both radii and ``lambda_min`` read one
+search (``_split``), so their cost follows the components, not the
+dimension.  A function of a Hermitian form is that of each summand,
+V f(w) V* on each (Higham, Functions of Matrices, SIAM 2008, section 1.2):
+``herm_sqrt`` and ``fundamentals.defect`` both take it from ``_eigh``.
 
 The kernel runs on numpy alone except for the QZ fallback of
 ``numerical_radius`` on input that is not unit-graded (``_level_set_radius``),
@@ -102,7 +102,10 @@ def _frame(ids, size):
 
 def _starts(ids) -> np.ndarray:
     """Where each run of equal values starts in a sorted index array."""
-    return np.concatenate((ids[:1] >= 0, ids[1:] != ids[:-1])).nonzero()[0]
+    new = np.empty(len(ids), dtype=bool)
+    new[:1] = True
+    np.not_equal(ids[1:], ids[:-1], out=new[1:])
+    return new.nonzero()[0]
 
 
 def _coalesce(i, j, v, shape) -> "_Block":
@@ -113,11 +116,8 @@ def _coalesce(i, j, v, shape) -> "_Block":
     if np.count_nonzero(key[1:] <= key[:-1]):
         order = key.argsort(kind="stable")
         key, v = key[order], v[order]
-        new = np.empty(len(key), dtype=bool)  # where a run of equal keys starts
-        new[:1] = True
-        np.not_equal(key[1:], key[:-1], out=new[1:])
-        if np.count_nonzero(new) < len(key):
-            start = new.nonzero()[0]
+        start = _starts(key)
+        if len(start) < len(key):
             key, v = key[start], np.add.reduceat(v, start)
         i, j = np.divmod(key, shape[1])
     return _nonzero_values(i, j, v, shape)
@@ -206,11 +206,9 @@ class _Block:
         cnt = ptr[self.j + 1] - lo
         if not np.count_nonzero(cnt > 1):
             # one term at most per A entry (B a selection, a diagonal or a
-            # weighted partial permutation): gather the terms
-            if np.count_nonzero(cnt) < len(cnt):  # some A entries meet none
-                hit = cnt.nonzero()[0]
-                return _coalesce(self.i[hit], b.j[lo[hit]], self.v[hit] * b.v[lo[hit]], shape)
-            return _coalesce(self.i, b.j[lo], self.v * b.v[lo], shape)
+            # weighted partial permutation): gather the terms of those that meet one
+            hit = cnt.nonzero()[0]
+            return _coalesce(self.i[hit], b.j[lo[hit]], self.v[hit] * b.v[lo[hit]], shape)
         terms = int(cnt.sum())
         if (terms <= len(self.v) + len(b.v)
                 or terms <= len(_starts(self.i)) * np.count_nonzero(np.bincount(b.j))):
@@ -542,6 +540,15 @@ def numerical_radius(a, unit_graded: bool = False) -> float:
                       else np.linalg.eigvalsh(_hermitian(x))[:, -1].max() if unit
                       else max(map(_level_set_radius, x))
                       for _, x in _blocks(f)), default=0.0))
+
+
+def lambda_min(h) -> float:
+    """lambda_min of the Hermitian part of a square array or form: the least
+    over its support components (``_blocks``) of ``eigvalsh``, as
+    ``numerical_radius`` reads lambda_max; a 1 x 1 block [x] gives Re x."""
+    return float(min(x.real.min() if x.shape[1] == 1
+                     else np.linalg.eigvalsh(_hermitian(x))[:, 0].min()
+                     for _, x in _blocks(_compact(h))))
 
 
 def _level_set_radius(m: np.ndarray) -> float:

@@ -21,8 +21,8 @@ from mudilate import fundamentals, opcore
 from mudilate.fundamentals import RELATIONS, chain_report, solve_fundamentals
 from mudilate.gallery import GalleryCase, build_exam1, build_exam2, run_example
 from mudilate.opcore import (Grading, OperatorTuple, _compact, _eigh, _eye,
-                             _level_set_radius, grading, herm_sqrt, numerical_radius,
-                             spectral_radius)
+                             _level_set_radius, grading, herm_sqrt, lambda_min,
+                             numerical_radius, spectral_radius)
 from mudilate.spaces import auto_margin, window
 
 from conftest import dense_members
@@ -183,6 +183,9 @@ def test_component_spectra_match_dense_reference(drawn):
     assert np.abs(s @ s - p.dense()).max() <= 1e-12 * pscale
     assert np.linalg.eigvalsh(s)[0] >= -1e-12 * pscale
     assert abs(spectral_radius(h) - np.abs(ref).max()) <= 1e-12 * scale
+    # lambda_min reads the Hermitian part, (f + f*) / 2 = h / 2
+    assert abs(lambda_min(h) - ref[0]) <= 1e-12 * scale
+    assert abs(lambda_min(f) - ref[0] / 2) <= 1e-12 * scale
     assert grading(f).unit != dense
     with counted_qz() as calls:
         omega = numerical_radius(f)
