@@ -133,7 +133,7 @@ def _fundamentals_for(tup, path=None, tol=1e-9):
             raise SolveError(f"kind {tup.kind} needs {name} as a "
                              f"{tup.dim}x{tup.dim} operator")
     fset = FundamentalSet(tup, ops, {}, dd)
-    fset.residuals = equation_residuals(rhs, dd, fset.forms, tol)
+    fset.residuals = equation_residuals(fset, rhs, tol)
     return fset
 
 

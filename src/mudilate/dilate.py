@@ -10,15 +10,16 @@ against the infinite-model identities must window out the final copies
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import opcore
-from .opcore import (WHOLE_SPACE, OperatorTuple, OpcoreError, _compact, _diag, _eye,
-                     _Forms, _mat, herm_sqrt, once, op_norm)
+from .opcore import (OperatorTuple, OpcoreError, _compact, _diag, _eye, _mat, herm_sqrt,
+                     once, op_norm)
 from .fundamentals import (PIVOT, RELATIONS, DefectData, ExpansiveError,
                            FundamentalSet, defect)
-from .spaces import AnyWindow, Window, block_assemble
+from .spaces import Window, block_assemble
 
 
 class DilateError(OpcoreError):
@@ -54,17 +55,19 @@ def egervary(t, n: int) -> np.ndarray:
 
 
 @dataclass
-class DilationResult(_Forms):
+class DilationResult:
     """An isometric-dilation tuple of ``base`` on H + depth copies of the
     defect space.
 
     H sits on the first ``base_dim`` coordinates, so the inclusion of H is
     the identity on them.  Its members ``forms`` are coordinate forms
-    (``opcore._Block``; ``dense()`` gives the array).  Member adjoints restricted to H reproduce the
-    original adjoints (the co-extension property, ``coextension_residuals``),
-    and ``window`` gives the part of the dilation space where the
-    infinite-model identities hold exactly.  ``reach`` is the largest number
-    of copies a member moves a copy down (``coextension`` records it).
+    (``opcore._Block``; ``dense()`` gives the array), and ``tup`` holds them
+    on ``window()``, the part of the dilation space where the infinite-model
+    identities hold exactly, read off the window of ``base``.  Member
+    adjoints restricted to H reproduce the original adjoints (the
+    co-extension property, ``coextension_residuals``).  ``reach`` is the
+    largest number of copies a member moves a copy down (``coextension``
+    records it).
     """
 
     base: OperatorTuple
@@ -76,27 +79,31 @@ class DilationResult(_Forms):
     kind = property(lambda self: self.base.kind)
     base_dim = property(lambda self: self.base.dim)
     dim = property(lambda self: self.forms[0].shape[0])
+    tup = cached_property(lambda self: OperatorTuple(self.kind, self.forms, self.window()))
 
-    def coextension_residuals(self, h_window: AnyWindow = WHOLE_SPACE) -> list:
-        """||(V* E - E T*) Q|| per member V and base member T; E puts H on the
-        first base_dim coordinates (as ``window`` assumes), so
-        (V* E - E T*)* = E* V - T E*, the first base_dim rows of V less [T, 0]."""
-        e = _eye(self.base_dim, self.dim)  # E*
-        residual = once(lambda v, t: h_window.wnorm((e @ v - t @ e).H))  # members repeat
+    def coextension_residuals(self) -> list:
+        """||(V* E - E T*) Q|| per member V and base member T, Q the base
+        window; E puts H on the first base_dim coordinates, so (V* E - E T*)*
+        = E* V - T E*, the first base_dim rows of V less [T, 0]."""
+        e, wnorm = _eye(self.base_dim, self.dim), self.base.window.wnorm  # E*
+        residual = once(lambda v, t: wnorm((e @ v - t @ e).H))  # members repeat
         return [residual(v, t) for v, t in zip(self.forms, self.base.forms)]
 
-    def window(self, h_window: Window) -> Window:
-        """Base-space window plus the first depth - m tail copies, with
-        m = min(2 reach, max(reach, depth - 1)): twice the reach covers
-        two-factor words (``spaces.auto_margin``'s rule), the cap keeps one
-        copy of a shallow dilation, and the floor drops every copy a member
-        maps past the cut.  On each kept copy the window is the part of the
-        defect range inside the base window (``Window.inside``).
+    def window(self) -> Window:
+        """Base window (the identity on H for a whole-space base) plus the
+        first depth - m tail copies, with m = min(2 reach, max(reach,
+        depth - 1)): twice the reach covers two-factor words
+        (``spaces.auto_margin``'s rule), the cap keeps one copy of a shallow
+        dilation, and the floor drops every copy a member maps past the cut.
+        On each kept copy the window is the part of the defect range inside
+        the base window (``Window.inside``).
         """
+        win = self.base.window
         margin = min(2 * self.reach, max(self.reach, self.depth - 1))
-        keepv = h_window.inside(self.defect.range_basis)
-        blocks = [h_window.basis] + [keepv] * (self.depth - margin)
-        return Window(h_window.margin, block_assemble(
+        keepv = win.inside(self.defect.range_basis)
+        base = win.basis if isinstance(win, Window) else _eye(self.base_dim)
+        blocks = [base] + [keepv] * (self.depth - margin)
+        return Window(win.margin, block_assemble(
             {(k, k): b for k, b in enumerate(blocks)},
             [self.base_dim] + [self.defect.rank] * self.depth, [b.shape[1] for b in blocks]))
 
@@ -183,7 +190,7 @@ def pushforward(kind: str, *args):
     The members are formed as coordinate forms, from forms or arrays.  The
     map checks its inputs (contractions, the closed disc, an isometry on the
     whole space), not the commutation of its result: the code that uses the
-    result refuses a non-commuting one on its own window
+    result windows it and refuses a non-commuting one there
     (``fundamentals.require_commuting``, ``verify.is_commuting``).
     """
     if kind == "pi":
@@ -198,7 +205,7 @@ def pushforward(kind: str, *args):
         if not isinstance(tup, OperatorTuple) or tup.kind != "gamma7":
             raise DilateError("pi_eta takes a gamma7 tuple and eta")
         e = complex(eta)
-        if abs(e) > 1.0 + 1e-12:
+        if not abs(e) <= 1.0 + 1e-12:  # NaN fails it too
             raise DilateError("eta must lie in the closed unit disc")
         t = tup.forms
         return OperatorTuple("gamma5", (t[0], t[2] + e * t[4], e * t[6],

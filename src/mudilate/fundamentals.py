@@ -5,8 +5,8 @@ The fundamental equations all have the shape D F D = w (T_i - T_j* T_p) with
 D the defect operator of the tuple's distinguished contraction T_p; the rows
 (i, j, F, w) of ``RELATIONS`` list them for every kind, and the unique
 solution on the defect space is recovered by the rank-cut pseudo-inverse of
-D.  Residuals and comparisons are windowed so that truncation of the model
-space never poisons an identity that holds in the infinite model.
+D.  Residuals and comparisons read the tuple's window, so that truncation
+of the model space never poisons an identity that holds in the infinite model.
 """
 
 from __future__ import annotations
@@ -15,11 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .opcore import (WHOLE_SPACE, OperatorTuple, OpcoreError, _Block, _compact, _diag,
-                     _eigh, _eye, grading, lambda_min, numerical_radius, once, op_norm,
-                     spectral_radius)
+from .opcore import (OperatorTuple, OpcoreError, _Block, _compact, _diag, _eigh, _eye,
+                     grading, lambda_min, numerical_radius, once, op_norm, spectral_radius)
 from .report import CheckReport
-from .spaces import AnyWindow
 
 
 class SolveError(OpcoreError):
@@ -153,31 +151,30 @@ def _rhs_map(tup: OperatorTuple) -> dict:
     return {name: rhs(t[i], t[j], w) for i, j, name, w in RELATIONS[tup.kind]}
 
 
-def equation_residuals(rhs: dict, dd: DefectData, forms: dict, tol: float,
-                       window: AnyWindow = WHOLE_SPACE) -> dict:
-    """||D F D - B|| per equation, F in ``forms`` and B = w (T_i - T_j* T_p)
-    from ``_rhs_map``, seen through the window, one per distinct (F, B).
+def equation_residuals(fset: FundamentalSet, rhs: dict, tol: float) -> dict:
+    """||D F D - B|| per equation on the window of ``fset.tup``, F in ``fset.forms``
+    and B = w (T_i - T_j* T_p) from ``_rhs_map``, one per distinct (F, B).
     Raises SolveError naming the first equation whose residual exceeds ``tol``."""
-    out, residual = {}, once(lambda f, b: window.wnorm(dd.form @ f @ dd.form - b))
+    d, wnorm = fset.defect.form, fset.tup.window.wnorm
+    out, residual = {}, once(lambda f, b: wnorm(d @ f @ d - b))
     for name, b in rhs.items():
-        out[name] = res = residual(forms[name], b)
+        out[name] = res = residual(fset.forms[name], b)
         if res > tol:
             raise SolveError(f"{name} fails its equation: residual {res:.3e} > {tol:.1e}")
     return out
 
 
-def require_commuting(tup: OperatorTuple, window: AnyWindow = WHOLE_SPACE):
-    """Raise SolveError unless the tuple commutes on the window to 1e-9,
+def require_commuting(tup: OperatorTuple):
+    """Raise SolveError unless the tuple commutes on its window to 1e-9,
     relative to its largest squared norm: the one commutation refusal.  The
     bound is at least 1e-9, so the norms are taken only past it."""
-    worst_comm = max((v for _, v in tup.commutators(window)), default=0.0)
+    worst_comm = max((v for _, v in tup.commutators), default=0.0)
     if worst_comm > 1e-9 and \
             worst_comm > 1e-9 * max(1.0, max(map(op_norm, set(tup.forms))) ** 2):
         raise SolveError(f"tuple does not commute on the window: {worst_comm:.3e}")
 
 
-def solve_fundamentals(tup: OperatorTuple, tol: float = 1e-9,
-                       window: AnyWindow = WHOLE_SPACE) -> FundamentalSet:
+def solve_fundamentals(tup: OperatorTuple, tol: float = 1e-9) -> FundamentalSet:
     """Solve every fundamental equation of the tuple's kind by F = D+ B D+.
 
     Raises SolveError when the tuple does not commute (``require_commuting``),
@@ -186,13 +183,14 @@ def solve_fundamentals(tup: OperatorTuple, tol: float = 1e-9,
     it; with an isometric pivot D = 0, so any nonzero right-hand side
     fails).  The products run on coordinate forms, and the set holds them.
     """
-    require_commuting(tup, window)
+    require_commuting(tup)
     rhs = _rhs_map(tup)
     dd = defect(tup.forms[PIVOT[tup.kind]])
     dplus = dd.pinv()
     solve = once(lambda b: dplus @ b @ dplus)  # equal right-hand sides share one F
-    forms = {name: solve(b) for name, b in rhs.items()}
-    return FundamentalSet(tup, forms, equation_residuals(rhs, dd, forms, tol, window), dd)
+    fset = FundamentalSet(tup, {name: solve(b) for name, b in rhs.items()}, {}, dd)
+    fset.residuals = equation_residuals(fset, rhs, tol)
+    return fset
 
 
 @dataclass
@@ -230,11 +228,10 @@ CHAIN_TOL = 1e-7
 MAX_Z_SAMPLES = 4096
 
 
-def chain_report(fset: FundamentalSet, z_samples: int = 32,
-                 window: AnyWindow = WHOLE_SPACE) -> CheckReport:
+def chain_report(fset: FundamentalSet, z_samples: int = 32) -> CheckReport:
     """Necessary-condition chain of the gamma7 or gamma5 tuple ``fset.tup``
-    over the torus, read with its solved fundamentals.  The
-    ``fundamental-solvability`` item reads the solve's largest equation
+    over the torus, read with its solved fundamentals on the tuple's window.
+    The ``fundamental-solvability`` item reads the solve's largest equation
     residual against ``CHAIN_TOL``.
 
     Three condition groups per coordinate pair (a, b): positivity of the
@@ -267,7 +264,7 @@ def chain_report(fset: FundamentalSet, z_samples: int = 32,
     its radius condition; it is listed in ``undecided`` as vacuous instead of
     counting as a pass.  ``margins["radius"]`` still covers every pair.
     """
-    tup, kind = fset.tup, fset.kind
+    tup, kind, window = fset.tup, fset.kind, fset.tup.window
     if kind not in ("gamma7", "gamma5"):
         raise OpcoreError("chain_report handles gamma7 and gamma5 tuples")
     if not 1 <= z_samples <= MAX_Z_SAMPLES:

@@ -12,7 +12,7 @@ Every case is deterministic: equal parameters produce byte-identical JSON.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -183,10 +183,11 @@ def _by_label(rep: CheckReport) -> dict:
     return {i.label: i.residual for i in rep.items}
 
 
-def _expect_fundamentals(rep: CheckReport, label: str, fset, w: Window, expected: dict):
-    """One item: the largest windowed gap between a solved F and its
-    displayed form (a coordinate form, or an array read for its form)."""
-    rep.add(label, max(w.equal(fset.forms[n], f) for n, f in expected.items()), 1e-10)
+def _expect_fundamentals(rep: CheckReport, label: str, fset, expected: dict):
+    """One item: the largest gap, on the tuple's window, between a solved F
+    and its displayed form (a coordinate form, or an array read for its form)."""
+    equal = fset.tup.window.equal
+    rep.add(label, max(equal(fset.forms[n], f) for n, f in expected.items()), 1e-10)
 
 
 # the relation-row item of a Schäffer dilation, per kind
@@ -194,17 +195,17 @@ _RELATION_LABEL = {"gamma7": "dilation relations Vi=V(7-i)*V7",
                    "gamma5": "dilation relations W=partner* W3"}
 
 
-def _expect_schaffer(rep: CheckReport, dil: DilationResult, kw: Window):
-    """Record the relation rows of a Schäffer dilation, the pivot isometry
-    and the non-commuting members of the first relation row: the dilation
-    of a tuple whose sufficient-condition hypotheses fail."""
-    kind, piv, v = dil.kind, PIVOT[dil.kind], dil.forms
+def _expect_schaffer(rep: CheckReport, tup: OperatorTuple):
+    """Record the relation rows of a Schäffer dilation's ``tup``, the pivot
+    isometry and the non-commuting members of the first relation row: the
+    dilation of a tuple whose sufficient-condition hypotheses fail."""
+    kind, piv, v, kw = tup.kind, PIVOT[tup.kind], tup.forms, tup.window
     rel = max(kw.wnorm(v[i] - v[j].H @ v[piv]) for i, j, _, _ in RELATIONS[kind])
     rep.add(_RELATION_LABEL[kind], rel, 1e-9)
-    iso = kw.wnorm(v[piv].H @ v[piv] - _eye(dil.dim))
+    iso = kw.wnorm(v[piv].H @ v[piv] - _eye(tup.dim))
     rep.add(f"{MEMBERS[kind][piv]} isometric on window", iso, 1e-9)
     i, j = RELATIONS[kind][0][:2]
-    cviol = kw.wnorm(v[i] @ v[j] - v[j] @ v[i])
+    cviol = kw.wnorm(commutator(v[i], v[j]))
     rep.add("dilation members fail to commute (expected)",
             cviol, 0.9, ok=cviol >= 0.9)
 
@@ -280,38 +281,37 @@ _OPERATOR_CASES = {
 
 
 def _run_operator_case(case: GalleryCase) -> CheckReport:
-    """The battery of exam1, exam2, exam3 and exam5, in one order: window,
-    tuple commutes, solve, expected fundamentals, torus chain and profile,
-    necessary conditions, dilation and co-extension, the case's own items."""
+    """The battery of exam1, exam2, exam3 and exam5, in one order: window the
+    tuple, tuple commutes, solve, expected fundamentals, torus chain and
+    profile, necessary conditions, dilation and co-extension, own items."""
     p, spec = case.params, _OPERATOR_CASES[case.id]
     space, tup, expected, *data = spec.build(p)
-    mar = auto_margin(space, tup.forms)
-    w = window(space, mar)
-    rep = CheckReport(name=case.id, window_margin=mar)
-    _merge(rep, is_commuting(tup, 1e-9, w), "tuple commutes")
-    fset = solve_fundamentals(tup, tol=1e-9, window=w)
-    _expect_fundamentals(rep, spec.expect, fset, w, expected)
+    tup = replace(tup, window=window(space, auto_margin(space, tup.forms)))
+    rep = CheckReport(name=case.id, window_margin=tup.window.margin)
+    _merge(rep, is_commuting(tup, 1e-9), "tuple commutes")
+    fset = solve_fundamentals(tup, tol=1e-9)
+    _expect_fundamentals(rep, spec.expect, fset, expected)
 
     prof = iso = None
     if spec.commute:
-        chain = chain_report(fset, z_samples=p["z_samples"], window=w)
+        chain = chain_report(fset, z_samples=p["z_samples"])
         _merge(rep, chain, "torus condition chain")
         rep.notes.append(f"torus condition chain: {chain.notes[-1]}")
         rep.margins = chain.margins
-        prof = _by_label(commutator_profile(fset, tol=1e-10, window=w))
+        prof = _by_label(commutator_profile(fset, tol=1e-10))
         plain = max(v for k, v in prof.items() if "*" not in k and "-" not in k)
         rep.add(spec.commute, plain, 1e-10)
-    nec = necessary_conditions(fset, tol=1e-9, window=w)
+    nec = necessary_conditions(fset, tol=1e-9)
     _merge(rep, nec, "kernel-restricted necessary conditions")
 
     if spec.dilate is None:
         dil = schaffer(fset, p["depth"])
-        _expect_schaffer(rep, dil, dil.window(w))
+        _expect_schaffer(rep, dil.tup)
     else:
         dil = spec.dilate(fset, p)
-        iso = isometry_check(dil, tol=1e-9, window=dil.window(w))
+        iso = isometry_check(dil.tup, tol=1e-9)
         _merge(rep, iso, f"dilation is a {dil.kind} isometry")
-    rep.add("co-extension of the original tuple", max(dil.coextension_residuals(w)), 1e-9)
+    rep.add("co-extension of the original tuple", max(dil.coextension_residuals()), 1e-9)
     spec.items(rep, p=p, fset=fset, data=data, prof=prof, nec=nec, dil=dil, iso=iso)
     return rep
 
@@ -377,16 +377,16 @@ def _run_axis_family(case: GalleryCase) -> CheckReport:
     t1, t6, t7 = trip.forms
     chk = partial_isometry_check(t7, tol=1e-9, window=w)
     _merge(rep, chk, "averaged product is a partial isometry")
-    tup = pushforward("axis7", t1, t6, t7)
-    fset = solve_fundamentals(tup, tol=1e-9, window=w)
+    tup = replace(pushforward("axis7", t1, t6, t7), window=w)
+    fset = solve_fundamentals(tup, tol=1e-9)
     dd = fset.defect
     rep.add("defect operator is a projection", dd.projection_gap, 1e-9)
-    _expect_fundamentals(rep, "fundamentals carry the averaged symbols", fset, w, {
+    _expect_fundamentals(rep, "fundamentals carry the averaged symbols", fset, {
         "F1": embed_blocks(space, {(1, 1): (1.0 / 3.0) * (eye + m)}),
         "F6": embed_blocks(space, {(1, 1): (1.0 / 3.0) * m}),
         **dict.fromkeys(("F2", "F3", "F4", "F5"), _diag(np.zeros(0), (tup.dim,) * 2))})
 
-    prof = commutator_profile(fset, tol=1e-10, window=w)
+    prof = commutator_profile(fset, tol=1e-10)
     rep.add("all commutator identities hold (contrast with exam1)",
             prof.worst(), 1e-10)
 
@@ -403,9 +403,9 @@ def _run_axis_family(case: GalleryCase) -> CheckReport:
 
     beta = 0.7
     qspace = ModelSpace(((1, trunc),))
-    wq = window(qspace, auto_margin(qspace, (m,)))
-    clean = pushforward("axis7", np.conj(beta) * _eye(trunc), beta * m, m)
-    chk2 = isometry_check(clean, tol=1e-9, window=wq)
+    clean = replace(pushforward("axis7", np.conj(beta) * _eye(trunc), beta * m, m),
+                    window=window(qspace, auto_margin(qspace, (m,))))
+    chk2 = isometry_check(clean, tol=1e-9)
     _merge(rep, chk2, "axis embedding of a clean isometric triple")
 
     rng = np.random.default_rng(p["seed"])

@@ -52,7 +52,7 @@ the gallery never load scipy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from weakref import ref
+from functools import cached_property
 
 import numpy as np
 
@@ -328,27 +328,17 @@ class WholeSpace:
 WHOLE_SPACE = WholeSpace()
 
 
-class _Forms:
-    """Operators held as coordinate forms ``forms``, whose commutator table
-    (``commutator_norms``) is formed once per window: the table is kept with
-    a weak reference to its window, so the checks on one window share it."""
-
-    _table = (lambda: None, None)  # (weak reference to the window, table)
-
-    def commutators(self, window=WHOLE_SPACE) -> list:
-        if self._table[0]() is not window:
-            self._table = (ref(window), commutator_norms(self.forms, window))
-        return self._table[1]
-
-
-@dataclass
-class OperatorTuple(_Forms):
+@dataclass(frozen=True)
+class OperatorTuple:
     """A kind-tagged family of square operators on a shared space, held as
     coordinate forms ``forms``, each read once when the tuple is built (a
-    member passed twice stays one form)."""
+    member passed twice stays one form), and the window its checks read (the
+    whole space by default).  The window is fixed with the tuple
+    (``dataclasses.replace`` gives another), so ``commutators`` is formed once."""
 
     kind: str
     forms: tuple
+    window: object = WHOLE_SPACE  # a spaces.Window or WHOLE_SPACE
 
     def __post_init__(self):
         if self.kind not in ARITY:
@@ -361,7 +351,12 @@ class OperatorTuple(_Forms):
         dim = forms[0].shape[0]
         if any(f.shape != (dim, dim) for f in forms):
             raise OpcoreError("tuple members must be square on a common space")
-        self.forms = forms
+        object.__setattr__(self, "forms", forms)
+
+    @cached_property
+    def commutators(self) -> list:
+        """The ``commutator_norms`` table of the members on the window."""
+        return commutator_norms(self.forms, self.window)
 
     @property
     def dim(self) -> int:

@@ -73,7 +73,8 @@ class Window:
         if not isinstance(q, _Block):
             q = np.asarray(q, dtype=complex)
             q = _nonzeros(q) if q.ndim == 2 else None
-        if q is None or np.abs((q.H @ q - _eye(q.shape[1])).v).max(initial=0.0) > 1e-12:
+        # `not <=`: a non-finite basis gives a NaN gap, which fails it
+        if q is None or not np.abs((q.H @ q - _eye(q.shape[1])).v).max(initial=0.0) <= 1e-12:
             raise OpcoreError("window basis columns must be orthonormal to 1e-12")
         self.basis, self._qh = q, q.H
 
@@ -107,7 +108,7 @@ class Window:
         return float(_eigh(self.compress(h))[0][0])
 
 
-AnyWindow = Window | WholeSpace  # a check's window; default opcore.WHOLE_SPACE
+AnyWindow = Window | WholeSpace  # an OperatorTuple's window; default opcore.WHOLE_SPACE
 
 
 def window(space: ModelSpace, margin: int) -> Window:

@@ -3,27 +3,27 @@ domain kind, the kernel-restricted necessary conditions for a dilation to
 exist, and the commutator tables that the sufficient-condition hypotheses
 quantify over.
 
-Checks apply a truncation window wherever the infinite-model identity would
-otherwise be poisoned by the cut tail; windowed passes never claim more than
-the safe part of the space.
+Checks read a truncation window off the tuple they check (an
+``OperatorTuple``'s ``window``, that of ``fset.tup`` for a fundamental set)
+wherever the infinite-model identity would otherwise be poisoned by the cut
+tail; windowed passes never claim more than the safe part of the space.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from .opcore import (WHOLE_SPACE, OpcoreError, _compact, _eye, commutator,
+from .opcore import (WHOLE_SPACE, OperatorTuple, OpcoreError, _compact, _eye, commutator,
                      commutator_norms, once, op_norm)
 from .fundamentals import MEMBERS, PIVOT, RELATIONS, FundamentalSet
 from .report import CheckReport
 from .spaces import AnyWindow, Window
 
 
-def is_commuting(t, tol: float = 1e-9,
-                 window: AnyWindow = WHOLE_SPACE) -> CheckReport:
-    """Pairwise commutator norms of an OperatorTuple or a DilationResult."""
-    rep = CheckReport(name="is-commuting", window_margin=window.margin)
-    for (i, j), res in t.commutators(window):
+def is_commuting(tup: OperatorTuple, tol: float = 1e-9) -> CheckReport:
+    """Pairwise commutator norms of an OperatorTuple on its window."""
+    rep = CheckReport(name="is-commuting", window_margin=tup.window.margin)
+    for (i, j), res in tup.commutators:
         rep.add(f"[T{i+1},T{j+1}]", res, tol)
     return rep
 
@@ -39,11 +39,10 @@ def partial_isometry_check(t, tol: float = 1e-9,
     return rep
 
 
-def isometry_check(t, tol: float = 1e-9,
-                   window: AnyWindow = WHOLE_SPACE) -> CheckReport:
+def isometry_check(tup: OperatorTuple, tol: float = 1e-9) -> CheckReport:
     """Algebraic characterization of the isometry class of a gamma7, gamma5
-    or penta OperatorTuple or DilationResult, windowed: commutation, the
-    relations V_i = V_j* V_pivot of the ``RELATIONS`` rows and the pivot
+    or penta OperatorTuple (a dilation's ``tup``) on its window: commutation,
+    the relations V_i = V_j* V_pivot of the ``RELATIONS`` rows and the pivot
     isometry.  Two classes add norm bounds, from these theorems:
 
     * a commuting triple (A, B, P) is a tetrablock isometry iff P is an
@@ -59,12 +58,11 @@ def isometry_check(t, tol: float = 1e-9,
     A bound is read through the window as ||A Q||, and ||A Q|| <= ||A||,
     so a windowed failure proves the bound fails.
     """
-    kind = t.kind
+    kind, window, ops = tup.kind, tup.window, tup.forms
     if kind not in MEMBERS:
         raise OpcoreError(f"unknown isometry kind {kind!r}")
     rep = CheckReport(name=f"isometry-{kind}", window_margin=window.margin)
-    ops = t.forms
-    rep.add("commuting", max(v for _, v in t.commutators(window)), tol)
+    rep.add("commuting", max(v for _, v in tup.commutators), tol)
 
     names, p = MEMBERS[kind], PIVOT[kind]
     # once per distinct (V_i, V_j) and V_i: a dilation's members repeat (exam3's)
@@ -74,7 +72,7 @@ def isometry_check(t, tol: float = 1e-9,
         rep.add(f"{names[i]}={names[j]}*{names[p]}", relation(ops[i], ops[j]), tol)
         if kind == "gamma7":
             rep.add(f"||{names[i]}||<=1", max(0.0, norm(ops[i]) - 1.0), tol)
-    eye = _eye(t.dim)
+    eye = _eye(tup.dim)
     rep.add(f"{names[p]} isometry", window.wnorm(ops[p].H @ ops[p] - eye), tol)
     if kind == "penta":
         r1, r2, _ = ops
@@ -84,15 +82,14 @@ def isometry_check(t, tol: float = 1e-9,
     return rep
 
 
-def necessary_conditions(fset: FundamentalSet, tol: float = 1e-9,
-                         window: AnyWindow = WHOLE_SPACE) -> CheckReport:
+def necessary_conditions(fset: FundamentalSet, tol: float = 1e-9) -> CheckReport:
     """Kernel-restricted residuals that a dilatable ``fset.tup`` must annihilate.
 
     The companion existence condition (a joint subnormal dilation of the
     fundamental operators) has no finite test and is reported as undecided,
     with the commutator profile as the natural circumstantial data.
     """
-    t, kind, dd = fset.tup, fset.kind, fset.defect
+    t, kind, dd, window = fset.tup, fset.kind, fset.defect, fset.tup.window
     rep = CheckReport(name=f"necessary-{kind}", window_margin=window.margin)
     kw = Window(window.margin, dd.kernel_basis @ window.inside(dd.kernel_basis))
     rep.notes.append(f"kernel test space dimension {kw.dim}")
@@ -116,7 +113,7 @@ def necessary_conditions(fset: FundamentalSet, tol: float = 1e-9,
             rep.add(f"(F{i+1}*D T{i+1} - F{j+1}*D T{j+1})|ker", kw.wnorm(e2), tol)
         for i, j in rows:
             a, b = adj(fs[i]), adj(fs[j])
-            rep.add(f"[F{i+1}*,F{j+1}*]D T7|ker", kw.wnorm((a @ b - b @ a) @ d @ ts[6]), tol)
+            rep.add(f"[F{i+1}*,F{j+1}*]D T7|ker", kw.wnorm(commutator(a, b) @ d @ ts[6]), tol)
     elif kind == "gamma5":
         s1, s2, s3, s1t, s2t = t.forms
         g1, g2, g1t, g2t = (fms[n] for n in ("G1", "G2", "G1t", "G2t"))
@@ -132,7 +129,7 @@ def necessary_conditions(fset: FundamentalSet, tol: float = 1e-9,
         for k, a, b, expr in conds:
             rep.add(f"({k})", kw.wnorm(expr), tol)
             a, b = adj(a), adj(b)
-            rep.add(f"({k}')", kw.wnorm((a @ b - b @ a) @ d @ s3), tol)
+            rep.add(f"({k}')", kw.wnorm(commutator(a, b) @ d @ s3), tol)
     elif kind == "penta":
         _, p2, p3 = t.forms
         x = fms["X"]
@@ -142,14 +139,15 @@ def necessary_conditions(fset: FundamentalSet, tol: float = 1e-9,
     return rep
 
 
-def commutator_profile(fset: FundamentalSet, tol: float = 1e-9,
-                       window: AnyWindow = WHOLE_SPACE) -> CheckReport:
+def commutator_profile(fset: FundamentalSet, tol: float = 1e-9) -> CheckReport:
     """Full table of the commutator identities behind the sufficient
-    conditions.  Violations mark the report hypothesis-violated, never
-    failed: these are hypotheses, not necessary conditions.
+    conditions, on the window of ``fset.tup``.  Violations mark the report
+    hypothesis-violated, never failed: these are hypotheses, not necessary
+    conditions.
     """
     if fset.kind not in ("gamma7", "gamma5"):
         raise OpcoreError("a single fundamental operator has no commutator profile")
+    window = fset.tup.window
     rep = CheckReport(name=f"commutators-{fset.kind}", hypothesis_only=True,
                       window_margin=window.margin)
     # P F P = Q (Q* F Q) Q*, so products and commutators of the compressions

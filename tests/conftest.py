@@ -67,8 +67,9 @@ def unchecked_fundamentals(tup):
     dd = defect(tup.forms[PIVOT[tup.kind]])
     dplus = dd.pinv()
     rhs = _rhs_map(tup)
-    forms = {name: dplus @ b @ dplus for name, b in rhs.items()}
-    return FundamentalSet(tup, forms, equation_residuals(rhs, dd, forms, np.inf), dd)
+    fset = FundamentalSet(tup, {name: dplus @ b @ dplus for name, b in rhs.items()}, {}, dd)
+    fset.residuals = equation_residuals(fset, rhs, np.inf)
+    return fset
 
 
 def range_side_kernel(dd, w):

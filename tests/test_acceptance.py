@@ -8,6 +8,7 @@ import json
 import subprocess
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -35,15 +36,15 @@ def test_criterion_1_exam1_reproduction():
     t0 = time.perf_counter()
     space, tup, expected_f = build_exam1(8)
     w = window(space, 4)
-    fset = solve_fundamentals(tup, tol=1e-9, window=w)
+    fset = solve_fundamentals(replace(tup, window=w), tol=1e-9)
     f_gap = max(w.equal(fset[n], expected_f[n]) for n in expected_f)
-    prof = commutator_profile(fset, tol=1e-10, window=w)
+    prof = commutator_profile(fset, tol=1e-10)
     by = {i.label: i.residual for i in prof.items}
     comm_gap = max(v for k, v in by.items() if "*" not in k)
     g16 = by["[F6*,F6]-[F1*,F1]"]
     g25 = by["[F5*,F5]-[F2*,F2]"]
     g34 = by["[F4*,F4]-[F3*,F3]"]
-    nec = necessary_conditions(fset, tol=1e-9, window=w)
+    nec = necessary_conditions(fset, tol=1e-9)
     dt = time.perf_counter() - t0
     ok = (f_gap <= 1e-10 and comm_gap <= 1e-10 and g16 >= 0.99 and g25 >= 0.99
           and g34 <= 1e-10 and nec.worst() <= 1e-9 and nec.verdict == "pass"
@@ -57,12 +58,12 @@ def test_criterion_2_exam2_reproduction():
     w = window(space, 4)
     slice_gap = max(float(np.linalg.norm(a - b, 2))
                     for a, b in zip(dense_members(tup5), dense_members(displayed)))
-    fset = solve_fundamentals(tup5, tol=1e-9, window=w)
-    prof = commutator_profile(fset, tol=1e-10, window=w)
+    fset = solve_fundamentals(replace(tup5, window=w), tol=1e-9)
+    prof = commutator_profile(fset, tol=1e-10)
     by = {i.label: i.residual for i in prof.items}
     g11 = by["[G1*,G1]-[G2t*,G2t]"]
     g12 = by["[2G2*,2G2]-[2G1t*,2G1t]"]
-    nec = necessary_conditions(fset, tol=1e-9, window=w)
+    nec = necessary_conditions(fset, tol=1e-9)
     nb = {i.label: i.residual for i in nec.items}
     pair_gap = max(abs(nb[f"({k})"] - nb[f"({k}')"]) for k in range(2, 8))
     ok = (slice_gap <= 1e-12 and g11 >= 0.9 and g12 >= 0.9
@@ -78,9 +79,9 @@ def test_criterion_3_exam3_sweep():
     for alpha in (0.0, 0.25, 0.5, 0.75, 1.0):
         space, tup, _ = build_exam3(alpha, 8)
         w = window(space, 4)
-        dil = build_exam3_dilation(tup, 6)
-        kw = dil.window(w)
-        comm = is_commuting(dil, tol=1e-9, window=kw)
+        dil = build_exam3_dilation(replace(tup, window=w), 6)
+        kw = dil.tup.window
+        comm = is_commuting(dil.tup, tol=1e-9)
         v = [o.dense() for o in dil.forms]
         rel = max(kw.wnorm(v[i] - v[5 - i].conj().T @ v[6]) for i in range(6))
         iso = kw.wnorm(v[6].conj().T @ v[6] - np.eye(len(v[6])))
@@ -99,15 +100,15 @@ def test_criterion_4_exam5_sweep():
     for alpha in (0.0, 0.25, 0.5, 0.75, 1.0):
         space, tup, _ = build_exam5(alpha, 8)
         w = window(space, 4)
-        fset = solve_fundamentals(tup, tol=1e-9, window=w)
+        fset = solve_fundamentals(replace(tup, window=w), tol=1e-9)
         dil = pentablock_dilation(fset, 4)
-        kw = dil.window(w)
+        kw = dil.window()
         r = [o.dense() for o in dil.forms]
         fix = kw.wnorm(r[1] - r[1].conj().T @ r[2])
         gram = kw.wnorm(r[0].conj().T @ r[0] + 0.25 * r[1].conj().T @ r[1]
                         - np.eye(len(r[0])))
         norm_gap = abs(op_norm(dil.forms[1]) - abs(alpha))
-        nec = necessary_conditions(fset, tol=1e-9, window=w)
+        nec = necessary_conditions(fset, tol=1e-9)
         ok &= (fix <= 1e-10 and gram <= 1e-9 and norm_gap <= 1e-8
                and nec.worst() <= 1e-9 and nec.verdict == "pass")
         detail.append(f"a={alpha}: {fix:.1e}/{gram:.1e}/{norm_gap:.1e}")

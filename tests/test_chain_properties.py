@@ -8,6 +8,8 @@ over the same torus samples z, of
 
 (L the pivot), compressed through the window when there is one."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from mudilate.fundamentals import (CHAIN_TOL, PIVOT, RELATIONS, chain_report, rho,
                                    solve_fundamentals)
 from mudilate.gallery import build_exam1, build_exam2
-from mudilate.opcore import OperatorTuple
+from mudilate.opcore import WHOLE_SPACE, OperatorTuple
 from mudilate.spaces import auto_margin, window
 
 from conftest import dense_members, unchecked_fundamentals
@@ -24,10 +26,10 @@ SETTINGS = settings(derandomize=True, max_examples=40, deadline=None)
 TOL = 1e-12
 
 
-def _dense_pair_mins(tup, z_samples, w=None):
+def _dense_pair_mins(tup, z_samples):
     """{pair tag: min over z of the smallest eigenvalue of the summed dense
-    rho forms}, computed pair by pair from ``rho``."""
-    kind, t = tup.kind, dense_members(tup)
+    rho forms}, computed pair by pair from ``rho``, on the tuple's window."""
+    kind, t, w = tup.kind, dense_members(tup), tup.window
     last = t[PIVOT[kind]]
     zs = np.exp(2j * np.pi * np.arange(z_samples) / z_samples)
     out = {}
@@ -39,15 +41,15 @@ def _dense_pair_mins(tup, z_samples, w=None):
         for z in zs:
             h = (rho(OperatorTuple("tetra", (a, z * b, z * last))).op
                  + rho(OperatorTuple("tetra", (b, z * a, z * last))).op)
-            vals.append(np.linalg.eigvalsh(h).min() if w is None else w.psd_min_eig(h))
+            vals.append(np.linalg.eigvalsh(h).min() if w is WHOLE_SPACE
+                        else w.psd_min_eig(h))
         out[(i, j)] = min(vals)
     return out
 
 
-def _assert_matches_dense(fset, z_samples, w=None):
-    rep = chain_report(fset, z_samples=z_samples,
-                       **({} if w is None else {"window": w}))
-    ref = _dense_pair_mins(fset.tup, z_samples, w)
+def _assert_matches_dense(fset, z_samples):
+    rep = chain_report(fset, z_samples=z_samples)
+    ref = _dense_pair_mins(fset.tup, z_samples)
     items = [i for i in rep.items if i.label.startswith("rho-pair-psd")]
     assert len(items) == len(ref)
     for item, value in zip(items, ref.values()):
@@ -62,7 +64,7 @@ def test_gallery_tuples_on_their_windows(case):
     else:
         space, tup, _, _ = build_exam2(8)
     w = window(space, auto_margin(space, dense_members(tup)))
-    _assert_matches_dense(solve_fundamentals(tup, tol=CHAIN_TOL, window=w), 8, w)
+    _assert_matches_dense(solve_fundamentals(replace(tup, window=w), tol=CHAIN_TOL), 8)
 
 
 @st.composite

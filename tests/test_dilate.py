@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -89,7 +91,7 @@ class TestDenseLimit:
 
     def test_schaffer(self, monkeypatch, exam1):
         _, tup, _, w = exam1
-        fset = solve_fundamentals(tup, window=w)
+        fset = solve_fundamentals(replace(tup, window=w))
         dim = tup.dim + 3 * fset.defect.rank
         monkeypatch.setattr(opcore, "MAX_DENSE_DIM", dim)
         assert schaffer(fset, 3).dim == dim
@@ -98,7 +100,7 @@ class TestDenseLimit:
 
     def test_pentablock_dilation(self, monkeypatch, exam5):
         _, tup, _, w = exam5
-        fset = solve_fundamentals(tup, window=w)
+        fset = solve_fundamentals(replace(tup, window=w))
         dim = tup.dim + 2 * fset.defect.rank
         monkeypatch.setattr(opcore, "MAX_DENSE_DIM", dim)
         assert pentablock_dilation(fset, 2).dim == dim
@@ -131,31 +133,31 @@ class TestSchaffer:
 
     def test_depth_validation(self, exam1):
         _, tup, _, w = exam1
-        fset = solve_fundamentals(tup, window=w)
+        fset = solve_fundamentals(replace(tup, window=w))
         with pytest.raises(DilateError):
             schaffer(fset, 1)
 
     def test_exam1_relations_and_coextension(self, exam1):
         _, tup, _, w = exam1
-        fset = solve_fundamentals(tup, window=w)
+        fset = solve_fundamentals(replace(tup, window=w))
         dil = schaffer(fset, 4)
-        kw = dil.window(w)
+        kw = dil.window()
         v = [o.dense() for o in dil.forms]
         for i in range(6):
             assert kw.wnorm(v[i] - v[5 - i].conj().T @ v[6]) <= 1e-9
         assert kw.wnorm(v[6].conj().T @ v[6] - np.eye(len(v[6]))) <= 1e-9
-        assert max(dil.coextension_residuals(w)) <= 1e-9
+        assert max(dil.coextension_residuals()) <= 1e-9
 
     def test_exam2_relations(self, exam2):
         _, tup5, _, _, w = exam2
-        fset = solve_fundamentals(tup5, window=w)
+        fset = solve_fundamentals(replace(tup5, window=w))
         dil = schaffer(fset, 4)
-        kw = dil.window(w)
+        kw = dil.window()
         w1, w2, w3, w1t, w2t = (o.dense() for o in dil.forms)
         for lhs, rhs in ((w1, w2t.conj().T @ w3), (w2t, w1.conj().T @ w3),
                          (w2, w1t.conj().T @ w3), (w1t, w2.conj().T @ w3)):
             assert kw.wnorm(lhs - rhs) <= 1e-9
-        assert max(dil.coextension_residuals(w)) <= 1e-9
+        assert max(dil.coextension_residuals()) <= 1e-9
 
     def test_commuting_fundamentals_give_commuting_dilation(self):
         # scalar family: fundamentals are scalars, hypotheses hold, so the
@@ -165,10 +167,11 @@ class TestSchaffer:
         tup = OperatorTuple("gamma7", ops)
         fset = solve_fundamentals(tup)
         dil = schaffer(fset, 5)
-        from mudilate.verify import is_commuting, isometry_check
-        assert is_commuting(dil, tol=1e-9).verdict == "pass"
-        kw = dil.window(_full_window(dil.base_dim))
-        assert isometry_check(dil, tol=1e-9, window=kw).verdict == "pass"
+        from mudilate.verify import isometry_check
+        # on the whole dilation space, then on its window (the whole base
+        # space plus the kept copies)
+        assert is_commuting(OperatorTuple(dil.kind, dil.forms), tol=1e-9).verdict == "pass"
+        assert isometry_check(dil.tup, tol=1e-9).verdict == "pass"
 
 
 def _array(x):
@@ -237,7 +240,7 @@ class TestCoordinateLayout:
             tup, w = {"exam1": (exam1[1], exam1[3]), "exam2": (exam2[1], exam2[4]),
                       "exam5": (exam5[1], exam5[3])}[case]
             build = pentablock_dilation if case == "exam5" else schaffer
-            dil = build(solve_fundamentals(tup, window=w), depth)
+            dil = build(solve_fundamentals(replace(tup, window=w)), depth)
         self._assert_layout(dil, calls)
 
     @pytest.mark.parametrize("seed", range(8))
@@ -260,27 +263,22 @@ class TestDilationWindow:
         # layout would multiply by 0 into -0.0 off the diagonal blocks
         if case == "exam1":
             _, tup, _, w = exam1
-            dil = schaffer(solve_fundamentals(tup, window=w), depth)
+            dil = schaffer(solve_fundamentals(replace(tup, window=w)), depth)
         elif case == "exam3":
             w = exam3[3]
-            dil = build_exam3_dilation(exam3[1], depth)
+            dil = build_exam3_dilation(replace(exam3[1], window=w), depth)
         else:
             vals = (0.2, -0.15, 0.1, 0.05, 0.3, -0.25, 0.6)
             tup = OperatorTuple("gamma7", tuple(v * np.eye(2) for v in vals))
             w = Window(0, np.array([[1.0], [-1.0]]) / np.sqrt(2.0))
-            dil = schaffer(solve_fundamentals(tup, window=w), depth)
+            dil = schaffer(solve_fundamentals(replace(tup, window=w)), depth)
         margin = min(2 * dil.reach, max(dil.reach, depth - 1))
         keepv = w.inside(dil.defect.range_basis).dense()
         ref = scipy.linalg.block_diag(w.basis.dense(), *[keepv] * (depth - margin))
         ref = np.pad(ref, ((0, dil.dim - ref.shape[0]), (0, 0)))
-        got = dil.window(w).basis.dense()
+        got = dil.window().basis.dense()
         assert got.shape == ref.shape and got.dtype == ref.dtype
         assert got.tobytes() == ref.tobytes()
-
-
-def _full_window(dim):
-    from mudilate.spaces import Window
-    return Window(0, np.eye(dim))
 
 
 class TestPentablockDilation:
@@ -310,10 +308,10 @@ class TestPentablockDilation:
 
     def test_exam5_norm_identities(self, exam5):
         _, tup, _, w = exam5
-        fset = solve_fundamentals(tup, window=w)
+        fset = solve_fundamentals(replace(tup, window=w))
         dil = pentablock_dilation(fset, 4)
         assert op_norm(dil.forms[1]) == pytest.approx(0.5, abs=1e-10)
-        kw = dil.window(w)
+        kw = dil.window()
         r = [o.dense() for o in dil.forms]
         assert kw.wnorm(r[1] - r[1].conj().T @ r[2]) <= 1e-10
         gram = r[0].conj().T @ r[0] + 0.25 * r[1].conj().T @ r[1] - np.eye(len(r[0]))
@@ -375,6 +373,8 @@ class TestPushforward:
         _, tup, _, _ = exam1
         with pytest.raises(DilateError):
             pushforward("pi_eta", tup, 1.5)
+        with pytest.raises(DilateError, match="closed unit disc"):
+            pushforward("pi_eta", tup, float("nan"))
 
     def test_axis7_shape(self):
         t = np.diag([0.5, 0.5])

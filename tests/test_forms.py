@@ -1,12 +1,11 @@
 """Coordinate forms owned by the objects that hold the operators: a tuple,
 a defect and a fundamental set carry the forms of their arrays, read once;
-each tuple's commutator table is formed once per window; no gallery case
+each tuple's commutator table is formed once, on its window; no gallery case
 reads the same dense array over and over; and no gallery operator is ever a
 dense array of the base dimension."""
 
-import gc
 import sys
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -39,7 +38,8 @@ def _solved(case_id):
                 "exam3": lambda: gallery.build_exam3(0.5, 8)[:2],
                 "exam5": lambda: gallery.build_exam5(0.5, 8)[:2]}
     space, tup = builders[case_id]()
-    return solve_fundamentals(tup, window=window(space, auto_margin(space, dense_members(tup))))
+    w = window(space, auto_margin(space, dense_members(tup)))
+    return solve_fundamentals(replace(tup, window=w))
 
 
 @pytest.mark.parametrize("case_id", ["exam1", "exam2", "exam3", "exam5"])
@@ -100,7 +100,7 @@ def test_commutator_table_matches_dense_reference(case):
     tup, w = case
     n = tup.dim
     for win, q in ((WHOLE_SPACE, np.eye(n)), (w, w.basis.dense())):
-        table = tup.commutators(win)
+        table = replace(tup, window=win).commutators
         assert table == commutator_norms(dense_members(tup), win)
         ops = dense_members(tup)
         for (i, j), got in table:
@@ -111,7 +111,7 @@ def test_commutator_table_matches_dense_reference(case):
                 assert got == 0.0
 
 
-def test_table_formed_once_per_window_and_never_pins_it(monkeypatch):
+def test_table_formed_once_per_tuple(monkeypatch):
     calls = []
 
     def counting(ops, window=WHOLE_SPACE):
@@ -121,19 +121,17 @@ def test_table_formed_once_per_window_and_never_pins_it(monkeypatch):
     monkeypatch.setattr(opcore, "commutator_norms", counting)
     _, tup, _ = gallery.build_exam3(0.5, 8)
     w = Window(0, np.eye(tup.dim))
-    first = is_commuting(tup, window=w)
-    assert tup.commutators(w) is tup.commutators(w)
-    assert is_commuting(tup, window=w).to_dict() == first.to_dict()
-    assert len(calls) == 1
-    tup.commutators()  # another window: a new table
-    assert len(calls) == 2
-    tup.commutators(w)
-    assert len(calls) == 3
-    # the table holds a weak reference: dropping the window frees it
-    del w, first
-    calls.clear()
-    gc.collect()
-    assert tup._table[0]() is None
+    on_w = replace(tup, window=w)
+    first = is_commuting(on_w)
+    assert on_w.commutators is on_w.commutators
+    assert is_commuting(on_w).to_dict() == first.to_dict()
+    solve_fundamentals(on_w)  # its commutation refusal reads the same table
+    assert len(calls) == 1 and calls[0] is w
+    tup.commutators  # the tuple on the whole space: a table of its own
+    assert len(calls) == 2 and calls[1] is WHOLE_SPACE
+    # the window is fixed with the tuple, so its table cannot go stale
+    with pytest.raises(FrozenInstanceError):
+        on_w.window = WHOLE_SPACE
 
 
 @pytest.mark.parametrize("case_id,expected",

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -68,7 +70,7 @@ class TestDefect:
 class TestSolveFundamentals:
     def test_exam1_displayed_solutions(self, exam1):
         space, tup, expected_f, w = exam1
-        fset = solve_fundamentals(tup, window=w)
+        fset = solve_fundamentals(replace(tup, window=w))
         for name, want in expected_f.items():
             assert w.equal(fset[name], want) <= 1e-10
         assert max(fset.residuals.values()) <= 1e-10
@@ -85,7 +87,7 @@ class TestSolveFundamentals:
     def test_exam5_pair_solution_is_symbol(self, exam5):
         space, tup, x_emb, w = exam5
         pair = OperatorTuple("sym", dense_members(tup)[1:3])
-        fset = solve_fundamentals(pair, window=w)
+        fset = solve_fundamentals(replace(pair, window=w))
         assert w.equal(fset["X"], x_emb) <= 1e-10
 
     def test_exam5_penta_solve_matches_pair_solve(self, exam5):
@@ -93,8 +95,8 @@ class TestSolveFundamentals:
         # pair (P2, P3), solved on the triple itself
         space, tup, x_emb, w = exam5
         pair = OperatorTuple("sym", dense_members(tup)[1:3])
-        via_pair = solve_fundamentals(pair, window=w)
-        fset = solve_fundamentals(tup, window=w)
+        via_pair = solve_fundamentals(replace(pair, window=w))
+        fset = solve_fundamentals(replace(tup, window=w))
         assert fset.kind == "penta" and fset.names() == ("X",)
         assert w.equal(fset["X"], via_pair["X"]) <= 1e-10
         assert w.equal(fset["X"], x_emb) <= 1e-10
@@ -167,7 +169,7 @@ class TestRequireCommuting:
 
     def test_exactly_commuting_tuple_takes_no_norm(self, normed, exam1):
         _, tup, _, w = exam1
-        require_commuting(tup, w)
+        require_commuting(replace(tup, window=w))
         require_commuting(OperatorTuple("sym", (np.diag([3.0, 4.0]), np.diag([5.0, 6.0]))))
         assert normed == []
 
@@ -177,7 +179,7 @@ class TestRequireCommuting:
         # deferred; with ||A|| <= 1 the same 2e-9 fails
         e12 = np.array([[0.0, 1.0], [0.0, 0.0]])
         big = OperatorTuple("sym", (np.diag([100.0, 200.0]), 2e-11 * e12))
-        assert max(v for _, v in big.commutators()) == pytest.approx(2e-9, rel=1e-12)
+        assert max(v for _, v in big.commutators) == pytest.approx(2e-9, rel=1e-12)
         require_commuting(big)
         assert len(normed) == 2
         small = OperatorTuple("sym", (np.diag([0.5, 1.0]), 4e-9 * e12))
@@ -212,8 +214,8 @@ class TestRho:
 
 def _chain_solved(tup, z_samples, w=WHOLE_SPACE):
     """chain_report on the tuple's fundamentals, solved at CHAIN_TOL."""
-    return chain_report(solve_fundamentals(tup, tol=CHAIN_TOL, window=w),
-                        z_samples=z_samples, window=w)
+    return chain_report(solve_fundamentals(replace(tup, window=w), tol=CHAIN_TOL),
+                        z_samples=z_samples)
 
 
 class TestChainReport:
@@ -236,8 +238,8 @@ class TestChainReport:
 
     def test_exam1_all_pass(self, exam1):
         space, tup, _, w = exam1
-        fset = solve_fundamentals(tup, window=w)
-        rep = chain_report(fset, z_samples=16, window=w)
+        fset = solve_fundamentals(replace(tup, window=w))
+        rep = chain_report(fset, z_samples=16)
         assert rep.verdict == "pass"
         # summed pairs are strictly block-nilpotent on the window
         assert rep.margins["radius"] == pytest.approx(2.0, abs=1e-12)
@@ -275,8 +277,8 @@ class TestChainReport:
         with pytest.raises(TypeError):
             chain_report(exam3[1], z_samples=4, fset=other)
         _, tup, _, w = exam1
-        fset = solve_fundamentals(tup, tol=CHAIN_TOL, window=w)
-        rep = chain_report(fset, z_samples=4, window=w)
+        fset = solve_fundamentals(replace(tup, window=w), tol=CHAIN_TOL)
+        rep = chain_report(fset, z_samples=4)
         assert rep.name == "chain-gamma7"
         assert rep.items[0].label == "fundamental-solvability"
         assert rep.items[0].residual == max(fset.residuals.values())

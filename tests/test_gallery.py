@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -201,11 +202,11 @@ def test_exam3_repeated_members_are_formed_once(monkeypatch):
     # object, and the norms read the same bits as on equal-content copies
     space, tup, _ = gallery.build_exam3(0.5, 8)
     w = window(space, auto_margin(space, tup.forms))
-    fset = solve_fundamentals(tup, window=w)
+    fset = solve_fundamentals(replace(tup, window=w))
     assert fset.forms["F1"] is fset.forms["F2"] is fset.forms["F4"]
     assert fset.forms["F3"] is fset.forms["F5"] is fset.forms["F6"]
-    dil = gallery.build_exam3_dilation(tup, 4)
-    v, dw = dil.forms, dil.window(w)
+    dil = gallery.build_exam3_dilation(fset.tup, 4)
+    v, dw = dil.forms, dil.window()
     assert v[0] is v[1] is v[3] and v[2] is v[4] is v[5]
     assert all(len(f.v) for f in v)
 

@@ -11,6 +11,7 @@ against its own sampled path.  Dense input still takes the QZ path, and the
 gallery's chain families never reach it."""
 
 import contextlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -267,13 +268,13 @@ def test_graded_chain_matches_its_sampled_path(case, monkeypatch):
     else:
         space, tup, _, _ = build_exam2(8)
     w = window(space, auto_margin(space, dense_members(tup)))
-    fset = solve_fundamentals(tup, window=w)
-    graded = chain_report(fset, z_samples=8, window=w)
+    fset = solve_fundamentals(replace(tup, window=w))
+    graded = chain_report(fset, z_samples=8)
     assert graded.notes[-1].endswith(
         "rho-pair-psd 3/0, radius<=2 3/0, omega<=1 2/1" if case == "exam1"
         else "rho-pair-psd 2/0, radius<=2 2/0, omega<=1 1/1")
     monkeypatch.setattr(fundamentals, "grading", lambda a, b=None: Grading(False, False))
-    sampled = chain_report(fset, z_samples=64, window=w)
+    sampled = chain_report(fset, z_samples=64)
     assert [i.label for i in graded.items] == [i.label for i in sampled.items]
     for x, y in zip(graded.items, sampled.items):
         assert abs(x.residual - y.residual) <= 1e-12 and x.passed == y.passed
@@ -294,7 +295,7 @@ def test_chain_grades_each_family_once(monkeypatch):
     monkeypatch.setattr(opcore, "grading", counted)
     space, tup, _ = build_exam1(8)
     w = window(space, auto_margin(space, dense_members(tup)))
-    chain_report(solve_fundamentals(tup, window=w), z_samples=8, window=w)
+    chain_report(solve_fundamentals(replace(tup, window=w)), z_samples=8)
     assert calls == [True] * 9
 
 

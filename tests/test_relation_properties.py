@@ -5,6 +5,8 @@ co-extends the original tuple.  The gamma7 isometry check decides both
 ways on scalar tuples: it passes the dilations of domain points and fails
 those of tuples with a pair outside the closed tetrablock."""
 
+from dataclasses import replace
+
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
@@ -35,10 +37,9 @@ def scalar_tuple(draw):
 @given(scalar_tuple(), st.integers(2, 5))
 def test_schaffer_satisfies_every_relation_row(tup, depth):
     # depth 2 keeps one copy: the derived margin is capped at depth - 1
-    fset = solve_fundamentals(tup)
+    fset = solve_fundamentals(replace(tup, window=Window(0, np.eye(1))))
     dil = schaffer(fset, depth)
-    kw = dil.window(Window(0, np.eye(1)))
-    rep = isometry_check(dil, window=kw)
+    rep = isometry_check(dil.tup)
     relations = [i for i in rep.items
                  if ("=" in i.label and "*" in i.label and "<=" not in i.label)]
     pivot_iso = [i for i in rep.items if i.label.endswith(" isometry")]
@@ -59,8 +60,8 @@ def diagonal_point(draw):
 
 def _dilation_check(c, depth):
     tup = OperatorTuple("gamma7", [np.array([[v]], dtype=complex) for v in c])
-    dil = schaffer(solve_fundamentals(tup), depth)
-    return isometry_check(dil, window=dil.window(Window(0, np.eye(1))))
+    dil = schaffer(solve_fundamentals(replace(tup, window=Window(0, np.eye(1)))), depth)
+    return isometry_check(dil.tup)
 
 
 @SETTINGS

@@ -68,6 +68,16 @@ class TestWindow:
         q[[1, 4, 6], 1] = [1.0, -1.0, 0.0] / np.sqrt(2.0)
         assert Window(0, q).dim == 2
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("as_form", [False, True])
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_rejects_non_finite_basis(self, bad, as_form):
+        # a non-finite basis gives a NaN gap (inf * 0), which compares False
+        # against any bound, so the check must refuse it rather than pass it
+        q = np.array([[bad], [0.0]])
+        with pytest.raises(OpcoreError, match="orthonormal"):
+            Window(0, _nonzeros(q) if as_form else q)
+
     def test_margin_too_large(self):
         with pytest.raises(OpcoreError):
             window(ModelSpace(((1, 4),)), 4)

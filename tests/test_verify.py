@@ -1,3 +1,4 @@
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -27,13 +28,13 @@ class TestIsCommuting:
 
     def test_exam1_on_window(self, exam1):
         _, tup, _, w = exam1
-        assert is_commuting(tup, window=w).verdict == "pass"
+        assert is_commuting(replace(tup, window=w)).verdict == "pass"
 
     def test_shift_pair_fails_with_unit_residual(self):
         sp = ModelSpace(((1, 8),))
         w = window(sp, 1)
         m = hardy_shift(1, 8).dense()
-        rep = is_commuting(OperatorTuple("sym", (m, m.conj().T)), window=w)
+        rep = is_commuting(OperatorTuple("sym", (m, m.conj().T), w))
         assert rep.verdict == "fail"
         assert rep.items[0].residual == pytest.approx(1.0, abs=1e-12)
 
@@ -73,9 +74,8 @@ class TestIsometryCheck:
 
     def test_exam3_dilation_gamma7(self, exam3):
         _, tup, _, w = exam3
-        dil = build_exam3_dilation(tup, 6)
-        kw = dil.window(w)
-        rep = isometry_check(dil, window=kw)
+        dil = build_exam3_dilation(replace(tup, window=w), 6)
+        rep = isometry_check(dil.tup)
         assert rep.verdict == "pass"
 
     @pytest.mark.parametrize("depth", [2, 3, 4])
@@ -84,9 +84,9 @@ class TestIsometryCheck:
         # margin never falls below 2: at depth 2 no copy is kept, since a
         # kept copy would map past the cut
         _, tup, _, w = exam3
-        dil = build_exam3_dilation(tup, depth)
+        dil = build_exam3_dilation(replace(tup, window=w), depth)
         assert dil.reach == 2
-        rep = isometry_check(dil, window=dil.window(w))
+        rep = isometry_check(dil.tup)
         assert rep.verdict == "pass"
 
 
@@ -94,20 +94,19 @@ class TestFormsMatchDenseTuple:
     @pytest.mark.parametrize("case", ["exam1", "exam2", "exam3", "exam5"])
     def test_isometry_check_of_dilation_and_dense_tuple(self, case, exam1, exam2,
                                                          exam3, exam5):
-        """isometry_check reads a DilationResult's forms as it reads the
-        OperatorTuple of their dense arrays: the same items, exactly."""
+        """isometry_check reads a DilationResult's tuple of forms as it reads
+        the OperatorTuple of their dense arrays: the same items, exactly."""
         from mudilate.dilate import pentablock_dilation, schaffer
         if case == "exam3":
             w = exam3[3]
-            dil = build_exam3_dilation(exam3[1], 4)
+            dil = build_exam3_dilation(replace(exam3[1], window=w), 4)
         else:
             tup, w = {"exam1": (exam1[1], exam1[3]), "exam2": (exam2[1], exam2[4]),
                       "exam5": (exam5[1], exam5[3])}[case]
             build = pentablock_dilation if case == "exam5" else schaffer
-            dil = build(solve_fundamentals(tup, window=w), 4)
-        kw = dil.window(w)
-        dense = OperatorTuple(dil.kind, [o.dense() for o in dil.forms])
-        got, want = isometry_check(dil, window=kw), isometry_check(dense, window=kw)
+            dil = build(solve_fundamentals(replace(tup, window=w)), 4)
+        dense = OperatorTuple(dil.kind, [o.dense() for o in dil.forms], dil.tup.window)
+        got, want = isometry_check(dil.tup), isometry_check(dense)
         assert [(i.label, i.residual, i.passed) for i in got.items] == \
             [(i.label, i.residual, i.passed) for i in want.items]
 
@@ -131,11 +130,10 @@ class TestNecessaryConditions:
         # pivot 0.5 I has the full-rank defect (3/4)^(1/2) I: the kernel
         # window has no columns and every restricted residual is 0.0
         ops = [np.zeros((2, 2))] * 6 + [0.5 * np.eye(2)]
-        tup = OperatorTuple("gamma7", ops)
-        kw = {"window": Window(0, np.eye(2))} if windowed else {}
-        fset = solve_fundamentals(tup, **kw)
+        tup = OperatorTuple("gamma7", ops, Window(0, np.eye(2)) if windowed else WHOLE_SPACE)
+        fset = solve_fundamentals(tup)
         assert fset.defect.rank == 2
-        rep = necessary_conditions(fset, **kw)
+        rep = necessary_conditions(fset)
         assert rep.verdict == "pass"
         assert [i.residual for i in rep.items] == [0.0] * 6
         assert "kernel test space dimension 0" in rep.notes
@@ -144,16 +142,16 @@ class TestNecessaryConditions:
 
     def test_exam1_residuals(self, exam1):
         _, tup, _, w = exam1
-        fset = solve_fundamentals(tup, window=w)
-        rep = necessary_conditions(fset, window=w)
+        fset = solve_fundamentals(replace(tup, window=w))
+        rep = necessary_conditions(fset)
         assert rep.verdict == "pass"
         assert rep.worst() <= 1e-10
         assert rep.undecided  # existence half has no finite test
 
     def test_exam2_pairs_agree(self, exam2):
         _, tup5, _, _, w = exam2
-        fset = solve_fundamentals(tup5, window=w)
-        rep = necessary_conditions(fset, window=w)
+        fset = solve_fundamentals(replace(tup5, window=w))
+        rep = necessary_conditions(fset)
         assert rep.verdict == "pass"
         by = {i.label: i.residual for i in rep.items}
         assert len(by) == 12
@@ -162,8 +160,8 @@ class TestNecessaryConditions:
 
     def test_exam5_penta(self, exam5):
         _, tup, _, w = exam5
-        fset = solve_fundamentals(tup, window=w)
-        rep = necessary_conditions(fset, window=w)
+        fset = solve_fundamentals(replace(tup, window=w))
+        rep = necessary_conditions(fset)
         assert rep.verdict == "pass" and rep.worst() <= 1e-10
 
 
@@ -173,7 +171,7 @@ class TestPartialIsometryRestriction:
         # carries the restricted tuple, whose commutator table matches the
         # fundamental operators'
         _, tup, _, w = exam1
-        fset = solve_fundamentals(tup, window=w)
+        fset = solve_fundamentals(replace(tup, window=w))
         t = dense_members(tup)
         dd = defect(t[6])
         kb = (dd.range_basis @ w.inside(dd.range_basis)).dense()
@@ -198,8 +196,8 @@ class TestCommutatorProfile:
 
     def test_exam1_table(self, exam1):
         _, tup, _, w = exam1
-        fset = solve_fundamentals(tup, window=w)
-        rep = commutator_profile(fset, tol=1e-10, window=w)
+        fset = solve_fundamentals(replace(tup, window=w))
+        rep = commutator_profile(fset, tol=1e-10)
         by = {i.label: i.residual for i in rep.items}
         assert len(by) == 24
         assert max(v for k, v in by.items() if "*" not in k) <= 1e-10
@@ -210,8 +208,8 @@ class TestCommutatorProfile:
 
     def test_exam2_gaps(self, exam2):
         _, tup5, _, _, w = exam2
-        fset = solve_fundamentals(tup5, window=w)
-        rep = commutator_profile(fset, tol=1e-10, window=w)
+        fset = solve_fundamentals(replace(tup5, window=w))
+        rep = commutator_profile(fset, tol=1e-10)
         by = {i.label: i.residual for i in rep.items}
         assert by["[G1*,G1]-[G2t*,G2t]"] > 0.9
         assert by["[2G2*,2G2]-[2G1t*,2G1t]"] > 0.9
@@ -220,8 +218,8 @@ class TestCommutatorProfile:
     def test_rejects_single_operator_kind(self, exam5):
         _, tup, _, w = exam5
         pair = OperatorTuple("sym", dense_members(tup)[1:3])
-        for fset in (solve_fundamentals(pair, window=w),
-                     solve_fundamentals(tup, window=w)):
+        for fset in (solve_fundamentals(replace(pair, window=w)),
+                     solve_fundamentals(replace(tup, window=w))):
             with pytest.raises(OpcoreError):
                 commutator_profile(fset)
 
@@ -305,10 +303,10 @@ class TestProfileMatchesDense:
         kind, fs, q, exact = case
         n = next(iter(fs.values())).shape[0]
         arity = 7 if kind == "gamma7" else 5
-        fset = FundamentalSet(OperatorTuple(kind, [np.zeros((n, n))] * arity), fs, {},
-                              defect(np.zeros((n, n))))
         w = WHOLE_SPACE if q is None else Window(0, q)
-        got = {i.label: i.residual for i in commutator_profile(fset, window=w).items}
+        fset = FundamentalSet(OperatorTuple(kind, [np.zeros((n, n))] * arity, w), fs, {},
+                              defect(np.zeros((n, n))))
+        got = {i.label: i.residual for i in commutator_profile(fset).items}
         comp = {name: f if q is None else q.conj().T @ f @ q for name, f in fs.items()}
         ref = _profile_reference(kind, comp)
         assert list(got) == list(ref)
@@ -334,12 +332,12 @@ class TestPairsListedOnce:
     @staticmethod
     def _solved(case, request):
         _, tup, _, w = request.getfixturevalue(case)
-        return tup, solve_fundamentals(tup, window=w), w
+        return tup, solve_fundamentals(replace(tup, window=w)), w
 
     @pytest.mark.parametrize("case", ["exam1", "exam3"])
     def test_gamma7_necessary(self, case, request):
         tup, fset, w = self._solved(case, request)
-        by = {i.label: i.residual for i in necessary_conditions(fset, window=w).items}
+        by = {i.label: i.residual for i in necessary_conditions(fset).items}
         assert len(by) == 6
         kb = fset.defect.kernel_basis
         kw = Window(w.margin, kb @ w.inside(kb))
@@ -359,7 +357,7 @@ class TestPairsListedOnce:
     @pytest.mark.parametrize("case", ["exam1", "exam3"])
     def test_gamma7_profile(self, case, request):
         _, fset, w = self._solved(case, request)
-        by = {i.label: i.residual for i in commutator_profile(fset, window=w).items}
+        by = {i.label: i.residual for i in commutator_profile(fset).items}
         fs = [w.compress(fset[f"F{k+1}"]).dense() for k in range(6)]
 
         def comm(a, b):
@@ -382,8 +380,8 @@ class TestPairsListedOnce:
 
     def test_gamma5_profile_drops_quarter_identity(self, exam2):
         _, tup5, _, _, w = exam2
-        fset = solve_fundamentals(tup5, window=w)
-        by = {i.label: i.residual for i in commutator_profile(fset, window=w).items}
+        fset = solve_fundamentals(replace(tup5, window=w))
+        by = {i.label: i.residual for i in commutator_profile(fset).items}
         assert "[G2*,G2]-[G1t*,G1t]" not in by and len(by) == 18
         g2, g1t = (w.compress(fset[n]).dense() for n in ("G2", "G1t"))
         quarter = np.linalg.norm(_self_comm(g2) - _self_comm(g1t), 2)
@@ -391,12 +389,13 @@ class TestPairsListedOnce:
 
 
 def _scalar_gamma7_dilation(c):
+    """The tuple on the whole space, its fundamentals and the isometry
+    check of its dilation on the dilation window: the whole base space plus
+    the kept copies."""
     from mudilate.dilate import schaffer
     tup = OperatorTuple("gamma7", [np.array([[v]], dtype=complex) for v in c])
     fset = solve_fundamentals(tup)
-    dil = schaffer(fset, 5)
-    kw = dil.window(_full(dil.base_dim))
-    return tup, fset, isometry_check(dil, window=kw)
+    return tup, fset, isometry_check(schaffer(fset, 5).tup)
 
 
 class TestDilationImpliesChecks:
@@ -433,13 +432,28 @@ class TestDilationImpliesChecks:
         fset = solve_fundamentals(tup)
         from mudilate.dilate import schaffer
         dil = schaffer(fset, 5)
-        kw = dil.window(_full(dil.base_dim))
-        rep = isometry_check(dil, window=kw)
+        rep = isometry_check(dil.tup)
         assert rep.verdict == "pass"
-        comm = is_commuting(dil, window=kw)
+        comm = is_commuting(dil.tup)
         assert comm.verdict == "pass"
         nec = necessary_conditions(fset)
         assert nec.verdict == "pass"
+
+    def test_whole_space_base_window(self):
+        # a tuple on the whole space dilates onto the whole base space plus
+        # the kept copies: bit for bit the window that the identity window
+        # of the base gives, with no margin
+        from mudilate.dilate import schaffer
+        c = [0.2, -0.15, 0.1, 0.05, 0.3, -0.25, 0.6]
+        tup = OperatorTuple("gamma7", [np.array([[v]], dtype=complex) for v in c])
+        whole = schaffer(solve_fundamentals(tup), 5)
+        eye = schaffer(solve_fundamentals(replace(tup, window=_full(1))), 5)
+        assert whole.window().margin is None and eye.window().margin == 0
+        got, want = whole.window().basis.dense(), eye.window().basis.dense()
+        assert got.shape == (whole.dim, 1 + 3) and got.tobytes() == want.tobytes()
+        assert [(i.label, i.residual) for i in isometry_check(whole.tup).items] == \
+            [(i.label, i.residual) for i in isometry_check(eye.tup).items]
+        assert whole.coextension_residuals() == eye.coextension_residuals()
 
 
 def _full(dim):
@@ -478,7 +492,6 @@ class TestCompactChecksMatchDense:
         read O(0.1), not 0, and the operands' frames overlap in new ways.
         The perturbed tuple replaces ``fset.tup`` and ``dil.base``, which
         the checks read."""
-        from dataclasses import replace
         from mudilate.dilate import pentablock_dilation
         from mudilate.gallery import build_exam3, build_exam5
         from mudilate.spaces import auto_margin
@@ -487,13 +500,11 @@ class TestCompactChecksMatchDense:
         else:
             space, tup, _ = build_exam5(0.5, 8)
         w = window(space, auto_margin(space, dense_members(tup)))
-        fset = solve_fundamentals(tup, window=w)
+        fset = solve_fundamentals(replace(tup, window=w))
         if case_id == "exam3":
-            dil = build_exam3_dilation(tup, 4)
-            kw = dil.window(w)
+            dil = build_exam3_dilation(fset.tup, 4)
         else:
             dil = pentablock_dilation(fset, 4)
-            kw = dil.window(w)
         if perturb:
             rng = np.random.default_rng(5)
 
@@ -505,13 +516,13 @@ class TestCompactChecksMatchDense:
                         0.1 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
                     out.append(o)
                 return tuple(out)
-            tup = OperatorTuple(tup.kind, pert(dense_members(tup)))
+            tup = OperatorTuple(tup.kind, pert(dense_members(tup)), w)
             fset = replace(fset, tup=tup,
                            forms=dict(zip(fset.names(), pert([fset[n] for n in fset.names()]))),
                            defect=replace(fset.defect, form=_compact(pert([fset.defect.form.dense()])[0])))
             dil = replace(dil, base=tup, forms=tuple(map(_compact, pert(
                 [o.dense() for o in dil.forms]))))
-        return tup, fset, w, dil, kw
+        return tup, fset, w, dil, dil.tup.window
 
     @pytest.mark.parametrize("perturb", [False, True])
     @pytest.mark.parametrize("case_id", ["exam3", "exam5"])
@@ -520,7 +531,7 @@ class TestCompactChecksMatchDense:
         e, q = np.eye(dil.dim, dil.base_dim), w.basis.dense()
         ref = [self._wn(v.conj().T @ e - e @ t.conj().T, q)
                for v, t in zip((o.dense() for o in dil.forms), dense_members(tup))]
-        got = dil.coextension_residuals(w)
+        got = dil.coextension_residuals()
         assert len(got) == len(ref)
         assert max(abs(g - r) for g, r in zip(got, ref)) <= self.TOL
 
@@ -534,7 +545,7 @@ class TestCompactChecksMatchDense:
             ref[f"V{i+1}=V{j+1}*V7"] = self._wn(v[i] - v[j].conj().T @ v[6], q)
             ref[f"||V{i+1}||<=1"] = max(0.0, self._wn(v[i], q) - 1.0)
         ref["V7 isometry"] = self._wn(v[6].conj().T @ v[6] - np.eye(dil.dim), q)
-        self._assert_items(isometry_check(dil, window=kw), ref)
+        self._assert_items(isometry_check(dil.tup), ref)
 
     @pytest.mark.parametrize("perturb", [False, True])
     def test_exam5_isometry_check(self, perturb):
@@ -549,7 +560,7 @@ class TestCompactChecksMatchDense:
             "R1*R1+R2*R2/4=I": self._wn(
                 r1.conj().T @ r1 + 0.25 * r2.conj().T @ r2 - eye, q),
         }
-        self._assert_items(isometry_check(dil, window=kw), ref)
+        self._assert_items(isometry_check(dil.tup), ref)
 
     @pytest.mark.parametrize("perturb", [False, True])
     def test_exam3_necessary_conditions(self, perturb):
@@ -564,7 +575,7 @@ class TestCompactChecksMatchDense:
                 f[i] @ d @ t[i] - f[j] @ d @ t[j], kb)
             ref[f"[F{i+1}*,F{j+1}*]D T7|ker"] = self._wn(
                 (f[i] @ f[j] - f[j] @ f[i]) @ d @ t[6], kb)
-        self._assert_items(necessary_conditions(fset, window=w), ref)
+        self._assert_items(necessary_conditions(fset), ref)
 
     @pytest.mark.parametrize("perturb", [False, True])
     def test_exam5_necessary_conditions(self, perturb):
@@ -573,4 +584,4 @@ class TestCompactChecksMatchDense:
         d, x = fset.defect.form.dense(), fset["X"]
         kb = range_side_kernel(fset.defect, w)
         ref = {"(X D P3 - D P2)|ker": self._wn(x @ d @ p3 - d @ p2, kb)}
-        self._assert_items(necessary_conditions(fset, window=w), ref)
+        self._assert_items(necessary_conditions(fset), ref)

@@ -4,6 +4,8 @@ A P and P A P (P = Q Q*), taken on the nonzero rows and columns of A they
 agree with the dense forms, the whole space reads like the identity
 window, and the measured margin makes truncated shift words exact."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -137,12 +139,13 @@ def test_whole_space_equals_identity_window(tup):
     assert [p for p, _ in whole_c] == [p for p, _ in eye_c]
     for (_, a), (_, b) in zip(whole_c, eye_c):
         assert abs(a - b) <= 1e-12
-    _same_items(is_commuting(tup), is_commuting(tup, window=eye))
-    _same_items(isometry_check(tup), isometry_check(tup, window=eye))
+    on_eye = replace(tup, window=eye)
+    _same_items(is_commuting(tup), is_commuting(on_eye))
+    _same_items(isometry_check(tup), isometry_check(on_eye))
     if tup.kind != "penta":
         fset = unchecked_fundamentals(tup)
         whole = chain_report(fset, z_samples=4)
-        _same_items(whole, chain_report(fset, z_samples=4, window=eye))
+        _same_items(whole, chain_report(replace(fset, tup=on_eye), z_samples=4))
         assert whole.to_dict()["window_margin"] is None
 
 
@@ -180,12 +183,12 @@ def test_dilation_window_dimension(case, n_iso, depth, reach):
     dd = defect((u * s) @ v)
     assert dd.rank == n - n_iso
     dim = n + depth * dd.rank
-    base = OperatorTuple("gamma7", (np.eye(n),) * 7)
+    base = OperatorTuple("gamma7", (np.eye(n),) * 7, w)
     dil = DilationResult(base, (np.eye(dim),), depth, dd, reach)
     q = dd.range_basis.dense()
     kept = q.shape[1] + w.dim - np.linalg.matrix_rank(np.hstack([q, w.basis.dense()]))
     copies = max(0, depth - min(2 * reach, max(reach, depth - 1)))
-    assert dil.window(w).dim == w.dim + copies * kept
+    assert dil.window().dim == w.dim + copies * kept
 
 
 @st.composite
