@@ -14,10 +14,9 @@ import sys
 
 import numpy as np
 
-from .opcore import OperatorTuple
-from .domains import BlockStructure, DomainPoint, membership, mu_E
-from .fundamentals import (PIVOT, FundamentalSet, SolveError, _rhs_map, defect,
-                           equation_residuals, require_commuting, solve_fundamentals)
+from .domains import COORD_MAP, BlockStructure, DomainPoint, membership, mu_E
+from .fundamentals import (MEMBERS, RELATIONS, FundamentalSet, OperatorTuple, SolveError,
+                           require_commuting, solve_fundamentals)
 from .dilate import egervary, pentablock_dilation, schaffer
 from .verify import commutator_profile, is_commuting, isometry_check, \
     necessary_conditions
@@ -123,7 +122,7 @@ def _fundamentals_for(tup, path=None, tol=1e-9):
     if path is None:
         return solve_fundamentals(tup, tol)
     require_commuting(tup)
-    rhs, dd = _rhs_map(tup), defect(tup.forms[PIVOT[tup.kind]])
+    rhs, _ = tup.rhs, tup.defect  # a tuple that cannot carry equations goes before the file
     given = _load_json(path)
     given = given.get("ops", {}) if isinstance(given, dict) else {}
     ops = {}
@@ -132,9 +131,7 @@ def _fundamentals_for(tup, path=None, tol=1e-9):
         if f is None or f.shape != (tup.dim, tup.dim):
             raise SolveError(f"kind {tup.kind} needs {name} as a "
                              f"{tup.dim}x{tup.dim} operator")
-    fset = FundamentalSet(tup, ops, {}, dd)
-    fset.residuals = equation_residuals(fset, rhs, tol)
-    return fset
+    return FundamentalSet(tup, ops, tol)
 
 
 def cmd_verify(args):
@@ -178,7 +175,7 @@ def build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     m = sub.add_parser("membership", help="domain membership verdict for a point")
-    m.add_argument("--kind", choices=("gamma7", "gamma5", "tetra", "penta"))
+    m.add_argument("--kind", choices=tuple(COORD_MAP))
     m.add_argument("--point", required=True,
                    help='JSON: {"kind": ..., "coords": [[re,im], ...]}')
     m.add_argument("--tol", type=float, default=1e-6)
@@ -191,22 +188,19 @@ def build_parser():
     mu.set_defaults(func=cmd_mu)
 
     f = sub.add_parser("fundamental", help="solve the fundamental equations")
-    f.add_argument("--kind", required=True,
-                   choices=("gamma7", "gamma5", "sym", "penta"))
+    f.add_argument("--kind", required=True, choices=tuple(RELATIONS))
     f.add_argument("--tuple", required=True, help="tuple JSON file")
     f.set_defaults(func=cmd_fundamental)
 
     d = sub.add_parser("dilate", help="construct an isometric dilation")
-    d.add_argument("--kind", required=True,
-                   choices=("gamma7", "gamma5", "penta", "egervary"))
+    d.add_argument("--kind", required=True, choices=tuple(MEMBERS) + ("egervary",))
     d.add_argument("--tuple", required=True, help="tuple (or matrix) JSON file")
     d.add_argument("--depth", type=int, default=4)
     d.add_argument("--N", type=int, default=3)
     d.set_defaults(func=cmd_dilate)
 
     v = sub.add_parser("verify", help="run a predicate suite on a tuple")
-    v.add_argument("--kind", required=True,
-                   choices=("gamma7", "gamma5", "penta"))
+    v.add_argument("--kind", required=True, choices=tuple(MEMBERS))
     v.add_argument("--check", default="isometry",
                    choices=("isometry", "commuting", "necessary", "profile"))
     v.add_argument("--tuple", required=True)

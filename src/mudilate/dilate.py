@@ -15,10 +15,9 @@ from functools import cached_property
 import numpy as np
 
 from . import opcore
-from .opcore import (OperatorTuple, OpcoreError, _compact, _diag, _eye, _mat, herm_sqrt,
-                     once, op_norm)
+from .opcore import OpcoreError, _compact, _diag, _eye, _mat, herm_sqrt, once, op_norm
 from .fundamentals import (PIVOT, RELATIONS, DefectData, ExpansiveError,
-                           FundamentalSet, defect)
+                           FundamentalSet, OperatorTuple, defect)
 from .spaces import Window, block_assemble
 
 
@@ -191,7 +190,8 @@ def pushforward(kind: str, *args):
     map checks its inputs (contractions, the closed disc, an isometry on the
     whole space), not the commutation of its result: the code that uses the
     result windows it and refuses a non-commuting one there
-    (``fundamentals.require_commuting``, ``verify.is_commuting``).
+    (``fundamentals.require_commuting``, ``verify.is_commuting``).  The
+    gamma5 slice lives on its tuple's space and keeps its window.
     """
     if kind == "pi":
         t1, t2 = map(_compact, args)
@@ -209,7 +209,7 @@ def pushforward(kind: str, *args):
             raise DilateError("eta must lie in the closed unit disc")
         t = tup.forms
         return OperatorTuple("gamma5", (t[0], t[2] + e * t[4], e * t[6],
-                                        t[1] + e * t[3], e * t[5]))
+                                        t[1] + e * t[3], e * t[5]), tup.window)
     elif kind == "axis7":
         t1, t6, t7 = map(_compact, args)
         z = _diag(np.zeros(0), t1.shape)

@@ -1,22 +1,27 @@
-"""Defect operators, fundamental-equation solvers, rho-form evaluation and
-the contraction condition chains over the torus, exact on graded families.
+"""Operator tuples and their kind tables, defect operators, fundamental
+sets, rho-form evaluation and the contraction condition chains over the
+torus, exact on graded families.
 
 The fundamental equations all have the shape D F D = w (T_i - T_j* T_p) with
-D the defect operator of the tuple's distinguished contraction T_p; the rows
-(i, j, F, w) of ``RELATIONS`` list them for every kind, and the unique
-solution on the defect space is recovered by the rank-cut pseudo-inverse of
-D.  Residuals and comparisons read the tuple's window, so that truncation
-of the model space never poisons an identity that holds in the infinite model.
+D the defect operator of the tuple's distinguished contraction T_p (its
+pivot); the rows (i, j, F, w) of ``RELATIONS`` list them for every kind, and
+the unique solution on the defect space is recovered by the rank-cut
+pseudo-inverse of D.  A tuple carries D and the right-hand sides, and a
+``FundamentalSet`` checks its equations when built.  Residuals and
+comparisons read the tuple's window, so that truncation of the model space
+never poisons an identity that holds in the infinite model.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .opcore import (OperatorTuple, OpcoreError, _Block, _compact, _diag, _eigh, _eye,
-                     grading, lambda_min, numerical_radius, once, op_norm, spectral_radius)
+from .opcore import (WHOLE_SPACE, OpcoreError, _Block, _compact, _diag, _eigh, _eye,
+                     commutator_norms, grading, lambda_min, numerical_radius, once, op_norm,
+                     spectral_radius)
 from .report import CheckReport
 
 
@@ -94,6 +99,8 @@ def defect(t) -> DefectData:
     return DefectData(d, v.cols(keep), dvals[keep], v.cols(~keep))
 
 
+ARITY = {"gamma7": 7, "gamma5": 5, "penta": 3, "tetra": 3, "sym": 2}
+
 # index of the distinguished contraction whose defect carries the equations
 PIVOT = {"gamma7": 6, "gamma5": 2, "sym": 1, "penta": 2}
 
@@ -116,52 +123,89 @@ MEMBERS = {
 }
 
 
+@dataclass(frozen=True)
+class OperatorTuple:
+    """A kind-tagged family of square operators on a shared space, held as
+    coordinate forms ``forms``, each read once when the tuple is built (a
+    member passed twice stays one form), and the window its checks read (the
+    whole space by default).  Members and window are fixed with the tuple
+    (``dataclasses.replace`` gives another), so ``commutators``, ``defect``
+    and ``rhs`` are each formed once."""
+
+    kind: str
+    forms: tuple
+    window: object = WHOLE_SPACE  # a spaces.Window or WHOLE_SPACE
+
+    def __post_init__(self):
+        if self.kind not in ARITY:
+            raise OpcoreError(f"unknown tuple kind {self.kind!r}")
+        forms = tuple(map(once(_compact), self.forms))
+        if len(forms) != ARITY[self.kind]:
+            raise OpcoreError(f"kind {self.kind!r} needs {ARITY[self.kind]} operators, "
+                              f"got {len(forms)}")
+        dim = forms[0].shape[0]
+        if any(f.shape != (dim, dim) for f in forms):
+            raise OpcoreError("tuple members must be square on a common space")
+        object.__setattr__(self, "forms", forms)
+
+    @cached_property
+    def commutators(self) -> list:
+        """The ``commutator_norms`` table of the members on the window."""
+        return commutator_norms(self.forms, self.window)
+
+    dim = property(lambda self: self.forms[0].shape[0])
+
+    def _pivot(self) -> _Block:
+        """The pivot member; SolveError for a kind with no fundamental equations."""
+        if self.kind not in RELATIONS:
+            raise SolveError(f"no fundamental equations for kind {self.kind!r}")
+        return self.forms[PIVOT[self.kind]]
+
+    @cached_property
+    def defect(self) -> DefectData:
+        """The pivot's ``defect``, whose range carries the fundamental equations."""
+        return defect(self._pivot())
+
+    @cached_property
+    def rhs(self) -> dict:
+        """The right-hand sides B = w (T_i - T_j* T_p) of the fundamental
+        equations as forms, by F name, one per distinct (T_i, T_j, w)."""
+        t, last = self.forms, self._pivot()
+        rhs = once(lambda a, b, w: w * (a - b.H @ last))
+        return {name: rhs(t[i], t[j], w) for i, j, name, w in RELATIONS[self.kind]}
+
+
 @dataclass
 class FundamentalSet:
-    """Solved fundamental operators of the tuple ``tup``, embedded on the
-    host space and supported on the defect range of its pivot, held as one
-    coordinate form per F; an array passed in is read once for its form."""
+    """Fundamental operators of the tuple ``tup`` on the defect range of its
+    pivot, one coordinate form per F (an array is read once for its form),
+    checked when built: ``residuals`` holds ||D F D - B|| per equation on the
+    tuple's window, and SolveError names the first one above ``tol``."""
 
     tup: OperatorTuple
     forms: dict
-    residuals: dict
-    defect: DefectData
+    tol: float = 1e-9
+    residuals: dict = field(init=False)
 
     def __post_init__(self):
+        rhs = self.tup.rhs
         self.forms = {name: _compact(f) for name, f in self.forms.items()}
+        d, wnorm = self.defect.form, self.tup.window.wnorm
+        residual = once(lambda f, b: wnorm(d @ f @ d - b))
+        self.residuals = {}
+        for name, b in rhs.items():
+            self.residuals[name] = res = residual(self.forms[name], b)
+            if res > self.tol:
+                raise SolveError(f"{name} fails its equation: residual {res:.3e} > {self.tol:.1e}")
 
-    @property
-    def kind(self) -> str:
-        return self.tup.kind
+    defect = property(lambda self: self.tup.defect)
+    kind = property(lambda self: self.tup.kind)
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.forms[name].dense()
 
     def names(self):
         return tuple(self.forms)
-
-
-def _rhs_map(tup: OperatorTuple) -> dict:
-    """The right-hand sides B = w (T_i - T_j* T_p) as forms, one per distinct (T_i, T_j, w)."""
-    if tup.kind not in RELATIONS:
-        raise SolveError(f"no fundamental equations for kind {tup.kind!r}")
-    t = tup.forms
-    last = t[PIVOT[tup.kind]]
-    rhs = once(lambda a, b, w: w * (a - b.H @ last))
-    return {name: rhs(t[i], t[j], w) for i, j, name, w in RELATIONS[tup.kind]}
-
-
-def equation_residuals(fset: FundamentalSet, rhs: dict, tol: float) -> dict:
-    """||D F D - B|| per equation on the window of ``fset.tup``, F in ``fset.forms``
-    and B = w (T_i - T_j* T_p) from ``_rhs_map``, one per distinct (F, B).
-    Raises SolveError naming the first equation whose residual exceeds ``tol``."""
-    d, wnorm = fset.defect.form, fset.tup.window.wnorm
-    out, residual = {}, once(lambda f, b: wnorm(d @ f @ d - b))
-    for name, b in rhs.items():
-        out[name] = res = residual(fset.forms[name], b)
-        if res > tol:
-            raise SolveError(f"{name} fails its equation: residual {res:.3e} > {tol:.1e}")
-    return out
 
 
 def require_commuting(tup: OperatorTuple):
@@ -184,13 +228,10 @@ def solve_fundamentals(tup: OperatorTuple, tol: float = 1e-9) -> FundamentalSet:
     fails).  The products run on coordinate forms, and the set holds them.
     """
     require_commuting(tup)
-    rhs = _rhs_map(tup)
-    dd = defect(tup.forms[PIVOT[tup.kind]])
-    dplus = dd.pinv()
+    rhs = tup.rhs
+    dplus = tup.defect.pinv()
     solve = once(lambda b: dplus @ b @ dplus)  # equal right-hand sides share one F
-    fset = FundamentalSet(tup, {name: solve(b) for name, b in rhs.items()}, {}, dd)
-    fset.residuals = equation_residuals(fset, rhs, tol)
-    return fset
+    return FundamentalSet(tup, {name: solve(b) for name, b in rhs.items()}, tol)
 
 
 @dataclass

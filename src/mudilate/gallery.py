@@ -18,12 +18,12 @@ from typing import Callable
 import numpy as np
 
 from . import opcore
-from .opcore import OperatorTuple, _Block, _diag, _eye, commutator, herm_sqrt, op_norm
+from .opcore import _Block, _diag, _eye, commutator, herm_sqrt, op_norm
 from .spaces import ModelSpace, Window, auto_margin, embed_blocks, hardy_shift, window
 from .domains import (DomainPoint, membership, point_pi, point_pi_eta,
                       psi3_supnorm)
-from .fundamentals import (MAX_Z_SAMPLES, MEMBERS, PIVOT, RELATIONS, chain_report,
-                           defect, solve_fundamentals)
+from .fundamentals import (MAX_Z_SAMPLES, MEMBERS, PIVOT, RELATIONS, OperatorTuple,
+                           chain_report, defect, solve_fundamentals)
 from .dilate import DilationResult, coextension, pushforward, \
     pentablock_dilation, schaffer
 from .verify import commutator_profile, is_commuting, isometry_check, \

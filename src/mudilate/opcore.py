@@ -52,7 +52,6 @@ the gallery never load scipy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -86,9 +85,6 @@ def _mat(x) -> np.ndarray:
     if not np.isfinite(m).all():
         raise OpcoreError("operator entries must be finite")
     return m
-
-
-ARITY = {"gamma7": 7, "gamma5": 5, "penta": 3, "tetra": 3, "sym": 2}
 
 
 def _frame(ids, size):
@@ -326,41 +322,6 @@ class WholeSpace:
 
 
 WHOLE_SPACE = WholeSpace()
-
-
-@dataclass(frozen=True)
-class OperatorTuple:
-    """A kind-tagged family of square operators on a shared space, held as
-    coordinate forms ``forms``, each read once when the tuple is built (a
-    member passed twice stays one form), and the window its checks read (the
-    whole space by default).  The window is fixed with the tuple
-    (``dataclasses.replace`` gives another), so ``commutators`` is formed once."""
-
-    kind: str
-    forms: tuple
-    window: object = WHOLE_SPACE  # a spaces.Window or WHOLE_SPACE
-
-    def __post_init__(self):
-        if self.kind not in ARITY:
-            raise OpcoreError(f"unknown tuple kind {self.kind!r}")
-        forms = tuple(map(once(_compact), self.forms))
-        if len(forms) != ARITY[self.kind]:
-            raise OpcoreError(
-                f"kind {self.kind!r} needs {ARITY[self.kind]} operators, got {len(forms)}"
-            )
-        dim = forms[0].shape[0]
-        if any(f.shape != (dim, dim) for f in forms):
-            raise OpcoreError("tuple members must be square on a common space")
-        object.__setattr__(self, "forms", forms)
-
-    @cached_property
-    def commutators(self) -> list:
-        """The ``commutator_norms`` table of the members on the window."""
-        return commutator_norms(self.forms, self.window)
-
-    @property
-    def dim(self) -> int:
-        return self.forms[0].shape[0]
 
 
 def _eye(n: int, cols: int | None = None) -> _Block:

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .opcore import (WHOLE_SPACE, OperatorTuple, OpcoreError, _compact, _eye, commutator,
-                     commutator_norms, once, op_norm)
-from .fundamentals import MEMBERS, PIVOT, RELATIONS, FundamentalSet
+from .opcore import (WHOLE_SPACE, OpcoreError, _compact, _eye, commutator, commutator_norms,
+                     once, op_norm)
+from .fundamentals import MEMBERS, PIVOT, RELATIONS, FundamentalSet, OperatorTuple
 from .report import CheckReport
 from .spaces import AnyWindow, Window
 

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from mudilate.fundamentals import (PIVOT, FundamentalSet, _rhs_map, defect,
-                                   equation_residuals)
+from mudilate.fundamentals import FundamentalSet
 from mudilate.gallery import build_exam1, build_exam2, build_exam3, build_exam5
 from mudilate.spaces import window
 
@@ -64,12 +63,9 @@ def unchecked_fundamentals(tup):
     and residual checks, so that a tuple that need not commute or solve
     still reaches ``chain_report``; its rho and radius items read the tuple
     alone."""
-    dd = defect(tup.forms[PIVOT[tup.kind]])
-    dplus = dd.pinv()
-    rhs = _rhs_map(tup)
-    fset = FundamentalSet(tup, {name: dplus @ b @ dplus for name, b in rhs.items()}, {}, dd)
-    fset.residuals = equation_residuals(fset, rhs, np.inf)
-    return fset
+    dplus = tup.defect.pinv()
+    return FundamentalSet(tup, {name: dplus @ b @ dplus for name, b in tup.rhs.items()},
+                          tol=np.inf)
 
 
 def range_side_kernel(dd, w):

@@ -14,10 +14,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mudilate.fundamentals import (CHAIN_TOL, PIVOT, RELATIONS, chain_report, rho,
-                                   solve_fundamentals)
+from mudilate.fundamentals import (CHAIN_TOL, PIVOT, RELATIONS, OperatorTuple, chain_report,
+                                   rho, solve_fundamentals)
 from mudilate.gallery import build_exam1, build_exam2
-from mudilate.opcore import WHOLE_SPACE, OperatorTuple
+from mudilate.opcore import WHOLE_SPACE
 from mudilate.spaces import auto_margin, window
 
 from conftest import dense_members, unchecked_fundamentals

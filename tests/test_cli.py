@@ -9,8 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from mudilate import opcore
 from mudilate.cli import main
-from mudilate.opcore import OperatorTuple
-from mudilate.fundamentals import MAX_Z_SAMPLES
+from mudilate.fundamentals import MAX_Z_SAMPLES, OperatorTuple
 from mudilate.report import dumps, operator_from_dict, operator_to_dict
 from mudilate.gallery import build_exam1, build_exam5
 

@@ -5,10 +5,10 @@ import pytest
 import scipy.linalg
 
 from mudilate import dilate, gallery, opcore
-from mudilate.opcore import ARITY, OperatorTuple, op_norm
-from mudilate.spaces import Window, hardy_shift
-from mudilate.fundamentals import (ExpansiveError, FundamentalSet, SolveError, defect,
-                                   solve_fundamentals)
+from mudilate.opcore import op_norm
+from mudilate.spaces import Window, auto_margin, hardy_shift, window
+from mudilate.fundamentals import (ARITY, ExpansiveError, FundamentalSet, OperatorTuple,
+                                   SolveError, defect, solve_fundamentals)
 from mudilate.dilate import (DilateError, coextension, egervary,
                              pentablock_dilation, pushforward, schaffer)
 from mudilate.gallery import build_exam1, build_exam2, build_exam3, build_exam3_dilation
@@ -320,7 +320,7 @@ class TestPentablockDilation:
     def test_rejects_oversize_symbol(self):
         ops = [np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2))]
         tup = OperatorTuple("penta", ops)
-        big = FundamentalSet(tup, {"X": 3.0 * np.eye(2)}, {}, defect(ops[2]))
+        big = FundamentalSet(tup, {"X": 3.0 * np.eye(2)}, tol=np.inf)
         with pytest.raises(DilateError, match="exceeds 4"):
             pentablock_dilation(big, 3)
 
@@ -368,6 +368,16 @@ class TestPushforward:
         _, tup5, _, displayed, _ = exam2
         for got, want in zip(dense_members(tup5), dense_members(displayed)):
             assert np.linalg.norm(got - want, 2) <= 1e-12
+
+    def test_pi_eta_keeps_the_window(self):
+        # the slice lives on the seven-tuple's space, so it checks on its window:
+        # solved there, it gives the residuals of the battery's exam2 tuple
+        space, tup5, _, _ = build_exam2(8)
+        w = window(space, auto_margin(space, tup5.forms))
+        sliced = pushforward("pi_eta", replace(build_exam1(8)[1], window=w), 1.0)
+        assert sliced.window is w
+        assert solve_fundamentals(sliced).residuals == \
+            solve_fundamentals(replace(tup5, window=w)).residuals
 
     def test_pi_eta_requires_disc_parameter(self, exam1):
         _, tup, _, _ = exam1

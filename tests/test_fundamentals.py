@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 import mudilate.fundamentals as fundamentals
-from mudilate.opcore import (WHOLE_SPACE, OpcoreError, OperatorTuple, herm_sqrt,
-                             op_norm)
+from mudilate.opcore import WHOLE_SPACE, OpcoreError, herm_sqrt, op_norm
 from mudilate.spaces import ModelSpace, hardy_shift, window
-from mudilate.fundamentals import (CHAIN_TOL, MAX_Z_SAMPLES, ExpansiveError,
-                                   SolveError, chain_report, defect, require_commuting,
-                                   rho, solve_fundamentals)
+from mudilate.fundamentals import (CHAIN_TOL, MAX_Z_SAMPLES, ExpansiveError, FundamentalSet,
+                                   OperatorTuple, SolveError, chain_report, defect,
+                                   require_commuting, rho, solve_fundamentals)
 from mudilate.gallery import _raising_symbol
 
 from conftest import dense_members, random_contraction, unchecked_fundamentals
@@ -104,7 +103,6 @@ class TestSolveFundamentals:
     def test_rhs_annihilates_kernel_and_lands_in_range(self, exam1, exam2, exam5):
         # solvability on the defect space forces both properties, for every
         # gallery tuple
-        from mudilate.fundamentals import _rhs_map
         cases = [("gamma7", exam1[1], exam1[3], 6),
                  ("gamma5", exam2[1], exam2[4], 2),
                  ("sym", OperatorTuple("sym", dense_members(exam5[1])[1:3]),
@@ -115,7 +113,7 @@ class TestSolveFundamentals:
             kb = (dd.kernel_basis @ w.inside(dd.kernel_basis)).dense()
             q = dd.range_basis.dense()
             comp = np.eye(tup.dim) - q @ q.conj().T
-            for name, b in _rhs_map(tup).items():
+            for name, b in tup.rhs.items():
                 b = b.dense()
                 assert np.linalg.norm(b @ kb, 2) <= 1e-9, (kind, name)
                 assert w.wnorm(comp @ b) <= 1e-9, (kind, name)
@@ -146,6 +144,13 @@ class TestSolveFundamentals:
         ops = [0.5 * np.eye(2)] + [np.zeros((2, 2))] * 5 + [np.eye(2)]
         with pytest.raises(SolveError, match="F1 fails its equation"):
             solve_fundamentals(OperatorTuple("gamma7", ops))
+
+    def test_kind_without_equations_raises_by_name(self):
+        # a commuting tetra triple: the refusal names the kind, before any defect
+        tup = OperatorTuple("tetra", (np.zeros((2, 2)),) * 3)
+        for build in (solve_fundamentals, lambda t: FundamentalSet(t, {})):
+            with pytest.raises(SolveError, match="no fundamental equations for kind 'tetra'"):
+                build(tup)
 
     def test_non_commuting_raises(self):
         m = hardy_shift(1, 5).dense()

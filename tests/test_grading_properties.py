@@ -19,9 +19,9 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from mudilate import fundamentals, opcore
-from mudilate.fundamentals import RELATIONS, chain_report, solve_fundamentals
+from mudilate.fundamentals import RELATIONS, OperatorTuple, chain_report, solve_fundamentals
 from mudilate.gallery import GalleryCase, build_exam1, build_exam2, run_example
-from mudilate.opcore import (Grading, OperatorTuple, _compact, _eigh, _eye,
+from mudilate.opcore import (Grading, _compact, _eigh, _eye,
                              _level_set_radius, grading, herm_sqrt, lambda_min,
                              numerical_radius, spectral_radius)
 from mudilate.spaces import auto_margin, window

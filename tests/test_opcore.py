@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mudilate.opcore import (OperatorTuple, OpcoreError,
-                             NegativeEigenvalueError, NotHermitianError,
+from mudilate.fundamentals import OperatorTuple
+from mudilate.opcore import (OpcoreError, NegativeEigenvalueError, NotHermitianError,
                              _compact, _diag, _eye, commutator_norms, herm_sqrt,
                              kernel_basis, numerical_radius, op_norm,
                              spectral_radius)

@@ -3,17 +3,21 @@ tuples, the Schaffer dilation built from ``RELATIONS`` satisfies every
 relation V_i = V_j* V_pivot of the table, its pivot is an isometry, and it
 co-extends the original tuple.  The gamma7 isometry check decides both
 ways on scalar tuples: it passes the dilations of domain points and fails
-those of tuples with a pair outside the closed tetrablock."""
+those of tuples with a pair outside the closed tetrablock.  A
+``FundamentalSet`` checks the equations of the table when built: it
+refuses exactly the perturbed F whose dense windowed residual exceeds its
+tolerance."""
 
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from mudilate.dilate import schaffer
 from mudilate.domains import DomainPoint, certificate_search, gamma7_coords
-from mudilate.fundamentals import PIVOT, solve_fundamentals
-from mudilate.opcore import OperatorTuple
+from mudilate.fundamentals import (ARITY, PIVOT, RELATIONS, FundamentalSet, OperatorTuple,
+                                   SolveError, solve_fundamentals)
 from mudilate.spaces import Window
 from mudilate.verify import isometry_check
 
@@ -91,3 +95,47 @@ def test_tetrablock_pair_violation_fails(c, dx):
     assume(bound >= 1.05)
     failed = [i.label for i in _dilation_check(c, 10).items if not i.passed]
     assert failed and all(label.startswith("||V") for label in failed), failed
+
+
+@st.composite
+def perturbed_fundamentals(draw):
+    """A diagonal (so commuting) gamma7, gamma5 or penta tuple of dimension
+    1-4 with |T_pivot| <= 0.9 on a drawn window, its solved fundamentals as
+    arrays with a random F perturbed by 0.01 to 100 times a drawn tolerance,
+    and the tolerance."""
+    kind = draw(st.sampled_from(("gamma7", "gamma5", "penta")))
+    n = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vals = rng.uniform(size=(ARITY[kind], n)) * np.exp(2j * np.pi * rng.uniform(size=(ARITY[kind], n)))
+    vals[PIVOT[kind]] *= 0.9
+    q = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+    tup = OperatorTuple(kind, [np.diag(v) for v in vals],
+                        Window(0, q[:, :draw(st.integers(1, n))]))
+    forms = {name: f.dense() for name, f in solve_fundamentals(tup).forms.items()}
+    name, tol = draw(st.sampled_from(sorted(forms))), draw(st.sampled_from((1e-12, 1e-9, 1e-3)))
+    e = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    forms[name] = forms[name] + tol * 10.0 ** rng.uniform(-2.0, 2.0) * e / np.linalg.norm(e, 2)
+    return tup, forms, tol
+
+
+@SETTINGS
+@given(perturbed_fundamentals())
+def test_fundamental_set_checks_itself(case):
+    tup, forms, tol = case
+    t = [f.dense() for f in tup.forms]
+    p, q = PIVOT[tup.kind], tup.window.basis.dense()
+    d = np.diag(np.sqrt(1.0 - np.abs(np.diag(t[p])) ** 2))
+    ref = {name: float(np.linalg.norm((d @ forms[name] @ d - w * (t[i] - t[j].conj().T @ t[p]))
+                                      @ q, 2))
+           for i, j, name, w in RELATIONS[tup.kind]}
+    worst = max(ref.values())
+    assume(abs(worst - tol) > 1e-9 * tol)  # clear of the rounding of either norm
+    if worst > tol:
+        with pytest.raises(SolveError, match="fails its equation"):
+            FundamentalSet(tup, forms, tol)
+        return
+    fset = FundamentalSet(tup, forms, tol)
+    assert list(fset.residuals) == list(ref)
+    for name, value in ref.items():
+        assert abs(fset.residuals[name] - value) <= 1e-12 * max(1.0, value), name
+    assert fset.defect is tup.defect

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mudilate.opcore import WHOLE_SPACE, OperatorTuple, OpcoreError, _compact
+from mudilate.opcore import WHOLE_SPACE, OpcoreError, _compact
 from mudilate.spaces import ModelSpace, Window, hardy_shift, window
-from mudilate.fundamentals import FundamentalSet, chain_report, defect, solve_fundamentals
+from mudilate.fundamentals import (PIVOT, FundamentalSet, OperatorTuple, chain_report,
+                                   defect, solve_fundamentals)
 from mudilate.gallery import build_exam3_dilation
 from mudilate.verify import (commutator_profile, is_commuting, isometry_check,
                              necessary_conditions, partial_isometry_check)
@@ -304,8 +305,7 @@ class TestProfileMatchesDense:
         n = next(iter(fs.values())).shape[0]
         arity = 7 if kind == "gamma7" else 5
         w = WHOLE_SPACE if q is None else Window(0, q)
-        fset = FundamentalSet(OperatorTuple(kind, [np.zeros((n, n))] * arity, w), fs, {},
-                              defect(np.zeros((n, n))))
+        fset = FundamentalSet(OperatorTuple(kind, [np.zeros((n, n))] * arity, w), fs, np.inf)
         got = {i.label: i.residual for i in commutator_profile(fset).items}
         comp = {name: f if q is None else q.conj().T @ f @ q for name, f in fs.items()}
         ref = _profile_reference(kind, comp)
@@ -487,11 +487,12 @@ class TestCompactChecksMatchDense:
     @staticmethod
     def _exam(case_id, perturb=False):
         """The gallery case's tuple, fundamentals, window, dilation and
-        dilation window.  Perturbed, every operator (D too) gains n seeded
-        random entries of size about 0.1 at random places: the items then
-        read O(0.1), not 0, and the operands' frames overlap in new ways.
-        The perturbed tuple replaces ``fset.tup`` and ``dil.base``, which
-        the checks read."""
+        dilation window.  Perturbed, every operator but the tuple's pivot
+        gains n seeded random entries of size about 0.1 at random places:
+        the items then read O(0.1), not 0, and the operands' frames overlap
+        in new ways.  The perturbed tuple replaces ``fset.tup`` and
+        ``dil.base``, which the checks read.  D stays the defect of the
+        pivot, since a set reads it off its tuple."""
         from mudilate.dilate import pentablock_dilation
         from mudilate.gallery import build_exam3, build_exam5
         from mudilate.spaces import auto_margin
@@ -516,10 +517,10 @@ class TestCompactChecksMatchDense:
                         0.1 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
                     out.append(o)
                 return tuple(out)
-            tup = OperatorTuple(tup.kind, pert(dense_members(tup)), w)
-            fset = replace(fset, tup=tup,
-                           forms=dict(zip(fset.names(), pert([fset[n] for n in fset.names()]))),
-                           defect=replace(fset.defect, form=_compact(pert([fset.defect.form.dense()])[0])))
+            p, t = PIVOT[tup.kind], dense_members(tup)
+            tup = OperatorTuple(tup.kind, pert(t[:p]) + (tup.forms[p],) + pert(t[p + 1:]), w)
+            fset = replace(fset, tup=tup, tol=np.inf,
+                           forms=dict(zip(fset.names(), pert([fset[n] for n in fset.names()]))))
             dil = replace(dil, base=tup, forms=tuple(map(_compact, pert(
                 [o.dense() for o in dil.forms]))))
         return tup, fset, w, dil, dil.tup.window

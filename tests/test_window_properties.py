@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mudilate.dilate import DilationResult
-from mudilate.fundamentals import chain_report, defect
-from mudilate.opcore import WHOLE_SPACE, OperatorTuple, commutator_norms, \
-    kernel_basis, numerical_radius, spectral_radius
+from mudilate.fundamentals import OperatorTuple, chain_report, defect
+from mudilate.opcore import WHOLE_SPACE, commutator_norms, kernel_basis, numerical_radius, \
+    spectral_radius
 from mudilate.spaces import ModelSpace, Window, auto_margin, embed_blocks, \
     hardy_shift, window
 from mudilate.verify import is_commuting, isometry_check
