@@ -10,7 +10,12 @@ lemma for a domain related to mu-synthesis", J. Geom. Anal. 17, 2007), and
 the closed pentablock is {(a21, tr A, det A) : ||A|| <= 1}, the image of the
 compact closed ball: the pentablock of Agler, Lykova & Young (J. Geom.
 Anal., 2015) is the image of the open one.  So the closed-form minimal-norm
-realisers decide both exactly.
+realisers decide both exactly, as a diagonal realiser in closed form
+decides a gamma7 or gamma5 point whose coordinates split.  These decodes
+work on the point scaled by an exact power of two (``_pow2_scaled``), so
+huge points neither overflow nor raise; a least-squares search skips a
+start whose residuals overflow, and a search left without a usable start
+reports an infinite residual: "unknown".
 
 Only the least-squares certificate search (``_lsq_certificate``) uses scipy
 (``scipy.optimize.least_squares``), imported on its first call; the closed,
@@ -19,6 +24,7 @@ diagonal and axis decodes and ``mu_E`` run on numpy alone.
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from dataclasses import dataclass
@@ -419,41 +425,86 @@ def _norm2(a) -> float:
     return math.sqrt((p + q) / 2.0 + math.hypot((p - q) / 2.0, r))
 
 
+# degree of each coordinate in the matrix entries: s A realises s^d x_i
+DEGREES = {"gamma7": (1, 1, 2, 1, 2, 2, 3), "gamma5": (1, 2, 3, 1, 2),
+           "tetra": (1, 1, 2), "penta": (1, 1, 2)}
+_ROOT = (None, abs, math.sqrt, math.cbrt)
+
+
+def _pow2_scaled(kind, x) -> tuple:
+    """(s, s-scaled x): s = 2^-k with k >= 0 the least exponent that brings
+    the d-th root of every part of every degree-d coordinate below 4, so
+    that s A realises the scaled point exactly when A realises x, and the
+    scaled point has x's bits (a part far below the point's size may lose
+    bits to underflow, far below any residual tolerance).  k = 0 unless
+    some coordinate has modulus 4 or more, so every point with coordinates
+    in the range of the closed domains (moduli at most 2) is computed
+    unscaled, and its residual is absolute."""
+    if max(map(abs, x)) < 4.0:
+        return 1.0, x
+    size = max(_ROOT[d](max(abs(z.real), abs(z.imag))) for z, d in zip(x, DEGREES[kind]))
+    s = 2.0 ** -max(0, math.frexp(size)[1] - 2)
+    scaled = []
+    for z, d in zip(x, DEGREES[kind]):
+        for _ in range(d):  # one factor at a time: s^3 itself can underflow
+            z *= s
+        scaled.append(z)
+    return s, tuple(scaled)
+
+
 def _closed_certificate(kind, x) -> Certificate:
-    """Minimal-norm tetra or penta certificate.  sA realises
-    (s x1, s x2, s^2 x3), so the realiser and its residual are computed on
-    the point scaled by an exact power of two 2^-k into parts below 4 (k = 0
-    for every member), then scaled back: huge points do not overflow, except
-    a bound above the float range, which reads sys.float_info.max."""
-    size = max(max(abs(z.real), abs(z.imag)) for z in (x[0], x[1]))
-    size = max(size, math.sqrt(max(abs(x[2].real), abs(x[2].imag))))
-    k = max(0, math.frexp(size)[1] - 2)
-    s = 2.0 ** -k
-    y = (x[0] * s, x[1] * s, x[2] * s * s)
+    """Minimal-norm tetra or penta certificate.  The realiser and its
+    residual are computed on the point scaled by ``_pow2_scaled``, then
+    scaled back: huge points do not overflow, except a bound above the float
+    range, which reads sys.float_info.max."""
+    s, y = _pow2_scaled(kind, x)
     b = (_min_norm_penta if kind == "penta" else _min_norm_tetra)(*y)
     return Certificate(b / s, _coord_residual(kind, b, y),
                        min(_norm2(b) / s, sys.float_info.max), "closed")
 
 
 def _diag_decode(point: DomainPoint, tol: float = 1e-8):
-    """Closed-form diagonal certificate when the coordinates split."""
-    x = point.coords
+    """Closed-form diagonal certificate when the coordinates split, or None
+    when its residual exceeds tol.  The diagonal (p, q, r), the residual and
+    the bound max |p|, |q|, |r| are Python complex arithmetic on the point
+    scaled by ``_pow2_scaled`` (so the residual is relative to the point's
+    size, and nothing overflows), then scaled back:
+
+    * gamma7: diag(x1, x2, x4) has coordinates (p, q, pq, r, pr, qr, pqr);
+    * gamma5: diag(x1, q, r) has coordinates (p, p(q+r), pqr, q+r, qr) with
+      q, r the roots of l^2 - y1 l + y2.  The quadratic formula takes the
+      larger root q with the sign that makes Re(conj(y1) sqrt(disc)) >= 0,
+      so that y1 and the root of the discriminant do not cancel, and
+      r = y2 / q (Vieta)."""
+    s, y = _pow2_scaled(point.kind, point.coords)
     if point.kind == "gamma7":
-        p, q, r = x[0], x[1], x[3]
-        cand = np.diag([p, q, r])
-        if _coord_residual("gamma7", cand, x) <= tol:
-            return cand
-    elif point.kind == "gamma5":
-        x1, x2, x3, y1, y2 = x
-        if abs(x2 - x1 * y1) <= tol and abs(x3 - x1 * y2) <= tol:
-            roots = np.roots([1.0, -y1, y2])
-            cand = np.diag([x1, roots[0], roots[1]])
-            if _coord_residual("gamma5", cand, x) <= tol:
-                return cand
-    return None
+        p, q, x3, r, x5, x6, x7 = y
+        pq = p * q
+        res = max(abs(pq - x3), abs(p * r - x5), abs(q * r - x6), abs(pq * r - x7))
+    else:
+        p, x2, x3, y1, y2 = y
+        root = cmath.sqrt(y1 * y1 - 4.0 * y2)
+        if (y1.conjugate() * root).real < 0.0:
+            root = -root
+        q = (y1 + root) / 2.0
+        r = y2 / q if q else 0j
+        qr = q * r
+        res = max(abs(p * (q + r) - x2), abs(p * qr - x3), abs(q + r - y1), abs(qr - y2))
+    if not res <= tol:
+        return None
+    a = np.zeros((3, 3), dtype=complex)
+    a.flat[::4] = [p / s, q / s, r / s]
+    return Certificate(a, res, min(max(abs(p), abs(q), abs(r)) / s, sys.float_info.max),
+                       "diagonal")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _lsq_certificate(point: DomainPoint):
+    """The best least-squares realiser and its residual.  A start whose
+    residual vector is not finite (its coordinates overflow) is skipped, and
+    a step past the float range reads as an infinite residual, which trf
+    answers by shrinking its trust region; with no start left, the first
+    start comes back with residual inf."""
     import scipy.optimize
 
     rng = np.random.default_rng(SEARCH_SEED)
@@ -468,27 +519,31 @@ def _lsq_certificate(point: DomainPoint):
         return (v[:half] + 1j * v[half:]).reshape(size, size)
 
     def resid(v):
+        if not np.isfinite(v).all():
+            return np.full(2 * len(target) + 1, np.inf)
         a = unpack(v)
         diff = np.array(COORD_MAP[kind](a)) - target
         mu = _structure_radius(a, structure, coarse).max()
         pen = 4.0 * max(0.0, mu - 1.0)
         return np.concatenate([diff.view(float), [pen]])
 
-    best, best_r = None, np.inf
-    d = _diag_decode(point, tol=1e-3)
-    init_list = ([] if d is None else [d]) + [np.diag(target[:size])]
+    diag = _diag_decode(point, tol=1e-3)
+    init_list = ([] if diag is None else [diag.A]) + [np.diag(target[:size])]
     while len(init_list) < SEARCH_STARTS:
         init_list.append(0.5 * (rng.standard_normal((size, size)) +
                                 1j * rng.standard_normal((size, size))))
+    best, best_r = init_list[0], np.inf
     for a0 in init_list:
         v0 = np.concatenate([a0.real.reshape(-1), a0.imag.reshape(-1)])
+        if not np.isfinite(resid(v0)).all():
+            continue
         sol = scipy.optimize.least_squares(resid, v0, method="trf",
                                            max_nfev=SEARCH_BUDGET, xtol=1e-14, ftol=1e-14)
         a = unpack(sol.x)
         r = _coord_residual(kind, a, point.coords)
         if r < best_r:
             best, best_r = a, r
-    return best
+    return best, best_r
 
 
 def certificate_search(point: DomainPoint) -> Certificate:
@@ -500,18 +555,17 @@ def certificate_search(point: DomainPoint) -> Certificate:
     x = point.coords
     if kind in ("penta", "tetra"):
         return _closed_certificate(kind, x)
-    d = _diag_decode(point)
-    if d is not None:
-        return Certificate(d, _coord_residual(kind, d, x),
-                           float(np.abs(np.diag(d)).max()), "diagonal")
+    cert = _diag_decode(point)
+    if cert is not None:
+        return cert
     if kind == "gamma7":
         axis_mass = max(abs(x[i]) for i in (1, 2, 3, 4))
         if axis_mass <= 1e-8:
             c = _closed_certificate("tetra", (x[0], x[5], x[6]))
             return Certificate(c.A, max(c.residual, axis_mass), c.constraint_value, "axis")
-    a = _lsq_certificate(point)
-    mu = mu_E(a, mu_for_kind(kind), tol=1e-4)
-    return Certificate(a, _coord_residual(kind, a, x), mu, "search")
+    a, res = _lsq_certificate(point)
+    mu = min(mu_E(a, mu_for_kind(kind), tol=1e-4), sys.float_info.max)
+    return Certificate(a, res, mu, "search")
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +596,7 @@ def membership(point: DomainPoint, tol: float = 1e-6) -> MembershipReport:
     slack = max(tol, 1e-6) if cert.decode == "search" else tol
     rep.meta["decode"] = cert.decode
     rep.meta["certificate_bound"] = bound
-    rep.add("certificate-residual", cert.residual, 1e-6)
+    rep.add("certificate-residual", _capped(cert.residual), 1e-6)
     rep.add("certificate-bound", max(0.0, bound - 1.0), slack)
     if not cert.residual <= 1e-6:
         return rep

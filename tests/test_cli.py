@@ -130,10 +130,15 @@ class TestSubcommands:
 
     @pytest.mark.parametrize("point", [
         {"kind": "tetra", "coords": [[1e308, 0], [1e308, 0], [0, 0]]},
-        {"kind": "penta", "coords": [[0, 1e200], [-1e200, 0], [1e300, 0]]}])
+        {"kind": "penta", "coords": [[0, 1e200], [-1e200, 0], [1e300, 0]]},
+        {"kind": "gamma7", "coords": [[1e100, 0], [1e100, 0], [1e200, 0], [1e100, 0],
+                                      [1e200, 0], [1e200, 0], [1e300, 0]]},
+        {"kind": "gamma5", "coords": [[0.5, 0], [5e153, 0], [1.5e153, 0], [1e154, 0], [3e153, 0]]}])
     def test_membership_overflow_prints_strict_json(self, capsys, point):
-        # the bound and the boundary residual overflow; they print as the
-        # largest float, without a numpy warning, and dumps refuses inf
+        # the bound or the boundary residual overflow; they print as the
+        # largest float, without a numpy warning, and dumps refuses inf; the
+        # diagonal points (diag(1e100, 1e100, 1e100) and x1 = 0.5 with roots
+        # 1e154 and 0.3) decode in closed form on the scaled point
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out = run_cli(["membership", "--point", json.dumps(point)], capsys)

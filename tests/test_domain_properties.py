@@ -3,13 +3,17 @@ minimal-norm realisers: invariance of mu_E under the transforms that keep
 the spectral radius of A diag(z) at every z, the rho(A) <= mu_E <= ||A||
 chain, tetra/penta certificates that never exceed the norm of the matrix
 that generated the point, and tetrablock verdicts that agree with a dense
-torus reference."""
+torus reference, and a diagonal decode that matches numpy's at every
+power-of-two scale."""
+
+import cmath
+import math
 
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
-from mudilate.domains import (E211, E311, E312, BlockStructure, DomainPoint,
-                              certificate_search, membership, mu_E,
+from mudilate.domains import (COORD_MAP, DEGREES, E211, E311, E312, BlockStructure,
+                              DomainPoint, certificate_search, membership, mu_E,
                               penta_coords, tetra_coords)
 
 SETTINGS = settings(derandomize=True, max_examples=30, deadline=None)
@@ -108,3 +112,75 @@ def test_points_realised_by_contractions_are_never_outside(a, scale):
                DomainPoint("penta", penta_coords(a)),
                _axis_point(tetra_coords(a))):
         assert membership(pt).verdict in ("inside", "boundary")
+
+
+@st.composite
+def disc_entry(draw):
+    """0, or a complex number inside, on or outside the unit circle."""
+    where = draw(st.sampled_from(("zero", "inside", "on", "outside")))
+    if where == "zero":
+        return 0j
+    radius = {"inside": st.floats(1e-3, 0.999), "on": st.just(1.0),
+              "outside": st.floats(1.001, 2.0)}[where]
+    return cmath.rect(draw(radius), draw(st.floats(0.0, 2.0 * np.pi)))
+
+
+def _split_coords(kind, p, q, r):
+    """Coordinates of diag(p, q, r), by products."""
+    if kind == "gamma7":
+        return (p, q, p * q, r, p * r, q * r, p * q * r)
+    return (p, p * (q + r), p * q * r, q + r, q * r)
+
+
+def _times_pow2(z, e):
+    """z 2^e, or None when a part overflows or loses bits."""
+    try:
+        parts = [math.ldexp(v, e) for v in (z.real, z.imag)]
+    except OverflowError:
+        return None
+    if [math.ldexp(v, -e) for v in parts] != [z.real, z.imag]:
+        return None
+    return complex(*parts)
+
+
+def _numpy_diag_decode(kind, x):
+    """The diagonal decode as numpy states it: np.roots for the gamma5
+    roots, then np.diag, then the coordinate map with its LU determinant.
+    Returns the absolute residual and the bound max |d_i|."""
+    d = [x[0], x[1], x[3]] if kind == "gamma7" else [x[0], *np.roots([1.0, -x[3], x[4]])]
+    res = max(abs(g - t) for g, t in zip(COORD_MAP[kind](np.diag(d)), x))
+    return res, float(np.abs(d).max())
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.sampled_from(("gamma7", "gamma5")), disc_entry(), disc_entry(), disc_entry(),
+       st.booleans(), st.integers(-400, 400))
+def test_diagonal_decode_matches_numpy_at_every_scale(kind, p, q, r, repeated, k):
+    """diag(p, q, r) 2^k against numpy's decode of diag(p, q, r), where
+    numpy neither overflows nor underflows, scaled by 2^k.  Distinct gamma5
+    roots are kept apart by a quarter of their size (closer ones are
+    ill-conditioned in the coordinates whichever way they are found); a
+    repeated root is exact (y1^2 = 4 y2 to the bit), where np.roots is only
+    sqrt(eps)-accurate, so there the bound is held to max |d_i| itself."""
+    if repeated:
+        r = q
+    if kind == "gamma5":
+        assume(q == r or abs(q - r) >= 0.25 * max(abs(q), abs(r)))
+    unit = _split_coords(kind, p, q, r)
+    x = [_times_pow2(z, k * d) for z, d in zip(unit, DEGREES[kind])]
+    assume(None not in x)
+    res, bound = _numpy_diag_decode(kind, unit)
+    want = math.ldexp(bound, k)
+    assume(abs(want - (1.0 + 1e-6)) > 1e-6 * want)  # a verdict numpy's error could flip
+
+    point = DomainPoint(kind, x)
+    rep = membership(point)
+    assert (rep.meta["decode"] == "diagonal") == (res <= 1e-8)
+    assert (rep.verdict == "outside") == (want > 1.0 + 1e-6)
+    if kind == "gamma5" and q == r:
+        want = math.ldexp(max(abs(p), abs(q)), k)
+    assert abs(rep.meta["certificate_bound"] - want) <= 4e-15 * want
+    cert = certificate_search(point)
+    size = max(1.0, abs(p), abs(q), abs(r))
+    for g, u, d in zip(COORD_MAP[kind](cert.A * 2.0 ** -k), unit, DEGREES[kind]):
+        assert abs(g - u) <= 1e-12 * size ** d

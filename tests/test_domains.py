@@ -1,4 +1,6 @@
+import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +13,10 @@ from mudilate.domains import (E211, E311, E312, BlockStructure, DomainPoint,
                               point_pi_eta, psi3_supnorm, tetra_coords,
                               _structure_radius)
 from mudilate.opcore import op_norm, spectral_radius
+
+
+def _refuse(token):
+    raise ValueError(f"{token} is not JSON")
 
 
 def _quadratic_max_root(tr, det):
@@ -335,6 +341,43 @@ class TestMembership:
             assert rep.meta["certificate_bound"] > 1e100
         ok, res = on_K0(DomainPoint("penta", (0, 1e200, 0)))
         assert not ok and res >= 1e200
+
+    @pytest.mark.parametrize("kind, d", [
+        ("gamma7", (1e100, 1e100, 1e100)),
+        ("gamma7", (1e150, 1e-150, 1e150)),
+        ("gamma5", (0.5, 1e154, 0.3)),
+        ("gamma5", (0.5, 1e160, 1e-160))])
+    def test_huge_diagonal_points_are_outside_with_finite_bound(self, kind, d):
+        # coordinates of diag(d) by exact products; an LU determinant misses
+        # p q r = 1e300 by about 1e285, and y1^2 overflows for |y1| > 1.3e154
+        p, q, r = d
+        x = ((p, q, p * q, r, p * r, q * r, p * q * r) if kind == "gamma7"
+             else (p, p * (q + r), p * q * r, q + r, q * r))
+        rep = membership(DomainPoint(kind, x))
+        assert rep.verdict == "outside" and rep.meta["decode"] == "diagonal"
+        assert np.isfinite(rep.meta["certificate_bound"])
+        assert rep.meta["certificate_bound"] >= 1e100
+        assert rep.meta["certificate_bound"] == pytest.approx(max(map(abs, d)), rel=1e-15)
+
+    def test_split_within_the_scale_of_a_huge_point_is_diagonal(self):
+        # diag(1e200, 0.1, 0.3) misses x3..x7 by at most 3e199, 2e-200 of the
+        # point's size squared: the residual is relative to the size, and
+        # |x1| = 1e200 > 1 puts the point outside whatever realises it
+        rep = membership(DomainPoint("gamma7", (1e200, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6)))
+        assert rep.verdict == "outside" and rep.meta["decode"] == "diagonal"
+        assert rep.meta["certificate_bound"] == 1e200
+
+    @pytest.mark.parametrize("kind, x", [
+        ("gamma7", (1e200, 1e200, 0.2, 0.3, 0.4, 0.5, 0.6)),   # the diagonal start overflows
+        ("gamma7", (1e200, 0.1, 0.2, 1e200, 0.4, 0.5, 0.6)),   # a trust-region step overflows
+        ("gamma5", (1e200, 0.1, 0.2, 1e200, 0.4))])
+    def test_search_with_overflowing_residuals_is_unknown(self, kind, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = membership(DomainPoint(kind, x))
+        assert rep.verdict == "unknown" and rep.meta["decode"] == "search"
+        assert not rep.items[1].passed
+        json.loads(rep.to_json(), parse_constant=_refuse)
 
     def test_scaled_certificate_realises_the_point(self):
         x = (3e5 + 1e5j, -2e5, 4e10j)
