@@ -118,15 +118,24 @@ def _minor(a, i, j):
     return a[i, i] * a[j, j] - a[i, j] * a[j, i]
 
 
+def _det3(a):
+    """3x3 determinant by cofactor expansion along the first row: products
+    of entries, with no LU and no exp of a log-determinant, so a diagonal
+    matrix gives the product of its diagonal to the last bit."""
+    return (a[0, 0] * _minor(a, 1, 2)
+            - a[0, 1] * (a[1, 0] * a[2, 2] - a[1, 2] * a[2, 0])
+            + a[0, 2] * (a[1, 0] * a[2, 1] - a[1, 1] * a[2, 0]))
+
+
 def gamma7_coords(a) -> tuple:
     a = np.asarray(a, dtype=complex)
     return (a[0, 0], a[1, 1], _minor(a, 0, 1), a[2, 2], _minor(a, 0, 2),
-            _minor(a, 1, 2), np.linalg.det(a))
+            _minor(a, 1, 2), _det3(a))
 
 
 def gamma5_coords(a) -> tuple:
     a = np.asarray(a, dtype=complex)
-    return (a[0, 0], _minor(a, 0, 1) + _minor(a, 0, 2), np.linalg.det(a),
+    return (a[0, 0], _minor(a, 0, 1) + _minor(a, 0, 2), _det3(a),
             a[1, 1] + a[2, 2], _minor(a, 1, 2))
 
 
@@ -202,15 +211,20 @@ def mu_E(a, structure: BlockStructure, tol: float = 1e-4) -> float:
       per free axis and 1024 in all, so the per-axis count shrinks as s
       grows.  The grid holds the all-ones point, so rho(A) is a lower bound;
     * the eight largest local maxima of that periodic grid as seeds;
-    * a pattern-search zoom around every seed, all live seeds in one batch
-      per level, for at most 200 levels.  The stencil is every offset in {-p..p}^(s-1) times the
-      seed's step when that is at most 125 points, else the 2p offsets
-      along each axis, so a level holds at most max(124, 4 (s - 1)) points
-      per seed.  A seed moves to its best stencil point and shrinks its
-      step by p unless that point lies on the stencil's outer ring.  It
-      stops when its last level gained at most tol / 4 and its step is at
-      most tol / (4 ||A||), or when its stencil covers the centre of a
-      better seed (both climb the same peak).
+    * a pattern-search zoom around every seed (Torczon, "On the convergence
+      of pattern search algorithms", SIAM J. Optim. 7, 1997), all live
+      seeds in one batch per level, for at most 200 levels, from a step of
+      one coarse cell over p.  On one free axis p = 8, the stencil is the
+      16 offsets in {-8..8} times the seed's step, and a seed moves to its
+      best stencil point and divides its step by 8 unless that point lies
+      on the outer ring +-8.  On s - 1 >= 2 free axes p = 2, and the
+      stencil is {-1, 0, 1}^(s-1) times the step when that is at most 125
+      points (8, 26 and 80 offsets for s - 1 = 2, 3, 4), else +-1 along
+      each axis; a seed moves to its best stencil point and keeps its step,
+      or halves its step when no stencil point beats it.  A seed stops when
+      its last level gained at most tol / 4 and its step is at most
+      tol / (4 ||A||), or when a better seed's centre lies within p steps
+      of it (both climb the same peak).
 
     The result is the largest sampled value: a lower bound on mu that the
     zoom drives to a local maximum, not a certified value.
@@ -228,7 +242,8 @@ def mu_E(a, structure: BlockStructure, tol: float = 1e-4) -> float:
         return spectral_radius(m)
 
     seeds, levels = 8, 200
-    p = 8 if sfree == 1 else 2
+    p = 8 if sfree == 1 else 2  # step divisor; a merge reaches p steps
+    reach = p if sfree == 1 else 1  # stencil half-width in steps
     pts = min(64, int(1024 ** (1.0 / sfree) + 1e-9))
     grid = _reduced_torus(sfree, pts)
     vals = _structure_radius(m, structure, grid).reshape((pts,) * sfree)
@@ -239,14 +254,14 @@ def mu_E(a, structure: BlockStructure, tol: float = 1e-4) -> float:
     cand = cand[np.argsort(-vals.ravel()[cand], kind="stable")[:seeds]]
     center, val = np.angle(grid[cand]), vals.ravel()[cand]
 
-    span = np.arange(-p, p + 1)
+    span = np.arange(-reach, reach + 1)
     if len(span) ** sfree <= 125:
         offsets = _lattice(span, sfree)
         offsets = offsets[offsets.any(axis=1)]
     else:
         offsets = np.kron(np.eye(sfree, dtype=int), span[span != 0][:, None])
     offsets = np.concatenate([np.zeros_like(offsets[:, :1]), offsets], axis=1)  # z_1 = 1
-    outer = np.abs(offsets).max(axis=1) == p
+    outer = np.abs(offsets).max(axis=1) == reach
     step = np.full(len(val), 2.0 * np.pi / pts / p)
     stop = tol / (4.0 * norm)
     earlier = np.tri(len(val), k=-1, dtype=bool)

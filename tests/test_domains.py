@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
+from mudilate import domains
 from mudilate.domains import (E211, E311, E312, BlockStructure, DomainPoint,
                               DomainError, PoleOnTorusError,
                               certificate_search, gamma5_coords, gamma7_coords,
@@ -140,12 +141,35 @@ class TestMuE:
         # the 1e-8 relative slack; the reference only lower-bounds mu
         rng = np.random.default_rng(26)
         for structure, pts, count in ((E211, 512, 4), (E312, 512, 4), (E311, 96, 4),
-                                      (BlockStructure(4, 4, (1,) * 4), 24, 2)):
+                                      (BlockStructure(4, 4, (1,) * 4), 24, 2),
+                                      (BlockStructure(5, 5, (1,) * 5), 10, 2)):
             for _ in range(count):
                 n = structure.n
                 a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
                 want = mu_polished_reference(a, structure, pts)
                 assert mu_E(a, structure, tol=1e-4) >= want * (1 - 1e-8)
+
+    @pytest.mark.parametrize("sfree, grid, stencil", [(1, 64, 16), (2, 1024, 8), (3, 1000, 26),
+                                                      (4, 625, 80), (5, 1024, 10)])
+    def test_zoom_batch_shape(self, monkeypatch, sfree, grid, stencil):
+        # the coarse grid comes first; each zoom level then puts every live
+        # seed's stencil through the eigensolver in one batch: {-8..8} on
+        # one free axis, {-1, 0, 1}^(s-1) up to s - 1 = 4, +-1 per axis above
+        batches = []
+
+        def record(a, structure, zs):
+            batches.append(len(zs))
+            return _structure_radius(a, structure, zs)
+
+        monkeypatch.setattr(domains, "_structure_radius", record)
+        rng = np.random.default_rng(27)
+        n = sfree + 1
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        mu_E(a, BlockStructure(n, n, (1,) * n), tol=1e-4)
+        assert batches[0] == grid
+        assert len(batches) > 1
+        for b in batches[1:]:
+            assert b % stencil == 0 and 1 <= b // stencil <= 8
 
     def test_diagonal_entries_lower_bound(self):
         # scaling a single block exposes each diagonal entry as an eigenvalue
@@ -239,6 +263,22 @@ class TestCoordinateMaps:
         m = np.array([[1.0, 2.0], [3.0, 4.0]])
         assert tetra_coords(m) == (1.0, 4.0, pytest.approx(-2.0))
         assert penta_coords(m) == (3.0, 5.0, pytest.approx(-2.0))
+
+    @pytest.mark.parametrize("coords, at", [(gamma7_coords, 6), (gamma5_coords, 2)])
+    def test_determinant_of_huge_diagonal_is_the_product(self, coords, at):
+        # an LU determinant goes through exp of the log-determinant and
+        # reads 1.00000000000009e300 here
+        want = 1e100 * 1e100 * 1e100
+        got = coords(np.diag([1e100] * 3))[at]
+        assert abs(got - want) <= np.spacing(want)
+
+    @pytest.mark.parametrize("coords, at", [(gamma7_coords, 6), (gamma5_coords, 2)])
+    def test_determinant_matches_numpy(self, coords, at):
+        rng = np.random.default_rng(33)
+        for _ in range(200):
+            a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+            want = np.linalg.det(a)
+            assert abs(coords(a)[at] - want) <= 1e-13 * abs(want)
 
 
 class TestMembership:
