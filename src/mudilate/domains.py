@@ -19,7 +19,9 @@ reports an infinite residual: "unknown".
 
 Only the least-squares certificate search (``_lsq_certificate``) uses scipy
 (``scipy.optimize.least_squares``), imported on its first call; the closed,
-diagonal and axis decodes and ``mu_E`` run on numpy alone.
+diagonal and axis decodes and ``mu_E`` run on numpy alone.  The closed-form
+spectral radii of ``mudilate.charpoly`` are imported on first use too, so a
+run that takes none (the gallery) neither compiles nor holds that module.
 """
 
 from __future__ import annotations
@@ -187,15 +189,36 @@ def _reduced_torus(sfree: int, pts: int) -> np.ndarray:
     return np.concatenate([np.ones((len(zs), 1), dtype=complex), zs], axis=1)
 
 
-def _structure_radius(a: np.ndarray, structure: BlockStructure, zs: np.ndarray) -> np.ndarray:
-    """Spectral radius of A diag(z_1 I_{r_1}, ...) for a batch of z rows,
-    put through the eigensolver in chunks of at most 2^16 matrix entries so
-    that memory does not grow with the batch."""
+def _eig_radius(a: np.ndarray, structure: BlockStructure, zs: np.ndarray) -> np.ndarray:
+    """Spectral radius of A D(z) for a batch of z rows by LAPACK's
+    eigensolver, in chunks of at most 2^16 matrix entries so that memory does
+    not grow with the batch."""
     rows = max(1, 2 ** 16 // structure.n ** 2)
     out = np.empty(len(zs))
     for lo in range(0, len(zs), rows):
         diag = np.repeat(zs[lo:lo + rows], structure.r, axis=1)
         out[lo:lo + rows] = np.abs(np.linalg.eigvals(a[None] * diag[:, None, :])).max(axis=1)
+    return out
+
+
+def _structure_radius(a: np.ndarray, structure: BlockStructure, zs: np.ndarray,
+                      table=None) -> np.ndarray:
+    """Spectral radius of A D(z), D(z) = diag(z_1 I_{r_1}, ...), for a batch
+    of z rows.  For n <= 4 it is the largest root modulus of the
+    characteristic polynomial (``charpoly.charpoly_radius``), its
+    coefficients read off ``table`` (the ``charpoly.minor_table`` of A,
+    formed here when not given).  Rows whose roots fail its backward- and
+    forward-error rule, and every row when n > charpoly.CLOSED_DEGREE (no
+    closed form exists: Abel-Ruffini), go to the eigensolver
+    (``_eig_radius``), the one fallback."""
+    from . import charpoly
+
+    if structure.n > charpoly.CLOSED_DEGREE:
+        return _eig_radius(a, structure, zs)
+    out, ok = charpoly.charpoly_radius(
+        charpoly.minor_table(a, structure.r) if table is None else table, zs)
+    if not ok.all():
+        out[~ok] = _eig_radius(a, structure, zs[~ok])
     return out
 
 
@@ -226,8 +249,10 @@ def mu_E(a, structure: BlockStructure, tol: float = 1e-4) -> float:
       tol / (4 ||A||), or when a better seed's centre lies within p steps
       of it (both climb the same peak).
 
-    The result is the largest sampled value: a lower bound on mu that the
-    zoom drives to a local maximum, not a certified value.
+    Each batch is one ``_structure_radius`` call on the minor table of A,
+    formed once per call.  The result is the largest sampled value: a lower
+    bound on mu that the zoom drives to a local maximum, not a certified
+    value.
     """
     m = _mat(a)
     if m.shape != (structure.n, structure.n):
@@ -246,7 +271,10 @@ def mu_E(a, structure: BlockStructure, tol: float = 1e-4) -> float:
     reach = p if sfree == 1 else 1  # stencil half-width in steps
     pts = min(64, int(1024 ** (1.0 / sfree) + 1e-9))
     grid = _reduced_torus(sfree, pts)
-    vals = _structure_radius(m, structure, grid).reshape((pts,) * sfree)
+    from . import charpoly
+
+    table = charpoly.minor_table(m, structure.r) if structure.n <= charpoly.CLOSED_DEGREE else None
+    vals = _structure_radius(m, structure, grid, table).reshape((pts,) * sfree)
     peak = np.ones(vals.shape, dtype=bool)
     for ax in range(sfree):
         peak &= (vals >= np.roll(vals, 1, ax)) & (vals >= np.roll(vals, -1, ax))
@@ -272,7 +300,7 @@ def mu_E(a, structure: BlockStructure, tol: float = 1e-4) -> float:
             break
         trial = center[idx, None, :] + step[idx, None, None] * offsets
         zs = np.exp(1j * trial.reshape(-1, structure.s))
-        v = _structure_radius(m, structure, zs).reshape(len(idx), -1)
+        v = _structure_radius(m, structure, zs, table).reshape(len(idx), -1)
         rows, k = np.arange(len(idx)), v.argmax(axis=1)
         gain = np.maximum(v[rows, k] - val[idx], 0.0)
         up = gain > 0.0

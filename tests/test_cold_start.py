@@ -1,6 +1,7 @@
 """Start-up cost: importing mudilate and running the whole gallery load
 numpy alone.  scipy is loaded on first use, by the QZ fallback of
-``numerical_radius`` (ungraded input) and by the certificate search."""
+``numerical_radius`` (ungraded input) and by the certificate search, and
+the closed-form spectral radii (``mudilate.charpoly``) by ``mu_E``."""
 
 import json
 import os
@@ -40,7 +41,7 @@ after_import = scipy_loaded()
 from mudilate.gallery import run_gallery
 verdicts = [r.verdict for r in run_gallery(trunc=8)]
 print(json.dumps({"import": after_import, "gallery": scipy_loaded(),
-                  "verdicts": verdicts}))
+                  "charpoly": "mudilate.charpoly" in sys.modules, "verdicts": verdicts}))
 """
 
 RADIUS = PREAMBLE + """
@@ -57,6 +58,7 @@ def test_import_and_gallery_load_no_scipy():
     out = fresh(GALLERY)
     assert out["import"] == []
     assert out["gallery"] == []
+    assert not out["charpoly"]
     assert set(out["verdicts"]) == {"pass"}
 
 

@@ -157,9 +157,9 @@ class TestMuE:
         # one free axis, {-1, 0, 1}^(s-1) up to s - 1 = 4, +-1 per axis above
         batches = []
 
-        def record(a, structure, zs):
+        def record(a, structure, zs, *rest):
             batches.append(len(zs))
-            return _structure_radius(a, structure, zs)
+            return _structure_radius(a, structure, zs, *rest)
 
         monkeypatch.setattr(domains, "_structure_radius", record)
         rng = np.random.default_rng(27)
