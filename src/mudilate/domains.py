@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -330,12 +331,22 @@ class SupResult:
     w: complex
 
 
+# the largest torus grid of psi3_supnorm: its grid x grid complex samples take
+# 4 MB an array, and an evaluation holds a few such arrays at once
+MAX_PSI3_GRID = 512
+
+
 def psi3_supnorm(x: DomainPoint, grid: int = 64) -> SupResult:
     """Sup over the two-torus of the degree-(1,1) rational symbol attached to
-    a gamma7 point: |x4 - z x5 - w x6 + z w x7| / |1 - z x1 - w x2 + z w x3|.
+    a gamma7 point: |x4 - z x5 - w x6 + z w x7| / |1 - z x1 - w x2 + z w x3|,
+    sampled on a grid x grid torus grid, ``grid`` an integer in
+    [1, MAX_PSI3_GRID] (DomainError otherwise, before anything is allocated).
     """
     if x.kind != "gamma7":
         raise DomainError("the two-variable symbol takes gamma7 points")
+    if (not isinstance(grid, numbers.Integral) or isinstance(grid, bool)
+            or not 1 <= grid <= MAX_PSI3_GRID):
+        raise DomainError(f"grid must be an integer in [1, {MAX_PSI3_GRID}], got {grid!r}")
     x1, x2, x3, x4, x5, x6, x7 = x.coords
 
     def evaluate(zv, wv):

@@ -162,11 +162,13 @@ def json_of_type(what: str, value, expected: type):
 
 def operator_from_dict(d) -> np.ndarray:
     json_of_type("a matrix", d, dict)
-    try:
-        rows, cols = int(d["rows"]), int(d["cols"])
-    except TypeError:
-        got = f"{reprlib.repr(d['rows'])} and {reprlib.repr(d['cols'])}"
-        raise ValueError(f"matrix rows and cols must be integers, got {got}") from None
+    rows, cols = d["rows"], d["cols"]
+    # JSON integers, or numbers with an integral value (2.0); a bool is no size
+    if not all((isinstance(x, numbers.Integral) and not isinstance(x, bool))
+               or (isinstance(x, float) and x.is_integer()) for x in (rows, cols)):
+        got = f"{reprlib.repr(rows)} and {reprlib.repr(cols)}"
+        raise ValueError(f"matrix rows and cols must be integers, got {got}")
+    rows, cols = int(rows), int(cols)
     if rows < 1 or cols < 1:
         raise ValueError(f"matrix dimensions must be positive, got {rows}x{cols}")
     data = json_of_type("a matrix's 'data'", d["data"], list)

@@ -27,8 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .opcore import (OpcoreError, WholeSpace, _Block, _compact, _eigh, _eye,
-                     _nonzeros, once, op_norm)
+from .opcore import OpcoreError, _Block, _compact, _eigh, _eye, _nonzeros, once, op_norm
 
 
 @dataclass(frozen=True)
@@ -106,9 +105,6 @@ class Window:
     def psd_min_eig(self, h) -> float:
         """Smallest eigenvalue of the Hermitian part of the compression of H."""
         return float(_eigh(self.compress(h))[0][0])
-
-
-AnyWindow = Window | WholeSpace  # an OperatorTuple's window; default opcore.WHOLE_SPACE
 
 
 def window(space: ModelSpace, margin: int) -> Window:

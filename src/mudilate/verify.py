@@ -13,11 +13,10 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .opcore import (WHOLE_SPACE, OpcoreError, _compact, _eye, commutator, commutator_norms,
-                     once, op_norm)
+from .opcore import OpcoreError, _eye, commutator, commutator_norms, once, op_norm
 from .fundamentals import MEMBERS, PIVOT, RELATIONS, FundamentalSet, OperatorTuple
 from .report import CheckReport
-from .spaces import AnyWindow, Window
+from .spaces import Window
 
 
 def is_commuting(tup: OperatorTuple, tol: float = 1e-9) -> CheckReport:
@@ -25,17 +24,6 @@ def is_commuting(tup: OperatorTuple, tol: float = 1e-9) -> CheckReport:
     rep = CheckReport(name="is-commuting", window_margin=tup.window.margin)
     for (i, j), res in tup.commutators:
         rep.add(f"[T{i+1},T{j+1}]", res, tol)
-    return rep
-
-
-def partial_isometry_check(t, tol: float = 1e-9,
-                           window: AnyWindow = WHOLE_SPACE) -> CheckReport:
-    """Partial-isometry check of a single operator T: ||T|| <= 1 and
-    T T* T = T, the identity read through the window."""
-    rep = CheckReport(name="isometry-partial", window_margin=window.margin)
-    m = _compact(t)
-    rep.add("norm<=1", max(0.0, op_norm(m) - 1.0), 1e-8)
-    rep.add("TT*T=T", window.wnorm(m @ m.H @ m - m), tol)
     return rep
 
 

@@ -57,6 +57,20 @@ class TestMatrixWireFormat:
         with pytest.raises(ValueError):
             operator_from_dict({"rows": 2, "cols": 2, "data": [[1, 0]]})
 
+    @pytest.mark.parametrize("rows, cols", [
+        (2.9, 1), (1, 1.5), ("2", 1), (1, "1"), (True, True), (1, False),
+        (float("nan"), 1), (1, float("inf"))])
+    def test_rejects_dimensions_that_are_not_integers(self, rows, cols):
+        # a bool, a string or a non-integral number is no size, even where
+        # int() of it would give one
+        data = [[1, 0]] * 2
+        with pytest.raises(ValueError, match="rows and cols must be integers"):
+            operator_from_dict({"rows": rows, "cols": cols, "data": data})
+
+    def test_integral_float_dimensions_are_sizes(self):
+        m = operator_from_dict({"rows": 2.0, "cols": 1, "data": [[1, 0], [0, 1]]})
+        assert m.shape == (2, 1) and m[1, 0] == 1j
+
 
 _finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
 

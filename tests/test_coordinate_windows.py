@@ -207,9 +207,8 @@ def test_dense_defect_matches_dense_eigh(make, eigh_in_defect):
 
 
 def test_gallery_windows_are_selections(monkeypatch, eigh_in_defect):
-    # every window of the four operator cases and axis_family is a
-    # coordinate selection with exactly one nonzero, 1, per column, and no
-    # defect takes an eigh
+    # every window of the five operator cases is a coordinate selection
+    # with exactly one nonzero, 1, per column, and no defect takes an eigh
     bases, original = [], Window.__post_init__
 
     def recording(self):
@@ -219,9 +218,10 @@ def test_gallery_windows_are_selections(monkeypatch, eigh_in_defect):
     monkeypatch.setattr(spaces.Window, "__post_init__", recording)
     reports = run_gallery(trunc=16)
     assert all(r.verdict == "pass" for r in reports)
-    # each operator case builds its window, the kernel window and the
-    # dilation window (pushforward takes none); axis_family 3
-    assert len(bases) == 15
+    # each of the five operator cases builds its window, the kernel window
+    # and the dilation window (pushforward takes none); axis_family adds the
+    # window of its mirror check and that of its clean triple
+    assert len(bases) == 17
     for q in bases:
         n, k = q.shape
         assert len(q.v) == k and (q.v == 1.0).all()

@@ -7,8 +7,8 @@ import pytest
 import scipy.optimize
 
 from mudilate import domains
-from mudilate.domains import (E211, E311, E312, BlockStructure, DomainPoint,
-                              DomainError, PoleOnTorusError,
+from mudilate.domains import (E211, E311, E312, MAX_PSI3_GRID, BlockStructure,
+                              DomainPoint, DomainError, PoleOnTorusError,
                               certificate_search, gamma5_coords, gamma7_coords,
                               membership, mu_E, on_K0, penta_coords, point_pi,
                               point_pi_eta, psi3_supnorm, tetra_coords,
@@ -236,6 +236,23 @@ class TestPsi3:
         direct = np.abs((-w * x6 + z * w * x7) / (1.0 - z * x1)).max()
         assert got.value >= direct - 1e-12
         assert got.value == pytest.approx(direct, rel=1e-3)
+
+    @pytest.mark.parametrize("grid", [0, -1, 2.5, 8.0, True, "8", MAX_PSI3_GRID + 1, 10**12])
+    def test_grid_refused_before_allocating(self, grid):
+        pt, named = point_pi(0.5, 0.5), rf"grid must be an integer in \[1, {MAX_PSI3_GRID}\]"
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match=named):
+                psi3_supnorm(pt, grid=grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
+
+    def test_grid_bounds_accepted(self):
+        pt = point_pi(0.5, 0.5)
+        assert psi3_supnorm(pt, grid=1).grid == 1
+        assert psi3_supnorm(pt, grid=MAX_PSI3_GRID).value == pytest.approx(0.25, abs=1e-12)
 
     def test_pole_detected(self):
         pt = DomainPoint("gamma7", (2.0, 0, 0, 0, 0, 0.5, 0.5))

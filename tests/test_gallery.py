@@ -42,6 +42,14 @@ LABELS = {
         "dilation is a penta isometry: worst failing residual",
         "R2=R2*R3 on window", "R1*R1 + R2*R2/4 = I on window",
         "||R2|| equals |alpha|"},
+    "axis_family": _BATTERY | {
+        "fundamentals carry the averaged symbols",
+        "dilation is a gamma7 isometry: worst failing residual",
+        "defect operator is a projection",
+        "all commutator identities hold (contrast with exam1)",
+        "kernel-restricted tuple mirrors fundamental commutators",
+        "axis embedding of a clean isometric triple: worst failing residual",
+        "axis points of contractions land inside"},
 }
 
 
@@ -110,6 +118,26 @@ class TestRunExample:
             by = {i.label: i.residual for i in rep.items}
             assert by["||V1|| equals |alpha|"] <= 1e-9
 
+    @pytest.mark.parametrize("trunc", [8, 16, 32])
+    def test_axis_family_dilates(self, trunc, monkeypatch):
+        # the axis tuple, whose commutator identities all hold, gets a
+        # commuting gamma7-isometric Schaffer dilation at every depth: every
+        # residual of its isometry check, "commuting" included, reads 0
+        checks = []
+
+        def recorded(tup, tol, _fn=gallery.isometry_check):
+            checks.append(_fn(tup, tol))
+            return checks[-1]
+        monkeypatch.setattr(gallery, "isometry_check", recorded)
+        for depth in (2, 3, 4, 7):
+            checks.clear()
+            rep = run_example(GalleryCase("axis_family", {"trunc": trunc, "depth": depth}))
+            assert rep.verdict == "pass" and rep.window_margin == 2
+            by = {i.label: i.residual for i in rep.items}
+            assert by["dilation is a gamma7 isometry: worst failing residual"] == 0.0
+            assert by["co-extension of the original tuple"] == 0.0
+            assert checks[0].name == "isometry-gamma7" and checks[0].worst() == 0.0
+
     def test_exam5_alpha_sweep(self):
         for alpha in (0.0, 0.5, 1.0):
             rep = run_example(GalleryCase("exam5", {"alpha": alpha}))
@@ -130,6 +158,7 @@ class TestOperatorBattery:
         "exam2": {"schaffer": 1, "chain_report": 1},
         "exam3": {"build_exam3_dilation": 1, "isometry_check": 1},
         "exam5": {"pentablock_dilation": 1, "isometry_check": 1},
+        "axis_family": {"schaffer": 1, "isometry_check": 2},  # dilation, clean triple
     }
 
     @pytest.mark.parametrize("cid", CALLS)
