@@ -223,6 +223,21 @@ def _structure_radius(a: np.ndarray, structure: BlockStructure, zs: np.ndarray,
     return out
 
 
+def _quadratic_fit(o: np.ndarray) -> np.ndarray:
+    """The linear map from values at the offsets ``o`` (one row per point of
+    the cube {-1, 0, 1}^d, centre included) to the gradient and the
+    row-major Hessian of their quadratic model, in units of the step, by
+    central differences: g_k = (f(e_k) - f(-e_k)) / 2,
+    H_kk = f(e_k) - 2 f(0) + f(-e_k) and
+    H_kl = (f(e_k + e_l) - f(e_k - e_l) - f(-e_k + e_l) + f(-e_k - e_l)) / 4.
+    All three are exact on a quadratic."""
+    nz = np.count_nonzero(o, axis=1)[:, None, None]
+    eye = np.eye(o.shape[1])
+    hess = o[:, :, None] * o[:, None, :] * np.where(nz == 2, 0.25 * (1.0 - eye), nz == 1)
+    hess -= 2.0 * (nz == 0) * eye
+    return np.concatenate([o * (nz[:, :, 0] == 1) / 2.0, hess.reshape(len(o), -1)], axis=1)
+
+
 def mu_E(a, structure: BlockStructure, tol: float = 1e-4) -> float:
     """Structured singular value for a repeated-scalar block structure.
 
@@ -241,19 +256,30 @@ def mu_E(a, structure: BlockStructure, tol: float = 1e-4) -> float:
       one coarse cell over p.  On one free axis p = 8, the stencil is the
       16 offsets in {-8..8} times the seed's step, and a seed moves to its
       best stencil point and divides its step by 8 unless that point lies
-      on the outer ring +-8.  On s - 1 >= 2 free axes p = 2, and the
-      stencil is {-1, 0, 1}^(s-1) times the step when that is at most 125
-      points (8, 26 and 80 offsets for s - 1 = 2, 3, 4), else +-1 along
-      each axis; a seed moves to its best stencil point and keeps its step,
-      or halves its step when no stencil point beats it.  A seed stops when
-      its last level gained at most tol / 4 and its step is at most
-      tol / (4 ||A||), or when a better seed's centre lies within p steps
-      of it (both climb the same peak).
+      on the outer ring +-8.  On s - 1 >= 5 free axes p = 2, the stencil
+      is +-1 along each axis, and a seed moves to its best stencil point
+      and keeps its step, or halves its step when no stencil point beats
+      it.  On s - 1 = 2, 3, 4 free axes p = 2 and the stencil is the cube
+      {-1, 0, 1}^(s-1) times the step, centre included (9, 27 and 81
+      points).  Its values give the quadratic model of the level by central
+      differences (``_quadratic_fit``).  When the model is concave and its
+      maximiser c + delta h has ||delta||_inf <= 1, the next level is
+      centred on that point with step h / 8, and its centre is evaluated
+      there.  Otherwise the seed moves to its best stencil point and doubles
+      its step, capped at one coarse cell, or halves its step when the
+      centre is best.  This is the "search step" of a pattern search, here
+      on a model built from the poll's own values (Audet & Dennis, "Mesh
+      adaptive direct search algorithms for constrained optimization", SIAM
+      J. Optim. 17, 2006; Conn, Scheinberg & Vicente, "Introduction to
+      Derivative-Free Optimization", SIAM 2009, ch. 7 and 10).  A seed
+      stops when its last level gained at most tol / 4 and its step is at
+      most tol / (4 ||A||), or when a better seed's centre lies within p
+      steps of it (both climb the same peak).
 
     Each batch is one ``_structure_radius`` call on the minor table of A,
-    formed once per call.  The result is the largest sampled value: a lower
-    bound on mu that the zoom drives to a local maximum, not a certified
-    value.
+    formed once per call.  The result is the largest evaluated value: a
+    lower bound on mu that the zoom drives to a local maximum, not a
+    certified value.
     """
     m = _mat(a)
     if m.shape != (structure.n, structure.n):
@@ -284,14 +310,18 @@ def mu_E(a, structure: BlockStructure, tol: float = 1e-4) -> float:
     center, val = np.angle(grid[cand]), vals.ravel()[cand]
 
     span = np.arange(-reach, reach + 1)
-    if len(span) ** sfree <= 125:
+    cube = sfree > 1 and len(span) ** sfree <= 125  # the model step's stencil
+    if cube:
         offsets = _lattice(span, sfree)
-        offsets = offsets[offsets.any(axis=1)]
+        fit, mid = _quadratic_fit(offsets), len(offsets) // 2
+    elif sfree == 1:
+        offsets = span[span != 0][:, None]
     else:
         offsets = np.kron(np.eye(sfree, dtype=int), span[span != 0][:, None])
     offsets = np.concatenate([np.zeros_like(offsets[:, :1]), offsets], axis=1)  # z_1 = 1
     outer = np.abs(offsets).max(axis=1) == reach
-    step = np.full(len(val), 2.0 * np.pi / pts / p)
+    cell = 2.0 * np.pi / pts
+    step = np.full(len(val), cell / p)
     stop = tol / (4.0 * norm)
     earlier = np.tri(len(val), k=-1, dtype=bool)
     live = np.ones(len(val), dtype=bool)
@@ -303,11 +333,26 @@ def mu_E(a, structure: BlockStructure, tol: float = 1e-4) -> float:
         zs = np.exp(1j * trial.reshape(-1, structure.s))
         v = _structure_radius(m, structure, zs, table).reshape(len(idx), -1)
         rows, k = np.arange(len(idx)), v.argmax(axis=1)
-        gain = np.maximum(v[rows, k] - val[idx], 0.0)
-        up = gain > 0.0
+        best = v[rows, k]
+        gain = np.maximum(best - val[idx], 0.0)
+        val[idx] = np.maximum(val[idx], best)
+        if cube:
+            up = best > v[:, mid]
+            model = v @ fit
+            grad, hess = model[:, :sfree], model[:, sfree:].reshape(-1, sfree, sfree)
+            newton = np.linalg.eigvalsh(hess)[:, -1] < 0.0
+            delta = np.zeros_like(grad)
+            delta[newton] = np.linalg.solve(hess[newton], -grad[newton, :, None])[:, :, 0]
+            newton &= np.abs(delta).max(axis=1) <= 1.0
+            up &= ~newton
+            center[idx[newton], 1:] += step[idx[newton], None] * delta[newton]
+            step[idx[newton]] /= 8.0
+            step[idx[up]] = np.minimum(2.0 * step[idx[up]], cell)
+            step[idx[~(up | newton)]] /= 2.0
+        else:
+            up = gain > 0.0
+            step[idx[~(up & outer[k])]] /= p
         center[idx[up]] = trial[rows[up], k[up]]
-        val[idx[up]] = v[rows[up], k[up]]
-        step[idx[~(up & outer[k])]] /= p
         live[idx] = (gain > 0.25 * tol) | (step[idx] > stop)
         gap = np.abs(np.angle(np.exp(1j * (center[:, None] - center[None])))).max(axis=2)
         better = (val[None] > val[:, None]) | ((val[None] == val[:, None]) & earlier)

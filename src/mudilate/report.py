@@ -162,6 +162,10 @@ def json_of_type(what: str, value, expected: type):
 
 def operator_from_dict(d) -> np.ndarray:
     json_of_type("a matrix", d, dict)
+    missing = [key for key in ("rows", "cols", "data") if key not in d]
+    if missing:
+        raise ValueError(f"a matrix needs the keys 'rows', 'cols' and 'data', "
+                         f"missing {', '.join(map(repr, missing))}")
     rows, cols = d["rows"], d["cols"]
     # JSON integers, or numbers with an integral value (2.0); a bool is no size
     if not all((isinstance(x, numbers.Integral) and not isinstance(x, bool))

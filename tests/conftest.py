@@ -76,3 +76,27 @@ def range_side_kernel(dd, w):
     c = q.conj().T @ dd.range_basis.dense()
     vals, v = np.linalg.eigh(c @ c.conj().T)
     return q @ v[:, vals < 1e-9]
+
+
+def mu_polished_reference(a, structure, pts, keep=4):
+    """Independent evaluation: the spectral radius on a dense reduced-torus
+    grid, its `keep` best points polished by Nelder-Mead in the angles."""
+    import scipy.optimize
+
+    sfree = structure.s - 1
+    ring = 2 * np.pi * np.arange(pts) / pts
+    ang = np.stack([g.ravel() for g in np.meshgrid(*[ring] * sfree, indexing="ij")], axis=1)
+
+    def radius(th):
+        th = np.atleast_2d(th)
+        z = np.exp(1j * np.concatenate([np.zeros((len(th), 1)), th], axis=1))
+        d = np.repeat(z, structure.r, axis=1)
+        return np.abs(np.linalg.eigvals(a[None] * d[:, None, :])).max(axis=1)
+
+    vals = radius(ang)
+    best = vals.max()
+    for k in np.argsort(-vals)[:keep]:
+        r = scipy.optimize.minimize(lambda t: -radius(t)[0], ang[k], method="Nelder-Mead",
+                                    options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 4000})
+        best = max(best, -r.fun)
+    return best

@@ -485,6 +485,13 @@ class TestEntryPoint:
          "point kind missing"),
         (["membership", "--point", '{"kind":"tetra"}'], None,
          "needs a 'coords' list"),
+        (["verify", "--kind", "gamma7", "--tuple"],
+         {"kind": "gamma7", "ops": [{"cols": 1, "data": [[0, 0]]}]},
+         "needs the keys 'rows', 'cols' and 'data', missing 'rows'"),
+        (["mu", "--structure", "2,2,1,1", "--matrix"], {"rows": 1, "cols": 1},
+         "needs the keys 'rows', 'cols' and 'data', missing 'data'"),
+        (["mu", "--structure", "2,2,1,1", "--matrix"], {"data": [[0, 0]]},
+         "missing 'rows', 'cols'"),
     ])
     def test_malformed_payload_types_give_a_named_error(self, tmp_path, args,
                                                         payload, named):

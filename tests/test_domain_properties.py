@@ -1,9 +1,10 @@
 """Randomised invariants of the torus search for mu_E and of the closed-form
 minimal-norm realisers: invariance of mu_E under the transforms that keep
 the spectral radius of A diag(z) at every z, the rho(A) <= mu_E <= ||A||
-chain, tetra/penta certificates that never exceed the norm of the matrix
-that generated the point, and tetrablock verdicts that agree with a dense
-torus reference, and a diagonal decode that matches numpy's at every
+chain, a model-step zoom that reaches a polished dense reference,
+tetra/penta certificates that never exceed the norm of the matrix that
+generated the point, and tetrablock verdicts that agree with a dense torus
+reference, and a diagonal decode that matches numpy's at every
 power-of-two scale."""
 
 import cmath
@@ -15,6 +16,8 @@ from hypothesis import assume, given, settings, strategies as st
 from mudilate.domains import (COORD_MAP, DEGREES, E211, E311, E312, BlockStructure,
                               DomainPoint, certificate_search, membership, mu_E,
                               penta_coords, tetra_coords)
+
+from conftest import mu_polished_reference
 
 SETTINGS = settings(derandomize=True, max_examples=30, deadline=None)
 E1111 = BlockStructure(4, 4, (1, 1, 1, 1))
@@ -64,6 +67,29 @@ def test_mu_between_radius_and_norm(case):
     for lo, hi in zip(edges[:-1], edges[1:]):
         block = np.abs(np.linalg.eigvals(a[lo:hi, lo:hi])).max()
         assert mu >= block - TOL * max(1.0, mu)
+
+
+# the structures whose zoom takes the model step, each with the dense
+# reference grid that keeps one reference near a second
+MODEL_STEP_GRIDS = {E311: 64, E1111: 16, BlockStructure(4, 3, (1, 1, 2)): 64,
+                    BlockStructure(4, 3, (2, 1, 1)): 64}
+
+
+@settings(derandomize=True, max_examples=24, deadline=None)
+@given(st.sampled_from(list(MODEL_STEP_GRIDS)), st.integers(0, 2**32 - 1),
+       st.sampled_from((0.0, 0.3)), st.floats(0.2, 3.0))
+def test_model_step_mu_between_bounds_and_reaches_reference(structure, seed, zeros, scale):
+    # the largest evaluated value stays a lower bound on ||A|| and above
+    # rho(A), and the zoom still climbs to the polished dense reference
+    rng = np.random.default_rng(seed)
+    n = structure.n
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    a[rng.uniform(size=(n, n)) < zeros] = 0.0
+    a *= scale
+    mu = mu_E(a, structure, TOL)
+    assert np.abs(np.linalg.eigvals(a)).max() * (1 - 1e-12) <= mu
+    assert mu <= np.linalg.norm(a, 2) * (1 + 1e-12)
+    assert mu >= mu_polished_reference(a, structure, MODEL_STEP_GRIDS[structure]) * (1 - 1e-8)
 
 
 @SETTINGS

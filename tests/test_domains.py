@@ -4,7 +4,6 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.optimize
 
 from mudilate import domains
 from mudilate.domains import (E211, E311, E312, MAX_PSI3_GRID, BlockStructure,
@@ -14,6 +13,8 @@ from mudilate.domains import (E211, E311, E312, MAX_PSI3_GRID, BlockStructure,
                               point_pi_eta, psi3_supnorm, tetra_coords,
                               _structure_radius)
 from mudilate.opcore import op_norm, spectral_radius
+
+from conftest import mu_polished_reference
 
 
 def _refuse(token):
@@ -59,28 +60,6 @@ def mu_charpoly_oracle(a, structure, pts=64):
     return float(_cubic_max_root(tr, c1, det).max())
 
 
-def mu_polished_reference(a, structure, pts, keep=4):
-    """Independent evaluation: the spectral radius on a dense reduced-torus
-    grid, its `keep` best points polished by Nelder-Mead in the angles."""
-    sfree = structure.s - 1
-    ring = 2 * np.pi * np.arange(pts) / pts
-    ang = np.stack([g.ravel() for g in np.meshgrid(*[ring] * sfree, indexing="ij")], axis=1)
-
-    def radius(th):
-        th = np.atleast_2d(th)
-        z = np.exp(1j * np.concatenate([np.zeros((len(th), 1)), th], axis=1))
-        d = np.repeat(z, structure.r, axis=1)
-        return np.abs(np.linalg.eigvals(a[None] * d[:, None, :])).max(axis=1)
-
-    vals = radius(ang)
-    best = vals.max()
-    for k in np.argsort(-vals)[:keep]:
-        r = scipy.optimize.minimize(lambda t: -radius(t)[0], ang[k], method="Nelder-Mead",
-                                    options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 4000})
-        best = max(best, -r.fun)
-    return best
-
-
 class TestBlockStructure:
     def test_parse(self):
         s = BlockStructure.parse("3,2,1,2")
@@ -92,6 +71,18 @@ class TestBlockStructure:
 
 
 class TestMuE:
+    @pytest.fixture
+    def batches(self, monkeypatch):
+        """The row count of every ``_structure_radius`` batch mu_E makes."""
+        sizes = []
+
+        def record(a, structure, zs, *rest):
+            sizes.append(len(zs))
+            return _structure_radius(a, structure, zs, *rest)
+
+        monkeypatch.setattr(domains, "_structure_radius", record)
+        return sizes
+
     def test_zero_matrix(self):
         assert mu_E(np.zeros((3, 3)), E311) == 0.0
 
@@ -149,19 +140,13 @@ class TestMuE:
                 want = mu_polished_reference(a, structure, pts)
                 assert mu_E(a, structure, tol=1e-4) >= want * (1 - 1e-8)
 
-    @pytest.mark.parametrize("sfree, grid, stencil", [(1, 64, 16), (2, 1024, 8), (3, 1000, 26),
-                                                      (4, 625, 80), (5, 1024, 10)])
-    def test_zoom_batch_shape(self, monkeypatch, sfree, grid, stencil):
+    @pytest.mark.parametrize("sfree, grid, stencil", [(1, 64, 16), (2, 1024, 9), (3, 1000, 27),
+                                                      (4, 625, 81), (5, 1024, 10)])
+    def test_zoom_batch_shape(self, batches, sfree, grid, stencil):
         # the coarse grid comes first; each zoom level then puts every live
-        # seed's stencil through the eigensolver in one batch: {-8..8} on
-        # one free axis, {-1, 0, 1}^(s-1) up to s - 1 = 4, +-1 per axis above
-        batches = []
-
-        def record(a, structure, zs, *rest):
-            batches.append(len(zs))
-            return _structure_radius(a, structure, zs, *rest)
-
-        monkeypatch.setattr(domains, "_structure_radius", record)
+        # seed's stencil through the eigensolver in one batch: {-8..8} less
+        # its centre on one free axis, the cube {-1, 0, 1}^(s-1) with its
+        # centre up to s - 1 = 4, +-1 per axis above
         rng = np.random.default_rng(27)
         n = sfree + 1
         a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -170,6 +155,36 @@ class TestMuE:
         assert len(batches) > 1
         for b in batches[1:]:
             assert b % stencil == 0 and 1 <= b // stencil <= 8
+
+    @pytest.mark.parametrize("structure, seed", [(E311, 30), (BlockStructure(4, 4, (1,) * 4), 28)])
+    def test_model_step_cuts_levels(self, batches, structure, seed):
+        # on a smooth peak the quadratic model's maximiser is accurate to
+        # O(h^2), so each level divides the step by 8: the coarse grid and
+        # at most 7 levels, where halving the step takes about 26
+        rng = np.random.default_rng(seed)
+        n = structure.n
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        got = mu_E(a, structure, tol=1e-4)
+        assert len(batches) <= 8
+        assert got >= mu_polished_reference(a, structure, 64 if n == 3 else 16) * (1 - 1e-12)
+
+    @pytest.mark.parametrize("sfree", [2, 3, 4])
+    def test_quadratic_fit_is_exact_on_a_quadratic(self, sfree):
+        # central differences on the {-1, 0, 1} cube recover the gradient
+        # and the Hessian of f(x) = c + g.x + x.H x / 2 exactly, whatever
+        # the order of the points
+        rng = np.random.default_rng(40 + sfree)
+        x = np.stack([g.ravel() for g in np.meshgrid(*[[-1, 0, 1]] * sfree, indexing="ij")],
+                     axis=1)
+        x = x[rng.permutation(len(x))]
+        for _ in range(5):
+            c, g = rng.standard_normal(), rng.standard_normal((sfree,))
+            h = rng.standard_normal((sfree, sfree))
+            h += h.T
+            f = c + x @ g + 0.5 * np.einsum("ik,kl,il->i", x, h, x)
+            model = f[None] @ domains._quadratic_fit(x)
+            np.testing.assert_allclose(model[0, :sfree], g, atol=1e-13)
+            np.testing.assert_allclose(model[0, sfree:].reshape(sfree, sfree), h, atol=1e-13)
 
     def test_diagonal_entries_lower_bound(self):
         # scaling a single block exposes each diagonal entry as an eigenvalue
