@@ -11,7 +11,7 @@ from .dilate import (DilationResult, egervary, pentablock_dilation,
                      pushforward, schaffer)
 from .verify import (commutator_profile, is_commuting, isometry_check,
                      necessary_conditions)
-from .gallery import GalleryCase, emit_report, run_example, run_gallery
+from .gallery import GalleryCase, emit_report, run_example
 from .report import CheckItem, CheckReport, MembershipReport
 
 __all__ = [
@@ -25,6 +25,6 @@ __all__ = [
     "schaffer",
     "commutator_profile", "is_commuting", "isometry_check",
     "necessary_conditions",
-    "GalleryCase", "emit_report", "run_example", "run_gallery",
+    "GalleryCase", "emit_report", "run_example",
     "CheckItem", "CheckReport", "MembershipReport",
 ]

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 
@@ -368,54 +367,59 @@ def mu_for_kind(kind: str):
 # rational sup-norm criteria
 
 
-@dataclass
-class SupResult:
-    value: float
-    grid: int
-    z: complex
-    w: complex
+# the w circle of psi3_supnorm: PSI3_W_ANGLES equispaced angles half a step
+# off 1, then PSI3_W_REFINE angles across the two steps about the best one
+PSI3_W_ANGLES = 64
+PSI3_W_REFINE = 17
 
 
-# the largest torus grid of psi3_supnorm: its grid x grid complex samples take
-# 4 MB an array, and an evaluation holds a few such arrays at once
-MAX_PSI3_GRID = 512
+def _psi3_z_sup(den, num, w: np.ndarray) -> np.ndarray:
+    """sup over |z| = 1 of |psi(z, w)| at each w, for the (possibly scaled)
+    coefficients den = (1, x1, x2, x3) and num = (x4, x5, x6, x7)."""
+    (one, x1, x2, x3), (x4, x5, x6, x7) = den, num
+    a, b, c, d = x4 - w * x6, x5 - w * x7, one - w * x2, x1 - w * x3
+    g = c.real ** 2 + c.imag ** 2 - d.real ** 2 - d.imag ** 2
+    return (np.abs(a * c.conj() - b * d.conj()) + np.abs(a * d - b * c)) / np.abs(g)
 
 
-def psi3_supnorm(x: DomainPoint, grid: int = 64) -> SupResult:
-    """Sup over the two-torus of the degree-(1,1) rational symbol attached to
-    a gamma7 point: |x4 - z x5 - w x6 + z w x7| / |1 - z x1 - w x2 + z w x3|,
-    sampled on a grid x grid torus grid, ``grid`` an integer in
-    [1, MAX_PSI3_GRID] (DomainError otherwise, before anything is allocated).
+def psi3_supnorm(x: DomainPoint) -> float:
+    """Sup over the two-torus of |psi(z, w)|, the rational symbol of a gamma7
+    point, psi = (x4 - z x5 - w x6 + z w x7) / (1 - z x1 - w x2 + z w x3).
+
+    Exact in z: for fixed w, z -> (a - b z)/(c - d z) with a = x4 - w x6,
+    b = x5 - w x7, c = 1 - w x2, d = x1 - w x3 maps the unit circle onto the
+    circle of centre (a c* - b d*)/g and radius |a d - b c|/|g|, g = |c|^2 -
+    |d|^2 (Ahlfors, Complex Analysis, ch. 3), so sup_z is their sum.
+
+    On |w| = 1, g = alpha - 2 Re(w beta), alpha = 1 + |x2|^2 - |x1|^2 -
+    |x3|^2, beta = x2 - x1* x3, so the denominator vanishes on the torus iff
+    |alpha| <= 2 |beta|: PoleOnTorusError, before any sampling.  A point
+    whose (x1, x2, x3) lies in the open tetrablock has no such zero on the
+    closed bidisc (its defining property: Abouhajar, White & Young, J. Geom.
+    Anal. 17, 2007), so no pi-family point and no point realised by a
+    strict contraction raises.
+
+    The sup over w is sampled (PSI3_W_ANGLES angles, then PSI3_W_REFINE
+    about the best), so the value is a lower bound, not a certified one.
+    Denominator and numerator are each scaled by an exact power of two
+    (``_pow2_scaled``), so huge points neither overflow nor raise.
     """
     if x.kind != "gamma7":
         raise DomainError("the two-variable symbol takes gamma7 points")
-    if (not isinstance(grid, numbers.Integral) or isinstance(grid, bool)
-            or not 1 <= grid <= MAX_PSI3_GRID):
-        raise DomainError(f"grid must be an integer in [1, {MAX_PSI3_GRID}], got {grid!r}")
-    x1, x2, x3, x4, x5, x6, x7 = x.coords
-
-    def evaluate(zv, wv):
-        z, w = np.meshgrid(zv, wv, indexing="ij")
-        num = x4 - z * x5 - w * x6 + z * w * x7
-        den = 1.0 - z * x1 - w * x2 + z * w * x3
-        if np.abs(den).min() < 1e-12:
-            raise PoleOnTorusError("denominator vanishes on the torus sample")
-        vals = np.abs(num / den)
-        k = np.unravel_index(vals.argmax(), vals.shape)
-        return float(vals[k[0], k[1]]), complex(z[k]), complex(w[k])
-
-    # half-step offset keeps exact poles at roots of unity off the sample
-    ang = 2.0 * np.pi * (np.arange(grid) + 0.5) / grid
-    zv = np.exp(1j * ang)
-    best, zb, wb = evaluate(zv, zv)
-    step = 2.0 * np.pi / grid
-    loc = np.linspace(-step, step, 17)
-    zv = zb * np.exp(1j * loc)
-    wv = wb * np.exp(1j * loc)
-    v, zb, wb = evaluate(zv, wv)
-    if v > best:
-        best = v
-    return SupResult(best, grid, zb, wb)
+    sd, den = _pow2_scaled((1,) * 4, (1.0, *x.coords[:3]))
+    sn, num = _pow2_scaled((1,) * 4, x.coords[3:])
+    one, x1, x2, x3 = den
+    alpha = abs(one) ** 2 + abs(x2) ** 2 - abs(x1) ** 2 - abs(x3) ** 2
+    if abs(alpha) <= 2.0 * abs(one * x2 - x1.conjugate() * x3):
+        raise PoleOnTorusError("the denominator vanishes on the torus")
+    step = 2.0 * np.pi / PSI3_W_ANGLES
+    ang = step * (np.arange(PSI3_W_ANGLES) + 0.5)
+    vals = _psi3_z_sup(den, num, np.exp(1j * ang))
+    k = vals.argmax()
+    loc = ang[k] + np.linspace(-step, step, PSI3_W_REFINE)
+    best = max(vals[k], _psi3_z_sup(den, num, np.exp(1j * loc)).max())
+    # sd / sn is a power of two in [2^-1022, 2^1022]: exact
+    return float(best) * (sd / sn)
 
 
 # ---------------------------------------------------------------------------
@@ -530,21 +534,21 @@ DEGREES = {"gamma7": (1, 1, 2, 1, 2, 2, 3), "gamma5": (1, 2, 3, 1, 2),
 _ROOT = (None, abs, math.sqrt, math.cbrt)
 
 
-def _pow2_scaled(kind, x) -> tuple:
+def _pow2_scaled(degrees, x) -> tuple:
     """(s, s-scaled x): s = 2^-k with k >= 0 the least exponent that brings
-    the d-th root of every part of every degree-d coordinate below 4, so
-    that s A realises the scaled point exactly when A realises x, and the
-    scaled point has x's bits (a part far below the point's size may lose
-    bits to underflow, far below any residual tolerance).  k = 0 unless
-    some coordinate has modulus 4 or more, so every point with coordinates
-    in the range of the closed domains (moduli at most 2) is computed
-    unscaled, and its residual is absolute."""
+    the d-th root of every part of x[i] below 4, d = degrees[i] its degree
+    in the matrix entries, so that s A realises the scaled point exactly
+    when A realises x, and the scaled point has x's bits (a part far below
+    the point's size may lose bits to underflow, far below any residual
+    tolerance).  k = 0 unless some coordinate has modulus 4 or more, so
+    every point with coordinates in the range of the closed domains (moduli
+    at most 2) is computed unscaled, and its residual is absolute."""
     if max(map(abs, x)) < 4.0:
         return 1.0, x
-    size = max(_ROOT[d](max(abs(z.real), abs(z.imag))) for z, d in zip(x, DEGREES[kind]))
+    size = max(_ROOT[d](max(abs(z.real), abs(z.imag))) for z, d in zip(x, degrees))
     s = 2.0 ** -max(0, math.frexp(size)[1] - 2)
     scaled = []
-    for z, d in zip(x, DEGREES[kind]):
+    for z, d in zip(x, degrees):
         for _ in range(d):  # one factor at a time: s^3 itself can underflow
             z *= s
         scaled.append(z)
@@ -556,7 +560,7 @@ def _closed_certificate(kind, x) -> Certificate:
     residual are computed on the point scaled by ``_pow2_scaled``, then
     scaled back: huge points do not overflow, except a bound above the float
     range, which reads sys.float_info.max."""
-    s, y = _pow2_scaled(kind, x)
+    s, y = _pow2_scaled(DEGREES[kind], x)
     b = (_min_norm_penta if kind == "penta" else _min_norm_tetra)(*y)
     return Certificate(b / s, _coord_residual(kind, b, y),
                        min(_norm2(b) / s, sys.float_info.max), "closed")
@@ -575,7 +579,7 @@ def _diag_decode(point: DomainPoint, tol: float = 1e-8):
       larger root q with the sign that makes Re(conj(y1) sqrt(disc)) >= 0,
       so that y1 and the root of the discriminant do not cancel, and
       r = y2 / q (Vieta)."""
-    s, y = _pow2_scaled(point.kind, point.coords)
+    s, y = _pow2_scaled(DEGREES[point.kind], point.coords)
     if point.kind == "gamma7":
         p, q, x3, r, x5, x6, x7 = y
         pq = p * q

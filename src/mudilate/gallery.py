@@ -44,6 +44,9 @@ class GalleryCase:
         if self.id not in CASE_IDS:
             raise ValueError(f"unknown case {self.id!r}; choose from {CASE_IDS}")
         p = dict(trunc=8, depth=4, alpha=0.5, z_samples=8, n_points=25, seed=7)
+        unknown = sorted(set(self.params) - set(p))
+        if unknown:
+            raise ValueError(f"unknown parameters {unknown}; choose from {sorted(p)}")
         p.update(self.params)
         if not 1 <= p["z_samples"] <= MAX_Z_SAMPLES:
             raise ValueError(f"z_samples must lie in [1, {MAX_Z_SAMPLES}]")
@@ -400,7 +403,7 @@ def _run_pi_family(case: GalleryCase) -> CheckReport:
         pt7 = point_pi(a, b)
         r7 = membership(pt7)
         ok7 &= r7.verdict == "inside"
-        worst_psi = max(worst_psi, psi3_supnorm(pt7, grid=32).value)
+        worst_psi = max(worst_psi, psi3_supnorm(pt7))
         for eta in etas[:2]:
             r5 = membership(point_pi_eta(pt7, eta))
             ok5 &= r5.verdict == "inside"
@@ -439,12 +442,3 @@ def emit_report(report, fmt: str = "json") -> bytes:
         return report.to_text().encode()
     raise ValueError(f"unknown format {fmt!r}")
 
-
-def run_gallery(case_ids=None, **params):
-    """Run the selected cases (all by default); returns list of reports."""
-    ids = list(case_ids) if case_ids else list(CASE_IDS)
-    reports = []
-    for cid in ids:
-        case = GalleryCase(cid, dict(params))
-        reports.append(run_example(case))
-    return reports

@@ -38,8 +38,8 @@ def scipy_loaded():
 GALLERY = PREAMBLE + """
 import mudilate
 after_import = scipy_loaded()
-from mudilate.gallery import run_gallery
-verdicts = [r.verdict for r in run_gallery(trunc=8)]
+from mudilate.gallery import CASE_IDS, GalleryCase, run_example
+verdicts = [run_example(GalleryCase(cid, {"trunc": 8})).verdict for cid in CASE_IDS]
 print(json.dumps({"import": after_import, "gallery": scipy_loaded(),
                   "charpoly": "mudilate.charpoly" in sys.modules, "verdicts": verdicts}))
 """

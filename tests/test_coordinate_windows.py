@@ -12,8 +12,8 @@ from hypothesis import given, settings, strategies as st
 import mudilate.fundamentals as fundamentals
 import mudilate.spaces as spaces
 from mudilate.fundamentals import PIVOT, ExpansiveError, defect
-from mudilate.gallery import (build_exam1, build_exam3, build_exam3_dilation, build_exam5,
-                              run_gallery)
+from mudilate.gallery import (CASE_IDS, GalleryCase, build_exam1, build_exam3,
+                              build_exam3_dilation, build_exam5, run_example)
 from mudilate.opcore import OpcoreError, _Block, _compact
 from mudilate.spaces import Window
 
@@ -216,8 +216,8 @@ def test_gallery_windows_are_selections(monkeypatch, eigh_in_defect):
         bases.append(self.basis)
 
     monkeypatch.setattr(spaces.Window, "__post_init__", recording)
-    reports = run_gallery(trunc=16)
-    assert all(r.verdict == "pass" for r in reports)
+    for cid in CASE_IDS:
+        assert run_example(GalleryCase(cid, {"trunc": 16})).verdict == "pass"
     # each of the five operator cases builds its window, the kernel window
     # and the dilation window (pushforward takes none); axis_family adds the
     # window of its mirror check and that of its clean triple

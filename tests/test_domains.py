@@ -1,4 +1,6 @@
+import cmath
 import json
+import math
 import tracemalloc
 import warnings
 
@@ -6,7 +8,7 @@ import numpy as np
 import pytest
 
 from mudilate import domains
-from mudilate.domains import (E211, E311, E312, MAX_PSI3_GRID, BlockStructure,
+from mudilate.domains import (E211, E311, E312, BlockStructure,
                               DomainPoint, DomainError, PoleOnTorusError,
                               certificate_search, gamma5_coords, gamma7_coords,
                               membership, mu_E, on_K0, penta_coords, point_pi,
@@ -234,49 +236,56 @@ class TestMuE:
 
 class TestPsi3:
     def test_zero_point(self):
-        assert psi3_supnorm(DomainPoint("gamma7", (0,) * 7)).value == 0.0
+        got = psi3_supnorm(DomainPoint("gamma7", (0,) * 7))
+        assert isinstance(got, float) and got == 0.0
 
     def test_two_parameter_cancellation(self):
         # numerator and denominator share the factors (1 - z a)(1 - w b)
-        r = psi3_supnorm(point_pi(0.5, 0.5))
-        assert r.value == pytest.approx(0.25, abs=1e-12)
+        assert psi3_supnorm(point_pi(0.5, 0.5)) == pytest.approx(0.25, abs=1e-12)
 
     def test_axis_form_matches_direct_evaluation(self):
         x1, x6, x7 = 0.4 + 0.1j, 0.3, 0.2j
         pt = DomainPoint("gamma7", (x1, 0, 0, 0, 0, x6, x7))
-        got = psi3_supnorm(pt, grid=64)
+        got = psi3_supnorm(pt)
         ang = 2.0 * np.pi * (np.arange(64) + 0.5) / 64
         zs = np.exp(1j * ang)
         z, w = np.meshgrid(zs, zs, indexing="ij")
         direct = np.abs((-w * x6 + z * w * x7) / (1.0 - z * x1)).max()
-        assert got.value >= direct - 1e-12
-        assert got.value == pytest.approx(direct, rel=1e-3)
-
-    @pytest.mark.parametrize("grid", [0, -1, 2.5, 8.0, True, "8", MAX_PSI3_GRID + 1, 10**12])
-    def test_grid_refused_before_allocating(self, grid):
-        pt, named = point_pi(0.5, 0.5), rf"grid must be an integer in \[1, {MAX_PSI3_GRID}\]"
-        tracemalloc.start()
-        try:
-            with pytest.raises(DomainError, match=named):
-                psi3_supnorm(pt, grid=grid)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**16
-
-    def test_grid_bounds_accepted(self):
-        pt = point_pi(0.5, 0.5)
-        assert psi3_supnorm(pt, grid=1).grid == 1
-        assert psi3_supnorm(pt, grid=MAX_PSI3_GRID).value == pytest.approx(0.25, abs=1e-12)
+        assert got >= direct - 1e-12
+        assert got == pytest.approx(direct, rel=1e-3)
 
     def test_pole_detected(self):
         pt = DomainPoint("gamma7", (2.0, 0, 0, 0, 0, 0.5, 0.5))
         # denominator 1 - 2z vanishes inside, stays bounded on the torus:
         # no pole error expected here, only for unimodular poles
-        psi3_supnorm(pt)
+        assert psi3_supnorm(pt) == pytest.approx(1.0 / 3.0, rel=1e-12)
         bad = DomainPoint("gamma7", (1.0, 0, 0, 1.0, 0, 0, 0))
         with pytest.raises(PoleOnTorusError):
-            psi3_supnorm(bad, grid=64)
+            psi3_supnorm(bad)
+
+    def test_pole_between_torus_samples_detected(self):
+        # 0.5 z + x2 w = 1 has solutions with |z| = |w| = 1 whose angles
+        # are irrational multiples of pi, so no finite torus sample meets them
+        pt = DomainPoint("gamma7", (0.5, 0.5 * cmath.exp(1j * math.sqrt(2)), 0, 0.3, 0, 0, 0))
+        with pytest.raises(PoleOnTorusError):
+            psi3_supnorm(pt)
+
+    @pytest.mark.parametrize("coords, expected", [
+        ((1e200, 0, 0, 1, 0, 0, 0), 1e-200),
+        ((0.1, 0.2, 0.01, 1e200, 0, 0, 0), 1e200 / 0.71),
+    ])
+    def test_huge_points_neither_overflow_nor_raise(self, coords, expected):
+        assert psi3_supnorm(DomainPoint("gamma7", coords)) == pytest.approx(expected, rel=1e-12)
+
+    def test_huge_denominator_scales_out(self):
+        # (3t, t, t) keeps |alpha| = 9t^2 - 1 above 2|beta| = 6t^2 - 2t, so no
+        # pole; psi is 1/t times a t-free symbol up to O(1/t^2)
+        def at(t):
+            return t * psi3_supnorm(DomainPoint("gamma7", (3 * t, t, t, 1, 1, 1, 1)))
+        assert at(1e160) == pytest.approx(at(1e20), rel=1e-12)
+        # (t, t, t) has a pole: z = conj(w) with 2 cos(arg z) = 1 + 1/t
+        with pytest.raises(PoleOnTorusError):
+            psi3_supnorm(DomainPoint("gamma7", (1e160, 1e160, 1e160, 1, 1, 1, 1)))
 
 
 class TestCoordinateMaps:

@@ -6,8 +6,7 @@ import pytest
 
 from mudilate import gallery, opcore
 from mudilate.fundamentals import MAX_Z_SAMPLES, solve_fundamentals
-from mudilate.gallery import (CASE_IDS, GalleryCase, emit_report, run_example,
-                              run_gallery)
+from mudilate.gallery import CASE_IDS, GalleryCase, emit_report, run_example
 from mudilate.report import CheckReport, dumps
 from mudilate.spaces import auto_margin, window
 
@@ -81,6 +80,14 @@ class TestGalleryCase:
         for params in ({"trunc": 9}, {"depth": 5}):
             with pytest.raises(ValueError, match="dense limit 192"):
                 GalleryCase("exam1", params)
+
+    def test_unknown_parameter_named(self):
+        # a misspelt name would otherwise run at the default and still
+        # appear in the params note
+        with pytest.raises(ValueError, match=r"unknown parameters \['trnc'\]"):
+            GalleryCase("exam1", {"trnc": 16})
+        with pytest.raises(ValueError, match=r"\['grid', 'x'\]"):
+            GalleryCase("pi_family", {"trunc": 8, "x": 1, "grid": 32})
 
     def test_defaults_filled(self):
         c = GalleryCase("exam1")
@@ -181,7 +188,8 @@ def test_gallery_builds_no_dense_operator(params, monkeypatch):
     def refuse(self):
         raise AssertionError(f"a gallery run formed a dense {self.shape} operator")
     monkeypatch.setattr(opcore._Block, "dense", refuse)
-    assert all(r.verdict == "pass" for r in run_gallery(trunc=8, **params))
+    for cid in CASE_IDS:
+        assert run_example(GalleryCase(cid, {"trunc": 8, **params})).verdict == "pass"
 
 
 class TestEmitReport:
@@ -220,8 +228,7 @@ class TestEmitReport:
 
 class TestRunGallery:
     def test_selected_subset(self):
-        reports = run_gallery(["exam5"], alpha=0.25)
-        assert len(reports) == 1 and reports[0].verdict == "pass"
+        assert run_example(GalleryCase("exam5", {"alpha": 0.25})).verdict == "pass"
 
 
 def test_exam3_repeated_members_are_formed_once(monkeypatch):
