@@ -27,6 +27,7 @@ run that takes none (the gallery) neither compiles nor holds that module.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -181,12 +182,25 @@ def _lattice(axis: np.ndarray, dims: int) -> np.ndarray:
     return np.stack([g.ravel() for g in mesh], axis=1)
 
 
+def _exponent(z: complex) -> int:
+    """The exponent e with max(|Re z|, |Im z|) in [2^(e-1), 2^e), 0 for z = 0:
+    within a factor sqrt 2 of |z|, and never an overflow."""
+    return math.frexp(max(abs(z.real), abs(z.imag)))[1]
+
+
+def _frozen(x: np.ndarray) -> np.ndarray:
+    x.flags.writeable = False
+    return x
+
+
+@functools.cache
 def _reduced_torus(sfree: int, pts: int) -> np.ndarray:
     """Torus sample with the first coordinate pinned to 1 (global phase is
     immaterial: scaling every block by a unimodular factor scales the
-    spectrum by that factor and leaves the spectral radius unchanged)."""
+    spectrum by that factor and leaves the spectral radius unchanged).
+    Cached and read-only: mu_E's grid and the search's penalty share it."""
     zs = _lattice(np.exp(2j * np.pi * np.arange(pts) / pts), sfree)
-    return np.concatenate([np.ones((len(zs), 1), dtype=complex), zs], axis=1)
+    return _frozen(np.concatenate([np.ones((len(zs), 1), dtype=complex), zs], axis=1))
 
 
 def _eig_radius(a: np.ndarray, structure: BlockStructure, zs: np.ndarray) -> np.ndarray:
@@ -237,13 +251,52 @@ def _quadratic_fit(o: np.ndarray) -> np.ndarray:
     return np.concatenate([o * (nz[:, :, 0] == 1) / 2.0, hess.reshape(len(o), -1)], axis=1)
 
 
+@functools.cache
+def _stencil(sfree: int, reach: int) -> tuple:
+    """The zoom's stencil on sfree free axes, reach steps wide, cached and
+    read-only: (offsets, outer, fit, mid).  offsets has one row per point
+    with a leading zero column (z_1 = 1), and outer marks the points on
+    the outer ring.  fit and mid are the ``_quadratic_fit`` map and the
+    centre's row when the stencil is the cube {-1, 0, 1}^sfree with its
+    centre (at most 125 points), and None otherwise."""
+    span = np.arange(-reach, reach + 1)
+    fit = mid = None
+    if sfree > 1 and len(span) ** sfree <= 125:
+        offsets = _lattice(span, sfree)
+        fit, mid = _frozen(_quadratic_fit(offsets)), len(offsets) // 2
+    elif sfree == 1:
+        offsets = span[span != 0][:, None]
+    else:
+        offsets = np.kron(np.eye(sfree, dtype=int), span[span != 0][:, None])
+    offsets = np.concatenate([np.zeros_like(offsets[:, :1]), offsets], axis=1)
+    outer = np.abs(offsets).max(axis=1) == reach
+    return _frozen(offsets), _frozen(outer), fit, mid
+
+
 def mu_E(a, structure: BlockStructure, tol: float = 1e-4) -> float:
     """Structured singular value for a repeated-scalar block structure.
 
     mu(A) = 1 / inf{||X||: det(I - AX) = 0, X in E}, with mu = 0 when no X
     makes I - AX singular.  By homogeneity of X -> AX this equals the maximum
     of the spectral radius of A diag(z) over the unit torus (Doyle, IEE
-    Proc. D 129, 1982), a maximum that is attained.  The search samples it:
+    Proc. D 129, 1982), a maximum that is attained.
+
+    E(2;2;1,1) gets mu exactly, in closed form.  det(I - A diag(z, w))
+    depends on A only through x = (a11, a22, det A), so mu(A) <= 1 iff x
+    lies in the closed tetrablock, that is iff some B with ||B|| <= 1 has
+    the same x (Abouhajar, White & Young, J. Geom. Anal. 17, 2007); by
+    homogeneity
+    mu(A) is the least 2-norm of such a B, that of ``_min_norm_tetra``'s
+    realiser, the bound ``membership`` gives a tetra point (it is Doyle's
+    D-scaling bound, equal to mu when 2S + F <= 3: Packard & Doyle,
+    Automatica 29, 1993).  The realiser takes a12 a21 directly, not as
+    a11 a22 - det A, which cancels when |a12 a21| << |a11 a22|, where mu
+    moves like sqrt |a12 a21|.  First D A D^-1, D = diag(1, 2^k), brings
+    |a12| and |a21| within a factor of two (mu is unchanged), so their
+    product cannot underflow, and the power of two at the largest entry
+    scales A as in ``charpoly.minor_table``: every scaling is exact.
+
+    Every other structure with s >= 2 is sampled:
 
     * a coarse grid on the reduced torus (z_1 = 1) with at most 64 points
       per free axis and 1024 in all, so the per-axis count shrinks as s
@@ -276,15 +329,25 @@ def mu_E(a, structure: BlockStructure, tol: float = 1e-4) -> float:
       steps of it (both climb the same peak).
 
     Each batch is one ``_structure_radius`` call on the minor table of A,
-    formed once per call.  The result is the largest evaluated value: a
-    lower bound on mu that the zoom drives to a local maximum, not a
-    certified value.
+    formed once per call; the grid and the stencil are built once per
+    structure (``_reduced_torus``, ``_stencil``).  The result is the
+    largest evaluated value: a lower bound on mu that the zoom drives to a
+    local maximum, not a certified value.
     """
     m = _mat(a)
     if m.shape != (structure.n, structure.n):
         raise DomainError(f"matrix shape {m.shape} does not match structure n={structure.n}")
     if not (0.0 < tol <= 1e-2):
         raise DomainError("tol must lie in (0, 1e-2]")
+    from . import charpoly
+
+    if structure == E211:
+        (a11, a12), (a21, a22) = m.tolist()
+        k = (_exponent(a12) - _exponent(a21)) // 2
+        a12, a21 = charpoly._times_pow2(a12, -k), charpoly._times_pow2(a21, k)
+        e = max(map(_exponent, (a11, a12, a21, a22)))
+        a11, a12, a21, a22 = (charpoly._times_pow2(v, -e) for v in (a11, a12, a21, a22))
+        return float(charpoly._times_pow2(_norm2(_min_norm_tetra(a11, a22, a12 * a21)), e))
     norm = op_norm(m)
     if norm == 0.0:
         return 0.0
@@ -297,8 +360,6 @@ def mu_E(a, structure: BlockStructure, tol: float = 1e-4) -> float:
     reach = p if sfree == 1 else 1  # stencil half-width in steps
     pts = min(64, int(1024 ** (1.0 / sfree) + 1e-9))
     grid = _reduced_torus(sfree, pts)
-    from . import charpoly
-
     table = charpoly.minor_table(m, structure.r) if structure.n <= charpoly.CLOSED_DEGREE else None
     vals = _structure_radius(m, structure, grid, table).reshape((pts,) * sfree)
     peak = np.ones(vals.shape, dtype=bool)
@@ -308,17 +369,8 @@ def mu_E(a, structure: BlockStructure, tol: float = 1e-4) -> float:
     cand = cand[np.argsort(-vals.ravel()[cand], kind="stable")[:seeds]]
     center, val = np.angle(grid[cand]), vals.ravel()[cand]
 
-    span = np.arange(-reach, reach + 1)
-    cube = sfree > 1 and len(span) ** sfree <= 125  # the model step's stencil
-    if cube:
-        offsets = _lattice(span, sfree)
-        fit, mid = _quadratic_fit(offsets), len(offsets) // 2
-    elif sfree == 1:
-        offsets = span[span != 0][:, None]
-    else:
-        offsets = np.kron(np.eye(sfree, dtype=int), span[span != 0][:, None])
-    offsets = np.concatenate([np.zeros_like(offsets[:, :1]), offsets], axis=1)  # z_1 = 1
-    outer = np.abs(offsets).max(axis=1) == reach
+    offsets, outer, fit, mid = _stencil(sfree, reach)
+    cube = fit is not None  # the model step's stencil
     cell = 2.0 * np.pi / pts
     step = np.full(len(val), cell / p)
     stop = tol / (4.0 * norm)
@@ -504,15 +556,14 @@ def _min_norm_penta(x1, x2, x3):
     return np.array([[x2 / 2.0 + u, b], [x1, x2 / 2.0 - u]])
 
 
-def _min_norm_tetra(x1, x2, x3):
+def _min_norm_tetra(x1, x2, q):
     """Minimal operator norm 2x2 matrix with diagonal (x1, x2) and
-    determinant x3, in closed form.
+    off-diagonal product q, so determinant x1 x2 - q, in closed form.
 
-    Every such matrix is [[x1, t], [q/t, x2]] with q = x1 x2 - x3 (t = 0
-    and a zero lower-left entry when q = 0).  As for the pentablock, the
-    2-norm grows with ||A||_F^2 = |x1|^2 + |x2|^2 + |t|^2 + |q|^2/|t|^2 at
-    fixed determinant, which is least at |t|^2 = |q|."""
-    q = x1 * x2 - x3
+    Every such matrix is [[x1, t], [q/t, x2]] (t = 0 and a zero lower-left
+    entry when q = 0).  As for the pentablock, the 2-norm grows with
+    ||A||_F^2 = |x1|^2 + |x2|^2 + |t|^2 + |q|^2/|t|^2 at fixed
+    determinant, which is least at |t|^2 = |q|."""
     t = np.sqrt(abs(q))
     return np.array([[x1, t], [q / t if t else 0.0, x2]])
 
@@ -561,7 +612,7 @@ def _closed_certificate(kind, x) -> Certificate:
     scaled back: huge points do not overflow, except a bound above the float
     range, which reads sys.float_info.max."""
     s, y = _pow2_scaled(DEGREES[kind], x)
-    b = (_min_norm_penta if kind == "penta" else _min_norm_tetra)(*y)
+    b = _min_norm_penta(*y) if kind == "penta" else _min_norm_tetra(y[0], y[1], y[0] * y[1] - y[2])
     return Certificate(b / s, _coord_residual(kind, b, y),
                        min(_norm2(b) / s, sys.float_info.max), "closed")
 

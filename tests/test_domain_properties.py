@@ -94,6 +94,20 @@ def test_model_step_mu_between_bounds_and_reaches_reference(structure, seed, zer
     assert mu >= mu_polished_reference(a, structure, MODEL_STEP_GRIDS[structure]) * (1 - 1e-8)
 
 
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(two_by_two())
+def test_one_axis_zoom_reaches_the_closed_form(a):
+    # A as the top-left block of a 3x3 zero matrix under E(3;2;1,2) has
+    # rho(A' D(1, z, z)) = rho(A D(1, z)) at every z, so the one-axis zoom
+    # reads E(2;2;1,1)'s closed form: at most tol below it, and above it
+    # by no more than rounding
+    big = np.zeros((3, 3), dtype=complex)
+    big[:2, :2] = a
+    exact = mu_E(a, E211, TOL)
+    zoom = mu_E(big, E312, TOL)
+    assert exact - TOL <= zoom <= exact * (1 + 1e-12)
+
+
 @SETTINGS
 @given(two_by_two())
 def test_closed_form_certificates_never_exceed_generator(a):

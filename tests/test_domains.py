@@ -1,6 +1,8 @@
 import cmath
+import importlib.util
 import json
 import math
+import pathlib
 import tracemalloc
 import warnings
 
@@ -148,11 +150,13 @@ class TestMuE:
         # the coarse grid comes first; each zoom level then puts every live
         # seed's stencil through the eigensolver in one batch: {-8..8} less
         # its centre on one free axis, the cube {-1, 0, 1}^(s-1) with its
-        # centre up to s - 1 = 4, +-1 per axis above
+        # centre up to s - 1 = 4, +-1 per axis above.  E(2;2;1,1) takes
+        # the closed form, so the one-axis case is E(3;2;1,2)
         rng = np.random.default_rng(27)
-        n = sfree + 1
+        structure = E312 if sfree == 1 else BlockStructure(sfree + 1, sfree + 1, (1,) * (sfree + 1))
+        n = structure.n
         a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        mu_E(a, BlockStructure(n, n, (1,) * n), tol=1e-4)
+        mu_E(a, structure, tol=1e-4)
         assert batches[0] == grid
         assert len(batches) > 1
         for b in batches[1:]:
@@ -187,6 +191,78 @@ class TestMuE:
             model = f[None] @ domains._quadratic_fit(x)
             np.testing.assert_allclose(model[0, :sfree], g, atol=1e-13)
             np.testing.assert_allclose(model[0, sfree:].reshape(sfree, sfree), h, atol=1e-13)
+
+    def test_e211_is_the_least_norm_of_a_realiser(self, batches):
+        # mu of two scalar blocks is the least 2-norm of a 2x2 matrix with
+        # the same (a11, a22, det A): the tetrablock certificate's bound,
+        # with no torus batch
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+            q = a[0, 1] * a[1, 0]
+            x = (a[0, 0], a[1, 1], a[0, 0] * a[1, 1] - q)
+            got = mu_E(a, E211, tol=1e-4)
+            realiser = domains._min_norm_tetra(a[0, 0], a[1, 1], q)
+            assert got == pytest.approx(domains._norm2(realiser), rel=1e-14)
+            cert = membership(DomainPoint("tetra", x)).meta["certificate_bound"]
+            assert got == pytest.approx(cert, rel=1e-14)
+        assert batches == []
+
+    def test_e211_reaches_the_generator_reference(self):
+        # the benchmark's fixed E211 matrix, whose reference comes from six
+        # refinement levels on an 8192-point grid
+        path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "gen.py"
+        spec = importlib.util.spec_from_file_location("bench_gen", path)
+        gen = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(gen)
+        want = gen.MU_STRUCTURES["E211"][2]
+        assert want == 2.096519681890553
+        assert abs(mu_E(gen.mu_base("E211"), E211) - want) <= 1e-14 * want
+
+    def test_e211_triangular_and_zero(self):
+        rng = np.random.default_rng(32)
+        for lower in (False, True):
+            a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+            a[(0, 1) if lower else (1, 0)] = 0.0
+            assert mu_E(a, E211) == np.abs(np.diag(a)).max()
+        assert mu_E(np.zeros((2, 2)), E211) == 0.0
+
+    def test_e211_takes_the_off_diagonal_product_directly(self):
+        # mu of [[1, t], [t, 1]] is 1 + t; through det A = 1 - t^2 the
+        # product t^2 = 1e-20 is lost to rounding.  A D-scaling keeps
+        # mu, so 2^p and 2^r off the diagonal give 2^((p + r) / 2), with
+        # no underflow
+        t = 1e-10
+        assert mu_E(np.array([[1.0, t], [t, 1.0]]), E211) == pytest.approx(1.0 + t, rel=1e-15)
+        for p, r in ((1000, -1000), (1023, -1023), (-1074, 1022)):
+            a = np.array([[0.0, 2.0 ** p], [2.0 ** r, 0.0]])
+            assert mu_E(a, E211) == mu_E(a.T, E211) == 2.0 ** ((p + r) // 2)
+        assert mu_E(np.array([[0.5, 1e308], [1e-308, 0.0]]), E211) == \
+            pytest.approx(0.25 + math.sqrt(1.0 + 0.0625), rel=1e-15)
+
+    def test_e211_homogeneity_is_exact_at_extreme_scales(self):
+        rng = np.random.default_rng(33)
+        a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        base = mu_E(a, E211)
+        for k in (-1000, -1, 1, 1000):
+            assert mu_E(a * 2.0 ** k, E211) == math.ldexp(base, k)
+
+    def test_e211_never_below_a_torus_sample(self):
+        # the sample's own roots carry rounding: a near-double root costs
+        # it up to about 100 eps, so the slack is 1e-13 relative
+        rng = np.random.default_rng(34)
+        zs = domains._reduced_torus(1, 4096)
+        for zeros in (0.0, 0.3):
+            for _ in range(20):
+                a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+                a[rng.uniform(size=(2, 2)) < zeros] = 0.0
+                sample = _structure_radius(a, E211, zs).max()
+                assert mu_E(a, E211) >= sample * (1 - 1e-13)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-4, 2e-2])
+    def test_e211_refuses_tol_outside_range(self, tol):
+        with pytest.raises(DomainError):
+            mu_E(np.eye(2), E211, tol=tol)
 
     def test_diagonal_entries_lower_bound(self):
         # scaling a single block exposes each diagonal entry as an eigenvalue
